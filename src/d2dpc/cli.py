@@ -16,27 +16,45 @@ from .combinat import curve_max, even_grid
 from .core import transcript_to_text
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(parser: argparse.ArgumentParser, name: str, default: int) -> int:
     value = os.environ.get(name)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        parser.error(f"environment variable {name} must be an integer, got {value!r}")
 
 
-def _parse_demands(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, e.g. 1,2, got {text!r}"
+        ) from None
+
+
+def _parse_tprime(text: str):
+    if text == "full":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'full', got {text!r}") from None
 
 
 def _scheme_params(args):
-    seed = args.seed if args.seed is not None else _env_int("D2DPC_SEED", 0)
     if args.scheme.upper() == "A":
         if args.t is None:
             raise SystemExit("--t is required for scheme A")
-        return scheme_a.params_for(args.K, args.N, args.t, seed, args.b_target)
+        return scheme_a.params_for(args.K, args.N, args.t, args.seed, args.b_target)
     if args.tprime is None:
         raise SystemExit("--tprime is required for scheme B (or 'full')")
-    tp = None if args.tprime == "full" else int(args.tprime)
+    tp = None if args.tprime == "full" else args.tprime
     if args.K != 2:
         raise SystemExit("scheme B runs with --K 2")
-    return scheme_b.params_for(args.N, tp, seed, args.b_target)
+    return scheme_b.params_for(args.N, tp, args.seed, args.b_target)
 
 
 def _fmt(x) -> str:
@@ -45,8 +63,7 @@ def _fmt(x) -> str:
 
 def cmd_simulate(args) -> int:
     params = _scheme_params(args)
-    demands = _parse_demands(args.demands)
-    tr = sim.run_protocol(args.scheme.upper(), params, demands)
+    tr = sim.run_protocol(args.scheme.upper(), params, args.demands)
     measured = sim.measure_load(tr)
     theoretical = sim.theoretical_load(tr)
     decode = verify.check_decodability(tr)
@@ -55,7 +72,7 @@ def cmd_simulate(args) -> int:
             fh.write(transcript_to_text(tr))
         print(f"transcript written to {args.out}")
     print(f"scheme={tr.scheme} K={tr.params.K} N={tr.params.N} B={tr.params.B} "
-          f"param={tr.scheme_param} M={tr.memory_point} demands={','.join(map(str, demands))}")
+          f"param={tr.scheme_param} M={tr.memory_point} demands={','.join(map(str, args.demands))}")
     print(f"measured load   = {measured} ({_fmt(measured)})")
     print(f"theoretical load = {theoretical} ({_fmt(theoretical)})")
     print(f"payload bits = {tr.payload_bits}, metadata bytes = {tr.metadata_bytes} "
@@ -122,23 +139,21 @@ def cmd_gap(args) -> int:
 
 def cmd_verify(args) -> int:
     params = _scheme_params(args)
-    coalition = [int(x) for x in args.coalition.split(",")]
     derandomized = args.baseline == "nonprivate"
-    cap = _env_int("D2DPC_ENUM_CAP", verify.EXACT_ENUMERATION_CAP)
     if args.mode == "exact":
         try:
             report = verify.check_privacy_exact(
-                args.scheme.upper(), params, coalition,
-                cap=cap, derandomized=derandomized, paranoid=args.paranoid,
+                args.scheme.upper(), params, args.coalition,
+                cap=args.enum_cap, derandomized=derandomized, paranoid=args.paranoid,
             )
         except verify.ExactModeTooLarge as err:
             print(err)
             return 2
     else:
         report = verify.check_privacy_mc(
-            args.scheme.upper(), params, coalition,
+            args.scheme.upper(), params, args.coalition,
             trials=args.trials, tolerance=args.tol,
-            base_seed=args.seed if args.seed is not None else _env_int("D2DPC_SEED", 0),
+            base_seed=args.seed,
             derandomized=derandomized,
         )
     print(report.text())
@@ -158,12 +173,14 @@ def main(argv=None) -> int:
         p.add_argument("--K", type=int, required=True)
         p.add_argument("--N", type=int, required=True)
         p.add_argument("--t", type=int, help="scheme A parameter t")
-        p.add_argument("--tprime", help="scheme B parameter t' (or 'full')")
+        p.add_argument("--tprime", type=_parse_tprime,
+                       help="scheme B parameter t' (or 'full')")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--b-target", type=int, default=None, dest="b_target",
                        help="minimum file size in bits (rounded up to the subpacketization)")
         if need_demands:
-            p.add_argument("--demands", required=True, help="comma-separated, e.g. 1,2")
+            p.add_argument("--demands", required=True, type=_parse_int_list,
+                           help="comma-separated, e.g. 1,2")
 
     p_sim = sub.add_parser("simulate", help="run one protocol instance")
     common_instance(p_sim, need_demands=True)
@@ -194,7 +211,8 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="decodability/privacy verification")
     common_instance(p_ver)
     p_ver.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p_ver.add_argument("--coalition", required=True, help="comma-separated user indices")
+    p_ver.add_argument("--coalition", required=True, type=_parse_int_list,
+                       help="comma-separated user indices")
     p_ver.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS)
     p_ver.add_argument("--tol", type=float, default=verify.DEFAULT_TOLERANCE)
     p_ver.add_argument("--paranoid", action="store_true",
@@ -204,6 +222,10 @@ def main(argv=None) -> int:
     p_ver.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
+    if args.command in ("simulate", "verify") and args.seed is None:
+        args.seed = _env_int(parser, "D2DPC_SEED", 0)
+    if args.command == "verify":
+        args.enum_cap = _env_int(parser, "D2DPC_ENUM_CAP", verify.EXACT_ENUMERATION_CAP)
     return args.func(args)
 
 

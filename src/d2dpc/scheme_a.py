@@ -21,7 +21,6 @@ from typing import Optional
 from .combinat import binom, lex_subsets, lower_convex_envelope, TradeoffCurve
 from .core import (
     CacheState,
-    MulticastMessage,
     Rat,
     SlotLayout,
     SubfileId,
@@ -256,21 +255,6 @@ def plan_messages_a(
     return out
 
 
-def build_broadcast_a(k: int, placement: PlacementA, plan: DeliveryPlanA) -> list[MulticastMessage]:
-    """Messages of transmitter k, payloads XORed from its own cache only."""
-    cache = placement.caches[k - 1]
-    ell = placement.layout.subfile_bits
-    messages = []
-    for pos, comp in plan_messages_a(k, placement, plan):
-        payload = None
-        if cache.content is not None:
-            payload = 0
-            for sid in comp:
-                payload ^= cache.content[sid]  # encoding constraint: cached only
-        messages.append(MulticastMessage(k, comp, payload, ell, pos))
-    return messages
-
-
 def placement_randomness_a(params: SchemeAParams):
     """Placement atoms (demand-independent): one block permutation per
     (file, transmitter).  The exhaustive checker products the options."""
@@ -326,9 +310,13 @@ def decode_from_messages(user, messages, cache: CacheState, demand: int, layout:
     """Recover the demanded file from broadcasts plus the local cache.
 
     Works for both schemes: every message is an XOR equation over the
-    receiver's unknown subfiles; peel/eliminate per transmitter block and
-    assemble the file.  Raises DecodingFailure naming the first slot the
-    broadcasts do not determine.
+    receiver's unknown subfiles.  The equations of each transmitter are
+    solved on their own by ``gf2.solve_xor_system`` (peel single-unknown
+    equations, split the rest into connected components, eliminate each
+    component), and the file is assembled from cache plus solutions.
+    Raises DecodingFailure naming the first slot the broadcasts do not
+    determine, and ValueError when a payload contradicts the cache or the
+    other payloads.
     """
     known = cache.content
     if known is None:

@@ -23,7 +23,6 @@ from typing import Optional
 from .combinat import binom, lex_subsets, lower_convex_envelope, TradeoffCurve
 from .core import (
     CacheState,
-    MulticastMessage,
     Rat,
     SlotLayout,
     SubfileId,
@@ -191,20 +190,6 @@ def plan_messages_b(k: int, placement: PlacementB, demands) -> list[tuple[None, 
     if len(out) != binom(N, params.tprime + 1):
         raise AssertionError("message count off")
     return out
-
-
-def build_broadcast_b(k: int, placement: PlacementB, demands) -> list[MulticastMessage]:
-    cache = placement.caches[k - 1]
-    ell = placement.layout.subfile_bits
-    messages = []
-    for pos, comp in plan_messages_b(k, placement, demands):
-        payload = None
-        if cache.content is not None:
-            payload = 0
-            for sid in comp:
-                payload ^= cache.content[sid]
-        messages.append(MulticastMessage(k, comp, payload, ell, pos))
-    return messages
 
 
 def placement_randomness_b(params: SchemeBParams):

@@ -17,7 +17,6 @@ from typing import Optional
 from . import scheme_a, scheme_b
 from .core import (
     CacheState,
-    FixedSource,
     MulticastMessage,
     Rat,
     SeededSource,
@@ -119,19 +118,6 @@ def run_protocol(
         payload_bits=payload_bits,
         metadata_bytes=metadata_bytes,
         queries=queries,
-    )
-
-
-def run_enumerated(scheme: str, scheme_params, demands, assignment: dict,
-                   derandomized: bool = False) -> Transcript:
-    """Structure-only run under an explicit randomness assignment."""
-    return run_protocol(
-        scheme,
-        scheme_params,
-        demands,
-        source=FixedSource(assignment),
-        derandomized=derandomized,
-        structure_only=True,
     )
 
 

@@ -107,3 +107,33 @@ def test_verify_mc(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "max_tv" in out
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--tprime", ["simulate", "--scheme", "B", "--K", "2", "--N", "3",
+                      "--tprime", "x", "--demands", "1,2"]),
+        ("--demands", ["simulate", "--scheme", "A", "--K", "2", "--N", "2",
+                       "--t", "1", "--demands", "1,x"]),
+        ("--coalition", ["verify", "--scheme", "A", "--K", "2", "--N", "2",
+                         "--t", "1", "--coalition", "1,x"]),
+    ],
+)
+def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"argument {flag}:" in err.strip().splitlines()[-1]
+
+
+def test_bad_seed_environment_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("D2DPC_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1",
+              "--demands", "1,2"])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "D2DPC_SEED" in last and "'abc'" in last

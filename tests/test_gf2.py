@@ -1,0 +1,121 @@
+import copy
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from d2dpc import gf2, scheme_a, sim
+
+
+def _outcome(solver, equations):
+    try:
+        return solver(equations)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+@st.composite
+def consistent_systems(draw):
+    """Random consistent XOR systems over several disjoint variable blocks.
+
+    Rows are drawn inside one block, so the blocks are the connected
+    components unless a block draws no row.  Single-unknown rows, wider
+    rows and exact duplicates are all mixed in, in shuffled order.
+    """
+    values = {}
+    rows = []
+    for c in range(draw(st.integers(1, 4))):
+        names = [(c, i) for i in range(draw(st.integers(1, 7)))]
+        for v in names:
+            values[v] = draw(st.integers(0, 255))
+        for vars_ in draw(st.lists(st.sets(st.sampled_from(names), min_size=1), max_size=10)):
+            rhs = 0
+            for v in vars_:
+                rhs ^= values[v]
+            rows.append((vars_, rhs))
+    if rows:
+        dups = draw(st.lists(st.sampled_from(rows), max_size=3))
+        rows += [(set(vars_), rhs) for vars_, rhs in dups]
+    if draw(st.booleans()):
+        rows.append((set(), 0))
+    return draw(st.permutations(rows)), values
+
+
+@st.composite
+def flipped_systems(draw):
+    """A consistent system with one rhs XORed by a nonzero mask."""
+    rows, _ = draw(consistent_systems().filter(lambda sv: sv[0]))
+    i = draw(st.integers(0, len(rows) - 1))
+    vars_, rhs = rows[i]
+    rows = list(rows)
+    rows[i] = (set(vars_), rhs ^ draw(st.integers(1, 255)))
+    return rows
+
+
+_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@_SETTINGS
+@given(consistent_systems())
+def test_consistent_system_matches_full_elimination(system):
+    equations, values = system
+    before = copy.deepcopy(equations)
+    solved = gf2.solve_xor_system(equations)
+    assert equations == before  # caller's sets and rhs values untouched
+    assert solved == gf2._eliminate(equations)
+    assert all(values[v] == x for v, x in solved.items())
+
+
+@_SETTINGS
+@given(flipped_systems())
+def test_flipped_system_matches_full_elimination(equations):
+    before = copy.deepcopy(equations)
+    got = _outcome(gf2.solve_xor_system, equations)
+    assert equations == before
+    assert got == _outcome(gf2._eliminate, equations)
+
+
+def test_combination_only_variables_are_recovered():
+    # no single-unknown row: each value is the XOR of two of the rows
+    eqs = [({"a", "b"}, 3), ({"b", "c"}, 6), ({"a", "b", "c"}, 7)]
+    assert gf2.solve_xor_system(eqs) == {"a": 1, "b": 2, "c": 4}
+
+
+def test_peeling_leaves_undetermined_component_unsolved():
+    eqs = [({"a"}, 5), ({"a", "b", "c"}, 7), ({"d", "e"}, 1)]
+    assert gf2.solve_xor_system(eqs) == {"a": 5}
+
+
+@pytest.mark.parametrize(
+    "eqs",
+    [
+        [({"a"}, 1), ({"a"}, 2)],  # conflicting peeled values
+        [({"a"}, 1), ({"b"}, 2), ({"a", "b"}, 0)],  # peeled down to 0 = 3
+        [({"a", "b"}, 1), ({"b", "c"}, 1), ({"a", "c"}, 1)],  # 0 = 1 inside a component
+        [(set(), 1)],
+    ],
+)
+def test_inconsistent_systems_raise(eqs):
+    with pytest.raises(ValueError, match="inconsistent XOR system"):
+        gf2.solve_xor_system(eqs)
+    with pytest.raises(ValueError, match="inconsistent XOR system"):
+        gf2._eliminate(eqs)
+
+
+def test_receiver_systems_match_full_elimination():
+    # the per-sender systems a real receiver solves, with leader-filtered
+    # messages (t <= U - N) so that some subfiles need combinations
+    p = scheme_a.params_for(3, 2, 2, seed=9)
+    tr = sim.run_protocol("A", p, (1, 2, 2))
+    for cache in tr.caches:
+        known = cache.content
+        by_sender = {}
+        for m in tr.all_messages():
+            unknowns = {sid for sid in m.composition if sid not in known}
+            rhs = m.payload
+            for sid in m.composition:
+                if sid in known:
+                    rhs ^= known[sid]
+            if unknowns:
+                by_sender.setdefault(m.sender, []).append((unknowns, rhs))
+        for eqs in by_sender.values():
+            assert gf2.solve_xor_system(eqs) == gf2._eliminate(eqs)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -206,3 +207,95 @@ def test_decoding_failure_reported_with_slot():
     with pytest.raises(scheme_a.DecodingFailure) as err:
         decode_a(1, [], tr.caches[0], 1, tr.layout)
     assert err.value.sid.file == 1
+
+
+# ---------------------------------------------------------------------------
+# fault injection on a real A(3,2,3) transcript
+# ---------------------------------------------------------------------------
+
+
+def _faulty_setup():
+    """Transcript plus, for user 1, the indices of its messages by the
+    number of components it does not cache."""
+    p = params_for(3, 2, 3, seed=5)
+    tr = sim.run_protocol("A", p, (1, 2, 1))
+    known = tr.caches[0].content
+    by_unknowns = {}
+    for i, m in enumerate(tr.all_messages()):
+        n = sum(1 for sid in m.composition if sid not in known)
+        by_unknowns.setdefault(n, []).append(i)
+    return tr, by_unknowns
+
+
+def _flip_bit(m):
+    return dataclasses.replace(m, payload=m.payload ^ 1)
+
+
+def _decode_user1(tr, messages):
+    return decode_a(1, messages, tr.caches[0], tr.demands[0], tr.layout)
+
+
+def test_dropped_single_unknown_message_is_a_decoding_failure():
+    tr, by_unknowns = _faulty_setup()
+    msgs = tr.all_messages()
+    i = by_unknowns[1][0]
+    (lost,) = [sid for sid in msgs[i].composition if sid not in tr.caches[0].content]
+    assert lost.file == tr.demands[0]  # the message was useful to user 1
+    with pytest.raises(scheme_a.DecodingFailure) as err:
+        _decode_user1(tr, msgs[:i] + msgs[i + 1:])
+    assert err.value.sid == lost
+
+
+def test_conflicting_duplicate_message_is_inconsistent():
+    tr, by_unknowns = _faulty_setup()
+    msgs = tr.all_messages()
+    twin = _flip_bit(msgs[by_unknowns[1][0]])
+    with pytest.raises(ValueError, match="inconsistent XOR system"):
+        _decode_user1(tr, msgs + [twin])
+
+
+def test_flipped_fully_cached_message_is_inconsistent_with_cache():
+    tr, by_unknowns = _faulty_setup()
+    msgs = tr.all_messages()
+    i = by_unknowns[0][0]
+    msgs[i] = _flip_bit(msgs[i])
+    with pytest.raises(ValueError, match="inconsistent with cache"):
+        _decode_user1(tr, msgs)
+
+
+def test_flipped_lone_single_unknown_message_is_caught_only_bit_exactly():
+    # A bit flipped in a message whose one unknown appears in no other
+    # equation leaves the receiver's system consistent: the receiver
+    # decodes a wrong file and cannot tell.  Only the bit-exact
+    # comparison against the library in check_decodability catches it.
+    tr, by_unknowns = _faulty_setup()
+    msgs = tr.all_messages()
+    known = tr.caches[0].content
+    unknowns = [
+        [sid for sid in m.composition if sid not in known] for m in msgs
+    ]
+    seen = [sid for u in unknowns for sid in u]
+    i = next(i for i in by_unknowns[1] if seen.count(unknowns[i][0]) == 1)
+    sender = msgs[i].sender
+    j = tr.broadcasts[sender - 1].index(msgs[i])
+    broadcasts = [list(per) for per in tr.broadcasts]
+    broadcasts[sender - 1][j] = _flip_bit(msgs[i])
+    bad = dataclasses.replace(tr, broadcasts=broadcasts)
+
+    got = _decode_user1(bad, bad.all_messages())  # no error raised
+    assert got != tr.library[tr.demands[0]]
+    assert verify.check_decodability(bad)[1] is False
+    assert verify.check_decodability(tr)[1] is True
+
+
+def test_large_instance_decodes_bit_exactly():
+    # A(4,5,8): B = 25,740 bits and 25,560 messages.  Users 1, 3 and 4
+    # recover some demanded subfiles only through combinations of messages,
+    # since leader filtering drops their own.  Full elimination of every
+    # per-sender system took over a minute; peeling plus per-component
+    # elimination takes seconds.
+    p = params_for(4, 5, 8, seed=0)
+    tr = sim.run_protocol("A", p, (1, 2, 3, 4))
+    assert len(tr.all_messages()) == 25560
+    assert sim.measure_load(tr) == load_a_point(4, 5, 8)[1]
+    assert verify.check_decodability(tr) == {1: True, 2: True, 3: True, 4: True}
