@@ -5,15 +5,12 @@ Every ratio below is a Fraction comparison; the decimal is only printed
 for reading comfort.
 """
 
-import warnings
 from fractions import Fraction
 
 from d2dpc import bounds
 from d2dpc.combinat import curve_max, even_grid
 from d2dpc.scheme_a import scheme_a_curve
 from d2dpc.scheme_b import scheme_b_curve
-
-warnings.filterwarnings("ignore", message="gap grid skipped")
 
 print("=== two users: scheme B vs the uncoded-placement converse ===")
 for N in (2, 3, 4, 8, 12, 16, 20):

@@ -8,7 +8,7 @@ the exact measured load, and bit-exact decoding at every user.
 
 from d2dpc import scheme_a, scheme_b, sim, verify
 from d2dpc.core import transcript_to_text
-from d2dpc.scheme_a import decode_a
+from d2dpc.scheme_a import decode_from_messages
 
 
 def show(tr):
@@ -43,7 +43,9 @@ show(tr)
 # one slot of the demanded file is only reachable through the XOR of
 # several broadcasts; the solver recovers it anyway
 user = 1
-got = decode_a(user, tr.all_messages(), tr.caches[user - 1], tr.demands[user - 1], tr.layout)
+got = decode_from_messages(
+    user, tr.all_messages(), tr.caches[user - 1], tr.demands[user - 1], tr.layout
+)
 print(f"  user {user} reassembled file {tr.demands[user - 1]} bit-exactly:",
       got == tr.library[tr.demands[user - 1]])
 

@@ -19,10 +19,8 @@ from .core import (
 from .combinat import (
     TradeoffCurve,
     binom,
-    enumerate_permutations,
     lex_subsets,
     lower_convex_envelope,
-    uniform_permutation,
 )
 from .scheme_a import SchemeAParams, load_a_point, load_a_upper, scheme_a_curve
 from .scheme_b import SchemeBParams, load_b_point, scheme_b_curve

@@ -12,7 +12,6 @@ against each other rather than trusting either alone.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -296,7 +295,11 @@ def default_gap_grid(achievable: TradeoffCurve, converse: TradeoffCurve, density
 
 
 def gap(achievable: TradeoffCurve, converse: TradeoffCurve, grid=None) -> GapReport:
-    """Max of achievable(M)/converse(M) over the grid, exact rationals."""
+    """Max of achievable(M)/converse(M) over the grid, exact rationals.
+
+    Grid points where the converse is zero are left out and listed in
+    ``GapReport.skipped``.
+    """
     if grid is None:
         grid = default_gap_grid(achievable, converse)
     best: Rat = Fraction(0)
@@ -312,8 +315,6 @@ def gap(achievable: TradeoffCurve, converse: TradeoffCurve, grid=None) -> GapRep
             best, argmax = ratio, Fraction(M)
     if argmax is None:
         raise ValueError("converse was zero on the whole grid")
-    if skipped:
-        warnings.warn(f"gap grid skipped zero-converse points at M={skipped}")
     return GapReport(max_ratio=best, argmax_m=argmax, skipped=skipped, grid_size=len(grid))
 
 

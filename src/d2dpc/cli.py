@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import bounds, scheme_a, scheme_b, sim, verify
 from .combinat import curve_max, even_grid
-from .core import transcript_to_text
+from .core import demand_vector, transcript_to_text
 
 
 def _env_int(parser: argparse.ArgumentParser, name: str, default: int) -> int:
@@ -44,17 +44,25 @@ def _parse_tprime(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'full', got {text!r}") from None
 
 
-def _scheme_params(args):
-    if args.scheme.upper() == "A":
-        if args.t is None:
-            raise SystemExit("--t is required for scheme A")
-        return scheme_a.params_for(args.K, args.N, args.t, args.seed, args.b_target)
-    if args.tprime is None:
-        raise SystemExit("--tprime is required for scheme B (or 'full')")
-    tp = None if args.tprime == "full" else args.tprime
-    if args.K != 2:
-        raise SystemExit("scheme B runs with --K 2")
-    return scheme_b.params_for(args.N, tp, args.seed, args.b_target)
+def _scheme_params(parser: argparse.ArgumentParser, args):
+    """The instance the arguments name; bad values end in ``parser.error``."""
+    if min(args.K, args.N) < 2:
+        parser.error(f"argument --K/--N: need min(K, N) >= 2, got K={args.K}, N={args.N}")
+    if args.scheme == "A":
+        flag, value = "--t", args.t
+    else:
+        flag, value = "--tprime", args.tprime
+        if args.K != 2:
+            parser.error(f"argument --K: scheme B runs with --K 2, got {args.K}")
+    if value is None:
+        parser.error(f"argument {flag}: required for scheme {args.scheme}")
+    try:
+        if args.scheme == "A":
+            return scheme_a.params_for(args.K, args.N, value, args.seed, args.b_target)
+        tp = None if value == "full" else value
+        return scheme_b.params_for(args.N, tp, args.seed, args.b_target)
+    except ValueError as err:
+        parser.error(f"argument {flag}: {err}")
 
 
 def _fmt(x) -> str:
@@ -62,8 +70,7 @@ def _fmt(x) -> str:
 
 
 def cmd_simulate(args) -> int:
-    params = _scheme_params(args)
-    tr = sim.run_protocol(args.scheme.upper(), params, args.demands)
+    tr = sim.run_protocol(args.scheme, args.params, args.demands)
     measured = sim.measure_load(tr)
     theoretical = sim.theoretical_load(tr)
     decode = verify.check_decodability(tr)
@@ -138,12 +145,11 @@ def cmd_gap(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = _scheme_params(args)
     derandomized = args.baseline == "nonprivate"
     if args.mode == "exact":
         try:
             report = verify.check_privacy_exact(
-                args.scheme.upper(), params, args.coalition,
+                args.scheme, args.params, args.coalition,
                 cap=args.enum_cap, derandomized=derandomized, paranoid=args.paranoid,
             )
         except verify.ExactModeTooLarge as err:
@@ -151,7 +157,7 @@ def cmd_verify(args) -> int:
             return 2
     else:
         report = verify.check_privacy_mc(
-            args.scheme.upper(), params, args.coalition,
+            args.scheme, args.params, args.coalition,
             trials=args.trials, tolerance=args.tol,
             base_seed=args.seed,
             derandomized=derandomized,
@@ -169,7 +175,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_instance(p, need_demands=False):
-        p.add_argument("--scheme", required=True, choices=["A", "B", "a", "b"])
+        p.add_argument("--scheme", required=True, type=str.upper, choices=["A", "B"])
         p.add_argument("--K", type=int, required=True)
         p.add_argument("--N", type=int, required=True)
         p.add_argument("--t", type=int, help="scheme A parameter t")
@@ -222,9 +228,18 @@ def main(argv=None) -> int:
     p_ver.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    if args.command in ("simulate", "verify") and args.seed is None:
-        args.seed = _env_int(parser, "D2DPC_SEED", 0)
+    if args.command in ("simulate", "verify"):
+        if args.seed is None:
+            args.seed = _env_int(parser, "D2DPC_SEED", 0)
+        args.params = _scheme_params(parser, args)
+    if args.command == "simulate":
+        try:
+            demand_vector(args.demands, args.params.base)
+        except ValueError as err:
+            parser.error(f"argument --demands: {err}")
     if args.command == "verify":
+        if any(not 1 <= u <= args.K for u in args.coalition):
+            parser.error(f"argument --coalition: users must lie in 1..{args.K}")
         args.enum_cap = _env_int(parser, "D2DPC_ENUM_CAP", verify.EXACT_ENUMERATION_CAP)
     return args.func(args)
 

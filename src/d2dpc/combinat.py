@@ -1,4 +1,4 @@
-"""Binomials, lexicographic subsets, uniform permutations, exact envelopes.
+"""Binomials, lexicographic subsets, exact envelopes.
 
 The binomial follows the zero convention binom(x, y) = 0 whenever x < 0,
 y < 0 or x < y, which the load formulas rely on at the range edges.
@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Rat, RandomStream
-
-PERMUTATION_CAP = 10_000
+from .core import Rat
 
 
 def binom(n: int, k: int) -> int:
@@ -42,27 +40,6 @@ def lex_subsets(ground: Sequence[int], size: int) -> list[tuple[int, ...]]:
         if len(key[0]) <= 24:  # memoise the small grounds the schemes hammer
             _LEX_CACHE[key] = hit
     return list(hit)
-
-
-def uniform_permutation(n: int, stream: RandomStream) -> list[int]:
-    """Fisher-Yates shuffle of [1..n] driven by the given stream."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    perm = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = stream.randrange(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
-
-
-def enumerate_permutations(n: int, cap: int = PERMUTATION_CAP) -> list[tuple[int, ...]]:
-    """All n! permutations of [1..n] in lexicographic order, cap enforced."""
-    total = math.factorial(n)
-    if total > cap:
-        raise ValueError(
-            f"instance too large for exact mode: {n}! = {total} > cap {cap}"
-        )
-    return list(itertools.permutations(range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------

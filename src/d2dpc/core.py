@@ -14,6 +14,7 @@ evaluators, privacy checks) builds on the types in this module:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -119,6 +120,26 @@ class FixedSource:
         if value not in options:
             raise ValueError(f"assignment for {label} not among options")
         return value
+
+
+def block_permutations(scheme: str, layout: SlotLayout, source) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Placement draw shared by the schemes: one shuffle of the slots of
+    every (file, block), labelled (scheme, "p", file, block)."""
+    return {
+        (i, k): tuple(source.permutation((scheme, "p", i, k), list(layout.block_slots(k))))
+        for i in range(1, layout.N + 1)
+        for k in range(1, layout.blocks + 1)
+    }
+
+
+def block_permutation_atoms(scheme: str, layout: SlotLayout) -> list:
+    """Every value ``block_permutations`` can draw, as (label, options)
+    atoms for exhaustive enumeration."""
+    return [
+        ((scheme, "p", i, k), list(itertools.permutations(layout.block_slots(k))))
+        for i in range(1, layout.N + 1)
+        for k in range(1, layout.blocks + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +355,24 @@ def _parse_sid(token: str) -> SubfileId:
     return SubfileId(int(f), int(s))
 
 
+_HEADER_KEYS = (
+    "scheme", "K", "N", "B", "seed", "param", "M", "demands",
+    "subfile_bits", "blocks", "slots_per_block",
+)
+
+
 def transcript_from_text(text: str) -> Transcript:
+    """Inverse of ``transcript_to_text``; malformed or truncated text
+    raises ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0] != "d2d-transcript 1":
+    if not lines or lines[0] != "d2d-transcript 1":
         raise ValueError("not a transcript file")
+    if len(lines) < 3 or not lines[-1].startswith("payload_bits="):
+        raise ValueError("truncated transcript: it does not end with its payload_bits= line")
     head = dict(kv.split("=", 1) for kv in lines[1].split())
+    missing = [key for key in _HEADER_KEYS if key not in head]
+    if missing:
+        raise ValueError(f"transcript header lacks {', '.join(missing)}")
     params = SystemParams(
         K=int(head["K"]), N=int(head["N"]), B=int(head["B"]), seed=int(head["seed"])
     )
@@ -368,6 +402,8 @@ def transcript_from_text(text: str) -> Transcript:
         elif kind == "message":
             sender_s, pos_s, comp_s, pay_s = rest.split()
             sender = int(sender_s)
+            if not 1 <= sender <= params.K:
+                raise ValueError(f"message sender {sender} outside 1..{params.K}")
             pos_v = pos_s.split("=", 1)[1]
             pos = None if pos_v == "-" else tuple(int(x) for x in pos_v.split(","))
             comp = tuple(_parse_sid(t) for t in comp_s.split("=", 1)[1].split(","))
@@ -377,6 +413,8 @@ def transcript_from_text(text: str) -> Transcript:
             )
         elif kind.startswith("payload_bits"):
             payload_bits = int(kind.split("=", 1)[1])
+    if payload_bits != sum(m.nbits for per in broadcasts for m in per):
+        raise ValueError(f"payload_bits={payload_bits} disagrees with the messages")
     param_s = head["param"]
     return Transcript(
         params=params,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Optional
 
 from .combinat import binom, lex_subsets, lower_convex_envelope, TradeoffCurve
@@ -25,6 +26,8 @@ from .core import (
     SlotLayout,
     SubfileId,
     SystemParams,
+    block_permutation_atoms,
+    block_permutations,
     random_library,
     resolve_file_size,
     subfile_value,
@@ -34,6 +37,10 @@ from . import gf2
 
 @dataclass(frozen=True)
 class SchemeAParams:
+    """Scheme A at one (K, N, t); also the scheme's interface to the
+    protocol engine and the privacy checker."""
+
+    scheme = "A"
     base: SystemParams
     t: int
 
@@ -73,6 +80,44 @@ class SchemeAParams:
     def memory_point(self) -> Rat:
         return self._memory_point
 
+    @property
+    def param(self) -> int:
+        return self.t
+
+    def label(self) -> str:
+        return f"A(K={self.base.K},N={self.base.N},t={self.t})"
+
+    def place(self, source, structure_only: bool = False) -> PlacementA:
+        return place_a(self, source, structure_only)
+
+    def query_plans(self, placement: PlacementA, demands, source, derandomized: bool = False):
+        """Each transmitter's (position set, composition) list, transmitters 1..K."""
+        plan = plan_delivery_a(self, demands, source, derandomized)
+        return [plan_messages_a(k, placement, plan) for k in range(1, self.base.K + 1)]
+
+    def placement_atoms(self) -> list:
+        """Placement randomness as (label, options) atoms; demand-independent."""
+        return block_permutation_atoms("A", self._layout)
+
+    def delivery_atoms(self, demands, derandomized: bool = False) -> list:
+        """Delivery randomness: each transmitter's position shuffle and
+        per-file leader choice (none for the derandomized baseline)."""
+        if derandomized:
+            return []
+        atoms = []
+        for k in range(1, self.base.K + 1):
+            users = self.effective_users(k)
+            atoms.append((("A", "q", k), list(permutations(users))))
+            d_eff = assign_virtual_demands(k, demands, self)
+            for i in range(1, self.base.N + 1):
+                demanders = sorted(u for u, f in d_eff.items() if f == i)
+                atoms.append((("A", "leader", k, i), demanders))
+        return atoms
+
+    @staticmethod
+    def corner_load(K: int, N: int, t: int) -> Rat:
+        return load_a_point(K, N, t)[1]
+
 
 def params_for(K: int, N: int, t: int, seed: int = 0, b_target: Optional[int] = None) -> SchemeAParams:
     """Build params with B auto-sized to the subpacketization."""
@@ -111,12 +156,7 @@ def place_a(params: SchemeAParams, source, structure_only: bool = False) -> Plac
     K, N = base.K, base.N
     layout = params.layout()
     library = None if structure_only else random_library(base)
-
-    perms: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i in range(1, N + 1):
-        for k in range(1, K + 1):
-            block = list(layout.block_slots(k))
-            perms[(i, k)] = tuple(source.permutation(("A", "p", i, k), block))
+    perms = block_permutations("A", layout, source)
 
     wsets = {}
     wrank = {}
@@ -255,45 +295,6 @@ def plan_messages_a(
     return out
 
 
-def placement_randomness_a(params: SchemeAParams):
-    """Placement atoms (demand-independent): one block permutation per
-    (file, transmitter).  The exhaustive checker products the options."""
-    from itertools import permutations
-
-    K, N = params.base.K, params.base.N
-    layout = params.layout()
-    atoms = []
-    for i in range(1, N + 1):
-        for k in range(1, K + 1):
-            block = tuple(layout.block_slots(k))
-            atoms.append((("A", "p", i, k), [tuple(p) for p in permutations(block)]))
-    return atoms
-
-
-def delivery_randomness_a(params: SchemeAParams, demands, derandomized: bool = False):
-    """Delivery atoms: position shuffle and per-file leader choice."""
-    from itertools import permutations
-
-    K, N = params.base.K, params.base.N
-    atoms = []
-    if derandomized:
-        return atoms
-    for k in range(1, K + 1):
-        users = params.effective_users(k)
-        atoms.append((("A", "q", k), [tuple(p) for p in permutations(users)]))
-        d_eff = assign_virtual_demands(k, demands, params)
-        for i in range(1, N + 1):
-            demanders = sorted(u for u, f in d_eff.items() if f == i)
-            atoms.append((("A", "leader", k, i), demanders))
-    return atoms
-
-
-def randomness_space_a(params: SchemeAParams, demands, derandomized: bool = False):
-    return placement_randomness_a(params) + delivery_randomness_a(
-        params, demands, derandomized
-    )
-
-
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------
@@ -351,10 +352,6 @@ def decode_from_messages(user, messages, cache: CacheState, demand: int, layout:
     from .core import assemble_file
 
     return assemble_file(layout, slots)
-
-
-def decode_a(user: int, messages, cache: CacheState, demand: int, layout: SlotLayout) -> int:
-    return decode_from_messages(user, messages, cache, demand, layout)
 
 
 # ---------------------------------------------------------------------------

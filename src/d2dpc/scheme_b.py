@@ -27,17 +27,23 @@ from .core import (
     SlotLayout,
     SubfileId,
     SystemParams,
+    block_permutation_atoms,
+    block_permutations,
     random_library,
     resolve_file_size,
     subfile_value,
 )
-from .scheme_a import decode_from_messages
+from .scheme_a import decode_from_messages  # noqa: F401  (scheme B's decoder too)
 
 FULL_MEMORY = None  # sentinel accepted for tprime: degenerate (N, 0) run
 
 
 @dataclass(frozen=True)
 class SchemeBParams:
+    """Scheme B at one (N, t'); also the scheme's interface to the
+    protocol engine and the privacy checker."""
+
+    scheme = "B"
     base: SystemParams
     tprime: Optional[int]  # None = full-memory degenerate run
 
@@ -78,6 +84,32 @@ class SchemeBParams:
     def memory_point(self) -> Rat:
         return self._memory_point
 
+    @property
+    def param(self) -> Optional[int]:
+        return self.tprime
+
+    def label(self) -> str:
+        tp = self.tprime
+        return f"B(N={self.base.N},t'={'full' if tp is None else tp})"
+
+    def place(self, source, structure_only: bool = False) -> PlacementB:
+        return place_b(self, source, structure_only)
+
+    def query_plans(self, placement: PlacementB, demands, source, derandomized: bool = False):
+        """Each transmitter's (None, composition) list, transmitters 1 and 2."""
+        return [plan_messages_b(k, placement, demands) for k in (1, 2)]
+
+    def placement_atoms(self) -> list:
+        """Placement randomness as (label, options) atoms; demand-independent."""
+        return block_permutation_atoms("B", self._layout)
+
+    def delivery_atoms(self, demands, derandomized: bool = False) -> list:
+        return []  # the pick rule is deterministic given the placement
+
+    @staticmethod
+    def corner_load(K: int, N: int, tprime: Optional[int]) -> Rat:
+        return Fraction(0) if tprime is None else load_b_point(N, tprime)[1]
+
 
 def params_for(N: int, tprime: Optional[int], seed: int = 0, b_target: Optional[int] = None) -> SchemeBParams:
     if tprime is not None and not 0 <= tprime <= N - 1:
@@ -114,13 +146,8 @@ def place_b(params: SchemeBParams, source, structure_only: bool = False) -> Plac
     N = base.N
     layout = params.layout()
     library = None if structure_only else random_library(base)
-
-    perms = {}
+    perms = block_permutations("B", layout, source)
     full = params.tprime is None
-    for i in range(1, N + 1):
-        for k in (1, 2):
-            block = list(layout.block_slots(k))
-            perms[(i, k)] = tuple(source.permutation(("B", "p", i, k), block))
 
     caches = []
     for k in (1, 2):
@@ -190,30 +217,6 @@ def plan_messages_b(k: int, placement: PlacementB, demands) -> list[tuple[None, 
     if len(out) != binom(N, params.tprime + 1):
         raise AssertionError("message count off")
     return out
-
-
-def placement_randomness_b(params: SchemeBParams):
-    from itertools import permutations
-
-    layout = params.layout()
-    atoms = []
-    for i in range(1, params.base.N + 1):
-        for k in (1, 2):
-            block = tuple(layout.block_slots(k))
-            atoms.append((("B", "p", i, k), [tuple(p) for p in permutations(block)]))
-    return atoms
-
-
-def delivery_randomness_b(params: SchemeBParams, demands=None, derandomized: bool = False):
-    return []  # the pick rule is deterministic given the placement
-
-
-def randomness_space_b(params: SchemeBParams, demands=None, derandomized: bool = False):
-    return placement_randomness_b(params)
-
-
-def decode_b(user: int, messages, cache: CacheState, demand: int, layout: SlotLayout) -> int:
-    return decode_from_messages(user, messages, cache, demand, layout)
 
 
 # ---------------------------------------------------------------------------

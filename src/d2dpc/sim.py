@@ -26,6 +26,17 @@ from .core import (
     message_header_text,
 )
 
+# The one place a scheme letter is resolved; everything else goes through
+# the params object's methods.
+SCHEMES = {"A": scheme_a.SchemeAParams, "B": scheme_b.SchemeBParams}
+
+
+def check_scheme(scheme: str, scheme_params) -> None:
+    """Raise ValueError unless the letter ``scheme`` names the scheme of
+    ``scheme_params``."""
+    if SCHEMES.get(scheme.upper()) is not type(scheme_params):
+        raise ValueError(f"unknown scheme {scheme!r} for {type(scheme_params).__name__}")
+
 
 @dataclass
 class Query:
@@ -69,30 +80,15 @@ def run_protocol(
     run, enough for privacy views).  A pre-built ``placement`` may be
     passed to amortise it across demand vectors.
     """
-    scheme = scheme.upper()
+    check_scheme(scheme, scheme_params)
     base = scheme_params.base
     d = demand_vector(demands, base)
     if source is None:
         source = SeededSource(base.seed)
-
-    if scheme == "A":
-        if placement is None:
-            placement = scheme_a.place_a(scheme_params, source, structure_only)
-        plan = scheme_a.plan_delivery_a(scheme_params, d, source, derandomized)
-        queries = [
-            Query(k, scheme_a.plan_messages_a(k, placement, plan))
-            for k in range(1, base.K + 1)
-        ]
-        param = scheme_params.t
-    elif scheme == "B":
-        if placement is None:
-            placement = scheme_b.place_b(scheme_params, source, structure_only)
-        queries = [
-            Query(k, scheme_b.plan_messages_b(k, placement, d)) for k in (1, 2)
-        ]
-        param = scheme_params.tprime
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    if placement is None:
+        placement = scheme_params.place(source, structure_only)
+    plans = scheme_params.query_plans(placement, d, source, derandomized)
+    queries = [Query(k, plan) for k, plan in enumerate(plans, 1)]
 
     layout = placement.layout
     broadcasts = [
@@ -107,8 +103,8 @@ def run_protocol(
         )
     return Transcript(
         params=base,
-        scheme=scheme,
-        scheme_param=param,
+        scheme=scheme_params.scheme,
+        scheme_param=scheme_params.param,
         memory_point=scheme_params.memory_point(),
         library=placement.library,
         caches=placement.caches,
@@ -127,9 +123,9 @@ def measure_load(transcript: Transcript) -> Rat:
 
 
 def theoretical_load(transcript: Transcript) -> Rat:
+    """The closed-form load of the transcript's scheme at its parameters."""
+    scheme = SCHEMES.get(transcript.scheme)
+    if scheme is None:
+        raise ValueError(f"unknown scheme {transcript.scheme!r}")
     base = transcript.params
-    if transcript.scheme == "A":
-        return scheme_a.load_a_point(base.K, base.N, transcript.scheme_param)[1]
-    if transcript.scheme_param is None:
-        return Fraction(0)
-    return scheme_b.load_b_point(base.N, transcript.scheme_param)[1]
+    return scheme.corner_load(base.K, base.N, transcript.scheme_param)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional
 
-from . import scheme_a, scheme_b, sim
-from .core import SeededSource, Transcript, derive_seed
+from . import scheme_a, sim
+from .core import FixedSource, SeededSource, Transcript, derive_seed
 
 EXACT_ENUMERATION_CAP = 1_000_000
 DEFAULT_TRIALS = 10_000
@@ -68,17 +68,14 @@ class ObserverView:
         )
 
 
-def canonical_view(transcript: Transcript, coalition, paranoid: bool = False) -> ObserverView:
-    """What a coalition observes, canonicalised for distribution counting.
-
-    Inputs are exactly the coalition's knowledge: its caches (metadata),
-    its demands, and every broadcast header in emission order.  Hidden
-    quantities (position shuffles, placement permutations of others)
-    never enter.
-    """
+def _observed_caches(transcript: Transcript, coalition):
+    """What both view functions start from: the coalition (sorted,
+    checked against 1..K), its demands, each slot's pattern (the members
+    caching it) and the counts of cached slots per (file, block, pattern)
+    class."""
     coalition = tuple(sorted(set(coalition)))
     K = transcript.params.K
-    if not coalition or any(not 1 <= u <= K for u in coalition):
+    if not coalition or coalition[0] < 1 or coalition[-1] > K:
         raise ValueError(f"coalition must be a nonempty subset of 1..{K}")
     spb = transcript.layout.slots_per_block
 
@@ -92,7 +89,22 @@ def canonical_view(transcript: Transcript, coalition, paranoid: bool = False) ->
     for sid, pat in pattern.items():
         cls = (sid[0], (sid[1] - 1) // spb + 1, pat)
         cache_counts[cls] = cache_counts.get(cls, 0) + 1
-    canonical_caches = tuple(sorted(cache_counts.items()))
+    own_demands = tuple(transcript.demands[u - 1] for u in coalition)
+    return coalition, own_demands, pattern, tuple(sorted(cache_counts.items()))
+
+
+def canonical_view(transcript: Transcript, coalition, paranoid: bool = False) -> ObserverView:
+    """What a coalition observes, canonicalised for distribution counting.
+
+    Inputs are exactly the coalition's knowledge: its caches (metadata),
+    its demands, and every broadcast header in emission order.  Hidden
+    quantities (position shuffles, placement permutations of others)
+    never enter.
+    """
+    coalition, own_demands, pattern, canonical_caches = _observed_caches(
+        transcript, coalition
+    )
+    spb = transcript.layout.slots_per_block
 
     ordinals: dict = {}
     next_in_class: dict = {}
@@ -137,7 +149,7 @@ def canonical_view(transcript: Transcript, coalition, paranoid: bool = False) ->
 
     return ObserverView(
         observer=coalition,
-        own_demands=tuple(transcript.demands[u - 1] for u in coalition),
+        own_demands=own_demands,
         canonical_caches=canonical_caches,
         canonical_broadcasts=tuple(messages),
         fingerprint=fingerprint,
@@ -155,23 +167,11 @@ def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
     block marginals; comparing marginals therefore loses nothing, and it
     is what the Monte Carlo total-variation estimate can resolve.
     """
-    coalition = tuple(sorted(set(coalition)))
-    spb = transcript.layout.slots_per_block
-    pattern: dict = {}
-    for u in coalition:
-        for sid in transcript.caches[u - 1].slots:
-            prev = pattern.get(sid)
-            pattern[sid] = prev + (u,) if prev else (u,)
-    cache_counts: dict = {}
-    for sid, pat in pattern.items():
-        cls = (sid[0], (sid[1] - 1) // spb + 1, pat)
-        cache_counts[cls] = cache_counts.get(cls, 0) + 1
-    meta = (
-        coalition,
-        tuple(transcript.demands[u - 1] for u in coalition),
-        tuple(sorted(cache_counts.items())),
+    coalition, own_demands, pattern, cache_classes = _observed_caches(
+        transcript, coalition
     )
-    blocks = [meta]
+    spb = transcript.layout.slots_per_block
+    blocks = [(coalition, own_demands, cache_classes)]
     no_users: tuple = ()
     for per_user in transcript.broadcasts:
         ordinals: dict = {}
@@ -198,24 +198,6 @@ def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _placement_atoms(scheme: str, scheme_params):
-    if scheme == "A":
-        return scheme_a.placement_randomness_a(scheme_params)
-    return scheme_b.placement_randomness_b(scheme_params)
-
-
-def _delivery_atoms(scheme: str, scheme_params, demands, derandomized: bool):
-    if scheme == "A":
-        return scheme_a.delivery_randomness_a(scheme_params, demands, derandomized)
-    return scheme_b.delivery_randomness_b(scheme_params, demands, derandomized)
-
-
-def _place(scheme: str, scheme_params, source):
-    if scheme == "A":
-        return scheme_a.place_a(scheme_params, source, structure_only=True)
-    return scheme_b.place_b(scheme_params, source, structure_only=True)
-
-
 def _all_demand_vectors(scheme_params):
     base = scheme_params.base
     return list(itertools.product(range(1, base.N + 1), repeat=base.K))
@@ -237,19 +219,14 @@ def enumerate_view_distributions(
     equality.  Placements are built once per placement assignment and
     reused across demand vectors and coalitions.
     """
-    from .core import FixedSource
-
-    scheme = scheme.upper()
+    sim.check_scheme(scheme, scheme_params)
     coalitions = [tuple(sorted(set(c))) for c in coalitions]
     demand_vectors = _all_demand_vectors(scheme_params)
 
-    p_atoms = _placement_atoms(scheme, scheme_params)
+    p_atoms = scheme_params.placement_atoms()
     p_labels = [lab for lab, _ in p_atoms]
     p_options = [opts for _, opts in p_atoms]
-    d_atoms_by_d = {
-        d: _delivery_atoms(scheme, scheme_params, d, derandomized)
-        for d in demand_vectors
-    }
+    d_atoms_by_d = {d: scheme_params.delivery_atoms(d, derandomized) for d in demand_vectors}
     p_total = prod(len(o) for o in p_options)
     for d, atoms in d_atoms_by_d.items():
         total = p_total * prod(len(o) for _, o in atoms)
@@ -258,8 +235,8 @@ def enumerate_view_distributions(
 
     dists: dict = {c: {d: Counter() for d in demand_vectors} for c in coalitions}
     for p_combo in itertools.product(*p_options):
-        placement = _place(
-            scheme, scheme_params, FixedSource(dict(zip(p_labels, p_combo)))
+        placement = scheme_params.place(
+            FixedSource(dict(zip(p_labels, p_combo))), structure_only=True
         )
         for d in demand_vectors:
             atoms = d_atoms_by_d[d]
@@ -286,14 +263,6 @@ def _grouped_by_fixing(distributions: dict, coalition):
         fixing = tuple(d[u - 1] for u in coalition)
         groups.setdefault(fixing, []).append((d, counter))
     return groups
-
-
-def _instance_label(scheme: str, scheme_params) -> str:
-    base = scheme_params.base
-    if scheme.upper() == "A":
-        return f"A(K={base.K},N={base.N},t={scheme_params.t})"
-    tp = scheme_params.tprime
-    return f"B(N={base.N},t'={'full' if tp is None else tp})"
 
 
 @dataclass
@@ -332,7 +301,7 @@ class PrivacyReport:
         return " ".join(parts)
 
 
-def _exact_report(scheme, scheme_params, coalition, dists) -> PrivacyReport:
+def _exact_report(scheme_params, coalition, dists) -> PrivacyReport:
     witness = None
     for fixing, group in _grouped_by_fixing(dists, coalition).items():
         (d0, ref), rest = group[0], group[1:]
@@ -343,11 +312,11 @@ def _exact_report(scheme, scheme_params, coalition, dists) -> PrivacyReport:
         if witness:
             break
     return PrivacyReport(
-        scheme=scheme.upper(),
+        scheme=scheme_params.scheme,
         coalition=coalition,
         mode="exact",
         private=witness is None,
-        instance=_instance_label(scheme, scheme_params),
+        instance=scheme_params.label(),
         witness=witness,
     )
 
@@ -365,7 +334,7 @@ def check_privacy_exact(
     dists = enumerate_view_distributions(
         scheme, scheme_params, [coalition], cap, derandomized, paranoid
     )[coalition]
-    return _exact_report(scheme, scheme_params, coalition, dists)
+    return _exact_report(scheme_params, coalition, dists)
 
 
 def check_privacy_exact_all(
@@ -381,7 +350,7 @@ def check_privacy_exact_all(
     dists = enumerate_view_distributions(
         scheme, scheme_params, coalitions, cap, derandomized, paranoid
     )
-    return {c: _exact_report(scheme, scheme_params, c, dists[c]) for c in coalitions}
+    return {c: _exact_report(scheme_params, c, dists[c]) for c in coalitions}
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +401,7 @@ def sample_view_distributions(
 
     Returns dists[coalition][demand vector] = list of per-block Counters.
     """
-    scheme = scheme.upper()
+    sim.check_scheme(scheme, scheme_params)
     coalitions = [tuple(sorted(set(c))) for c in coalitions]
     n_blocks = scheme_params.base.K + 1
     dists: dict = {c: {} for c in coalitions}
@@ -456,7 +425,7 @@ def sample_view_distributions(
     return dists
 
 
-def _max_tv_report(scheme, scheme_params, coalition, dists, trials, tolerance) -> PrivacyReport:
+def _max_tv_report(scheme_params, coalition, dists, trials, tolerance) -> PrivacyReport:
     max_raw = 0.0
     max_tv = 0.0
     witness = None
@@ -470,11 +439,11 @@ def _max_tv_report(scheme, scheme_params, coalition, dists, trials, tolerance) -
                     witness = (fixing, da, db)
     passed = max_tv <= tolerance
     return PrivacyReport(
-        scheme=scheme.upper(),
+        scheme=scheme_params.scheme,
         coalition=coalition,
         mode="mc",
         private=passed,
-        instance=_instance_label(scheme, scheme_params),
+        instance=scheme_params.label(),
         max_tv=max_raw,
         max_tv_debiased=max_tv,
         trials=trials,
@@ -504,7 +473,7 @@ def check_privacy_mc(
     dists = sample_view_distributions(
         scheme, scheme_params, [coalition], trials, base_seed, derandomized
     )[coalition]
-    return _max_tv_report(scheme, scheme_params, coalition, dists, trials, tolerance)
+    return _max_tv_report(scheme_params, coalition, dists, trials, tolerance)
 
 
 def check_privacy_mc_all(
@@ -522,7 +491,7 @@ def check_privacy_mc_all(
         scheme, scheme_params, coalitions, trials, base_seed, derandomized
     )
     return {
-        c: _max_tv_report(scheme, scheme_params, c, dists[c], trials, tolerance)
+        c: _max_tv_report(scheme_params, c, dists[c], trials, tolerance)
         for c in coalitions
     }
 

@@ -3,7 +3,6 @@ pass/fail line printed per criterion (run with ``pytest -s`` to see them,
 or read the captured output on failure)."""
 
 import itertools
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -22,8 +21,6 @@ from d2dpc.bounds import (
 from d2dpc.combinat import curve_max, even_grid
 from d2dpc.scheme_a import load_a_point, scheme_a_curve
 from d2dpc.scheme_b import load_b_point, scheme_b_curve
-
-warnings.filterwarnings("ignore", message="gap grid skipped")
 
 
 def _ok(n, text):

@@ -118,6 +118,22 @@ def test_verify_mc(capsys):
                        "--t", "1", "--demands", "1,x"]),
         ("--coalition", ["verify", "--scheme", "A", "--K", "2", "--N", "2",
                          "--t", "1", "--coalition", "1,x"]),
+        ("--demands", ["simulate", "--scheme", "A", "--K", "2", "--N", "2",
+                       "--t", "1", "--demands", "1,9"]),
+        ("--demands", ["simulate", "--scheme", "A", "--K", "2", "--N", "2",
+                       "--t", "1", "--demands", "1"]),
+        ("--coalition", ["verify", "--scheme", "A", "--K", "2", "--N", "2",
+                         "--t", "1", "--coalition", "5"]),
+        ("--coalition", ["verify", "--scheme", "A", "--K", "2", "--N", "2",
+                         "--t", "1", "--coalition", "0"]),
+        ("--t", ["simulate", "--scheme", "A", "--K", "2", "--N", "2",
+                 "--t", "9", "--demands", "1,2"]),
+        ("--t", ["simulate", "--scheme", "A", "--K", "2", "--N", "2",
+                 "--demands", "1,2"]),
+        ("--tprime", ["verify", "--scheme", "B", "--K", "2", "--N", "2",
+                      "--coalition", "1"]),
+        ("--K", ["simulate", "--scheme", "B", "--K", "3", "--N", "2",
+                 "--tprime", "1", "--demands", "1,2,1"]),
     ],
 )
 def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):

@@ -7,13 +7,11 @@ from d2dpc.combinat import (
     Line,
     binom,
     curve_max,
-    enumerate_permutations,
     lex_subsets,
     lower_convex_envelope,
-    uniform_permutation,
     upper_envelope_of_lines,
 )
-from d2dpc.core import seeded_rng
+from d2dpc.core import SeededSource
 
 
 def test_binom_basic():
@@ -44,38 +42,20 @@ def test_lex_subsets_count_matches_binom():
         assert len(lex_subsets(ground, k)) == binom(n, k)
 
 
-def test_uniform_permutation_n1():
-    assert uniform_permutation(1, seeded_rng(0, "x")) == [1]
-
-
-def test_uniform_permutation_deterministic():
-    assert uniform_permutation(6, seeded_rng(4, "p")) == uniform_permutation(
-        6, seeded_rng(4, "p")
-    )
-
-
 def test_uniform_permutation_chi_square():
-    # 6*10^4 samples of S_3: every permutation within 3 sigma of 1/6
+    # 6*10^4 samples of S_3 from the shuffle every scheme's placement and
+    # delivery draw with, one label per sample: every permutation within
+    # 3 sigma of 1/6
     from collections import Counter
 
-    stream = seeded_rng(12, "chi")
-    counts = Counter(tuple(uniform_permutation(3, stream)) for _ in range(60_000))
+    source = SeededSource(12)
+    counts = Counter(
+        tuple(source.permutation(("chi", n), [1, 2, 3])) for n in range(60_000)
+    )
     assert len(counts) == 6
     sigma = (60_000 * (1 / 6) * (5 / 6)) ** 0.5
     for c in counts.values():
         assert abs(c - 10_000) <= 3 * sigma
-
-
-def test_enumerate_permutations():
-    assert enumerate_permutations(2) == [(1, 2), (2, 1)]
-    perms = enumerate_permutations(3)
-    assert len(perms) == 6
-    assert perms == sorted(perms)  # lexicographic
-
-
-def test_enumerate_permutations_cap():
-    with pytest.raises(ValueError, match="too large for exact mode"):
-        enumerate_permutations(8, cap=10_000)
 
 
 def test_envelope_drops_point_above_chord():

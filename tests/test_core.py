@@ -1,7 +1,9 @@
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from d2dpc.core import (
     SystemParams,
@@ -11,7 +13,10 @@ from d2dpc.core import (
     transcript_from_text,
     transcript_to_text,
 )
-from d2dpc import scheme_a, sim
+from d2dpc import scheme_a, scheme_b, sim
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_transcript.txt"
+_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def test_seeded_rng_deterministic():
@@ -104,9 +109,56 @@ def test_transcript_roundtrip():
 def test_golden_transcript(tmp_path):
     # frozen serialization of a fixed-seed run; guards the wire format and
     # the deterministic randomness plumbing at the same time
-    import pathlib
-
-    golden = pathlib.Path(__file__).parent / "data" / "golden_transcript.txt"
     params = scheme_a.params_for(2, 2, 2, seed=42)
     tr = sim.run_protocol("A", params, (1, 2))
-    assert transcript_to_text(tr) == golden.read_text()
+    assert transcript_to_text(tr) == GOLDEN.read_text()
+
+
+@st.composite
+def small_runs(draw):
+    """A seeded scheme A run at K, N <= 3 or scheme B run at N <= 5."""
+    seed = draw(st.integers(0, 2**31))
+    if draw(st.booleans()):
+        K, N = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        params = scheme_a.params_for(K, N, draw(st.integers(1, (K - 1) * N + 1)), seed=seed)
+    else:
+        K, N = 2, draw(st.integers(2, 5))
+        params = scheme_b.params_for(N, draw(st.none() | st.integers(0, N - 1)), seed=seed)
+    demands = tuple(draw(st.integers(1, N)) for _ in range(K))
+    return sim.run_protocol(params.scheme, params, demands)
+
+
+@_SETTINGS
+@given(small_runs())
+def test_transcript_text_round_trip(tr):
+    text = transcript_to_text(tr)
+    assert transcript_to_text(transcript_from_text(text)) == text
+
+
+@_SETTINGS
+@given(st.data())
+def test_truncated_transcript_round_trips_or_raises(data):
+    # a prefix cut at a line boundary (or anywhere) parses back to the
+    # whole transcript or raises ValueError, never another exception
+    text = GOLDEN.read_text()
+    line_ends = [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    cut = data.draw(st.sampled_from([0, *line_ends]) | st.integers(0, len(text)))
+    try:
+        back = transcript_from_text(text[:cut])
+    except ValueError:
+        return
+    assert transcript_to_text(back) == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "d2d-transcript 1\nscheme=A K=2 N=2 B=4\npayload_bits=0\n",  # header lacks keys
+        GOLDEN.read_text().replace("payload_bits=2", "payload_bits=3"),
+        GOLDEN.read_text().replace("message 2 ", "message 0 "),
+        GOLDEN.read_text().replace("message 2 ", "message 3 "),
+    ],
+)
+def test_malformed_transcript_raises_value_error(text):
+    with pytest.raises(ValueError):
+        transcript_from_text(text)

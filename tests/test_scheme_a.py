@@ -10,7 +10,7 @@ from d2dpc.combinat import binom
 from d2dpc.core import SeededSource
 from d2dpc.scheme_a import (
     assign_virtual_demands,
-    decode_a,
+    decode_from_messages,
     load_a_point,
     load_a_upper,
     params_for,
@@ -185,7 +185,9 @@ def test_simulated_load_and_decode_match_formula(K, N, t):
         for c in tr.caches:  # cache budget is met with equality
             assert len(c.slots) * tr.layout.subfile_bits == tr.memory_point * p.base.B
         for u in range(1, K + 1):
-            got = decode_a(u, tr.all_messages(), tr.caches[u - 1], d[u - 1], tr.layout)
+            got = decode_from_messages(
+                u, tr.all_messages(), tr.caches[u - 1], d[u - 1], tr.layout
+            )
             assert got == tr.library[d[u - 1]], f"user {u} demand {d}"
 
 
@@ -205,7 +207,7 @@ def test_decoding_failure_reported_with_slot():
     tr = sim.run_protocol("A", p, (1, 2))
     # drop every message: user 1 cannot finish file 1
     with pytest.raises(scheme_a.DecodingFailure) as err:
-        decode_a(1, [], tr.caches[0], 1, tr.layout)
+        decode_from_messages(1, [], tr.caches[0], 1, tr.layout)
     assert err.value.sid.file == 1
 
 
@@ -232,7 +234,7 @@ def _flip_bit(m):
 
 
 def _decode_user1(tr, messages):
-    return decode_a(1, messages, tr.caches[0], tr.demands[0], tr.layout)
+    return decode_from_messages(1, messages, tr.caches[0], tr.demands[0], tr.layout)
 
 
 def test_dropped_single_unknown_message_is_a_decoding_failure():

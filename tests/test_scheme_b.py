@@ -6,10 +6,9 @@ import pytest
 from d2dpc import sim, verify
 from d2dpc.combinat import binom
 from d2dpc.core import SeededSource
-from d2dpc.scheme_a import load_a_point
+from d2dpc.scheme_a import decode_from_messages, load_a_point
 from d2dpc.scheme_b import (
     SchemeBParams,
-    decode_b,
     load_b_point,
     params_for,
     place_b,
@@ -105,7 +104,9 @@ def test_decode_and_load_exhaustive():
                 tr = sim.run_protocol("B", p, d)
                 assert sim.measure_load(tr) == expected
                 for u in (1, 2):
-                    got = decode_b(u, tr.all_messages(), tr.caches[u - 1], d[u - 1], tr.layout)
+                    got = decode_from_messages(
+                        u, tr.all_messages(), tr.caches[u - 1], d[u - 1], tr.layout
+                    )
                     assert got == tr.library[d[u - 1]], (N, tp, d, u)
 
 

@@ -82,3 +82,10 @@ def test_unknown_scheme():
     p = scheme_a.params_for(2, 2, 2)
     with pytest.raises(ValueError, match="unknown scheme"):
         run_protocol("C", p, (1, 1))
+    with pytest.raises(ValueError, match="unknown scheme"):
+        run_protocol("B", p, (1, 1))  # a letter that does not match the params
+    tr = run_protocol("a", p, (1, 1))
+    assert tr.scheme == "A"
+    tr.scheme = "C"
+    with pytest.raises(ValueError, match="unknown scheme"):
+        theoretical_load(tr)

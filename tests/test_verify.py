@@ -151,15 +151,23 @@ def test_exact_privacy_baseline_fails():
 def test_exact_enumeration_order_invariance(monkeypatch):
     # the verdict cannot depend on the order the randomness is enumerated
     p = scheme_b.params_for(2, 1)
-    original = scheme_b.placement_randomness_b
+    original = scheme_b.SchemeBParams.placement_atoms
 
     def reversed_atoms(params):
         return [(lab, list(reversed(opts))) for lab, opts in original(params)]
 
     ref = verify.enumerate_view_distributions("B", p, [(1,)])
-    monkeypatch.setattr(scheme_b, "placement_randomness_b", reversed_atoms)
+    monkeypatch.setattr(scheme_b.SchemeBParams, "placement_atoms", reversed_atoms)
     flipped = verify.enumerate_view_distributions("B", p, [(1,)])
     assert ref == flipped
+
+
+@pytest.mark.parametrize("check", [check_privacy_exact, check_privacy_mc])
+@pytest.mark.parametrize("coalition", [(0,), (3,), ()])
+def test_out_of_range_coalition_is_rejected(check, coalition):
+    # K = 2: user 0 and user 3 do not exist, and an empty coalition sees nothing
+    with pytest.raises(ValueError, match="coalition"):
+        check("A", scheme_a.params_for(2, 2, 2), coalition)
 
 
 def test_exact_cap_error():
@@ -222,17 +230,11 @@ def test_decodability_over_enumerated_randomness():
 
     from d2dpc.core import FixedSource
 
-    p = scheme_a.params_for(2, 2, 2, seed=0)
-    for d in itertools.product((1, 2), repeat=2):
-        atoms = scheme_a.randomness_space_a(p, d)
-        labels = [lab for lab, _ in atoms]
-        for combo in itertools.product(*[opts for _, opts in atoms]):
-            tr = sim.run_protocol("A", p, d, source=FixedSource(dict(zip(labels, combo))))
-            assert all(check_decodability(tr).values()), (d, combo)
-    pb = scheme_b.params_for(2, 1, seed=0)
-    for d in itertools.product((1, 2), repeat=2):
-        atoms = scheme_b.randomness_space_b(pb, d)
-        labels = [lab for lab, _ in atoms]
-        for combo in itertools.product(*[opts for _, opts in atoms]):
-            tr = sim.run_protocol("B", pb, d, source=FixedSource(dict(zip(labels, combo))))
-            assert all(check_decodability(tr).values()), (d, combo)
+    for p in (scheme_a.params_for(2, 2, 2, seed=0), scheme_b.params_for(2, 1, seed=0)):
+        for d in itertools.product((1, 2), repeat=2):
+            atoms = p.placement_atoms() + p.delivery_atoms(d)
+            labels = [lab for lab, _ in atoms]
+            for combo in itertools.product(*[opts for _, opts in atoms]):
+                source = FixedSource(dict(zip(labels, combo)))
+                tr = sim.run_protocol(p.scheme, p, d, source=source)
+                assert all(check_decodability(tr).values()), (p.label(), d, combo)
