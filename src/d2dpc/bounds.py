@@ -114,11 +114,15 @@ def _two_user_lines(N: int) -> list[Line]:
 
 def converse_two_user_curve(N: int) -> TradeoffCurve:
     """The two-user converse as a piecewise curve on [N/2, N]."""
+    if N < 2:
+        raise ValueError("need N >= 2")
     return upper_envelope_of_lines(_two_user_lines(N), Fraction(N, 2), Fraction(N))
 
 
 def converse_two_user_corners(N: int) -> TradeoffCurve:
     """Independent corner-formula construction of the same curve."""
+    if N < 2:
+        raise ValueError("need N >= 2")
     corners: list[tuple[Rat, Rat]] = [(Fraction(N, 2), Fraction(N))]
     tags = ["two-user-eq5(h=0)" if N >= 3 else "two-user-eq6"]
     for hp in range(1, N - 1):
@@ -278,8 +282,8 @@ class GapReport:
     grid_size: int
 
 
-def default_gap_grid(achievable: TradeoffCurve, converse: TradeoffCurve, density: int = 64) -> list[Rat]:
-    """Corner M values of both curves plus evenly spaced fill-in points.
+def default_gap_grid(achievable: TradeoffCurve, converse: TradeoffCurve) -> list[Rat]:
+    """Corner M values of both curves plus 64 evenly spaced fill-in points.
 
     Ratio extrema of two piecewise-linear curves sit at corner points of
     one of them; the even grid is pure cross-checking redundancy.
@@ -289,7 +293,7 @@ def default_gap_grid(achievable: TradeoffCurve, converse: TradeoffCurve, density
     if lo >= hi:
         raise ValueError("curve domains do not overlap")
     ms = {m for m in achievable.corner_ms() + converse.corner_ms() if lo <= m <= hi}
-    ms.update(even_grid(lo, hi, density))
+    ms.update(even_grid(lo, hi, 64))
     ms.update((lo, hi))
     return sorted(ms)
 

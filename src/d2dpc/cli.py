@@ -44,6 +44,62 @@ def _parse_tprime(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'full', got {text!r}") from None
 
 
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational number, e.g. 3/2, got {text!r}"
+        ) from None
+
+
+def _parse_count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _named_curve(parser: argparse.ArgumentParser, flag: str, which: str, K: int, N: int):
+    """``bounds.named_curve``; a curve undefined at (K, N) ends in ``parser.error``."""
+    try:
+        return bounds.named_curve(which, K, N)
+    except ValueError as err:
+        parser.error(f"argument {flag}: {err}")
+
+
+def _gap_inputs(parser: argparse.ArgumentParser, args):
+    """The achievable curve, the converse and the grid the gap arguments name."""
+    achievable = _named_curve(parser, "--achievable", args.achievable, args.K, args.N)
+    converse = None
+    for name in args.converse.split(","):
+        curve = _named_curve(parser, "--converse", name, args.K, args.N)
+        try:
+            converse = curve if converse is None else curve_max(converse, curve)
+        except ValueError as err:
+            parser.error(f"argument --converse: {name}: {err}")
+    lo = max(achievable.min_m, converse.min_m)
+    hi = min(achievable.max_m, converse.max_m)
+    if lo >= hi:
+        parser.error(f"argument --converse: its domain [{converse.min_m}, {converse.max_m}] "
+                     f"and the achievable curve's [{achievable.min_m}, {achievable.max_m}] "
+                     "do not overlap")
+    for flag, m in (("--min-m", args.min_m), ("--max-m", args.max_m)):
+        if m is not None and not lo <= m <= hi:
+            parser.error(f"argument {flag}: {m} lies outside the curves' shared domain [{lo}, {hi}]")
+    lo = lo if args.min_m is None else args.min_m
+    hi = hi if args.max_m is None else args.max_m
+    if lo > hi:
+        parser.error(f"argument --max-m: {hi} lies below --min-m {lo}")
+    # the converse is non-increasing, so zero at lo means zero on [lo, hi]
+    if converse(lo) == 0:
+        parser.error(f"argument --converse: zero on the whole range [{lo}, {hi}]")
+    grid = sorted(
+        {m for m in achievable.corner_ms() + converse.corner_ms() if lo <= m <= hi}
+        | set(even_grid(lo, hi, args.grid_density)) | {lo, hi}
+    )
+    return achievable, converse, grid
+
+
 def _scheme_params(parser: argparse.ArgumentParser, args):
     """The instance the arguments name; bad values end in ``parser.error``."""
     if min(args.K, args.N) < 2:
@@ -104,9 +160,8 @@ def _curve_rows(curve, which: str, grid_points: int):
 
 
 def cmd_curve(args) -> int:
-    curve = bounds.named_curve(args.which, args.K, args.N)
     lines = ["M_rational,M_decimal,R_rational,R_decimal,curve,provenance"]
-    for m, r, tag in _curve_rows(curve, args.which, args.grid):
+    for m, r, tag in _curve_rows(args.curve, args.which, args.grid):
         lines.append(f"{m},{_fmt(m)},{r},{_fmt(r)},{args.which},{tag}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -118,27 +173,13 @@ def cmd_curve(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    achievable = bounds.named_curve(args.achievable, args.K, args.N)
-    names = args.converse.split(",")
-    converse = bounds.named_curve(names[0], args.K, args.N)
-    for name in names[1:]:
-        converse = curve_max(converse, bounds.named_curve(name, args.K, args.N))
-    if args.min_m is not None or args.max_m is not None:
-        lo = Fraction(args.min_m) if args.min_m else max(achievable.min_m, converse.min_m)
-        hi = Fraction(args.max_m) if args.max_m else min(achievable.max_m, converse.max_m)
-        grid = sorted(
-            {m for m in achievable.corner_ms() + converse.corner_ms() if lo <= m <= hi}
-            | set(even_grid(lo, hi, args.grid_density)) | {lo, hi}
-        )
-    else:
-        grid = bounds.default_gap_grid(achievable, converse, args.grid_density)
-    report = bounds.gap(achievable, converse, grid)
+    report = bounds.gap(args.achievable_curve, args.converse_curve, args.gap_grid)
     print(f"achievable={args.achievable} converse={args.converse} K={args.K} N={args.N}")
     print(f"max ratio = {report.max_ratio} ({_fmt(report.max_ratio)}) at M = {report.argmax_m}")
     if report.skipped:
         print(f"skipped zero-converse grid points: {[str(m) for m in report.skipped]}")
     if args.bound is not None:
-        ok = report.max_ratio <= Fraction(args.bound)
+        ok = report.max_ratio <= args.bound
         print(f"bound {args.bound}: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
     return 0
@@ -197,7 +238,7 @@ def main(argv=None) -> int:
     p_curve.add_argument("--which", required=True, choices=list(bounds.CURVE_NAMES))
     p_curve.add_argument("--K", type=int, required=True)
     p_curve.add_argument("--N", type=int, required=True)
-    p_curve.add_argument("--grid", type=int, default=256)
+    p_curve.add_argument("--grid", type=_parse_count, default=256)
     p_curve.add_argument("--out")
     p_curve.set_defaults(func=cmd_curve)
 
@@ -208,10 +249,13 @@ def main(argv=None) -> int:
                        choices=["schemeA", "schemeB", "schemeC"])
     p_gap.add_argument("--converse", required=True,
                        help="curve name or comma-list (pointwise max), e.g. convKu,sharedlink")
-    p_gap.add_argument("--grid-density", type=int, default=64, dest="grid_density")
-    p_gap.add_argument("--bound", help="assert max ratio <= this rational")
-    p_gap.add_argument("--min-m", dest="min_m", help="restrict the grid to M >= this")
-    p_gap.add_argument("--max-m", dest="max_m", help="restrict the grid to M <= this")
+    p_gap.add_argument("--grid-density", type=_parse_count, default=64, dest="grid_density")
+    p_gap.add_argument("--bound", type=_parse_rational,
+                       help="assert max ratio <= this rational")
+    p_gap.add_argument("--min-m", dest="min_m", type=_parse_rational,
+                       help="restrict the grid to M >= this")
+    p_gap.add_argument("--max-m", dest="max_m", type=_parse_rational,
+                       help="restrict the grid to M <= this")
     p_gap.set_defaults(func=cmd_gap)
 
     p_ver = sub.add_parser("verify", help="decodability/privacy verification")
@@ -228,6 +272,12 @@ def main(argv=None) -> int:
     p_ver.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
+    if args.command in ("curve", "gap") and min(args.K, args.N) < 1:
+        parser.error(f"argument --K/--N: need min(K, N) >= 1, got K={args.K}, N={args.N}")
+    if args.command == "curve":
+        args.curve = _named_curve(parser, "--which", args.which, args.K, args.N)
+    if args.command == "gap":
+        args.achievable_curve, args.converse_curve, args.gap_grid = _gap_inputs(parser, args)
     if args.command in ("simulate", "verify"):
         if args.seed is None:
             args.seed = _env_int(parser, "D2DPC_SEED", 0)

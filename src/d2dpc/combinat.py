@@ -161,32 +161,43 @@ def upper_envelope_of_lines(lines: Sequence[Line], lo, hi) -> TradeoffCurve:
 
     Used for the converse bounds, which are maxima of finitely many
     linear-in-M expressions; the result is convex by construction.
+
+    The max is swept from ``lo`` to ``hi`` leader by leader.  The first
+    leader is the line highest at ``lo`` (ties: the larger slope).  A
+    leader loses the lead only to a steeper line, so the next corner is
+    the nearest point where a steeper line crosses it, and the line
+    leading past that point is the steepest one crossing there.  Every
+    such crossing is a genuine slope change, so the corners are ``lo``,
+    the crossings strictly inside (lo, hi), and ``hi``; collinear points
+    never arise.  Each corner's value and tag come from one evaluation
+    of all lines; the tag is the first line in input order that reaches
+    the max.  Cost: O(n) per corner, O(n * corners) in all.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not lines:
         raise ValueError("no lines")
+    leader = max(lines, key=lambda ln: (ln(lo), ln.slope))
     breaks = {lo, hi}
-    for a, b in itertools.combinations(lines, 2):
-        if a.slope == b.slope:
-            continue
-        x = (b.intercept - a.intercept) / (a.slope - b.slope)
-        if lo < x < hi:
-            breaks.add(x)
+    while True:
+        crossings = [
+            ((ln.intercept - leader.intercept) / (leader.slope - ln.slope), -ln.slope, i)
+            for i, ln in enumerate(lines)
+            if ln.slope > leader.slope
+        ]
+        if not crossings:
+            break
+        x, _, i = min(crossings)
+        if x >= hi:
+            break
+        breaks.add(x)
+        leader = lines[i]
 
-    def best_at(m):
-        return max(lines, key=lambda ln: ln(m))
-
-    # every evaluated point lies on the (convex) max function, so triples
-    # are either left turns (real corners) or collinear (merged away)
     corners: list[tuple[Rat, Rat]] = []
     tags: list[str] = []
     for m in sorted(breaks):
-        r = best_at(m)(m)
-        while len(corners) >= 2 and _cross(corners[-2], corners[-1], (m, r)) == 0:
-            corners.pop()
-            tags.pop()
-        corners.append((m, r))
-        tags.append(best_at(m).tag)
+        best = max(lines, key=lambda ln: ln(m))
+        corners.append((m, best(m)))
+        tags.append(best.tag)
     return TradeoffCurve(corners=tuple(corners), provenance=tuple(tags))
 
 

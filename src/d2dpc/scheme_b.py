@@ -35,8 +35,6 @@ from .core import (
 )
 from .scheme_a import decode_from_messages  # noqa: F401  (scheme B's decoder too)
 
-FULL_MEMORY = None  # sentinel accepted for tprime: degenerate (N, 0) run
-
 
 @dataclass(frozen=True)
 class SchemeBParams:
@@ -134,12 +132,6 @@ class PlacementB:
     caches: list[CacheState]
     library: Optional[dict[int, int]]
 
-    def cross_block(self, file: int, half: int) -> tuple[int, ...]:
-        return self.perms[(file, half)][: self.params.cross_size]
-
-    def noncross_block(self, file: int, half: int) -> tuple[int, ...]:
-        return self.perms[(file, half)][self.params.cross_size :]
-
 
 def place_b(params: SchemeBParams, source, structure_only: bool = False) -> PlacementB:
     base = params.base
@@ -233,6 +225,8 @@ def load_b_point(N: int, tprime: int) -> tuple[Rat, Rat]:
 
 
 def scheme_b_points(N: int) -> list[tuple[Rat, Rat]]:
+    if N < 2:
+        raise ValueError("need N >= 2")
     pts = [load_b_point(N, tp) for tp in range(N)]
     pts.append((Fraction(N), Fraction(0)))
     return pts

@@ -70,6 +70,22 @@ def test_two_user_paths_agree():
             assert lines(M) == v
 
 
+def test_two_user_curve_corners_match_corner_formula():
+    # the line envelope and the closed-form corner list give the same
+    # corners; their provenance tags follow different naming conventions
+    for N in range(2, 65):
+        assert converse_two_user_curve(N).corners == converse_two_user_corners(N).corners
+
+
+@pytest.mark.parametrize(
+    "build", [converse_two_user_curve, converse_two_user_corners, scheme_b_curve]
+)
+def test_two_user_curves_need_two_files(build):
+    for N in (1, 0):
+        with pytest.raises(ValueError, match="need N >= 2"):
+            build(N)
+
+
 def test_two_user_non_increasing():
     for N in (2, 5, 9):
         vals = [converse_two_user(N, m) for m in even_grid(Fraction(N, 2), N, 200)]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from d2dpc.cli import main
@@ -55,8 +57,9 @@ def test_curve_scheme_a_low_memory_load(capsys):
 
 
 def test_curve_rejects_bad_params(capsys):
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["curve", "--which", "convKu", "--K", "4", "--N", "3"])
+    assert exc.value.code == 2
 
 
 def test_gap_command(capsys):
@@ -75,6 +78,16 @@ def test_gap_combined_converse(capsys):
     rc = main(["gap", "--K", "4", "--N", "8", "--achievable", "schemeA",
                "--converse", "convKu,sharedlink", "--bound", "18"])
     assert rc == 0
+
+
+def test_gap_range_stays_inside_request(capsys):
+    rc = main(["gap", "--K", "2", "--N", "8", "--achievable", "schemeB",
+               "--converse", "conv2u", "--min-m", "5", "--max-m", "7", "--bound", "3/2"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    argmax = Fraction(out.split("at M = ")[1].split()[0])
+    assert 5 <= argmax <= 7
+    assert "bound 3/2: PASS" in out
 
 
 def test_gap_identical(capsys):
@@ -109,6 +122,9 @@ def test_verify_mc(capsys):
     assert "max_tv" in out
 
 
+_GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse", "conv2u"]
+
+
 @pytest.mark.parametrize(
     "flag,argv",
     [
@@ -134,6 +150,28 @@ def test_verify_mc(capsys):
                       "--coalition", "1"]),
         ("--K", ["simulate", "--scheme", "B", "--K", "3", "--N", "2",
                  "--tprime", "1", "--demands", "1,2,1"]),
+        ("--min-m", _GAP_8 + ["--min-m", "abc"]),
+        ("--max-m", _GAP_8 + ["--max-m", "abc"]),
+        ("--bound", _GAP_8 + ["--bound", "x"]),
+        ("--bound", _GAP_8 + ["--bound", "1/0"]),
+        ("--converse", ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB",
+                        "--converse", "bogus"]),
+        ("--converse", ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB",
+                        "--converse", "conv2u,bogus"]),
+        ("--which", ["curve", "--which", "schemeB", "--K", "3", "--N", "8"]),
+        ("--which", ["curve", "--which", "conv2u", "--K", "3", "--N", "8"]),
+        ("--which", ["curve", "--which", "conv2u", "--K", "2", "--N", "1"]),
+        ("--achievable", ["gap", "--K", "3", "--N", "8", "--achievable", "schemeB",
+                          "--converse", "convKu"]),
+        ("--converse", ["gap", "--K", "4", "--N", "3", "--achievable", "schemeA",
+                        "--converse", "convKu"]),
+        ("--max-m", _GAP_8 + ["--min-m", "7", "--max-m", "5"]),
+        ("--min-m", _GAP_8 + ["--min-m", "1"]),
+        ("--max-m", _GAP_8 + ["--max-m", "9"]),
+        ("--converse", _GAP_8 + ["--min-m", "8"]),
+        ("--grid", ["curve", "--which", "schemeB", "--K", "2", "--N", "8", "--grid", "-1"]),
+        ("--grid-density", _GAP_8 + ["--grid-density", "-3"]),
+        ("--K/--N", ["curve", "--which", "sharedlink", "--K", "0", "--N", "4"]),
     ],
 )
 def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):

@@ -1,10 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from d2dpc import bounds
 from d2dpc.combinat import (
     Line,
+    TradeoffCurve,
     binom,
     curve_max,
     lex_subsets,
@@ -114,6 +118,119 @@ def test_upper_envelope_of_lines():
     assert curve(2) == 1
     assert curve(4) == 1
     assert (Fraction(2), Fraction(1)) in curve.corners
+
+
+def _all_pairs_envelope(lines, lo, hi):
+    """Brute-force oracle: evaluate the max at lo, hi and every pairwise
+    crossing inside (lo, hi), then merge collinear points."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not lines:
+        raise ValueError("no lines")
+    breaks = {lo, hi}
+    for a, b in itertools.combinations(lines, 2):
+        if a.slope == b.slope:
+            continue
+        x = (b.intercept - a.intercept) / (a.slope - b.slope)
+        if lo < x < hi:
+            breaks.add(x)
+
+    def best_at(m):
+        return max(lines, key=lambda ln: ln(m))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    corners, tags = [], []
+    for m in sorted(breaks):
+        r = best_at(m)(m)
+        while len(corners) >= 2 and cross(corners[-2], corners[-1], (m, r)) == 0:
+            corners.pop()
+            tags.pop()
+        corners.append((m, r))
+        tags.append(best_at(m).tag)
+    return TradeoffCurve(corners=tuple(corners), provenance=tuple(tags))
+
+
+def _envelope_outcome(envelope, lines, lo, hi):
+    try:
+        curve = envelope(lines, lo, hi)
+    except ValueError as err:
+        return ("ValueError", str(err))
+    return curve.corners, curve.provenance
+
+
+def _assert_matches_oracle(lines, lo, hi):
+    assert _envelope_outcome(upper_envelope_of_lines, lines, lo, hi) == _envelope_outcome(
+        _all_pairs_envelope, lines, lo, hi
+    )
+
+
+_SMALL_RATIONALS = st.builds(Fraction, st.integers(-2, 12), st.integers(1, 3))
+
+
+@st.composite
+def non_increasing_line_sets(draw):
+    """Lines with non-positive slopes from a small grid of rationals, so
+    parallel lines, duplicates and several lines through one point are
+    common; tags record input order."""
+    lines = draw(st.lists(
+        st.builds(Fraction, st.integers(-4, 0), st.integers(1, 3)).flatmap(
+            lambda slope: _SMALL_RATIONALS.map(lambda icpt: (slope, icpt))),
+        min_size=1, max_size=10,
+    ))
+    lines += draw(st.lists(st.sampled_from(lines), max_size=2))
+    return [Line(slope, icpt, f"l{i}") for i, (slope, icpt) in enumerate(lines)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(non_increasing_line_sets(), _SMALL_RATIONALS, _SMALL_RATIONALS)
+def test_upper_envelope_matches_all_pairs_oracle(lines, lo, hi):
+    _assert_matches_oracle(lines, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "lines,lo,hi",
+    [
+        # parallel lines and an exact duplicate (the later copy never tags)
+        ([Line(Fraction(-1), Fraction(4), "a"), Line(Fraction(-1), Fraction(3), "b"),
+          Line(Fraction(-1), Fraction(4), "c"), Line(Fraction(0), Fraction(1), "d")], 0, 4),
+        # three lines through (2, 2); the middle one leads only at that point
+        ([Line(Fraction(0), Fraction(2), "flat"), Line(Fraction(-1), Fraction(4), "mid"),
+          Line(Fraction(-2), Fraction(6), "steep")], 0, 4),
+        ([Line(Fraction(-1), Fraction(4), "mid"), Line(Fraction(-2), Fraction(6), "steep"),
+          Line(Fraction(0), Fraction(2), "flat")], 0, 4),
+        # lines that never lead
+        ([Line(Fraction(-1), Fraction(5), "top"), Line(Fraction(-3), Fraction(1), "low"),
+          Line(Fraction(0), Fraction(-1), "below")], 0, 3),
+        # one line leads on the whole window, another touches it at hi
+        ([Line(Fraction(-1), Fraction(10), "lead"), Line(Fraction(0), Fraction(8), "touch"),
+          Line(Fraction(-5), Fraction(3), "under")], 0, 2),
+        # degenerate windows: a single point, and lo above hi
+        ([Line(Fraction(-1), Fraction(4), "a"), Line(Fraction(0), Fraction(2), "b")], 2, 2),
+        ([Line(Fraction(-1), Fraction(4), "a"), Line(Fraction(0), Fraction(2), "b")], 3, 1),
+    ],
+)
+def test_upper_envelope_edge_cases_match_oracle(lines, lo, hi):
+    _assert_matches_oracle(lines, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [],
+        # a rising max is not a memory-load curve
+        [Line(Fraction(1), Fraction(0), "up"), Line(Fraction(-1), Fraction(3), "down")],
+    ],
+)
+def test_upper_envelope_raises_where_oracle_raises(lines):
+    outcome = _envelope_outcome(upper_envelope_of_lines, lines, 0, 4)
+    assert outcome[0] == "ValueError"
+    assert outcome == _envelope_outcome(_all_pairs_envelope, lines, 0, 4)
+
+
+def test_upper_envelope_two_user_lines_match_oracle():
+    for N in range(2, 25):
+        _assert_matches_oracle(bounds._two_user_lines(N), Fraction(N, 2), N)
 
 
 def test_curve_max():
