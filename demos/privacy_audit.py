@@ -28,9 +28,9 @@ for label, scheme, params in [
 print()
 print("=== the derandomized baseline leaks ===")
 for t in (1, 2):
-    report = verify.check_privacy_exact(
-        "A", scheme_a.params_for(2, 2, t), [1], derandomized=True, paranoid=True
-    )
+    (report,) = verify.check_privacy_exact_all(
+        "A", scheme_a.params_for(2, 2, t), [[1]], derandomized=True, paranoid=True
+    ).values()
     print(f"  {report.text()}")
     if report.witness:
         fixing, da, db = report.witness

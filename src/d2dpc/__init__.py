@@ -41,8 +41,8 @@ from .sim import measure_load, run_protocol, theoretical_load
 from .verify import (
     canonical_view,
     check_decodability,
-    check_privacy_exact,
-    check_privacy_mc,
+    check_privacy_exact_all,
+    check_privacy_mc_all,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

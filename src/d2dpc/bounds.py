@@ -5,9 +5,11 @@ linear in the memory M, so the piecewise curves are assembled exactly as
 upper envelopes of rational lines.  Loads are clamped at zero: the
 formulas go negative where a segment stops being active.
 
-Two independent code paths exist for the two-user converse (direct
-formula maximisation, and the closed-form corner list); they are checked
-against each other rather than trusting either alone.
+The two-user and K-user converses are built from one line family,
+which at K = 2 is the two-user one.  Two independent code paths exist
+for the two-user converse (that family's envelope, and the closed-form
+corner list); they are checked against each other rather than trusting
+either alone.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def curve_bound_points(curve: TradeoffCurve) -> list[BoundPoint]:
 
 
 # ---------------------------------------------------------------------------
-# two-user converse (uncoded placement)
+# converse line family (uncoded placement)
 # ---------------------------------------------------------------------------
 
 
@@ -69,54 +71,65 @@ def _eq7_rhs(N: int, y: Rat, K: int) -> Rat:
     return K * (Fraction(1, 2) - y / N)
 
 
-def _two_user_y(N: int, M) -> Rat:
-    y = Fraction(M) - Fraction(N, 2)
-    if not 0 <= y <= Fraction(N, 2):
-        raise ValueError(f"M={M} outside [{Fraction(N, 2)}, {N}] for N={N}")
-    return y
+_TWO_USER_TAGS = ("two-user-eq5", "two-user-eq6", "two-user-eq7")
+_K_USER_TAGS = ("k-user-eq9", "k-user-eq10", "k-user-eq11")
+
+
+def _converse_terms(K: int, N: int, tags: tuple[str, str, str]) -> list:
+    """The one converse line family: eq. (6), eq. (7) and eq. (5), scaled
+    for K colluding users, as ``(tag, y -> load)`` pairs linear in y on
+    [0, N/2].  ``tags`` names the eq. (5), (6) and (7) terms.  At K = 2
+    both scale factors are 1, which gives the two-user family."""
+    eq5, eq6, eq7 = tags
+    pre = Fraction(K // 2, (K + 1) // 2)
+    pre2 = Fraction((2 * N) // K) / Fraction(2 * N, K)
+    terms = [
+        (eq6, lambda y: pre * _eq6_rhs(N, y, K)),
+        (eq7, lambda y: pre * _eq7_rhs(N, y, K)),
+    ]
+    if Fraction(N, K) >= Fraction(3, 2):
+        terms.extend(
+            (f"{eq5}(h={h})", lambda y, h=h: pre * pre2 * _eq5_rhs(N, y, h, K))
+            for h in range((2 * N) // K - 2)
+        )
+    return terms
+
+
+def _converse_max(terms: list, y: Rat) -> Rat:
+    return max(Fraction(0), *(f(y) for _, f in terms))
+
+
+def _converse_lines(K: int, N: int, tags: tuple[str, str, str]) -> list[Line]:
+    """The family and the zero clamp as lines in M on [N/K, 2N/K], where
+    y runs over [0, N/2]."""
+    lo, hi = Fraction(N, K), Fraction(2 * N, K)
+    return [Line(Fraction(0), Fraction(0), "clamp-zero")] + [
+        line_through(lo, f(Fraction(0)), hi, f(Fraction(N, 2)), tag)
+        for tag, f in _converse_terms(K, N, tags)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# two-user converse
+# ---------------------------------------------------------------------------
 
 
 def converse_two_user(N: int, M) -> Rat:
     """Lower bound on the two-user optimal load at memory M, exact."""
     if N < 2:
         raise ValueError("need N >= 2")
-    y = _two_user_y(N, M)
-    cands = [_eq6_rhs(N, y, 2), _eq7_rhs(N, y, 2)]
-    if N >= 3:
-        cands.extend(_eq5_rhs(N, y, h, 2) for h in range(N - 2))
-    return max(Fraction(0), max(cands))
-
-
-def _two_user_lines(N: int) -> list[Line]:
-    lo, hi = Fraction(N, 2), Fraction(N)
-    lines = [Line(Fraction(0), Fraction(0), "clamp-zero")]
-
-    def add(f, tag):
-        lines.append(
-            line_through(lo, f(N, Fraction(0), 2), hi, f(N, Fraction(N, 2), 2), tag)
-        )
-
-    add(_eq6_rhs, "two-user-eq6")
-    add(_eq7_rhs, "two-user-eq7")
-    if N >= 3:
-        for h in range(N - 2):
-            lines.append(
-                line_through(
-                    lo,
-                    _eq5_rhs(N, Fraction(0), h, 2),
-                    hi,
-                    _eq5_rhs(N, Fraction(N, 2), h, 2),
-                    f"two-user-eq5(h={h})",
-                )
-            )
-    return lines
+    y = Fraction(M) - Fraction(N, 2)
+    if not 0 <= y <= Fraction(N, 2):
+        raise ValueError(f"M={M} outside [{Fraction(N, 2)}, {N}] for N={N}")
+    return _converse_max(_converse_terms(2, N, _TWO_USER_TAGS), y)
 
 
 def converse_two_user_curve(N: int) -> TradeoffCurve:
     """The two-user converse as a piecewise curve on [N/2, N]."""
     if N < 2:
         raise ValueError("need N >= 2")
-    return upper_envelope_of_lines(_two_user_lines(N), Fraction(N, 2), Fraction(N))
+    lines = _converse_lines(2, N, _TWO_USER_TAGS)
+    return upper_envelope_of_lines(lines, Fraction(N, 2), Fraction(N))
 
 
 def converse_two_user_corners(N: int) -> TradeoffCurve:
@@ -138,16 +151,8 @@ def converse_two_user_corners(N: int) -> TradeoffCurve:
 
 
 # ---------------------------------------------------------------------------
-# K-user converse (uncoded placement, colluding users)
+# K-user converse (colluding users)
 # ---------------------------------------------------------------------------
-
-
-def _k_user_prefactor(K: int) -> Rat:
-    return Fraction(K // 2, (K + 1) // 2)
-
-
-def _k_user_y(K: int, N: int, M) -> Rat:
-    return (K * Fraction(M) - N) / 2
 
 
 def converse_k_user(K: int, N: int, M) -> Rat:
@@ -158,50 +163,26 @@ def converse_k_user(K: int, N: int, M) -> Rat:
     """
     if not N >= K >= 3:
         raise ValueError("need N >= K >= 3")
-    y = _k_user_y(K, N, M)
+    y = (K * Fraction(M) - N) / 2
     if y < 0 or Fraction(M) > N:
         raise ValueError(f"M={M} outside [{Fraction(N, K)}, {N}]")
     if y > Fraction(N, 2):
         return Fraction(0)
-    pre = _k_user_prefactor(K)
-    pre2 = Fraction((2 * N) // K) / Fraction(2 * N, K)
-    cands = [pre * _eq6_rhs(N, y, K), pre * _eq7_rhs(N, y, K)]
-    if Fraction(N, K) >= Fraction(3, 2):
-        cands.extend(
-            pre * pre2 * _eq5_rhs(N, y, h, K) for h in range((2 * N) // K - 2)
-        )
-    return max(Fraction(0), max(cands))
+    return _converse_max(_converse_terms(K, N, _K_USER_TAGS), y)
 
 
 def converse_k_user_curve(K: int, N: int) -> TradeoffCurve:
     """Piecewise K-user converse on [N/K, N] (flat zero past 2N/K)."""
     if not N >= K >= 3:
         raise ValueError("need N >= K >= 3")
-    lo, hi = Fraction(N, K), Fraction(2 * N, K)
-    pre = _k_user_prefactor(K)
-    pre2 = Fraction((2 * N) // K) / Fraction(2 * N, K)
-    lines = [Line(Fraction(0), Fraction(0), "clamp-zero")]
-
-    def y_of(M):
-        return _k_user_y(K, N, M)
-
-    def add(f, scale, tag):
-        lines.append(line_through(lo, scale * f(N, y_of(lo), K), hi, scale * f(N, y_of(hi), K), tag))
-
-    add(_eq6_rhs, pre, "k-user-eq10")
-    add(_eq7_rhs, pre, "k-user-eq11")
-    if Fraction(N, K) >= Fraction(3, 2):
-        for h in range((2 * N) // K - 2):
-            add(lambda n, y, k, h=h: _eq5_rhs(n, y, h, k), pre * pre2, f"k-user-eq9(h={h})")
-    curve = upper_envelope_of_lines(lines, lo, hi)
-    corners = list(curve.corners)
-    tags = list(curve.provenance)
-    if corners[-1][1] != 0:
+    lines = _converse_lines(K, N, _K_USER_TAGS)
+    curve = upper_envelope_of_lines(lines, Fraction(N, K), Fraction(2 * N, K))
+    if curve.corners[-1][1] != 0:
         raise AssertionError("K-user converse should vanish at M = 2N/K")
-    if hi < N:
-        corners.append((Fraction(N), Fraction(0)))
-        tags.append("clamp-zero")
-    return TradeoffCurve(corners=tuple(corners), provenance=tuple(tags))
+    return TradeoffCurve(  # flat zero on [2N/K, N]; 2N/K < N since K >= 3
+        corners=curve.corners + ((Fraction(N), Fraction(0)),),
+        provenance=curve.provenance + ("clamp-zero",),
+    )
 
 
 # ---------------------------------------------------------------------------

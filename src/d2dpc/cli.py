@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import bounds, scheme_a, scheme_b, sim, verify
 from .combinat import curve_max, even_grid
-from .core import demand_vector, transcript_to_text
+from .core import check_seed, demand_vector, transcript_to_text
 
 
 def _env_int(parser: argparse.ArgumentParser, name: str, default: int) -> int:
@@ -57,6 +57,19 @@ def _parse_count(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
+
+
+def _parse_trials(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _parse_tolerance(text: str) -> float:
+    tol = _parse_rational(text)
+    if not 0 <= tol <= 1:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return float(tol)
 
 
 def _named_curve(parser: argparse.ArgumentParser, flag: str, which: str, K: int, N: int):
@@ -189,20 +202,21 @@ def cmd_verify(args) -> int:
     derandomized = args.baseline == "nonprivate"
     if args.mode == "exact":
         try:
-            report = verify.check_privacy_exact(
-                args.scheme, args.params, args.coalition,
+            reports = verify.check_privacy_exact_all(
+                args.scheme, args.params, [args.coalition],
                 cap=args.enum_cap, derandomized=derandomized, paranoid=args.paranoid,
             )
         except verify.ExactModeTooLarge as err:
             print(err)
             return 2
     else:
-        report = verify.check_privacy_mc(
-            args.scheme, args.params, args.coalition,
+        reports = verify.check_privacy_mc_all(
+            args.scheme, args.params, [args.coalition],
             trials=args.trials, tolerance=args.tol,
             base_seed=args.seed,
             derandomized=derandomized,
         )
+    (report,) = reports.values()
     print(report.text())
     return 0 if report.private else 1
 
@@ -263,8 +277,8 @@ def main(argv=None) -> int:
     p_ver.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p_ver.add_argument("--coalition", required=True, type=_parse_int_list,
                        help="comma-separated user indices")
-    p_ver.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS)
-    p_ver.add_argument("--tol", type=float, default=verify.DEFAULT_TOLERANCE)
+    p_ver.add_argument("--trials", type=_parse_trials, default=verify.DEFAULT_TRIALS)
+    p_ver.add_argument("--tol", type=_parse_tolerance, default=verify.DEFAULT_TOLERANCE)
     p_ver.add_argument("--paranoid", action="store_true",
                        help="exact mode: include the payload-relation fingerprint")
     p_ver.add_argument("--baseline", choices=["nonprivate"],
@@ -279,8 +293,14 @@ def main(argv=None) -> int:
     if args.command == "gap":
         args.achievable_curve, args.converse_curve, args.gap_grid = _gap_inputs(parser, args)
     if args.command in ("simulate", "verify"):
+        seed_from = "argument --seed"
         if args.seed is None:
             args.seed = _env_int(parser, "D2DPC_SEED", 0)
+            seed_from = "environment variable D2DPC_SEED"
+        try:
+            check_seed(args.seed)
+        except ValueError as err:
+            parser.error(f"{seed_from}: {err}")
         args.params = _scheme_params(parser, args)
     if args.command == "simulate":
         try:

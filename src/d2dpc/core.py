@@ -147,6 +147,13 @@ def block_permutation_atoms(scheme: str, layout: SlotLayout) -> list:
 # ---------------------------------------------------------------------------
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` fits the signed 64 bits that
+    every random stream is keyed with."""
+    if not -(2**63) <= seed < 2**63:
+        raise ValueError(f"seed must lie in [-2**63, 2**63), got {seed}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """A (K, N) caching instance: K users, N files of B bits each."""
@@ -157,6 +164,7 @@ class SystemParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if min(self.K, self.N) < 2:
             raise ValueError(f"need min(K, N) >= 2, got K={self.K}, N={self.N}")
         if self.B < 1:

@@ -14,8 +14,13 @@ a fingerprint of that linear map (which message payloads are explained
 by cached bits, and which XOR combinations cancel) as a defence against
 canonicalisation bugs.
 
-Small instances are checked exactly by enumerating the whole randomness
-space; larger ones fall back to a Monte Carlo total-variation estimate.
+One relabelling serves both modes: ``canonical_view`` runs it over all
+broadcasts in emission order, ``canonical_view_blocks`` over each
+transmitter's broadcasts on their own.  Each mode has one entry point,
+which checks a list of coalitions off one shared set of protocol runs:
+``check_privacy_exact_all`` enumerates the whole randomness space of a
+small instance and compares exact view counts, ``check_privacy_mc_all``
+samples a larger one and gates on ``debiased_total_variation``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
 from typing import Optional
 
 from . import scheme_a, sim
@@ -82,8 +86,7 @@ def _observed_caches(transcript: Transcript, coalition):
     pattern: dict = {}  # sid -> tuple of coalition members caching it
     for u in coalition:
         for sid in transcript.caches[u - 1].slots:
-            prev = pattern.get(sid)
-            pattern[sid] = prev + (u,) if prev else (u,)
+            pattern[sid] = pattern.get(sid, ()) + (u,)
 
     cache_counts: dict = {}
     for sid, pat in pattern.items():
@@ -91,6 +94,49 @@ def _observed_caches(transcript: Transcript, coalition):
         cache_counts[cls] = cache_counts.get(cls, 0) + 1
     own_demands = tuple(transcript.demands[u - 1] for u in coalition)
     return coalition, own_demands, pattern, tuple(sorted(cache_counts.items()))
+
+
+def _relabelled(messages, pattern: dict, spb: int) -> tuple:
+    """The one slot relabelling: ``(sender, position_set, refs)`` per
+    message, where a slot's ref is its (file, block, pattern) class plus
+    its first-occurrence ordinal within that class over ``messages``."""
+    ordinals: dict = {}
+    next_in_class: dict = {}
+    rows = []
+    for m in messages:
+        refs = []
+        for sid in m.composition:
+            ref = ordinals.get(sid)
+            if ref is None:
+                cls = (sid[0], (sid[1] - 1) // spb + 1, pattern.get(sid, ()))
+                nxt = next_in_class.get(cls, 0) + 1
+                next_in_class[cls] = nxt
+                ref = ordinals[sid] = (cls, nxt)
+            refs.append(ref)
+        rows.append((m.sender, m.position_set, tuple(refs)))
+    return tuple(rows)
+
+
+def _fingerprint(rows: tuple) -> tuple:
+    """Each message's GF(2) row over the slots the coalition does not
+    cache, reduced against the rows before it: zero rows are explained
+    by the earlier messages and the caches."""
+    cols: dict = {}
+    pivots: dict[int, int] = {}
+    reduced = []
+    for _, _, refs in rows:
+        mask = 0
+        for ref in refs:
+            if not ref[0][2]:  # uncached by the coalition
+                mask ^= 1 << cols.setdefault(ref, len(cols))
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = mask
+                break
+            mask ^= pivots[top]
+        reduced.append(mask)
+    return tuple(reduced)
 
 
 def canonical_view(transcript: Transcript, coalition, paranoid: bool = False) -> ObserverView:
@@ -104,55 +150,15 @@ def canonical_view(transcript: Transcript, coalition, paranoid: bool = False) ->
     coalition, own_demands, pattern, canonical_caches = _observed_caches(
         transcript, coalition
     )
-    spb = transcript.layout.slots_per_block
-
-    ordinals: dict = {}
-    next_in_class: dict = {}
-    messages = []
-    uncached_cols: dict = {}
-    rows = []
-    no_users: tuple = ()
-    for per_user in transcript.broadcasts:
-        for m in per_user:
-            comp_refs = []
-            row_mask = 0
-            for sid in m.composition:
-                ref = ordinals.get(sid)
-                if ref is None:
-                    pat = pattern.get(sid, no_users)
-                    cls = (sid[0], (sid[1] - 1) // spb + 1, pat)
-                    nxt = next_in_class.get(cls, 0) + 1
-                    next_in_class[cls] = nxt
-                    ref = (cls, nxt)
-                    ordinals[sid] = ref
-                    if not pat:
-                        uncached_cols[ref] = len(uncached_cols)
-                comp_refs.append(ref)
-                if not ref[0][2]:  # uncached by the coalition
-                    row_mask ^= 1 << uncached_cols[ref]
-            messages.append((m.sender, m.position_set, tuple(comp_refs)))
-            rows.append(row_mask)
-
-    fingerprint: tuple = ()
-    if paranoid:
-        pivots: dict[int, int] = {}
-        reduced = []
-        for mask in rows:
-            while mask:
-                top = mask.bit_length() - 1
-                if top not in pivots:
-                    pivots[top] = mask
-                    break
-                mask ^= pivots[top]
-            reduced.append(mask)
-        fingerprint = tuple(reduced)
-
+    rows = _relabelled(
+        transcript.all_messages(), pattern, transcript.layout.slots_per_block
+    )
     return ObserverView(
         observer=coalition,
         own_demands=own_demands,
         canonical_caches=canonical_caches,
-        canonical_broadcasts=tuple(messages),
-        fingerprint=fingerprint,
+        canonical_broadcasts=rows,
+        fingerprint=_fingerprint(rows) if paranoid else (),
     )
 
 
@@ -171,26 +177,9 @@ def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
         transcript, coalition
     )
     spb = transcript.layout.slots_per_block
-    blocks = [(coalition, own_demands, cache_classes)]
-    no_users: tuple = ()
-    for per_user in transcript.broadcasts:
-        ordinals: dict = {}
-        next_in_class: dict = {}
-        msgs = []
-        for m in per_user:
-            refs = []
-            for sid in m.composition:
-                ref = ordinals.get(sid)
-                if ref is None:
-                    cls = (sid[0], (sid[1] - 1) // spb + 1, pattern.get(sid, no_users))
-                    nxt = next_in_class.get(cls, 0) + 1
-                    next_in_class[cls] = nxt
-                    ref = (cls, nxt)
-                    ordinals[sid] = ref
-                refs.append(ref)
-            msgs.append((m.sender, m.position_set, tuple(refs)))
-        blocks.append(tuple(msgs))
-    return tuple(blocks)
+    return ((coalition, own_demands, cache_classes),) + tuple(
+        [_relabelled(per_user, pattern, spb) for per_user in transcript.broadcasts]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +216,9 @@ def enumerate_view_distributions(
     p_labels = [lab for lab, _ in p_atoms]
     p_options = [opts for _, opts in p_atoms]
     d_atoms_by_d = {d: scheme_params.delivery_atoms(d, derandomized) for d in demand_vectors}
-    p_total = prod(len(o) for o in p_options)
+    p_total = math.prod(len(o) for o in p_options)
     for d, atoms in d_atoms_by_d.items():
-        total = p_total * prod(len(o) for _, o in atoms)
+        total = p_total * math.prod(len(o) for _, o in atoms)
         if total > cap:
             raise ExactModeTooLarge(total, cap)
 
@@ -238,11 +227,9 @@ def enumerate_view_distributions(
         placement = scheme_params.place(
             FixedSource(dict(zip(p_labels, p_combo))), structure_only=True
         )
-        for d in demand_vectors:
-            atoms = d_atoms_by_d[d]
+        for d, atoms in d_atoms_by_d.items():
             labels = [lab for lab, _ in atoms]
-            options = [opts for _, opts in atoms]
-            for combo in itertools.product(*options):
+            for combo in itertools.product(*(opts for _, opts in atoms)):
                 tr = sim.run_protocol(
                     scheme,
                     scheme_params,
@@ -321,22 +308,6 @@ def _exact_report(scheme_params, coalition, dists) -> PrivacyReport:
     )
 
 
-def check_privacy_exact(
-    scheme: str,
-    scheme_params,
-    coalition,
-    cap: int = EXACT_ENUMERATION_CAP,
-    derandomized: bool = False,
-    paranoid: bool = False,
-) -> PrivacyReport:
-    """Exact demand privacy for one coalition (see module docstring)."""
-    coalition = tuple(sorted(set(coalition)))
-    dists = enumerate_view_distributions(
-        scheme, scheme_params, [coalition], cap, derandomized, paranoid
-    )[coalition]
-    return _exact_report(scheme_params, coalition, dists)
-
-
 def check_privacy_exact_all(
     scheme: str,
     scheme_params,
@@ -345,23 +316,17 @@ def check_privacy_exact_all(
     derandomized: bool = False,
     paranoid: bool = False,
 ) -> dict[tuple[int, ...], PrivacyReport]:
-    """Exact check for several coalitions off one shared enumeration."""
-    coalitions = [tuple(sorted(set(c))) for c in coalitions]
+    """Exact demand privacy for each coalition, off one shared
+    enumeration (see module docstring)."""
     dists = enumerate_view_distributions(
         scheme, scheme_params, coalitions, cap, derandomized, paranoid
     )
-    return {c: _exact_report(scheme_params, c, dists[c]) for c in coalitions}
+    return {c: _exact_report(scheme_params, c, by_d) for c, by_d in dists.items()}
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo total-variation check
 # ---------------------------------------------------------------------------
-
-
-def total_variation(a: Counter, b: Counter) -> float:
-    na, nb = sum(a.values()), sum(b.values())
-    keys = set(a) | set(b)
-    return 0.5 * sum(abs(a[k] / na - b[k] / nb) for k in keys)
 
 
 def debiased_total_variation(a: Counter, b: Counter) -> tuple[float, float]:
@@ -403,10 +368,12 @@ def sample_view_distributions(
     """
     sim.check_scheme(scheme, scheme_params)
     coalitions = [tuple(sorted(set(c))) for c in coalitions]
+    demand_vectors = _all_demand_vectors(scheme_params)
     n_blocks = scheme_params.base.K + 1
-    dists: dict = {c: {} for c in coalitions}
-    for d in _all_demand_vectors(scheme_params):
-        counters = {c: [Counter() for _ in range(n_blocks)] for c in coalitions}
+    dists: dict = {
+        c: {d: [Counter() for _ in range(n_blocks)] for d in demand_vectors} for c in coalitions
+    }
+    for d in demand_vectors:
         for trial in range(trials):
             seed = derive_seed(base_seed, f"mc|{d}|{trial}")
             tr = sim.run_protocol(
@@ -418,10 +385,8 @@ def sample_view_distributions(
                 structure_only=True,
             )
             for c in coalitions:
-                for i, blk in enumerate(canonical_view_blocks(tr, c)):
-                    counters[c][i][blk] += 1
-        for c in coalitions:
-            dists[c][d] = counters[c]
+                for counter, blk in zip(dists[c][d], canonical_view_blocks(tr, c)):
+                    counter[blk] += 1
     return dists
 
 
@@ -453,29 +418,6 @@ def _max_tv_report(scheme_params, coalition, dists, trials, tolerance) -> Privac
     )
 
 
-def check_privacy_mc(
-    scheme: str,
-    scheme_params,
-    coalition,
-    trials: int = DEFAULT_TRIALS,
-    tolerance: float = DEFAULT_TOLERANCE,
-    base_seed: int = 0,
-    derandomized: bool = False,
-) -> PrivacyReport:
-    """Statistical surrogate for the exact check at larger instances.
-
-    max_tv is the largest empirical total variation over all pairs of
-    demand completions and all view blocks (see canonical_view_blocks).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    coalition = tuple(sorted(set(coalition)))
-    dists = sample_view_distributions(
-        scheme, scheme_params, [coalition], trials, base_seed, derandomized
-    )[coalition]
-    return _max_tv_report(scheme_params, coalition, dists, trials, tolerance)
-
-
 def check_privacy_mc_all(
     scheme: str,
     scheme_params,
@@ -485,14 +427,20 @@ def check_privacy_mc_all(
     base_seed: int = 0,
     derandomized: bool = False,
 ) -> dict[tuple[int, ...], PrivacyReport]:
-    """MC check for several coalitions off one shared set of runs."""
-    coalitions = [tuple(sorted(set(c))) for c in coalitions]
+    """Statistical surrogate for the exact check at larger instances, for
+    each coalition off one shared set of runs.
+
+    max_tv is the largest empirical total variation over all pairs of
+    demand completions and all view blocks (see canonical_view_blocks).
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     dists = sample_view_distributions(
         scheme, scheme_params, coalitions, trials, base_seed, derandomized
     )
     return {
-        c: _max_tv_report(scheme_params, c, dists[c], trials, tolerance)
-        for c in coalitions
+        c: _max_tv_report(scheme_params, c, by_d, trials, tolerance)
+        for c, by_d in dists.items()
     }
 
 

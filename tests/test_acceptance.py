@@ -160,9 +160,9 @@ def test_accept_09_exact_privacy():
             assert all(r.private for r in reports.values()), ("B", N, tp)
     # the derandomized baseline leaks (it does so at both t=1 and t=2)
     baseline_fails = [
-        not verify.check_privacy_exact(
-            "A", scheme_a.params_for(2, 2, t), [1], derandomized=True, paranoid=True
-        ).private
+        not verify.check_privacy_exact_all(
+            "A", scheme_a.params_for(2, 2, t), [[1]], derandomized=True, paranoid=True
+        )[(1,)].private
         for t in (1, 2)
     ]
     assert any(baseline_fails)

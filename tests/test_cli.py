@@ -122,6 +122,7 @@ def test_verify_mc(capsys):
     assert "max_tv" in out
 
 
+_VERIFY_A = ["verify", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1", "--coalition", "1"]
 _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse", "conv2u"]
 
 
@@ -172,6 +173,14 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         ("--grid", ["curve", "--which", "schemeB", "--K", "2", "--N", "8", "--grid", "-1"]),
         ("--grid-density", _GAP_8 + ["--grid-density", "-3"]),
         ("--K/--N", ["curve", "--which", "sharedlink", "--K", "0", "--N", "4"]),
+        ("--trials", _VERIFY_A + ["--mode", "mc", "--trials", "0"]),
+        ("--trials", _VERIFY_A + ["--mode", "mc", "--trials", "-3"]),
+        ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "nan"]),
+        ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "1.5"]),
+        ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "-0.1"]),
+        ("--seed", _VERIFY_A + ["--seed", "99999999999999999999"]),
+        ("--seed", ["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1",
+                    "--demands", "1,2", "--seed", "-99999999999999999999"]),
     ],
 )
 def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):
@@ -191,3 +200,14 @@ def test_bad_seed_environment_exits_2(monkeypatch, capsys):
     assert exc.value.code == 2
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert "D2DPC_SEED" in last and "'abc'" in last
+
+
+def test_out_of_range_seed_environment_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("D2DPC_SEED", "-99999999999999999999")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1",
+              "--demands", "1,2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "environment variable D2DPC_SEED:" in err.strip().splitlines()[-1]

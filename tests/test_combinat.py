@@ -230,7 +230,8 @@ def test_upper_envelope_raises_where_oracle_raises(lines):
 
 def test_upper_envelope_two_user_lines_match_oracle():
     for N in range(2, 25):
-        _assert_matches_oracle(bounds._two_user_lines(N), Fraction(N, 2), N)
+        lines = bounds._converse_lines(2, N, bounds._TWO_USER_TAGS)
+        _assert_matches_oracle(lines, Fraction(N, 2), N)
 
 
 def test_curve_max():

@@ -42,6 +42,24 @@ def test_params_validation():
         SystemParams(K=2, N=2, B=0)
 
 
+@pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 10**20])
+def test_out_of_range_seed_is_rejected(seed):
+    # random streams key on the seed's signed 64-bit encoding
+    with pytest.raises(ValueError, match="seed"):
+        SystemParams(K=2, N=2, B=8, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        scheme_a.params_for(2, 2, 1, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        scheme_b.params_for(2, 1, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
+def test_extreme_seeds_run(seed):
+    p = scheme_a.params_for(2, 2, 1, seed=seed)
+    tr = sim.run_protocol("A", p, (1, 2))
+    assert sim.measure_load(tr) == sim.theoretical_load(tr)
+
+
 def test_resolve_file_size():
     assert resolve_file_size(6) == 6  # default: one bit per subfile
     assert resolve_file_size(6, 6) == 6

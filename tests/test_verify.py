@@ -8,10 +8,20 @@ from d2dpc.verify import (
     ExactModeTooLarge,
     canonical_view,
     check_decodability,
-    check_privacy_exact,
-    check_privacy_mc,
-    total_variation,
+    check_privacy_exact_all,
+    check_privacy_mc_all,
+    debiased_total_variation,
 )
+
+
+def _exact(scheme, params, coalition, **kwargs):
+    (report,) = check_privacy_exact_all(scheme, params, [coalition], **kwargs).values()
+    return report
+
+
+def _mc(scheme, params, coalition, **kwargs):
+    (report,) = check_privacy_mc_all(scheme, params, [coalition], **kwargs).values()
+    return report
 
 
 def _swap_slots(tr, file, s1, s2):
@@ -133,16 +143,14 @@ def test_coalition_validation():
 
 
 def test_exact_privacy_small_instances():
-    rep = check_privacy_exact("A", scheme_a.params_for(2, 2, 1), [2], paranoid=True)
+    rep = _exact("A", scheme_a.params_for(2, 2, 1), [2], paranoid=True)
     assert rep.private and rep.mode == "exact"
-    rep = check_privacy_exact("B", scheme_b.params_for(2, 0), [1], paranoid=True)
+    rep = _exact("B", scheme_b.params_for(2, 0), [1], paranoid=True)
     assert rep.private
 
 
 def test_exact_privacy_baseline_fails():
-    rep = check_privacy_exact(
-        "A", scheme_a.params_for(2, 2, 1), [1], derandomized=True
-    )
+    rep = _exact("A", scheme_a.params_for(2, 2, 1), [1], derandomized=True)
     assert not rep.private
     assert rep.witness is not None
     assert "FAIL" in rep.text()
@@ -162,41 +170,52 @@ def test_exact_enumeration_order_invariance(monkeypatch):
     assert ref == flipped
 
 
-@pytest.mark.parametrize("check", [check_privacy_exact, check_privacy_mc])
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(check_privacy_exact_all, id="check_privacy_exact"),
+        pytest.param(check_privacy_mc_all, id="check_privacy_mc"),
+    ],
+)
 @pytest.mark.parametrize("coalition", [(0,), (3,), ()])
 def test_out_of_range_coalition_is_rejected(check, coalition):
     # K = 2: user 0 and user 3 do not exist, and an empty coalition sees nothing
     with pytest.raises(ValueError, match="coalition"):
-        check("A", scheme_a.params_for(2, 2, 2), coalition)
+        check("A", scheme_a.params_for(2, 2, 2), [coalition])
 
 
 def test_exact_cap_error():
     with pytest.raises(ExactModeTooLarge, match="Monte Carlo"):
-        check_privacy_exact("A", scheme_a.params_for(3, 2, 2), [1])
+        check_privacy_exact_all("A", scheme_a.params_for(3, 2, 2), [[1]])
 
 
 def test_mc_agrees_with_exact_on_small_instance():
     # where exact mode certifies privacy, the Monte Carlo surrogate at
     # 10^4 trials stays inside the default tolerance
-    rep = check_privacy_mc("A", scheme_a.params_for(2, 2, 2), [1], trials=10_000, base_seed=5)
+    rep = _mc("A", scheme_a.params_for(2, 2, 2), [1], trials=10_000, base_seed=5)
     assert rep.private
     assert rep.max_tv_debiased <= rep.tolerance
 
 
 def test_mc_baseline_fails():
-    rep = check_privacy_mc(
-        "A", scheme_a.params_for(2, 2, 1), [1], trials=400, base_seed=5, derandomized=True
-    )
+    rep = _mc("A", scheme_a.params_for(2, 2, 1), [1], trials=400, base_seed=5, derandomized=True)
     assert not rep.private
     assert rep.max_tv_debiased > 0.5  # bounded away from zero
 
 
 def test_mc_single_trial_degenerate():
-    rep = check_privacy_mc("A", scheme_a.params_for(2, 2, 1), [1], trials=1, base_seed=5)
+    rep = _mc("A", scheme_a.params_for(2, 2, 1), [1], trials=1, base_seed=5)
     assert rep.max_tv in (0.0, 1.0)
     assert rep.low_confidence
     with pytest.raises(ValueError):
-        check_privacy_mc("A", scheme_a.params_for(2, 2, 1), [1], trials=0)
+        _mc("A", scheme_a.params_for(2, 2, 1), [1], trials=0)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_mc_rejects_nonpositive_trials(trials):
+    # zero trials used to end in a ZeroDivisionError inside the TV estimate
+    with pytest.raises(ValueError, match="trials"):
+        check_privacy_mc_all("A", scheme_a.params_for(2, 2, 1), [[1], [2]], trials=trials)
 
 
 def test_total_variation():
@@ -204,8 +223,36 @@ def test_total_variation():
 
     a = Counter({"x": 2, "y": 2})
     b = Counter({"x": 4})
-    assert total_variation(a, b) == 0.5
-    assert total_variation(a, a) == 0
+    assert debiased_total_variation(a, b)[0] == 0.5
+    assert debiased_total_variation(a, a) == (0, 0)
+
+
+# sha256 over the canonical views below, computed before the two view
+# functions shared one relabelling; any change to what a view holds moves it
+PINNED_VIEW_DIGEST = "996fb2d07cde8e2ff364e798dccdbbe61cfb83ad0746becea234df6a7373e089"
+
+
+def test_canonical_views_pinned():
+    import hashlib
+    import itertools
+
+    from d2dpc.core import SeededSource
+
+    h = hashlib.sha256()
+    for p in (scheme_a.params_for(2, 2, 1), scheme_a.params_for(3, 2, 2), scheme_b.params_for(3, 1)):
+        K, N = p.base.K, p.base.N
+        users = range(1, K + 1)
+        coalitions = [c for r in users for c in itertools.combinations(users, r)]
+        for derandomized in (False, True):
+            for d in itertools.product(range(1, N + 1), repeat=K):
+                for seed in range(3):
+                    tr = sim.run_protocol(p.scheme, p, d, source=SeededSource(seed),
+                                          derandomized=derandomized, structure_only=True)
+                    for c in coalitions:
+                        for paranoid in (False, True):
+                            h.update(repr(canonical_view(tr, c, paranoid).key()).encode())
+                        h.update(repr(verify.canonical_view_blocks(tr, c)).encode())
+    assert h.hexdigest() == PINNED_VIEW_DIGEST
 
 
 def test_decodability_and_fault_injection():
