@@ -159,7 +159,7 @@ def cmd_simulate(args) -> int:
     return 0 if ok else 1
 
 
-def _curve_rows(curve, which: str, grid_points: int):
+def _curve_rows(curve, grid_points: int):
     corner_ms = set(curve.corner_ms())
     rows = [
         (pt.M, pt.R_lower, pt.provenance or "corner")
@@ -174,7 +174,7 @@ def _curve_rows(curve, which: str, grid_points: int):
 
 def cmd_curve(args) -> int:
     lines = ["M_rational,M_decimal,R_rational,R_decimal,curve,provenance"]
-    for m, r, tag in _curve_rows(args.curve, args.which, args.grid):
+    for m, r, tag in _curve_rows(args.curve, args.grid):
         lines.append(f"{m},{_fmt(m)},{r},{_fmt(r)},{args.which},{tag}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -56,11 +56,8 @@ class RandomStream:
         """n i.i.d. uniform bits packed into an int (0 <= result < 2**n)."""
         return self._rng.getrandbits(n) if n else 0
 
-    def randrange(self, n: int) -> int:
-        return self._rng.randrange(n)
-
     def choice(self, seq):
-        return seq[self._rng.randrange(len(seq))]
+        return self._rng.choice(seq)
 
 
 def seeded_rng(seed: int, stream_label) -> RandomStream:
@@ -92,15 +89,12 @@ class SeededSource:
         return seeded_rng(self.seed, str(label))
 
     def permutation(self, label, items: list) -> list:
-        stream = self._stream(label)
         out = list(items)
-        for i in range(len(out) - 1, 0, -1):  # Fisher-Yates
-            j = stream.randrange(i + 1)
-            out[i], out[j] = out[j], out[i]
+        self._stream(label)._rng.shuffle(out)
         return out
 
     def choice(self, label, options: list):
-        return options[self._stream(label).randrange(len(options))]
+        return self._stream(label).choice(options)
 
 
 class FixedSource:

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .combinat import binom, lex_subsets, lower_convex_envelope, TradeoffCurve
 from .core import (
@@ -105,13 +107,13 @@ class SchemeAParams:
         if derandomized:
             return []
         atoms = []
-        for k in range(1, self.base.K + 1):
+        K, N = self.base.K, self.base.N
+        for k in range(1, K + 1):
             users = self.effective_users(k)
             atoms.append((("A", "q", k), list(permutations(users))))
-            d_eff = assign_virtual_demands(k, demands, self)
-            for i in range(1, self.base.N + 1):
-                demanders = sorted(u for u, f in d_eff.items() if f == i)
-                atoms.append((("A", "leader", k, i), demanders))
+            demanders = _virtual_demands(K, N, k, tuple(demands))[1]
+            for i in range(1, N + 1):
+                atoms.append((("A", "leader", k, i), list(demanders[i])))
         return atoms
 
     @staticmethod
@@ -134,21 +136,60 @@ def params_for(K: int, N: int, t: int, seed: int = 0, b_target: Optional[int] = 
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class StructureA:
+    """The part of scheme A that uses no randomness, built once per
+    (K, N, t) and shared by every placement and delivery of that size."""
+
+    # transmitter -> bitmask of a (t-1)-subset of its effective users ->
+    # 0-based lex rank of that subset
+    rank: Mapping[int, Mapping[int, int]]
+    # user -> the (transmitter, rank) pairs whose (t-1)-subset holds the user
+    held: Mapping[int, tuple[tuple[int, int], ...]]
+    # the lex t-subsets of positions 1..U
+    position_sets: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=32)
+def structure_a(K: int, N: int, t: int) -> StructureA:
+    """Scheme A's randomness-free structure at (K, N, t), one shared copy
+    per size (placements of any seed reuse it)."""
+    users = range(1, (K - 1) * (N - 1) + K + 1)  # the effective-user universe
+    rank = {}
+    held: dict[int, list[tuple[int, int]]] = {u: [] for u in range(1, K + 1)}
+    for k in range(1, K + 1):
+        subsets = lex_subsets([u for u in users if u != k], t - 1)
+        rank[k] = MappingProxyType({_mask(w): j for j, w in enumerate(subsets)})
+        for j, w in enumerate(subsets):
+            for u in w:
+                if u <= K:
+                    held[u].append((k, j))
+    U = (K - 1) * N
+    position_sets = tuple(lex_subsets(range(1, U + 1), t)) if t <= U else ()
+    return StructureA(
+        MappingProxyType(rank),
+        MappingProxyType({u: tuple(pairs) for u, pairs in held.items()}),
+        position_sets,
+    )
+
+
+def _mask(users) -> int:
+    mask = 0
+    for u in users:
+        mask |= 1 << u
+    return mask
+
+
 @dataclass
 class PlacementA:
     params: SchemeAParams
     layout: SlotLayout
     # (file, transmitter) -> permuted tuple of that block's slot ids; entry
-    # j-1 is the physical slot playing the role of the j-th lex (t-1)-subset
+    # j is the physical slot playing the role of the subset of lex rank j
     perms: dict[tuple[int, int], tuple[int, ...]]
-    wsets: dict[int, list[tuple[int, ...]]]  # transmitter -> lex (t-1)-subsets
-    wrank: dict[int, dict[tuple[int, ...], int]]
+    structure: StructureA
     caches: list[CacheState]
     library: Optional[dict[int, int]]
-
-    def slot_of(self, transmitter: int, file: int, wset) -> SubfileId:
-        j = self.wrank[transmitter][tuple(sorted(wset))]
-        return SubfileId(file, self.perms[(file, transmitter)][j - 1])
 
 
 def place_a(params: SchemeAParams, source, structure_only: bool = False) -> PlacementA:
@@ -157,25 +198,15 @@ def place_a(params: SchemeAParams, source, structure_only: bool = False) -> Plac
     layout = params.layout()
     library = None if structure_only else random_library(base)
     perms = block_permutations("A", layout, source)
-
-    wsets = {}
-    wrank = {}
-    for k in range(1, K + 1):
-        subsets = lex_subsets(params.effective_users(k), params.t - 1)
-        wsets[k] = subsets
-        wrank[k] = {w: j + 1 for j, w in enumerate(subsets)}
+    structure = structure_a(K, N, params.t)
 
     caches = []
     for k in range(1, K + 1):
         slots: list[SubfileId] = []
+        held = structure.held[k]
         for i in range(1, N + 1):
             slots.extend(SubfileId(i, s) for s in layout.block_slots(k))
-            for other in range(1, K + 1):
-                if other == k:
-                    continue
-                for j, w in enumerate(wsets[other]):
-                    if k in w:
-                        slots.append(SubfileId(i, perms[(i, other)][j]))
+            slots.extend(SubfileId(i, perms[(i, other)][j]) for other, j in held)
         slots = tuple(sorted(slots))
         content = None
         if library is not None:
@@ -184,7 +215,7 @@ def place_a(params: SchemeAParams, source, structure_only: bool = False) -> Plac
         cache.check(layout.subfile_bits, budget_bits=params.memory_point() * base.B)
         caches.append(cache)
 
-    return PlacementA(params, layout, perms, wsets, wrank, caches, library)
+    return PlacementA(params, layout, perms, structure, caches, library)
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +223,22 @@ def place_a(params: SchemeAParams, source, structure_only: bool = False) -> Plac
 # ---------------------------------------------------------------------------
 
 
-def assign_virtual_demands(k: int, demands, params: SchemeAParams) -> dict[int, int]:
-    """Effective demand map for sub-system k.
+def assign_virtual_demands(k: int, demands, params: SchemeAParams) -> Mapping[int, int]:
+    """Effective demand map for sub-system k, read-only.
 
     Real users keep their demands; virtual users receive files in
     contiguous blocks sized so every file ends up demanded by exactly
-    K-1 effective users.  That count is re-checked on every call because
-    the block index arithmetic is easy to get wrong silently.
+    K-1 effective users.
     """
-    K, N = params.base.K, params.base.N
+    return _virtual_demands(params.base.K, params.base.N, k, tuple(demands))[0]
+
+
+@lru_cache(maxsize=1024)
+def _virtual_demands(K: int, N: int, k: int, demands: tuple[int, ...]):
+    """(effective demand map, per-file sorted demander tuples indexed by
+    file) for sub-system k.  The per-file count is checked whenever a map
+    is built, because the block index arithmetic is easy to get wrong
+    silently."""
     d_eff = {u: demands[u - 1] for u in range(1, K + 1) if u != k}
     counts = [0] * (N + 1)
     for f in d_eff.values():
@@ -218,15 +256,16 @@ def assign_virtual_demands(k: int, demands, params: SchemeAParams) -> dict[int, 
         per_file[f] += 1
     if any(c != K - 1 for c in per_file[1:]):
         raise AssertionError(f"virtual demand assignment broken: {per_file[1:]}")
-    if len(d_eff) != params.U:
+    if len(d_eff) != (K - 1) * N:
         raise AssertionError("effective user set mistiled")
-    return d_eff
+    demanders = tuple(sorted(u for u, f in d_eff.items() if f == i) for i in range(N + 1))
+    return MappingProxyType(d_eff), tuple(tuple(us) for us in demanders)
 
 
 @dataclass
 class TransmitterPlanA:
     transmitter: int
-    d_eff: dict[int, int]
+    d_eff: Mapping[int, int]
     leaders: frozenset[int]
     q: tuple[int, ...]  # position j (1-based) -> effective user
 
@@ -250,14 +289,13 @@ def plan_delivery_a(
     K, N = params.base.K, params.base.N
     per = {}
     for k in range(1, K + 1):
-        d_eff = assign_virtual_demands(k, demands, params)
+        d_eff, demanders = _virtual_demands(K, N, k, tuple(demands))
         leaders = set()
         for i in range(1, N + 1):
-            demanders = sorted(u for u, f in d_eff.items() if f == i)
             if derandomized:
-                leaders.add(demanders[0])
+                leaders.add(demanders[i][0])
             else:
-                leaders.add(source.choice(("A", "leader", k, i), demanders))
+                leaders.add(source.choice(("A", "leader", k, i), demanders[i]))
         users = params.effective_users(k)
         q = users if derandomized else source.permutation(("A", "q", k), users)
         per[k] = TransmitterPlanA(k, d_eff, frozenset(leaders), tuple(q))
@@ -278,16 +316,19 @@ def plan_messages_a(
     t = params.t
     if t > params.U:  # full-memory point: every user holds everything
         return []
+    rank = placement.structure.rank[k]
+    perms, d_eff, q = placement.perms, tp.d_eff, tp.q
+    leader_mask = _mask(tp.leaders)
     out = []
-    for S in lex_subsets(range(1, params.U + 1), t):
-        users = tuple(tp.q[j - 1] for j in S)
-        if not (set(users) & tp.leaders):
+    for S in placement.structure.position_sets:
+        users = [q[j - 1] for j in S]
+        mask = _mask(users)
+        if not mask & leader_mask:
             continue
         comp = []
-        uset = set(users)
         for u in users:
-            wset = uset - {u}
-            comp.append(placement.slot_of(k, tp.d_eff[u], wset))
+            f = d_eff[u]
+            comp.append(SubfileId(f, perms[(f, k)][rank[mask ^ (1 << u)]]))
         out.append((S, tuple(comp)))
     expected = binom(params.U, t) - binom(params.U - params.base.N, t)
     if len(out) != expected:

@@ -14,13 +14,23 @@ a fingerprint of that linear map (which message payloads are explained
 by cached bits, and which XOR combinations cancel) as a defence against
 canonicalisation bugs.
 
-One relabelling serves both modes: ``canonical_view`` runs it over all
-broadcasts in emission order, ``canonical_view_blocks`` over each
-transmitter's broadcasts on their own.  Each mode has one entry point,
-which checks a list of coalitions off one shared set of protocol runs:
-``check_privacy_exact_all`` enumerates the whole randomness space of a
-small instance and compares exact view counts, ``check_privacy_mc_all``
-samples a larger one and gates on ``debiased_total_variation``.
+A coalition's view is a function of the everyone-view, the view of the
+coalition of all K users: a slot's pattern for the coalition is its
+everyone-pattern intersected with the coalition, the first-occurrence
+ordinals are renumbered within the coarser classes (the everyone-refs
+already name each physical slot), and the cache-class counts are summed
+onto the coarser classes.  So each protocol run is canonicalised once,
+as the everyone-view, and the empirical distribution of a coalition's
+views is the pushforward of the everyone-views' distribution; it is
+computed by projecting each distinct everyone-view once per coalition.
+``canonical_view`` (all broadcasts in emission order) and
+``canonical_view_blocks`` (each transmitter's broadcasts on their own)
+are that projection applied to a single run.  Each mode has one entry
+point, which checks a list of coalitions off one shared set of protocol
+runs: ``check_privacy_exact_all`` enumerates the whole randomness space
+of a small instance and compares exact view counts,
+``check_privacy_mc_all`` samples a larger one and gates on
+``debiased_total_variation``.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import scheme_a, sim
-from .core import FixedSource, SeededSource, Transcript, derive_seed
+from .core import FixedSource, SeededSource, Transcript, check_seed, derive_seed
 
 EXACT_ENUMERATION_CAP = 1_000_000
 DEFAULT_TRIALS = 10_000
@@ -72,49 +82,117 @@ class ObserverView:
         )
 
 
-def _observed_caches(transcript: Transcript, coalition):
-    """What both view functions start from: the coalition (sorted,
-    checked against 1..K), its demands, each slot's pattern (the members
-    caching it) and the counts of cached slots per (file, block, pattern)
-    class."""
+def _coalition(coalition, K: int) -> tuple[int, ...]:
+    """The coalition sorted, checked to be a nonempty subset of 1..K."""
     coalition = tuple(sorted(set(coalition)))
-    K = transcript.params.K
     if not coalition or coalition[0] < 1 or coalition[-1] > K:
         raise ValueError(f"coalition must be a nonempty subset of 1..{K}")
+    return coalition
+
+
+def _relabelled(rows, class_of) -> tuple:
+    """The one slot relabelling: ``(sender, position_set, refs)`` per
+    row, where an item's ref is its class plus its first-occurrence
+    ordinal within that class over ``rows``.  Items are physical slot
+    ids for the everyone-view and everyone-refs for a projection."""
+    ordinals: dict = {}
+    next_in_class: dict = {}
+    out = []
+    for sender, position_set, items in rows:
+        refs = []
+        for item in items:
+            ref = ordinals.get(item)
+            if ref is None:
+                cls = class_of(item)
+                nxt = next_in_class.get(cls, 0) + 1
+                next_in_class[cls] = nxt
+                ref = ordinals[item] = (cls, nxt)
+            refs.append(ref)
+        out.append((sender, position_set, tuple(refs)))
+    return tuple(out)
+
+
+def _everyone(transcript: Transcript):
+    """What every view is projected from: block 0 of the everyone-view
+    (all users, all demands, the counts of cached slots per (file,
+    block, pattern) class, where a slot's pattern is the users caching
+    it) and a function relabelling a list of messages with the
+    everyone-patterns."""
+    K = transcript.params.K
     spb = transcript.layout.slots_per_block
-
-    pattern: dict = {}  # sid -> tuple of coalition members caching it
-    for u in coalition:
-        for sid in transcript.caches[u - 1].slots:
+    pattern: dict = {}  # sid -> tuple of users caching it
+    for u, cache in enumerate(transcript.caches, 1):
+        for sid in cache.slots:
             pattern[sid] = pattern.get(sid, ()) + (u,)
-
     cache_counts: dict = {}
     for sid, pat in pattern.items():
         cls = (sid[0], (sid[1] - 1) // spb + 1, pat)
         cache_counts[cls] = cache_counts.get(cls, 0) + 1
-    own_demands = tuple(transcript.demands[u - 1] for u in coalition)
-    return coalition, own_demands, pattern, tuple(sorted(cache_counts.items()))
+    head = (tuple(range(1, K + 1)), tuple(transcript.demands), tuple(sorted(cache_counts.items())))
+
+    def class_of(sid):
+        return (sid[0], (sid[1] - 1) // spb + 1, pattern.get(sid, ()))
+
+    def relabel(messages) -> tuple:
+        return _relabelled(((m.sender, m.position_set, m.composition) for m in messages), class_of)
+
+    return head, relabel
 
 
-def _relabelled(messages, pattern: dict, spb: int) -> tuple:
-    """The one slot relabelling: ``(sender, position_set, refs)`` per
-    message, where a slot's ref is its (file, block, pattern) class plus
-    its first-occurrence ordinal within that class over ``messages``."""
-    ordinals: dict = {}
-    next_in_class: dict = {}
-    rows = []
-    for m in messages:
-        refs = []
-        for sid in m.composition:
-            ref = ordinals.get(sid)
-            if ref is None:
-                cls = (sid[0], (sid[1] - 1) // spb + 1, pattern.get(sid, ()))
-                nxt = next_in_class.get(cls, 0) + 1
-                next_in_class[cls] = nxt
-                ref = ordinals[sid] = (cls, nxt)
-            refs.append(ref)
-        rows.append((m.sender, m.position_set, tuple(refs)))
-    return tuple(rows)
+class _Projection:
+    """Everyone-view blocks projected onto one coalition: a slot's
+    pattern is intersected with the coalition, ordinals are renumbered
+    within the coarser classes (everyone-refs already name each physical
+    slot), and cache-class counts are summed onto the coarser classes.
+    Projecting onto the everyone coalition changes nothing, so it is
+    skipped."""
+
+    def __init__(self, coalition: tuple[int, ...], K: int):
+        self.coalition = coalition
+        self._identity = len(coalition) == K
+        self._members = frozenset(coalition)
+        self._classes: dict = {}
+
+    def _class(self, cls):
+        out = self._classes.get(cls)
+        if out is None:
+            f, b, pat = cls
+            out = self._classes[cls] = (f, b, tuple(u for u in pat if u in self._members))
+        return out
+
+    def head(self, head) -> tuple:
+        if self._identity:
+            return head
+        _, demands, cache_classes = head
+        counts: dict = {}
+        for cls, n in cache_classes:
+            cls = self._class(cls)
+            if cls[2]:
+                counts[cls] = counts.get(cls, 0) + n
+        own_demands = tuple(demands[u - 1] for u in self.coalition)
+        return self.coalition, own_demands, tuple(sorted(counts.items()))
+
+    def rows(self, rows) -> tuple:
+        if self._identity:
+            return rows
+        return _relabelled(rows, lambda ref: self._class(ref[0]))
+
+    def view(self, key: tuple, paranoid: bool) -> tuple:
+        """An everyone ``ObserverView.key()`` projected to this coalition's."""
+        rows = self.rows(key[3])
+        return self.head(key[:3]) + (rows, _fingerprint(rows) if paranoid else ())
+
+
+def _project(counter: Counter, project, memo: dict) -> Counter:
+    """The pushforward of an empirical distribution under ``project``,
+    which runs once per distinct value (``memo`` caches it)."""
+    out: Counter = Counter()
+    for value, n in counter.items():
+        image = memo.get(value)
+        if image is None:
+            image = memo[value] = project(value)
+        out[image] += n
+    return out
 
 
 def _fingerprint(rows: tuple) -> tuple:
@@ -145,21 +223,13 @@ def canonical_view(transcript: Transcript, coalition, paranoid: bool = False) ->
     Inputs are exactly the coalition's knowledge: its caches (metadata),
     its demands, and every broadcast header in emission order.  Hidden
     quantities (position shuffles, placement permutations of others)
-    never enter.
+    never enter.  The view is the everyone-view projected onto the
+    coalition.
     """
-    coalition, own_demands, pattern, canonical_caches = _observed_caches(
-        transcript, coalition
-    )
-    rows = _relabelled(
-        transcript.all_messages(), pattern, transcript.layout.slots_per_block
-    )
-    return ObserverView(
-        observer=coalition,
-        own_demands=own_demands,
-        canonical_caches=canonical_caches,
-        canonical_broadcasts=rows,
-        fingerprint=_fingerprint(rows) if paranoid else (),
-    )
+    coalition = _coalition(coalition, transcript.params.K)
+    head, relabel = _everyone(transcript)
+    key = head + (relabel(transcript.all_messages()), ())
+    return ObserverView(*_Projection(coalition, transcript.params.K).view(key, paranoid))
 
 
 def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
@@ -171,14 +241,14 @@ def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
     of the scheme's randomness atoms, so the blocks are independent given
     the demands and the joint view distribution is the product of the
     block marginals; comparing marginals therefore loses nothing, and it
-    is what the Monte Carlo total-variation estimate can resolve.
+    is what the Monte Carlo total-variation estimate can resolve.  Block
+    k of a coalition is block k of the everyone-view projected onto it.
     """
-    coalition, own_demands, pattern, cache_classes = _observed_caches(
-        transcript, coalition
-    )
-    spb = transcript.layout.slots_per_block
-    return ((coalition, own_demands, cache_classes),) + tuple(
-        [_relabelled(per_user, pattern, spb) for per_user in transcript.broadcasts]
+    coalition = _coalition(coalition, transcript.params.K)
+    head, relabel = _everyone(transcript)
+    proj = _Projection(coalition, transcript.params.K)
+    return (proj.head(head),) + tuple(
+        [proj.rows(relabel(per_user)) for per_user in transcript.broadcasts]
     )
 
 
@@ -206,10 +276,13 @@ def enumerate_view_distributions(
     atoms) is replayed for every demand vector; the returned counters
     all have identical totals, so distribution equality is plain counter
     equality.  Placements are built once per placement assignment and
-    reused across demand vectors and coalitions.
+    reused across demand vectors.  Each run's everyone-view is counted
+    once; a coalition's counts are their projection (see ``_Projection``).
     """
     sim.check_scheme(scheme, scheme_params)
-    coalitions = [tuple(sorted(set(c))) for c in coalitions]
+    K = scheme_params.base.K
+    coalitions = [_coalition(c, K) for c in coalitions]
+    everyone = tuple(range(1, K + 1))
     demand_vectors = _all_demand_vectors(scheme_params)
 
     p_atoms = scheme_params.placement_atoms()
@@ -222,7 +295,7 @@ def enumerate_view_distributions(
         if total > cap:
             raise ExactModeTooLarge(total, cap)
 
-    dists: dict = {c: {d: Counter() for d in demand_vectors} for c in coalitions}
+    counts: dict = {d: Counter() for d in demand_vectors}
     for p_combo in itertools.product(*p_options):
         placement = scheme_params.place(
             FixedSource(dict(zip(p_labels, p_combo))), structure_only=True
@@ -239,8 +312,14 @@ def enumerate_view_distributions(
                     structure_only=True,
                     placement=placement,
                 )
-                for c in coalitions:
-                    dists[c][d][canonical_view(tr, c, paranoid).key()] += 1
+                counts[d][canonical_view(tr, everyone).key()] += 1
+    dists: dict = {}
+    for c in coalitions:
+        proj, memo = _Projection(c, K), {}
+        dists[c] = {
+            d: _project(counter, lambda key: proj.view(key, paranoid), memo)
+            for d, counter in counts.items()
+        }
     return dists
 
 
@@ -362,17 +441,18 @@ def sample_view_distributions(
     derandomized: bool = False,
 ):
     """trials independent seeded runs per demand vector, shared across
-    coalitions (one protocol run yields every coalition's view blocks).
+    coalitions: each run's everyone-view blocks are counted once, and a
+    coalition's block counts are their projection (see ``_Projection``).
 
     Returns dists[coalition][demand vector] = list of per-block Counters.
     """
     sim.check_scheme(scheme, scheme_params)
-    coalitions = [tuple(sorted(set(c))) for c in coalitions]
+    check_seed(base_seed)
+    K = scheme_params.base.K
+    coalitions = [_coalition(c, K) for c in coalitions]
+    everyone = tuple(range(1, K + 1))
     demand_vectors = _all_demand_vectors(scheme_params)
-    n_blocks = scheme_params.base.K + 1
-    dists: dict = {
-        c: {d: [Counter() for _ in range(n_blocks)] for d in demand_vectors} for c in coalitions
-    }
+    counts: dict = {d: [Counter() for _ in range(K + 1)] for d in demand_vectors}
     for d in demand_vectors:
         for trial in range(trials):
             seed = derive_seed(base_seed, f"mc|{d}|{trial}")
@@ -384,9 +464,19 @@ def sample_view_distributions(
                 derandomized=derandomized,
                 structure_only=True,
             )
-            for c in coalitions:
-                for counter, blk in zip(dists[c][d], canonical_view_blocks(tr, c)):
-                    counter[blk] += 1
+            for counter, blk in zip(counts[d], canonical_view_blocks(tr, everyone)):
+                counter[blk] += 1
+    dists: dict = {}
+    for c in coalitions:
+        proj = _Projection(c, K)
+        memos = [{} for _ in range(K + 1)]
+        dists[c] = {
+            d: [
+                _project(counter, proj.rows if i else proj.head, memo)
+                for i, (counter, memo) in enumerate(zip(blocks, memos))
+            ]
+            for d, blocks in counts.items()
+        }
     return dists
 
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from d2dpc import scheme_a, sim, verify
-from d2dpc.combinat import binom
-from d2dpc.core import SeededSource
+from d2dpc.combinat import binom, lex_subsets
+from d2dpc.core import SeededSource, SubfileId
 from d2dpc.scheme_a import (
     assign_virtual_demands,
     decode_from_messages,
@@ -16,6 +16,7 @@ from d2dpc.scheme_a import (
     params_for,
     place_a,
     plan_delivery_a,
+    plan_messages_a,
     scheme_a_curve,
 )
 
@@ -93,6 +94,73 @@ def test_assign_virtual_demands_partitions_universe():
                 assert len(d_eff) == p.U
                 per_file = [list(d_eff.values()).count(i) for i in range(1, N + 1)]
                 assert per_file == [K - 1] * N
+
+
+def test_virtual_demand_maps_are_read_only():
+    d_eff = assign_virtual_demands(1, (1, 2), params_for(2, 2, 1))
+    with pytest.raises(TypeError):
+        d_eff[2] = 2
+
+
+def _sorted_tuple_placement(placement):
+    """Caches and a ``slot_of`` built the old way: each transmitter's lex
+    (t-1)-subsets ranked by sorted tuple, cache membership by scanning them."""
+    params = placement.params
+    K, N = params.base.K, params.base.N
+    wsets = {k: lex_subsets(params.effective_users(k), params.t - 1) for k in range(1, K + 1)}
+    wrank = {k: {w: j for j, w in enumerate(ws)} for k, ws in wsets.items()}
+    caches = []
+    for k in range(1, K + 1):
+        slots = []
+        for i in range(1, N + 1):
+            slots.extend(SubfileId(i, s) for s in placement.layout.block_slots(k))
+            for other in range(1, K + 1):
+                if other != k:
+                    slots.extend(
+                        SubfileId(i, placement.perms[(i, other)][j])
+                        for j, w in enumerate(wsets[other])
+                        if k in w
+                    )
+        caches.append(tuple(sorted(slots)))
+
+    def slot_of(transmitter, file, wset):
+        j = wrank[transmitter][tuple(sorted(wset))]
+        return SubfileId(file, placement.perms[(file, transmitter)][j])
+
+    return caches, slot_of
+
+
+def _sorted_tuple_messages(k, plan, params, slot_of):
+    tp = plan.per_transmitter[k]
+    if params.t > params.U:
+        return []
+    out = []
+    for S in lex_subsets(range(1, params.U + 1), params.t):
+        users = tuple(tp.q[j - 1] for j in S)
+        if set(users) & tp.leaders:
+            out.append((S, tuple(slot_of(k, tp.d_eff[u], set(users) - {u}) for u in users)))
+    return out
+
+
+@pytest.mark.parametrize("K,N,t", [(2, 2, 1), (2, 3, 3), (3, 2, 2), (3, 3, 4), (4, 2, 3), (3, 2, 5)])
+def test_shared_structure_matches_sorted_tuple_ranks(K, N, t):
+    # the bitmask ranks and held pairs shared per (K, N, t) give the same
+    # caches and message compositions as ranking each subset by its
+    # sorted tuple, placement by placement
+    p = params_for(K, N, t)
+    rng = random.Random(K * 100 + N * 10 + t)
+    for seed in range(4):
+        placement = place_a(p, SeededSource(seed), structure_only=True)
+        caches, slot_of = _sorted_tuple_placement(placement)
+        assert [c.slots for c in placement.caches] == caches
+        demands = tuple(rng.randint(1, N) for _ in range(K))
+        for derandomized in (False, True):
+            plan = plan_delivery_a(p, demands, SeededSource(seed), derandomized)
+            for k in range(1, K + 1):
+                assert plan_messages_a(k, placement, plan) == _sorted_tuple_messages(
+                    k, plan, p, slot_of
+                )
+    assert place_a(p, SeededSource(0)).structure is scheme_a.structure_a(K, N, t)
 
 
 def test_message_count():

@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
+from collections import Counter
 
 import pytest
 
 from d2dpc import scheme_a, scheme_b, sim, verify
-from d2dpc.core import MulticastMessage, SubfileId, subfile_value
+from d2dpc.core import FixedSource, MulticastMessage, SeededSource, SubfileId, derive_seed, subfile_value
 from d2dpc.verify import (
     ExactModeTooLarge,
     canonical_view,
@@ -182,6 +184,150 @@ def test_out_of_range_coalition_is_rejected(check, coalition):
     # K = 2: user 0 and user 3 do not exist, and an empty coalition sees nothing
     with pytest.raises(ValueError, match="coalition"):
         check("A", scheme_a.params_for(2, 2, 2), [coalition])
+
+
+def _all_coalitions(K):
+    users = range(1, K + 1)
+    return [c for r in users for c in itertools.combinations(users, r)]
+
+
+def _direct_view(tr, coalition, paranoid, messages):
+    """A coalition's view relabelled straight from the transcript, slot
+    by slot, with no everyone-view in between: the relabelling
+    ``canonical_view`` did before it became a projection."""
+    spb = tr.layout.slots_per_block
+    pattern = {}
+    for u in coalition:
+        for sid in tr.caches[u - 1].slots:
+            pattern[sid] = pattern.get(sid, ()) + (u,)
+    cache_counts = Counter((sid.file, tr.layout.block_of(sid.slot), pat) for sid, pat in pattern.items())
+    ordinals, next_in_class, rows = {}, Counter(), []
+    for m in messages:
+        refs = []
+        for sid in m.composition:
+            if sid not in ordinals:
+                cls = (sid.file, tr.layout.block_of(sid.slot), pattern.get(sid, ()))
+                next_in_class[cls] += 1
+                ordinals[sid] = (cls, next_in_class[cls])
+            refs.append(ordinals[sid])
+        rows.append((m.sender, m.position_set, tuple(refs)))
+    rows = tuple(rows)
+    head = (coalition, tuple(tr.demands[u - 1] for u in coalition), tuple(sorted(cache_counts.items())))
+    return head, rows, verify._fingerprint(rows) if paranoid else ()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(scheme_a.params_for(4, 2, 2), id="A(4,2,2)"),
+        pytest.param(scheme_a.params_for(3, 3, 3), id="A(3,3,3)"),
+        pytest.param(scheme_b.params_for(4, 2), id="B(4,2)"),
+    ],
+)
+def test_projected_views_match_direct_relabelling(params):
+    K, N = params.base.K, params.base.N
+    for seed, derandomized in itertools.product(range(3), (False, True)):
+        d = tuple((seed + u) % N + 1 for u in range(K))
+        tr = sim.run_protocol(params.scheme, params, d, source=SeededSource(seed),
+                              derandomized=derandomized, structure_only=True)
+        for c in _all_coalitions(K):
+            for paranoid in (False, True):
+                head, rows, fp = _direct_view(tr, c, paranoid, tr.all_messages())
+                assert canonical_view(tr, c, paranoid).key() == head + (rows, fp)
+            blocks = verify.canonical_view_blocks(tr, c)
+            assert blocks[0] == head
+            for blk, per_user in zip(blocks[1:], tr.broadcasts):
+                assert blk == _direct_view(tr, c, False, per_user)[1]
+
+
+def _joint_exact(p, coalitions, derandomized, paranoid):
+    """The oracle of ``enumerate_view_distributions``: every run of the
+    joint randomness space, every coalition's view counted on its own."""
+    demand_vectors = list(itertools.product(range(1, p.base.N + 1), repeat=p.base.K))
+    dists = {c: {d: Counter() for d in demand_vectors} for c in coalitions}
+    p_atoms = p.placement_atoms()
+    for p_combo in itertools.product(*(opts for _, opts in p_atoms)):
+        p_assign = dict(zip((lab for lab, _ in p_atoms), p_combo))
+        for d in demand_vectors:
+            d_atoms = p.delivery_atoms(d, derandomized)
+            for d_combo in itertools.product(*(opts for _, opts in d_atoms)):
+                source = FixedSource({**p_assign, **dict(zip((lab for lab, _ in d_atoms), d_combo))})
+                tr = sim.run_protocol(p.scheme, p, d, source=source, derandomized=derandomized,
+                                      structure_only=True)
+                for c in coalitions:
+                    dists[c][d][canonical_view(tr, c, paranoid).key()] += 1
+    return dists
+
+
+def _joint_mc(p, coalitions, trials, base_seed, derandomized):
+    """The oracle of ``sample_view_distributions``: the same seeded runs,
+    every coalition's view blocks counted on their own."""
+    K, N = p.base.K, p.base.N
+    dists = {}
+    for d in itertools.product(range(1, N + 1), repeat=K):
+        runs = [
+            sim.run_protocol(p.scheme, p, d, derandomized=derandomized, structure_only=True,
+                             source=SeededSource(derive_seed(base_seed, f"mc|{d}|{trial}")))
+            for trial in range(trials)
+        ]
+        for c in coalitions:
+            dists.setdefault(c, {})[d] = [
+                Counter(blocks) for blocks in zip(*(verify.canonical_view_blocks(tr, c) for tr in runs))
+            ]
+    return dists
+
+
+@pytest.mark.parametrize("paranoid", [False, True])
+@pytest.mark.parametrize("derandomized", [False, True])
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(scheme_a.params_for(2, 2, 1, seed=3), id="A(2,2,1)"),
+        pytest.param(scheme_a.params_for(2, 2, 2, seed=4), id="A(2,2,2)"),
+        pytest.param(scheme_b.params_for(4, 3, seed=5), id="B(4,3)"),
+    ],
+)
+def test_projected_exact_distributions_match_joint_oracle(params, derandomized, paranoid):
+    coalitions = _all_coalitions(params.base.K)
+    got = verify.enumerate_view_distributions(
+        params.scheme, params, coalitions, derandomized=derandomized, paranoid=paranoid
+    )
+    assert got == _joint_exact(params, coalitions, derandomized, paranoid)
+
+
+@pytest.mark.parametrize("derandomized", [False, True])
+@pytest.mark.parametrize("K,N,t,trials", [(3, 2, 1, 12), (3, 2, 2, 12), (4, 2, 2, 4)])
+def test_projected_mc_distributions_match_joint_oracle(K, N, t, trials, derandomized):
+    p = scheme_a.params_for(K, N, t, seed=6)
+    coalitions = _all_coalitions(K)
+    got = verify.sample_view_distributions(
+        "A", p, coalitions, trials, base_seed=17, derandomized=derandomized
+    )
+    assert got == _joint_mc(p, coalitions, trials, 17, derandomized)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda p, cs: verify.enumerate_view_distributions("A", p, cs), id="exact"),
+        pytest.param(lambda p, cs: verify.sample_view_distributions("A", p, cs, 2), id="mc"),
+    ],
+)
+def test_coalitions_are_checked_before_any_run(entry, monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("protocol ran before the coalitions were checked")
+
+    monkeypatch.setattr(sim, "run_protocol", no_runs)
+    with pytest.raises(ValueError, match="coalition"):
+        entry(scheme_a.params_for(2, 2, 1), [(1,), (1, 2), (3,)])
+
+
+@pytest.mark.parametrize("base_seed", [2**63, -(2**63) - 1])
+def test_mc_rejects_out_of_range_base_seed(base_seed):
+    # a seed the random streams cannot be keyed with used to end in an
+    # OverflowError from derive_seed
+    with pytest.raises(ValueError, match="seed"):
+        check_privacy_mc_all("A", scheme_a.params_for(2, 2, 1), [[1]], trials=2, base_seed=base_seed)
 
 
 def test_exact_cap_error():
