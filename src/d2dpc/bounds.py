@@ -21,15 +21,14 @@ from .combinat import (
     Line,
     TradeoffCurve,
     binom,
-    curve_max,  # noqa: F401  (re-exported: combined-converse assembly)
     even_grid,
     line_through,
     lower_convex_envelope,
     upper_envelope_of_lines,
 )
 from .core import Rat
-from .scheme_a import load_a_upper, scheme_a_curve, scheme_a_points  # noqa: F401
-from .scheme_b import scheme_b_curve, scheme_b_points  # noqa: F401
+from .scheme_a import load_a_upper, scheme_a_curve
+from .scheme_b import scheme_b_curve
 
 
 @dataclass(frozen=True)

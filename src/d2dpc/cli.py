@@ -311,6 +311,13 @@ def main(argv=None) -> int:
         if any(not 1 <= u <= args.K for u in args.coalition):
             parser.error(f"argument --coalition: users must lie in 1..{args.K}")
         args.enum_cap = _env_int(parser, "D2DPC_ENUM_CAP", verify.EXACT_ENUMERATION_CAP)
+    if getattr(args, "out", None):
+        # fail before the run, not after it, when the path cannot be written
+        try:
+            with open(args.out, "a"):
+                pass
+        except OSError as err:
+            parser.error(f"argument --out: cannot write {args.out!r}: {err.strerror}")
     return args.func(args)
 
 

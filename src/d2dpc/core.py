@@ -18,6 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 Rat = Fraction
@@ -114,26 +115,6 @@ class FixedSource:
         if value not in options:
             raise ValueError(f"assignment for {label} not among options")
         return value
-
-
-def block_permutations(scheme: str, layout: SlotLayout, source) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Placement draw shared by the schemes: one shuffle of the slots of
-    every (file, block), labelled (scheme, "p", file, block)."""
-    return {
-        (i, k): tuple(source.permutation((scheme, "p", i, k), list(layout.block_slots(k))))
-        for i in range(1, layout.N + 1)
-        for k in range(1, layout.blocks + 1)
-    }
-
-
-def block_permutation_atoms(scheme: str, layout: SlotLayout) -> list:
-    """Every value ``block_permutations`` can draw, as (label, options)
-    atoms for exhaustive enumeration."""
-    return [
-        ((scheme, "p", i, k), list(itertools.permutations(layout.block_slots(k))))
-        for i in range(1, layout.N + 1)
-        for k in range(1, layout.blocks + 1)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +236,110 @@ class MulticastMessage:
     payload: Optional[int]
     nbits: int
     position_set: Optional[tuple[int, ...]] = None
+
+
+# ---------------------------------------------------------------------------
+# the scheme skeleton: params base and uncoded placement
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SchemeParams:
+    """A scheme at one instance: ``base`` plus the scheme's ``param``;
+    also the scheme's interface to the protocol engine and the privacy
+    checker.  A scheme states its block shape (``shape``), its corner
+    (M, R) (``corner``), its held pairs for ``place`` and its query
+    plans; this base derives everything else from them."""
+
+    scheme = ""
+    base: SystemParams
+
+    def __post_init__(self):
+        if self.base.B % self.subpacketization:
+            raise ValueError(
+                f"B={self.base.B} not divisible by the subpacketization "
+                f"{self.subpacketization}"
+            )
+
+    @classmethod
+    def sized(cls, K: int, N: int, param, seed: int = 0, b_target: Optional[int] = None):
+        """The instance with B auto-sized to the subpacketization."""
+        blocks, per_block = cls.shape(K, N, param)
+        B = resolve_file_size(blocks * per_block, b_target)
+        return cls(SystemParams(K=K, N=N, B=B, seed=seed), param)
+
+    @classmethod
+    def corner_load(cls, K: int, N: int, param) -> Rat:
+        return cls.corner(K, N, param)[1]
+
+    @cached_property
+    def layout(self) -> SlotLayout:
+        # shape() checks the parameter before anything else is derived
+        blocks, per_block = self.shape(self.base.K, self.base.N, self.param)
+        return SlotLayout(self.base.N, blocks, per_block, self.base.B // (blocks * per_block))
+
+    @property
+    def subpacketization(self) -> int:
+        return self.layout.slots_per_file
+
+    @cached_property
+    def _memory_point(self) -> Rat:
+        return self.corner(self.base.K, self.base.N, self.param)[0]
+
+    def memory_point(self) -> Rat:
+        return self._memory_point
+
+    def placement_atoms(self) -> list:
+        """Every permutation ``place`` can draw, as (label, options) atoms
+        for exhaustive enumeration; demand-independent."""
+        return [
+            ((self.scheme, "p", i, k), list(itertools.permutations(self.layout.block_slots(k))))
+            for i in range(1, self.base.N + 1)
+            for k in range(1, self.layout.blocks + 1)
+        ]
+
+
+@dataclass
+class Placement:
+    params: SchemeParams
+    layout: SlotLayout
+    # (file, block) -> permuted tuple of that block's slot ids; entry j is
+    # the physical slot playing the role of permuted index j
+    perms: dict[tuple[int, int], tuple[int, ...]]
+    caches: list[CacheState]
+    library: Optional[dict[int, int]]
+
+
+def place(params: SchemeParams, source, structure_only: bool, held) -> Placement:
+    """Uncoded placement shared by the schemes.
+
+    The slots of every (file, block) are shuffled, each by its own draw
+    labelled (scheme, "p", file, block).  User k caches its own block k
+    of every file plus, for each (other block, permuted index j) pair in
+    ``held[k]``, entry j of that block's permutation.
+    """
+    base, layout = params.base, params.layout
+    library = None if structure_only else random_library(base)
+    perms = {
+        (i, k): tuple(source.permutation((params.scheme, "p", i, k), list(layout.block_slots(k))))
+        for i in range(1, base.N + 1)
+        for k in range(1, layout.blocks + 1)
+    }
+    budget = params.memory_point() * base.B
+    caches = []
+    for k in range(1, base.K + 1):
+        slots: list[SubfileId] = []
+        for i in range(1, base.N + 1):
+            slots.extend(SubfileId(i, s) for s in layout.block_slots(k))
+            slots.extend(SubfileId(i, perms[(i, other)][j]) for other, j in held[k])
+        slots = tuple(sorted(slots))
+        content = None
+        if library is not None:
+            content = {sid: subfile_value(library, layout, sid) for sid in slots}
+        cache = CacheState(owner=k, slots=slots, content=content)
+        cache.check(layout.subfile_bits, budget_bits=budget)
+        caches.append(cache)
+    return Placement(params, layout, perms, caches, library)
 
 
 def demand_vector(demands: Iterable[int], params: SystemParams) -> tuple[int, ...]:
@@ -384,17 +469,22 @@ def transcript_from_text(text: str) -> Transcript:
         slots_per_block=int(head["slots_per_block"]),
         subfile_bits=int(head["subfile_bits"]),
     )
+    if layout.slots_per_file * layout.subfile_bits != params.B:
+        raise ValueError(f"the header's slot layout does not cover B={params.B} bits")
     library: dict[int, int] = {}
     caches: list[CacheState] = []
     broadcasts: list[list[MulticastMessage]] = [[] for _ in range(params.K)]
-    payload_bits = 0
-    for ln in lines[2:]:
+    for ln in lines[2:-1]:
         kind, _, rest = ln.partition(" ")
         if kind == "library":
             idx, buf = rest.split()
+            if int(idx) != len(library) + 1:
+                raise ValueError(f"expected library line {len(library) + 1}, got {idx}")
             library[int(idx)] = int(buf, 16)
         elif kind == "cache":
             owner_s, _, body = rest.partition(" ")
+            if int(owner_s) != len(caches) + 1:
+                raise ValueError(f"expected cache line {len(caches) + 1}, got {owner_s}")
             content = {}
             for item in body.split():
                 sid_s, val = item.split("=")
@@ -413,8 +503,14 @@ def transcript_from_text(text: str) -> Transcript:
             broadcasts[sender - 1].append(
                 MulticastMessage(sender, comp, payload, layout.subfile_bits, pos)
             )
-        elif kind.startswith("payload_bits"):
-            payload_bits = int(kind.split("=", 1)[1])
+        else:
+            raise ValueError(f"unknown transcript line kind {kind!r}")
+    if len(library) != params.N or len(caches) != params.K:
+        raise ValueError(
+            f"transcript has {len(library)} library and {len(caches)} cache lines, "
+            f"expected N={params.N} and K={params.K}"
+        )
+    payload_bits = int(lines[-1].split("=", 1)[1])
     if payload_bits != sum(m.nbits for per in broadcasts for m in per):
         raise ValueError(f"payload_bits={payload_bits} disagrees with the messages")
     param_s = head["param"]
@@ -425,7 +521,7 @@ def transcript_from_text(text: str) -> Transcript:
         memory_point=Fraction(head["M"]),
         library=library,
         caches=caches,
-        demands=tuple(int(x) for x in head["demands"].split(",")),
+        demands=demand_vector(head["demands"].split(","), params),
         broadcasts=broadcasts,
         layout=layout,
         payload_bits=payload_bits,

@@ -10,6 +10,11 @@ leader are transmitted.  Memory-load corner points:
 
     M = (N + t - 1) / K
     R = (binom(U, t) - binom(U - N, t)) / binom(U, t - 1),   t in [1 .. U+1].
+
+Placement is ``core.place``; this module supplies the block shape, the
+corner formula, the held pairs and the delivery plans.  The held pairs,
+subset ranks and position sets use no randomness: ``structure_a(K, N,
+t)`` builds them once per size.
 """
 
 from __future__ import annotations
@@ -24,82 +29,58 @@ from typing import Mapping, Optional
 from .combinat import binom, lex_subsets, lower_convex_envelope, TradeoffCurve
 from .core import (
     CacheState,
+    Placement,
     Rat,
+    SchemeParams,
     SlotLayout,
     SubfileId,
-    SystemParams,
-    block_permutation_atoms,
-    block_permutations,
-    random_library,
-    resolve_file_size,
-    subfile_value,
+    place,
 )
 from . import gf2
 
 
 @dataclass(frozen=True)
-class SchemeAParams:
-    """Scheme A at one (K, N, t); also the scheme's interface to the
-    protocol engine and the privacy checker."""
+class SchemeAParams(SchemeParams):
+    """Scheme A at one (K, N, t)."""
 
     scheme = "A"
-    base: SystemParams
     t: int
-
-    def __post_init__(self):
-        K, N = self.base.K, self.base.N
-        U = (K - 1) * N
-        object.__setattr__(self, "U", U)
-        if not 1 <= self.t <= U + 1:
-            raise ValueError(f"t must lie in 1..{U + 1}, got {self.t}")
-        block = binom(U, self.t - 1)
-        object.__setattr__(self, "block_size", block)
-        object.__setattr__(self, "subpacketization", K * block)
-        object.__setattr__(self, "effective_universe", (K - 1) * (N - 1) + K)
-        if self.base.B % self.subpacketization:
-            raise ValueError(
-                f"B={self.base.B} not divisible by the subpacketization "
-                f"K*binom(U, t-1) = {self.subpacketization}"
-            )
-        object.__setattr__(
-            self,
-            "_layout",
-            SlotLayout(
-                N=N,
-                blocks=K,
-                slots_per_block=block,
-                subfile_bits=self.base.B // (K * block),
-            ),
-        )
-        object.__setattr__(self, "_memory_point", Fraction(N + self.t - 1, K))
-
-    def effective_users(self, k: int) -> list[int]:
-        return [u for u in range(1, self.effective_universe + 1) if u != k]
-
-    def layout(self) -> SlotLayout:
-        return self._layout
-
-    def memory_point(self) -> Rat:
-        return self._memory_point
 
     @property
     def param(self) -> int:
         return self.t
 
+    @property
+    def U(self) -> int:
+        return (self.base.K - 1) * self.base.N
+
+    @staticmethod
+    def shape(K: int, N: int, t: int) -> tuple[int, int]:
+        """K blocks of binom(U, t-1) slots, one slot per (t-1)-subset of
+        the transmitter's effective users."""
+        U = (K - 1) * N
+        if not 1 <= t <= U + 1:
+            raise ValueError(f"t must lie in 1..{U + 1}, got {t}")
+        return K, binom(U, t - 1)
+
+    @staticmethod
+    def corner(K: int, N: int, t: int) -> tuple[Rat, Rat]:
+        return load_a_point(K, N, t)
+
+    def effective_users(self, k: int) -> list[int]:
+        K, N = self.base.K, self.base.N
+        return [u for u in range(1, (K - 1) * (N - 1) + K + 1) if u != k]
+
     def label(self) -> str:
         return f"A(K={self.base.K},N={self.base.N},t={self.t})"
 
-    def place(self, source, structure_only: bool = False) -> PlacementA:
+    def place(self, source, structure_only: bool = False) -> Placement:
         return place_a(self, source, structure_only)
 
-    def query_plans(self, placement: PlacementA, demands, source, derandomized: bool = False):
+    def query_plans(self, placement: Placement, demands, source, derandomized: bool = False):
         """Each transmitter's (position set, composition) list, transmitters 1..K."""
         plan = plan_delivery_a(self, demands, source, derandomized)
         return [plan_messages_a(k, placement, plan) for k in range(1, self.base.K + 1)]
-
-    def placement_atoms(self) -> list:
-        """Placement randomness as (label, options) atoms; demand-independent."""
-        return block_permutation_atoms("A", self._layout)
 
     def delivery_atoms(self, demands, derandomized: bool = False) -> list:
         """Delivery randomness: each transmitter's position shuffle and
@@ -116,19 +97,10 @@ class SchemeAParams:
                 atoms.append((("A", "leader", k, i), list(demanders[i])))
         return atoms
 
-    @staticmethod
-    def corner_load(K: int, N: int, t: int) -> Rat:
-        return load_a_point(K, N, t)[1]
-
 
 def params_for(K: int, N: int, t: int, seed: int = 0, b_target: Optional[int] = None) -> SchemeAParams:
     """Build params with B auto-sized to the subpacketization."""
-    U = (K - 1) * N
-    if not 1 <= t <= U + 1:
-        raise ValueError(f"t must lie in 1..{U + 1}, got {t}")
-    sub = K * binom(U, t - 1)
-    base = SystemParams(K=K, N=N, B=resolve_file_size(sub, b_target), seed=seed)
-    return SchemeAParams(base=base, t=t)
+    return SchemeAParams.sized(K, N, t, seed, b_target)
 
 
 # ---------------------------------------------------------------------------
@@ -180,42 +152,9 @@ def _mask(users) -> int:
     return mask
 
 
-@dataclass
-class PlacementA:
-    params: SchemeAParams
-    layout: SlotLayout
-    # (file, transmitter) -> permuted tuple of that block's slot ids; entry
-    # j is the physical slot playing the role of the subset of lex rank j
-    perms: dict[tuple[int, int], tuple[int, ...]]
-    structure: StructureA
-    caches: list[CacheState]
-    library: Optional[dict[int, int]]
-
-
-def place_a(params: SchemeAParams, source, structure_only: bool = False) -> PlacementA:
+def place_a(params: SchemeAParams, source, structure_only: bool = False) -> Placement:
     base = params.base
-    K, N = base.K, base.N
-    layout = params.layout()
-    library = None if structure_only else random_library(base)
-    perms = block_permutations("A", layout, source)
-    structure = structure_a(K, N, params.t)
-
-    caches = []
-    for k in range(1, K + 1):
-        slots: list[SubfileId] = []
-        held = structure.held[k]
-        for i in range(1, N + 1):
-            slots.extend(SubfileId(i, s) for s in layout.block_slots(k))
-            slots.extend(SubfileId(i, perms[(i, other)][j]) for other, j in held)
-        slots = tuple(sorted(slots))
-        content = None
-        if library is not None:
-            content = {sid: subfile_value(library, layout, sid) for sid in slots}
-        cache = CacheState(owner=k, slots=slots, content=content)
-        cache.check(layout.subfile_bits, budget_bits=params.memory_point() * base.B)
-        caches.append(cache)
-
-    return PlacementA(params, layout, perms, structure, caches, library)
+    return place(params, source, structure_only, structure_a(base.K, base.N, params.t).held)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +242,7 @@ def plan_delivery_a(
 
 
 def plan_messages_a(
-    k: int, placement: PlacementA, plan: DeliveryPlanA
+    k: int, placement: Placement, plan: DeliveryPlanA
 ) -> list[tuple[tuple[int, ...], tuple[SubfileId, ...]]]:
     """Compositions of transmitter k's messages, in position-set lex order.
 
@@ -316,11 +255,12 @@ def plan_messages_a(
     t = params.t
     if t > params.U:  # full-memory point: every user holds everything
         return []
-    rank = placement.structure.rank[k]
+    structure = structure_a(params.base.K, params.base.N, t)
+    rank = structure.rank[k]
     perms, d_eff, q = placement.perms, tp.d_eff, tp.q
     leader_mask = _mask(tp.leaders)
     out = []
-    for S in placement.structure.position_sets:
+    for S in structure.position_sets:
         users = [q[j - 1] for j in S]
         mask = _mask(users)
         if not mask & leader_mask:

@@ -12,160 +12,75 @@ per useful message is unknown to the receiver.  Corner points:
     R = N (N - 1) / ((t' + 1) (N + t' - 1)),    t' in [0 .. N-1],
 
 plus the full-memory point (N, 0).
+
+Placement is ``core.place``; this module supplies the block shape, the
+corner formula, the held pairs (the other half's cross block) and the
+pick rule.  None of these use randomness: ``structure_b(N, t')`` builds
+the held pairs and the message plans in permuted-index space once per
+size, and ``plan_messages_b`` reads them through one placement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .combinat import binom, lex_subsets, lower_convex_envelope, TradeoffCurve
-from .core import (
-    CacheState,
-    Rat,
-    SlotLayout,
-    SubfileId,
-    SystemParams,
-    block_permutation_atoms,
-    block_permutations,
-    random_library,
-    resolve_file_size,
-    subfile_value,
-)
+from .core import Placement, Rat, SchemeParams, SubfileId, place
 from .scheme_a import decode_from_messages  # noqa: F401  (scheme B's decoder too)
 
 
 @dataclass(frozen=True)
-class SchemeBParams:
-    """Scheme B at one (N, t'); also the scheme's interface to the
-    protocol engine and the privacy checker."""
+class SchemeBParams(SchemeParams):
+    """Scheme B at one (N, t')."""
 
     scheme = "B"
-    base: SystemParams
     tprime: Optional[int]  # None = full-memory degenerate run
-
-    def __post_init__(self):
-        if self.base.K != 2:
-            raise ValueError("scheme B is defined for K = 2 only")
-        N, tp = self.base.N, self.tprime
-        if tp is not None and not 0 <= tp <= N - 1:
-            raise ValueError(f"t' must lie in 0..{N - 1}, got {tp}")
-        cross = 0 if tp is None else binom(N - 2, tp - 1)
-        half = 1 if tp is None else binom(N - 1, tp) + cross
-        object.__setattr__(self, "cross_size", cross)
-        object.__setattr__(self, "half_size", half)
-        object.__setattr__(self, "subpacketization", 2 * half)
-        if self.base.B % self.subpacketization:
-            raise ValueError(
-                f"B={self.base.B} not divisible by the subpacketization "
-                f"{self.subpacketization}"
-            )
-        object.__setattr__(
-            self,
-            "_layout",
-            SlotLayout(
-                N=N,
-                blocks=2,
-                slots_per_block=half,
-                subfile_bits=self.base.B // (2 * half),
-            ),
-        )
-        mem = Fraction(N) if tp is None else Fraction(N, 2) + Fraction(
-            N * tp, 2 * (N + tp - 1)
-        )
-        object.__setattr__(self, "_memory_point", mem)
-
-    def layout(self) -> SlotLayout:
-        return self._layout
-
-    def memory_point(self) -> Rat:
-        return self._memory_point
 
     @property
     def param(self) -> Optional[int]:
         return self.tprime
 
+    @staticmethod
+    def shape(K: int, N: int, tprime: Optional[int]) -> tuple[int, int]:
+        """Two halves of binom(N-1,t') + binom(N-2,t'-1) slots (one slot
+        at full memory)."""
+        if K != 2:
+            raise ValueError("scheme B is defined for K = 2 only")
+        if tprime is None:
+            return 2, 1
+        if not 0 <= tprime <= N - 1:
+            raise ValueError(f"t' must lie in 0..{N - 1}, got {tprime}")
+        return 2, binom(N - 1, tprime) + binom(N - 2, tprime - 1)
+
+    @staticmethod
+    def corner(K: int, N: int, tprime: Optional[int]) -> tuple[Rat, Rat]:
+        return (Fraction(N), Fraction(0)) if tprime is None else load_b_point(N, tprime)
+
     def label(self) -> str:
         tp = self.tprime
         return f"B(N={self.base.N},t'={'full' if tp is None else tp})"
 
-    def place(self, source, structure_only: bool = False) -> PlacementB:
+    def place(self, source, structure_only: bool = False) -> Placement:
         return place_b(self, source, structure_only)
 
-    def query_plans(self, placement: PlacementB, demands, source, derandomized: bool = False):
+    def query_plans(self, placement: Placement, demands, source, derandomized: bool = False):
         """Each transmitter's (None, composition) list, transmitters 1 and 2."""
         return [plan_messages_b(k, placement, demands) for k in (1, 2)]
-
-    def placement_atoms(self) -> list:
-        """Placement randomness as (label, options) atoms; demand-independent."""
-        return block_permutation_atoms("B", self._layout)
 
     def delivery_atoms(self, demands, derandomized: bool = False) -> list:
         return []  # the pick rule is deterministic given the placement
 
-    @staticmethod
-    def corner_load(K: int, N: int, tprime: Optional[int]) -> Rat:
-        return Fraction(0) if tprime is None else load_b_point(N, tprime)[1]
-
 
 def params_for(N: int, tprime: Optional[int], seed: int = 0, b_target: Optional[int] = None) -> SchemeBParams:
-    if tprime is not None and not 0 <= tprime <= N - 1:
-        raise ValueError(f"t' must lie in 0..{N - 1}, got {tprime}")
-    half = 1 if tprime is None else binom(N - 1, tprime) + binom(N - 2, tprime - 1)
-    base = SystemParams(K=2, N=N, B=resolve_file_size(2 * half, b_target), seed=seed)
-    return SchemeBParams(base=base, tprime=tprime)
+    return SchemeBParams.sized(2, N, tprime, seed, b_target)
 
 
 # ---------------------------------------------------------------------------
-# placement
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PlacementB:
-    params: SchemeBParams
-    layout: SlotLayout
-    # (file, half) -> permuted tuple of that half's slot ids; the first
-    # cross_size entries are also cached by the other user
-    perms: dict[tuple[int, int], tuple[int, ...]]
-    caches: list[CacheState]
-    library: Optional[dict[int, int]]
-
-
-def place_b(params: SchemeBParams, source, structure_only: bool = False) -> PlacementB:
-    base = params.base
-    N = base.N
-    layout = params.layout()
-    library = None if structure_only else random_library(base)
-    perms = block_permutations("B", layout, source)
-    full = params.tprime is None
-
-    caches = []
-    for k in (1, 2):
-        other = 3 - k
-        slots: list[SubfileId] = []
-        for i in range(1, N + 1):
-            slots.extend(SubfileId(i, s) for s in layout.block_slots(k))
-            if full:
-                slots.extend(SubfileId(i, s) for s in layout.block_slots(other))
-            else:
-                slots.extend(
-                    SubfileId(i, s) for s in perms[(i, other)][: params.cross_size]
-                )
-        slots = tuple(sorted(slots))
-        content = None
-        if library is not None:
-            content = {sid: subfile_value(library, layout, sid) for sid in slots}
-        cache = CacheState(owner=k, slots=slots, content=content)
-        cache.check(layout.subfile_bits, budget_bits=params.memory_point() * base.B)
-        caches.append(cache)
-
-    return PlacementB(params, layout, perms, caches, library)
-
-
-# ---------------------------------------------------------------------------
-# delivery
+# randomness-free structure
 # ---------------------------------------------------------------------------
 
 
@@ -173,42 +88,71 @@ class PickExhausted(AssertionError):
     """The pick rule ran out of fresh subfiles; construction bug if ever raised."""
 
 
-def plan_messages_b(k: int, placement: PlacementB, demands) -> list[tuple[None, tuple[SubfileId, ...]]]:
-    """Compositions of transmitter k's messages, file subsets in lex order.
+@dataclass(frozen=True)
+class StructureB:
+    """The part of scheme B that uses no randomness, built once per
+    (N, t') and shared by every placement and delivery of that size."""
 
-    Picks consume each block in permuted-index order; the receiver's
-    demanded file draws from the non-cross block and every other file in
-    the subset from the cross block.
+    # user -> the (other half, permuted index) pairs it caches of every file
+    held: Mapping[int, tuple[tuple[int, int], ...]]
+    # demand of the receiving user -> the transmitter's compositions, file
+    # subsets in lex order, each summand a (file, permuted index) pair
+    plans: Mapping[int, tuple[tuple[tuple[int, int], ...], ...]]
+
+
+@lru_cache(maxsize=32)
+def structure_b(N: int, tprime: Optional[int]) -> StructureB:
+    """Scheme B's randomness-free structure at (N, t'), one shared copy
+    per size.
+
+    The first binom(N-2, t'-1) permuted entries of each half form its
+    cross block, which the other user also caches (at full memory the
+    other half's one slot).  The pick rule consumes each half in permuted
+    order: the receiver's demanded file draws from the non-cross block
+    and every other file of the subset from the cross block.
     """
-    params = placement.params
-    if params.tprime is None:
-        return []
-    N = params.base.N
-    d_other = demands[(3 - k) - 1]
-    ncross = params.cross_size
-    blocks = {i: placement.perms[(i, k)] for i in range(1, N + 1)}
-    next_cross = dict.fromkeys(blocks, 0)  # consumed within permuted order
-    next_noncross = dict.fromkeys(blocks, ncross)
+    full = tprime is None
+    half = SchemeBParams.shape(2, N, tprime)[1]
+    cross = half if full else binom(N - 2, tprime - 1)
+    held = {k: tuple((3 - k, j) for j in range(cross)) for k in (1, 2)}
+    subsets = [] if full else lex_subsets(range(1, N + 1), tprime + 1)
+    plans = {}
+    for d in range(1, N + 1):
+        next_cross, next_noncross = [0] * (N + 1), [cross] * (N + 1)
+        plan = []
+        for S in subsets:
+            comp = []
+            for i in S:
+                in_cross = d in S and i != d
+                counter, end = (next_cross, cross) if in_cross else (next_noncross, half)
+                j = counter[i]
+                if j >= end:
+                    raise PickExhausted(f"file {i} {'cross' if in_cross else 'non-cross'}")
+                counter[i] = j + 1
+                comp.append((i, j))
+            plan.append(tuple(comp))
+        if len(plan) != (0 if full else binom(N, tprime + 1)):
+            raise AssertionError("message count off")
+        plans[d] = tuple(plan)
+    return StructureB(MappingProxyType(held), MappingProxyType(plans))
 
-    def pick(file: int, cross: bool) -> SubfileId:
-        block = blocks[file]
-        counter = next_cross if cross else next_noncross
-        idx = counter[file]
-        if idx >= (ncross if cross else len(block)):
-            raise PickExhausted(f"file {file} {'cross' if cross else 'non-cross'}")
-        counter[file] = idx + 1
-        return SubfileId(file, block[idx])
 
-    out = []
-    for S in lex_subsets(range(1, N + 1), params.tprime + 1):
-        contains_other = d_other in S
-        comp = tuple(
-            pick(i, cross=(contains_other and i != d_other)) for i in S
-        )
-        out.append((None, comp))
-    if len(out) != binom(N, params.tprime + 1):
-        raise AssertionError("message count off")
-    return out
+# ---------------------------------------------------------------------------
+# placement and delivery
+# ---------------------------------------------------------------------------
+
+
+def place_b(params: SchemeBParams, source, structure_only: bool = False) -> Placement:
+    return place(params, source, structure_only, structure_b(params.base.N, params.tprime).held)
+
+
+def plan_messages_b(k: int, placement: Placement, demands) -> list[tuple[None, tuple[SubfileId, ...]]]:
+    """Compositions of transmitter k's messages, file subsets in lex order:
+    the other user's plan in ``structure_b``, read through this
+    placement's permutations."""
+    params, perms = placement.params, placement.perms
+    plan = structure_b(params.base.N, params.tprime).plans[demands[2 - k]]
+    return [(None, tuple(SubfileId(i, perms[(i, k)][j]) for i, j in comp)) for comp in plan]
 
 
 # ---------------------------------------------------------------------------

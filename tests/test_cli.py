@@ -181,6 +181,10 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         ("--seed", _VERIFY_A + ["--seed", "99999999999999999999"]),
         ("--seed", ["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1",
                     "--demands", "1,2", "--seed", "-99999999999999999999"]),
+        ("--out", ["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1",
+                   "--demands", "1,2", "--out", "/nonexistent/x.txt"]),
+        ("--out", ["curve", "--which", "schemeB", "--K", "2", "--N", "8",
+                   "--out", "/nonexistent/x.csv"]),
     ],
 )
 def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):

@@ -168,6 +168,10 @@ def test_truncated_transcript_round_trips_or_raises(data):
     assert transcript_to_text(back) == text
 
 
+def _drop_line(text, prefix):
+    return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith(prefix))
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -175,6 +179,18 @@ def test_truncated_transcript_round_trips_or_raises(data):
         GOLDEN.read_text().replace("payload_bits=2", "payload_bits=3"),
         GOLDEN.read_text().replace("message 2 ", "message 0 "),
         GOLDEN.read_text().replace("message 2 ", "message 3 "),
+        # cache and library lines: one per owner 1..K and per file 1..N, in order
+        _drop_line(GOLDEN.read_text(), "cache 2 "),
+        _drop_line(GOLDEN.read_text(), "library 1 "),
+        GOLDEN.read_text().replace("cache 2 ", "cache 1 "),
+        GOLDEN.read_text().replace("cache 2 ", "cache 9 "),
+        GOLDEN.read_text().replace("library 2 ", "library 1 "),
+        GOLDEN.read_text().replace("demands=1,2", "demands=9,1,2"),
+        GOLDEN.read_text().replace("demands=1,2", "demands=1,3"),
+        GOLDEN.read_text().replace("library 1 a\n", "library 1 a\nnote hello\n"),
+        # the slot layout must cover the file size
+        GOLDEN.read_text().replace("blocks=2", "blocks=3"),
+        GOLDEN.read_text().replace("slots_per_block=2", "slots_per_block=0"),
     ],
 )
 def test_malformed_transcript_raises_value_error(text):

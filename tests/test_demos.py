@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,3 +15,18 @@ def test_gap_reports_demo_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "N= 8: max ratio    6/5 (1.2000)" in proc.stdout
+
+
+WALKTHROUGH_DIGEST = "8446e9da7594d9945022b07ceee0c45e744e74cfa1ee75b32b48a79fd9529f08"
+
+
+def test_protocol_walkthrough_output_pinned():
+    # the walkthrough prints caches, queries, broadcasts and a full
+    # transcript of fixed-seed runs, so its stdout pins both schemes
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "protocol_walkthrough.py")],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == WALKTHROUGH_DIGEST

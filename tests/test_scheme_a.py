@@ -7,7 +7,7 @@ import pytest
 
 from d2dpc import scheme_a, sim, verify
 from d2dpc.combinat import binom, lex_subsets
-from d2dpc.core import SeededSource, SubfileId
+from d2dpc.core import SeededSource, SubfileId, SystemParams
 from d2dpc.scheme_a import (
     assign_virtual_demands,
     decode_from_messages,
@@ -22,7 +22,7 @@ from d2dpc.scheme_a import (
 
 
 def test_subpacketization_divisibility_error():
-    base = scheme_a.SystemParams(K=2, N=3, B=7, seed=0)
+    base = SystemParams(K=2, N=3, B=7, seed=0)
     with pytest.raises(ValueError, match="subpacketization"):
         scheme_a.SchemeAParams(base=base, t=3)
 
@@ -160,7 +160,10 @@ def test_shared_structure_matches_sorted_tuple_ranks(K, N, t):
                 assert plan_messages_a(k, placement, plan) == _sorted_tuple_messages(
                     k, plan, p, slot_of
                 )
-    assert place_a(p, SeededSource(0)).structure is scheme_a.structure_a(K, N, t)
+    # one structure per size: a placement at another seed builds none
+    misses = scheme_a.structure_a.cache_info().misses
+    place_a(params_for(K, N, t, seed=99), SeededSource(99))
+    assert scheme_a.structure_a.cache_info().misses == misses
 
 
 def test_message_count():

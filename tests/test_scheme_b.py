@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 
 from d2dpc import sim, verify
-from d2dpc.combinat import binom
-from d2dpc.core import SeededSource
+from d2dpc.combinat import binom, lex_subsets
+from d2dpc.core import SeededSource, SubfileId
 from d2dpc.scheme_a import decode_from_messages, load_a_point
 from d2dpc.scheme_b import (
+    PickExhausted,
     SchemeBParams,
     load_b_point,
     params_for,
     place_b,
+    plan_messages_b,
     scheme_b_curve,
     scheme_b_points,
 )
@@ -93,6 +95,49 @@ def test_pick_rule_feasible_exhaustive():
             for d in itertools.product(range(1, N + 1), repeat=2):
                 tr = sim.run_protocol("B", p, d)  # PickExhausted would raise
                 assert [len(per) for per in tr.broadcasts] == [binom(N, tp + 1)] * 2
+
+
+def _pick_loop_messages(k, placement, d_other):
+    """Transmitter k's compositions from a per-call pick loop, the
+    reference for ``structure_b``: per-file counters consume each permuted
+    block, the other user's demanded file from the non-cross part and
+    every other file of the subset from the cross part."""
+    params = placement.params
+    N, ncross = params.base.N, binom(params.base.N - 2, params.tprime - 1)
+    blocks = {i: placement.perms[(i, k)] for i in range(1, N + 1)}
+    next_cross = dict.fromkeys(blocks, 0)
+    next_noncross = dict.fromkeys(blocks, ncross)
+
+    def pick(file, cross):
+        block = blocks[file]
+        counter = next_cross if cross else next_noncross
+        idx = counter[file]
+        if idx >= (ncross if cross else len(block)):
+            raise PickExhausted(f"file {file}")
+        counter[file] = idx + 1
+        return SubfileId(file, block[idx])
+
+    out = []
+    for S in lex_subsets(range(1, N + 1), params.tprime + 1):
+        contains_other = d_other in S
+        out.append((None, tuple(pick(i, contains_other and i != d_other) for i in S)))
+    return out
+
+
+def test_shared_structure_matches_pick_loop():
+    # the plans built once per (N, t') in permuted-index space give the
+    # compositions the per-call pick loop gives, placement by placement
+    for N in range(2, 8):
+        for tp in range(N):
+            p = params_for(N, tp)
+            for seed in range(2):
+                placement = place_b(p, SeededSource(seed), structure_only=True)
+                for d_other in range(1, N + 1):
+                    for k in (1, 2):
+                        demands = (d_other, 1) if k == 2 else (1, d_other)
+                        assert plan_messages_b(k, placement, demands) == _pick_loop_messages(
+                            k, placement, d_other
+                        )
 
 
 def test_decode_and_load_exhaustive():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from d2dpc import scheme_a, scheme_b, sim
+from d2dpc.core import transcript_to_text
 from d2dpc.sim import measure_load, run_protocol, theoretical_load, user_broadcast
 
 
@@ -89,3 +90,33 @@ def test_unknown_scheme():
     tr.scheme = "C"
     with pytest.raises(ValueError, match="unknown scheme"):
         theoretical_load(tr)
+
+
+PINNED_TRANSCRIPT_DIGEST = "b56cd16fb6b44fdd9262ac0380484833ba5ea98e2ecfadca5aca97a6ab6af28d"
+
+
+def test_transcripts_pinned():
+    # full-run transcripts of both schemes, byte for byte: placement,
+    # queries and payloads of every demand vector at two seeds
+    import hashlib
+    import itertools
+
+    runs = [
+        (scheme_b.params_for, (N, tp), False)
+        for N in range(2, 6)
+        for tp in [*range(N), None]
+    ]
+    runs += [
+        (scheme_a.params_for, size, derandomized)
+        for size in [(2, 2, 1), (2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 3)]
+        for derandomized in (False, True)
+    ]
+    h = hashlib.sha256()
+    for build, size, derandomized in runs:
+        for seed in range(2):
+            p = build(*size, seed=seed)
+            K, N = p.base.K, p.base.N
+            for d in itertools.product(range(1, N + 1), repeat=K):
+                tr = run_protocol(p.scheme, p, d, derandomized=derandomized)
+                h.update(transcript_to_text(tr).encode())
+    assert h.hexdigest() == PINNED_TRANSCRIPT_DIGEST
