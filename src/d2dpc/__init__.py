@@ -10,7 +10,6 @@ from .core import (
     SubfileId,
     SystemParams,
     Transcript,
-    rat,
     random_library,
     seeded_rng,
     transcript_from_text,

@@ -31,18 +31,6 @@ from .scheme_a import load_a_upper, scheme_a_curve
 from .scheme_b import scheme_b_curve
 
 
-@dataclass(frozen=True)
-class BoundPoint:
-    M: Rat
-    R_lower: Rat
-    provenance: str
-
-
-def curve_bound_points(curve: TradeoffCurve) -> list[BoundPoint]:
-    tags = curve.provenance or ("",) * len(curve.corners)
-    return [BoundPoint(m, r, tag) for (m, r), tag in zip(curve.corners, tags)]
-
-
 # ---------------------------------------------------------------------------
 # converse line family (uncoded placement)
 # ---------------------------------------------------------------------------
@@ -222,20 +210,14 @@ def t2_first_segment(K: int, N: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def load_c_points(K: int, N: int, low_memory_anchor: str = "n-over-k") -> list[tuple[Rat, Rat]]:
+def load_c_points(K: int, N: int) -> list[tuple[Rat, Rat]]:
     """Corner points of the low-subpacketization coded-placement scheme.
 
     The printed low-memory anchor reads (K/N, N); dimensional consistency
-    with every other curve says (N/K, N).  Both readings are available;
-    the default is (N/K, N), flagged as the suspected-typo correction.
+    with every other curve says (N/K, N), which is used here as the
+    suspected-typo correction.
     """
-    if low_memory_anchor == "n-over-k":
-        anchor = (Fraction(N, K), Fraction(N))
-    elif low_memory_anchor == "k-over-n":
-        anchor = (Fraction(K, N), Fraction(N))
-    else:
-        raise ValueError("anchor must be 'n-over-k' or 'k-over-n'")
-    pts = [anchor]
+    pts = [(Fraction(N, K), Fraction(N))]
     for t in range(1, K + 1):
         M = Fraction(t * (N - 1), K) + 1
         R = Fraction(binom(K - 1, t) - binom(K - 1 - N, t), binom(K - 1, t - 1))
@@ -243,8 +225,8 @@ def load_c_points(K: int, N: int, low_memory_anchor: str = "n-over-k") -> list[t
     return pts
 
 
-def scheme_c_curve(K: int, N: int, low_memory_anchor: str = "n-over-k") -> TradeoffCurve:
-    pts = load_c_points(K, N, low_memory_anchor)
+def scheme_c_curve(K: int, N: int) -> TradeoffCurve:
+    pts = load_c_points(K, N)
     tags = ["schemeC(anchor)"] + [f"schemeC(t={t})" for t in range(1, K + 1)]
     return lower_convex_envelope(pts, provenance=tags)
 

@@ -161,10 +161,8 @@ def cmd_simulate(args) -> int:
 
 def _curve_rows(curve, grid_points: int):
     corner_ms = set(curve.corner_ms())
-    rows = [
-        (pt.M, pt.R_lower, pt.provenance or "corner")
-        for pt in bounds.curve_bound_points(curve)
-    ]
+    tags = curve.provenance or ("",) * len(curve.corners)
+    rows = [(m, r, tag or "corner") for (m, r), tag in zip(curve.corners, tags)]
     for m in even_grid(curve.min_m, curve.max_m, grid_points):
         if m not in corner_ms:
             rows.append((m, curve(m), "interpolated"))
@@ -280,7 +278,8 @@ def main(argv=None) -> int:
     p_ver.add_argument("--trials", type=_parse_trials, default=verify.DEFAULT_TRIALS)
     p_ver.add_argument("--tol", type=_parse_tolerance, default=verify.DEFAULT_TOLERANCE)
     p_ver.add_argument("--paranoid", action="store_true",
-                       help="exact mode: include the payload-relation fingerprint")
+                       help="exact mode: add the payload-relation fingerprint to each "
+                       "view (a function of the view; the verdict is the same without it)")
     p_ver.add_argument("--baseline", choices=["nonprivate"],
                        help="check the derandomized non-private baseline instead")
     p_ver.set_defaults(func=cmd_verify)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,55 +25,30 @@ from typing import Iterable, NamedTuple, Optional
 Rat = Fraction
 
 
-def rat(num, den=1) -> Rat:
-    """Exact rational; Fraction already normalises sign and lowest terms."""
-    return Fraction(num, den)
-
-
 # ---------------------------------------------------------------------------
 # deterministic randomness
 # ---------------------------------------------------------------------------
 
 
-class RandomStream:
+def _keyed(seed: int, sep: bytes, label) -> bytes:
+    if isinstance(label, str):
+        label = label.encode()
+    return hashlib.sha256(seed.to_bytes(8, "big", signed=True) + sep + bytes(label)).digest()
+
+
+def seeded_rng(seed: int, stream_label) -> random.Random:
     """Deterministic random stream derived from a (seed, label) pair.
 
     Identical (seed, label) pairs give identical streams; distinct labels
-    give streams that behave independently.  Backed by ``random.Random``
+    give streams that behave independently.  The ``random.Random`` is
     keyed with SHA-256 of the pair, so streams are stable across runs.
     """
-
-    def __init__(self, seed: int, label):
-        if isinstance(label, str):
-            label = label.encode()
-        digest = hashlib.sha256(
-            seed.to_bytes(8, "big", signed=True) + b"|" + bytes(label)
-        ).digest()
-        self._rng = random.Random(int.from_bytes(digest, "big"))
-
-    def bytes(self, n: int) -> bytes:
-        return self._rng.getrandbits(8 * n).to_bytes(n, "big") if n else b""
-
-    def bits(self, n: int) -> int:
-        """n i.i.d. uniform bits packed into an int (0 <= result < 2**n)."""
-        return self._rng.getrandbits(n) if n else 0
-
-    def choice(self, seq):
-        return self._rng.choice(seq)
-
-
-def seeded_rng(seed: int, stream_label) -> RandomStream:
-    return RandomStream(seed, stream_label)
+    return random.Random(int.from_bytes(_keyed(seed, b"|", stream_label), "big"))
 
 
 def derive_seed(seed: int, label) -> int:
     """A fresh 63-bit seed for an independent child context (e.g. MC trials)."""
-    if isinstance(label, str):
-        label = label.encode()
-    digest = hashlib.sha256(
-        seed.to_bytes(8, "big", signed=True) + b"#" + bytes(label)
-    ).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+    return int.from_bytes(_keyed(seed, b"#", label)[:8], "big") >> 1
 
 
 class SeededSource:
@@ -86,20 +62,21 @@ class SeededSource:
     def __init__(self, seed: int):
         self.seed = seed
 
-    def _stream(self, label) -> RandomStream:
-        return seeded_rng(self.seed, str(label))
-
     def permutation(self, label, items: list) -> list:
         out = list(items)
-        self._stream(label)._rng.shuffle(out)
+        seeded_rng(self.seed, str(label)).shuffle(out)
         return out
 
     def choice(self, label, options: list):
-        return self._stream(label).choice(options)
+        return seeded_rng(self.seed, str(label)).choice(options)
 
 
 class FixedSource:
-    """Replays an explicit assignment label -> drawn value (enumeration)."""
+    """Replays an explicit assignment label -> drawn value (enumeration).
+
+    Strict: a draw with no assigned value raises KeyError, and one whose
+    value is not among its outcomes ValueError.
+    """
 
     def __init__(self, assignment: dict):
         self.assignment = assignment
@@ -115,6 +92,46 @@ class FixedSource:
         if value not in options:
             raise ValueError(f"assignment for {label} not among options")
         return value
+
+
+class RecordingSource:
+    """Records the draws a scheme makes, so exact mode enumerates exactly
+    those: each ``permutation``/``choice`` is kept as (label, items or
+    options, kind) and answered with its first outcome (the items as
+    given, the first option).
+
+    Replaying the recorded draws is sound because a scheme's draw labels
+    and options never depend on the values drawn before them.
+    """
+
+    def __init__(self):
+        self.draws: list[tuple] = []
+
+    def permutation(self, label, items: list) -> list:
+        self.draws.append((label, tuple(items), "permutation"))
+        return list(items)
+
+    def choice(self, label, options: list):
+        self.draws.append((label, tuple(options), "choice"))
+        return options[0]
+
+    def size(self) -> int:
+        """The number of points of the recorded space, counted without
+        building it."""
+        return math.prod(
+            math.factorial(len(xs)) if kind == "permutation" else len(xs)
+            for _, xs, kind in self.draws
+        )
+
+    def assignments(self):
+        """One strict ``FixedSource`` per point of the recorded space."""
+        labels = [label for label, _, _ in self.draws]
+        pools = [
+            itertools.permutations(xs) if kind == "permutation" else xs
+            for _, xs, kind in self.draws
+        ]
+        for point in itertools.product(*pools):
+            yield FixedSource(dict(zip(labels, point)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +178,7 @@ def resolve_file_size(subpacketization: int, target_bits: Optional[int] = None) 
 def random_library(params: SystemParams) -> dict[int, int]:
     """N files of B i.i.d. uniform bits each, keyed by file index 1..N."""
     stream = seeded_rng(params.seed, "library")
-    return {i: stream.bits(params.B) for i in range(1, params.N + 1)}
+    return {i: stream.getrandbits(params.B) for i in range(1, params.N + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +305,6 @@ class SchemeParams:
 
     def memory_point(self) -> Rat:
         return self._memory_point
-
-    def placement_atoms(self) -> list:
-        """Every permutation ``place`` can draw, as (label, options) atoms
-        for exhaustive enumeration; demand-independent."""
-        return [
-            ((self.scheme, "p", i, k), list(itertools.permutations(self.layout.block_slots(k))))
-            for i in range(1, self.base.N + 1)
-            for k in range(1, self.layout.blocks + 1)
-        ]
 
 
 @dataclass
@@ -437,9 +445,14 @@ def transcript_to_text(tr: Transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_sid(token: str) -> SubfileId:
+def _parse_sid(token: str, layout: SlotLayout) -> SubfileId:
     f, s = token.split(":")
-    return SubfileId(int(f), int(s))
+    sid = SubfileId(int(f), int(s))
+    if not (1 <= sid.file <= layout.N and 1 <= sid.slot <= layout.slots_per_file):
+        raise ValueError(
+            f"subfile {token} outside 1..{layout.N} x 1..{layout.slots_per_file}"
+        )
+    return sid
 
 
 _HEADER_KEYS = (
@@ -488,7 +501,10 @@ def transcript_from_text(text: str) -> Transcript:
             content = {}
             for item in body.split():
                 sid_s, val = item.split("=")
-                content[_parse_sid(sid_s)] = int(val, 16)
+                sid = _parse_sid(sid_s, layout)
+                if sid in content:
+                    raise ValueError(f"cache {owner_s} lists subfile {sid_s} twice")
+                content[sid] = int(val, 16)
             slots = tuple(sorted(content))
             caches.append(CacheState(int(owner_s), slots, content))
         elif kind == "message":
@@ -498,7 +514,7 @@ def transcript_from_text(text: str) -> Transcript:
                 raise ValueError(f"message sender {sender} outside 1..{params.K}")
             pos_v = pos_s.split("=", 1)[1]
             pos = None if pos_v == "-" else tuple(int(x) for x in pos_v.split(","))
-            comp = tuple(_parse_sid(t) for t in comp_s.split("=", 1)[1].split(","))
+            comp = tuple(_parse_sid(t, layout) for t in comp_s.split("=", 1)[1].split(","))
             payload = int(pay_s.split("=", 1)[1], 16)
             broadcasts[sender - 1].append(
                 MulticastMessage(sender, comp, payload, layout.subfile_bits, pos)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -81,21 +80,6 @@ class SchemeAParams(SchemeParams):
         """Each transmitter's (position set, composition) list, transmitters 1..K."""
         plan = plan_delivery_a(self, demands, source, derandomized)
         return [plan_messages_a(k, placement, plan) for k in range(1, self.base.K + 1)]
-
-    def delivery_atoms(self, demands, derandomized: bool = False) -> list:
-        """Delivery randomness: each transmitter's position shuffle and
-        per-file leader choice (none for the derandomized baseline)."""
-        if derandomized:
-            return []
-        atoms = []
-        K, N = self.base.K, self.base.N
-        for k in range(1, K + 1):
-            users = self.effective_users(k)
-            atoms.append((("A", "q", k), list(permutations(users))))
-            demanders = _virtual_demands(K, N, k, tuple(demands))[1]
-            for i in range(1, N + 1):
-                atoms.append((("A", "leader", k, i), list(demanders[i])))
-        return atoms
 
 
 def params_for(K: int, N: int, t: int, seed: int = 0, b_target: Optional[int] = None) -> SchemeAParams:

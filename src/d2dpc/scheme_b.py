@@ -71,9 +71,6 @@ class SchemeBParams(SchemeParams):
         """Each transmitter's (None, composition) list, transmitters 1 and 2."""
         return [plan_messages_b(k, placement, demands) for k in (1, 2)]
 
-    def delivery_atoms(self, demands, derandomized: bool = False) -> list:
-        return []  # the pick rule is deterministic given the placement
-
 
 def params_for(N: int, tprime: Optional[int], seed: int = 0, b_target: Optional[int] = None) -> SchemeBParams:
     return SchemeBParams.sized(2, N, tprime, seed, b_target)

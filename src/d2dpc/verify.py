@@ -11,8 +11,10 @@ given the composition structure, the payloads are images of i.i.d.
 uniform unknown subfiles under a structure-determined linear map, so
 they carry no extra information about the demands.  Paranoid mode adds
 a fingerprint of that linear map (which message payloads are explained
-by cached bits, and which XOR combinations cancel) as a defence against
-canonicalisation bugs.
+by cached bits, and which XOR combinations cancel) to each view.  The
+fingerprint is computed from the already relabelled rows, so it is a
+function of the view it is added to: it can change neither a verdict
+nor a witness, and it is no check of the canonicalisation.
 
 A coalition's view is a function of the everyone-view, the view of the
 coalition of all K users: a slot's pattern for the coalition is its
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import scheme_a, sim
-from .core import FixedSource, SeededSource, Transcript, check_seed, derive_seed
+from .core import RecordingSource, SeededSource, Transcript, check_seed, derive_seed
 
 EXACT_ENUMERATION_CAP = 1_000_000
 DEFAULT_TRIALS = 10_000
@@ -238,7 +240,7 @@ def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
     Block 0 holds the coalition's demands and cache structure; block k
     holds transmitter k's canonicalised messages with slot ordinals that
     restart per transmitter.  Each block is a function of a disjoint set
-    of the scheme's randomness atoms, so the blocks are independent given
+    of the scheme's random draws, so the blocks are independent given
     the demands and the joint view distribution is the product of the
     block marginals; comparing marginals therefore loses nothing, and it
     is what the Monte Carlo total-variation estimate can resolve.  Block
@@ -272,12 +274,16 @@ def enumerate_view_distributions(
 ):
     """Exact view distribution per (coalition, demand vector).
 
-    Every point of the randomness space (placement atoms x delivery
-    atoms) is replayed for every demand vector; the returned counters
-    all have identical totals, so distribution equality is plain counter
-    equality.  Placements are built once per placement assignment and
-    reused across demand vectors.  Each run's everyone-view is counted
-    once; a coalition's counts are their projection (see ``_Projection``).
+    The randomness space is the draws the scheme actually makes: one
+    ``place`` and, per demand vector, one ``query_plans`` are run on a
+    ``RecordingSource``, the space's size is checked against ``cap``
+    before anything is built, and every point (placement draws x
+    delivery draws) is replayed for every demand vector.  The returned
+    counters all have identical totals, so distribution equality is
+    plain counter equality.  Placements are built once per placement
+    point and reused across demand vectors.  Each run's everyone-view is
+    counted once; a coalition's counts are their projection (see
+    ``_Projection``).
     """
     sim.check_scheme(scheme, scheme_params)
     K = scheme_params.base.K
@@ -285,29 +291,27 @@ def enumerate_view_distributions(
     everyone = tuple(range(1, K + 1))
     demand_vectors = _all_demand_vectors(scheme_params)
 
-    p_atoms = scheme_params.placement_atoms()
-    p_labels = [lab for lab, _ in p_atoms]
-    p_options = [opts for _, opts in p_atoms]
-    d_atoms_by_d = {d: scheme_params.delivery_atoms(d, derandomized) for d in demand_vectors}
-    p_total = math.prod(len(o) for o in p_options)
-    for d, atoms in d_atoms_by_d.items():
-        total = p_total * math.prod(len(o) for _, o in atoms)
+    placement_draws = RecordingSource()
+    recorded = scheme_params.place(placement_draws, structure_only=True)
+    placement_points = placement_draws.size()
+    delivery_draws = {}
+    for d in demand_vectors:
+        delivery_draws[d] = RecordingSource()
+        scheme_params.query_plans(recorded, d, delivery_draws[d], derandomized)
+        total = placement_points * delivery_draws[d].size()
         if total > cap:
             raise ExactModeTooLarge(total, cap)
 
     counts: dict = {d: Counter() for d in demand_vectors}
-    for p_combo in itertools.product(*p_options):
-        placement = scheme_params.place(
-            FixedSource(dict(zip(p_labels, p_combo))), structure_only=True
-        )
-        for d, atoms in d_atoms_by_d.items():
-            labels = [lab for lab, _ in atoms]
-            for combo in itertools.product(*(opts for _, opts in atoms)):
+    for placement_source in placement_draws.assignments():
+        placement = scheme_params.place(placement_source, structure_only=True)
+        for d, draws in delivery_draws.items():
+            for source in draws.assignments():
                 tr = sim.run_protocol(
                     scheme,
                     scheme_params,
                     d,
-                    source=FixedSource(dict(zip(labels, combo))),
+                    source=source,
                     derandomized=derandomized,
                     structure_only=True,
                     placement=placement,
@@ -396,7 +400,9 @@ def check_privacy_exact_all(
     paranoid: bool = False,
 ) -> dict[tuple[int, ...], PrivacyReport]:
     """Exact demand privacy for each coalition, off one shared
-    enumeration (see module docstring)."""
+    enumeration (see module docstring).  ``paranoid`` adds the payload
+    fingerprint to each view; it is a function of the view, so the
+    reports are the same with it and without it."""
     dists = enumerate_view_distributions(
         scheme, scheme_params, coalitions, cap, derandomized, paranoid
     )

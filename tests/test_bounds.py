@@ -153,8 +153,6 @@ def test_scheme_c_points():
     assert pts[0] == (4, 8)  # corrected low-memory anchor (N/K, N)
     assert (Fraction(9, 2), 1) in pts  # t = 1 for K = 2
     assert pts[-1] == (8, 0)  # t = K
-    alt = load_c_points(2, 8, low_memory_anchor="k-over-n")
-    assert alt[0] == (Fraction(1, 4), 8)  # the printed reading, kept available
 
 
 def test_scheme_c_general_t2_point():

@@ -1,8 +1,16 @@
+import os
+import re
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from d2dpc.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_simulate_reports_matching_loads(capsys):
@@ -120,6 +128,26 @@ def test_verify_mc(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "max_tv" in out
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_verify_exact_too_large_exits_2_under_memory_limit():
+    # A(2,5,3) draws 10 placement permutations of 10 slots each; exact
+    # mode must reject it from the size of that space, before building
+    # any of it, so a child capped at 1 GiB exits 2 with the cap message
+    env = {k: v for k, v in os.environ.items() if k != "D2DPC_ENUM_CAP"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "d2dpc", "verify", "--scheme", "A", "--K", "2", "--N", "5",
+         "--t", "3", "--mode", "exact", "--coalition", "1"],
+        env=env, preexec_fn=_limit_address_space, capture_output=True, text=True,
+        timeout=60, check=False,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(r"randomness space has \d+ outcomes > cap \d+", proc.stdout)
 
 
 _VERIFY_A = ["verify", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1", "--coalition", "1"]

@@ -20,17 +20,17 @@ _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=
 
 
 def test_seeded_rng_deterministic():
-    a = seeded_rng(0, "p/1/1").bytes(32)
-    b = seeded_rng(0, "p/1/1").bytes(32)
+    a = seeded_rng(0, "p/1/1").getrandbits(256)
+    b = seeded_rng(0, "p/1/1").getrandbits(256)
     assert a == b
 
 
 def test_seeded_rng_labels_independent():
-    assert seeded_rng(0, "a").bytes(16) != seeded_rng(0, "b").bytes(16)
+    assert seeded_rng(0, "a").getrandbits(128) != seeded_rng(0, "b").getrandbits(128)
 
 
 def test_seeded_rng_seeds_independent():
-    assert seeded_rng(1, "a").bytes(16) != seeded_rng(0, "a").bytes(16)
+    assert seeded_rng(1, "a").getrandbits(128) != seeded_rng(0, "a").getrandbits(128)
 
 
 def test_params_validation():
@@ -191,6 +191,11 @@ def _drop_line(text, prefix):
         # the slot layout must cover the file size
         GOLDEN.read_text().replace("blocks=2", "blocks=3"),
         GOLDEN.read_text().replace("slots_per_block=2", "slots_per_block=0"),
+        # subfile ids must lie in 1..N x 1..slots_per_file, once per cache line
+        GOLDEN.read_text().replace("comp=2:2,1:2", "comp=9:2,1:2"),
+        GOLDEN.read_text().replace("cache 1 ", "cache 1 9:1=0 "),
+        GOLDEN.read_text().replace("cache 1 ", "cache 1 1:99=0 "),
+        GOLDEN.read_text().replace("cache 1 ", "cache 1 1:1=0 "),
     ],
 )
 def test_malformed_transcript_raises_value_error(text):

@@ -1,11 +1,20 @@
 import dataclasses
 import itertools
+import math
 from collections import Counter
 
 import pytest
 
 from d2dpc import scheme_a, scheme_b, sim, verify
-from d2dpc.core import FixedSource, MulticastMessage, SeededSource, SubfileId, derive_seed, subfile_value
+from d2dpc.core import (
+    FixedSource,
+    MulticastMessage,
+    RecordingSource,
+    SeededSource,
+    SubfileId,
+    derive_seed,
+    subfile_value,
+)
 from d2dpc.verify import (
     ExactModeTooLarge,
     canonical_view,
@@ -160,16 +169,15 @@ def test_exact_privacy_baseline_fails():
 
 def test_exact_enumeration_order_invariance(monkeypatch):
     # the verdict cannot depend on the order the randomness is enumerated
-    p = scheme_b.params_for(2, 1)
-    original = scheme_b.SchemeBParams.placement_atoms
-
-    def reversed_atoms(params):
-        return [(lab, list(reversed(opts))) for lab, opts in original(params)]
-
-    ref = verify.enumerate_view_distributions("B", p, [(1,)])
-    monkeypatch.setattr(scheme_b.SchemeBParams, "placement_atoms", reversed_atoms)
-    flipped = verify.enumerate_view_distributions("B", p, [(1,)])
-    assert ref == flipped
+    instances = [("B", scheme_b.params_for(2, 1)), ("A", scheme_a.params_for(2, 2, 1))]
+    refs = [verify.enumerate_view_distributions(s, p, [(1,)]) for s, p in instances]
+    permutation, choice = RecordingSource.permutation, RecordingSource.choice
+    monkeypatch.setattr(RecordingSource, "permutation",
+                        lambda self, label, items: permutation(self, label, items[::-1]))
+    monkeypatch.setattr(RecordingSource, "choice",
+                        lambda self, label, options: choice(self, label, options[::-1]))
+    flipped = [verify.enumerate_view_distributions(s, p, [(1,)]) for s, p in instances]
+    assert refs == flipped
 
 
 @pytest.mark.parametrize(
@@ -240,16 +248,115 @@ def test_projected_views_match_direct_relabelling(params):
                 assert blk == _direct_view(tr, c, False, per_user)[1]
 
 
+def _placement_atoms(p) -> list:
+    """Every permutation ``place`` draws, listed by hand as (label,
+    outcomes): the oracle of the recorded placement draws."""
+    return [
+        ((p.scheme, "p", i, k), list(itertools.permutations(p.layout.block_slots(k))))
+        for i in range(1, p.base.N + 1)
+        for k in range(1, p.layout.blocks + 1)
+    ]
+
+
+def _delivery_atoms(p, demands, derandomized) -> list:
+    """Every draw of a delivery, listed by hand: scheme A's position
+    shuffle and per-file leader choice per transmitter; none for scheme
+    B's pick rule or the derandomized baseline."""
+    if p.scheme == "B" or derandomized:
+        return []
+    K, N = p.base.K, p.base.N
+    atoms = []
+    for k in range(1, K + 1):
+        atoms.append((("A", "q", k), list(itertools.permutations(p.effective_users(k)))))
+        demanders = scheme_a._virtual_demands(K, N, k, tuple(demands))[1]
+        for i in range(1, N + 1):
+            atoms.append((("A", "leader", k, i), list(demanders[i])))
+    return atoms
+
+
+def _outcomes(draws) -> dict:
+    """Recorded draws as label -> sorted outcomes."""
+    return {
+        label: sorted(itertools.permutations(xs) if kind == "permutation" else xs)
+        for label, xs, kind in draws
+    }
+
+
+def _demand_vectors(p):
+    return list(itertools.product(range(1, p.base.N + 1), repeat=p.base.K))
+
+
+RECORDED_INSTANCES = [
+    pytest.param(scheme_a.params_for(2, 2, 1), id="A(2,2,1)"),
+    pytest.param(scheme_a.params_for(2, 2, 2), id="A(2,2,2)"),
+    pytest.param(scheme_a.params_for(3, 2, 1), id="A(3,2,1)"),
+    pytest.param(scheme_b.params_for(2, 1), id="B(2,1)"),
+    pytest.param(scheme_b.params_for(4, 3), id="B(4,3)"),
+]
+
+
+@pytest.mark.parametrize("derandomized", [False, True])
+@pytest.mark.parametrize("params", RECORDED_INSTANCES)
+def test_recorded_draws_match_hand_listed_atoms(params, derandomized):
+    placement_draws = RecordingSource()
+    placement = params.place(placement_draws, structure_only=True)
+    p_atoms = _placement_atoms(params)
+    assert len(placement_draws.draws) == len(p_atoms)  # no label drawn twice
+    assert _outcomes(placement_draws.draws) == {lab: sorted(opts) for lab, opts in p_atoms}
+    for d in _demand_vectors(params):
+        delivery_draws = RecordingSource()
+        params.query_plans(placement, d, delivery_draws, derandomized)
+        d_atoms = _delivery_atoms(params, d, derandomized)
+        assert len(delivery_draws.draws) == len(d_atoms)
+        assert _outcomes(delivery_draws.draws) == {lab: sorted(opts) for lab, opts in d_atoms}
+        assert placement_draws.size() * delivery_draws.size() == math.prod(
+            len(opts) for _, opts in p_atoms + d_atoms
+        )
+
+
+class _SeededRecorder(RecordingSource):
+    """Records every draw like ``RecordingSource`` but answers it from a
+    seeded source, so later draws see random earlier values."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self.seeded = SeededSource(seed)
+
+    def permutation(self, label, items):
+        super().permutation(label, items)
+        return self.seeded.permutation(label, items)
+
+    def choice(self, label, options):
+        super().choice(label, options)
+        return self.seeded.choice(label, options)
+
+
+@pytest.mark.parametrize("derandomized", [False, True])
+@pytest.mark.parametrize("params", RECORDED_INSTANCES)
+def test_recorded_draws_do_not_depend_on_drawn_values(params, derandomized):
+    # exact mode replays the draws recorded on one placement for every
+    # placement; that is sound only because no draw's label or options
+    # depend on values drawn before it
+    recordings = []
+    for source in (RecordingSource(), *(_SeededRecorder(seed) for seed in range(3))):
+        placement = params.place(source, structure_only=True)
+        for d in _demand_vectors(params):
+            params.query_plans(placement, d, source, derandomized)
+        recordings.append(source.draws)
+    assert all(draws == recordings[0] for draws in recordings[1:])
+
+
 def _joint_exact(p, coalitions, derandomized, paranoid):
     """The oracle of ``enumerate_view_distributions``: every run of the
-    joint randomness space, every coalition's view counted on its own."""
-    demand_vectors = list(itertools.product(range(1, p.base.N + 1), repeat=p.base.K))
+    joint randomness space, enumerated from the hand-listed atoms, every
+    coalition's view counted on its own."""
+    demand_vectors = _demand_vectors(p)
     dists = {c: {d: Counter() for d in demand_vectors} for c in coalitions}
-    p_atoms = p.placement_atoms()
+    p_atoms = _placement_atoms(p)
     for p_combo in itertools.product(*(opts for _, opts in p_atoms)):
         p_assign = dict(zip((lab for lab, _ in p_atoms), p_combo))
         for d in demand_vectors:
-            d_atoms = p.delivery_atoms(d, derandomized)
+            d_atoms = _delivery_atoms(p, d, derandomized)
             for d_combo in itertools.product(*(opts for _, opts in d_atoms)):
                 source = FixedSource({**p_assign, **dict(zip((lab for lab, _ in d_atoms), d_combo))})
                 tr = sim.run_protocol(p.scheme, p, d, source=source, derandomized=derandomized,
@@ -419,13 +526,9 @@ def test_decodability_needs_bits():
 def test_decodability_over_enumerated_randomness():
     # zero-error decoding for every demand vector under every point of
     # the randomness space, not just the seeded draw
-    import itertools
-
-    from d2dpc.core import FixedSource
-
     for p in (scheme_a.params_for(2, 2, 2, seed=0), scheme_b.params_for(2, 1, seed=0)):
         for d in itertools.product((1, 2), repeat=2):
-            atoms = p.placement_atoms() + p.delivery_atoms(d)
+            atoms = _placement_atoms(p) + _delivery_atoms(p, d, False)
             labels = [lab for lab, _ in atoms]
             for combo in itertools.product(*[opts for _, opts in atoms]):
                 source = FixedSource(dict(zip(labels, combo)))
