@@ -8,7 +8,7 @@ for reading comfort.
 from fractions import Fraction
 
 from d2dpc import bounds
-from d2dpc.combinat import curve_max, even_grid
+from d2dpc.combinat import curve_max
 from d2dpc.scheme_a import scheme_a_curve
 from d2dpc.scheme_b import scheme_b_curve
 
@@ -35,11 +35,7 @@ print("=== more users than files: scheme A vs shared-link converse / 4 ===")
 for K, N in [(8, 4), (40, 10)]:
     ach = scheme_a_curve(K, N)
     conv = bounds.shared_link_nonprivate_envelope(K, N, Fraction(1, 4))
-    lo, hi = Fraction(N, K), Fraction(N)
-    grid = sorted(
-        {m for m in ach.corner_ms() + conv.corner_ms() if lo <= m <= hi}
-        | set(even_grid(lo, hi, 64)) | {lo, hi}
-    )
+    grid = bounds.gap_grid(ach, conv, Fraction(N, K), Fraction(N), 64)
     report = bounds.gap(ach, conv, grid)
     print(f"  K={K:>2}, N={N:>2}: max ratio {float(report.max_ratio):.3f} "
           f"at M={report.argmax_m}  (guarantee: 12)")

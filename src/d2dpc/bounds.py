@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .combinat import (
     Line,
@@ -238,47 +239,58 @@ def scheme_c_curve(K: int, N: int) -> TradeoffCurve:
 
 @dataclass
 class GapReport:
-    max_ratio: Rat
+    max_ratio: Optional[Rat]  # None: the gap is unbounded at argmax_m
     argmax_m: Rat
     skipped: list[Rat]
     grid_size: int
 
 
-def default_gap_grid(achievable: TradeoffCurve, converse: TradeoffCurve) -> list[Rat]:
-    """Corner M values of both curves plus 64 evenly spaced fill-in points.
+def gap_grid(achievable: TradeoffCurve, converse: TradeoffCurve, lo: Rat, hi: Rat,
+             density: int) -> list[Rat]:
+    """The corner M values of both curves in [lo, hi], ``density`` evenly
+    spaced points and lo, hi, sorted."""
+    corners = {m for m in achievable.corner_ms() + converse.corner_ms() if lo <= m <= hi}
+    return sorted(corners | set(even_grid(lo, hi, density)) | {lo, hi})
 
-    Ratio extrema of two piecewise-linear curves sit at corner points of
-    one of them; the even grid is pure cross-checking redundancy.
+
+def default_gap_grid(achievable: TradeoffCurve, converse: TradeoffCurve) -> list[Rat]:
+    """``gap_grid`` over the curves' shared domain at density 64.
+
+    Between corners the ratio of the curves is a ratio of two linear
+    functions, monotone where the converse is positive, so its extrema
+    sit at corners.  Where the converse falls to zero (at one of its
+    corners) with the achievable load positive, the ratio grows without
+    bound; where both fall to zero together it tends to the ratio of
+    their slopes, which the skipped 0/0 point does not show.
     """
     lo = max(achievable.min_m, converse.min_m)
     hi = min(achievable.max_m, converse.max_m)
     if lo >= hi:
         raise ValueError("curve domains do not overlap")
-    ms = {m for m in achievable.corner_ms() + converse.corner_ms() if lo <= m <= hi}
-    ms.update(even_grid(lo, hi, 64))
-    ms.update((lo, hi))
-    return sorted(ms)
+    return gap_grid(achievable, converse, lo, hi, 64)
 
 
 def gap(achievable: TradeoffCurve, converse: TradeoffCurve, grid=None) -> GapReport:
     """Max of achievable(M)/converse(M) over the grid, exact rationals.
 
-    Grid points where the converse is zero are left out and listed in
-    ``GapReport.skipped``.
+    Grid points where both loads are zero are left out and listed in
+    ``GapReport.skipped``.  Where only the converse is zero the gap is
+    unbounded: ``max_ratio`` is None and ``argmax_m`` the first such M.
     """
     if grid is None:
         grid = default_gap_grid(achievable, converse)
-    best: Rat = Fraction(0)
-    argmax = None
-    skipped = []
+    best: Optional[Rat] = Fraction(0)
+    argmax, skipped = None, []
     for M in grid:
-        c = converse(M)
-        if c == 0:
+        c, a = converse(M), achievable(M)
+        if c == 0 and a == 0:
             skipped.append(Fraction(M))
+        elif best is None:
             continue
-        ratio = achievable(M) / c
-        if ratio > best:
-            best, argmax = ratio, Fraction(M)
+        elif c == 0:
+            best, argmax = None, Fraction(M)
+        elif a / c > best:
+            best, argmax = a / c, Fraction(M)
     if argmax is None:
         raise ValueError("converse was zero on the whole grid")
     return GapReport(max_ratio=best, argmax_m=argmax, skipped=skipped, grid_size=len(grid))

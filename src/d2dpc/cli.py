@@ -106,11 +106,7 @@ def _gap_inputs(parser: argparse.ArgumentParser, args):
     # the converse is non-increasing, so zero at lo means zero on [lo, hi]
     if converse(lo) == 0:
         parser.error(f"argument --converse: zero on the whole range [{lo}, {hi}]")
-    grid = sorted(
-        {m for m in achievable.corner_ms() + converse.corner_ms() if lo <= m <= hi}
-        | set(even_grid(lo, hi, args.grid_density)) | {lo, hi}
-    )
-    return achievable, converse, grid
+    return achievable, converse, bounds.gap_grid(achievable, converse, lo, hi, args.grid_density)
 
 
 def _scheme_params(parser: argparse.ArgumentParser, args):
@@ -186,11 +182,16 @@ def cmd_curve(args) -> int:
 def cmd_gap(args) -> int:
     report = bounds.gap(args.achievable_curve, args.converse_curve, args.gap_grid)
     print(f"achievable={args.achievable} converse={args.converse} K={args.K} N={args.N}")
-    print(f"max ratio = {report.max_ratio} ({_fmt(report.max_ratio)}) at M = {report.argmax_m}")
+    if report.max_ratio is None:
+        load = args.achievable_curve(report.argmax_m)
+        ratio = f"unbounded: the converse is 0 and the achievable load {load}"
+    else:
+        ratio = f"{report.max_ratio} ({_fmt(report.max_ratio)})"
+    print(f"max ratio = {ratio} at M = {report.argmax_m}")
     if report.skipped:
         print(f"skipped zero-converse grid points: {[str(m) for m in report.skipped]}")
     if args.bound is not None:
-        ok = report.max_ratio <= args.bound
+        ok = report.max_ratio is not None and report.max_ratio <= args.bound
         print(f"bound {args.bound}: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
     return 0

@@ -22,9 +22,6 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-_LEX_CACHE: dict = {}
-
-
 def lex_subsets(ground: Sequence[int], size: int) -> list[tuple[int, ...]]:
     """All size-subsets of ``ground`` in lexicographic order.
 
@@ -33,13 +30,7 @@ def lex_subsets(ground: Sequence[int], size: int) -> list[tuple[int, ...]]:
     """
     if not 0 <= size <= len(ground):
         raise ValueError(f"size {size} out of range for ground of {len(ground)}")
-    key = (tuple(sorted(ground)), size)
-    hit = _LEX_CACHE.get(key)
-    if hit is None:
-        hit = list(itertools.combinations(key[0], size))
-        if len(key[0]) <= 24:  # memoise the small grounds the schemes hammer
-            _LEX_CACHE[key] = hit
-    return list(hit)
+    return list(itertools.combinations(sorted(ground), size))
 
 
 # ---------------------------------------------------------------------------

@@ -16,21 +16,29 @@ fingerprint is computed from the already relabelled rows, so it is a
 function of the view it is added to: it can change neither a verdict
 nor a witness, and it is no check of the canonicalisation.
 
-A coalition's view is a function of the everyone-view, the view of the
-coalition of all K users: a slot's pattern for the coalition is its
-everyone-pattern intersected with the coalition, the first-occurrence
-ordinals are renumbered within the coarser classes (the everyone-refs
-already name each physical slot), and the cache-class counts are summed
-onto the coarser classes.  So each protocol run is canonicalised once,
-as the everyone-view, and the empirical distribution of a coalition's
-views is the pushforward of the everyone-views' distribution; it is
-computed by projecting each distinct everyone-view once per coalition.
-``canonical_view`` (all broadcasts in emission order) and
-``canonical_view_blocks`` (each transmitter's broadcasts on their own)
-are that projection applied to a single run.  Each mode has one entry
-point, which checks a list of coalitions off one shared set of protocol
-runs: ``check_privacy_exact_all`` enumerates the whole randomness space
-of a small instance and compares exact view counts,
+One builder, ``_Everyone``, makes every view.  What the caches fix (each
+cached slot's class, the cache-class counts) is built once per
+placement: per placement point in exact mode, per run in Monte Carlo
+mode and per call of the public view functions.  A run's broadcasts are
+then relabelled one transmitter at a time.  The joint view needs no
+pass of its own: broadcasts are emitted transmitter by transmitter,
+transmitter k XORs only block-k subfiles and a slot's class holds its
+block, so no class spans two transmitters and a joint emission-order
+pass gives the same ordinals.  ``canonical_view`` is therefore
+``canonical_view_blocks`` laid end to end.
+
+A coalition's view is a function of the everyone-view, the view of all
+K users: a slot's pattern for the coalition is its everyone-pattern
+intersected with the coalition, ordinals are renumbered within the
+coarser classes (the everyone-refs already name each physical slot),
+and the cache-class counts are summed onto the coarser classes.  So
+each run is canonicalised once, as the everyone-view, and a coalition's
+view counts are the pushforward of the everyone-view counts.  Exact
+mode counts each run's blocks jointly, so it assumes no independence
+between them; Monte Carlo mode counts them block by block.  Each mode
+has one entry point, which checks a list of coalitions off one shared
+set of protocol runs: ``check_privacy_exact_all`` enumerates the whole
+randomness space of a small instance and compares exact view counts,
 ``check_privacy_mc_all`` samples a larger one and gates on
 ``debiased_total_variation``.
 """
@@ -75,13 +83,8 @@ class ObserverView:
     fingerprint: tuple = ()
 
     def key(self):
-        return (
-            self.observer,
-            self.own_demands,
-            self.canonical_caches,
-            self.canonical_broadcasts,
-            self.fingerprint,
-        )
+        return (self.observer, self.own_demands, self.canonical_caches,
+                self.canonical_broadcasts, self.fingerprint)
 
 
 def _coalition(coalition, K: int) -> tuple[int, ...]:
@@ -114,31 +117,33 @@ def _relabelled(rows, class_of) -> tuple:
     return tuple(out)
 
 
-def _everyone(transcript: Transcript):
-    """What every view is projected from: block 0 of the everyone-view
-    (all users, all demands, the counts of cached slots per (file,
-    block, pattern) class, where a slot's pattern is the users caching
-    it) and a function relabelling a list of messages with the
-    everyone-patterns."""
-    K = transcript.params.K
-    spb = transcript.layout.slots_per_block
-    pattern: dict = {}  # sid -> tuple of users caching it
-    for u, cache in enumerate(transcript.caches, 1):
-        for sid in cache.slots:
-            pattern[sid] = pattern.get(sid, ()) + (u,)
-    cache_counts: dict = {}
-    for sid, pat in pattern.items():
-        cls = (sid[0], (sid[1] - 1) // spb + 1, pat)
-        cache_counts[cls] = cache_counts.get(cls, 0) + 1
-    head = (tuple(range(1, K + 1)), tuple(transcript.demands), tuple(sorted(cache_counts.items())))
+class _Everyone:
+    """The one view builder: each cached slot's class (file, block, the
+    users caching it) and the counts of cached slots per class."""
 
-    def class_of(sid):
-        return (sid[0], (sid[1] - 1) // spb + 1, pattern.get(sid, ()))
+    def __init__(self, caches, layout):
+        self._spb = layout.slots_per_block
+        pattern: dict = {}  # sid -> tuple of users caching it
+        for u, cache in enumerate(caches, 1):
+            for sid in cache.slots:
+                pattern[sid] = pattern.get(sid, ()) + (u,)
+        self._classes = {sid: (sid[0], (sid[1] - 1) // self._spb + 1, pat)
+                         for sid, pat in pattern.items()}
+        self._users = tuple(range(1, len(caches) + 1))
+        self._cache_classes = tuple(sorted(Counter(self._classes.values()).items()))
 
-    def relabel(messages) -> tuple:
-        return _relabelled(((m.sender, m.position_set, m.composition) for m in messages), class_of)
+    def _class_of(self, sid):
+        cls = self._classes.get(sid)
+        return cls if cls is not None else (sid[0], (sid[1] - 1) // self._spb + 1, ())
 
-    return head, relabel
+    def blocks(self, demands, broadcasts) -> tuple:
+        """A run's everyone-view ``(head, rows_1, ..., rows_K)``: the head
+        holds all users, all demands and the cache-class counts; rows_k
+        is transmitter k's messages relabelled on their own."""
+        return ((self._users, tuple(demands), self._cache_classes),) + tuple(
+            _relabelled(((m.sender, m.position_set, m.composition) for m in per_user), self._class_of)
+            for per_user in broadcasts
+        )
 
 
 class _Projection:
@@ -162,39 +167,62 @@ class _Projection:
             out = self._classes[cls] = (f, b, tuple(u for u in pat if u in self._members))
         return out
 
-    def head(self, head) -> tuple:
+    def __call__(self, blocks, first: int = 0) -> tuple:
+        """Everyone-view blocks ``first``, ``first + 1``, ... projected."""
         if self._identity:
-            return head
-        _, demands, cache_classes = head
-        counts: dict = {}
-        for cls, n in cache_classes:
-            cls = self._class(cls)
-            if cls[2]:
-                counts[cls] = counts.get(cls, 0) + n
-        own_demands = tuple(demands[u - 1] for u in self.coalition)
-        return self.coalition, own_demands, tuple(sorted(counts.items()))
-
-    def rows(self, rows) -> tuple:
-        if self._identity:
-            return rows
-        return _relabelled(rows, lambda ref: self._class(ref[0]))
-
-    def view(self, key: tuple, paranoid: bool) -> tuple:
-        """An everyone ``ObserverView.key()`` projected to this coalition's."""
-        rows = self.rows(key[3])
-        return self.head(key[:3]) + (rows, _fingerprint(rows) if paranoid else ())
+            return tuple(blocks)
+        out = []
+        for i, block in enumerate(blocks, first):
+            if i:
+                out.append(_relabelled(block, lambda ref: self._class(ref[0])))
+                continue
+            _, demands, cache_classes = block
+            counts: dict = {}
+            for cls, n in cache_classes:
+                cls = self._class(cls)
+                if cls[2]:
+                    counts[cls] = counts.get(cls, 0) + n
+            own_demands = tuple(demands[u - 1] for u in self.coalition)
+            out.append((self.coalition, own_demands, tuple(sorted(counts.items()))))
+        return tuple(out)
 
 
-def _project(counter: Counter, project, memo: dict) -> Counter:
-    """The pushforward of an empirical distribution under ``project``,
-    which runs once per distinct value (``memo`` caches it)."""
-    out: Counter = Counter()
-    for value, n in counter.items():
-        image = memo.get(value)
-        if image is None:
-            image = memo[value] = project(value)
-        out[image] += n
-    return out
+def _view_key(blocks: tuple, paranoid: bool) -> tuple:
+    """A coalition's ``ObserverView`` fields from its blocks."""
+    rows = tuple(itertools.chain.from_iterable(blocks[1:]))
+    return blocks[0] + (rows, _fingerprint(rows) if paranoid else ())
+
+
+def _count_then_project(runs, demand_vectors, coalitions, K: int, marginal: bool, paranoid=False):
+    """The counting of both samplers.  ``runs`` yields (demand vector,
+    everyone-view blocks) per run, counted once: as the joint key or,
+    with ``marginal``, block by block.  A coalition's counts are their
+    pushforward under its ``_Projection``, run once per distinct value.
+    Returns dists[coalition][demand vector]: a Counter of view keys, or
+    with ``marginal`` a list of per-block Counters."""
+    parts = K + 1 if marginal else 1
+    counts = {d: [Counter() for _ in range(parts)] for d in demand_vectors}
+    for d, blocks in runs:
+        for counter, value in zip(counts[d], blocks if marginal else (blocks,)):
+            counter[value] += 1
+    dists: dict = {}
+    for c in coalitions:
+        proj = _Projection(c, K)
+        if marginal:
+            images = [lambda block, i=i: proj((block,), i)[0] for i in range(parts)]
+        else:
+            images = [lambda blocks: _view_key(proj(blocks), paranoid)]
+        memos: list = [{} for _ in range(parts)]
+        dists[c] = {}
+        for d, counters in counts.items():
+            pushed = [Counter() for _ in range(parts)]
+            for out, counter, image, memo in zip(pushed, counters, images, memos):
+                for value, n in counter.items():
+                    if value not in memo:
+                        memo[value] = image(value)
+                    out[memo[value]] += n
+            dists[c][d] = pushed if marginal else pushed[0]
+    return dists
 
 
 def _fingerprint(rows: tuple) -> tuple:
@@ -225,13 +253,10 @@ def canonical_view(transcript: Transcript, coalition, paranoid: bool = False) ->
     Inputs are exactly the coalition's knowledge: its caches (metadata),
     its demands, and every broadcast header in emission order.  Hidden
     quantities (position shuffles, placement permutations of others)
-    never enter.  The view is the everyone-view projected onto the
-    coalition.
+    never enter.  Its rows are the blocks of ``canonical_view_blocks``
+    laid end to end (see the module docstring).
     """
-    coalition = _coalition(coalition, transcript.params.K)
-    head, relabel = _everyone(transcript)
-    key = head + (relabel(transcript.all_messages()), ())
-    return ObserverView(*_Projection(coalition, transcript.params.K).view(key, paranoid))
+    return ObserverView(*_view_key(canonical_view_blocks(transcript, coalition), paranoid))
 
 
 def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
@@ -246,12 +271,10 @@ def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
     is what the Monte Carlo total-variation estimate can resolve.  Block
     k of a coalition is block k of the everyone-view projected onto it.
     """
-    coalition = _coalition(coalition, transcript.params.K)
-    head, relabel = _everyone(transcript)
-    proj = _Projection(coalition, transcript.params.K)
-    return (proj.head(head),) + tuple(
-        [proj.rows(relabel(per_user)) for per_user in transcript.broadcasts]
-    )
+    K = transcript.params.K
+    coalition = _coalition(coalition, K)
+    everyone = _Everyone(transcript.caches, transcript.layout)
+    return _Projection(coalition, K)(everyone.blocks(transcript.demands, transcript.broadcasts))
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +303,15 @@ def enumerate_view_distributions(
     before anything is built, and every point (placement draws x
     delivery draws) is replayed for every demand vector.  The returned
     counters all have identical totals, so distribution equality is
-    plain counter equality.  Placements are built once per placement
-    point and reused across demand vectors.  Each run's everyone-view is
+    plain counter equality.  Placements, and the view builder their
+    caches fix, are built once per placement point and reused across
+    demand vectors and delivery draws.  Each run's everyone-view is
     counted once; a coalition's counts are their projection (see
     ``_Projection``).
     """
     sim.check_scheme(scheme, scheme_params)
     K = scheme_params.base.K
     coalitions = [_coalition(c, K) for c in coalitions]
-    everyone = tuple(range(1, K + 1))
     demand_vectors = _all_demand_vectors(scheme_params)
 
     placement_draws = RecordingSource()
@@ -302,29 +325,18 @@ def enumerate_view_distributions(
         if total > cap:
             raise ExactModeTooLarge(total, cap)
 
-    counts: dict = {d: Counter() for d in demand_vectors}
-    for placement_source in placement_draws.assignments():
-        placement = scheme_params.place(placement_source, structure_only=True)
-        for d, draws in delivery_draws.items():
-            for source in draws.assignments():
-                tr = sim.run_protocol(
-                    scheme,
-                    scheme_params,
-                    d,
-                    source=source,
-                    derandomized=derandomized,
-                    structure_only=True,
-                    placement=placement,
-                )
-                counts[d][canonical_view(tr, everyone).key()] += 1
-    dists: dict = {}
-    for c in coalitions:
-        proj, memo = _Projection(c, K), {}
-        dists[c] = {
-            d: _project(counter, lambda key: proj.view(key, paranoid), memo)
-            for d, counter in counts.items()
-        }
-    return dists
+    def runs():
+        for placement_source in placement_draws.assignments():
+            placement = scheme_params.place(placement_source, structure_only=True)
+            everyone = _Everyone(placement.caches, placement.layout)
+            for d, draws in delivery_draws.items():
+                for source in draws.assignments():
+                    tr = sim.run_protocol(scheme, scheme_params, d, source=source,
+                                          derandomized=derandomized, structure_only=True,
+                                          placement=placement)
+                    yield d, everyone.blocks(tr.demands, tr.broadcasts)
+
+    return _count_then_project(runs(), demand_vectors, coalitions, K, False, paranoid)
 
 
 def _grouped_by_fixing(distributions: dict, coalition):
@@ -456,34 +468,17 @@ def sample_view_distributions(
     check_seed(base_seed)
     K = scheme_params.base.K
     coalitions = [_coalition(c, K) for c in coalitions]
-    everyone = tuple(range(1, K + 1))
     demand_vectors = _all_demand_vectors(scheme_params)
-    counts: dict = {d: [Counter() for _ in range(K + 1)] for d in demand_vectors}
-    for d in demand_vectors:
-        for trial in range(trials):
-            seed = derive_seed(base_seed, f"mc|{d}|{trial}")
-            tr = sim.run_protocol(
-                scheme,
-                scheme_params,
-                d,
-                source=SeededSource(seed),
-                derandomized=derandomized,
-                structure_only=True,
-            )
-            for counter, blk in zip(counts[d], canonical_view_blocks(tr, everyone)):
-                counter[blk] += 1
-    dists: dict = {}
-    for c in coalitions:
-        proj = _Projection(c, K)
-        memos = [{} for _ in range(K + 1)]
-        dists[c] = {
-            d: [
-                _project(counter, proj.rows if i else proj.head, memo)
-                for i, (counter, memo) in enumerate(zip(blocks, memos))
-            ]
-            for d, blocks in counts.items()
-        }
-    return dists
+
+    def runs():
+        for d in demand_vectors:
+            for trial in range(trials):
+                source = SeededSource(derive_seed(base_seed, f"mc|{d}|{trial}"))
+                tr = sim.run_protocol(scheme, scheme_params, d, source=source,
+                                      derandomized=derandomized, structure_only=True)
+                yield d, _Everyone(tr.caches, tr.layout).blocks(tr.demands, tr.broadcasts)
+
+    return _count_then_project(runs(), demand_vectors, coalitions, K, True)
 
 
 def _max_tv_report(scheme_params, coalition, dists, trials, tolerance) -> PrivacyReport:

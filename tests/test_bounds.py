@@ -13,7 +13,9 @@ from d2dpc.bounds import (
     converse_two_user,
     converse_two_user_corners,
     converse_two_user_curve,
+    default_gap_grid,
     gap,
+    gap_grid,
     scheme_a_within_three_of_shared_link,
     load_c_points,
     man_points,
@@ -166,6 +168,30 @@ def test_gap_identical_curves():
     report = gap(c, c)
     assert report.max_ratio == 1
     assert report.skipped == [Fraction(4)]  # the zero-load endpoint
+
+
+@pytest.mark.parametrize("density", [16, 64, 256])
+def test_gap_unbounded_where_converse_vanishes_first(density):
+    # the K-user converse reaches zero at 2N/K = 2 while scheme A is still
+    # at 3/4: the ratio grows without bound as M approaches 2, so no grid
+    # may report a finite maximum (it used to grow with the grid)
+    achievable, converse = scheme_a_curve(3, 3), converse_k_user_curve(3, 3)
+    lo, hi = converse.min_m, Fraction(3)
+    report = gap(achievable, converse, gap_grid(achievable, converse, lo, hi, density))
+    assert report.max_ratio is None
+    assert report.argmax_m == 2 and achievable(2) == Fraction(3, 4)
+    assert report.skipped == [Fraction(3)]  # both loads zero at M = N
+
+
+def test_gap_grid_holds_corners_even_points_and_ends():
+    achievable, converse = scheme_b_curve(8), converse_two_user_curve(8)
+    lo, hi = Fraction(5), Fraction(7)
+    grid = gap_grid(achievable, converse, lo, hi, 4)
+    corners = {m for m in achievable.corner_ms() + converse.corner_ms() if lo <= m <= hi}
+    assert grid == sorted(corners | set(even_grid(lo, hi, 4)) | {lo, hi})
+    assert default_gap_grid(achievable, converse) == gap_grid(
+        achievable, converse, Fraction(4), Fraction(8), 64
+    )
 
 
 def test_gap_two_user_optimal_cases():

@@ -106,6 +106,23 @@ def test_gap_identical(capsys):
     assert "max ratio = 1 " in out
 
 
+@pytest.mark.parametrize("density", ["16", "64", "256"])
+def test_gap_unbounded_fails_the_bound(capsys, density):
+    # the converse is 0 from M = 2 on while scheme A's load is 3/4 there:
+    # the gap is unbounded, whatever the grid (the ratio printed used to
+    # read 286/15, 1006/15 and 3886/15 at these densities)
+    rc = main(["gap", "--K", "3", "--N", "3", "--achievable", "schemeA", "--converse", "convKu",
+               "--grid-density", density, "--bound", "20"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "max ratio = unbounded: the converse is 0 and the achievable load 3/4 at M = 2" in out
+    assert "bound 20: FAIL" in out
+    rc = main(["gap", "--K", "3", "--N", "3", "--achievable", "schemeA", "--converse", "convKu",
+               "--grid-density", density])
+    assert rc == 0
+    assert "unbounded" in capsys.readouterr().out
+
+
 def test_verify_exact_pass(capsys):
     rc = main(["verify", "--scheme", "A", "--K", "2", "--N", "2", "--t", "2",
                "--mode", "exact", "--coalition", "1", "--paranoid"])

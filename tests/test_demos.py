@@ -6,6 +6,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# sha256 of the gap tables, computed before the demo shared the library's
+# gap-grid builder; any change to a grid or a ratio moves it
+GAP_REPORTS_DIGEST = "a6f77c10d90a3af52e35a574985dfff27f9bf4735c0d209985f8f8139899560d"
+
 
 def test_gap_reports_demo_runs():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -15,6 +19,7 @@ def test_gap_reports_demo_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "N= 8: max ratio    6/5 (1.2000)" in proc.stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == GAP_REPORTS_DIGEST
 
 
 WALKTHROUGH_DIGEST = "8446e9da7594d9945022b07ceee0c45e744e74cfa1ee75b32b48a79fd9529f08"

@@ -230,14 +230,20 @@ def _direct_view(tr, coalition, paranoid, messages):
         pytest.param(scheme_a.params_for(4, 2, 2), id="A(4,2,2)"),
         pytest.param(scheme_a.params_for(3, 3, 3), id="A(3,3,3)"),
         pytest.param(scheme_b.params_for(4, 2), id="B(4,2)"),
+        pytest.param(scheme_b.params_for(5, None), id="B(5,full)"),
     ],
 )
 def test_projected_views_match_direct_relabelling(params):
+    # canonical_view is the concatenation of the per-transmitter blocks;
+    # that is sound because transmitter k XORs only block-k subfiles and
+    # a slot's class holds its block, so no class spans two transmitters
     K, N = params.base.K, params.base.N
     for seed, derandomized in itertools.product(range(3), (False, True)):
         d = tuple((seed + u) % N + 1 for u in range(K))
         tr = sim.run_protocol(params.scheme, params, d, source=SeededSource(seed),
                               derandomized=derandomized, structure_only=True)
+        for k, per_user in enumerate(tr.broadcasts, 1):
+            assert all(tr.layout.block_of(sid.slot) == k for m in per_user for sid in m.composition)
         for c in _all_coalitions(K):
             for paranoid in (False, True):
                 head, rows, fp = _direct_view(tr, c, paranoid, tr.all_messages())
@@ -246,6 +252,29 @@ def test_projected_views_match_direct_relabelling(params):
             assert blocks[0] == head
             for blk, per_user in zip(blocks[1:], tr.broadcasts):
                 assert blk == _direct_view(tr, c, False, per_user)[1]
+
+
+@pytest.mark.parametrize(
+    "scheme,params,placements",
+    [
+        pytest.param("A", scheme_a.params_for(2, 2, 2), 16, id="A(2,2,2)"),
+        pytest.param("B", scheme_b.params_for(3, 1), 46_656, id="B(3,1)"),
+    ],
+)
+def test_everyone_view_built_once_per_placement(scheme, params, placements, monkeypatch):
+    # the placement fixes every cache, so exact mode builds the everyone
+    # view once per placement point (B(3,1): 46,656 points, 419,904 runs)
+    class Counting(verify._Everyone):
+        built = 0
+
+        def __init__(self, caches, layout):
+            Counting.built += 1
+            super().__init__(caches, layout)
+
+    monkeypatch.setattr(verify, "_Everyone", Counting)
+    reports = check_privacy_exact_all(scheme, params, [(1,), (2,)], paranoid=True)
+    assert all(r.private for r in reports.values())
+    assert Counting.built == placements
 
 
 def _placement_atoms(p) -> list:
