@@ -12,8 +12,9 @@ from d2dpc.scheme_a import decode_from_messages
 
 
 def show(tr):
-    print(f"  scheme {tr.scheme}, K={tr.params.K}, N={tr.params.N}, "
-          f"B={tr.params.B} bits, M={tr.memory_point}, demands={tr.demands}")
+    sp = tr.scheme_params
+    print(f"  scheme {sp.scheme}, K={sp.base.K}, N={sp.base.N}, "
+          f"B={sp.base.B} bits, M={sp.memory_point()}, demands={tr.demands}")
     for cache in tr.caches:
         per_file = {}
         for sid in cache.slots:
@@ -44,7 +45,7 @@ show(tr)
 # several broadcasts; the solver recovers it anyway
 user = 1
 got = decode_from_messages(
-    user, tr.all_messages(), tr.caches[user - 1], tr.demands[user - 1], tr.layout
+    user, tr.all_messages(), tr.caches[user - 1], tr.demands[user - 1], tr.scheme_params.layout
 )
 print(f"  user {user} reassembled file {tr.demands[user - 1]} bit-exactly:",
       got == tr.library[tr.demands[user - 1]])

@@ -7,13 +7,14 @@ D2DPC_SEED (default seed), D2DPC_ENUM_CAP (exact-mode enumeration cap).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
 
-from . import bounds, scheme_a, scheme_b, sim, verify
+from . import bounds, sim, verify
 from .combinat import curve_max, even_grid
-from .core import check_seed, demand_vector, transcript_to_text
+from .core import MAX_FILE_BITS, check_seed, demand_vector, scheme_class, transcript_to_text
 
 
 def _env_int(parser: argparse.ArgumentParser, name: str, default: int) -> int:
@@ -53,16 +54,16 @@ def _parse_rational(text: str) -> Fraction:
         ) from None
 
 
-def _parse_count(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
+def _int_in(lo: int, hi: float = math.inf):
+    """An argparse type: a decimal integer in lo..hi."""
+    span = f"an integer >= {lo}" if hi == math.inf else f"an integer in {lo}..{hi}"
 
+    def parse(text: str) -> int:
+        if not text.isdecimal() or not lo <= int(text) <= hi:
+            raise argparse.ArgumentTypeError(f"expected {span}, got {text!r}")
+        return int(text)
 
-def _parse_trials(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return parse
 
 
 def _parse_tolerance(text: str) -> float:
@@ -122,10 +123,9 @@ def _scheme_params(parser: argparse.ArgumentParser, args):
     if value is None:
         parser.error(f"argument {flag}: required for scheme {args.scheme}")
     try:
-        if args.scheme == "A":
-            return scheme_a.params_for(args.K, args.N, value, args.seed, args.b_target)
-        tp = None if value == "full" else value
-        return scheme_b.params_for(args.N, tp, args.seed, args.b_target)
+        return scheme_class(args.scheme).sized(
+            args.K, args.N, None if value == "full" else value, args.seed, args.b_target
+        )
     except ValueError as err:
         parser.error(f"argument {flag}: {err}")
 
@@ -143,8 +143,9 @@ def cmd_simulate(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(transcript_to_text(tr))
         print(f"transcript written to {args.out}")
-    print(f"scheme={tr.scheme} K={tr.params.K} N={tr.params.N} B={tr.params.B} "
-          f"param={tr.scheme_param} M={tr.memory_point} demands={','.join(map(str, args.demands))}")
+    sp = tr.scheme_params
+    print(f"scheme={sp.scheme} K={sp.base.K} N={sp.base.N} B={sp.base.B} "
+          f"param={sp.param} M={sp.memory_point()} demands={','.join(map(str, args.demands))}")
     print(f"measured load   = {measured} ({_fmt(measured)})")
     print(f"theoretical load = {theoretical} ({_fmt(theoretical)})")
     print(f"payload bits = {tr.payload_bits}, metadata bytes = {tr.metadata_bytes} "
@@ -236,7 +237,7 @@ def main(argv=None) -> int:
         p.add_argument("--tprime", type=_parse_tprime,
                        help="scheme B parameter t' (or 'full')")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--b-target", type=int, default=None, dest="b_target",
+        p.add_argument("--b-target", type=_int_in(1, MAX_FILE_BITS), dest="b_target",
                        help="minimum file size in bits (rounded up to the subpacketization)")
         if need_demands:
             p.add_argument("--demands", required=True, type=_parse_int_list,
@@ -251,7 +252,7 @@ def main(argv=None) -> int:
     p_curve.add_argument("--which", required=True, choices=list(bounds.CURVE_NAMES))
     p_curve.add_argument("--K", type=int, required=True)
     p_curve.add_argument("--N", type=int, required=True)
-    p_curve.add_argument("--grid", type=_parse_count, default=256)
+    p_curve.add_argument("--grid", type=_int_in(0), default=256)
     p_curve.add_argument("--out")
     p_curve.set_defaults(func=cmd_curve)
 
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
                        choices=["schemeA", "schemeB", "schemeC"])
     p_gap.add_argument("--converse", required=True,
                        help="curve name or comma-list (pointwise max), e.g. convKu,sharedlink")
-    p_gap.add_argument("--grid-density", type=_parse_count, default=64, dest="grid_density")
+    p_gap.add_argument("--grid-density", type=_int_in(0), default=64, dest="grid_density")
     p_gap.add_argument("--bound", type=_parse_rational,
                        help="assert max ratio <= this rational")
     p_gap.add_argument("--min-m", dest="min_m", type=_parse_rational,
@@ -276,7 +277,7 @@ def main(argv=None) -> int:
     p_ver.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p_ver.add_argument("--coalition", required=True, type=_parse_int_list,
                        help="comma-separated user indices")
-    p_ver.add_argument("--trials", type=_parse_trials, default=verify.DEFAULT_TRIALS)
+    p_ver.add_argument("--trials", type=_int_in(1), default=verify.DEFAULT_TRIALS)
     p_ver.add_argument("--tol", type=_parse_tolerance, default=verify.DEFAULT_TOLERANCE)
     p_ver.add_argument("--paranoid", action="store_true",
                        help="exact mode: add the payload-relation fingerprint to each "
@@ -311,6 +312,9 @@ def main(argv=None) -> int:
         if any(not 1 <= u <= args.K for u in args.coalition):
             parser.error(f"argument --coalition: users must lie in 1..{args.K}")
         args.enum_cap = _env_int(parser, "D2DPC_ENUM_CAP", verify.EXACT_ENUMERATION_CAP)
+        if args.enum_cap < 1:
+            parser.error("environment variable D2DPC_ENUM_CAP must be positive, "
+                         f"got {args.enum_cap}")
     if getattr(args, "out", None):
         # fail before the run, not after it, when the path cannot be written
         try:

@@ -146,6 +146,10 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [-2**63, 2**63), got {seed}")
 
 
+# files are drawn with ``random.getrandbits``, whose bit count is a C int
+MAX_FILE_BITS = 2**31 - 1
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """A (K, N) caching instance: K users, N files of B bits each."""
@@ -159,8 +163,8 @@ class SystemParams:
         check_seed(self.seed)
         if min(self.K, self.N) < 2:
             raise ValueError(f"need min(K, N) >= 2, got K={self.K}, N={self.N}")
-        if self.B < 1:
-            raise ValueError(f"file size must be positive, got B={self.B}")
+        if not 1 <= self.B <= MAX_FILE_BITS:
+            raise ValueError(f"file size must lie in 1..{MAX_FILE_BITS} bits, got B={self.B}")
 
 
 def resolve_file_size(subpacketization: int, target_bits: Optional[int] = None) -> int:
@@ -285,10 +289,6 @@ class SchemeParams:
         B = resolve_file_size(blocks * per_block, b_target)
         return cls(SystemParams(K=K, N=N, B=B, seed=seed), param)
 
-    @classmethod
-    def corner_load(cls, K: int, N: int, param) -> Rat:
-        return cls.corner(K, N, param)[1]
-
     @cached_property
     def layout(self) -> SlotLayout:
         # shape() checks the parameter before anything else is derived
@@ -307,10 +307,21 @@ class SchemeParams:
         return self._memory_point
 
 
+def scheme_class(letter: str) -> type[SchemeParams]:
+    """The scheme class the letter names: the one letter -> class map,
+    read off the subclasses of ``SchemeParams`` (importing ``d2dpc``
+    imports every scheme).  An unknown letter raises ValueError."""
+    for cls in SchemeParams.__subclasses__():
+        if cls.scheme == letter:
+            return cls
+    raise ValueError(f"unknown scheme {letter!r}")
+
+
 @dataclass
 class Placement:
+    """One placement of ``params``; its slot layout is ``params.layout``."""
+
     params: SchemeParams
-    layout: SlotLayout
     # (file, block) -> permuted tuple of that block's slot ids; entry j is
     # the physical slot playing the role of permuted index j
     perms: dict[tuple[int, int], tuple[int, ...]]
@@ -347,7 +358,7 @@ def place(params: SchemeParams, source, structure_only: bool, held) -> Placement
         cache = CacheState(owner=k, slots=slots, content=content)
         cache.check(layout.subfile_bits, budget_bits=budget)
         caches.append(cache)
-    return Placement(params, layout, perms, caches, library)
+    return Placement(params, perms, caches, library)
 
 
 def demand_vector(demands: Iterable[int], params: SystemParams) -> tuple[int, ...]:
@@ -361,17 +372,16 @@ def demand_vector(demands: Iterable[int], params: SystemParams) -> tuple[int, ..
 
 @dataclass
 class Transcript:
-    """Everything one protocol run produced."""
+    """Everything one protocol run produced.  ``scheme_params`` is the one
+    record of the instance: K, N, B and the seed (``.base``), the scheme
+    letter and its parameter, the memory point and the slot layout are
+    all read from it."""
 
-    params: SystemParams
-    scheme: str  # "A" or "B"
-    scheme_param: Optional[int]  # t for scheme A, t' for scheme B (None = full memory)
-    memory_point: Rat
+    scheme_params: SchemeParams
     library: Optional[dict[int, int]]
     caches: list[CacheState]
     demands: tuple[int, ...]
     broadcasts: list[list[MulticastMessage]]
-    layout: SlotLayout
     payload_bits: int = 0
     metadata_bytes: int = 0
     queries: list = field(default_factory=list, repr=False, compare=False)
@@ -405,35 +415,39 @@ def _hex(value: int, nbits: int) -> str:
     return format(value, f"0{width}x")
 
 
-def _composition_str(comp: tuple[SubfileId, ...]) -> str:
-    return ",".join(f"{sid.file}:{sid.slot}" for sid in comp)
-
-
 def message_header_text(msg: MulticastMessage) -> str:
     pos = ",".join(map(str, msg.position_set)) if msg.position_set else "-"
-    return f"pos={pos} comp={_composition_str(msg.composition)}"
+    comp = ",".join(f"{sid.file}:{sid.slot}" for sid in msg.composition)
+    return f"pos={pos} comp={comp}"
+
+
+def _header(sp: SchemeParams, demands) -> dict:
+    """The header line's fields in order; all but the demands derive
+    from the instance ``sp``."""
+    base, layout = sp.base, sp.layout
+    return dict(
+        scheme=sp.scheme, K=base.K, N=base.N, B=base.B, seed=base.seed,
+        param="-" if sp.param is None else sp.param, M=sp.memory_point(),
+        demands=",".join(map(str, demands)), subfile_bits=layout.subfile_bits,
+        blocks=layout.blocks, slots_per_block=layout.slots_per_block,
+    )
 
 
 def transcript_to_text(tr: Transcript) -> str:
     """Serialise a full transcript, one message per line."""
     if tr.library is None:
         raise ValueError("cannot serialise a structure-only transcript")
-    p = tr.params
+    sp = tr.scheme_params
+    ell = sp.layout.subfile_bits
     lines = [
         "d2d-transcript 1",
-        f"scheme={tr.scheme} K={p.K} N={p.N} B={p.B} seed={p.seed} "
-        f"param={'-' if tr.scheme_param is None else tr.scheme_param} "
-        f"M={tr.memory_point} demands={','.join(map(str, tr.demands))} "
-        f"subfile_bits={tr.layout.subfile_bits} blocks={tr.layout.blocks} "
-        f"slots_per_block={tr.layout.slots_per_block}",
+        " ".join(f"{key}={value}" for key, value in _header(sp, tr.demands).items()),
     ]
     for i in sorted(tr.library):
-        lines.append(f"library {i} {_hex(tr.library[i], p.B)}")
+        lines.append(f"library {i} {_hex(tr.library[i], sp.base.B)}")
     for cache in tr.caches:
-        body = " ".join(
-            f"{sid.file}:{sid.slot}={_hex(cache.content[sid], tr.layout.subfile_bits)}"
-            for sid in cache.slots
-        )
+        body = " ".join(f"{sid.file}:{sid.slot}={_hex(cache.content[sid], ell)}"
+                        for sid in cache.slots)
         lines.append(f"cache {cache.owner} {body}")
     for per_user in tr.broadcasts:
         for m in per_user:
@@ -455,38 +469,39 @@ def _parse_sid(token: str, layout: SlotLayout) -> SubfileId:
     return sid
 
 
-_HEADER_KEYS = (
-    "scheme", "K", "N", "B", "seed", "param", "M", "demands",
-    "subfile_bits", "blocks", "slots_per_block",
-)
+def _parse_header(line: str) -> tuple[SchemeParams, tuple[int, ...]]:
+    """The instance and demands of a header line.  The instance is
+    rebuilt from the scheme letter, K, N, B, the seed and the param; the
+    fields it derives (M and the slot layout) must match it."""
+    head = dict(kv.split("=", 1) for kv in line.split())
+    try:
+        base = SystemParams(*(int(head[key]) for key in ("K", "N", "B", "seed")))
+        param = None if head["param"] == "-" else int(head["param"])
+        sp = scheme_class(head["scheme"])(base, param)
+        demands = demand_vector(head["demands"].split(","), base)
+        wrong = [f"{key}={head[key]} (expected {value})"
+                 for key, value in _header(sp, demands).items() if head[key] != str(value)]
+    except KeyError as err:
+        raise ValueError(f"transcript header lacks {err.args[0]}") from None
+    if wrong:
+        raise ValueError(f"transcript header disagrees with {sp.label()}: {', '.join(wrong)}")
+    return sp, demands
 
 
 def transcript_from_text(text: str) -> Transcript:
-    """Inverse of ``transcript_to_text``; malformed or truncated text
-    raises ValueError."""
+    """Inverse of ``transcript_to_text``; malformed or truncated text,
+    or a header that does not state one instance consistently, raises
+    ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "d2d-transcript 1":
         raise ValueError("not a transcript file")
     if len(lines) < 3 or not lines[-1].startswith("payload_bits="):
         raise ValueError("truncated transcript: it does not end with its payload_bits= line")
-    head = dict(kv.split("=", 1) for kv in lines[1].split())
-    missing = [key for key in _HEADER_KEYS if key not in head]
-    if missing:
-        raise ValueError(f"transcript header lacks {', '.join(missing)}")
-    params = SystemParams(
-        K=int(head["K"]), N=int(head["N"]), B=int(head["B"]), seed=int(head["seed"])
-    )
-    layout = SlotLayout(
-        N=params.N,
-        blocks=int(head["blocks"]),
-        slots_per_block=int(head["slots_per_block"]),
-        subfile_bits=int(head["subfile_bits"]),
-    )
-    if layout.slots_per_file * layout.subfile_bits != params.B:
-        raise ValueError(f"the header's slot layout does not cover B={params.B} bits")
+    sp, demands = _parse_header(lines[1])
+    base, layout = sp.base, sp.layout
     library: dict[int, int] = {}
     caches: list[CacheState] = []
-    broadcasts: list[list[MulticastMessage]] = [[] for _ in range(params.K)]
+    broadcasts: list[list[MulticastMessage]] = [[] for _ in range(base.K)]
     for ln in lines[2:-1]:
         kind, _, rest = ln.partition(" ")
         if kind == "library":
@@ -510,8 +525,8 @@ def transcript_from_text(text: str) -> Transcript:
         elif kind == "message":
             sender_s, pos_s, comp_s, pay_s = rest.split()
             sender = int(sender_s)
-            if not 1 <= sender <= params.K:
-                raise ValueError(f"message sender {sender} outside 1..{params.K}")
+            if not 1 <= sender <= base.K:
+                raise ValueError(f"message sender {sender} outside 1..{base.K}")
             pos_v = pos_s.split("=", 1)[1]
             pos = None if pos_v == "-" else tuple(int(x) for x in pos_v.split(","))
             comp = tuple(_parse_sid(t, layout) for t in comp_s.split("=", 1)[1].split(","))
@@ -521,24 +536,19 @@ def transcript_from_text(text: str) -> Transcript:
             )
         else:
             raise ValueError(f"unknown transcript line kind {kind!r}")
-    if len(library) != params.N or len(caches) != params.K:
+    if len(library) != base.N or len(caches) != base.K:
         raise ValueError(
             f"transcript has {len(library)} library and {len(caches)} cache lines, "
-            f"expected N={params.N} and K={params.K}"
+            f"expected N={base.N} and K={base.K}"
         )
     payload_bits = int(lines[-1].split("=", 1)[1])
     if payload_bits != sum(m.nbits for per in broadcasts for m in per):
         raise ValueError(f"payload_bits={payload_bits} disagrees with the messages")
-    param_s = head["param"]
     return Transcript(
-        params=params,
-        scheme=head["scheme"],
-        scheme_param=None if param_s == "-" else int(param_s),
-        memory_point=Fraction(head["M"]),
+        scheme_params=sp,
         library=library,
         caches=caches,
-        demands=demand_vector(head["demands"].split(","), params),
+        demands=demands,
         broadcasts=broadcasts,
-        layout=layout,
         payload_bits=payload_bits,
     )

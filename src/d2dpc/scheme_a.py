@@ -58,7 +58,7 @@ class SchemeAParams(SchemeParams):
         """K blocks of binom(U, t-1) slots, one slot per (t-1)-subset of
         the transmitter's effective users."""
         U = (K - 1) * N
-        if not 1 <= t <= U + 1:
+        if t is None or not 1 <= t <= U + 1:
             raise ValueError(f"t must lie in 1..{U + 1}, got {t}")
         return K, binom(U, t - 1)
 
@@ -187,23 +187,16 @@ def _virtual_demands(K: int, N: int, k: int, demands: tuple[int, ...]):
 
 @dataclass
 class TransmitterPlanA:
-    transmitter: int
     d_eff: Mapping[int, int]
     leaders: frozenset[int]
     q: tuple[int, ...]  # position j (1-based) -> effective user
 
 
-@dataclass
-class DeliveryPlanA:
-    params: SchemeAParams
-    demands: tuple[int, ...]
-    per_transmitter: dict[int, TransmitterPlanA]
-
-
 def plan_delivery_a(
     params: SchemeAParams, demands, source, derandomized: bool = False
-) -> DeliveryPlanA:
-    """Per-transmitter virtual demands, leaders, and position shuffle.
+) -> dict[int, TransmitterPlanA]:
+    """Per-transmitter virtual demands, leaders, and position shuffle,
+    keyed by transmitter 1..K.
 
     ``derandomized`` gives the intentionally non-private baseline: the
     position shuffle becomes the identity and the per-file leader is the
@@ -221,12 +214,12 @@ def plan_delivery_a(
                 leaders.add(source.choice(("A", "leader", k, i), demanders[i]))
         users = params.effective_users(k)
         q = users if derandomized else source.permutation(("A", "q", k), users)
-        per[k] = TransmitterPlanA(k, d_eff, frozenset(leaders), tuple(q))
-    return DeliveryPlanA(params, tuple(demands), per)
+        per[k] = TransmitterPlanA(d_eff, frozenset(leaders), tuple(q))
+    return per
 
 
 def plan_messages_a(
-    k: int, placement: Placement, plan: DeliveryPlanA
+    k: int, placement: Placement, plan: dict[int, TransmitterPlanA]
 ) -> list[tuple[tuple[int, ...], tuple[SubfileId, ...]]]:
     """Compositions of transmitter k's messages, in position-set lex order.
 
@@ -235,7 +228,7 @@ def plan_messages_a(
     only messages whose user set meets the leader set are kept.
     """
     params = placement.params
-    tp = plan.per_transmitter[k]
+    tp = plan[k]
     t = params.t
     if t > params.U:  # full-memory point: every user holds everything
         return []

@@ -6,6 +6,11 @@ query spelling out which XOR compositions to emit.  Each user then builds
 its broadcast payloads strictly from its own cache plus that query; the
 engine has no code path that lets a transmitter read the library, which
 is the encoding constraint made structural.
+
+A run's instance is its ``SchemeParams``; the scheme letter callers pass
+is checked against it through ``core.scheme_class``, the one place a
+letter is resolved, and the transcript keeps the params as its only
+record of the instance.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import scheme_a, scheme_b
 from .core import (
     CacheState,
     MulticastMessage,
@@ -24,17 +28,14 @@ from .core import (
     Transcript,
     demand_vector,
     message_header_text,
+    scheme_class,
 )
-
-# The one place a scheme letter is resolved; everything else goes through
-# the params object's methods.
-SCHEMES = {"A": scheme_a.SchemeAParams, "B": scheme_b.SchemeBParams}
 
 
 def check_scheme(scheme: str, scheme_params) -> None:
     """Raise ValueError unless the letter ``scheme`` names the scheme of
     ``scheme_params``."""
-    if SCHEMES.get(scheme.upper()) is not type(scheme_params):
+    if scheme_class(scheme.upper()) is not type(scheme_params):
         raise ValueError(f"unknown scheme {scheme!r} for {type(scheme_params).__name__}")
 
 
@@ -90,9 +91,9 @@ def run_protocol(
     plans = scheme_params.query_plans(placement, d, source, derandomized)
     queries = [Query(k, plan) for k, plan in enumerate(plans, 1)]
 
-    layout = placement.layout
+    subfile_bits = scheme_params.layout.subfile_bits
     broadcasts = [
-        user_broadcast(placement.caches[q.recipient - 1], q, layout.subfile_bits)
+        user_broadcast(placement.caches[q.recipient - 1], q, subfile_bits)
         for q in queries
     ]
     payload_bits = sum(m.nbits for per in broadcasts for m in per)
@@ -102,15 +103,11 @@ def run_protocol(
             len(message_header_text(m).encode()) for per in broadcasts for m in per
         )
     return Transcript(
-        params=base,
-        scheme=scheme_params.scheme,
-        scheme_param=scheme_params.param,
-        memory_point=scheme_params.memory_point(),
+        scheme_params=scheme_params,
         library=placement.library,
         caches=placement.caches,
         demands=d,
         broadcasts=broadcasts,
-        layout=layout,
         payload_bits=payload_bits,
         metadata_bytes=metadata_bytes,
         queries=queries,
@@ -119,13 +116,10 @@ def run_protocol(
 
 def measure_load(transcript: Transcript) -> Rat:
     """Total payload bits over file size, exact; metadata never counts."""
-    return Fraction(transcript.payload_bits, transcript.params.B)
+    return Fraction(transcript.payload_bits, transcript.scheme_params.base.B)
 
 
 def theoretical_load(transcript: Transcript) -> Rat:
     """The closed-form load of the transcript's scheme at its parameters."""
-    scheme = SCHEMES.get(transcript.scheme)
-    if scheme is None:
-        raise ValueError(f"unknown scheme {transcript.scheme!r}")
-    base = transcript.params
-    return scheme.corner_load(base.K, base.N, transcript.scheme_param)
+    sp = transcript.scheme_params
+    return sp.corner(sp.base.K, sp.base.N, sp.param)[1]

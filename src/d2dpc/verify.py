@@ -271,9 +271,9 @@ def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
     is what the Monte Carlo total-variation estimate can resolve.  Block
     k of a coalition is block k of the everyone-view projected onto it.
     """
-    K = transcript.params.K
+    K = transcript.scheme_params.base.K
     coalition = _coalition(coalition, K)
-    everyone = _Everyone(transcript.caches, transcript.layout)
+    everyone = _Everyone(transcript.caches, transcript.scheme_params.layout)
     return _Projection(coalition, K)(everyone.blocks(transcript.demands, transcript.broadcasts))
 
 
@@ -328,7 +328,7 @@ def enumerate_view_distributions(
     def runs():
         for placement_source in placement_draws.assignments():
             placement = scheme_params.place(placement_source, structure_only=True)
-            everyone = _Everyone(placement.caches, placement.layout)
+            everyone = _Everyone(placement.caches, scheme_params.layout)
             for d, draws in delivery_draws.items():
                 for source in draws.assignments():
                     tr = sim.run_protocol(scheme, scheme_params, d, source=source,
@@ -476,7 +476,8 @@ def sample_view_distributions(
                 source = SeededSource(derive_seed(base_seed, f"mc|{d}|{trial}"))
                 tr = sim.run_protocol(scheme, scheme_params, d, source=source,
                                       derandomized=derandomized, structure_only=True)
-                yield d, _Everyone(tr.caches, tr.layout).blocks(tr.demands, tr.broadcasts)
+                everyone = _Everyone(tr.caches, scheme_params.layout)
+                yield d, everyone.blocks(tr.demands, tr.broadcasts)
 
     return _count_then_project(runs(), demand_vectors, coalitions, K, True)
 
@@ -544,17 +545,13 @@ def check_decodability(transcript: Transcript) -> dict[int, bool]:
     """Run every user's decoder against the transcript, bit-exact."""
     if transcript.library is None:
         raise ValueError("decodability needs a full (not structure-only) transcript")
-    messages = transcript.all_messages()
+    messages, layout = transcript.all_messages(), transcript.scheme_params.layout
     results = {}
-    for u in range(1, transcript.params.K + 1):
+    for u in range(1, transcript.scheme_params.base.K + 1):
         want = transcript.library[transcript.demands[u - 1]]
         try:
             got = scheme_a.decode_from_messages(
-                u,
-                messages,
-                transcript.caches[u - 1],
-                transcript.demands[u - 1],
-                transcript.layout,
+                u, messages, transcript.caches[u - 1], transcript.demands[u - 1], layout
             )
             results[u] = got == want
         except (scheme_a.DecodingFailure, ValueError):

@@ -167,6 +167,7 @@ def test_verify_exact_too_large_exits_2_under_memory_limit():
     assert re.search(r"randomness space has \d+ outcomes > cap \d+", proc.stdout)
 
 
+_SIMULATE_A = ["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1", "--demands", "1,2"]
 _VERIFY_A = ["verify", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1", "--coalition", "1"]
 _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse", "conv2u"]
 
@@ -230,6 +231,11 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
                    "--demands", "1,2", "--out", "/nonexistent/x.txt"]),
         ("--out", ["curve", "--which", "schemeB", "--K", "2", "--N", "8",
                    "--out", "/nonexistent/x.csv"]),
+        # file sizes must fit random.getrandbits: 1..2**31 - 1 bits
+        ("--b-target", _SIMULATE_A + ["--b-target", "10000000000"]),
+        ("--b-target", _SIMULATE_A + ["--b-target", str(2**31)]),
+        ("--b-target", _SIMULATE_A + ["--b-target", "-5"]),
+        ("--b-target", _VERIFY_A + ["--b-target", "0"]),
     ],
 )
 def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):
@@ -260,3 +266,14 @@ def test_out_of_range_seed_environment_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "environment variable D2DPC_SEED:" in err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_nonpositive_enum_cap_environment_exits_2(cap, monkeypatch, capsys):
+    monkeypatch.setenv("D2DPC_ENUM_CAP", cap)
+    with pytest.raises(SystemExit) as exc:
+        main(_VERIFY_A)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "environment variable D2DPC_ENUM_CAP" in err.strip().splitlines()[-1]

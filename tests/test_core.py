@@ -40,6 +40,8 @@ def test_params_validation():
         SystemParams(K=3, N=1, B=8)
     with pytest.raises(ValueError):
         SystemParams(K=2, N=2, B=0)
+    with pytest.raises(ValueError, match="file size"):
+        SystemParams(K=2, N=2, B=2**31)  # beyond what random.getrandbits draws
 
 
 @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 10**20])
@@ -102,11 +104,9 @@ def test_transcript_roundtrip():
     tr = sim.run_protocol("A", params, (1, 2))
     text = transcript_to_text(tr)
     back = transcript_from_text(text)
-    assert back.params == tr.params
+    assert back.scheme_params == tr.scheme_params
     assert back.demands == tr.demands
-    assert back.memory_point == tr.memory_point
     assert back.library == tr.library
-    assert back.layout == tr.layout
     # caches round-trip bit-exactly
     for orig, parsed in zip(tr.caches, back.caches):
         assert parsed.owner == orig.owner
@@ -150,7 +150,25 @@ def small_runs(draw):
 @given(small_runs())
 def test_transcript_text_round_trip(tr):
     text = transcript_to_text(tr)
-    assert transcript_to_text(transcript_from_text(text)) == text
+    back = transcript_from_text(text)
+    assert back.scheme_params == tr.scheme_params
+    assert transcript_to_text(back) == text
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        scheme_a.params_for(2, 2, 1, seed=3),
+        scheme_a.params_for(3, 2, 5, seed=3),
+        scheme_b.params_for(3, 0, seed=3),
+        scheme_b.params_for(3, 2, seed=3),
+        scheme_b.params_for(3, None, seed=3),
+    ],
+    ids=lambda p: p.label(),
+)
+def test_round_trip_rebuilds_the_scheme_params(params):
+    tr = sim.run_protocol(params.scheme, params, (1,) * params.base.K)
+    assert transcript_from_text(transcript_to_text(tr)).scheme_params == tr.scheme_params
 
 
 @_SETTINGS
@@ -170,6 +188,14 @@ def test_truncated_transcript_round_trips_or_raises(data):
 
 def _drop_line(text, prefix):
     return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith(prefix))
+
+
+def _scheme_b_text_with_three_users():
+    """A scheme B transcript whose header says K=3, with a third cache
+    line and demand so that the line counts agree with the header."""
+    tr = sim.run_protocol("B", scheme_b.params_for(2, 1, seed=3), (1, 2))
+    text = transcript_to_text(tr).replace(" K=2 ", " K=3 ").replace("demands=1,2 ", "demands=1,2,1 ")
+    return text.replace("\nmessage 1 ", "\ncache 3 1:1=0\nmessage 1 ", 1)
 
 
 @pytest.mark.parametrize(
@@ -196,6 +222,15 @@ def _drop_line(text, prefix):
         GOLDEN.read_text().replace("cache 1 ", "cache 1 9:1=0 "),
         GOLDEN.read_text().replace("cache 1 ", "cache 1 1:99=0 "),
         GOLDEN.read_text().replace("cache 1 ", "cache 1 1:1=0 "),
+        # the header states one instance: the params rebuilt from scheme,
+        # K, N, B, seed and param must exist and derive its M and layout
+        GOLDEN.read_text().replace("scheme=A", "scheme=Z"),
+        GOLDEN.read_text().replace("scheme=A", "scheme=B"),
+        GOLDEN.read_text().replace("param=2", "param=9"),
+        GOLDEN.read_text().replace("param=2", "param=-"),
+        GOLDEN.read_text().replace("M=3/2", "M=7/3"),
+        GOLDEN.read_text().replace("blocks=2 slots_per_block=2", "blocks=1 slots_per_block=4"),
+        _scheme_b_text_with_three_users(),
     ],
 )
 def test_malformed_transcript_raises_value_error(text):

@@ -47,7 +47,7 @@ def test_place_cache_size_exact():
     # K=2, N=2, t=2: M = 3/2, cache holds exactly 3B/2 bits
     p = params_for(2, 2, 2, seed=2)
     placement = place_a(p, SeededSource(2))
-    bits_per_slot = placement.layout.subfile_bits
+    bits_per_slot = placement.params.layout.subfile_bits
     for cache in placement.caches:
         assert len(cache.slots) * bits_per_slot == Fraction(3, 2) * p.base.B
     # independent count: (binom(2,1) + binom(1,0)) slots per file, 2 files
@@ -57,7 +57,7 @@ def test_place_cache_size_exact():
 def test_place_t1_own_block_only():
     p = params_for(3, 2, 1, seed=3)
     placement = place_a(p, SeededSource(3))
-    layout = placement.layout
+    layout = placement.params.layout
     for k, cache in enumerate(placement.caches, start=1):
         assert all(layout.block_of(s.slot) == k for s in cache.slots)
     assert p.memory_point() == Fraction(p.base.N, p.base.K)
@@ -113,7 +113,7 @@ def _sorted_tuple_placement(placement):
     for k in range(1, K + 1):
         slots = []
         for i in range(1, N + 1):
-            slots.extend(SubfileId(i, s) for s in placement.layout.block_slots(k))
+            slots.extend(SubfileId(i, s) for s in placement.params.layout.block_slots(k))
             for other in range(1, K + 1):
                 if other != k:
                     slots.extend(
@@ -131,7 +131,7 @@ def _sorted_tuple_placement(placement):
 
 
 def _sorted_tuple_messages(k, plan, params, slot_of):
-    tp = plan.per_transmitter[k]
+    tp = plan[k]
     if params.t > params.U:
         return []
     out = []
@@ -254,10 +254,10 @@ def test_simulated_load_and_decode_match_formula(K, N, t):
         tr = sim.run_protocol("A", p, d)
         assert sim.measure_load(tr) == expected
         for c in tr.caches:  # cache budget is met with equality
-            assert len(c.slots) * tr.layout.subfile_bits == tr.memory_point * p.base.B
+            assert len(c.slots) * tr.scheme_params.layout.subfile_bits == tr.scheme_params.memory_point() * p.base.B
         for u in range(1, K + 1):
             got = decode_from_messages(
-                u, tr.all_messages(), tr.caches[u - 1], d[u - 1], tr.layout
+                u, tr.all_messages(), tr.caches[u - 1], d[u - 1], tr.scheme_params.layout
             )
             assert got == tr.library[d[u - 1]], f"user {u} demand {d}"
 
@@ -265,7 +265,7 @@ def test_simulated_load_and_decode_match_formula(K, N, t):
 def test_per_file_demand_symmetry_after_planning():
     p = params_for(3, 3, 2, seed=6)
     plan = plan_delivery_a(p, (1, 1, 3), SeededSource(6))
-    for k, tp in plan.per_transmitter.items():
+    for k, tp in plan.items():
         for i in range(1, 4):
             assert sum(1 for f in tp.d_eff.values() if f == i) == 2
         assert len(tp.leaders) == 3
@@ -278,7 +278,7 @@ def test_decoding_failure_reported_with_slot():
     tr = sim.run_protocol("A", p, (1, 2))
     # drop every message: user 1 cannot finish file 1
     with pytest.raises(scheme_a.DecodingFailure) as err:
-        decode_from_messages(1, [], tr.caches[0], 1, tr.layout)
+        decode_from_messages(1, [], tr.caches[0], 1, tr.scheme_params.layout)
     assert err.value.sid.file == 1
 
 
@@ -305,7 +305,7 @@ def _flip_bit(m):
 
 
 def _decode_user1(tr, messages):
-    return decode_from_messages(1, messages, tr.caches[0], tr.demands[0], tr.layout)
+    return decode_from_messages(1, messages, tr.caches[0], tr.demands[0], tr.scheme_params.layout)
 
 
 def test_dropped_single_unknown_message_is_a_decoding_failure():

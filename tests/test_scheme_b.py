@@ -42,7 +42,7 @@ def test_place_small_instance_pattern():
 def test_place_tprime0_own_half_only():
     p = params_for(4, 0, seed=2)
     placement = place_b(p, SeededSource(2))
-    layout = placement.layout
+    layout = placement.params.layout
     for k, cache in enumerate(placement.caches, start=1):
         assert all(layout.block_of(s.slot) == k for s in cache.slots)
     assert p.memory_point() == Fraction(4, 2)
@@ -54,7 +54,7 @@ def test_place_n2_tprime1_slot_count():
     placement = place_b(p, SeededSource(3))
     for cache in placement.caches:
         assert len(cache.slots) == 6
-        assert len(cache.slots) * placement.layout.subfile_bits == Fraction(3, 2) * p.base.B
+        assert len(cache.slots) * placement.params.layout.subfile_bits == Fraction(3, 2) * p.base.B
 
 
 def test_single_message_at_max_tprime():
@@ -150,7 +150,7 @@ def test_decode_and_load_exhaustive():
                 assert sim.measure_load(tr) == expected
                 for u in (1, 2):
                     got = decode_from_messages(
-                        u, tr.all_messages(), tr.caches[u - 1], d[u - 1], tr.layout
+                        u, tr.all_messages(), tr.caches[u - 1], d[u - 1], tr.scheme_params.layout
                     )
                     assert got == tr.library[d[u - 1]], (N, tp, d, u)
 
@@ -160,7 +160,7 @@ def test_full_memory_run():
     tr = sim.run_protocol("B", p, (2, 3))
     assert tr.payload_bits == 0
     assert all(verify.check_decodability(tr).values())
-    assert tr.memory_point == 3
+    assert tr.scheme_params.memory_point() == 3
 
 
 def test_load_points():

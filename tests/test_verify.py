@@ -44,9 +44,9 @@ def _swap_slots(tr, file, s1, s2):
             return SubfileId(file, mapping[sid.slot])
         return sid
 
-    ell = tr.layout.subfile_bits
-    v1 = subfile_value(tr.library, tr.layout, SubfileId(file, s1))
-    v2 = subfile_value(tr.library, tr.layout, SubfileId(file, s2))
+    ell = tr.scheme_params.layout.subfile_bits
+    v1 = subfile_value(tr.library, tr.scheme_params.layout, SubfileId(file, s1))
+    v2 = subfile_value(tr.library, tr.scheme_params.layout, SubfileId(file, s2))
     buf = tr.library[file]
     for slot, val in ((s1, v2), (s2, v1)):
         shift = (slot - 1) * ell
@@ -83,7 +83,7 @@ def test_view_invariant_under_hidden_relabeling():
     p = scheme_a.params_for(3, 2, 2, seed=21)
     tr = sim.run_protocol("A", p, (1, 2, 2))
     cached1 = {s.slot for s in tr.caches[0].slots if s.file == 1}
-    block2 = [s for s in tr.layout.block_slots(2) if s not in cached1]
+    block2 = [s for s in tr.scheme_params.layout.block_slots(2) if s not in cached1]
     assert len(block2) >= 2
     relabeled = _swap_slots(tr, 1, block2[0], block2[1])
     for paranoid in (False, True):
@@ -102,8 +102,8 @@ def test_consistent_relabeling_of_cached_slots_also_invisible():
     p = scheme_a.params_for(3, 2, 2, seed=22)
     tr = sim.run_protocol("A", p, (1, 2, 2))
     cached1 = {s.slot for s in tr.caches[0].slots if s.file == 1}
-    cross = next(s for s in tr.layout.block_slots(2) if s in cached1)
-    free = next(s for s in tr.layout.block_slots(2) if s not in cached1)
+    cross = next(s for s in tr.scheme_params.layout.block_slots(2) if s in cached1)
+    free = next(s for s in tr.scheme_params.layout.block_slots(2) if s not in cached1)
     relabeled = _swap_slots(tr, 1, cross, free)
     assert canonical_view(tr, [1]).key() == canonical_view(relabeled, [1]).key()
 
@@ -124,7 +124,7 @@ def test_composition_edit_is_visible():
     m, idx, sid = target
     free = next(
         SubfileId(sid.file, s)
-        for s in tr.layout.block_slots(tr.layout.block_of(sid.slot))
+        for s in tr.scheme_params.layout.block_slots(tr.scheme_params.layout.block_of(sid.slot))
         if SubfileId(sid.file, s) not in cached1
     )
     comp = list(m.composition)
@@ -203,18 +203,18 @@ def _direct_view(tr, coalition, paranoid, messages):
     """A coalition's view relabelled straight from the transcript, slot
     by slot, with no everyone-view in between: the relabelling
     ``canonical_view`` did before it became a projection."""
-    spb = tr.layout.slots_per_block
+    spb = tr.scheme_params.layout.slots_per_block
     pattern = {}
     for u in coalition:
         for sid in tr.caches[u - 1].slots:
             pattern[sid] = pattern.get(sid, ()) + (u,)
-    cache_counts = Counter((sid.file, tr.layout.block_of(sid.slot), pat) for sid, pat in pattern.items())
+    cache_counts = Counter((sid.file, tr.scheme_params.layout.block_of(sid.slot), pat) for sid, pat in pattern.items())
     ordinals, next_in_class, rows = {}, Counter(), []
     for m in messages:
         refs = []
         for sid in m.composition:
             if sid not in ordinals:
-                cls = (sid.file, tr.layout.block_of(sid.slot), pattern.get(sid, ()))
+                cls = (sid.file, tr.scheme_params.layout.block_of(sid.slot), pattern.get(sid, ()))
                 next_in_class[cls] += 1
                 ordinals[sid] = (cls, next_in_class[cls])
             refs.append(ordinals[sid])
@@ -243,7 +243,7 @@ def test_projected_views_match_direct_relabelling(params):
         tr = sim.run_protocol(params.scheme, params, d, source=SeededSource(seed),
                               derandomized=derandomized, structure_only=True)
         for k, per_user in enumerate(tr.broadcasts, 1):
-            assert all(tr.layout.block_of(sid.slot) == k for m in per_user for sid in m.composition)
+            assert all(tr.scheme_params.layout.block_of(sid.slot) == k for m in per_user for sid in m.composition)
         for c in _all_coalitions(K):
             for paranoid in (False, True):
                 head, rows, fp = _direct_view(tr, c, paranoid, tr.all_messages())
