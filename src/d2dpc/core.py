@@ -149,6 +149,12 @@ def check_seed(seed: int) -> None:
 # files are drawn with ``random.getrandbits``, whose bit count is a C int
 MAX_FILE_BITS = 2**31 - 1
 
+# the most entries an instance's randomness-free structure may hold (scheme
+# A's subset ranks and position sets, scheme B's plan table), counted from
+# closed forms before anything is built; each entry is a Python object of
+# about 100 bytes, so the structure stays near 100 MB
+MAX_STRUCTURE_ENTRIES = 1_000_000
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -270,16 +276,24 @@ class SchemeParams:
     also the scheme's interface to the protocol engine and the privacy
     checker.  A scheme states its block shape (``shape``), its corner
     (M, R) (``corner``), its held pairs for ``place`` and its query
-    plans; this base derives everything else from them."""
+    plans; this base derives everything else from them.  An instance
+    whose ``structure_entries`` exceed ``MAX_STRUCTURE_ENTRIES`` is
+    rejected before anything is built."""
 
     scheme = ""
     base: SystemParams
 
     def __post_init__(self):
-        if self.base.B % self.subpacketization:
+        subpacketization = self.subpacketization  # shape() checks the parameter first
+        entries = self.structure_entries()
+        if entries > MAX_STRUCTURE_ENTRIES:
             raise ValueError(
-                f"B={self.base.B} not divisible by the subpacketization "
-                f"{self.subpacketization}"
+                f"instance too large: its structure holds {entries} entries "
+                f"> {MAX_STRUCTURE_ENTRIES}"
+            )
+        if self.base.B % subpacketization:
+            raise ValueError(
+                f"B={self.base.B} not divisible by the subpacketization {subpacketization}"
             )
 
     @classmethod

@@ -66,6 +66,10 @@ class SchemeAParams(SchemeParams):
     def corner(K: int, N: int, t: int) -> tuple[Rat, Rat]:
         return load_a_point(K, N, t)
 
+    def structure_entries(self) -> int:
+        """The subset ranks and position sets ``structure_a`` builds."""
+        return self.base.K * binom(self.U, self.t - 1) + binom(self.U, self.t)
+
     def effective_users(self, k: int) -> list[int]:
         K, N = self.base.K, self.base.N
         return [u for u in range(1, (K - 1) * (N - 1) + K + 1) if u != k]

@@ -60,6 +60,11 @@ class SchemeBParams(SchemeParams):
     def corner(K: int, N: int, tprime: Optional[int]) -> tuple[Rat, Rat]:
         return (Fraction(N), Fraction(0)) if tprime is None else load_b_point(N, tprime)
 
+    def structure_entries(self) -> int:
+        """The compositions in ``structure_b``'s plan table."""
+        N = self.base.N
+        return 0 if self.tprime is None else N * binom(N, self.tprime + 1)
+
     def label(self) -> str:
         tp = self.tprime
         return f"B(N={self.base.N},t'={'full' if tp is None else tp})"

@@ -2,45 +2,54 @@
 
 Privacy is tested as distribution equality: fix the demands of an
 observing coalition, vary the demands of everyone else, and compare the
-distributions of what the coalition sees across all placement/delivery
-randomness.  Views are canonicalised before counting: slot indices are
-relabelled by first occurrence within their (file, block, who-caches-it)
-class, which quotients out exactly the within-block permutations that
-are provably exchangeable, and nothing else.  Payload bits are dropped:
-given the composition structure, the payloads are images of i.i.d.
-uniform unknown subfiles under a structure-determined linear map, so
-they carry no extra information about the demands.  Paranoid mode adds
-a fingerprint of that linear map (which message payloads are explained
-by cached bits, and which XOR combinations cancel) to each view.  The
-fingerprint is computed from the already relabelled rows, so it is a
-function of the view it is added to: it can change neither a verdict
-nor a witness, and it is no check of the canonicalisation.
+distributions of what the coalition sees.  Views are canonicalised
+before counting: slot indices are relabelled by first occurrence within
+their (file, block, who-caches-it) class, which quotients out exactly
+the within-block permutations that are provably exchangeable, and
+nothing else.  Payload bits are dropped: given the composition
+structure, the payloads are images of i.i.d. uniform unknown subfiles
+under a structure-determined linear map, so they carry no extra
+information about the demands.  Paranoid mode adds a fingerprint of
+that linear map (which message payloads are explained by cached bits,
+and which XOR combinations cancel) to each view block.  The fingerprint
+is computed from the already relabelled rows, so it is a function of
+the block it is added to: it can change neither a verdict nor a
+witness, and it is no check of the canonicalisation.
 
-One builder, ``_Everyone``, makes every view.  What the caches fix (each
-cached slot's class, the cache-class counts) is built once per
-placement: per placement point in exact mode, per run in Monte Carlo
-mode and per call of the public view functions.  A run's broadcasts are
-then relabelled one transmitter at a time.  The joint view needs no
-pass of its own: broadcasts are emitted transmitter by transmitter,
-transmitter k XORs only block-k subfiles and a slot's class holds its
-block, so no class spans two transmitters and a joint emission-order
-pass gives the same ordinals.  ``canonical_view`` is therefore
-``canonical_view_blocks`` laid end to end.
+Two facts shrink what a check has to run; tests check both against a
+brute-force enumeration and against raw, uncanonicalised views.
+* A canonical view does not depend on the placement draw, not even one
+  draw at a time: a slot's class and its first-occurrence ordinal are
+  functions of the role the slot plays, which a placement permutation
+  only moves to another physical slot.  So each check builds one
+  placement, the first outcome of every placement draw, and one view
+  builder ``_Everyone`` for its caches.
+* Block k of a view, transmitter k's messages relabelled on their own,
+  depends only on the delivery draws labelled for transmitter k
+  (``label[2] == k``: its position shuffle and its leader choices), and
+  the draws of distinct transmitters are independent.  So a view's
+  distribution is the product of its per-block distributions, and two
+  products are equal exactly when every factor is.  Both modes count
+  block by block: exact mode enumerates one transmitter's draws at a
+  time, every other draw at its first outcome; Monte Carlo mode draws a
+  fresh delivery per trial.
+
+The joint view needs no pass of its own: transmitter k XORs only
+block-k subfiles and a slot's class holds its block, so no class spans
+two transmitters and ``canonical_view`` is ``canonical_view_blocks``
+laid end to end.
 
 A coalition's view is a function of the everyone-view, the view of all
 K users: a slot's pattern for the coalition is its everyone-pattern
 intersected with the coalition, ordinals are renumbered within the
 coarser classes (the everyone-refs already name each physical slot),
 and the cache-class counts are summed onto the coarser classes.  So
-each run is canonicalised once, as the everyone-view, and a coalition's
-view counts are the pushforward of the everyone-view counts.  Exact
-mode counts each run's blocks jointly, so it assumes no independence
-between them; Monte Carlo mode counts them block by block.  Each mode
-has one entry point, which checks a list of coalitions off one shared
-set of protocol runs: ``check_privacy_exact_all`` enumerates the whole
-randomness space of a small instance and compares exact view counts,
-``check_privacy_mc_all`` samples a larger one and gates on
-``debiased_total_variation``.
+each block is canonicalised once, as an everyone-view block, and a
+coalition's counts are the pushforward of the everyone counts.  Each
+mode has one entry point, which checks a list of coalitions off one
+shared set of protocol runs: ``check_privacy_exact_all`` compares exact
+block counts of a small instance, ``check_privacy_mc_all`` samples a
+larger one and gates on ``debiased_total_variation``.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import scheme_a, sim
-from .core import RecordingSource, SeededSource, Transcript, check_seed, derive_seed
+from .core import FixedSource, RecordingSource, SeededSource, Transcript, check_seed, derive_seed
 
 EXACT_ENUMERATION_CAP = 1_000_000
 DEFAULT_TRIALS = 10_000
@@ -136,14 +145,18 @@ class _Everyone:
         cls = self._classes.get(sid)
         return cls if cls is not None else (sid[0], (sid[1] - 1) // self._spb + 1, ())
 
+    def head(self, demands) -> tuple:
+        """Block 0: all users, all demands and the cache-class counts."""
+        return (self._users, tuple(demands), self._cache_classes)
+
+    def rows(self, per_user) -> tuple:
+        """Block k: transmitter k's messages relabelled on their own."""
+        return _relabelled(((m.sender, m.position_set, m.composition) for m in per_user),
+                           self._class_of)
+
     def blocks(self, demands, broadcasts) -> tuple:
-        """A run's everyone-view ``(head, rows_1, ..., rows_K)``: the head
-        holds all users, all demands and the cache-class counts; rows_k
-        is transmitter k's messages relabelled on their own."""
-        return ((self._users, tuple(demands), self._cache_classes),) + tuple(
-            _relabelled(((m.sender, m.position_set, m.composition) for m in per_user), self._class_of)
-            for per_user in broadcasts
-        )
+        """A run's everyone-view ``(head, rows_1, ..., rows_K)``."""
+        return (self.head(demands),) + tuple(self.rows(per_user) for per_user in broadcasts)
 
 
 class _Projection:
@@ -167,61 +180,49 @@ class _Projection:
             out = self._classes[cls] = (f, b, tuple(u for u in pat if u in self._members))
         return out
 
-    def __call__(self, blocks, first: int = 0) -> tuple:
-        """Everyone-view blocks ``first``, ``first + 1``, ... projected."""
+    def __call__(self, block, i: int) -> tuple:
+        """Everyone-view block ``i`` projected."""
         if self._identity:
-            return tuple(blocks)
-        out = []
-        for i, block in enumerate(blocks, first):
-            if i:
-                out.append(_relabelled(block, lambda ref: self._class(ref[0])))
-                continue
-            _, demands, cache_classes = block
-            counts: dict = {}
-            for cls, n in cache_classes:
-                cls = self._class(cls)
-                if cls[2]:
-                    counts[cls] = counts.get(cls, 0) + n
-            own_demands = tuple(demands[u - 1] for u in self.coalition)
-            out.append((self.coalition, own_demands, tuple(sorted(counts.items()))))
-        return tuple(out)
+            return block
+        if i:
+            return _relabelled(block, lambda ref: self._class(ref[0]))
+        _, demands, cache_classes = block
+        counts: dict = {}
+        for cls, n in cache_classes:
+            cls = self._class(cls)
+            if cls[2]:
+                counts[cls] = counts.get(cls, 0) + n
+        own_demands = tuple(demands[u - 1] for u in self.coalition)
+        return (self.coalition, own_demands, tuple(sorted(counts.items())))
 
 
-def _view_key(blocks: tuple, paranoid: bool) -> tuple:
-    """A coalition's ``ObserverView`` fields from its blocks."""
-    rows = tuple(itertools.chain.from_iterable(blocks[1:]))
-    return blocks[0] + (rows, _fingerprint(rows) if paranoid else ())
-
-
-def _count_then_project(runs, demand_vectors, coalitions, K: int, marginal: bool, paranoid=False):
-    """The counting of both samplers.  ``runs`` yields (demand vector,
-    everyone-view blocks) per run, counted once: as the joint key or,
-    with ``marginal``, block by block.  A coalition's counts are their
-    pushforward under its ``_Projection``, run once per distinct value.
-    Returns dists[coalition][demand vector]: a Counter of view keys, or
-    with ``marginal`` a list of per-block Counters."""
-    parts = K + 1 if marginal else 1
-    counts = {d: [Counter() for _ in range(parts)] for d in demand_vectors}
-    for d, blocks in runs:
-        for counter, value in zip(counts[d], blocks if marginal else (blocks,)):
-            counter[value] += 1
+def _count_then_project(runs, demand_vectors, coalitions, K: int, paranoid: bool = False):
+    """The one counter of both samplers, block by block.  ``runs`` yields
+    (demand vector, block index, everyone-view block).  A coalition's
+    counts are their pushforward under its ``_Projection``, run once per
+    distinct block; ``paranoid`` pairs each message block with its
+    fingerprint.  Returns dists[coalition][demand vector], a list of
+    per-block Counters."""
+    counts = {d: [Counter() for _ in range(K + 1)] for d in demand_vectors}
+    for d, i, block in runs:
+        counts[d][i][block] += 1
     dists: dict = {}
     for c in coalitions:
         proj = _Projection(c, K)
-        if marginal:
-            images = [lambda block, i=i: proj((block,), i)[0] for i in range(parts)]
-        else:
-            images = [lambda blocks: _view_key(proj(blocks), paranoid)]
-        memos: list = [{} for _ in range(parts)]
+        memos: list = [{} for _ in range(K + 1)]
         dists[c] = {}
         for d, counters in counts.items():
-            pushed = [Counter() for _ in range(parts)]
-            for out, counter, image, memo in zip(pushed, counters, images, memos):
-                for value, n in counter.items():
-                    if value not in memo:
-                        memo[value] = image(value)
-                    out[memo[value]] += n
-            dists[c][d] = pushed if marginal else pushed[0]
+            pushed = [Counter() for _ in range(K + 1)]
+            for i, (out, counter, memo) in enumerate(zip(pushed, counters, memos)):
+                for block, n in counter.items():
+                    image = memo.get(block)
+                    if image is None:
+                        image = proj(block, i)
+                        if paranoid and i:
+                            image = (image, _fingerprint(image))
+                        memo[block] = image
+                    out[image] += n
+            dists[c][d] = pushed
     return dists
 
 
@@ -256,7 +257,9 @@ def canonical_view(transcript: Transcript, coalition, paranoid: bool = False) ->
     never enter.  Its rows are the blocks of ``canonical_view_blocks``
     laid end to end (see the module docstring).
     """
-    return ObserverView(*_view_key(canonical_view_blocks(transcript, coalition), paranoid))
+    head, *blocks = canonical_view_blocks(transcript, coalition)
+    rows = tuple(itertools.chain.from_iterable(blocks))
+    return ObserverView(*head, rows, _fingerprint(rows) if paranoid else ())
 
 
 def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
@@ -264,17 +267,16 @@ def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
 
     Block 0 holds the coalition's demands and cache structure; block k
     holds transmitter k's canonicalised messages with slot ordinals that
-    restart per transmitter.  Each block is a function of a disjoint set
-    of the scheme's random draws, so the blocks are independent given
-    the demands and the joint view distribution is the product of the
-    block marginals; comparing marginals therefore loses nothing, and it
-    is what the Monte Carlo total-variation estimate can resolve.  Block
-    k of a coalition is block k of the everyone-view projected onto it.
+    restart per transmitter.  The joint view distribution is the product
+    of the block marginals (see the module docstring), so comparing
+    marginals loses nothing.  Block k of a coalition is block k of the
+    everyone-view projected onto it.
     """
     K = transcript.scheme_params.base.K
-    coalition = _coalition(coalition, K)
+    proj = _Projection(_coalition(coalition, K), K)
     everyone = _Everyone(transcript.caches, transcript.scheme_params.layout)
-    return _Projection(coalition, K)(everyone.blocks(transcript.demands, transcript.broadcasts))
+    return tuple(proj(block, i) for i, block in
+                 enumerate(everyone.blocks(transcript.demands, transcript.broadcasts)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,61 +284,63 @@ def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _all_demand_vectors(scheme_params):
+def _setup(scheme_params, coalitions):
+    """A check's checked coalitions, its demand vectors and its one
+    placement: the first outcome of every placement draw."""
     base = scheme_params.base
-    return list(itertools.product(range(1, base.N + 1), repeat=base.K))
+    coalitions = [_coalition(c, base.K) for c in coalitions]
+    demand_vectors = list(itertools.product(range(1, base.N + 1), repeat=base.K))
+    return coalitions, demand_vectors, scheme_params.place(RecordingSource(), structure_only=True)
 
 
-def enumerate_view_distributions(
-    scheme: str,
-    scheme_params,
-    coalitions,
-    cap: int = EXACT_ENUMERATION_CAP,
-    derandomized: bool = False,
-    paranoid: bool = False,
-):
-    """Exact view distribution per (coalition, demand vector).
+def _split(recorder: RecordingSource, K: int):
+    """Recorded delivery draws split by transmitter: (the first outcome
+    of every draw, one ``RecordingSource`` per transmitter k holding
+    the draws labelled for it, ``label[2] == k``)."""
+    first = {label: xs if kind == "permutation" else xs[0] for label, xs, kind in recorder.draws}
+    own = [RecordingSource() for _ in range(K)]
+    for draw in recorder.draws:
+        own[draw[0][2] - 1].draws.append(draw)
+    return first, own
 
-    The randomness space is the draws the scheme actually makes: one
-    ``place`` and, per demand vector, one ``query_plans`` are run on a
-    ``RecordingSource``, the space's size is checked against ``cap``
-    before anything is built, and every point (placement draws x
-    delivery draws) is replayed for every demand vector.  The returned
-    counters all have identical totals, so distribution equality is
-    plain counter equality.  Placements, and the view builder their
-    caches fix, are built once per placement point and reused across
-    demand vectors and delivery draws.  Each run's everyone-view is
-    counted once; a coalition's counts are their projection (see
-    ``_Projection``).
+
+def enumerate_view_distributions(scheme_params, coalitions, cap: int = EXACT_ENUMERATION_CAP,
+                                 derandomized: bool = False, paranoid: bool = False):
+    """Exact per-block view distributions per (coalition, demand vector).
+
+    Per demand vector, a ``RecordingSource`` records the delivery draws,
+    split by transmitter; the number of runs, the sum of the
+    transmitters' spaces, is checked against ``cap`` before any run.
+    Block k is counted over every point of transmitter k's draws, every
+    other draw at its first outcome, on the check's one placement (see
+    the module docstring).  Block k's counters all have the same total,
+    so distribution equality is plain counter equality.  Returns
+    dists[coalition][demand vector] = list of per-block Counters.
     """
-    sim.check_scheme(scheme, scheme_params)
+    coalitions, demand_vectors, placement = _setup(scheme_params, coalitions)
     K = scheme_params.base.K
-    coalitions = [_coalition(c, K) for c in coalitions]
-    demand_vectors = _all_demand_vectors(scheme_params)
-
-    placement_draws = RecordingSource()
-    recorded = scheme_params.place(placement_draws, structure_only=True)
-    placement_points = placement_draws.size()
-    delivery_draws = {}
+    spaces = {}
     for d in demand_vectors:
-        delivery_draws[d] = RecordingSource()
-        scheme_params.query_plans(recorded, d, delivery_draws[d], derandomized)
-        total = placement_points * delivery_draws[d].size()
-        if total > cap:
-            raise ExactModeTooLarge(total, cap)
+        recorder = RecordingSource()
+        scheme_params.query_plans(placement, d, recorder, derandomized)
+        spaces[d] = _split(recorder, K)
+    total = sum(own.size() for _, per_k in spaces.values() for own in per_k)
+    if total > cap:
+        raise ExactModeTooLarge(total, cap)
+    everyone = _Everyone(placement.caches, scheme_params.layout)
 
     def runs():
-        for placement_source in placement_draws.assignments():
-            placement = scheme_params.place(placement_source, structure_only=True)
-            everyone = _Everyone(placement.caches, scheme_params.layout)
-            for d, draws in delivery_draws.items():
-                for source in draws.assignments():
-                    tr = sim.run_protocol(scheme, scheme_params, d, source=source,
+        for d, (first, per_k) in spaces.items():
+            yield d, 0, everyone.head(d)
+            for k, own in enumerate(per_k, 1):
+                for point in own.assignments():
+                    source = FixedSource({**first, **point.assignment})
+                    tr = sim.run_protocol(scheme_params.scheme, scheme_params, d, source=source,
                                           derandomized=derandomized, structure_only=True,
                                           placement=placement)
-                    yield d, everyone.blocks(tr.demands, tr.broadcasts)
+                    yield d, k, everyone.rows(tr.broadcasts[k - 1])
 
-    return _count_then_project(runs(), demand_vectors, coalitions, K, False, paranoid)
+    return _count_then_project(runs(), demand_vectors, coalitions, K, paranoid)
 
 
 def _grouped_by_fixing(distributions: dict, coalition):
@@ -387,8 +391,8 @@ def _exact_report(scheme_params, coalition, dists) -> PrivacyReport:
     witness = None
     for fixing, group in _grouped_by_fixing(dists, coalition).items():
         (d0, ref), rest = group[0], group[1:]
-        for d, counter in rest:
-            if counter != ref:
+        for d, counters in rest:
+            if counters != ref:
                 witness = (fixing, d0, d)
                 break
         if witness:
@@ -413,11 +417,10 @@ def check_privacy_exact_all(
 ) -> dict[tuple[int, ...], PrivacyReport]:
     """Exact demand privacy for each coalition, off one shared
     enumeration (see module docstring).  ``paranoid`` adds the payload
-    fingerprint to each view; it is a function of the view, so the
-    reports are the same with it and without it."""
-    dists = enumerate_view_distributions(
-        scheme, scheme_params, coalitions, cap, derandomized, paranoid
-    )
+    fingerprint to each view block; it is a function of the block, so
+    the reports are the same with it and without it."""
+    sim.check_scheme(scheme, scheme_params)
+    dists = enumerate_view_distributions(scheme_params, coalitions, cap, derandomized, paranoid)
     return {c: _exact_report(scheme_params, c, by_d) for c, by_d in dists.items()}
 
 
@@ -450,36 +453,30 @@ def debiased_total_variation(a: Counter, b: Counter) -> tuple[float, float]:
     return raw, max(0.0, raw - bias)
 
 
-def sample_view_distributions(
-    scheme: str,
-    scheme_params,
-    coalitions,
-    trials: int,
-    base_seed: int = 0,
-    derandomized: bool = False,
-):
-    """trials independent seeded runs per demand vector, shared across
-    coalitions: each run's everyone-view blocks are counted once, and a
-    coalition's block counts are their projection (see ``_Projection``).
+def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed: int = 0,
+                              derandomized: bool = False):
+    """trials independent seeded deliveries per demand vector on the
+    check's one placement, shared across coalitions: each run's
+    everyone-view blocks are counted once, and a coalition's block
+    counts are their projection (see ``_Projection``).
 
     Returns dists[coalition][demand vector] = list of per-block Counters.
     """
-    sim.check_scheme(scheme, scheme_params)
     check_seed(base_seed)
-    K = scheme_params.base.K
-    coalitions = [_coalition(c, K) for c in coalitions]
-    demand_vectors = _all_demand_vectors(scheme_params)
+    coalitions, demand_vectors, placement = _setup(scheme_params, coalitions)
+    everyone = _Everyone(placement.caches, scheme_params.layout)
 
     def runs():
         for d in demand_vectors:
             for trial in range(trials):
                 source = SeededSource(derive_seed(base_seed, f"mc|{d}|{trial}"))
-                tr = sim.run_protocol(scheme, scheme_params, d, source=source,
-                                      derandomized=derandomized, structure_only=True)
-                everyone = _Everyone(tr.caches, scheme_params.layout)
-                yield d, everyone.blocks(tr.demands, tr.broadcasts)
+                tr = sim.run_protocol(scheme_params.scheme, scheme_params, d, source=source,
+                                      derandomized=derandomized, structure_only=True,
+                                      placement=placement)
+                for i, block in enumerate(everyone.blocks(d, tr.broadcasts)):
+                    yield d, i, block
 
-    return _count_then_project(runs(), demand_vectors, coalitions, K, True)
+    return _count_then_project(runs(), demand_vectors, coalitions, scheme_params.base.K)
 
 
 def _max_tv_report(scheme_params, coalition, dists, trials, tolerance) -> PrivacyReport:
@@ -527,9 +524,8 @@ def check_privacy_mc_all(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    dists = sample_view_distributions(
-        scheme, scheme_params, coalitions, trials, base_seed, derandomized
-    )
+    sim.check_scheme(scheme, scheme_params)
+    dists = sample_view_distributions(scheme_params, coalitions, trials, base_seed, derandomized)
     return {
         c: _max_tv_report(scheme_params, c, by_d, trials, tolerance)
         for c, by_d in dists.items()

@@ -207,6 +207,19 @@ def test_gap_n8_value():
     assert Fraction(9, 2) < report.argmax_m < 6
 
 
+def test_two_user_worst_gap_closed_form():
+    # on the corner-only grid the worst ratio of scheme B to the two-user
+    # converse is 4(N'+1)/(3(N'+2)) with N' = 2*floor(N/2): it rises with
+    # N, below 4/3 and tending to it, so 14/11 (N = 20, 21) is no bound
+    for N in range(2, 61):
+        achievable, converse = scheme_b_curve(N), converse_two_user_curve(N)
+        lo, hi = Fraction(N, 2), Fraction(N)
+        assert (max(achievable.min_m, converse.min_m), min(achievable.max_m, converse.max_m)) == (lo, hi)
+        report = gap(achievable, converse, gap_grid(achievable, converse, lo, hi, 0))
+        even = 2 * (N // 2)
+        assert report.max_ratio == Fraction(4 * (even + 1), 3 * (even + 2)), N
+
+
 def test_scheme_a_within_three_of_shared_link():
     assert scheme_a_within_three_of_shared_link(3, 2)
     assert scheme_a_within_three_of_shared_link(10, 40)

@@ -151,20 +151,37 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_verify_exact_too_large_exits_2_under_memory_limit():
-    # A(2,5,3) draws 10 placement permutations of 10 slots each; exact
-    # mode must reject it from the size of that space, before building
-    # any of it, so a child capped at 1 GiB exits 2 with the cap message
+def _run_limited(argv):
+    """``python -m d2dpc argv`` in a child capped at 1 GiB of address space."""
     env = {k: v for k, v in os.environ.items() if k != "D2DPC_ENUM_CAP"}
     env["PYTHONPATH"] = str(ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "d2dpc", "verify", "--scheme", "A", "--K", "2", "--N", "5",
-         "--t", "3", "--mode", "exact", "--coalition", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "d2dpc", *argv],
         env=env, preexec_fn=_limit_address_space, capture_output=True, text=True,
         timeout=60, check=False,
     )
+
+
+def test_verify_exact_too_large_exits_2_under_memory_limit():
+    # A(2,10,2): each transmitter's position shuffle alone has 10! > 10^6
+    # outcomes; exact mode must reject it from the size of its space,
+    # before building any of it, so a child capped at 1 GiB exits 2 with
+    # the cap message
+    proc = _run_limited(["verify", "--scheme", "A", "--K", "2", "--N", "10", "--t", "2",
+                         "--mode", "exact", "--coalition", "1"])
     assert proc.returncode == 2, proc.stderr
     assert re.search(r"randomness space has \d+ outcomes > cap \d+", proc.stdout)
+
+
+def test_simulate_too_large_structure_exits_2_under_memory_limit():
+    # A(3,14,14)'s subset ranks and position sets come to ~152 M entries;
+    # the instance is rejected from their closed forms before any is
+    # built, instead of ending in a MemoryError traceback
+    proc = _run_limited(["simulate", "--scheme", "A", "--K", "3", "--N", "14", "--t", "14",
+                         "--demands", "1,2,3"])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "argument --t: instance too large" in proc.stderr.strip().splitlines()[-1]
 
 
 _SIMULATE_A = ["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1", "--demands", "1,2"]

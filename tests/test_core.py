@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from d2dpc.core import (
+    MAX_STRUCTURE_ENTRIES,
     SystemParams,
     random_library,
     resolve_file_size,
@@ -42,6 +43,27 @@ def test_params_validation():
         SystemParams(K=2, N=2, B=0)
     with pytest.raises(ValueError, match="file size"):
         SystemParams(K=2, N=2, B=2**31)  # beyond what random.getrandbits draws
+
+
+@pytest.mark.parametrize(
+    "build,entries",
+    [
+        # K * binom(U, t-1) subset ranks + binom(U, t) position sets, U = (K-1) N
+        (lambda: scheme_a.params_for(3, 14, 14), 3 * 37_442_160 + 40_116_600),
+        # N * binom(N, t'+1) compositions in the plan table
+        (lambda: scheme_b.params_for(130, 1), 130 * 8_385),
+    ],
+)
+def test_too_large_structure_is_rejected_before_it_is_built(build, entries):
+    assert entries > MAX_STRUCTURE_ENTRIES
+    with pytest.raises(ValueError, match=f"instance too large: its structure holds {entries} entries"):
+        build()
+
+
+def test_largest_instance_in_use_is_admitted():
+    assert scheme_a.params_for(4, 5, 8).structure_entries() == 4 * 6_435 + 6_435
+    assert scheme_b.params_for(120, 1).structure_entries() < MAX_STRUCTURE_ENTRIES
+    assert scheme_b.params_for(5, None).structure_entries() == 0
 
 
 @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 10**20])

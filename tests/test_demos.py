@@ -35,3 +35,20 @@ def test_protocol_walkthrough_output_pinned():
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == WALKTHROUGH_DIGEST
+
+
+def test_privacy_audit_demo_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "privacy_audit.py")],
+        env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sections = proc.stdout.split("\n\n")
+    assert len(sections) == 3
+    verdicts = [[line for line in s.splitlines() if "verdict=" in line] for s in sections]
+    exact, baseline, mc = verdicts
+    assert len(exact) == 14 and len(baseline) == 3 and len(mc) == 6
+    assert all("verdict=PASS" in line for line in exact + mc)
+    assert all("verdict=FAIL" in line and "witness=" in line for line in baseline)
+    assert "K=3" in exact[-1] and "coalition={2,3}" in exact[-1]

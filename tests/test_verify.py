@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -168,15 +169,16 @@ def test_exact_privacy_baseline_fails():
 
 
 def test_exact_enumeration_order_invariance(monkeypatch):
-    # the verdict cannot depend on the order the randomness is enumerated
-    instances = [("B", scheme_b.params_for(2, 1)), ("A", scheme_a.params_for(2, 2, 1))]
-    refs = [verify.enumerate_view_distributions(s, p, [(1,)]) for s, p in instances]
+    # the verdict cannot depend on the order the randomness is enumerated,
+    # nor on which placement the recorded first outcomes make
+    instances = [scheme_b.params_for(2, 1), scheme_a.params_for(2, 2, 1)]
+    refs = [verify.enumerate_view_distributions(p, [(1,)]) for p in instances]
     permutation, choice = RecordingSource.permutation, RecordingSource.choice
     monkeypatch.setattr(RecordingSource, "permutation",
                         lambda self, label, items: permutation(self, label, items[::-1]))
     monkeypatch.setattr(RecordingSource, "choice",
                         lambda self, label, options: choice(self, label, options[::-1]))
-    flipped = [verify.enumerate_view_distributions(s, p, [(1,)]) for s, p in instances]
+    flipped = [verify.enumerate_view_distributions(p, [(1,)]) for p in instances]
     assert refs == flipped
 
 
@@ -255,15 +257,15 @@ def test_projected_views_match_direct_relabelling(params):
 
 
 @pytest.mark.parametrize(
-    "scheme,params,placements",
+    "scheme,params",
     [
-        pytest.param("A", scheme_a.params_for(2, 2, 2), 16, id="A(2,2,2)"),
-        pytest.param("B", scheme_b.params_for(3, 1), 46_656, id="B(3,1)"),
+        pytest.param("A", scheme_a.params_for(2, 2, 2), id="A(2,2,2)"),
+        pytest.param("B", scheme_b.params_for(3, 1), id="B(3,1)"),
     ],
 )
-def test_everyone_view_built_once_per_placement(scheme, params, placements, monkeypatch):
-    # the placement fixes every cache, so exact mode builds the everyone
-    # view once per placement point (B(3,1): 46,656 points, 419,904 runs)
+def test_everyone_view_built_once_per_placement(scheme, params, monkeypatch):
+    # the placement fixes every cache, and a check runs on one placement
+    # (views do not depend on it), so it builds the everyone view once
     class Counting(verify._Everyone):
         built = 0
 
@@ -274,7 +276,7 @@ def test_everyone_view_built_once_per_placement(scheme, params, placements, monk
     monkeypatch.setattr(verify, "_Everyone", Counting)
     reports = check_privacy_exact_all(scheme, params, [(1,), (2,)], paranoid=True)
     assert all(r.private for r in reports.values())
-    assert Counting.built == placements
+    assert Counting.built == 1
 
 
 def _placement_atoms(p) -> list:
@@ -375,24 +377,36 @@ def test_recorded_draws_do_not_depend_on_drawn_values(params, derandomized):
     assert all(draws == recordings[0] for draws in recordings[1:])
 
 
-def _joint_exact(p, coalitions, derandomized, paranoid):
-    """The oracle of ``enumerate_view_distributions``: every run of the
-    joint randomness space, enumerated from the hand-listed atoms, every
-    coalition's view counted on its own."""
-    demand_vectors = _demand_vectors(p)
-    dists = {c: {d: Counter() for d in demand_vectors} for c in coalitions}
+def _joint_runs(p, derandomized):
+    """Every run of the joint placement x delivery space, enumerated from
+    the hand-listed atoms, as (demand vector, transcript)."""
     p_atoms = _placement_atoms(p)
     for p_combo in itertools.product(*(opts for _, opts in p_atoms)):
         p_assign = dict(zip((lab for lab, _ in p_atoms), p_combo))
-        for d in demand_vectors:
+        for d in _demand_vectors(p):
             d_atoms = _delivery_atoms(p, d, derandomized)
             for d_combo in itertools.product(*(opts for _, opts in d_atoms)):
                 source = FixedSource({**p_assign, **dict(zip((lab for lab, _ in d_atoms), d_combo))})
-                tr = sim.run_protocol(p.scheme, p, d, source=source, derandomized=derandomized,
-                                      structure_only=True)
-                for c in coalitions:
-                    dists[c][d][canonical_view(tr, c, paranoid).key()] += 1
+                yield d, sim.run_protocol(p.scheme, p, d, source=source, derandomized=derandomized,
+                                          structure_only=True)
+
+
+def _joint_counts(p, coalitions, derandomized, view):
+    """dists[coalition][demand vector]: a Counter of ``view(tr, c)`` over
+    every joint run."""
+    dists = {c: {d: Counter() for d in _demand_vectors(p)} for c in coalitions}
+    for d, tr in _joint_runs(p, derandomized):
+        for c in coalitions:
+            dists[c][d][view(tr, c)] += 1
     return dists
+
+
+def _joint_exact(p, coalitions, derandomized, paranoid):
+    """The oracle of ``enumerate_view_distributions``: every run of the
+    joint randomness space, every coalition's joint view counted on its
+    own."""
+    return _joint_counts(p, coalitions, derandomized,
+                         lambda tr, c: canonical_view(tr, c, paranoid).key())
 
 
 def _joint_mc(p, coalitions, trials, base_seed, derandomized):
@@ -424,11 +438,142 @@ def _joint_mc(p, coalitions, trials, base_seed, derandomized):
     ],
 )
 def test_projected_exact_distributions_match_joint_oracle(params, derandomized, paranoid):
+    # per demand vector, the joint view distribution over the whole
+    # placement x delivery space is the product of the per-block
+    # distributions exact mode counts on one placement
     coalitions = _all_coalitions(params.base.K)
     got = verify.enumerate_view_distributions(
-        params.scheme, params, coalitions, derandomized=derandomized, paranoid=paranoid
+        params, coalitions, derandomized=derandomized, paranoid=paranoid
     )
-    assert got == _joint_exact(params, coalitions, derandomized, paranoid)
+    joint = _joint_exact(params, coalitions, derandomized, paranoid)
+    for c in coalitions:
+        for d, counter in joint[c].items():
+            total = sum(counter.values())
+            assert _product(got[c][d], paranoid) == {v: Fraction(n, total) for v, n in counter.items()}
+
+
+def _product(counters, paranoid) -> dict:
+    """The joint view distribution whose per-block factors are
+    ``counters``, keyed like ``canonical_view(...).key()``, as exact
+    Fractions."""
+    totals = [sum(counter.values()) for counter in counters]
+    dist: dict = {}
+    for combo in itertools.product(*(counter.items() for counter in counters)):
+        (head, _), *blocks = combo
+        rows = tuple(itertools.chain.from_iterable(b[0] if paranoid else b for b, _ in blocks))
+        key = head + (rows, verify._fingerprint(rows) if paranoid else ())
+        p = math.prod(Fraction(n, total) for (_, n), total in zip(combo, totals))
+        dist[key] = dist.get(key, 0) + p
+    return dist
+
+
+def _placements(p, samples):
+    """Every placement point of ``p`` when ``samples`` is None; else the
+    first-outcome placement exact mode uses and ``samples`` seeded ones."""
+    recorder = RecordingSource()
+    first = p.place(recorder, structure_only=True)
+    if samples is None:
+        return [p.place(source, structure_only=True) for source in recorder.assignments()]
+    return [first] + [p.place(SeededSource(seed), structure_only=True) for seed in range(samples)]
+
+
+@pytest.mark.parametrize(
+    "params,samples,count",
+    [
+        pytest.param(scheme_a.params_for(2, 2, 2), None, 16, id="A(2,2,2)"),
+        pytest.param(scheme_b.params_for(4, 3), None, 256, id="B(4,3)"),
+        pytest.param(scheme_a.params_for(3, 2, 2), 8, 9, id="A(3,2,2)"),
+        pytest.param(scheme_a.params_for(3, 3, 3), 4, 5, id="A(3,3,3)"),
+        pytest.param(scheme_b.params_for(3, 1), 8, 9, id="B(3,1)"),
+    ],
+)
+def test_views_do_not_depend_on_the_placement_draw(params, samples, count):
+    # with the delivery draws fixed, every placement gives the same
+    # everyone-view blocks: the fact that lets a check run on one placement
+    placements = _placements(params, samples)
+    assert len(placements) == count
+    for d in _demand_vectors(params):
+        for seed, derandomized in itertools.product(range(2), (False, True)):
+            views = set()
+            for placement in placements:
+                tr = sim.run_protocol(params.scheme, params, d, source=SeededSource(seed),
+                                      derandomized=derandomized, structure_only=True,
+                                      placement=placement)
+                views.add(verify._Everyone(placement.caches, params.layout).blocks(d, tr.broadcasts))
+            assert len(views) == 1, (d, seed, derandomized)
+
+
+@pytest.mark.parametrize(
+    "params,demand_vectors",
+    [
+        pytest.param(scheme_a.params_for(2, 2, 2), None, id="A(2,2,2)"),
+        pytest.param(scheme_a.params_for(3, 2, 2), None, id="A(3,2,2)"),
+        pytest.param(scheme_a.params_for(4, 2, 2), [(1, 1, 2, 2), (2, 1, 1, 1)], id="A(4,2,2)"),
+    ],
+)
+def test_block_k_depends_only_on_transmitter_k_draws(params, demand_vectors):
+    # vary each recorded delivery draw over all its outcomes, the others
+    # at their first outcome: only the block of the transmitter the label
+    # names may change, and a position shuffle does change it
+    placement = params.place(RecordingSource(), structure_only=True)
+    everyone = verify._Everyone(placement.caches, params.layout)
+    for d in demand_vectors or _demand_vectors(params):
+        recorder = RecordingSource()
+        params.query_plans(placement, d, recorder)
+        first, _ = verify._split(recorder, params.base.K)
+
+        def blocks(assignment):
+            tr = sim.run_protocol(params.scheme, params, d, source=FixedSource(assignment),
+                                  structure_only=True, placement=placement)
+            return everyone.blocks(d, tr.broadcasts)
+
+        base = blocks(first)
+        for draw in recorder.draws:
+            single = RecordingSource()
+            single.draws.append(draw)
+            changed = set()
+            for point in single.assignments():
+                got = blocks({**first, **point.assignment})
+                changed |= {i for i, (a, b) in enumerate(zip(base, got)) if a != b}
+            assert changed <= {draw[0][2]}, (d, draw[0])
+            if draw[0][1] == "q":
+                assert changed == {draw[0][2]}, (d, draw[0])
+
+
+def _raw_view(tr, coalition):
+    """What a coalition sees with no canonicalisation: physical slot ids,
+    each member's cache slots, every (sender, position set, composition)."""
+    return (
+        coalition,
+        tuple(tr.demands[u - 1] for u in coalition),
+        tuple(tr.caches[u - 1].slots for u in coalition),
+        tuple((m.sender, m.position_set, m.composition) for m in tr.all_messages()),
+    )
+
+
+@pytest.mark.parametrize("derandomized", [False, True])
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(scheme_a.params_for(2, 2, 1), id="A(2,2,1)"),
+        pytest.param(scheme_a.params_for(2, 2, 2), id="A(2,2,2)"),
+        pytest.param(scheme_b.params_for(2, 1), id="B(2,1)"),
+        pytest.param(scheme_b.params_for(3, 0), id="B(3,0)"),
+        pytest.param(scheme_b.params_for(4, 3), id="B(4,3)"),
+    ],
+)
+def test_raw_view_verdicts_match_exact_mode(params, derandomized):
+    # raw views over the whole joint placement x delivery space trust
+    # neither the canonicaliser nor the one-placement, per-block counting
+    coalitions = _all_coalitions(params.base.K)
+    raw = _joint_counts(params, coalitions, derandomized, _raw_view)
+    exact = check_privacy_exact_all(params.scheme, params, coalitions, derandomized=derandomized)
+    for c in coalitions:
+        groups: dict = {}
+        for d, counter in raw[c].items():
+            groups.setdefault(tuple(d[u - 1] for u in c), []).append(counter)
+        private = all(counter == group[0] for group in groups.values() for counter in group)
+        assert exact[c].private is private, c
 
 
 @pytest.mark.parametrize("derandomized", [False, True])
@@ -437,7 +582,7 @@ def test_projected_mc_distributions_match_joint_oracle(K, N, t, trials, derandom
     p = scheme_a.params_for(K, N, t, seed=6)
     coalitions = _all_coalitions(K)
     got = verify.sample_view_distributions(
-        "A", p, coalitions, trials, base_seed=17, derandomized=derandomized
+        p, coalitions, trials, base_seed=17, derandomized=derandomized
     )
     assert got == _joint_mc(p, coalitions, trials, 17, derandomized)
 
@@ -445,8 +590,8 @@ def test_projected_mc_distributions_match_joint_oracle(K, N, t, trials, derandom
 @pytest.mark.parametrize(
     "entry",
     [
-        pytest.param(lambda p, cs: verify.enumerate_view_distributions("A", p, cs), id="exact"),
-        pytest.param(lambda p, cs: verify.sample_view_distributions("A", p, cs, 2), id="mc"),
+        pytest.param(lambda p, cs: verify.enumerate_view_distributions(p, cs), id="exact"),
+        pytest.param(lambda p, cs: verify.sample_view_distributions(p, cs, 2), id="mc"),
     ],
 )
 def test_coalitions_are_checked_before_any_run(entry, monkeypatch):
@@ -467,8 +612,22 @@ def test_mc_rejects_out_of_range_base_seed(base_seed):
 
 
 def test_exact_cap_error():
+    # A(4,3,2): each transmitter shuffles 9 positions, 9! * 3^3 runs apiece
     with pytest.raises(ExactModeTooLarge, match="Monte Carlo"):
-        check_privacy_exact_all("A", scheme_a.params_for(3, 2, 2), [[1]])
+        check_privacy_exact_all("A", scheme_a.params_for(4, 3, 2), [[1]])
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_exact_privacy_three_users_all_coalitions(t):
+    # every coalition of one or two users, checked off one enumeration
+    p = scheme_a.params_for(3, 2, t)
+    coalitions = [c for c in _all_coalitions(3) if len(c) < 3]
+    assert len(coalitions) == 6
+    reports = check_privacy_exact_all("A", p, coalitions, paranoid=True)
+    assert all(r.private for r in reports.values())
+    baseline = check_privacy_exact_all("A", p, coalitions, derandomized=True)
+    assert not any(r.private for r in baseline.values())
+    assert all(r.witness is not None for r in baseline.values())
 
 
 def test_mc_agrees_with_exact_on_small_instance():
