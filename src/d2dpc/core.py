@@ -123,15 +123,26 @@ class RecordingSource:
             for _, xs, kind in self.draws
         )
 
-    def assignments(self):
-        """One strict ``FixedSource`` per point of the recorded space."""
-        labels = [label for label, _, _ in self.draws]
-        pools = [
+    def labels(self) -> list:
+        return [label for label, _, _ in self.draws]
+
+    def points(self):
+        """Every point of the recorded space: the tuple of drawn values,
+        one per draw in recorded order, a permutation as a tuple.  The
+        first point is the first outcome of every draw."""
+        return itertools.product(*(
             itertools.permutations(xs) if kind == "permutation" else xs
             for _, xs, kind in self.draws
-        ]
-        for point in itertools.product(*pools):
-            yield FixedSource(dict(zip(labels, point)))
+        ))
+
+    def sample(self, source) -> tuple:
+        """One point of the recorded space, each draw asked of ``source``
+        in recorded order; shaped like the points of ``points``."""
+        return tuple(
+            tuple(source.permutation(label, xs)) if kind == "permutation"
+            else source.choice(label, xs)
+            for label, xs, kind in self.draws
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,12 @@ brute-force enumeration and against raw, uncanonicalised views.
   the draws of distinct transmitters are independent.  So a view's
   distribution is the product of its per-block distributions, and two
   products are equal exactly when every factor is.  Both modes count
-  block by block: exact mode enumerates one transmitter's draws at a
-  time, every other draw at its first outcome; Monte Carlo mode draws a
-  fresh delivery per trial.
+  block by block, off one block cache per demand vector (``_Blocks``):
+  a transmitter's point is the values of its own draws, and a protocol
+  run happens only when some transmitter's point is new.  Exact mode
+  enumerates every transmitter's points in lockstep; a Monte Carlo
+  trial draws a point, each recorded draw asked of the trial's seeded
+  source, which gives the values a seeded run would draw.
 
 The joint view needs no pass of its own: transmitter k XORs only
 block-k subfiles and a slot's class holds its block, so no class spans
@@ -198,14 +201,15 @@ class _Projection:
 
 def _count_then_project(runs, demand_vectors, coalitions, K: int, paranoid: bool = False):
     """The one counter of both samplers, block by block.  ``runs`` yields
-    (demand vector, block index, everyone-view block).  A coalition's
+    (demand vector, block index, everyone-view block, multiplicity),
+    each block first in the order the sampler met it.  A coalition's
     counts are their pushforward under its ``_Projection``, run once per
     distinct block; ``paranoid`` pairs each message block with its
     fingerprint.  Returns dists[coalition][demand vector], a list of
     per-block Counters."""
     counts = {d: [Counter() for _ in range(K + 1)] for d in demand_vectors}
-    for d, i, block in runs:
-        counts[d][i][block] += 1
+    for d, i, block, n in runs:
+        counts[d][i][block] += n
     dists: dict = {}
     for c in coalitions:
         proj = _Projection(c, K)
@@ -285,62 +289,94 @@ def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
 
 
 def _setup(scheme_params, coalitions):
-    """A check's checked coalitions, its demand vectors and its one
-    placement: the first outcome of every placement draw."""
+    """A check's checked coalitions, its demand vectors, its one
+    placement (the first outcome of every placement draw) and the view
+    builder for that placement's caches."""
     base = scheme_params.base
     coalitions = [_coalition(c, base.K) for c in coalitions]
     demand_vectors = list(itertools.product(range(1, base.N + 1), repeat=base.K))
-    return coalitions, demand_vectors, scheme_params.place(RecordingSource(), structure_only=True)
+    placement = scheme_params.place(RecordingSource(), structure_only=True)
+    return coalitions, demand_vectors, placement, _Everyone(placement.caches, scheme_params.layout)
 
 
-def _split(recorder: RecordingSource, K: int):
-    """Recorded delivery draws split by transmitter: (the first outcome
-    of every draw, one ``RecordingSource`` per transmitter k holding
-    the draws labelled for it, ``label[2] == k``)."""
-    first = {label: xs if kind == "permutation" else xs[0] for label, xs, kind in recorder.draws}
-    own = [RecordingSource() for _ in range(K)]
+def _split(scheme_params, placement, d, derandomized: bool) -> list[RecordingSource]:
+    """Demand vector d's delivery draws, recorded on the check's one
+    placement and split by transmitter: one ``RecordingSource`` per
+    transmitter k, holding the draws labelled for it (``label[2] == k``)."""
+    recorder = RecordingSource()
+    scheme_params.query_plans(placement, d, recorder, derandomized)
+    own = [RecordingSource() for _ in range(scheme_params.base.K)]
     for draw in recorder.draws:
         own[draw[0][2] - 1].draws.append(draw)
-    return first, own
+    return own
+
+
+class _Blocks:
+    """One demand vector's block cache, shared by both samplers.
+
+    Transmitter k's point is a point of its own recorded draws, and
+    block k depends on it alone (see the module docstring).
+    ``blocks[k - 1]`` maps each of transmitter k's points met so far to
+    its everyone-view block.  ``add`` runs the protocol, on the check's
+    one placement, only when some transmitter's point is new, and that
+    one run files the block of every transmitter whose point was
+    missing."""
+
+    def __init__(self, scheme_params, placement, everyone, d, derandomized, own):
+        self._scheme_params, self._placement, self._everyone = scheme_params, placement, everyone
+        self._d, self._derandomized = d, derandomized
+        self._labels = [o.labels() for o in own]
+        self.blocks: list[dict] = [{} for _ in own]
+
+    def add(self, points) -> None:
+        missing = [k for k, point in enumerate(points) if point not in self.blocks[k]]
+        if not missing:
+            return
+        assignment = {}
+        for labels, point in zip(self._labels, points):
+            assignment.update(zip(labels, point))
+        sp = self._scheme_params
+        tr = sim.run_protocol(sp.scheme, sp, self._d, source=FixedSource(assignment),
+                              derandomized=self._derandomized, structure_only=True,
+                              placement=self._placement)
+        for k in missing:
+            self.blocks[k][points[k]] = self._everyone.rows(tr.broadcasts[k])
 
 
 def enumerate_view_distributions(scheme_params, coalitions, cap: int = EXACT_ENUMERATION_CAP,
                                  derandomized: bool = False, paranoid: bool = False):
     """Exact per-block view distributions per (coalition, demand vector).
 
-    Per demand vector, a ``RecordingSource`` records the delivery draws,
-    split by transmitter; the number of runs, the sum of the
-    transmitters' spaces, is checked against ``cap`` before any run.
-    Block k is counted over every point of transmitter k's draws, every
-    other draw at its first outcome, on the check's one placement (see
-    the module docstring).  Block k's counters all have the same total,
-    so distribution equality is plain counter equality.  Returns
-    dists[coalition][demand vector] = list of per-block Counters.
+    Per demand vector, the delivery draws are recorded and split by
+    transmitter; the sum of the transmitters' spaces is checked against
+    ``cap`` before any run.  Block k is counted once over every point of
+    transmitter k's draws, on the check's one placement (see the module
+    docstring).  The transmitters are enumerated in lockstep: run j
+    gives every transmitter its j-th point, a transmitter whose space is
+    exhausted held at its first point and not counted, so a demand
+    vector takes as many runs as its largest space.  Block k's counters
+    all have the same total, so distribution equality is plain counter
+    equality.  Returns dists[coalition][demand vector] = list of
+    per-block Counters.
     """
-    coalitions, demand_vectors, placement = _setup(scheme_params, coalitions)
-    K = scheme_params.base.K
-    spaces = {}
-    for d in demand_vectors:
-        recorder = RecordingSource()
-        scheme_params.query_plans(placement, d, recorder, derandomized)
-        spaces[d] = _split(recorder, K)
-    total = sum(own.size() for _, per_k in spaces.values() for own in per_k)
+    coalitions, demand_vectors, placement, everyone = _setup(scheme_params, coalitions)
+    spaces = {d: _split(scheme_params, placement, d, derandomized) for d in demand_vectors}
+    total = sum(o.size() for own in spaces.values() for o in own)
     if total > cap:
         raise ExactModeTooLarge(total, cap)
-    everyone = _Everyone(placement.caches, scheme_params.layout)
 
     def runs():
-        for d, (first, per_k) in spaces.items():
-            yield d, 0, everyone.head(d)
-            for k, own in enumerate(per_k, 1):
-                for point in own.assignments():
-                    source = FixedSource({**first, **point.assignment})
-                    tr = sim.run_protocol(scheme_params.scheme, scheme_params, d, source=source,
-                                          derandomized=derandomized, structure_only=True,
-                                          placement=placement)
-                    yield d, k, everyone.rows(tr.broadcasts[k - 1])
+        for d, own in spaces.items():
+            cache = _Blocks(scheme_params, placement, everyone, d, derandomized, own)
+            yield d, 0, everyone.head(d), 1
+            firsts = [next(o.points()) for o in own]
+            for points in itertools.zip_longest(*(o.points() for o in own)):
+                cache.add([f if p is None else p for p, f in zip(points, firsts)])
+                for k, (point, blocks) in enumerate(zip(points, cache.blocks), 1):
+                    if point is not None:
+                        yield d, k, blocks[point], 1
 
-    return _count_then_project(runs(), demand_vectors, coalitions, K, paranoid)
+    return _count_then_project(runs(), demand_vectors, coalitions, scheme_params.base.K, paranoid)
 
 
 def _grouped_by_fixing(distributions: dict, coalition):
@@ -456,25 +492,37 @@ def debiased_total_variation(a: Counter, b: Counter) -> tuple[float, float]:
 def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed: int = 0,
                               derandomized: bool = False):
     """trials independent seeded deliveries per demand vector on the
-    check's one placement, shared across coalitions: each run's
-    everyone-view blocks are counted once, and a coalition's block
-    counts are their projection (see ``_Projection``).
+    check's one placement, shared across coalitions.
+
+    A trial draws a point, not a protocol run: per demand vector the
+    delivery draws are recorded once and split by transmitter, and each
+    trial asks its own ``SeededSource`` for exactly those draws, which
+    gives the values a seeded run would draw.  The protocol runs only
+    for a trial where some transmitter's point is new (see ``_Blocks``).
+    Each block is counted with its point's multiplicity, blocks in the
+    order their first trial met them; a coalition's block counts are
+    their projection (see ``_Projection``).
 
     Returns dists[coalition][demand vector] = list of per-block Counters.
     """
     check_seed(base_seed)
-    coalitions, demand_vectors, placement = _setup(scheme_params, coalitions)
-    everyone = _Everyone(placement.caches, scheme_params.layout)
+    coalitions, demand_vectors, placement, everyone = _setup(scheme_params, coalitions)
 
     def runs():
         for d in demand_vectors:
+            own = _split(scheme_params, placement, d, derandomized)
+            cache = _Blocks(scheme_params, placement, everyone, d, derandomized, own)
+            seen = [Counter() for _ in own]
             for trial in range(trials):
                 source = SeededSource(derive_seed(base_seed, f"mc|{d}|{trial}"))
-                tr = sim.run_protocol(scheme_params.scheme, scheme_params, d, source=source,
-                                      derandomized=derandomized, structure_only=True,
-                                      placement=placement)
-                for i, block in enumerate(everyone.blocks(d, tr.broadcasts)):
-                    yield d, i, block
+                points = [o.sample(source) for o in own]
+                cache.add(points)
+                for counter, point in zip(seen, points):
+                    counter[point] += 1
+            yield d, 0, everyone.head(d), trials
+            for k, (counter, blocks) in enumerate(zip(seen, cache.blocks), 1):
+                for point, n in counter.items():
+                    yield d, k, blocks[point], n
 
     return _count_then_project(runs(), demand_vectors, coalitions, scheme_params.base.K)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -473,7 +474,8 @@ def _placements(p, samples):
     recorder = RecordingSource()
     first = p.place(recorder, structure_only=True)
     if samples is None:
-        return [p.place(source, structure_only=True) for source in recorder.assignments()]
+        return [p.place(FixedSource(dict(zip(recorder.labels(), point))), structure_only=True)
+                for point in recorder.points()]
     return [first] + [p.place(SeededSource(seed), structure_only=True) for seed in range(samples)]
 
 
@@ -520,7 +522,7 @@ def test_block_k_depends_only_on_transmitter_k_draws(params, demand_vectors):
     for d in demand_vectors or _demand_vectors(params):
         recorder = RecordingSource()
         params.query_plans(placement, d, recorder)
-        first, _ = verify._split(recorder, params.base.K)
+        first = dict(zip(recorder.labels(), next(recorder.points())))
 
         def blocks(assignment):
             tr = sim.run_protocol(params.scheme, params, d, source=FixedSource(assignment),
@@ -532,8 +534,8 @@ def test_block_k_depends_only_on_transmitter_k_draws(params, demand_vectors):
             single = RecordingSource()
             single.draws.append(draw)
             changed = set()
-            for point in single.assignments():
-                got = blocks({**first, **point.assignment})
+            for (value,) in single.points():
+                got = blocks({**first, draw[0]: value})
                 changed |= {i for i, (a, b) in enumerate(zip(base, got)) if a != b}
             assert changed <= {draw[0][2]}, (d, draw[0])
             if draw[0][1] == "q":
@@ -595,12 +597,146 @@ def test_projected_mc_distributions_match_joint_oracle(K, N, t, trials, derandom
     ],
 )
 def test_coalitions_are_checked_before_any_run(entry, monkeypatch):
+    # Monte Carlo trials draw their points before any run, so no seeded
+    # draw may come first either
     def no_runs(*args, **kwargs):
-        raise AssertionError("protocol ran before the coalitions were checked")
+        raise AssertionError("protocol ran or drew before the coalitions were checked")
 
     monkeypatch.setattr(sim, "run_protocol", no_runs)
+    monkeypatch.setattr(SeededSource, "permutation", no_runs)
+    monkeypatch.setattr(SeededSource, "choice", no_runs)
     with pytest.raises(ValueError, match="coalition"):
         entry(scheme_a.params_for(2, 2, 1), [(1,), (1, 2), (3,)])
+
+
+class _Spy:
+    """Answers every draw from ``source`` and keeps label -> value."""
+
+    def __init__(self, source):
+        self.source, self.values = source, {}
+
+    def permutation(self, label, items):
+        out = self.values[label] = tuple(self.source.permutation(label, items))
+        return list(out)
+
+    def choice(self, label, options):
+        self.values[label] = self.source.choice(label, options)
+        return self.values[label]
+
+
+@pytest.mark.parametrize("derandomized", [False, True])
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(scheme_a.params_for(2, 2, 2), id="A(2,2,2)"),
+        pytest.param(scheme_a.params_for(3, 2, 2), id="A(3,2,2)"),
+        pytest.param(scheme_a.params_for(3, 3, 2), id="A(3,3,2)"),
+    ],
+)
+def test_recorded_draws_replay_seeded_values(params, derandomized):
+    # Monte Carlo trials draw only the recorded labels, never a run: a
+    # seeded value depends on (seed, label, items) alone, so drawing the
+    # labels in any order gives what plan_delivery_a draws in a run
+    for d in _demand_vectors(params):
+        recorder = RecordingSource()
+        scheme_a.plan_delivery_a(params, d, recorder, derandomized)
+        assert len(recorder.draws) == (0 if derandomized else params.base.K * (params.base.N + 1))
+        for seed in (0, 1, 7, 2**62 + 3, -5):
+            spy = _Spy(SeededSource(seed))
+            plan = scheme_a.plan_delivery_a(params, d, spy, derandomized)
+            shuffled = list(recorder.draws)
+            random.Random(seed).shuffle(shuffled)
+            for draws in (recorder.draws, recorder.draws[::-1], shuffled):
+                order = RecordingSource()
+                order.draws = list(draws)
+                replay = dict(zip(order.labels(), order.sample(SeededSource(seed))))
+                assert replay == spy.values, (d, seed)
+                assert scheme_a.plan_delivery_a(params, d, FixedSource(replay), derandomized) == plan
+
+
+# check_privacy_mc_all reports, (coalition, verdict, max_tv, max_tv_debiased,
+# witness) per coalition of fewer than K users, taken from the sampler that
+# made one protocol run per trial; floats are compared with ==
+PINNED_MC_REPORTS = {
+    "A(3,2,2)": (scheme_a.params_for(3, 2, 2), 300, 11, False, [
+        ((1,), 'PASS', 0.24666666666666667, 0.02534553887486618, None),
+        ((1, 2), 'PASS', 0.31000000000000005, 0.025345538874866125, None),
+        ((1, 3), 'PASS', 0.3566666666666668, 0.04484545597664752, None),
+        ((2,), 'PASS', 0.25333333333333335, 0.03416728019954729, None),
+        ((2, 3), 'PASS', 0.31666666666666665, 0.038180720026165266, None),
+        ((3,), 'PASS', 0.25999999999999995, 0.04482253299470251, None),
+    ]),
+    "A(3,2,2) baseline": (scheme_a.params_for(3, 2, 2), 50, 12, True, [
+        ((1,), 'FAIL', 1.0, 0.9202115439197135, ((1,), (1, 1, 1), (1, 1, 2))),
+        ((1, 2), 'FAIL', 1.0, 0.9202115439197135, ((1, 1), (1, 1, 1), (1, 1, 2))),
+        ((1, 3), 'FAIL', 1.0, 0.9202115439197135, ((1, 1), (1, 1, 1), (1, 2, 1))),
+        ((2,), 'FAIL', 1.0, 0.9202115439197135, ((1,), (1, 1, 1), (1, 1, 2))),
+        ((2, 3), 'FAIL', 1.0, 0.9202115439197135, ((1, 1), (1, 1, 1), (2, 1, 1))),
+        ((3,), 'FAIL', 1.0, 0.9202115439197135, ((1,), (1, 1, 1), (1, 2, 1))),
+    ]),
+    "A(2,2,2)": (scheme_a.params_for(2, 2, 2), 1000, 13, False, [
+        ((1,), 'PASS', 0.02300000000000002, 0.005159195954235498, None),
+        ((2,), 'PASS', 0.03500000000000003, 0.017161979473190495, None),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_MC_REPORTS))
+def test_mc_reports_pinned(case):
+    params, trials, base_seed, derandomized, pinned = PINNED_MC_REPORTS[case]
+    K = params.base.K
+    coalitions = [c for c in _all_coalitions(K) if len(c) < K]
+    reports = check_privacy_mc_all("A", params, coalitions, trials=trials, base_seed=base_seed,
+                                   derandomized=derandomized)
+    got = [(c, r.verdict(), r.max_tv, r.max_tv_debiased, r.witness) for c, r in sorted(reports.items())]
+    assert got == pinned
+
+
+def _runs_per_demand_vector(monkeypatch) -> Counter:
+    """Counts ``sim.run_protocol`` calls by demand vector from now on."""
+    runs, run = Counter(), sim.run_protocol
+
+    def counting(scheme, scheme_params, demands, *args, **kwargs):
+        runs[tuple(demands)] += 1
+        return run(scheme, scheme_params, demands, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "run_protocol", counting)
+    return runs
+
+
+@pytest.mark.parametrize("trials", [10, 1000])
+def test_mc_baseline_runs_once_per_demand_vector(trials, monkeypatch):
+    # the derandomized baseline draws nothing, so every trial has the
+    # same point and one run per demand vector fills every block
+    p = scheme_a.params_for(3, 2, 2)
+    runs = _runs_per_demand_vector(monkeypatch)
+    check_privacy_mc_all("A", p, [(1,), (2, 3)], trials=trials, base_seed=3, derandomized=True)
+    assert runs == Counter(dict.fromkeys(_demand_vectors(p), 1))
+
+
+def test_mc_runs_only_for_new_points(monkeypatch):
+    # A(2,2,1): each transmitter's point is its shuffle of 2 positions
+    # (one demander per file, so the leaders are fixed); a run happens
+    # only for a new point, so at most the 2 + 2 points make runs
+    p = scheme_a.params_for(2, 2, 1)
+    placement = p.place(RecordingSource(), structure_only=True)
+    for d in _demand_vectors(p):
+        assert [o.size() for o in verify._split(p, placement, d, False)] == [2, 2]
+    runs = _runs_per_demand_vector(monkeypatch)
+    reports = check_privacy_mc_all("A", p, [(1,), (2,)], trials=5000, base_seed=8)
+    assert all(r.private for r in reports.values())
+    assert set(runs) == set(_demand_vectors(p))
+    assert all(2 <= n <= 4 for n in runs.values()), runs
+
+
+def test_exact_runs_in_lockstep(monkeypatch):
+    # A(3,2,2): every transmitter has 4! * 2 * 2 = 96 points; run j gives
+    # each its j-th point, so 8 demand vectors take 8 * 96 runs, not 3 * 768
+    p = scheme_a.params_for(3, 2, 2)
+    runs = _runs_per_demand_vector(monkeypatch)
+    reports = check_privacy_exact_all("A", p, [(1,), (2, 3)])
+    assert all(r.private for r in reports.values())
+    assert runs == Counter(dict.fromkeys(_demand_vectors(p), 96))
 
 
 @pytest.mark.parametrize("base_seed", [2**63, -(2**63) - 1])
