@@ -30,12 +30,6 @@ Rat = Fraction
 # ---------------------------------------------------------------------------
 
 
-def _keyed(seed: int, sep: bytes, label) -> bytes:
-    if isinstance(label, str):
-        label = label.encode()
-    return hashlib.sha256(seed.to_bytes(8, "big", signed=True) + sep + bytes(label)).digest()
-
-
 def seeded_rng(seed: int, stream_label) -> random.Random:
     """Deterministic random stream derived from a (seed, label) pair.
 
@@ -43,12 +37,10 @@ def seeded_rng(seed: int, stream_label) -> random.Random:
     give streams that behave independently.  The ``random.Random`` is
     keyed with SHA-256 of the pair, so streams are stable across runs.
     """
-    return random.Random(int.from_bytes(_keyed(seed, b"|", stream_label), "big"))
-
-
-def derive_seed(seed: int, label) -> int:
-    """A fresh 63-bit seed for an independent child context (e.g. MC trials)."""
-    return int.from_bytes(_keyed(seed, b"#", label)[:8], "big") >> 1
+    if isinstance(stream_label, str):
+        stream_label = stream_label.encode()
+    key = hashlib.sha256(seed.to_bytes(8, "big", signed=True) + b"|" + bytes(stream_label))
+    return random.Random(int.from_bytes(key.digest(), "big"))
 
 
 class SeededSource:
@@ -135,14 +127,20 @@ class RecordingSource:
             for _, xs, kind in self.draws
         ))
 
-    def sample(self, source) -> tuple:
-        """One point of the recorded space, each draw asked of ``source``
-        in recorded order; shaped like the points of ``points``."""
-        return tuple(
-            tuple(source.permutation(label, xs)) if kind == "permutation"
-            else source.choice(label, xs)
-            for label, xs, kind in self.draws
-        )
+    def sample(self, rng: random.Random) -> tuple:
+        """One point of the recorded space, every draw taken from ``rng``
+        in recorded order: a permutation is ``rng.shuffle`` of a copy of
+        its items, a choice ``rng.choice`` of its options.  Shaped like
+        the points of ``points``."""
+        point = []
+        for _, xs, kind in self.draws:
+            if kind == "permutation":
+                xs = list(xs)
+                rng.shuffle(xs)
+                point.append(tuple(xs))
+            else:
+                point.append(rng.choice(xs))
+        return tuple(point)
 
 
 # ---------------------------------------------------------------------------

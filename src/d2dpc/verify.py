@@ -34,8 +34,9 @@ brute-force enumeration and against raw, uncanonicalised views.
   a transmitter's point is the values of its own draws, and a protocol
   run happens only when some transmitter's point is new.  Exact mode
   enumerates every transmitter's points in lockstep; a Monte Carlo
-  trial draws a point, each recorded draw asked of the trial's seeded
-  source, which gives the values a seeded run would draw.
+  trial draws a point, every recorded draw taken in turn from one keyed
+  stream per demand vector, so the trials of a demand vector are
+  consecutive runs whose source answers each draw from that stream.
 
 The joint view needs no pass of its own: transmitter k XORs only
 block-k subfiles and a slot's class holds its block, so no class spans
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import scheme_a, sim
-from .core import FixedSource, RecordingSource, SeededSource, Transcript, check_seed, derive_seed
+from .core import FixedSource, RecordingSource, Transcript, check_seed, seeded_rng
 
 EXACT_ENUMERATION_CAP = 1_000_000
 DEFAULT_TRIALS = 10_000
@@ -491,17 +492,21 @@ def debiased_total_variation(a: Counter, b: Counter) -> tuple[float, float]:
 
 def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed: int = 0,
                               derandomized: bool = False):
-    """trials independent seeded deliveries per demand vector on the
-    check's one placement, shared across coalitions.
+    """trials independent deliveries per demand vector on the check's one
+    placement, shared across coalitions.
 
     A trial draws a point, not a protocol run: per demand vector the
-    delivery draws are recorded once and split by transmitter, and each
-    trial asks its own ``SeededSource`` for exactly those draws, which
-    gives the values a seeded run would draw.  The protocol runs only
-    for a trial where some transmitter's point is new (see ``_Blocks``).
-    Each block is counted with its point's multiplicity, blocks in the
-    order their first trial met them; a coalition's block counts are
-    their projection (see ``_Projection``).
+    delivery draws are recorded once and split by transmitter, and every
+    trial takes all of them from the demand vector's one keyed stream,
+    ``seeded_rng(base_seed, f"mc|{d}")``: transmitters 1..K, each one's
+    draws in recorded order (see ``RecordingSource.sample``).  That is
+    the order a delivery plan makes them in, so trial j is the j-th of
+    consecutive runs on that placement whose source answers every draw
+    from the same stream in call order.  The protocol runs only for a
+    trial where some transmitter's point is new (see ``_Blocks``).  Each
+    block is counted with its point's multiplicity, blocks in the order
+    their first trial met them; a coalition's block counts are their
+    projection (see ``_Projection``).
 
     Returns dists[coalition][demand vector] = list of per-block Counters.
     """
@@ -513,9 +518,9 @@ def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed:
             own = _split(scheme_params, placement, d, derandomized)
             cache = _Blocks(scheme_params, placement, everyone, d, derandomized, own)
             seen = [Counter() for _ in own]
-            for trial in range(trials):
-                source = SeededSource(derive_seed(base_seed, f"mc|{d}|{trial}"))
-                points = [o.sample(source) for o in own]
+            rng = seeded_rng(base_seed, f"mc|{d}")
+            for _ in range(trials):
+                points = [o.sample(rng) for o in own]
                 cache.add(points)
                 for counter, point in zip(seen, points):
                     counter[point] += 1

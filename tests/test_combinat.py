@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from d2dpc.combinat import (
     lower_convex_envelope,
     upper_envelope_of_lines,
 )
-from d2dpc.core import SeededSource
+from d2dpc import scheme_a, verify
+from d2dpc.core import RecordingSource, SeededSource, seeded_rng
 
 
 def test_binom_basic():
@@ -50,8 +52,6 @@ def test_uniform_permutation_chi_square():
     # 6*10^4 samples of S_3 from the shuffle every scheme's placement and
     # delivery draw with, one label per sample: every permutation within
     # 3 sigma of 1/6
-    from collections import Counter
-
     source = SeededSource(12)
     counts = Counter(
         tuple(source.permutation(("chi", n), [1, 2, 3])) for n in range(60_000)
@@ -60,6 +60,22 @@ def test_uniform_permutation_chi_square():
     sigma = (60_000 * (1 / 6) * (5 / 6)) ** 0.5
     for c in counts.values():
         assert abs(c - 10_000) <= 3 * sigma
+
+
+def test_sampled_points_uniform_chi_square():
+    # 96,000 points of transmitter 1 of A(3,2,2), drawn the way a Monte
+    # Carlo trial draws them (RecordingSource.sample off one stream):
+    # every one of the 4! * 2 * 2 = 96 points appears, and the chi-square
+    # statistic stays below the 99.9 % quantile of chi2(95), 143.34
+    p = scheme_a.params_for(3, 2, 2)
+    placement = p.place(RecordingSource(), structure_only=True)
+    own = verify._split(p, placement, (1, 1, 2), False)[0]
+    assert own.size() == 96
+    rng = seeded_rng(5, "chi")
+    counts = Counter(own.sample(rng) for _ in range(96_000))
+    assert set(counts) == set(own.points())
+    chi2 = sum((n - 1000) ** 2 / 1000 for n in counts.values())
+    assert chi2 < 143.34
 
 
 def test_envelope_drops_point_above_chord():

@@ -52,3 +52,15 @@ def test_privacy_audit_demo_runs():
     assert all("verdict=PASS" in line for line in exact + mc)
     assert all("verdict=FAIL" in line and "witness=" in line for line in baseline)
     assert "K=3" in exact[-1] and "coalition={2,3}" in exact[-1]
+
+
+def test_mc_false_alarms_demo_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "mc_false_alarms.py"), "--seeds", "1"],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines() if line.startswith(("| private", "| baseline"))]
+    assert [row.split(" | ")[1] for row in rows] == ["300", "1,000", "3,000", "50", "200"]
+    assert all("| 1/1 (100.0%) | 6/6 |" in row for row in rows[3:])

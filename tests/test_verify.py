@@ -14,7 +14,7 @@ from d2dpc.core import (
     RecordingSource,
     SeededSource,
     SubfileId,
-    derive_seed,
+    seeded_rng,
     subfile_value,
 )
 from d2dpc.verify import (
@@ -410,16 +410,36 @@ def _joint_exact(p, coalitions, derandomized, paranoid):
                          lambda tr, c: canonical_view(tr, c, paranoid).key())
 
 
+class _StreamSource:
+    """Answers every draw from one ``random.Random`` in call order: a
+    permutation is a shuffled copy of its items, a choice ``choice``."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def permutation(self, label, items):
+        out = list(items)
+        self.rng.shuffle(out)
+        return out
+
+    def choice(self, label, options):
+        return self.rng.choice(options)
+
+
 def _joint_mc(p, coalitions, trials, base_seed, derandomized):
-    """The oracle of ``sample_view_distributions``: the same seeded runs,
-    every coalition's view blocks counted on their own."""
+    """The oracle of ``sample_view_distributions``: per demand vector d,
+    ``trials`` consecutive protocol runs on the check's one placement,
+    every draw answered from the one stream of d, and every coalition's
+    view blocks counted on their own."""
     K, N = p.base.K, p.base.N
+    placement = p.place(RecordingSource(), structure_only=True)
     dists = {}
     for d in itertools.product(range(1, N + 1), repeat=K):
+        source = _StreamSource(seeded_rng(base_seed, f"mc|{d}"))
         runs = [
-            sim.run_protocol(p.scheme, p, d, derandomized=derandomized, structure_only=True,
-                             source=SeededSource(derive_seed(base_seed, f"mc|{d}|{trial}")))
-            for trial in range(trials)
+            sim.run_protocol(p.scheme, p, d, source=source, derandomized=derandomized,
+                             structure_only=True, placement=placement)
+            for _ in range(trials)
         ]
         for c in coalitions:
             dists.setdefault(c, {})[d] = [
@@ -597,14 +617,14 @@ def test_projected_mc_distributions_match_joint_oracle(K, N, t, trials, derandom
     ],
 )
 def test_coalitions_are_checked_before_any_run(entry, monkeypatch):
-    # Monte Carlo trials draw their points before any run, so no seeded
-    # draw may come first either
+    # Monte Carlo trials draw their points before any run, so no draw
+    # from a stream may come first either
     def no_runs(*args, **kwargs):
         raise AssertionError("protocol ran or drew before the coalitions were checked")
 
     monkeypatch.setattr(sim, "run_protocol", no_runs)
-    monkeypatch.setattr(SeededSource, "permutation", no_runs)
-    monkeypatch.setattr(SeededSource, "choice", no_runs)
+    monkeypatch.setattr(random.Random, "shuffle", no_runs)
+    monkeypatch.setattr(random.Random, "choice", no_runs)
     with pytest.raises(ValueError, match="coalition"):
         entry(scheme_a.params_for(2, 2, 1), [(1,), (1, 2), (3,)])
 
@@ -634,37 +654,43 @@ class _Spy:
     ],
 )
 def test_recorded_draws_replay_seeded_values(params, derandomized):
-    # Monte Carlo trials draw only the recorded labels, never a run: a
-    # seeded value depends on (seed, label, items) alone, so drawing the
-    # labels in any order gives what plan_delivery_a draws in a run
+    # Monte Carlo trials draw only the recorded labels, never a run: the
+    # points of consecutive trials, every transmitter's draws in turn
+    # from the demand vector's one stream, are the values consecutive
+    # plan_delivery_a calls draw when that stream answers each draw
+    placement = params.place(RecordingSource(), structure_only=True)
     for d in _demand_vectors(params):
-        recorder = RecordingSource()
-        scheme_a.plan_delivery_a(params, d, recorder, derandomized)
-        assert len(recorder.draws) == (0 if derandomized else params.base.K * (params.base.N + 1))
+        own = verify._split(params, placement, d, derandomized)
+        assert sum(len(o.draws) for o in own) == (
+            0 if derandomized else params.base.K * (params.base.N + 1))
         for seed in (0, 1, 7, 2**62 + 3, -5):
-            spy = _Spy(SeededSource(seed))
-            plan = scheme_a.plan_delivery_a(params, d, spy, derandomized)
-            shuffled = list(recorder.draws)
-            random.Random(seed).shuffle(shuffled)
-            for draws in (recorder.draws, recorder.draws[::-1], shuffled):
-                order = RecordingSource()
-                order.draws = list(draws)
-                replay = dict(zip(order.labels(), order.sample(SeededSource(seed))))
+            rng = seeded_rng(seed, f"mc|{d}")
+            source = _StreamSource(seeded_rng(seed, f"mc|{d}"))
+            for _ in range(3):
+                replay = {}
+                for o in own:
+                    replay.update(zip(o.labels(), o.sample(rng)))
+                spy = _Spy(source)
+                plan = scheme_a.plan_delivery_a(params, d, spy, derandomized)
                 assert replay == spy.values, (d, seed)
                 assert scheme_a.plan_delivery_a(params, d, FixedSource(replay), derandomized) == plan
 
 
 # check_privacy_mc_all reports, (coalition, verdict, max_tv, max_tv_debiased,
 # witness) per coalition of fewer than K users, taken from the sampler that
-# made one protocol run per trial; floats are compared with ==
+# draws every trial of a demand vector from its one keyed stream; floats are
+# compared with ==.  The private A(3,2,2) case FAILs coalitions {1} and
+# {1,2}: exact mode certifies this instance private, so these are false
+# alarms of the debiased-TV gate at 300 trials (see the false-alarm table in
+# the README), pinned as they come rather than hidden by another seed
 PINNED_MC_REPORTS = {
     "A(3,2,2)": (scheme_a.params_for(3, 2, 2), 300, 11, False, [
-        ((1,), 'PASS', 0.24666666666666667, 0.02534553887486618, None),
-        ((1, 2), 'PASS', 0.31000000000000005, 0.025345538874866125, None),
-        ((1, 3), 'PASS', 0.3566666666666668, 0.04484545597664752, None),
-        ((2,), 'PASS', 0.25333333333333335, 0.03416728019954729, None),
-        ((2, 3), 'PASS', 0.31666666666666665, 0.038180720026165266, None),
-        ((3,), 'PASS', 0.25999999999999995, 0.04482253299470251, None),
+        ((1,), 'FAIL', 0.28, 0.05839809347029687, ((1,), (1, 1, 1), (1, 2, 2))),
+        ((1, 2), 'FAIL', 0.36333333333333334, 0.05517239607163352, ((2, 1), (2, 1, 1), (2, 1, 2))),
+        ((1, 3), 'PASS', 0.3199999999999999, 0.04574259708825085, None),
+        ((2,), 'PASS', 0.27, 0.049682616044921746, None),
+        ((2, 3), 'PASS', 0.30666666666666664, 0.04625772451550603, None),
+        ((3,), 'PASS', 0.2533333333333334, 0.0447884664126495, None),
     ]),
     "A(3,2,2) baseline": (scheme_a.params_for(3, 2, 2), 50, 12, True, [
         ((1,), 'FAIL', 1.0, 0.9202115439197135, ((1,), (1, 1, 1), (1, 1, 2))),
@@ -675,8 +701,8 @@ PINNED_MC_REPORTS = {
         ((3,), 'FAIL', 1.0, 0.9202115439197135, ((1,), (1, 1, 1), (1, 2, 1))),
     ]),
     "A(2,2,2)": (scheme_a.params_for(2, 2, 2), 1000, 13, False, [
-        ((1,), 'PASS', 0.02300000000000002, 0.005159195954235498, None),
-        ((2,), 'PASS', 0.03500000000000003, 0.017161979473190495, None),
+        ((1,), 'PASS', 0.040000000000000036, 0.0221593297673245, None),
+        ((2,), 'PASS', 0.03400000000000003, 0.016160507365788186, None),
     ]),
 }
 
@@ -742,7 +768,7 @@ def test_exact_runs_in_lockstep(monkeypatch):
 @pytest.mark.parametrize("base_seed", [2**63, -(2**63) - 1])
 def test_mc_rejects_out_of_range_base_seed(base_seed):
     # a seed the random streams cannot be keyed with used to end in an
-    # OverflowError from derive_seed
+    # OverflowError from the stream keying
     with pytest.raises(ValueError, match="seed"):
         check_privacy_mc_all("A", scheme_a.params_for(2, 2, 1), [[1]], trials=2, base_seed=base_seed)
 
