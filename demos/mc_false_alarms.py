@@ -21,7 +21,7 @@ import time
 from d2dpc import scheme_a, verify
 
 COALITIONS = [c for r in (1, 2) for c in itertools.combinations((1, 2, 3), r)]
-PRIVATE_TRIALS = (300, 1000, 3000)
+PRIVATE_TRIALS = (300, 1000, 3000, 10_000)
 BASELINE_TRIALS = (50, 200)
 
 

@@ -280,7 +280,7 @@ def main(argv=None) -> int:
     p_ver.add_argument("--trials", type=_int_in(1), default=verify.DEFAULT_TRIALS)
     p_ver.add_argument("--tol", type=_parse_tolerance, default=verify.DEFAULT_TOLERANCE)
     p_ver.add_argument("--paranoid", action="store_true",
-                       help="exact mode: add the payload-relation fingerprint to each "
+                       help="exact mode only: add the payload-relation fingerprint to each "
                        "view (a function of the view; the verdict is the same without it)")
     p_ver.add_argument("--baseline", choices=["nonprivate"],
                        help="check the derandomized non-private baseline instead")
@@ -311,6 +311,8 @@ def main(argv=None) -> int:
     if args.command == "verify":
         if any(not 1 <= u <= args.K for u in args.coalition):
             parser.error(f"argument --coalition: users must lie in 1..{args.K}")
+        if args.paranoid and args.mode == "mc":
+            parser.error("argument --paranoid: exact mode only, not --mode mc")
         args.enum_cap = _env_int(parser, "D2DPC_ENUM_CAP", verify.EXACT_ENUMERATION_CAP)
         if args.enum_cap < 1:
             parser.error("environment variable D2DPC_ENUM_CAP must be positive, "

@@ -30,13 +30,15 @@ brute-force enumeration and against raw, uncanonicalised views.
   the draws of distinct transmitters are independent.  So a view's
   distribution is the product of its per-block distributions, and two
   products are equal exactly when every factor is.  Both modes count
-  block by block, off one block cache per demand vector (``_Blocks``):
-  a transmitter's point is the values of its own draws, and a protocol
-  run happens only when some transmitter's point is new.  Exact mode
-  enumerates every transmitter's points in lockstep; a Monte Carlo
-  trial draws a point, every recorded draw taken in turn from one keyed
-  stream per demand vector, so the trials of a demand vector are
-  consecutive runs whose source answers each draw from that stream.
+  block by block in one lockstep pass per demand vector
+  (``_block_pass``): a transmitter's point is the values of its own
+  draws, and run j gives every transmitter its j-th distinct point,
+  weighted by its multiplicity.  Exact mode passes every point once; a
+  Monte Carlo check first draws all its trials' points, every recorded
+  draw taken in turn from one keyed stream per demand vector, so the
+  trials of a demand vector are consecutive runs whose source answers
+  each draw from that stream, and passes each distinct point with its
+  count.
 
 The joint view needs no pass of its own: transmitter k XORs only
 block-k subfiles and a slot's class holds its block, so no class spans
@@ -70,6 +72,12 @@ from .core import FixedSource, RecordingSource, Transcript, check_seed, seeded_r
 EXACT_ENUMERATION_CAP = 1_000_000
 DEFAULT_TRIALS = 10_000
 DEFAULT_TOLERANCE = 0.05
+LOW_CONFIDENCE_TRIALS = 3_000
+"""A Monte Carlo report below this many trials is flagged low-confidence.
+It is the smallest trial count at which ``demos/mc_false_alarms.py`` saw
+no false alarm of the gate at ``DEFAULT_TOLERANCE`` on the private
+A(3,2,2) instance (six coalitions, base seeds 0..199; 84 % of checks
+FAILed at 300 trials and 3.5 % at 1,000, see the README table)."""
 
 
 class ExactModeTooLarge(Exception):
@@ -289,95 +297,72 @@ def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _setup(scheme_params, coalitions):
-    """A check's checked coalitions, its demand vectors, its one
-    placement (the first outcome of every placement draw) and the view
-    builder for that placement's caches."""
+def _setup(scheme_params, coalitions, derandomized: bool):
+    """A check's checked coalitions, its one placement (the first outcome
+    of every placement draw), the view builder for that placement's
+    caches, and every demand vector's delivery draws recorded on that
+    placement and split by transmitter: ``spaces[d][k - 1]`` is a
+    ``RecordingSource`` holding the draws labelled for transmitter k
+    (``label[2] == k``).  Coalitions are checked before anything is drawn."""
     base = scheme_params.base
     coalitions = [_coalition(c, base.K) for c in coalitions]
-    demand_vectors = list(itertools.product(range(1, base.N + 1), repeat=base.K))
     placement = scheme_params.place(RecordingSource(), structure_only=True)
-    return coalitions, demand_vectors, placement, _Everyone(placement.caches, scheme_params.layout)
+    spaces = {}
+    for d in itertools.product(range(1, base.N + 1), repeat=base.K):
+        recorder = RecordingSource()
+        scheme_params.query_plans(placement, d, recorder, derandomized)
+        own = spaces[d] = [RecordingSource() for _ in range(base.K)]
+        for draw in recorder.draws:
+            own[draw[0][2] - 1].draws.append(draw)
+    return coalitions, placement, _Everyone(placement.caches, scheme_params.layout), spaces
 
 
-def _split(scheme_params, placement, d, derandomized: bool) -> list[RecordingSource]:
-    """Demand vector d's delivery draws, recorded on the check's one
-    placement and split by transmitter: one ``RecordingSource`` per
-    transmitter k, holding the draws labelled for it (``label[2] == k``)."""
-    recorder = RecordingSource()
-    scheme_params.query_plans(placement, d, recorder, derandomized)
-    own = [RecordingSource() for _ in range(scheme_params.base.K)]
-    for draw in recorder.draws:
-        own[draw[0][2] - 1].draws.append(draw)
-    return own
-
-
-class _Blocks:
-    """One demand vector's block cache, shared by both samplers.
-
-    Transmitter k's point is a point of its own recorded draws, and
-    block k depends on it alone (see the module docstring).
-    ``blocks[k - 1]`` maps each of transmitter k's points met so far to
-    its everyone-view block.  ``add`` runs the protocol, on the check's
-    one placement, only when some transmitter's point is new, and that
-    one run files the block of every transmitter whose point was
-    missing."""
-
-    def __init__(self, scheme_params, placement, everyone, d, derandomized, own):
-        self._scheme_params, self._placement, self._everyone = scheme_params, placement, everyone
-        self._d, self._derandomized = d, derandomized
-        self._labels = [o.labels() for o in own]
-        self.blocks: list[dict] = [{} for _ in own]
-
-    def add(self, points) -> None:
-        missing = [k for k, point in enumerate(points) if point not in self.blocks[k]]
-        if not missing:
-            return
+def _block_pass(scheme_params, placement, everyone, d, derandomized, own, weighted, n_head):
+    """Demand vector d's everyone-view blocks with their weights, as
+    ``_count_then_project`` takes them: the head once, weighted
+    ``n_head``, then one protocol run per column j on the check's one
+    placement.  ``weighted[k - 1]`` yields transmitter k's distinct
+    points of ``own[k - 1]`` with their multiplicities; run j gives each
+    transmitter its j-th, a transmitter with no points left held at its
+    first point and its block not counted, so d takes as many runs as
+    the most points any transmitter has."""
+    yield d, 0, everyone.head(d), n_head
+    labels = [o.labels() for o in own]
+    for j, column in enumerate(itertools.zip_longest(*weighted)):
+        if not j:
+            firsts = column
         assignment = {}
-        for labels, point in zip(self._labels, points):
-            assignment.update(zip(labels, point))
-        sp = self._scheme_params
-        tr = sim.run_protocol(sp.scheme, sp, self._d, source=FixedSource(assignment),
-                              derandomized=self._derandomized, structure_only=True,
-                              placement=self._placement)
-        for k in missing:
-            self.blocks[k][points[k]] = self._everyone.rows(tr.broadcasts[k])
+        for labs, entry, first in zip(labels, column, firsts):
+            assignment.update(zip(labs, (entry or first)[0]))
+        tr = sim.run_protocol(scheme_params.scheme, scheme_params, d,
+                              source=FixedSource(assignment), derandomized=derandomized,
+                              structure_only=True, placement=placement)
+        for k, (entry, per_user) in enumerate(zip(column, tr.broadcasts), 1):
+            if entry is not None:
+                yield d, k, everyone.rows(per_user), entry[1]
 
 
 def enumerate_view_distributions(scheme_params, coalitions, cap: int = EXACT_ENUMERATION_CAP,
                                  derandomized: bool = False, paranoid: bool = False):
     """Exact per-block view distributions per (coalition, demand vector).
 
-    Per demand vector, the delivery draws are recorded and split by
-    transmitter; the sum of the transmitters' spaces is checked against
-    ``cap`` before any run.  Block k is counted once over every point of
-    transmitter k's draws, on the check's one placement (see the module
-    docstring).  The transmitters are enumerated in lockstep: run j
-    gives every transmitter its j-th point, a transmitter whose space is
-    exhausted held at its first point and not counted, so a demand
-    vector takes as many runs as its largest space.  Block k's counters
-    all have the same total, so distribution equality is plain counter
-    equality.  Returns dists[coalition][demand vector] = list of
-    per-block Counters.
+    The sum of the transmitters' spaces over every demand vector is
+    checked against ``cap`` before any run.  Block k is counted once
+    over every point of transmitter k's draws (see the module docstring
+    and ``_block_pass``), so a demand vector takes as many runs as its
+    largest space.  Block k's counters all have the same total, so
+    distribution equality is plain counter equality.  Returns
+    dists[coalition][demand vector] = list of per-block Counters.
     """
-    coalitions, demand_vectors, placement, everyone = _setup(scheme_params, coalitions)
-    spaces = {d: _split(scheme_params, placement, d, derandomized) for d in demand_vectors}
+    coalitions, placement, everyone, spaces = _setup(scheme_params, coalitions, derandomized)
     total = sum(o.size() for own in spaces.values() for o in own)
     if total > cap:
         raise ExactModeTooLarge(total, cap)
-
-    def runs():
-        for d, own in spaces.items():
-            cache = _Blocks(scheme_params, placement, everyone, d, derandomized, own)
-            yield d, 0, everyone.head(d), 1
-            firsts = [next(o.points()) for o in own]
-            for points in itertools.zip_longest(*(o.points() for o in own)):
-                cache.add([f if p is None else p for p, f in zip(points, firsts)])
-                for k, (point, blocks) in enumerate(zip(points, cache.blocks), 1):
-                    if point is not None:
-                        yield d, k, blocks[point], 1
-
-    return _count_then_project(runs(), demand_vectors, coalitions, scheme_params.base.K, paranoid)
+    runs = itertools.chain.from_iterable(
+        _block_pass(scheme_params, placement, everyone, d, derandomized, own,
+                    [((p, 1) for p in o.points()) for o in own], 1)
+        for d, own in spaces.items())
+    return _count_then_project(runs, spaces, coalitions, scheme_params.base.K, paranoid)
 
 
 def _grouped_by_fixing(distributions: dict, coalition):
@@ -495,41 +480,34 @@ def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed:
     """trials independent deliveries per demand vector on the check's one
     placement, shared across coalitions.
 
-    A trial draws a point, not a protocol run: per demand vector the
-    delivery draws are recorded once and split by transmitter, and every
-    trial takes all of them from the demand vector's one keyed stream,
-    ``seeded_rng(base_seed, f"mc|{d}")``: transmitters 1..K, each one's
-    draws in recorded order (see ``RecordingSource.sample``).  That is
-    the order a delivery plan makes them in, so trial j is the j-th of
-    consecutive runs on that placement whose source answers every draw
-    from the same stream in call order.  The protocol runs only for a
-    trial where some transmitter's point is new (see ``_Blocks``).  Each
-    block is counted with its point's multiplicity, blocks in the order
-    their first trial met them; a coalition's block counts are their
-    projection (see ``_Projection``).
+    A trial draws a point, not a protocol run: every trial takes all of
+    the demand vector's recorded delivery draws from its one keyed
+    stream, ``seeded_rng(base_seed, f"mc|{d}")``: transmitters 1..K,
+    each one's draws in recorded order (see ``RecordingSource.sample``).
+    That is the order a delivery plan makes them in, so trial j is the
+    j-th of consecutive runs on that placement whose source answers
+    every draw from the same stream in call order.  All trials are drawn
+    first, into one point Counter per transmitter; then each distinct
+    point is run once and its block counted with its multiplicity (see
+    ``_block_pass``), blocks in the order their first trial met them.  A
+    coalition's block counts are their projection (see ``_Projection``).
 
     Returns dists[coalition][demand vector] = list of per-block Counters.
     """
     check_seed(base_seed)
-    coalitions, demand_vectors, placement, everyone = _setup(scheme_params, coalitions)
+    coalitions, placement, everyone, spaces = _setup(scheme_params, coalitions, derandomized)
 
     def runs():
-        for d in demand_vectors:
-            own = _split(scheme_params, placement, d, derandomized)
-            cache = _Blocks(scheme_params, placement, everyone, d, derandomized, own)
+        for d, own in spaces.items():
             seen = [Counter() for _ in own]
             rng = seeded_rng(base_seed, f"mc|{d}")
             for _ in range(trials):
-                points = [o.sample(rng) for o in own]
-                cache.add(points)
-                for counter, point in zip(seen, points):
-                    counter[point] += 1
-            yield d, 0, everyone.head(d), trials
-            for k, (counter, blocks) in enumerate(zip(seen, cache.blocks), 1):
-                for point, n in counter.items():
-                    yield d, k, blocks[point], n
+                for counter, o in zip(seen, own):
+                    counter[o.sample(rng)] += 1
+            yield from _block_pass(scheme_params, placement, everyone, d, derandomized, own,
+                                   [counter.items() for counter in seen], trials)
 
-    return _count_then_project(runs(), demand_vectors, coalitions, scheme_params.base.K)
+    return _count_then_project(runs(), spaces, coalitions, scheme_params.base.K)
 
 
 def _max_tv_report(scheme_params, coalition, dists, trials, tolerance) -> PrivacyReport:
@@ -555,7 +533,7 @@ def _max_tv_report(scheme_params, coalition, dists, trials, tolerance) -> Privac
         max_tv_debiased=max_tv,
         trials=trials,
         tolerance=tolerance,
-        low_confidence=trials < 100,
+        low_confidence=trials < LOW_CONFIDENCE_TRIALS,
         witness=None if passed else witness,
     )
 

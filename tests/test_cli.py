@@ -131,6 +131,20 @@ def test_verify_exact_pass(capsys):
     assert "verdict=PASS" in out
 
 
+@pytest.mark.parametrize("trials,flagged", [(300, True), (3000, False)])
+def test_verify_mc_flags_low_confidence_below_3000_trials(trials, flagged, capsys):
+    # at 300 trials the private A(3,2,2) check FAILs coalition {1} with a
+    # witness: a false alarm, which the report must flag as such
+    rc = main(["verify", "--scheme", "A", "--K", "3", "--N", "2", "--t", "2",
+               "--mode", "mc", "--trials", str(trials), "--coalition", "1", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert ("low-confidence" in out) is flagged
+    if flagged:
+        assert rc == 1 and "verdict=FAIL" in out and "witness=" in out
+    else:
+        assert rc == 0 and "verdict=PASS" in out
+
+
 def test_verify_baseline_fails(capsys):
     rc = main(["verify", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1",
                "--mode", "exact", "--coalition", "1", "--baseline", "nonprivate"])
@@ -241,6 +255,7 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "nan"]),
         ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "1.5"]),
         ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "-0.1"]),
+        ("--paranoid", _VERIFY_A + ["--mode", "mc", "--paranoid"]),
         ("--seed", _VERIFY_A + ["--seed", "99999999999999999999"]),
         ("--seed", ["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1",
                     "--demands", "1,2", "--seed", "-99999999999999999999"]),

@@ -17,7 +17,7 @@ from d2dpc.combinat import (
     upper_envelope_of_lines,
 )
 from d2dpc import scheme_a, verify
-from d2dpc.core import RecordingSource, SeededSource, seeded_rng
+from d2dpc.core import SeededSource, seeded_rng
 
 
 def test_binom_basic():
@@ -68,8 +68,7 @@ def test_sampled_points_uniform_chi_square():
     # every one of the 4! * 2 * 2 = 96 points appears, and the chi-square
     # statistic stays below the 99.9 % quantile of chi2(95), 143.34
     p = scheme_a.params_for(3, 2, 2)
-    placement = p.place(RecordingSource(), structure_only=True)
-    own = verify._split(p, placement, (1, 1, 2), False)[0]
+    own = verify._setup(p, [], False)[3][(1, 1, 2)][0]
     assert own.size() == 96
     rng = seeded_rng(5, "chi")
     counts = Counter(own.sample(rng) for _ in range(96_000))

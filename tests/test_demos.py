@@ -62,5 +62,5 @@ def test_mc_false_alarms_demo_runs():
     )
     assert proc.returncode == 0, proc.stderr
     rows = [line for line in proc.stdout.splitlines() if line.startswith(("| private", "| baseline"))]
-    assert [row.split(" | ")[1] for row in rows] == ["300", "1,000", "3,000", "50", "200"]
-    assert all("| 1/1 (100.0%) | 6/6 |" in row for row in rows[3:])
+    assert [row.split(" | ")[1] for row in rows] == ["300", "1,000", "3,000", "10,000", "50", "200"]
+    assert all("| 1/1 (100.0%) | 6/6 |" in row for row in rows[4:])

@@ -609,6 +609,15 @@ def test_projected_mc_distributions_match_joint_oracle(K, N, t, trials, derandom
     assert got == _joint_mc(p, coalitions, trials, 17, derandomized)
 
 
+def test_mc_oracle_case_holds_transmitters_at_their_first_point():
+    # in the A(3,2,2) case above, 7 of 8 demand vectors have a transmitter
+    # that runs out of distinct points before another and is held at its
+    # first point, which the oracle never does
+    distinct = _mc_distinct_points(scheme_a.params_for(3, 2, 2, seed=6), 12, 17)
+    assert sum(len(set(counts)) > 1 for counts in distinct.values()) == 7
+    assert distinct[(1, 1, 2)] == [11, 11, 12]
+
+
 @pytest.mark.parametrize(
     "entry",
     [
@@ -658,9 +667,7 @@ def test_recorded_draws_replay_seeded_values(params, derandomized):
     # points of consecutive trials, every transmitter's draws in turn
     # from the demand vector's one stream, are the values consecutive
     # plan_delivery_a calls draw when that stream answers each draw
-    placement = params.place(RecordingSource(), structure_only=True)
-    for d in _demand_vectors(params):
-        own = verify._split(params, placement, d, derandomized)
+    for d, own in verify._setup(params, [], derandomized)[3].items():
         assert sum(len(o.draws) for o in own) == (
             0 if derandomized else params.base.K * (params.base.N + 1))
         for seed in (0, 1, 7, 2**62 + 3, -5):
@@ -740,19 +747,42 @@ def test_mc_baseline_runs_once_per_demand_vector(trials, monkeypatch):
     assert runs == Counter(dict.fromkeys(_demand_vectors(p), 1))
 
 
-def test_mc_runs_only_for_new_points(monkeypatch):
-    # A(2,2,1): each transmitter's point is its shuffle of 2 positions
-    # (one demander per file, so the leaders are fixed); a run happens
-    # only for a new point, so at most the 2 + 2 points make runs
-    p = scheme_a.params_for(2, 2, 1)
-    placement = p.place(RecordingSource(), structure_only=True)
-    for d in _demand_vectors(p):
-        assert [o.size() for o in verify._split(p, placement, d, False)] == [2, 2]
+def _mc_distinct_points(p, trials, base_seed) -> dict:
+    """Per demand vector, how many distinct points each transmitter's
+    Monte Carlo trials draw, every draw from the demand vector's stream."""
+    out = {}
+    for d, own in verify._setup(p, [], False)[3].items():
+        rng = seeded_rng(base_seed, f"mc|{d}")
+        seen = [set() for _ in own]
+        for _ in range(trials):
+            for points, o in zip(seen, own):
+                points.add(o.sample(rng))
+        out[d] = [len(points) for points in seen]
+    return out
+
+
+@pytest.mark.parametrize(
+    "params,trials,base_seed,most",
+    [
+        # each transmitter's point is its shuffle of 2 positions (one
+        # demander per file, so the leaders are fixed)
+        pytest.param(scheme_a.params_for(2, 2, 1), 5000, 8, 2, id="A(2,2,1)"),
+        # 4! * 2 * 2 = 96 points per transmitter, all met in 3,000 trials
+        pytest.param(scheme_a.params_for(3, 2, 2), 3000, 1, 96, id="A(3,2,2)"),
+    ],
+)
+def test_mc_runs_only_for_new_points(params, trials, base_seed, most, monkeypatch):
+    # run j gives every transmitter its j-th distinct point, so a demand
+    # vector takes as many runs as the most distinct points any of its
+    # transmitters drew
+    distinct = _mc_distinct_points(params, trials, base_seed)
+    assert {max(counts) for counts in distinct.values()} == {most}
+    spaces = verify._setup(params, [], False)[3]
+    assert {o.size() for own in spaces.values() for o in own} == {most}
     runs = _runs_per_demand_vector(monkeypatch)
-    reports = check_privacy_mc_all("A", p, [(1,), (2,)], trials=5000, base_seed=8)
+    reports = check_privacy_mc_all("A", params, [(1,), (2,)], trials=trials, base_seed=base_seed)
     assert all(r.private for r in reports.values())
-    assert set(runs) == set(_demand_vectors(p))
-    assert all(2 <= n <= 4 for n in runs.values()), runs
+    assert runs == Counter({d: max(counts) for d, counts in distinct.items()})
 
 
 def test_exact_runs_in_lockstep(monkeypatch):
