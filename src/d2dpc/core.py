@@ -6,7 +6,8 @@ evaluators, privacy checks) builds on the types in this module:
 * exact rationals for every memory/load quantity (``fractions.Fraction``
   behind the ``Rat`` alias -- envelope intersections and gap ratios must
   be compared exactly, never in floating point),
-* bit buffers held as Python ints (bit i of a file is ``(buf >> i) & 1``),
+* bit buffers held as Python ints (bit i of a file is ``(buf >> i) & 1``;
+  slot s of a file is its bits [(s-1)l, sl), l the subfile size),
 * a labelled deterministic randomness source, so that every "randomly
   generate" step of a scheme can be replayed or exhaustively enumerated.
 """
@@ -368,6 +369,8 @@ def place(params: SchemeParams, source, structure_only: bool, held) -> Placement
         for k in range(1, layout.blocks + 1)
     }
     budget = params.memory_point() * base.B
+    # each file is split once; the caches share its slot values
+    pieces = None if library is None else {i: split_file(layout, buf) for i, buf in library.items()}
     caches = []
     for k in range(1, base.K + 1):
         slots: list[SubfileId] = []
@@ -376,8 +379,8 @@ def place(params: SchemeParams, source, structure_only: bool, held) -> Placement
             slots.extend(SubfileId(i, perms[(i, other)][j]) for other, j in held[k])
         slots = tuple(sorted(slots))
         content = None
-        if library is not None:
-            content = {sid: subfile_value(library, layout, sid) for sid in slots}
+        if pieces is not None:
+            content = {sid: pieces[sid.file][sid.slot - 1] for sid in slots}
         cache = CacheState(owner=k, slots=slots, content=content)
         cache.check(layout.subfile_bits, budget_bits=budget)
         caches.append(cache)
@@ -406,26 +409,49 @@ class Transcript:
     demands: tuple[int, ...]
     broadcasts: list[list[MulticastMessage]]
     payload_bits: int = 0
-    metadata_bytes: int = 0
     queries: list = field(default_factory=list, repr=False, compare=False)
 
     def all_messages(self) -> list[MulticastMessage]:
         return [m for per_user in self.broadcasts for m in per_user]
 
+    @property
+    def metadata_bytes(self) -> int:
+        """Bytes of the message headers as ``message_header_text``
+        writes them; never counted in the load."""
+        return sum(len(message_header_text(m).encode()) for m in self.all_messages())
+
+
+def split_file(layout: SlotLayout, buf: int) -> list[int]:
+    """Every slot value of one file buffer, slot s at index s - 1.  Slot
+    s is bits [(s-1)l, sl) of ``buf``, l = ``layout.subfile_bits``; each
+    is read off the buffer's little-endian bytes, so splitting a file
+    costs O(B) and not O(B) per slot."""
+    ell = layout.subfile_bits
+    mask = (1 << ell) - 1
+    nbits = layout.slots_per_file * ell
+    data = buf.to_bytes((nbits + 7) // 8, "little")
+    return [(int.from_bytes(data[lo >> 3:(lo + ell + 7) >> 3], "little") >> (lo & 7)) & mask
+            for lo in range(0, nbits, ell)]
+
 
 def subfile_value(library: dict[int, int], layout: SlotLayout, sid: SubfileId) -> int:
     """Bits of one subfile, extracted from the file buffer."""
-    ell = layout.subfile_bits
-    return (library[sid.file] >> ((sid.slot - 1) * ell)) & ((1 << ell) - 1)
+    return split_file(layout, library[sid.file])[sid.slot - 1]
 
 
 def assemble_file(layout: SlotLayout, slots: dict[int, int]) -> int:
-    """Inverse of subfile extraction: slot index -> value, for all slots."""
+    """Inverse of ``split_file``: slot index -> value, for all slots.
+    Eight slots of l bits are l whole bytes, so the file is packed eight
+    slots at a time and converted to an int once."""
     ell = layout.subfile_bits
-    out = 0
-    for s in range(1, layout.slots_per_file + 1):
-        out |= slots[s] << ((s - 1) * ell)
-    return out
+    values = [slots[s] for s in range(1, layout.slots_per_file + 1)]
+    chunks = []
+    for lo in range(0, len(values), 8):
+        group = 0
+        for j, value in enumerate(values[lo:lo + 8]):
+            group |= value << (j * ell)
+        chunks.append(group.to_bytes(ell, "little"))
+    return int.from_bytes(b"".join(chunks), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +508,15 @@ def transcript_to_text(tr: Transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_hex(token: str, nbits: int, what: str) -> int:
+    """A hex field of at most ``nbits`` bits; a wider or negative value
+    raises ValueError."""
+    value = int(token, 16)
+    if value < 0 or value >> nbits:
+        raise ValueError(f"{what} is wider than its {nbits} bits")
+    return value
+
+
 def _parse_sid(token: str, layout: SlotLayout) -> SubfileId:
     f, s = token.split(":")
     sid = SubfileId(int(f), int(s))
@@ -531,7 +566,7 @@ def transcript_from_text(text: str) -> Transcript:
             idx, buf = rest.split()
             if int(idx) != len(library) + 1:
                 raise ValueError(f"expected library line {len(library) + 1}, got {idx}")
-            library[int(idx)] = int(buf, 16)
+            library[int(idx)] = _parse_hex(buf, base.B, f"library file {idx}")
         elif kind == "cache":
             owner_s, _, body = rest.partition(" ")
             if int(owner_s) != len(caches) + 1:
@@ -542,7 +577,7 @@ def transcript_from_text(text: str) -> Transcript:
                 sid = _parse_sid(sid_s, layout)
                 if sid in content:
                     raise ValueError(f"cache {owner_s} lists subfile {sid_s} twice")
-                content[sid] = int(val, 16)
+                content[sid] = _parse_hex(val, layout.subfile_bits, f"cache {owner_s} subfile {sid_s}")
             slots = tuple(sorted(content))
             caches.append(CacheState(int(owner_s), slots, content))
         elif kind == "message":
@@ -553,7 +588,7 @@ def transcript_from_text(text: str) -> Transcript:
             pos_v = pos_s.split("=", 1)[1]
             pos = None if pos_v == "-" else tuple(int(x) for x in pos_v.split(","))
             comp = tuple(_parse_sid(t, layout) for t in comp_s.split("=", 1)[1].split(","))
-            payload = int(pay_s.split("=", 1)[1], 16)
+            payload = _parse_hex(pay_s.split("=", 1)[1], layout.subfile_bits, f"message {sender} payload")
             broadcasts[sender - 1].append(
                 MulticastMessage(sender, comp, payload, layout.subfile_bits, pos)
             )

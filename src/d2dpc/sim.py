@@ -27,7 +27,6 @@ from .core import (
     SubfileId,
     Transcript,
     demand_vector,
-    message_header_text,
     scheme_class,
 )
 
@@ -97,11 +96,6 @@ def run_protocol(
         for q in queries
     ]
     payload_bits = sum(m.nbits for per in broadcasts for m in per)
-    metadata_bytes = 0
-    if not structure_only:
-        metadata_bytes = sum(
-            len(message_header_text(m).encode()) for per in broadcasts for m in per
-        )
     return Transcript(
         scheme_params=scheme_params,
         library=placement.library,
@@ -109,7 +103,6 @@ def run_protocol(
         demands=d,
         broadcasts=broadcasts,
         payload_bits=payload_bits,
-        metadata_bytes=metadata_bytes,
         queries=queries,
     )
 

@@ -7,10 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from d2dpc.core import (
     MAX_STRUCTURE_ENTRIES,
+    SlotLayout,
+    SubfileId,
     SystemParams,
+    assemble_file,
     random_library,
     resolve_file_size,
     seeded_rng,
+    split_file,
+    subfile_value,
     transcript_from_text,
     transcript_to_text,
 )
@@ -146,6 +151,36 @@ def test_transcript_roundtrip():
     assert transcript_to_text(back) == text
 
 
+@st.composite
+def files_by_slot(draw):
+    """A slot layout of 1..40 slots of 1..80 bits, and one value per slot;
+    values are drawn at full width, the last slot's with its top bit set."""
+    ell, count = draw(st.integers(1, 80)), draw(st.integers(1, 40))
+    full = st.integers(1 << (ell - 1), (1 << ell) - 1)
+    values = draw(st.lists(full | st.integers(0, (1 << ell) - 1), min_size=count - 1, max_size=count - 1))
+    return SlotLayout(N=1, blocks=1, slots_per_block=count, subfile_bits=ell), values + [draw(full)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(files_by_slot())
+def test_split_and_assemble_invert_the_shift_layout(case):
+    layout, values = case
+    ell = layout.subfile_bits
+    # the layout as a formula: slot s is bits [(s-1)l, sl) of the file
+    buf = sum(v << (s * ell) for s, v in enumerate(values))
+    assert buf.bit_length() == len(values) * ell
+    assert split_file(layout, buf) == [(buf >> ((s - 1) * ell)) & ((1 << ell) - 1)
+                                       for s in range(1, len(values) + 1)] == values
+    assert assemble_file(layout, dict(enumerate(values, 1))) == buf
+    assert subfile_value({1: buf}, layout, SubfileId(1, len(values))) == values[-1]
+
+
+def test_metadata_bytes_survive_the_text_round_trip():
+    tr = sim.run_protocol("A", scheme_a.params_for(3, 2, 2, seed=1), (1, 2, 2))
+    assert tr.metadata_bytes == 308
+    assert transcript_from_text(transcript_to_text(tr)).metadata_bytes == 308
+
+
 def test_golden_transcript(tmp_path):
     # frozen serialization of a fixed-seed run; guards the wire format and
     # the deterministic randomness plumbing at the same time
@@ -253,6 +288,13 @@ def _scheme_b_text_with_three_users():
         GOLDEN.read_text().replace("M=3/2", "M=7/3"),
         GOLDEN.read_text().replace("blocks=2 slots_per_block=2", "blocks=1 slots_per_block=4"),
         _scheme_b_text_with_three_users(),
+        # hex values no wider than their field: B bits for a file, l for a subfile
+        GOLDEN.read_text().replace("library 1 a\n", "library 1 ffff\n"),
+        GOLDEN.read_text().replace("library 1 a\n", "library 1 1a\n"),
+        GOLDEN.read_text().replace("library 1 a\n", "library 1 -a\n"),
+        GOLDEN.read_text().replace("cache 1 1:1=0 ", "cache 1 1:1=2 "),
+        GOLDEN.read_text().replace("comp=2:2,1:2 payload=1", "comp=2:2,1:2 payload=ff"),
+        GOLDEN.read_text().replace("comp=2:2,1:2 payload=1", "comp=2:2,1:2 payload=-1"),
     ],
 )
 def test_malformed_transcript_raises_value_error(text):

@@ -117,3 +117,31 @@ def test_transcripts_pinned():
                 tr = run_protocol(p.scheme, p, d, derandomized=derandomized)
                 h.update(transcript_to_text(tr).encode())
     assert h.hexdigest() == PINNED_TRANSCRIPT_DIGEST
+
+
+# transcripts of multi-bit subfiles: slot counts 12 (A(3,2,2)), 6 (A(2,3,3)),
+# 10 (B(4,2)) and 2 (B(3,-)), none a multiple of 8, at three subfile widths
+PINNED_MULTIBIT_DIGEST = "ec5b2a0dff1b3291c266653837625bbf52982b91d4ba3ad0ab813cc506d13dac"
+
+
+def test_multibit_transcripts_pinned():
+    import hashlib
+    import itertools
+
+    sizes = [
+        (scheme_a.params_for, (3, 2, 2)),
+        (scheme_a.params_for, (2, 3, 3)),
+        (scheme_b.params_for, (4, 2)),
+        (scheme_b.params_for, (3, None)),
+    ]
+    h = hashlib.sha256()
+    for ell in (3, 13, 64):
+        for build, size in sizes:
+            for seed in range(2):
+                slots = build(*size).subpacketization
+                p = build(*size, seed=seed, b_target=slots * ell)
+                assert p.layout.subfile_bits == ell and slots % 8
+                K, N = p.base.K, p.base.N
+                for d in itertools.product(range(1, N + 1), repeat=K):
+                    h.update(transcript_to_text(run_protocol(p.scheme, p, d)).encode())
+    assert h.hexdigest() == PINNED_MULTIBIT_DIGEST
