@@ -25,6 +25,7 @@ from .combinat import (
     even_grid,
     line_through,
     lower_convex_envelope,
+    shared_domain,
     upper_envelope_of_lines,
 )
 from .core import Rat
@@ -263,11 +264,7 @@ def default_gap_grid(achievable: TradeoffCurve, converse: TradeoffCurve) -> list
     bound; where both fall to zero together it tends to the ratio of
     their slopes, which the skipped 0/0 point does not show.
     """
-    lo = max(achievable.min_m, converse.min_m)
-    hi = min(achievable.max_m, converse.max_m)
-    if lo >= hi:
-        raise ValueError("curve domains do not overlap")
-    return gap_grid(achievable, converse, lo, hi, 64)
+    return gap_grid(achievable, converse, *shared_domain(achievable, converse), 64)
 
 
 def gap(achievable: TradeoffCurve, converse: TradeoffCurve, grid=None) -> GapReport:

@@ -13,8 +13,9 @@ import sys
 from fractions import Fraction
 
 from . import bounds, sim, verify
-from .combinat import curve_max, even_grid
-from .core import MAX_FILE_BITS, check_seed, demand_vector, scheme_class, transcript_to_text
+from .combinat import curve_max, even_grid, shared_domain
+from .core import (MAX_FILE_BITS, SchemeParams, check_seed, demand_vector, scheme_class,
+                   transcript_to_text)
 
 
 def _env_int(parser: argparse.ArgumentParser, name: str, default: int) -> int:
@@ -91,12 +92,10 @@ def _gap_inputs(parser: argparse.ArgumentParser, args):
             converse = curve if converse is None else curve_max(converse, curve)
         except ValueError as err:
             parser.error(f"argument --converse: {name}: {err}")
-    lo = max(achievable.min_m, converse.min_m)
-    hi = min(achievable.max_m, converse.max_m)
-    if lo >= hi:
-        parser.error(f"argument --converse: its domain [{converse.min_m}, {converse.max_m}] "
-                     f"and the achievable curve's [{achievable.min_m}, {achievable.max_m}] "
-                     "do not overlap")
+    try:
+        lo, hi = shared_domain(converse, achievable)
+    except ValueError as err:
+        parser.error(f"argument --converse: {err}")
     for flag, m in (("--min-m", args.min_m), ("--max-m", args.max_m)):
         if m is not None and not lo <= m <= hi:
             parser.error(f"argument {flag}: {m} lies outside the curves' shared domain [{lo}, {hi}]")
@@ -204,7 +203,7 @@ def cmd_verify(args) -> int:
         try:
             reports = verify.check_privacy_exact_all(
                 args.scheme, args.params, [args.coalition],
-                cap=args.enum_cap, derandomized=derandomized, paranoid=args.paranoid,
+                cap=args.enum_cap, derandomized=derandomized,
             )
         except verify.ExactModeTooLarge as err:
             print(err)
@@ -230,7 +229,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_instance(p, need_demands=False):
-        p.add_argument("--scheme", required=True, type=str.upper, choices=["A", "B"])
+        p.add_argument("--scheme", required=True, type=str.upper,
+                       choices=sorted(cls.scheme for cls in SchemeParams.__subclasses__()))
         p.add_argument("--K", type=int, required=True)
         p.add_argument("--N", type=int, required=True)
         p.add_argument("--t", type=int, help="scheme A parameter t")
@@ -279,9 +279,6 @@ def main(argv=None) -> int:
                        help="comma-separated user indices")
     p_ver.add_argument("--trials", type=_int_in(1), default=verify.DEFAULT_TRIALS)
     p_ver.add_argument("--tol", type=_parse_tolerance, default=verify.DEFAULT_TOLERANCE)
-    p_ver.add_argument("--paranoid", action="store_true",
-                       help="exact mode only: add the payload-relation fingerprint to each "
-                       "view (a function of the view; the verdict is the same without it)")
     p_ver.add_argument("--baseline", choices=["nonprivate"],
                        help="check the derandomized non-private baseline instead")
     p_ver.set_defaults(func=cmd_verify)
@@ -311,8 +308,6 @@ def main(argv=None) -> int:
     if args.command == "verify":
         if any(not 1 <= u <= args.K for u in args.coalition):
             parser.error(f"argument --coalition: users must lie in 1..{args.K}")
-        if args.paranoid and args.mode == "mc":
-            parser.error("argument --paranoid: exact mode only, not --mode mc")
         args.enum_cap = _env_int(parser, "D2DPC_ENUM_CAP", verify.EXACT_ENUMERATION_CAP)
         if args.enum_cap < 1:
             parser.error("environment variable D2DPC_ENUM_CAP must be positive, "

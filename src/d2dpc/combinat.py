@@ -192,12 +192,17 @@ def upper_envelope_of_lines(lines: Sequence[Line], lo, hi) -> TradeoffCurve:
     return TradeoffCurve(corners=tuple(corners), provenance=tuple(tags))
 
 
-def curve_max(a: TradeoffCurve, b: TradeoffCurve) -> TradeoffCurve:
-    """Pointwise max of two curves on the intersection of their domains."""
-    lo = max(a.min_m, b.min_m)
-    hi = min(a.max_m, b.max_m)
+def shared_domain(a: TradeoffCurve, b: TradeoffCurve) -> tuple[Rat, Rat]:
+    """(lo, hi), the curves' domains intersected; ValueError unless lo < hi."""
+    lo, hi = max(a.min_m, b.min_m), min(a.max_m, b.max_m)
     if lo >= hi:
-        raise ValueError("curve domains do not overlap")
+        raise ValueError(f"domains [{a.min_m}, {a.max_m}] and [{b.min_m}, {b.max_m}] do not overlap")
+    return lo, hi
+
+
+def curve_max(a: TradeoffCurve, b: TradeoffCurve) -> TradeoffCurve:
+    """Pointwise max of two curves on their ``shared_domain``."""
+    lo, hi = shared_domain(a, b)
     ms = sorted({m for m in a.corner_ms() + b.corner_ms() if lo <= m <= hi} | {lo, hi})
     corners: list[tuple[Rat, Rat]] = []
 

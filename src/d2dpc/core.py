@@ -517,6 +517,14 @@ def _parse_hex(token: str, nbits: int, what: str) -> int:
     return value
 
 
+def _field(token: str, key: str) -> str:
+    """The value of a ``key=value`` token; any other token raises ValueError."""
+    name, sep, value = token.partition("=")
+    if name != key or not sep:
+        raise ValueError(f"expected {key}=..., got {token!r}")
+    return value
+
+
 def _parse_sid(token: str, layout: SlotLayout) -> SubfileId:
     f, s = token.split(":")
     sid = SubfileId(int(f), int(s))
@@ -578,17 +586,17 @@ def transcript_from_text(text: str) -> Transcript:
                 if sid in content:
                     raise ValueError(f"cache {owner_s} lists subfile {sid_s} twice")
                 content[sid] = _parse_hex(val, layout.subfile_bits, f"cache {owner_s} subfile {sid_s}")
-            slots = tuple(sorted(content))
-            caches.append(CacheState(int(owner_s), slots, content))
+            caches.append(CacheState(int(owner_s), tuple(sorted(content)), content))
+            caches[-1].check(layout.subfile_bits, budget_bits=sp.memory_point() * base.B)
         elif kind == "message":
             sender_s, pos_s, comp_s, pay_s = rest.split()
             sender = int(sender_s)
             if not 1 <= sender <= base.K:
                 raise ValueError(f"message sender {sender} outside 1..{base.K}")
-            pos_v = pos_s.split("=", 1)[1]
+            pos_v = _field(pos_s, "pos")
             pos = None if pos_v == "-" else tuple(int(x) for x in pos_v.split(","))
-            comp = tuple(_parse_sid(t, layout) for t in comp_s.split("=", 1)[1].split(","))
-            payload = _parse_hex(pay_s.split("=", 1)[1], layout.subfile_bits, f"message {sender} payload")
+            comp = tuple(_parse_sid(t, layout) for t in _field(comp_s, "comp").split(","))
+            payload = _parse_hex(_field(pay_s, "payload"), layout.subfile_bits, f"message {sender} payload")
             broadcasts[sender - 1].append(
                 MulticastMessage(sender, comp, payload, layout.subfile_bits, pos)
             )
@@ -599,7 +607,7 @@ def transcript_from_text(text: str) -> Transcript:
             f"transcript has {len(library)} library and {len(caches)} cache lines, "
             f"expected N={base.N} and K={base.K}"
         )
-    payload_bits = int(lines[-1].split("=", 1)[1])
+    payload_bits = int(_field(lines[-1], "payload_bits"))
     if payload_bits != sum(m.nbits for per in broadcasts for m in per):
         raise ValueError(f"payload_bits={payload_bits} disagrees with the messages")
     return Transcript(

@@ -150,22 +150,14 @@ def place_a(params: SchemeAParams, source, structure_only: bool = False) -> Plac
 # ---------------------------------------------------------------------------
 
 
-def assign_virtual_demands(k: int, demands, params: SchemeAParams) -> Mapping[int, int]:
-    """Effective demand map for sub-system k, read-only.
-
-    Real users keep their demands; virtual users receive files in
-    contiguous blocks sized so every file ends up demanded by exactly
-    K-1 effective users.
-    """
-    return _virtual_demands(params.base.K, params.base.N, k, tuple(demands))[0]
-
-
 @lru_cache(maxsize=1024)
 def _virtual_demands(K: int, N: int, k: int, demands: tuple[int, ...]):
-    """(effective demand map, per-file sorted demander tuples indexed by
-    file) for sub-system k.  The per-file count is checked whenever a map
-    is built, because the block index arithmetic is easy to get wrong
-    silently."""
+    """(effective demand map, read-only, and per-file sorted demander
+    tuples indexed by file) for sub-system k.  Real users keep their
+    demands; virtual users receive files in contiguous blocks sized so
+    every file ends up demanded by exactly K-1 effective users.  The
+    per-file count is checked whenever a map is built, because the block
+    index arithmetic is easy to get wrong silently."""
     d_eff = {u: demands[u - 1] for u in range(1, K + 1) if u != k}
     counts = [0] * (N + 1)
     for f in d_eff.values():
@@ -337,14 +329,7 @@ def load_a_upper(K: int, N: int, t: int) -> Rat:
     return Fraction(U - t + 1, t)
 
 
-def scheme_a_points(K: int, N: int) -> list[tuple[Rat, Rat]]:
-    U = (K - 1) * N
-    return [load_a_point(K, N, t) for t in range(1, U + 2)]
-
-
 def scheme_a_curve(K: int, N: int) -> TradeoffCurve:
-    U = (K - 1) * N
-    pts = scheme_a_points(K, N)
-    return lower_convex_envelope(
-        pts, provenance=[f"schemeA(t={t})" for t in range(1, U + 2)]
-    )
+    ts = range(1, (K - 1) * N + 2)
+    return lower_convex_envelope([load_a_point(K, N, t) for t in ts],
+                                 provenance=[f"schemeA(t={t})" for t in ts])

@@ -170,14 +170,9 @@ def load_b_point(N: int, tprime: int) -> tuple[Rat, Rat]:
     return M, R
 
 
-def scheme_b_points(N: int) -> list[tuple[Rat, Rat]]:
+def scheme_b_curve(N: int) -> TradeoffCurve:
     if N < 2:
         raise ValueError("need N >= 2")
-    pts = [load_b_point(N, tp) for tp in range(N)]
-    pts.append((Fraction(N), Fraction(0)))
-    return pts
-
-
-def scheme_b_curve(N: int) -> TradeoffCurve:
+    pts = [load_b_point(N, tp) for tp in range(N)] + [(Fraction(N), Fraction(0))]
     tags = [f"schemeB(t'={tp})" for tp in range(N)] + ["schemeB(full)"]
-    return lower_convex_envelope(scheme_b_points(N), provenance=tags)
+    return lower_convex_envelope(pts, provenance=tags)

@@ -69,16 +69,15 @@ def run_protocol(
     demands,
     source=None,
     derandomized: bool = False,
-    structure_only: bool = False,
     placement=None,
 ) -> Transcript:
     """One full placement + delivery run; returns the transcript.
 
     ``source`` defaults to the seeded stream family of the instance; the
     privacy checker passes a FixedSource to replay an explicit randomness
-    assignment.  ``structure_only`` skips all bit material (metadata-level
-    run, enough for privacy views).  A pre-built ``placement`` may be
-    passed to amortise it across demand vectors.
+    assignment.  A pre-built ``placement`` may be passed to amortise it
+    across demand vectors; one built with ``structure_only`` gives a run
+    with no bit material (metadata only, enough for privacy views).
     """
     check_scheme(scheme, scheme_params)
     base = scheme_params.base
@@ -86,7 +85,7 @@ def run_protocol(
     if source is None:
         source = SeededSource(base.seed)
     if placement is None:
-        placement = scheme_params.place(source, structure_only)
+        placement = scheme_params.place(source)
     plans = scheme_params.query_plans(placement, d, source, derandomized)
     queries = [Query(k, plan) for k, plan in enumerate(plans, 1)]
 

@@ -16,6 +16,15 @@ is computed from the already relabelled rows, so it is a function of
 the block it is added to: it can change neither a verdict nor a
 witness, and it is no check of the canonicalisation.
 
+Every check rests on one premise about the placement draws, which
+``_setup`` checks before anything runs: the placement draws exactly one
+permutation per (file, block), labelled ``(scheme, "p", i, k)`` and
+drawn over exactly that block's slots (``layout.block_slots(k)``, in
+any order), and nothing else.  Those are the permutations the
+canonicaliser quotients out, and a check runs on their first outcome;
+a scheme that skipped, narrowed or widened the shuffle would be checked
+as if it had shuffled, so it is rejected with ValueError instead.
+
 Two facts shrink what a check has to run; tests check both against a
 brute-force enumeration and against raw, uncanonicalised views.
 * A canonical view does not depend on the placement draw, not even one
@@ -139,23 +148,19 @@ def _relabelled(rows, class_of) -> tuple:
 
 
 class _Everyone:
-    """The one view builder: each cached slot's class (file, block, the
-    users caching it) and the counts of cached slots per class."""
+    """The one view builder: each slot's class (file, block, the users
+    caching it) and the counts of slots per class.  User k caches all of
+    block k of every file, so every slot is cached by someone."""
 
     def __init__(self, caches, layout):
-        self._spb = layout.slots_per_block
         pattern: dict = {}  # sid -> tuple of users caching it
         for u, cache in enumerate(caches, 1):
             for sid in cache.slots:
                 pattern[sid] = pattern.get(sid, ()) + (u,)
-        self._classes = {sid: (sid[0], (sid[1] - 1) // self._spb + 1, pat)
+        self._classes = {sid: (sid.file, layout.block_of(sid.slot), pat)
                          for sid, pat in pattern.items()}
         self._users = tuple(range(1, len(caches) + 1))
         self._cache_classes = tuple(sorted(Counter(self._classes.values()).items()))
-
-    def _class_of(self, sid):
-        cls = self._classes.get(sid)
-        return cls if cls is not None else (sid[0], (sid[1] - 1) // self._spb + 1, ())
 
     def head(self, demands) -> tuple:
         """Block 0: all users, all demands and the cache-class counts."""
@@ -164,7 +169,7 @@ class _Everyone:
     def rows(self, per_user) -> tuple:
         """Block k: transmitter k's messages relabelled on their own."""
         return _relabelled(((m.sender, m.position_set, m.composition) for m in per_user),
-                           self._class_of)
+                           self._classes.__getitem__)
 
     def blocks(self, demands, broadcasts) -> tuple:
         """A run's everyone-view ``(head, rows_1, ..., rows_K)``."""
@@ -303,10 +308,19 @@ def _setup(scheme_params, coalitions, derandomized: bool):
     caches, and every demand vector's delivery draws recorded on that
     placement and split by transmitter: ``spaces[d][k - 1]`` is a
     ``RecordingSource`` holding the draws labelled for transmitter k
-    (``label[2] == k``).  Coalitions are checked before anything is drawn."""
-    base = scheme_params.base
+    (``label[2] == k``).  Coalitions are checked before anything is
+    drawn, the placement draws (see the module docstring) before any
+    delivery."""
+    base, layout = scheme_params.base, scheme_params.layout
     coalitions = [_coalition(c, base.K) for c in coalitions]
-    placement = scheme_params.place(RecordingSource(), structure_only=True)
+    recorder = RecordingSource()
+    placement = scheme_params.place(recorder, structure_only=True)
+    shuffles = [((scheme_params.scheme, "p", i, k), tuple(layout.block_slots(k)), "permutation")
+                for i in range(1, base.N + 1) for k in range(1, layout.blocks + 1)]
+    drawn = Counter((label, tuple(sorted(xs)), kind) for label, xs, kind in recorder.draws)
+    if drawn != Counter(shuffles):
+        raise ValueError(f"{scheme_params.label()}: the placement must draw one permutation of each "
+                         "(file, block)'s slots, labelled (scheme, 'p', file, block), and nothing else")
     spaces = {}
     for d in itertools.product(range(1, base.N + 1), repeat=base.K):
         recorder = RecordingSource()
@@ -314,7 +328,7 @@ def _setup(scheme_params, coalitions, derandomized: bool):
         own = spaces[d] = [RecordingSource() for _ in range(base.K)]
         for draw in recorder.draws:
             own[draw[0][2] - 1].draws.append(draw)
-    return coalitions, placement, _Everyone(placement.caches, scheme_params.layout), spaces
+    return coalitions, placement, _Everyone(placement.caches, layout), spaces
 
 
 def _block_pass(scheme_params, placement, everyone, d, derandomized, own, weighted, n_head):
@@ -336,7 +350,7 @@ def _block_pass(scheme_params, placement, everyone, d, derandomized, own, weight
             assignment.update(zip(labs, (entry or first)[0]))
         tr = sim.run_protocol(scheme_params.scheme, scheme_params, d,
                               source=FixedSource(assignment), derandomized=derandomized,
-                              structure_only=True, placement=placement)
+                              placement=placement)
         for k, (entry, per_user) in enumerate(zip(column, tr.broadcasts), 1):
             if entry is not None:
                 yield d, k, everyone.rows(per_user), entry[1]

@@ -23,7 +23,7 @@ from d2dpc.bounds import (
     shared_link_nonprivate_envelope,
     t2_first_segment,
 )
-from d2dpc.combinat import curve_max, even_grid
+from d2dpc.combinat import curve_max, even_grid, shared_domain
 from d2dpc.scheme_a import scheme_a_curve
 from d2dpc.scheme_b import scheme_b_curve
 
@@ -214,7 +214,7 @@ def test_two_user_worst_gap_closed_form():
     for N in range(2, 61):
         achievable, converse = scheme_b_curve(N), converse_two_user_curve(N)
         lo, hi = Fraction(N, 2), Fraction(N)
-        assert (max(achievable.min_m, converse.min_m), min(achievable.max_m, converse.max_m)) == (lo, hi)
+        assert shared_domain(achievable, converse) == (lo, hi)
         report = gap(achievable, converse, gap_grid(achievable, converse, lo, hi, 0))
         even = 2 * (N // 2)
         assert report.max_ratio == Fraction(4 * (even + 1), 3 * (even + 2)), N
@@ -269,3 +269,41 @@ def test_curve_max_combines_converses():
             converse_k_user(K, N, M),
             shared_link_nonprivate_envelope(K, N, Fraction(1, 2))(M),
         )
+
+
+def _converse_against(converse, achievable):
+    """(points checked, the points (M, R) where the converse meets a
+    positive achievable load), both over the corners of either curve in their
+    shared domain and its ends; a converse above the achievable load at
+    any of them fails.  Both curves are piecewise linear, so these points
+    decide the order on the whole shared domain."""
+    lo, hi = shared_domain(converse, achievable)
+    ms = {m for m in converse.corner_ms() + achievable.corner_ms() if lo <= m <= hi} | {lo, hi}
+    meets = set()
+    for m in ms:
+        c, a = converse(m), achievable(m)
+        assert c <= a, (m, c, a)
+        if c == a > 0:
+            meets.add((m, a))
+    return len(ms), meets
+
+
+def test_converses_never_exceed_an_uncoded_achievable_load():
+    # a converse transcribed too strong would show here: at every corner
+    # in the shared domain it stays at or below schemes A and B (scheme C
+    # uses coded placement, which an uncoded converse does not bound)
+    checked, tight = 0, set()
+    for N in range(2, 41):
+        for achievable in (scheme_a_curve(2, N), scheme_b_curve(N)):
+            checked += _converse_against(converse_two_user_curve(N), achievable)[0]
+    for K in range(3, 9):
+        for N in range(K, 3 * K + 1):
+            n, meets = _converse_against(converse_k_user_curve(K, N), scheme_a_curve(K, N))
+            checked += n
+            tight |= {(K, N, m, r) for m, r in meets}
+    assert checked == 7_939
+    # besides M = N, where both vanish, scheme A meets the K-user
+    # converse only at its t = 1 corner (N/K, N), and there only for
+    # even K with 2N/K an integer
+    assert tight == {(K, N, Fraction(N, K), N) for K in (4, 6, 8)
+                     for N in (K, 3 * K // 2, 2 * K, 5 * K // 2, 3 * K)}

@@ -125,7 +125,7 @@ def test_gap_unbounded_fails_the_bound(capsys, density):
 
 def test_verify_exact_pass(capsys):
     rc = main(["verify", "--scheme", "A", "--K", "2", "--N", "2", "--t", "2",
-               "--mode", "exact", "--coalition", "1", "--paranoid"])
+               "--mode", "exact", "--coalition", "1"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "verdict=PASS" in out
@@ -255,7 +255,6 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "nan"]),
         ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "1.5"]),
         ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "-0.1"]),
-        ("--paranoid", _VERIFY_A + ["--mode", "mc", "--paranoid"]),
         ("--seed", _VERIFY_A + ["--seed", "99999999999999999999"]),
         ("--seed", ["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1",
                     "--demands", "1,2", "--seed", "-99999999999999999999"]),

@@ -14,6 +14,7 @@ from d2dpc.combinat import (
     curve_max,
     lex_subsets,
     lower_convex_envelope,
+    shared_domain,
     upper_envelope_of_lines,
 )
 from d2dpc import scheme_a, verify
@@ -247,6 +248,16 @@ def test_upper_envelope_two_user_lines_match_oracle():
     for N in range(2, 25):
         lines = bounds._converse_lines(2, N, bounds._TWO_USER_TAGS)
         _assert_matches_oracle(lines, Fraction(N, 2), N)
+
+
+def test_shared_domain():
+    a = lower_convex_envelope([(0, 4), (4, 0)])
+    assert shared_domain(a, lower_convex_envelope([(1, 2), (6, 0)])) == (1, 4)
+    for b in (lower_convex_envelope([(4, 1), (5, 0)]), lower_convex_envelope([(5, 1), (6, 0)])):
+        with pytest.raises(ValueError, match="do not overlap"):
+            shared_domain(a, b)
+        with pytest.raises(ValueError, match="do not overlap"):
+            curve_max(a, b)
 
 
 def test_curve_max():

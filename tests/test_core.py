@@ -295,6 +295,16 @@ def _scheme_b_text_with_three_users():
         GOLDEN.read_text().replace("cache 1 1:1=0 ", "cache 1 1:1=2 "),
         GOLDEN.read_text().replace("comp=2:2,1:2 payload=1", "comp=2:2,1:2 payload=ff"),
         GOLDEN.read_text().replace("comp=2:2,1:2 payload=1", "comp=2:2,1:2 payload=-1"),
+        # a message line is pos=, comp= and payload=, each key named, in that order
+        GOLDEN.read_text().replace("message 1 pos=1,2 ", "message 1 pos "),
+        GOLDEN.read_text().replace("comp=2:2,1:2 ", "comp "),
+        GOLDEN.read_text().replace("comp=2:2,1:2 payload=1", "comp=2:2,1:2 payload"),
+        GOLDEN.read_text().replace("message 1 pos=1,2 ", "message 1 xyz=1 "),
+        GOLDEN.read_text().replace("comp=2:2,1:2 ", "cmp=2:2,1:2 "),
+        GOLDEN.read_text().replace("comp=2:2,1:2 payload=1", "comp=2:2,1:2 pay=1"),
+        GOLDEN.read_text().replace("message 1 pos=1,2 comp=2:2,1:2 ", "message 1 comp=2:2,1:2 pos=1,2 "),
+        # a cache holds at most M*B bits: 8 > 3/2 * 4
+        GOLDEN.read_text().replace("cache 1 ", "cache 1 1:3=0 2:3=0 "),
     ],
 )
 def test_malformed_transcript_raises_value_error(text):

@@ -9,7 +9,7 @@ from d2dpc import scheme_a, sim, verify
 from d2dpc.combinat import binom, lex_subsets
 from d2dpc.core import SeededSource, SubfileId, SystemParams
 from d2dpc.scheme_a import (
-    assign_virtual_demands,
+    _virtual_demands,
     decode_from_messages,
     load_a_point,
     load_a_upper,
@@ -66,8 +66,7 @@ def test_place_t1_own_block_only():
 def test_assign_virtual_demands_two_users():
     # K=2, N=2, transmitter 1, d=(1,1): file 1 already has one real
     # demander, so the single virtual user takes file 2
-    p = params_for(2, 2, 1)
-    d_eff = assign_virtual_demands(1, (1, 1), p)
+    d_eff = _virtual_demands(2, 2, 1, (1, 1))[0]
     assert d_eff[2] == 1
     assert d_eff[3] == 2
     counts = [list(d_eff.values()).count(i) for i in (1, 2)]
@@ -76,8 +75,7 @@ def test_assign_virtual_demands_two_users():
 
 def test_assign_virtual_demands_three_users():
     # K=3, N=2, transmitter 3, d=(1,1,*): both virtual users take file 2
-    p = params_for(3, 2, 1)
-    d_eff = assign_virtual_demands(3, (1, 1, 2), p)
+    d_eff = _virtual_demands(3, 2, 3, (1, 1, 2))[0]
     assert d_eff[4] == 2 and d_eff[5] == 2
     counts = [list(d_eff.values()).count(i) for i in (1, 2)]
     assert counts == [2, 2]
@@ -90,14 +88,14 @@ def test_assign_virtual_demands_partitions_universe():
         for _ in range(10):
             d = tuple(rng.randint(1, N) for _ in range(K))
             for k in range(1, K + 1):
-                d_eff = assign_virtual_demands(k, d, p)
+                d_eff = _virtual_demands(K, N, k, d)[0]
                 assert len(d_eff) == p.U
                 per_file = [list(d_eff.values()).count(i) for i in range(1, N + 1)]
                 assert per_file == [K - 1] * N
 
 
 def test_virtual_demand_maps_are_read_only():
-    d_eff = assign_virtual_demands(1, (1, 2), params_for(2, 2, 1))
+    d_eff = _virtual_demands(2, 2, 1, (1, 2))[0]
     with pytest.raises(TypeError):
         d_eff[2] = 2
 

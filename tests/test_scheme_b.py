@@ -15,7 +15,6 @@ from d2dpc.scheme_b import (
     place_b,
     plan_messages_b,
     scheme_b_curve,
-    scheme_b_points,
 )
 
 
@@ -169,7 +168,7 @@ def test_load_points():
     assert load_b_point(4, 0) == (Fraction(2), Fraction(4))  # (N/2, N)
     with pytest.raises(ValueError):
         load_b_point(3, 3)
-    assert scheme_b_points(3)[-1] == (3, 0)
+    assert scheme_b_curve(3).corners[-1] == (3, 0)
 
 
 def test_envelope_example_point():

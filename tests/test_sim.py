@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from d2dpc import scheme_a, scheme_b, sim
-from d2dpc.core import transcript_to_text
+from d2dpc.core import SeededSource, transcript_to_text
 from d2dpc.sim import measure_load, run_protocol, theoretical_load, user_broadcast
 
 
@@ -73,10 +73,14 @@ def test_seed_determinism():
 
 def test_structure_only_run_has_no_bits():
     p = scheme_a.params_for(2, 2, 2, seed=10)
-    tr = run_protocol("A", p, (1, 1), structure_only=True)
+    tr = run_protocol("A", p, (1, 1), placement=p.place(SeededSource(10), structure_only=True))
     assert tr.library is None
     assert all(m.payload is None for m in tr.all_messages())
     assert all(c.content is None for c in tr.caches)
+    # the same draws as the full run, whose placement the seed gives
+    full = run_protocol("A", p, (1, 1))
+    assert [c.slots for c in tr.caches] == [c.slots for c in full.caches]
+    assert [m.composition for m in tr.all_messages()] == [m.composition for m in full.all_messages()]
 
 
 def test_unknown_scheme():

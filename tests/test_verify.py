@@ -4,10 +4,11 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from d2dpc import scheme_a, scheme_b, sim, verify
+from d2dpc import core, scheme_a, scheme_b, sim, verify
 from d2dpc.core import (
     FixedSource,
     MulticastMessage,
@@ -141,14 +142,14 @@ def test_full_coalition_view_determines_demands():
     p = scheme_a.params_for(2, 2, 2, seed=23)
     views = {}
     for d in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        tr = sim.run_protocol("A", p, d, structure_only=True)
+        tr = sim.run_protocol("A", p, d, placement=p.place(SeededSource(23), structure_only=True))
         views[d] = canonical_view(tr, [1, 2]).key()
     assert len(set(views.values())) == 4
 
 
 def test_coalition_validation():
     p = scheme_a.params_for(2, 2, 2, seed=1)
-    tr = sim.run_protocol("A", p, (1, 1), structure_only=True)
+    tr = sim.run_protocol("A", p, (1, 1), placement=p.place(SeededSource(1), structure_only=True))
     with pytest.raises(ValueError):
         canonical_view(tr, [])
     with pytest.raises(ValueError):
@@ -243,8 +244,9 @@ def test_projected_views_match_direct_relabelling(params):
     K, N = params.base.K, params.base.N
     for seed, derandomized in itertools.product(range(3), (False, True)):
         d = tuple((seed + u) % N + 1 for u in range(K))
-        tr = sim.run_protocol(params.scheme, params, d, source=SeededSource(seed),
-                              derandomized=derandomized, structure_only=True)
+        source = SeededSource(seed)
+        tr = sim.run_protocol(params.scheme, params, d, source=source, derandomized=derandomized,
+                              placement=params.place(source, structure_only=True))
         for k, per_user in enumerate(tr.broadcasts, 1):
             assert all(tr.scheme_params.layout.block_of(sid.slot) == k for m in per_user for sid in m.composition)
         for c in _all_coalitions(K):
@@ -389,7 +391,7 @@ def _joint_runs(p, derandomized):
             for d_combo in itertools.product(*(opts for _, opts in d_atoms)):
                 source = FixedSource({**p_assign, **dict(zip((lab for lab, _ in d_atoms), d_combo))})
                 yield d, sim.run_protocol(p.scheme, p, d, source=source, derandomized=derandomized,
-                                          structure_only=True)
+                                          placement=p.place(source, structure_only=True))
 
 
 def _joint_counts(p, coalitions, derandomized, view):
@@ -438,7 +440,7 @@ def _joint_mc(p, coalitions, trials, base_seed, derandomized):
         source = _StreamSource(seeded_rng(base_seed, f"mc|{d}"))
         runs = [
             sim.run_protocol(p.scheme, p, d, source=source, derandomized=derandomized,
-                             structure_only=True, placement=placement)
+                             placement=placement)
             for _ in range(trials)
         ]
         for c in coalitions:
@@ -519,8 +521,7 @@ def test_views_do_not_depend_on_the_placement_draw(params, samples, count):
             views = set()
             for placement in placements:
                 tr = sim.run_protocol(params.scheme, params, d, source=SeededSource(seed),
-                                      derandomized=derandomized, structure_only=True,
-                                      placement=placement)
+                                      derandomized=derandomized, placement=placement)
                 views.add(verify._Everyone(placement.caches, params.layout).blocks(d, tr.broadcasts))
             assert len(views) == 1, (d, seed, derandomized)
 
@@ -546,7 +547,7 @@ def test_block_k_depends_only_on_transmitter_k_draws(params, demand_vectors):
 
         def blocks(assignment):
             tr = sim.run_protocol(params.scheme, params, d, source=FixedSource(assignment),
-                                  structure_only=True, placement=placement)
+                                  placement=placement)
             return everyone.blocks(d, tr.broadcasts)
 
         base = blocks(first)
@@ -596,6 +597,77 @@ def test_raw_view_verdicts_match_exact_mode(params, derandomized):
             groups.setdefault(tuple(d[u - 1] for u in c), []).append(counter)
         private = all(counter == group[0] for group in groups.values() for counter in group)
         assert exact[c].private is private, c
+
+
+def _patch_placement(monkeypatch, rewrite):
+    """Scheme A's placement with every draw of ``core.place`` made by
+    ``rewrite(params, source, label, items)`` instead."""
+
+    def place(params, source, structure_only, held):
+        draws = SimpleNamespace(permutation=lambda label, items: rewrite(params, source, label, list(items)))
+        return core.place(params, draws, structure_only, held)
+
+    monkeypatch.setattr(scheme_a, "place", place)
+
+
+def _shuffled(p, source, label, items):
+    return source.permutation(label, items)
+
+
+def _unshuffled(p, source, label, items):
+    return items
+
+
+def _part_shuffled(p, source, label, items):
+    return items[:1] + source.permutation(label, items[1:])
+
+
+def _file_shuffled(p, source, label, items):
+    # one draw per file over all its slots, block k taking its k-th run
+    scheme, _, i, k = label
+    n = p.layout.slots_per_block
+    whole = source.permutation((scheme, "p", i), list(range(1, p.layout.slots_per_file + 1)))
+    return whole[(k - 1) * n:k * n]
+
+
+def _extra_draw(p, source, label, items):
+    source.choice(label + ("extra",), [1, 2])
+    return source.permutation(label, items)
+
+
+@pytest.mark.parametrize("check", [_exact, lambda *args: _mc(*args, trials=10)], ids=["exact", "mc"])
+@pytest.mark.parametrize("rewrite", [_unshuffled, _part_shuffled, _file_shuffled, _extra_draw])
+def test_placement_draws_other_than_one_shuffle_per_block_are_rejected(rewrite, check, monkeypatch):
+    # the canonicaliser quotients out exactly one uniform shuffle of each
+    # (file, block) and a check runs on its first outcome, so any other
+    # placement draw would be checked as if it were that shuffle
+    _patch_placement(monkeypatch, rewrite)
+    with pytest.raises(ValueError, match="placement must draw one permutation"):
+        check("A", scheme_a.params_for(2, 2, 2), (1,))
+
+
+def test_placement_rewrite_that_shuffles_each_block_is_accepted(monkeypatch):
+    # the control of the rejection test: its patch alone changes nothing
+    p = scheme_a.params_for(3, 2, 2)
+    coalitions = _all_coalitions(3)
+    want = check_privacy_exact_all("A", p, coalitions)
+    _patch_placement(monkeypatch, _shuffled)
+    assert check_privacy_exact_all("A", p, coalitions) == want
+
+
+def test_unshuffled_placement_leaks_in_raw_views(monkeypatch):
+    # why the placement draws are checked: A(2,2,2) with no placement
+    # shuffle leaks to coalition {1} in raw views over its whole delivery
+    # space, while its identity placement is the one a check runs on
+    p = scheme_a.params_for(2, 2, 2)
+
+    def leaks(rewrite):
+        _patch_placement(monkeypatch, rewrite)
+        raw = _joint_counts(p, [(1,)], False, _raw_view)[(1,)]
+        return [d1 for d1 in (1, 2) if raw[(d1, 1)] != raw[(d1, 2)]]
+
+    assert leaks(_unshuffled) == [1, 2]
+    assert leaks(_shuffled) == []
 
 
 @pytest.mark.parametrize("derandomized", [False, True])
@@ -879,8 +951,9 @@ def test_canonical_views_pinned():
         for derandomized in (False, True):
             for d in itertools.product(range(1, N + 1), repeat=K):
                 for seed in range(3):
-                    tr = sim.run_protocol(p.scheme, p, d, source=SeededSource(seed),
-                                          derandomized=derandomized, structure_only=True)
+                    source = SeededSource(seed)
+                    tr = sim.run_protocol(p.scheme, p, d, source=source, derandomized=derandomized,
+                                          placement=p.place(source, structure_only=True))
                     for c in coalitions:
                         for paranoid in (False, True):
                             h.update(repr(canonical_view(tr, c, paranoid).key()).encode())
@@ -898,7 +971,7 @@ def test_decodability_and_fault_injection():
 
 def test_decodability_needs_bits():
     p = scheme_a.params_for(2, 2, 2, seed=32)
-    tr = sim.run_protocol("A", p, (1, 2), structure_only=True)
+    tr = sim.run_protocol("A", p, (1, 2), placement=p.place(SeededSource(32), structure_only=True))
     with pytest.raises(ValueError):
         check_decodability(tr)
 
