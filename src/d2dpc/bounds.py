@@ -5,11 +5,12 @@ linear in the memory M, so the piecewise curves are assembled exactly as
 upper envelopes of rational lines.  Loads are clamped at zero: the
 formulas go negative where a segment stops being active.
 
-The two-user and K-user converses are built from one line family,
-which at K = 2 is the two-user one.  Two independent code paths exist
-for the two-user converse (that family's envelope, and the closed-form
-corner list); they are checked against each other rather than trusting
-either alone.
+The two-user and K-user converses are one envelope call over [N/K, N]
+of one line family, which at K = 2 is the two-user one; past 2N/K,
+where the family vanishes, the zero clamp gives the flat part.  Two
+independent code paths exist for the two-user converse (that family's
+envelope, and the closed-form corner list); they are checked against
+each other rather than trusting either alone.
 """
 
 from __future__ import annotations
@@ -89,13 +90,23 @@ def _converse_max(terms: list, y: Rat) -> Rat:
 
 
 def _converse_lines(K: int, N: int, tags: tuple[str, str, str]) -> list[Line]:
-    """The family and the zero clamp as lines in M on [N/K, 2N/K], where
-    y runs over [0, N/2]."""
+    """The family and the zero clamp as lines in M; y runs over [0, N/2]
+    as M runs over [N/K, 2N/K]."""
     lo, hi = Fraction(N, K), Fraction(2 * N, K)
     return [Line(Fraction(0), Fraction(0), "clamp-zero")] + [
         line_through(lo, f(Fraction(0)), hi, f(Fraction(N, 2)), tag)
         for tag, f in _converse_terms(K, N, tags)
     ]
+
+
+def _converse_curve(K: int, N: int, tags: tuple[str, str, str]) -> TradeoffCurve:
+    """The envelope of ``_converse_lines`` on [N/K, N].  The family
+    vanishes at 2N/K, so past it (K >= 3) the clamp-zero line holds the
+    curve at 0."""
+    curve = upper_envelope_of_lines(_converse_lines(K, N, tags), Fraction(N, K), Fraction(N))
+    if curve(Fraction(2 * N, K)) != 0:
+        raise AssertionError("the converse should vanish at M = 2N/K")
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +128,7 @@ def converse_two_user_curve(N: int) -> TradeoffCurve:
     """The two-user converse as a piecewise curve on [N/2, N]."""
     if N < 2:
         raise ValueError("need N >= 2")
-    lines = _converse_lines(2, N, _TWO_USER_TAGS)
-    return upper_envelope_of_lines(lines, Fraction(N, 2), Fraction(N))
+    return _converse_curve(2, N, _TWO_USER_TAGS)
 
 
 def converse_two_user_corners(N: int) -> TradeoffCurve:
@@ -164,14 +174,7 @@ def converse_k_user_curve(K: int, N: int) -> TradeoffCurve:
     """Piecewise K-user converse on [N/K, N] (flat zero past 2N/K)."""
     if not N >= K >= 3:
         raise ValueError("need N >= K >= 3")
-    lines = _converse_lines(K, N, _K_USER_TAGS)
-    curve = upper_envelope_of_lines(lines, Fraction(N, K), Fraction(2 * N, K))
-    if curve.corners[-1][1] != 0:
-        raise AssertionError("K-user converse should vanish at M = 2N/K")
-    return TradeoffCurve(  # flat zero on [2N/K, N]; 2N/K < N since K >= 3
-        corners=curve.corners + ((Fraction(N), Fraction(0)),),
-        provenance=curve.provenance + ("clamp-zero",),
-    )
+    return _converse_curve(K, N, _K_USER_TAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +203,6 @@ def shared_link_nonprivate_envelope(K: int, N: int, factor: Rat = Fraction(1)) -
         pts = [(m, r * factor) for m, r in pts]
         tags = ["scaled-by-factor:" + tg for tg in tags]
     return lower_convex_envelope(pts, provenance=tags)
-
-
-def t2_first_segment(K: int, N: int) -> int:
-    """Largest corner index governing the first envelope segment, N < K."""
-    return (2 * K - N + 1) // (N + 1)
 
 
 # ---------------------------------------------------------------------------

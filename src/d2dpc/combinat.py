@@ -2,7 +2,10 @@
 
 The binomial follows the zero convention binom(x, y) = 0 whenever x < 0,
 y < 0 or x < y, which the load formulas rely on at the range edges.
-All envelope geometry is done on exact rationals.
+All envelope geometry is done on exact rationals, and one lower-hull
+routine does all of it: the lower envelope of points directly, the
+upper envelope of lines through its dual, and the max of two curves as
+the upper envelope of their segment lines.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ class TradeoffCurve:
 
     Corners have strictly increasing M; the function is convex and
     non-increasing.  Evaluation outside [min M, max M] is an error.
-    Corner provenance tags (when known) say which formula produced each
-    corner.
+    Corner provenance tags (when known, one per corner) say which formula
+    produced each corner.
     """
 
     corners: tuple[tuple[Rat, Rat], ...]
@@ -66,6 +69,8 @@ class TradeoffCurve:
         ]
         if any(s1 < s0 for s0, s1 in zip(slopes, slopes[1:])):
             raise ValueError("corner sequence is not convex")
+        if self.provenance and len(self.provenance) != len(self.corners):
+            raise ValueError(f"{len(self.provenance)} provenance tags for {len(self.corners)} corners")
 
     @property
     def min_m(self) -> Rat:
@@ -100,12 +105,34 @@ def _cross(o, a, b) -> Rat:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _lower_hull(triples) -> list[tuple[Rat, Rat, object]]:
+    """Corners of the lower convex hull of (x, y, payload) triples, by
+    increasing x (Andrew's monotone chain).
+
+    Of the triples at one x only the lowest counts (ties: the first in
+    input order); points on or above a chord, collinear middle points
+    included, are dropped.
+    """
+    best: dict[Rat, tuple[Rat, object]] = {}
+    for x, y, payload in triples:
+        if x not in best or y < best[x][0]:
+            best[x] = (y, payload)
+    hull: list[tuple[Rat, Rat, object]] = []
+    for x in sorted(best):
+        y, payload = best[x]
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], (x, y)) <= 0:
+            hull.pop()
+        hull.append((x, y, payload))
+    return hull
+
+
 def lower_convex_envelope(points, provenance: Optional[Sequence[str]] = None) -> TradeoffCurve:
     """Lower boundary of the convex hull of (M, R) points.
 
     Dominated points, interior points and collinear intermediate corners
     are removed; only genuine corners survive, so two equal envelopes
-    compare equal corner-by-corner.
+    compare equal corner-by-corner.  ``provenance``, when given, holds
+    one tag per point.
     """
     pts = [(Fraction(m), Fraction(r)) for m, r in points]
     if not pts:
@@ -113,16 +140,9 @@ def lower_convex_envelope(points, provenance: Optional[Sequence[str]] = None) ->
     if any(m < 0 for m, _ in pts):
         raise ValueError("memory values must be nonnegative")
     tags = list(provenance) if provenance is not None else [""] * len(pts)
-    best: dict[Rat, tuple[Rat, str]] = {}
-    for (m, r), tag in zip(pts, tags):
-        if m not in best or r < best[m][0]:
-            best[m] = (r, tag)
-    ordered = sorted((m, r, tag) for m, (r, tag) in best.items())
-    hull: list[tuple[Rat, Rat, str]] = []
-    for m, r, tag in ordered:
-        while len(hull) >= 2 and _cross(hull[-2][:2], hull[-1][:2], (m, r)) <= 0:
-            hull.pop()
-        hull.append((m, r, tag))
+    if len(tags) != len(pts):
+        raise ValueError(f"{len(tags)} provenance tags for {len(pts)} points")
+    hull = _lower_hull((m, r, tag) for (m, r), tag in zip(pts, tags))
     return TradeoffCurve(
         corners=tuple((m, r) for m, r, _ in hull),
         provenance=tuple(tag for _, _, tag in hull),
@@ -153,39 +173,22 @@ def upper_envelope_of_lines(lines: Sequence[Line], lo, hi) -> TradeoffCurve:
     Used for the converse bounds, which are maxima of finitely many
     linear-in-M expressions; the result is convex by construction.
 
-    The max is swept from ``lo`` to ``hi`` leader by leader.  The first
-    leader is the line highest at ``lo`` (ties: the larger slope).  A
-    leader loses the lead only to a steeper line, so the next corner is
-    the nearest point where a steeper line crosses it, and the line
-    leading past that point is the steepest one crossing there.  Every
-    such crossing is a genuine slope change, so the corners are ``lo``,
-    the crossings strictly inside (lo, hi), and ``hi``; collinear points
-    never arise.  Each corner's value and tag come from one evaluation
-    of all lines; the tag is the first line in input order that reaches
-    the max.  Cost: O(n) per corner, O(n * corners) in all.
+    By point-line duality the line R = c + s M leads somewhere exactly
+    when (s, -c) is a corner of the lower hull of all such points, and
+    consecutive hull lines cross at the corners of the max, in
+    increasing M.  So the corners are ``lo``, those crossings strictly
+    inside (lo, hi), and ``hi``; collinear points never arise.  Each
+    corner's value and tag come from one evaluation of all lines; the
+    tag is the first line in input order that reaches the max.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not lines:
         raise ValueError("no lines")
-    leader = max(lines, key=lambda ln: (ln(lo), ln.slope))
-    breaks = {lo, hi}
-    while True:
-        crossings = [
-            ((ln.intercept - leader.intercept) / (leader.slope - ln.slope), -ln.slope, i)
-            for i, ln in enumerate(lines)
-            if ln.slope > leader.slope
-        ]
-        if not crossings:
-            break
-        x, _, i = min(crossings)
-        if x >= hi:
-            break
-        breaks.add(x)
-        leader = lines[i]
-
+    hull = [ln for _, _, ln in _lower_hull((ln.slope, -ln.intercept, ln) for ln in lines)]
+    crossings = ((p.intercept - q.intercept) / (q.slope - p.slope) for p, q in zip(hull, hull[1:]))
     corners: list[tuple[Rat, Rat]] = []
     tags: list[str] = []
-    for m in sorted(breaks):
+    for m in sorted({lo, hi}.union(x for x in crossings if lo < x < hi)):
         best = max(lines, key=lambda ln: ln(m))
         corners.append((m, best(m)))
         tags.append(best.tag)
@@ -201,30 +204,17 @@ def shared_domain(a: TradeoffCurve, b: TradeoffCurve) -> tuple[Rat, Rat]:
 
 
 def curve_max(a: TradeoffCurve, b: TradeoffCurve) -> TradeoffCurve:
-    """Pointwise max of two curves on their ``shared_domain``."""
-    lo, hi = shared_domain(a, b)
-    ms = sorted({m for m in a.corner_ms() + b.corner_ms() if lo <= m <= hi} | {lo, hi})
-    corners: list[tuple[Rat, Rat]] = []
+    """Pointwise max of two curves on their ``shared_domain``, corners only.
 
-    def push(m, r):
-        if corners and corners[-1][0] == m:
-            return
-        while len(corners) >= 2 and _cross(corners[-2], corners[-1], (m, r)) == 0:
-            corners.pop()
-        corners.append((m, r))
-
-    for m0, m1 in zip(ms, ms[1:]):
-        fa0, fb0 = a(m0), b(m0)
-        fa1, fb1 = a(m1), b(m1)
-        push(m0, max(fa0, fb0))
-        if (fa0 - fb0) * (fa1 - fb1) < 0:  # the leader changes inside the segment
-            la = line_through(m0, fa0, m1, fa1)
-            lb = line_through(m0, fb0, m1, fb1)
-            x = (lb.intercept - la.intercept) / (la.slope - lb.slope)
-            push(x, la(x))
-    m_end = ms[-1]
-    push(m_end, max(a(m_end), b(m_end)))
-    return TradeoffCurve(corners=tuple(corners))
+    A convex curve is the max of its segment lines, so this is the upper
+    envelope of both curves' segment lines there.
+    """
+    lines = [
+        line_through(m0, r0, m1, r1)
+        for curve in (a, b)
+        for (m0, r0), (m1, r1) in zip(curve.corners, curve.corners[1:])
+    ]
+    return TradeoffCurve(corners=upper_envelope_of_lines(lines, *shared_domain(a, b)).corners)
 
 
 def even_grid(lo, hi, count: int) -> list[Rat]:

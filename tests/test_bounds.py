@@ -21,7 +21,6 @@ from d2dpc.bounds import (
     man_points,
     scheme_c_curve,
     shared_link_nonprivate_envelope,
-    t2_first_segment,
 )
 from d2dpc.combinat import curve_max, even_grid, shared_domain
 from d2dpc.scheme_a import scheme_a_curve
@@ -136,6 +135,11 @@ def test_shared_link_points():
     assert man_points(3, 5)[-1] == (5, 0)  # t = K
     env = shared_link_nonprivate_envelope(2, 8, Fraction(1, 2))
     assert env(4) == Fraction(1, 4)
+
+
+def t2_first_segment(K: int, N: int) -> int:
+    """Largest corner index governing the first envelope segment, N < K."""
+    return (2 * K - N + 1) // (N + 1)
 
 
 def test_shared_link_low_memory_anchor_when_n_small():
@@ -307,3 +311,95 @@ def test_converses_never_exceed_an_uncoded_achievable_load():
     # even K with 2N/K an integer
     assert tight == {(K, N, Fraction(N, K), N) for K in (4, 6, 8)
                      for N in (K, 3 * K // 2, 2 * K, 5 * K // 2, 3 * K)}
+
+
+# max ratio and its M of scheme A against max(convKu, sharedlink / 2)
+# on the default gap grid, for K = 3..8 and N = K..3K; the worst is
+# about 7.18, at (7, 21)
+K_USER_GAPS = {
+    (3, 3): ("212/45", "8/5"),
+    (3, 4): ("75/14", "32/15"),
+    (3, 5): ("205/36", "8/3"),
+    (3, 6): ("1004/165", "16/5"),
+    (3, 7): ("2692/429", "56/15"),
+    (3, 8): ("1258/195", "64/15"),
+    (3, 9): ("30616/4641", "24/5"),
+    (4, 4): ("736/165", "2"),
+    (4, 5): ("2523/520", "85/38"),
+    (4, 6): ("353/68", "51/19"),
+    (4, 7): ("98281/18088", "119/38"),
+    (4, 8): ("548791/97888", "68/19"),
+    (4, 9): ("12377/2160", "153/38"),
+    (4, 10): ("16818229/2881440", "85/19"),
+    (4, 11): ("249461153/42073200", "187/38"),
+    (4, 12): ("830261/138446", "102/19"),
+    (5, 5): ("833/190", "11/7"),
+    (5, 6): ("6207/1265", "66/35"),
+    (5, 7): ("8659/1625", "11/5"),
+    (5, 8): ("256939/44950", "88/35"),
+    (5, 9): ("26143/4340", "99/35"),
+    (5, 10): ("371977/59052", "22/7"),
+    (5, 11): ("398004427/60964540", "121/35"),
+    (5, 12): ("6248031/929660", "132/35"),
+    (5, 13): ("39139223/5675250", "143/35"),
+    (5, 14): ("921794/131175", "22/5"),
+    (5, 15): ("29243449/4080735", "33/7"),
+    (6, 6): ("281616/65975", "2"),
+    (6, 7): ("8967383/1947792", "175/87"),
+    (6, 8): ("37834481/7676760", "200/87"),
+    (6, 9): ("3816757/733408", "75/29"),
+    (6, 10): ("5092064371/937097280", "250/87"),
+    (6, 11): ("574920299/102173400", "275/87"),
+    (6, 12): ("359891627/62027172", "100/29"),
+    (6, 13): ("29249119281/4917961520", "325/87"),
+    (6, 14): ("1217627891/200688048", "350/87"),
+    (6, 15): ("1445010585035/234051135912", "125/29"),
+    (6, 16): ("17038341807379/2717893674600", "400/87"),
+    (6, 17): ("11323352254882/1784098306809", "425/87"),
+    (6, 18): ("3408256698876049/531683521259220", "150/29"),
+    (7, 7): ("18898873/4496388", "2"),
+    (7, 8): ("85917914/18728325", "592/329"),
+    (7, 9): ("806699/163611", "666/329"),
+    (7, 10): ("3579308/682689", "740/329"),
+    (7, 11): ("8188993/1482544", "814/329"),
+    (7, 12): ("526150538/91139363", "888/329"),
+    (7, 13): ("909679067653/151502925420", "962/329"),
+    (7, 14): ("4278146146/689566905", "148/47"),
+    (7, 15): ("13946320561736/2181073985475", "1110/329"),
+    (7, 16): ("3276156329951/499490670525", "1184/329"),
+    (7, 17): ("921960922802/137389454125", "1258/329"),
+    (7, 18): ("891674886738044/130214970550665", "1332/329"),
+    (7, 19): ("10482067639998281/1504453723237080", "1406/329"),
+    (7, 20): ("128156465592448/18094152562395", "1480/329"),
+    (7, 21): ("371319451865741/51723144297825", "222/47"),
+    (8, 8): ("107252032/25827165", "2"),
+    (8, 9): ("30433107813/6885146128", "99/52"),
+    (8, 10): ("168467825/35899136", "55/26"),
+    (8, 11): ("1657560983/335415360", "121/52"),
+    (8, 12): ("13290674429/2574383112", "33/13"),
+    (8, 13): ("16781110541/3131940260", "11/4"),
+    (8, 14): ("448794093049/81004129640", "77/26"),
+    (8, 15): ("147063037691231/25793915923776", "165/52"),
+    (8, 16): ("6072878066154727/1039271690747472", "44/13"),
+    (8, 17): ("969139797129/162188482352", "187/52"),
+    (8, 18): ("7444350957429681/1221651408177200", "99/26"),
+    (8, 19): ("1397505689146379369/225498421147137600", "209/52"),
+    (8, 20): ("25731780059831659/4089136954430080", "55/13"),
+    (8, 21): ("29745586151203/4662088312215", "231/52"),
+    (8, 22): ("10692419304644221129501/1656019234280799299968", "121/26"),
+    (8, 23): ("27793455244824963269/4259370162252870784", "253/52"),
+    (8, 24): ("3016910883745094011/457746654681542268", "66/13"),
+}
+
+
+def test_k_user_gap_sweep_pinned():
+    found = {}
+    for K in range(3, 9):
+        for N in range(K, 3 * K + 1):
+            conv = curve_max(
+                converse_k_user_curve(K, N),
+                shared_link_nonprivate_envelope(K, N, Fraction(1, 2)),
+            )
+            report = gap(scheme_a_curve(K, N), conv)
+            found[(K, N)] = (str(report.max_ratio), str(report.argmax_m))
+    assert found == K_USER_GAPS

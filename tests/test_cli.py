@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import resource
@@ -62,6 +63,34 @@ def test_curve_scheme_a_low_memory_load(capsys):
     main(["curve", "--which", "schemeA", "--K", "40", "--N", "10", "--grid", "2"])
     out = capsys.readouterr().out
     assert out.splitlines()[1].startswith("1/4,0.25,10,10,")  # (N/K, N)
+
+
+# sha256 of each curve CSV of demos/tradeoff_curves.py at the default
+# --grid: corners, provenance tags and interpolated rows, byte for byte
+CURVE_CSV_DIGESTS = {
+    ("schemeA", 2, 8): "fcce94feb8a085329c4be650e38665f69aeea3c47f6527dc412558f48686138f",
+    ("schemeB", 2, 8): "8235f4ece7d6a05d5e8f8b6fe70cca4f17f26203ab1a6453f57a67f95b504171",
+    ("schemeC", 2, 8): "6ee8f44472ae997b9308c5f932d0ed05fc8878c57b8c6f96f56f2e4daa34d994",
+    ("conv2u", 2, 8): "dab3305020453501c40951720f3324acf485191a7ab7a1ae2042196c1d250fbf",
+    ("sharedlink", 2, 8): "4afd5aefb97136d7422ec4ed89b6ee42c2356759cf0909678d605e3e528cc6cf",
+    ("sharedlink-uncoded", 2, 8): "b2158308b1cc5a1a72395811a793ca6bd1027fb334439f1ba9a7c8d4fcb778dd",
+    ("schemeA", 10, 40): "e7969978752043a2c4a6e5d82a3f47a534bd3657f96e88615f18b783ebf7f82d",
+    ("schemeC", 10, 40): "ca0110a0803308741b16cb18ba2af58720844aff7e2d75e8aa21974fde8ec109",
+    ("convKu", 10, 40): "b82037076c6a413ea5e8b98bc6bd10f91769091af630e21e9a2392109612ffd7",
+    ("sharedlink", 10, 40): "e6d2e4d606830baaa5d67d5f994fbf294de0f84c257358f3307c3f33d5c915f5",
+    ("sharedlink-uncoded", 10, 40): "fbfa413676ccc8f7b6067d2e7d8a6149909dea0577e8abd80825f9304ed961bd",
+    ("schemeA", 40, 10): "8a89cef0bf85c168692d46ca74938fc652233770e15caf9e035550ceae79ab84",
+    ("schemeC", 40, 10): "78c95bbdf4f45b524c8575256bfc5f0b39cab6e4a40d94bc3194cd45603ab6a5",
+    ("sharedlink", 40, 10): "0ad6cb8056443ee05badd77d25ee01a50b78889a10229bc6bf0cc60c9df0c295",
+    ("sharedlink-uncoded", 40, 10): "07dee23cf27d0965edf0d930165786fd60271d48f8aaf7b5362fb58c0018a27f",
+}
+
+
+@pytest.mark.parametrize("which,K,N", sorted(CURVE_CSV_DIGESTS))
+def test_figure_curve_csvs_pinned(which, K, N, tmp_path):
+    out = tmp_path / f"{which}_K{K}_N{N}.csv"
+    assert main(["curve", "--which", which, "--K", str(K), "--N", str(N), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CURVE_CSV_DIGESTS[(which, K, N)]
 
 
 def test_curve_rejects_bad_params(capsys):

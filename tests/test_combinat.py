@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from d2dpc import bounds
 from d2dpc.combinat import (
@@ -269,3 +269,44 @@ def test_curve_max():
     assert m(3) == 2
     assert m(1) == 3
     assert (Fraction(2), Fraction(2)) in m.corners
+
+
+def test_envelope_rejects_provenance_of_another_length():
+    # a short tag list used to drop points silently: this gave ((0, 2),)
+    with pytest.raises(ValueError, match="1 provenance tags for 3 points"):
+        lower_convex_envelope([(0, 2), (1, 1), (4, 0)], provenance=["a"])
+
+
+def test_curve_rejects_provenance_of_another_length():
+    with pytest.raises(ValueError, match="1 provenance tags for 2 corners"):
+        TradeoffCurve(corners=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
+                      provenance=("a",))
+
+
+@st.composite
+def convex_curves(draw):
+    """Lower envelopes of 2 to 6 points on a small rational grid in
+    [0, 8], loads sorted downward against M so that the envelope is
+    non-increasing."""
+    pts = draw(st.lists(
+        st.tuples(st.builds(Fraction, st.integers(0, 16), st.integers(1, 2)),
+                  st.builds(Fraction, st.integers(0, 12), st.integers(1, 3))),
+        min_size=2, max_size=6, unique_by=lambda p: p[0],
+    ))
+    ms = sorted(m for m, _ in pts)
+    rs = sorted((r for _, r in pts), reverse=True)
+    return lower_convex_envelope(zip(ms, rs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(convex_curves(), convex_curves())
+def test_curve_max_matches_pointwise_max(a, b):
+    assume(max(a.min_m, b.min_m) < min(a.max_m, b.max_m))
+    lo, hi = shared_domain(a, b)
+    top = curve_max(a, b)
+    assert (top.min_m, top.max_m) == (lo, hi)
+    mids = [(m0 + m1) / 2 for m0, m1 in zip(top.corner_ms(), top.corner_ms()[1:])]
+    for m in [m for m in a.corner_ms() + b.corner_ms() if lo <= m <= hi] + mids:
+        assert top(m) == max(a(m), b(m)), m
+    for p, q, r in zip(top.corners, top.corners[1:], top.corners[2:]):
+        assert (q[1] - p[1]) * (r[0] - p[0]) != (r[1] - p[1]) * (q[0] - p[0]), (p, q, r)
