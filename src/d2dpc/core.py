@@ -14,6 +14,8 @@ evaluators, privacy checks) builds on the types in this module:
 
 from __future__ import annotations
 
+import binascii
+import functools
 import hashlib
 import itertools
 import math
@@ -459,9 +461,21 @@ def assemble_file(layout: SlotLayout, slots: dict[int, int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _hex(value: int, nbits: int) -> str:
-    width = max(1, (nbits + 3) // 4)
-    return format(value, f"0{width}x")
+def _hex_width(nbits: int) -> int:
+    """Hex digits of an ``nbits``-bit field: the one width rule that the
+    writer and the parser share."""
+    return max(1, (nbits + 3) // 4)
+
+
+def _hex(value: int, nbits: int, what: str) -> str:
+    """``value`` as exactly ``_hex_width(nbits)`` lowercase hex digits;
+    a negative value or one wider than ``nbits`` raises ValueError."""
+    if value < 0 or value >> nbits:
+        raise ValueError(f"{what} does not fit its {nbits} bits: {value}")
+    width = _hex_width(nbits)
+    digits = value.to_bytes((width + 1) // 2, "big").hex()
+    # an odd width drops the pad nibble of the leading byte, which is 0
+    return digits[1:] if width % 2 else digits
 
 
 def message_header_text(msg: MulticastMessage) -> str:
@@ -482,37 +496,66 @@ def _header(sp: SchemeParams, demands) -> dict:
     )
 
 
+def _header_text(fields: dict) -> str:
+    return " ".join(f"{key}={value}" for key, value in fields.items())
+
+
 def transcript_to_text(tr: Transcript) -> str:
-    """Serialise a full transcript, one message per line."""
+    """Serialise a full transcript, one message per line.  The text is
+    one join of a flat list of parts, and each distinct (subfile, value)
+    cache item is formatted once, however many caches hold it.  A value
+    that does not fit its field raises ValueError naming the field."""
     if tr.library is None:
         raise ValueError("cannot serialise a structure-only transcript")
     sp = tr.scheme_params
     ell = sp.layout.subfile_bits
-    lines = [
-        "d2d-transcript 1",
-        " ".join(f"{key}={value}" for key, value in _header(sp, tr.demands).items()),
-    ]
+    parts = ["d2d-transcript 1\n", _header_text(_header(sp, tr.demands)), "\n"]
     for i in sorted(tr.library):
-        lines.append(f"library {i} {_hex(tr.library[i], sp.base.B)}")
+        parts += ("library ", str(i), " ", _hex(tr.library[i], sp.base.B, f"library file {i}"), "\n")
+    items: dict[tuple[SubfileId, int], tuple[str, str]] = {}
     for cache in tr.caches:
-        body = " ".join(f"{sid.file}:{sid.slot}={_hex(cache.content[sid], ell)}"
-                        for sid in cache.slots)
-        lines.append(f"cache {cache.owner} {body}")
+        parts += ("cache ", str(cache.owner))
+        for sid in cache.slots:
+            value = cache.content[sid]
+            item = items.get((sid, value))
+            if item is None:
+                item = items[sid, value] = (
+                    f" {sid.file}:{sid.slot}=",
+                    _hex(value, ell, f"cache {cache.owner} subfile {sid.file}:{sid.slot}"),
+                )
+            parts += item
+        parts.append("\n")
     for per_user in tr.broadcasts:
         for m in per_user:
-            lines.append(
-                f"message {m.sender} {message_header_text(m)} "
-                f"payload={_hex(m.payload, m.nbits)}"
-            )
-    lines.append(f"payload_bits={tr.payload_bits}")
-    return "\n".join(lines) + "\n"
+            parts += ("message ", str(m.sender), " ", message_header_text(m),
+                      " payload=", _hex(m.payload, ell, f"message {m.sender} payload"), "\n")
+    parts += ("payload_bits=", str(tr.payload_bits), "\n")
+    return "".join(parts)
+
+
+def _decimal(token: str, what: str) -> int:
+    """A non-negative int as ``str`` writes it: ASCII digits with no
+    sign, underscore or leading zero; anything else raises ValueError."""
+    if not (token.isascii() and token.isdigit()) or token.startswith("0") and token != "0":
+        raise ValueError(f"{what} is not a plain decimal: {token!r}")
+    return int(token)
 
 
 def _parse_hex(token: str, nbits: int, what: str) -> int:
-    """A hex field of at most ``nbits`` bits; a wider or negative value
-    raises ValueError."""
-    value = int(token, 16)
-    if value < 0 or value >> nbits:
+    """A hex field as ``_hex`` writes it: exactly ``_hex_width(nbits)``
+    lowercase digits of a value below 2**nbits; anything else raises
+    ValueError."""
+    width = _hex_width(nbits)
+    try:
+        # unhexlify takes uppercase digits too, which the writer never writes
+        if len(token) != width or ("A" in token or "B" in token or "C" in token
+                                   or "D" in token or "E" in token or "F" in token):
+            raise ValueError
+        # and nothing else: no sign, prefix or whitespace
+        value = int.from_bytes(binascii.unhexlify("0" + token if width % 2 else token), "big")
+    except ValueError:
+        raise ValueError(f"{what} is not {width} lowercase hex digits") from None
+    if value >> nbits:
         raise ValueError(f"{what} is wider than its {nbits} bits")
     return value
 
@@ -525,9 +568,9 @@ def _field(token: str, key: str) -> str:
     return value
 
 
-def _parse_sid(token: str, layout: SlotLayout) -> SubfileId:
-    f, s = token.split(":")
-    sid = SubfileId(int(f), int(s))
+def _parse_sid(layout: SlotLayout, token: str) -> SubfileId:
+    f, _, s = token.partition(":")
+    sid = SubfileId(_decimal(f, "subfile file"), _decimal(s, "subfile slot"))
     if not (1 <= sid.file <= layout.N and 1 <= sid.slot <= layout.slots_per_file):
         raise ValueError(
             f"subfile {token} outside 1..{layout.N} x 1..{layout.slots_per_file}"
@@ -537,77 +580,117 @@ def _parse_sid(token: str, layout: SlotLayout) -> SubfileId:
 
 def _parse_header(line: str) -> tuple[SchemeParams, tuple[int, ...]]:
     """The instance and demands of a header line.  The instance is
-    rebuilt from the scheme letter, K, N, B, the seed and the param; the
-    fields it derives (M and the slot layout) must match it."""
-    head = dict(kv.split("=", 1) for kv in line.split())
+    rebuilt from the scheme letter, K, N, B, the seed and the param, and
+    the line must be the one ``transcript_to_text`` writes for it, so the
+    fields it derives (M and the slot layout) must match."""
+    head = dict(kv.partition("=")[::2] for kv in line.split(" "))
     try:
         base = SystemParams(*(int(head[key]) for key in ("K", "N", "B", "seed")))
         param = None if head["param"] == "-" else int(head["param"])
         sp = scheme_class(head["scheme"])(base, param)
         demands = demand_vector(head["demands"].split(","), base)
-        wrong = [f"{key}={head[key]} (expected {value})"
-                 for key, value in _header(sp, demands).items() if head[key] != str(value)]
     except KeyError as err:
         raise ValueError(f"transcript header lacks {err.args[0]}") from None
-    if wrong:
-        raise ValueError(f"transcript header disagrees with {sp.label()}: {', '.join(wrong)}")
+    expected = _header_text(_header(sp, demands))
+    if line != expected:
+        raise ValueError(f"transcript header {line!r} disagrees with {sp.label()}: {expected!r}")
     return sp, demands
 
 
+def _lines(text: str, start: int):
+    """The newline-ended lines of ``text`` from offset ``start`` on, one
+    at a time."""
+    while start < len(text):
+        end = text.index("\n", start)
+        yield text[start:end]
+        start = end + 1
+
+
+# body line kinds in the order their sections appear
+_SECTIONS = {"library": 0, "cache": 1, "message": 2}
+
+
 def transcript_from_text(text: str) -> Transcript:
-    """Inverse of ``transcript_to_text``; malformed or truncated text,
-    or a header that does not state one instance consistently, raises
-    ValueError."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "d2d-transcript 1":
+    """Inverse of ``transcript_to_text``, which accepts only the text that
+    it writes: lines in its order, single spaces, plain decimals and
+    exact-width lowercase hex.  Anything else, truncated text, or a
+    header that does not state one instance consistently raises
+    ValueError.  Each line is split once, and each distinct ``file:slot``
+    token and cache item is parsed once."""
+    magic = "d2d-transcript 1\n"
+    if not text.startswith(magic):
         raise ValueError("not a transcript file")
-    if len(lines) < 3 or not lines[-1].startswith("payload_bits="):
-        raise ValueError("truncated transcript: it does not end with its payload_bits= line")
-    sp, demands = _parse_header(lines[1])
+    if not text.endswith("\n"):
+        raise ValueError("truncated transcript: its last line has no newline")
+    lines = _lines(text, len(magic))
+    sp, demands = _parse_header(next(lines, ""))
     base, layout = sp.base, sp.layout
+    ell = layout.subfile_bits
+    sid_of = functools.cache(functools.partial(_parse_sid, layout))
+    # "file:slot=hex" cache item -> (subfile, value), each distinct item parsed once
+    entries: dict[str, tuple[SubfileId, int]] = {}
     library: dict[int, int] = {}
     caches: list[CacheState] = []
     broadcasts: list[list[MulticastMessage]] = [[] for _ in range(base.K)]
-    for ln in lines[2:-1]:
-        kind, _, rest = ln.partition(" ")
+    section, latest = 0, 1
+    for line in lines:
+        if line.startswith("payload_bits="):
+            break
+        kind, *tokens = line.split(" ")
+        if kind not in _SECTIONS:
+            raise ValueError(f"unknown transcript line kind {kind!r}")
+        if _SECTIONS[kind] < section:
+            raise ValueError(f"{kind} line out of order: library, cache and message lines come in that order")
+        section = _SECTIONS[kind]
         if kind == "library":
-            idx, buf = rest.split()
-            if int(idx) != len(library) + 1:
-                raise ValueError(f"expected library line {len(library) + 1}, got {idx}")
-            library[int(idx)] = _parse_hex(buf, base.B, f"library file {idx}")
+            idx_s, buf = tokens
+            idx = _decimal(idx_s, "library index")
+            if idx != len(library) + 1:
+                raise ValueError(f"expected library line {len(library) + 1}, got {idx_s}")
+            library[idx] = _parse_hex(buf, base.B, f"library file {idx}")
         elif kind == "cache":
-            owner_s, _, body = rest.partition(" ")
-            if int(owner_s) != len(caches) + 1:
+            owner_s, *items = tokens
+            owner = _decimal(owner_s, "cache owner")
+            if owner != len(caches) + 1:
                 raise ValueError(f"expected cache line {len(caches) + 1}, got {owner_s}")
             content = {}
-            for item in body.split():
-                sid_s, val = item.split("=")
-                sid = _parse_sid(sid_s, layout)
-                if sid in content:
-                    raise ValueError(f"cache {owner_s} lists subfile {sid_s} twice")
-                content[sid] = _parse_hex(val, layout.subfile_bits, f"cache {owner_s} subfile {sid_s}")
-            caches.append(CacheState(int(owner_s), tuple(sorted(content)), content))
-            caches[-1].check(layout.subfile_bits, budget_bits=sp.memory_point() * base.B)
-        elif kind == "message":
-            sender_s, pos_s, comp_s, pay_s = rest.split()
-            sender = int(sender_s)
+            last = SubfileId(0, 0)
+            for item in items:
+                entry = entries.get(item)
+                if entry is None:
+                    sid_s, _, digits = item.partition("=")
+                    entry = entries[item] = (
+                        sid_of(sid_s), _parse_hex(digits, ell, f"cache {owner} subfile {sid_s}"))
+                sid, value = entry
+                if sid <= last:
+                    raise ValueError(f"cache {owner} lists subfile {sid.file}:{sid.slot} out of order or twice")
+                content[sid] = value
+                last = sid
+            caches.append(CacheState(owner, tuple(content), content))
+            caches[-1].check(ell, budget_bits=sp.memory_point() * base.B)
+        else:
+            sender_s, pos_s, comp_s, pay_s = tokens
+            sender = _decimal(sender_s, "message sender")
             if not 1 <= sender <= base.K:
                 raise ValueError(f"message sender {sender} outside 1..{base.K}")
+            if sender < latest:
+                raise ValueError(f"a message of sender {sender} after one of sender {latest}")
+            latest = sender
             pos_v = _field(pos_s, "pos")
-            pos = None if pos_v == "-" else tuple(int(x) for x in pos_v.split(","))
-            comp = tuple(_parse_sid(t, layout) for t in _field(comp_s, "comp").split(","))
-            payload = _parse_hex(_field(pay_s, "payload"), layout.subfile_bits, f"message {sender} payload")
-            broadcasts[sender - 1].append(
-                MulticastMessage(sender, comp, payload, layout.subfile_bits, pos)
-            )
-        else:
-            raise ValueError(f"unknown transcript line kind {kind!r}")
+            pos = None if pos_v == "-" else tuple(_decimal(x, "position") for x in pos_v.split(","))
+            comp = tuple(map(sid_of, _field(comp_s, "comp").split(",")))
+            payload = _parse_hex(_field(pay_s, "payload"), ell, f"message {sender} payload")
+            broadcasts[sender - 1].append(MulticastMessage(sender, comp, payload, ell, pos))
+    else:
+        raise ValueError("truncated transcript: it does not end with its payload_bits= line")
+    if next(lines, None) is not None:
+        raise ValueError("transcript continues after its payload_bits= line")
     if len(library) != base.N or len(caches) != base.K:
         raise ValueError(
             f"transcript has {len(library)} library and {len(caches)} cache lines, "
             f"expected N={base.N} and K={base.K}"
         )
-    payload_bits = int(_field(lines[-1], "payload_bits"))
+    payload_bits = _decimal(_field(line, "payload_bits"), "payload_bits")
     if payload_bits != sum(m.nbits for per in broadcasts for m in per):
         raise ValueError(f"payload_bits={payload_bits} disagrees with the messages")
     return Transcript(

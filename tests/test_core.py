@@ -1,5 +1,8 @@
+import hashlib
 import pathlib
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -191,14 +194,17 @@ def test_golden_transcript(tmp_path):
 
 @st.composite
 def small_runs(draw):
-    """A seeded scheme A run at K, N <= 3 or scheme B run at N <= 5."""
+    """A seeded scheme A run at K, N <= 3 or scheme B run at N <= 5, with
+    subfiles of 1..12 bits, so hex fields of odd and even widths."""
     seed = draw(st.integers(0, 2**31))
     if draw(st.booleans()):
         K, N = draw(st.integers(2, 3)), draw(st.integers(2, 3))
-        params = scheme_a.params_for(K, N, draw(st.integers(1, (K - 1) * N + 1)), seed=seed)
+        build, args = scheme_a.params_for, (K, N, draw(st.integers(1, (K - 1) * N + 1)))
     else:
         K, N = 2, draw(st.integers(2, 5))
-        params = scheme_b.params_for(N, draw(st.none() | st.integers(0, N - 1)), seed=seed)
+        build, args = scheme_b.params_for, (N, draw(st.none() | st.integers(0, N - 1)))
+    slots = build(*args).subpacketization
+    params = build(*args, seed=seed, b_target=draw(st.integers(1, 12 * slots)))
     demands = tuple(draw(st.integers(1, N)) for _ in range(K))
     return sim.run_protocol(params.scheme, params, demands)
 
@@ -209,6 +215,46 @@ def test_transcript_text_round_trip(tr):
     text = transcript_to_text(tr)
     back = transcript_from_text(text)
     assert back.scheme_params == tr.scheme_params
+    assert transcript_to_text(back) == text
+
+
+# edits of one token that int(), int(x, 16), str.split() or a line list
+# would forgive: signs, prefixes, padding, case, underscores, non-ASCII
+# digits, stray whitespace, and tokens moved, doubled or dropped
+_TOKEN_EDITS = [
+    lambda t: "0" + t,
+    lambda t: "+" + t,
+    lambda t: "-" + t,
+    lambda t: "0x" + t,
+    lambda t: t.upper(),
+    lambda t: t[:1] + "_" + t[1:],
+    lambda t: t.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda t: " " + t,
+    lambda t: t + " ",
+    lambda t: "\t" + t,
+    lambda t: t + "\r",
+    lambda t: t + "\n",
+    lambda t: t + t,
+    lambda t: "",
+]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(small_runs(), st.data())
+def test_edited_transcript_raises_or_round_trips(tr, data):
+    # the parser accepts only text that the writer writes: after any
+    # edit, parsing raises ValueError or gives back exactly the edited text
+    pieces = re.split(r"([ \n=,:])", transcript_to_text(tr))
+    i = data.draw(st.integers(0, len(pieces) - 1))
+    if data.draw(st.booleans()):
+        pieces[i] = data.draw(st.sampled_from(_TOKEN_EDITS))(pieces[i])
+    else:
+        pieces[i] = pieces[data.draw(st.integers(0, len(pieces) - 1))]
+    text = "".join(pieces)
+    try:
+        back = transcript_from_text(text)
+    except ValueError:
+        return
     assert transcript_to_text(back) == text
 
 
@@ -241,6 +287,13 @@ def test_truncated_transcript_round_trips_or_raises(data):
     except ValueError:
         return
     assert transcript_to_text(back) == text
+
+
+def _swap_lines(text, first, second):
+    lines = text.splitlines(keepends=True)
+    i, j = (next(k for k, ln in enumerate(lines) if ln.startswith(p)) for p in (first, second))
+    lines[i], lines[j] = lines[j], lines[i]
+    return "".join(lines)
 
 
 def _drop_line(text, prefix):
@@ -303,10 +356,101 @@ def _scheme_b_text_with_three_users():
         GOLDEN.read_text().replace("comp=2:2,1:2 ", "cmp=2:2,1:2 "),
         GOLDEN.read_text().replace("comp=2:2,1:2 payload=1", "comp=2:2,1:2 pay=1"),
         GOLDEN.read_text().replace("message 1 pos=1,2 comp=2:2,1:2 ", "message 1 comp=2:2,1:2 pos=1,2 "),
-        # a cache holds at most M*B bits: 8 > 3/2 * 4
+        # a cache holds at most M*B bits: 8 > 3/2 * 4, and 7 in slot order
         GOLDEN.read_text().replace("cache 1 ", "cache 1 1:3=0 2:3=0 "),
+        GOLDEN.read_text().replace("cache 1 1:1=0 1:2=1 ", "cache 1 1:1=0 1:2=1 1:3=0 "),
+        # decimals and hex only as the writer writes them: no prefix, sign,
+        # leading zero or uppercase digit
+        GOLDEN.read_text().replace("library 1 a\n", "library 1 0xa\n"),
+        GOLDEN.read_text().replace("library 1 a\n", "library 1 +a\n"),
+        GOLDEN.read_text().replace("library 1 a\n", "library 1 00a\n"),
+        GOLDEN.read_text().replace("library 1 a\n", "library 1 A\n"),
+        GOLDEN.read_text().replace("comp=2:2,1:2 payload=1", "comp=2:2,1:2 payload=0x1"),
+        GOLDEN.read_text().replace("comp=2:2,1:2 payload=1", "comp=2:2,1:2 payload=01"),
+        GOLDEN.read_text().replace("cache 1 1:1=0", "cache 1 01:1=0"),
+        GOLDEN.read_text().replace("cache 1 1:1=0", "cache 1 1:+1=0"),
+        GOLDEN.read_text().replace("message 1 pos=1,2 ", "message 1 pos=+1,2 "),
+        GOLDEN.read_text().replace("message 1 ", "message +1 "),
+        GOLDEN.read_text().replace("payload_bits=2", "payload_bits=02"),
+        GOLDEN.read_text().replace("library 2 9\n", "library 2 ٩\n"),
+        # single spaces, newline-ended lines, no blank lines
+        GOLDEN.read_text().replace("library 1 a\n", "library 1  a\n"),
+        GOLDEN.read_text().replace("library 1 a\n", "library 1 a \n"),
+        GOLDEN.read_text().replace("\n", "\r\n"),
+        GOLDEN.read_text().replace("library 1 a\n", "library 1 a\n\n"),
+        GOLDEN.read_text()[:-1],
+        GOLDEN.read_text() + "\n",
+        # the header as the writer writes it: no extra, repeated or moved key
+        GOLDEN.read_text().replace(" seed=42 ", " seed=42 seed=42 "),
+        GOLDEN.read_text().replace(" seed=42 ", " seed=42 note=1 "),
+        GOLDEN.read_text().replace("K=2 N=2", "N=2 K=2"),
+        # library, cache and message lines in order; a cache in slot order
+        GOLDEN.read_text().replace("library 2 9\n", "").replace("message 1 ", "library 2 9\nmessage 1 "),
+        GOLDEN.read_text().replace("cache 1 1:1=0 1:2=1 ", "cache 1 1:2=1 1:1=0 "),
+        _swap_lines(GOLDEN.read_text(), "message 1 ", "message 2 "),
     ],
 )
 def test_malformed_transcript_raises_value_error(text):
     with pytest.raises(ValueError):
         transcript_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("library file 1", -1), ("library file 1", 16), ("cache 1 subfile 1:1", -1),
+     ("cache 1 subfile 1:1", 2), ("message 2 payload", -1), ("message 2 payload", 2)],
+)
+def test_writer_rejects_a_value_that_does_not_fit_its_field(field, value):
+    # the golden run has 4-bit files and 1-bit subfiles; a negative or a
+    # wider value would be written as a field that the parser rejects
+    tr = sim.run_protocol("A", scheme_a.params_for(2, 2, 2, seed=42), (1, 2))
+    if field.startswith("library"):
+        tr.library[1] = value
+    elif field.startswith("cache"):
+        tr.caches[0].content[SubfileId(1, 1)] = value
+    else:
+        tr.broadcasts[1][0].payload = value
+    with pytest.raises(ValueError, match=field):
+        transcript_to_text(tr)
+
+
+def _one_mib_runs():
+    """The two 1 MiB runs of the benchmark's ``bulk_payload`` shape, at
+    fixed seeds and demands: A(4,3,4) has l = 3,121, an odd hex width of
+    781, and B(8,3) l = 10,486."""
+    return [
+        sim.run_protocol("A", scheme_a.params_for(4, 3, 4, seed=7, b_target=2**20), (1, 2, 3, 1)),
+        sim.run_protocol("B", scheme_b.params_for(8, 3, seed=7, b_target=2**20), (8, 3)),
+    ]
+
+
+PINNED_ONE_MIB_DIGESTS = [
+    "fcc32bc0642d96f8b0d41a57e7110e9dc672462fac9321fa1fbd9c675b156632",
+    "f9892721172827a623c6105129f3d9e94469ed66beaed39915dcbde117258add",
+]
+
+
+def test_one_mib_transcripts_pinned():
+    runs = _one_mib_runs()
+    assert [tr.scheme_params.layout.subfile_bits for tr in runs] == [3121, 10486]
+    for tr, digest in zip(runs, PINNED_ONE_MIB_DIGESTS):
+        text = transcript_to_text(tr)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        back = transcript_from_text(text)
+        assert back.library == tr.library
+        assert transcript_to_text(back) == text
+        # each distinct cache item is parsed once, so caches share its value
+        shared = set(back.caches[0].slots) & set(back.caches[1].slots)
+        assert shared and all(back.caches[0].content[s] is back.caches[1].content[s] for s in shared)
+
+
+def test_writer_peak_memory_stays_near_the_text_size():
+    # the writer keeps one copy of each distinct field and joins them once
+    tr = _one_mib_runs()[1]
+    tracemalloc.start()
+    try:
+        text = transcript_to_text(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
