@@ -46,24 +46,78 @@ def seeded_rng(seed: int, stream_label) -> random.Random:
     return random.Random(int.from_bytes(key.digest(), "big"))
 
 
+def _bounds(kind: str, xs):
+    """The bound n of every ``_randbelow(n)`` that the stdlib's ``shuffle``
+    (m items: m, m - 1, ..., 2) or ``choice`` (one, also of 1) of ``xs``
+    makes, in order."""
+    if kind == "permutation":
+        return range(len(xs), 1, -1)
+    if not xs:
+        raise IndexError("cannot choose from an empty sequence")
+    return (len(xs),)
+
+
+def draw_indices(bounds, getrandbits) -> list[int]:
+    """``_randbelow(n)`` for each bound n in turn, inlined as CPython draws
+    it: ``getrandbits(n.bit_length())`` again until below n."""
+    out = []
+    append = out.append
+    for n in bounds:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        append(r)
+    return out
+
+
+def draw_key(plan, getrandbits) -> int:
+    """``draw_indices`` over the (n, n.bit_length()) pairs of ``plan``, read
+    as one mixed-radix int, the first index most significant."""
+    key = 0
+    for n, k in plan:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        key = key * n + r
+    return key
+
+
+def _replay(kind: str, xs, indices):
+    """The library's one shuffle and one choice: a permutation of ``xs``
+    swaps position i with each index in turn, i from the last down to 1,
+    as ``random.shuffle`` does; a choice is ``xs[index]``."""
+    if kind == "choice":
+        return xs[indices[0]]
+    out = list(xs)
+    i = len(out) - 1
+    for j in indices:
+        out[i], out[j] = out[j], out[i]
+        i -= 1
+    return out
+
+
 class SeededSource:
     """Labelled randomness for scheme runs: every draw gets its own stream.
 
     A permutation request with the same (seed, label) always returns the
     same arrangement, and per-label streams are what the exhaustive
-    privacy checker replaces with explicit assignments.
+    privacy checker replaces with explicit assignments.  A draw is the
+    stdlib's ``shuffle`` or ``choice`` on its stream, drawn inline.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
 
+    def _draw(self, label, kind: str, xs):
+        getrandbits = seeded_rng(self.seed, str(label)).getrandbits
+        return _replay(kind, xs, draw_indices(_bounds(kind, xs), getrandbits))
+
     def permutation(self, label, items: list) -> list:
-        out = list(items)
-        seeded_rng(self.seed, str(label)).shuffle(out)
-        return out
+        return self._draw(label, "permutation", items)
 
     def choice(self, label, options: list):
-        return seeded_rng(self.seed, str(label)).choice(options)
+        return self._draw(label, "choice", options)
 
 
 class FixedSource:
@@ -97,6 +151,10 @@ class RecordingSource:
 
     Replaying the recorded draws is sound because a scheme's draw labels
     and options never depend on the values drawn before them.
+
+    A Monte Carlo trial draws a point as its int key: ``draw_key`` over
+    ``plan`` makes the ``getrandbits`` calls of the stdlib's ``shuffle``
+    and ``choice``, and ``point`` gives the point that they draw.
     """
 
     def __init__(self):
@@ -113,10 +171,7 @@ class RecordingSource:
     def size(self) -> int:
         """The number of points of the recorded space, counted without
         building it."""
-        return math.prod(
-            math.factorial(len(xs)) if kind == "permutation" else len(xs)
-            for _, xs, kind in self.draws
-        )
+        return math.prod(n for n, _ in self.plan())
 
     def labels(self) -> list:
         return [label for label, _, _ in self.draws]
@@ -130,20 +185,29 @@ class RecordingSource:
             for _, xs, kind in self.draws
         ))
 
-    def sample(self, rng: random.Random) -> tuple:
-        """One point of the recorded space, every draw taken from ``rng``
-        in recorded order: a permutation is ``rng.shuffle`` of a copy of
-        its items, a choice ``rng.choice`` of its options.  Shaped like
-        the points of ``points``."""
+    def plan(self) -> list[tuple[int, int]]:
+        """(n, n.bit_length()) of every ``_randbelow(n)`` that the stdlib
+        makes to draw the recorded draws, in recorded order."""
+        return [(n, n.bit_length()) for _, xs, kind in self.draws for n in _bounds(kind, xs)]
+
+    def point(self, key: int) -> tuple:
+        """The point that ``key`` in ``range(size())`` names, shaped like
+        the points of ``points``: its indices (see ``draw_key``) replayed."""
+        indices = []
+        for n, _ in reversed(self.plan()):
+            key, r = divmod(key, n)
+            indices.append(r)
         point = []
         for _, xs, kind in self.draws:
-            if kind == "permutation":
-                xs = list(xs)
-                rng.shuffle(xs)
-                point.append(tuple(xs))
-            else:
-                point.append(rng.choice(xs))
+            value = _replay(kind, xs, [indices.pop() for _ in _bounds(kind, xs)])
+            point.append(tuple(value) if kind == "permutation" else value)
         return tuple(point)
+
+    def sample(self, rng: random.Random) -> tuple:
+        """The point that ``rng.shuffle`` of a copy of each permutation's
+        items and ``rng.choice`` of each choice's options draw, in
+        recorded order and with the same ``getrandbits`` calls."""
+        return self.point(draw_key(self.plan(), rng.getrandbits))
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +565,11 @@ def _header_text(fields: dict) -> str:
 
 
 def transcript_to_text(tr: Transcript) -> str:
-    """Serialise a full transcript, one message per line.  The text is
-    one join of a flat list of parts, and each distinct (subfile, value)
-    cache item is formatted once, however many caches hold it.  A value
-    that does not fit its field raises ValueError naming the field."""
+    """Serialise a full transcript, one message per line, each cache's
+    items in slot order.  The text is one join of a flat list of parts,
+    and each distinct (subfile, value) cache item is formatted once,
+    however many caches hold it.  A value that does not fit its field
+    raises ValueError naming the field."""
     if tr.library is None:
         raise ValueError("cannot serialise a structure-only transcript")
     sp = tr.scheme_params
@@ -515,7 +580,7 @@ def transcript_to_text(tr: Transcript) -> str:
     items: dict[tuple[SubfileId, int], tuple[str, str]] = {}
     for cache in tr.caches:
         parts += ("cache ", str(cache.owner))
-        for sid in cache.slots:
+        for sid in sorted(cache.slots):
             value = cache.content[sid]
             item = items.get((sid, value))
             if item is None:
@@ -610,6 +675,13 @@ def _lines(text: str, start: int):
 _SECTIONS = {"library": 0, "cache": 1, "message": 2}
 
 
+def _fields(kind: str, tokens: list, count: int) -> list:
+    """The fields after a line's kind, which must be ``count`` of them."""
+    if len(tokens) != count:
+        raise ValueError(f"a {kind} line has {count} fields after its kind, got {len(tokens)}")
+    return tokens
+
+
 def transcript_from_text(text: str) -> Transcript:
     """Inverse of ``transcript_to_text``, which accepts only the text that
     it writes: lines in its order, single spaces, plain decimals and
@@ -643,12 +715,14 @@ def transcript_from_text(text: str) -> Transcript:
             raise ValueError(f"{kind} line out of order: library, cache and message lines come in that order")
         section = _SECTIONS[kind]
         if kind == "library":
-            idx_s, buf = tokens
+            idx_s, buf = _fields(kind, tokens, 2)
             idx = _decimal(idx_s, "library index")
             if idx != len(library) + 1:
                 raise ValueError(f"expected library line {len(library) + 1}, got {idx_s}")
             library[idx] = _parse_hex(buf, base.B, f"library file {idx}")
         elif kind == "cache":
+            if not tokens:
+                raise ValueError("a cache line has its owner and then its items, got no field")
             owner_s, *items = tokens
             owner = _decimal(owner_s, "cache owner")
             if owner != len(caches) + 1:
@@ -669,7 +743,7 @@ def transcript_from_text(text: str) -> Transcript:
             caches.append(CacheState(owner, tuple(content), content))
             caches[-1].check(ell, budget_bits=sp.memory_point() * base.B)
         else:
-            sender_s, pos_s, comp_s, pay_s = tokens
+            sender_s, pos_s, comp_s, pay_s = _fields(kind, tokens, 4)
             sender = _decimal(sender_s, "message sender")
             if not 1 <= sender <= base.K:
                 raise ValueError(f"message sender {sender} outside 1..{base.K}")

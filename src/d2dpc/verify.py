@@ -43,11 +43,11 @@ brute-force enumeration and against raw, uncanonicalised views.
   (``_block_pass``): a transmitter's point is the values of its own
   draws, and run j gives every transmitter its j-th distinct point,
   weighted by its multiplicity.  Exact mode passes every point once; a
-  Monte Carlo check first draws all its trials' points, every recorded
-  draw taken in turn from one keyed stream per demand vector, so the
-  trials of a demand vector are consecutive runs whose source answers
-  each draw from that stream, and passes each distinct point with its
-  count.
+  Monte Carlo check first draws all its trials' points as int keys,
+  every recorded draw taken in turn from one keyed stream per demand
+  vector, so the trials of a demand vector are consecutive runs whose
+  source answers each draw from that stream, and passes each distinct
+  point with its count.
 
 The joint view needs no pass of its own: transmitter k XORs only
 block-k subfiles and a slot's class holds its block, so no class spans
@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import scheme_a, sim
-from .core import FixedSource, RecordingSource, Transcript, check_seed, seeded_rng
+from .core import FixedSource, RecordingSource, Transcript, check_seed, draw_key, seeded_rng
 
 EXACT_ENUMERATION_CAP = 1_000_000
 DEFAULT_TRIALS = 10_000
@@ -497,14 +497,18 @@ def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed:
     A trial draws a point, not a protocol run: every trial takes all of
     the demand vector's recorded delivery draws from its one keyed
     stream, ``seeded_rng(base_seed, f"mc|{d}")``: transmitters 1..K,
-    each one's draws in recorded order (see ``RecordingSource.sample``).
-    That is the order a delivery plan makes them in, so trial j is the
-    j-th of consecutive runs on that placement whose source answers
-    every draw from the same stream in call order.  All trials are drawn
-    first, into one point Counter per transmitter; then each distinct
-    point is run once and its block counted with its multiplicity (see
-    ``_block_pass``), blocks in the order their first trial met them.  A
-    coalition's block counts are their projection (see ``_Projection``).
+    each one's draws in recorded order.  That is the order a delivery
+    plan makes them in, so trial j is the j-th of consecutive runs on
+    that placement whose source answers every draw from the same stream
+    in call order.  A transmitter's point is drawn as its int key
+    (``draw_key`` over ``RecordingSource.plan``), which makes the same
+    ``getrandbits`` calls as the stdlib's ``shuffle`` and ``choice`` of
+    those draws, so its point is theirs.  All trials are drawn first,
+    into one key count per transmitter; then each distinct key is turned
+    into its point (``RecordingSource.point``) and run once, its block
+    counted with its multiplicity (see ``_block_pass``), blocks in the
+    order their first trial met them.  A coalition's block counts are
+    their projection (see ``_Projection``).
 
     Returns dists[coalition][demand vector] = list of per-block Counters.
     """
@@ -513,13 +517,16 @@ def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed:
 
     def runs():
         for d, own in spaces.items():
-            seen = [Counter() for _ in own]
-            rng = seeded_rng(base_seed, f"mc|{d}")
+            getrandbits = seeded_rng(base_seed, f"mc|{d}").getrandbits
+            plans = [o.plan() for o in own]
+            seen: list[dict] = [{} for _ in own]
             for _ in range(trials):
-                for counter, o in zip(seen, own):
-                    counter[o.sample(rng)] += 1
+                for plan, counts in zip(plans, seen):
+                    key = draw_key(plan, getrandbits)
+                    counts[key] = counts.get(key, 0) + 1
             yield from _block_pass(scheme_params, placement, everyone, d, derandomized, own,
-                                   [counter.items() for counter in seen], trials)
+                                   [zip(map(o.point, counts), counts.values())
+                                    for o, counts in zip(own, seen)], trials)
 
     return _count_then_project(runs(), spaces, coalitions, scheme_params.base.K)
 

@@ -10,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from d2dpc.core import (
     MAX_STRUCTURE_ENTRIES,
+    RecordingSource,
+    SeededSource,
     SlotLayout,
     SubfileId,
     SystemParams,
     assemble_file,
+    draw_indices,
     random_library,
     resolve_file_size,
     seeded_rng,
@@ -22,7 +25,7 @@ from d2dpc.core import (
     transcript_from_text,
     transcript_to_text,
 )
-from d2dpc import scheme_a, scheme_b, sim
+from d2dpc import scheme_a, scheme_b, sim, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_transcript.txt"
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -36,6 +39,71 @@ def test_seeded_rng_deterministic():
 
 def test_seeded_rng_labels_independent():
     assert seeded_rng(0, "a").getrandbits(128) != seeded_rng(0, "b").getrandbits(128)
+
+
+def _stdlib_sample(draws, rng) -> tuple:
+    """The oracle of ``RecordingSource.sample``: ``rng.shuffle`` of a copy
+    of each permutation's items, ``rng.choice`` of each choice's options."""
+    point = []
+    for _, xs, kind in draws:
+        if kind == "permutation":
+            xs = list(xs)
+            rng.shuffle(xs)
+            point.append(tuple(xs))
+        else:
+            point.append(rng.choice(xs))
+    return tuple(point)
+
+
+def _draw_sequences() -> list:
+    """One permutation of 0..9 items, one choice of 1..9 options, a hand
+    mix, and the delivery draws of scheme A at A(3,2,2) and A(3,3,2)."""
+    out = [[("p", tuple(range(m)), "permutation")] for m in range(10)]
+    out += [[("c", tuple("abcdefghi"[:n]), "choice")] for n in range(1, 10)]
+    out.append([("c", ("x",), "choice"), ("p", (3, 1, 2), "permutation"),
+                ("c", (5, 6, 7, 8, 9), "choice"), ("p", (), "permutation"), ("c", (0, 1), "choice")])
+    for params in (scheme_a.params_for(3, 2, 2), scheme_a.params_for(3, 3, 2)):
+        recorder = RecordingSource()
+        scheme_a.plan_delivery_a(params, (1, 2, 2), recorder)
+        out.append(recorder.draws)
+    return out
+
+
+@pytest.mark.parametrize("draws", _draw_sequences())
+def test_sampled_points_are_the_stdlib_draws(draws):
+    # the Monte Carlo sampler rests on this premise: a point drawn as an
+    # int key makes CPython's getrandbits rejection draws, the calls of
+    # shuffle and choice, so it is their point and leaves the same state
+    source = RecordingSource()
+    source.draws = list(draws)
+    for seed in range(200):
+        rng, ref = seeded_rng(seed, "oracle"), seeded_rng(seed, "oracle")
+        for _ in range(3):
+            assert source.sample(rng) == _stdlib_sample(draws, ref), seed
+        assert rng.getstate() == ref.getstate(), seed
+
+
+def test_keys_name_every_point_once():
+    for own in verify._setup(scheme_a.params_for(3, 2, 2), [], False)[3].values():
+        first = own[0]
+        keyed = [first.point(key) for key in range(first.size())]
+        assert len(keyed) == len(set(keyed)) == 96
+        assert set(keyed) == set(first.points())
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 9, 220])
+def test_seeded_source_draws_are_the_stdlib_draws(m):
+    items = [f"s{i}" for i in range(m)]
+    for seed in range(200):
+        ref = list(items)
+        seeded_rng(seed, "('A', 'p', 1, 1)").shuffle(ref)
+        assert SeededSource(seed).permutation(("A", "p", 1, 1), items) == ref
+        rng, ref_rng = seeded_rng(seed, "x"), seeded_rng(seed, "x")
+        draw_indices(range(m, 1, -1), rng.getrandbits)
+        ref_rng.shuffle(list(items))
+        assert rng.getstate() == ref_rng.getstate()
+        if items:
+            assert SeededSource(seed).choice("c", items) == seeded_rng(seed, "c").choice(items)
 
 
 def test_seeded_rng_seeds_independent():
@@ -348,6 +416,11 @@ def _scheme_b_text_with_three_users():
         GOLDEN.read_text().replace("cache 1 1:1=0 ", "cache 1 1:1=2 "),
         GOLDEN.read_text().replace("comp=2:2,1:2 payload=1", "comp=2:2,1:2 payload=ff"),
         GOLDEN.read_text().replace("comp=2:2,1:2 payload=1", "comp=2:2,1:2 payload=-1"),
+        # a line has its kind's fields, no fewer and no more
+        GOLDEN.read_text().replace("library 1 a\n", "library 1\n"),
+        GOLDEN.read_text().replace("library 1 a\n", "library 1 a a\n"),
+        GOLDEN.read_text().replace("comp=2:2,1:2 payload=1", "comp=2:2,1:2"),
+        GOLDEN.read_text().replace("cache 1 1:1=0 1:2=1 1:4=1 2:1=1 2:2=0 2:4=1\n", "cache\n"),
         # a message line is pos=, comp= and payload=, each key named, in that order
         GOLDEN.read_text().replace("message 1 pos=1,2 ", "message 1 pos "),
         GOLDEN.read_text().replace("comp=2:2,1:2 ", "comp "),
@@ -393,6 +466,26 @@ def _scheme_b_text_with_three_users():
 def test_malformed_transcript_raises_value_error(text):
     with pytest.raises(ValueError):
         transcript_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [("library 1 a\n", "library 1\n", "a library line has 2 fields after its kind, got 1"),
+     ("comp=2:2,1:2 payload=1", "comp=2:2,1:2", "a message line has 4 fields after its kind, got 3"),
+     ("comp=2:2,1:2 payload=1", "comp=2:2,1:2 payload=1 x", "a message line has 4 fields after its kind, got 5")],
+)
+def test_a_line_with_a_missing_or_extra_field_is_named(old, new, message):
+    with pytest.raises(ValueError, match=message):
+        transcript_from_text(GOLDEN.read_text().replace(old, new))
+
+
+def test_a_cache_out_of_slot_order_is_written_in_slot_order():
+    # only core.place sorts a cache's slots; the writer must not rely on it
+    tr = sim.run_protocol("A", scheme_a.params_for(2, 2, 2, seed=42), (1, 2))
+    tr.caches[0].slots = tr.caches[0].slots[::-1]
+    text = transcript_to_text(tr)
+    assert text == GOLDEN.read_text()
+    assert transcript_to_text(transcript_from_text(text)) == text
 
 
 @pytest.mark.parametrize(

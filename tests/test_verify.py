@@ -699,13 +699,14 @@ def test_mc_oracle_case_holds_transmitters_at_their_first_point():
 )
 def test_coalitions_are_checked_before_any_run(entry, monkeypatch):
     # Monte Carlo trials draw their points before any run, so no draw
-    # from a stream may come first either
+    # from a stream may come first either; trials take their draws from
+    # getrandbits, not through shuffle or choice
     def no_runs(*args, **kwargs):
         raise AssertionError("protocol ran or drew before the coalitions were checked")
 
     monkeypatch.setattr(sim, "run_protocol", no_runs)
-    monkeypatch.setattr(random.Random, "shuffle", no_runs)
-    monkeypatch.setattr(random.Random, "choice", no_runs)
+    for method in ("shuffle", "choice", "getrandbits"):
+        monkeypatch.setattr(random.Random, method, no_runs)
     with pytest.raises(ValueError, match="coalition"):
         entry(scheme_a.params_for(2, 2, 1), [(1,), (1, 2), (3,)])
 
