@@ -10,10 +10,12 @@ the upper envelope of their segment lines.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import Rat
@@ -23,6 +25,20 @@ def binom(n: int, k: int) -> int:
     if n < 0 or k < 0 or n < k:
         return 0
     return math.comb(n, k)
+
+
+def binom_capped(n: int, k: int, cap: int) -> int:
+    """min(binom(n, k), cap), built up one factor at a time and stopped
+    at ``cap``.  For k <= n/2, binom(n, k) >= 2**k, so this takes about
+    log2(cap) steps however large n and k are."""
+    if n < 0 or k < 0 or n < k:
+        return 0
+    value = 1
+    for i in range(min(k, n - k)):
+        value = value * (n - i) // (i + 1)
+        if value >= cap:
+            return cap
+    return value
 
 
 def lex_subsets(ground: Sequence[int], size: int) -> list[tuple[int, ...]]:
@@ -84,17 +100,11 @@ class TradeoffCurve:
         M = Fraction(M)
         if not self.min_m <= M <= self.max_m:
             raise ValueError(f"M={M} outside curve domain [{self.min_m}, {self.max_m}]")
-        lo, hi = 0, len(self.corners) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.corners[mid][0] <= M:
-                lo = mid
-            else:
-                hi = mid
-        m0, r0 = self.corners[lo]
-        if M == m0 or lo == hi:
+        i = bisect.bisect_right(self.corners, M, key=itemgetter(0))
+        m0, r0 = self.corners[i - 1]
+        if M == m0:
             return r0
-        m1, r1 = self.corners[hi]
+        m1, r1 = self.corners[i]
         return r0 + (r1 - r0) * (M - m0) / (m1 - m0)
 
     def corner_ms(self) -> list[Rat]:

@@ -231,6 +231,11 @@ MAX_FILE_BITS = 2**31 - 1
 # about 100 bytes, so the structure stays near 100 MB
 MAX_STRUCTURE_ENTRIES = 1_000_000
 
+# structures are counted only up to this cap (``combinat.binom_capped``), so
+# an absurd instance is rejected at once: binom(2 * 10**6, 10**6) alone has
+# 600,000 digits and takes seconds to build
+STRUCTURE_COUNT_CAP = 10**18
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -352,36 +357,46 @@ class SchemeParams:
     also the scheme's interface to the protocol engine and the privacy
     checker.  A scheme states its block shape (``shape``), its corner
     (M, R) (``corner``), its held pairs for ``place`` and its query
-    plans; this base derives everything else from them.  An instance
-    whose ``structure_entries`` exceed ``MAX_STRUCTURE_ENTRIES`` is
-    rejected before anything is built."""
+    plans; this base derives everything else from them.  ``admit``
+    checks the parameter and rejects an instance whose structure would
+    exceed ``MAX_STRUCTURE_ENTRIES`` before ``shape`` builds anything."""
 
     scheme = ""
     base: SystemParams
 
     def __post_init__(self):
-        subpacketization = self.subpacketization  # shape() checks the parameter first
-        entries = self.structure_entries()
-        if entries > MAX_STRUCTURE_ENTRIES:
-            raise ValueError(
-                f"instance too large: its structure holds {entries} entries "
-                f"> {MAX_STRUCTURE_ENTRIES}"
-            )
+        self.admit(self.base.K, self.base.N, self.param)
+        subpacketization = self.subpacketization
         if self.base.B % subpacketization:
             raise ValueError(
                 f"B={self.base.B} not divisible by the subpacketization {subpacketization}"
             )
 
     @classmethod
+    def admit(cls, K: int, N: int, param) -> None:
+        """Raise ValueError for a bad parameter (``count_structure``
+        checks it) or a structure over ``MAX_STRUCTURE_ENTRIES``."""
+        entries = cls.count_structure(K, N, param)
+        if entries > MAX_STRUCTURE_ENTRIES:
+            held = entries if entries < STRUCTURE_COUNT_CAP else f"at least {STRUCTURE_COUNT_CAP}"
+            raise ValueError(
+                f"instance too large: its structure holds {held} entries "
+                f"> {MAX_STRUCTURE_ENTRIES}"
+            )
+
+    def structure_entries(self) -> int:
+        return self.count_structure(self.base.K, self.base.N, self.param)
+
+    @classmethod
     def sized(cls, K: int, N: int, param, seed: int = 0, b_target: Optional[int] = None):
         """The instance with B auto-sized to the subpacketization."""
+        cls.admit(K, N, param)
         blocks, per_block = cls.shape(K, N, param)
         B = resolve_file_size(blocks * per_block, b_target)
         return cls(SystemParams(K=K, N=N, B=B, seed=seed), param)
 
     @cached_property
     def layout(self) -> SlotLayout:
-        # shape() checks the parameter before anything else is derived
         blocks, per_block = self.shape(self.base.K, self.base.N, self.param)
         return SlotLayout(self.base.N, blocks, per_block, self.base.B // (blocks * per_block))
 

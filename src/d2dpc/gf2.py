@@ -3,23 +3,18 @@
 A receiver knows its cached subfiles and sees every broadcast message as
 (composition header, payload).  Each message is one linear equation over
 GF(2): the XOR of its unknown components equals the payload XOR the known
-components.  The solver works in three steps:
+components.  ``solve_xor_system`` solves a system by one elimination, each
+unknown one bit of a row mask.  A variable is determined iff its unit
+vector lies in the row space, that is, iff its fully reduced pivot row is
+that unit vector.  This recovers the combinations that only cancel across
+several messages, which is exactly how the leader-filtered messages are
+reconstructed.  A subfile the receiver needs but that the system does not
+determine is reported, never guessed.
 
-1. Peeling (the LT-code decoder): every single-unknown equation -- a
-   directly useful message -- fixes its variable, which is substituted
-   into every equation containing it, until no single-unknown equation
-   is left.
-2. The residual equations are split into connected components: two
-   equations belong together when a chain of shared variables links them.
-3. Each component is row-reduced and back-substituted on its own.  This
-   recovers the combinations that only cancel across several messages,
-   which is exactly how the leader-filtered messages are reconstructed.
-
-A variable is determined iff its unit vector lies in the row space.
-Peeled unit vectors split off that space, and the rest is a direct sum
-over components, so the three steps return exactly what a full
-elimination of the whole system returns.  A subfile the receiver needs
-but that the system does not determine is reported, never guessed.
+Back-substitution walks each pivot row's own set bits.  Testing every
+lower pivot against every pivot row, as the oracle ``_eliminate`` does, is
+quadratic in the pivot count (one big-int shift per pair); that, not the
+forward reduction, is what made large receiver systems slow.
 """
 
 from __future__ import annotations
@@ -31,86 +26,56 @@ def solve_xor_system(equations: list[tuple[set, int]]) -> dict:
     """Solve XOR equations; return the uniquely determined variables.
 
     ``equations`` holds (set of variable keys, rhs payload int) pairs and
-    is left unchanged.  Raises ValueError on an inconsistent system (some
-    payload was corrupted), since 0 = nonzero has no solution.
+    is left unchanged.  Each unknown gets its bit on first sight, and each
+    row is reduced on arrival with the pivot at its highest set bit.
+    Raises ValueError on an inconsistent system (some payload was
+    corrupted), since 0 = nonzero has no solution.
     """
-    rows = [[set(vars_), rhs] for vars_, rhs in equations]
-    solved = _peel(rows)
-    solved.update(_solve_components([(v, rhs) for v, rhs in rows if v]))
-    return solved
-
-
-def _peel(rows: list[list]) -> dict:
-    """Resolve single-unknown rows to a fixpoint, reducing ``rows`` in place.
-
-    Afterwards every row has no variable or at least two, and none of
-    them holds a peeled variable.
-    """
-    occurs: dict = {}
-    queue = []
-    for i, (vars_, rhs) in enumerate(rows):
-        if not vars_ and rhs:
-            raise ValueError(_INCONSISTENT)
-        for v in vars_:
-            occurs.setdefault(v, []).append(i)
-        if len(vars_) == 1:
-            queue.append(i)
-
-    solved = {}
-    while queue:
-        vars_, value = rows[queue.pop()]
-        if len(vars_) != 1:  # emptied by an earlier substitution
-            continue
-        (var,) = vars_
-        solved[var] = value
-        for j in occurs.pop(var):  # includes the row just popped
-            row = rows[j]
-            row[0].discard(var)
-            row[1] ^= value
-            if len(row[0]) == 1:
-                queue.append(j)
-            elif not row[0] and row[1]:
-                raise ValueError(_INCONSISTENT)
-    return solved
-
-
-def _solve_components(equations: list[tuple[set, int]]) -> dict:
-    """Eliminate each connected component of ``equations`` separately."""
     var_ids: dict = {}
-    for vars_, _ in equations:
+    pivots: dict[int, tuple[int, int]] = {}
+    for vars_, rhs in equations:
+        mask = 0
         for v in vars_:
-            if v not in var_ids:
-                var_ids[v] = len(var_ids)
-    parent = list(range(len(var_ids)))
+            mask |= 1 << var_ids.setdefault(v, len(var_ids))
+        while mask:
+            top = mask.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = (mask, rhs)
+                break
+            mask ^= pivot[0]
+            rhs ^= pivot[1]
+        else:
+            if rhs:
+                raise ValueError(_INCONSISTENT)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for vars_, _ in equations:
-        ids = [var_ids[v] for v in vars_]
-        root = find(ids[0])
-        for i in ids[1:]:
-            other = find(i)
-            if other != root:
-                parent[other] = root
-
-    components: dict[int, list] = {}
-    for eq in equations:
-        components.setdefault(find(var_ids[next(iter(eq[0]))]), []).append(eq)
+    # bottom-up: a reduced pivot row holds its pivot plus free variables
+    # below it, so XORing it in clears that pivot bit and sets no other
+    names = list(var_ids)
     solved = {}
-    for component in components.values():
-        solved.update(_eliminate(component))
+    for top in sorted(pivots):
+        mask, rhs = pivots[top]
+        rest = mask ^ (1 << top)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            lower = pivots.get(low.bit_length() - 1)
+            if lower is not None:
+                mask ^= lower[0]
+                rhs ^= lower[1]
+        pivots[top] = (mask, rhs)
+        if mask == 1 << top:
+            solved[names[top]] = rhs
     return solved
 
 
 def _eliminate(equations: list[tuple[set, int]]) -> dict:
     """Full GF(2) elimination over every equation at once.
 
-    Each variable is one bit of a row mask.  This is the reference the
-    peel-and-split path must agree with, and the step it runs per
-    component.
+    Each variable is one bit of a row mask.  This is the test oracle
+    ``solve_xor_system`` must agree with: the same forward reduction,
+    but a back-substitution that tests every lower pivot against every
+    pivot row.
     """
     var_ids: dict = {}
     for vars_, _ in equations:

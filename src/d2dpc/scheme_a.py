@@ -25,8 +25,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .combinat import binom, lex_subsets, lower_convex_envelope, TradeoffCurve
+from .combinat import binom, binom_capped, lex_subsets, lower_convex_envelope, TradeoffCurve
 from .core import (
+    STRUCTURE_COUNT_CAP,
     CacheState,
     Placement,
     Rat,
@@ -54,21 +55,24 @@ class SchemeAParams(SchemeParams):
         return (self.base.K - 1) * self.base.N
 
     @staticmethod
-    def shape(K: int, N: int, t: int) -> tuple[int, int]:
-        """K blocks of binom(U, t-1) slots, one slot per (t-1)-subset of
-        the transmitter's effective users."""
+    def count_structure(K: int, N: int, t: int) -> int:
+        """Check t, then count the subset ranks and position sets
+        ``structure_a`` builds, K * binom(U, t-1) + binom(U, t), with each
+        binomial capped at ``STRUCTURE_COUNT_CAP``."""
         U = (K - 1) * N
         if t is None or not 1 <= t <= U + 1:
             raise ValueError(f"t must lie in 1..{U + 1}, got {t}")
-        return K, binom(U, t - 1)
+        return K * binom_capped(U, t - 1, STRUCTURE_COUNT_CAP) + binom_capped(U, t, STRUCTURE_COUNT_CAP)
+
+    @staticmethod
+    def shape(K: int, N: int, t: int) -> tuple[int, int]:
+        """K blocks of binom(U, t-1) slots, one slot per (t-1)-subset of
+        the transmitter's effective users (t admitted)."""
+        return K, binom((K - 1) * N, t - 1)
 
     @staticmethod
     def corner(K: int, N: int, t: int) -> tuple[Rat, Rat]:
         return load_a_point(K, N, t)
-
-    def structure_entries(self) -> int:
-        """The subset ranks and position sets ``structure_a`` builds."""
-        return self.base.K * binom(self.U, self.t - 1) + binom(self.U, self.t)
 
     def effective_users(self, k: int) -> list[int]:
         K, N = self.base.K, self.base.N
@@ -265,10 +269,9 @@ def decode_from_messages(user, messages, cache: CacheState, demand: int, layout:
     """Recover the demanded file from broadcasts plus the local cache.
 
     Works for both schemes: every message is an XOR equation over the
-    receiver's unknown subfiles.  The equations of each transmitter are
-    solved on their own by ``gf2.solve_xor_system`` (peel single-unknown
-    equations, split the rest into connected components, eliminate each
-    component), and the file is assembled from cache plus solutions.
+    receiver's unknown subfiles.  The equations of each transmitter form
+    one system, which ``gf2.solve_xor_system`` solves by one GF(2)
+    elimination, and the file is assembled from cache plus solutions.
     Raises DecodingFailure naming the first slot the broadcasts do not
     determine, and ValueError when a payload contradicts the cache or the
     other payloads.

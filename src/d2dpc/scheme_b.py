@@ -28,8 +28,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .combinat import binom, lex_subsets, lower_convex_envelope, TradeoffCurve
-from .core import Placement, Rat, SchemeParams, SubfileId, place
+from .combinat import binom, binom_capped, lex_subsets, lower_convex_envelope, TradeoffCurve
+from .core import STRUCTURE_COUNT_CAP, Placement, Rat, SchemeParams, SubfileId, place
 from .scheme_a import decode_from_messages  # noqa: F401  (scheme B's decoder too)
 
 
@@ -45,25 +45,29 @@ class SchemeBParams(SchemeParams):
         return self.tprime
 
     @staticmethod
-    def shape(K: int, N: int, tprime: Optional[int]) -> tuple[int, int]:
-        """Two halves of binom(N-1,t') + binom(N-2,t'-1) slots (one slot
-        at full memory)."""
+    def count_structure(K: int, N: int, tprime: Optional[int]) -> int:
+        """Check K and t', then count the compositions in ``structure_b``'s
+        plan table, N * binom(N, t'+1), the binomial capped at
+        ``STRUCTURE_COUNT_CAP``."""
         if K != 2:
             raise ValueError("scheme B is defined for K = 2 only")
         if tprime is None:
-            return 2, 1
+            return 0
         if not 0 <= tprime <= N - 1:
             raise ValueError(f"t' must lie in 0..{N - 1}, got {tprime}")
+        return N * binom_capped(N, tprime + 1, STRUCTURE_COUNT_CAP)
+
+    @staticmethod
+    def shape(K: int, N: int, tprime: Optional[int]) -> tuple[int, int]:
+        """Two halves of binom(N-1,t') + binom(N-2,t'-1) slots (one slot
+        at full memory; K and t' admitted)."""
+        if tprime is None:
+            return 2, 1
         return 2, binom(N - 1, tprime) + binom(N - 2, tprime - 1)
 
     @staticmethod
     def corner(K: int, N: int, tprime: Optional[int]) -> tuple[Rat, Rat]:
         return (Fraction(N), Fraction(0)) if tprime is None else load_b_point(N, tprime)
-
-    def structure_entries(self) -> int:
-        """The compositions in ``structure_b``'s plan table."""
-        N = self.base.N
-        return 0 if self.tprime is None else N * binom(N, self.tprime + 1)
 
     def label(self) -> str:
         tp = self.tprime

@@ -194,14 +194,14 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def _run_limited(argv):
+def _run_limited(argv, timeout=60):
     """``python -m d2dpc argv`` in a child capped at 1 GiB of address space."""
     env = {k: v for k, v in os.environ.items() if k != "D2DPC_ENUM_CAP"}
     env["PYTHONPATH"] = str(ROOT / "src")
     return subprocess.run(
         [sys.executable, "-m", "d2dpc", *argv],
         env=env, preexec_fn=_limit_address_space, capture_output=True, text=True,
-        timeout=60, check=False,
+        timeout=timeout, check=False,
     )
 
 
@@ -225,6 +225,24 @@ def test_simulate_too_large_structure_exits_2_under_memory_limit():
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "argument --t: instance too large" in proc.stderr.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--scheme", "A", "--K", "1000000", "--N", "2", "--t", "1000000"], "--t"),
+        (["--scheme", "A", "--K", "4000000", "--N", "2", "--t", "1000000"], "--t"),
+        (["--scheme", "B", "--K", "2", "--N", "3000000", "--tprime", "1500000"], "--tprime"),
+    ],
+)
+def test_absurd_instance_is_rejected_at_once(argv, flag):
+    # binom((K-1)N, t-1) has hundreds of thousands of digits here; the
+    # structure is counted only up to a cap, so the instance is rejected
+    # in well under a second instead of after building the binomial
+    proc = _run_limited(["simulate", *argv, "--demands", "1,2"], timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"argument {flag}: instance too large" in proc.stderr.strip().splitlines()[-1]
 
 
 _SIMULATE_A = ["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1", "--demands", "1,2"]

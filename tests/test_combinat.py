@@ -11,6 +11,7 @@ from d2dpc.combinat import (
     Line,
     TradeoffCurve,
     binom,
+    binom_capped,
     curve_max,
     lex_subsets,
     lower_convex_envelope,
@@ -31,6 +32,16 @@ def test_binom_zero_convention():
     assert binom(2, 3) == 0
     assert binom(-1, 0) == 0
     assert binom(3, -1) == 0
+
+
+def test_binom_capped_is_min_of_binom_and_cap():
+    for n in range(-1, 25):
+        for k in range(-1, 27):
+            for cap in (1, 7, 100, 10**5, 10**18):
+                assert binom_capped(n, k, cap) == min(binom(n, k), cap)
+    # stops after a few dozen factors, long before binom(n, k) is built
+    assert binom_capped(2 * 10**6, 10**6, 10**18) == 10**18
+    assert binom_capped(2 * 10**6, 2 * 10**6 - 1, 10**18) == 2 * 10**6
 
 
 def test_lex_subsets():

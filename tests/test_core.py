@@ -1,7 +1,10 @@
 import hashlib
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -134,6 +137,33 @@ def test_too_large_structure_is_rejected_before_it_is_built(build, entries):
     assert entries > MAX_STRUCTURE_ENTRIES
     with pytest.raises(ValueError, match=f"instance too large: its structure holds {entries} entries"):
         build()
+
+
+_PARSE_HEADER = """
+import sys
+from d2dpc.core import transcript_from_text
+try:
+    transcript_from_text("d2d-transcript 1\\n" + sys.argv[1] + "\\n")
+except ValueError as err:
+    print(err)
+"""
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "scheme=A K=3000000 N=2 B=8 seed=0 param=3000000 M=1 demands=1,2",
+        "scheme=B K=2 N=3000000 B=8 seed=0 param=1500000 M=1 demands=1,2",
+    ],
+)
+def test_absurd_transcript_header_is_rejected_at_once(header):
+    # the instance is admitted from a capped count before the parser
+    # derives its slot layout, whose binomial alone would take minutes
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN.parents[2] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _PARSE_HEADER, header], env=env,
+                          capture_output=True, text=True, timeout=20, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("instance too large: its structure holds at least ")
 
 
 def test_largest_instance_in_use_is_admitted():

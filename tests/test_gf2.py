@@ -51,6 +51,39 @@ def flipped_systems(draw):
     return rows
 
 
+@st.composite
+def wide_systems(draw):
+    """One consistent block of up to 40 unknowns, rows of 1-8 of them.
+
+    There are at most as many rows as unknowns, so most systems are rank
+    deficient.  The rows that name the free unknowns first come first, so
+    those unknowns get the lowest bits and sit below the later pivots:
+    back-substitution must clear every lower pivot from a row and keep
+    its free bits.
+    """
+    n = draw(st.integers(2, 40))
+    names = [("w", i) for i in range(n)]
+    values = dict(zip(names, draw(st.lists(st.integers(0, 2**16 - 1), min_size=n, max_size=n))))
+    row_vars = st.sets(st.sampled_from(names), min_size=1, max_size=min(8, n))
+    rows = []
+    for vars_ in draw(st.lists(row_vars, min_size=1, max_size=n)):
+        rhs = 0
+        for v in vars_:
+            rhs ^= values[v]
+        rows.append((vars_, rhs))
+    return rows, values
+
+
+@st.composite
+def flipped_wide_systems(draw):
+    """A wide system with one rhs XORed by a nonzero mask."""
+    rows, _ = draw(wide_systems())
+    i = draw(st.integers(0, len(rows) - 1))
+    vars_, rhs = rows[i]
+    rows[i] = (set(vars_), rhs ^ draw(st.integers(1, 2**16 - 1)))
+    return rows
+
+
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
@@ -72,6 +105,35 @@ def test_flipped_system_matches_full_elimination(equations):
     got = _outcome(gf2.solve_xor_system, equations)
     assert equations == before
     assert got == _outcome(gf2._eliminate, equations)
+
+
+@_SETTINGS
+@given(wide_systems())
+def test_wide_rank_deficient_system_matches_full_elimination(system):
+    equations, values = system
+    before = copy.deepcopy(equations)
+    solved = gf2.solve_xor_system(equations)
+    assert equations == before
+    assert solved == gf2._eliminate(equations)
+    assert all(values[v] == x for v, x in solved.items())
+
+
+@_SETTINGS
+@given(flipped_wide_systems())
+def test_flipped_wide_system_matches_full_elimination(equations):
+    before = copy.deepcopy(equations)
+    got = _outcome(gf2.solve_xor_system, equations)
+    assert equations == before
+    assert got == _outcome(gf2._eliminate, equations)
+
+
+def test_free_unknowns_below_pivots_stay_unsolved():
+    # a is seen first and takes the lowest bit; it stays free, while b and
+    # d are determined only once c's pivot row is cleared from theirs
+    eqs = [({"a", "b", "c"}, 7), ({"a", "c"}, 5), ({"a", "c", "d"}, 13)]
+    assert gf2.solve_xor_system(eqs) == {"b": 2, "d": 8} == gf2._eliminate(eqs)
+    eqs.append(({"a"}, 1))
+    assert gf2.solve_xor_system(eqs) == {"a": 1, "b": 2, "c": 4, "d": 8} == gf2._eliminate(eqs)
 
 
 def test_combination_only_variables_are_recovered():

@@ -362,9 +362,9 @@ def test_flipped_lone_single_unknown_message_is_caught_only_bit_exactly():
 def test_large_instance_decodes_bit_exactly():
     # A(4,5,8): B = 25,740 bits and 25,560 messages.  Users 1, 3 and 4
     # recover some demanded subfiles only through combinations of messages,
-    # since leader filtering drops their own.  Full elimination of every
-    # per-sender system took over a minute; peeling plus per-component
-    # elimination takes seconds.
+    # since leader filtering drops their own.  One elimination per sender
+    # takes about a second: its back-substitution walks each pivot row's
+    # set bits.  Testing every pair of pivots instead took over a minute.
     p = params_for(4, 5, 8, seed=0)
     tr = sim.run_protocol("A", p, (1, 2, 3, 4))
     assert len(tr.all_messages()) == 25560
