@@ -17,6 +17,9 @@ from .combinat import curve_max, even_grid, shared_domain
 from .core import (MAX_FILE_BITS, SchemeParams, check_seed, demand_vector, scheme_class,
                    transcript_to_text)
 
+# the most points of `curve --grid` and `gap --grid-density`, one exact Fraction each
+MAX_GRID_POINTS = 100_000
+
 
 def _env_int(parser: argparse.ArgumentParser, name: str, default: int) -> int:
     value = os.environ.get(name)
@@ -252,7 +255,7 @@ def main(argv=None) -> int:
     p_curve.add_argument("--which", required=True, choices=list(bounds.CURVE_NAMES))
     p_curve.add_argument("--K", type=int, required=True)
     p_curve.add_argument("--N", type=int, required=True)
-    p_curve.add_argument("--grid", type=_int_in(0), default=256)
+    p_curve.add_argument("--grid", type=_int_in(0, MAX_GRID_POINTS), default=256)
     p_curve.add_argument("--out")
     p_curve.set_defaults(func=cmd_curve)
 
@@ -263,7 +266,7 @@ def main(argv=None) -> int:
                        choices=["schemeA", "schemeB", "schemeC"])
     p_gap.add_argument("--converse", required=True,
                        help="curve name or comma-list (pointwise max), e.g. convKu,sharedlink")
-    p_gap.add_argument("--grid-density", type=_int_in(0), default=64, dest="grid_density")
+    p_gap.add_argument("--grid-density", type=_int_in(0, MAX_GRID_POINTS), default=64, dest="grid_density")
     p_gap.add_argument("--bound", type=_parse_rational,
                        help="assert max ratio <= this rational")
     p_gap.add_argument("--min-m", dest="min_m", type=_parse_rational,
@@ -280,7 +283,8 @@ def main(argv=None) -> int:
     p_ver.add_argument("--trials", type=_int_in(1), default=verify.DEFAULT_TRIALS)
     p_ver.add_argument("--tol", type=_parse_tolerance, default=verify.DEFAULT_TOLERANCE)
     p_ver.add_argument("--baseline", choices=["nonprivate"],
-                       help="check the derandomized non-private baseline instead")
+                       help="check the non-private baseline instead, the first outcome of every "
+                       "delivery draw (scheme B draws none, so its baseline is B itself)")
     p_ver.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -84,9 +84,9 @@ class SchemeAParams(SchemeParams):
     def place(self, source, structure_only: bool = False) -> Placement:
         return place_a(self, source, structure_only)
 
-    def query_plans(self, placement: Placement, demands, source, derandomized: bool = False):
+    def query_plans(self, placement: Placement, demands, source):
         """Each transmitter's (position set, composition) list, transmitters 1..K."""
-        plan = plan_delivery_a(self, demands, source, derandomized)
+        plan = plan_delivery_a(self, demands, source)
         return [plan_messages_a(k, placement, plan) for k in range(1, self.base.K + 1)]
 
 
@@ -174,15 +174,12 @@ def _virtual_demands(K: int, N: int, k: int, demands: tuple[int, ...]):
         for u in range(start, end + 1):
             d_eff[u] = i
 
-    per_file = [0] * (N + 1)
-    for f in d_eff.values():
-        per_file[f] += 1
-    if any(c != K - 1 for c in per_file[1:]):
-        raise AssertionError(f"virtual demand assignment broken: {per_file[1:]}")
+    demanders = tuple(tuple(sorted(u for u, f in d_eff.items() if f == i)) for i in range(N + 1))
+    if any(len(us) != K - 1 for us in demanders[1:]):
+        raise AssertionError(f"virtual demand assignment broken: {[len(us) for us in demanders[1:]]}")
     if len(d_eff) != (K - 1) * N:
         raise AssertionError("effective user set mistiled")
-    demanders = tuple(sorted(u for u, f in d_eff.items() if f == i) for i in range(N + 1))
-    return MappingProxyType(d_eff), tuple(tuple(us) for us in demanders)
+    return MappingProxyType(d_eff), demanders
 
 
 @dataclass
@@ -192,29 +189,19 @@ class TransmitterPlanA:
     q: tuple[int, ...]  # position j (1-based) -> effective user
 
 
-def plan_delivery_a(
-    params: SchemeAParams, demands, source, derandomized: bool = False
-) -> dict[int, TransmitterPlanA]:
+def plan_delivery_a(params: SchemeAParams, demands, source) -> dict[int, TransmitterPlanA]:
     """Per-transmitter virtual demands, leaders, and position shuffle,
-    keyed by transmitter 1..K.
-
-    ``derandomized`` gives the intentionally non-private baseline: the
-    position shuffle becomes the identity and the per-file leader is the
-    lowest-index demander.
-    """
+    keyed by transmitter 1..K.  The first outcome of every draw is the
+    non-private baseline: the identity shuffle (the effective users are
+    ascending) and each file's lowest-index demander as leader."""
     K, N = params.base.K, params.base.N
     per = {}
     for k in range(1, K + 1):
         d_eff, demanders = _virtual_demands(K, N, k, tuple(demands))
-        leaders = set()
-        for i in range(1, N + 1):
-            if derandomized:
-                leaders.add(demanders[i][0])
-            else:
-                leaders.add(source.choice(("A", "leader", k, i), demanders[i]))
-        users = params.effective_users(k)
-        q = users if derandomized else source.permutation(("A", "q", k), users)
-        per[k] = TransmitterPlanA(d_eff, frozenset(leaders), tuple(q))
+        leaders = frozenset(source.choice(("A", "leader", k, i), demanders[i])
+                            for i in range(1, N + 1))
+        q = source.permutation(("A", "q", k), params.effective_users(k))
+        per[k] = TransmitterPlanA(d_eff, leaders, tuple(q))
     return per
 
 
@@ -286,6 +273,8 @@ def decode_from_messages(user, messages, cache: CacheState, demand: int, layout:
         for sid in m.composition:
             if sid in known:
                 rhs ^= known[sid]
+            elif sid in unknowns:  # an XOR: a subfile listed twice cancels
+                unknowns.remove(sid)
             else:
                 unknowns.add(sid)
         if unknowns:

@@ -76,8 +76,9 @@ class SchemeBParams(SchemeParams):
     def place(self, source, structure_only: bool = False) -> Placement:
         return place_b(self, source, structure_only)
 
-    def query_plans(self, placement: Placement, demands, source, derandomized: bool = False):
-        """Each transmitter's (None, composition) list, transmitters 1 and 2."""
+    def query_plans(self, placement: Placement, demands, source):
+        """Each transmitter's (None, composition) list, transmitters 1 and 2;
+        the pick rule draws nothing, so B is its own non-private baseline."""
         return [plan_messages_b(k, placement, demands) for k in (1, 2)]
 
 

@@ -68,16 +68,16 @@ def run_protocol(
     scheme_params,
     demands,
     source=None,
-    derandomized: bool = False,
     placement=None,
 ) -> Transcript:
     """One full placement + delivery run; returns the transcript.
 
-    ``source`` defaults to the seeded stream family of the instance; the
-    privacy checker passes a FixedSource to replay an explicit randomness
-    assignment.  A pre-built ``placement`` may be passed to amortise it
-    across demand vectors; one built with ``structure_only`` gives a run
-    with no bit material (metadata only, enough for privacy views).
+    ``source`` defaults to the seeded stream family of the instance; a
+    FixedSource replays an explicit assignment and a RecordingSource
+    gives every draw its first outcome (the non-private baseline).  A
+    pre-built ``placement`` may be passed to amortise it across demand
+    vectors; one built with ``structure_only`` gives a run with no bit
+    material (metadata only, enough for privacy views).
     """
     check_scheme(scheme, scheme_params)
     base = scheme_params.base
@@ -86,7 +86,7 @@ def run_protocol(
         source = SeededSource(base.seed)
     if placement is None:
         placement = scheme_params.place(source)
-    plans = scheme_params.query_plans(placement, d, source, derandomized)
+    plans = scheme_params.query_plans(placement, d, source)
     queries = [Query(k, plan) for k, plan in enumerate(plans, 1)]
 
     subfile_bits = scheme_params.layout.subfile_bits

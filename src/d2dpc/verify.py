@@ -306,11 +306,13 @@ def _setup(scheme_params, coalitions, derandomized: bool):
     """A check's checked coalitions, its one placement (the first outcome
     of every placement draw), the view builder for that placement's
     caches, and every demand vector's delivery draws recorded on that
-    placement and split by transmitter: ``spaces[d][k - 1]`` is a
-    ``RecordingSource`` holding the draws labelled for transmitter k
-    (``label[2] == k``).  Coalitions are checked before anything is
-    drawn, the placement draws (see the module docstring) before any
-    delivery."""
+    placement, split by transmitter: ``spaces[d][k - 1]`` is a
+    ``RecordingSource`` holding the draws enumerated for transmitter k
+    (``label[2] == k``), and ``firsts[d]`` maps every draw's label to its
+    first outcome.  The non-private baseline is chosen here alone:
+    ``derandomized`` enumerates no draw, so every run takes ``firsts``.
+    Coalitions are checked before anything is drawn, the placement draws
+    (see the module docstring) before any delivery."""
     base, layout = scheme_params.base, scheme_params.layout
     coalitions = [_coalition(c, base.K) for c in coalitions]
     recorder = RecordingSource()
@@ -321,36 +323,37 @@ def _setup(scheme_params, coalitions, derandomized: bool):
     if drawn != Counter(shuffles):
         raise ValueError(f"{scheme_params.label()}: the placement must draw one permutation of each "
                          "(file, block)'s slots, labelled (scheme, 'p', file, block), and nothing else")
-    spaces = {}
+    spaces, firsts = {}, {}
     for d in itertools.product(range(1, base.N + 1), repeat=base.K):
         recorder = RecordingSource()
-        scheme_params.query_plans(placement, d, recorder, derandomized)
+        scheme_params.query_plans(placement, d, recorder)
+        firsts[d] = {label: xs if kind == "permutation" else xs[0] for label, xs, kind in recorder.draws}
         own = spaces[d] = [RecordingSource() for _ in range(base.K)]
-        for draw in recorder.draws:
-            own[draw[0][2] - 1].draws.append(draw)
-    return coalitions, placement, _Everyone(placement.caches, layout), spaces
+        if not derandomized:
+            for draw in recorder.draws:
+                own[draw[0][2] - 1].draws.append(draw)
+    return coalitions, placement, _Everyone(placement.caches, layout), spaces, firsts
 
 
-def _block_pass(scheme_params, placement, everyone, d, derandomized, own, weighted, n_head):
+def _block_pass(scheme_params, placement, everyone, d, firsts, own, weighted, n_head):
     """Demand vector d's everyone-view blocks with their weights, as
     ``_count_then_project`` takes them: the head once, weighted
     ``n_head``, then one protocol run per column j on the check's one
     placement.  ``weighted[k - 1]`` yields transmitter k's distinct
     points of ``own[k - 1]`` with their multiplicities; run j gives each
-    transmitter its j-th, a transmitter with no points left held at its
-    first point and its block not counted, so d takes as many runs as
-    the most points any transmitter has."""
+    transmitter its j-th and every other draw its value in ``firsts``, a
+    transmitter with no points left held at its first outcomes and its
+    block not counted, so d takes as many runs as the most points any
+    transmitter has."""
     yield d, 0, everyone.head(d), n_head
     labels = [o.labels() for o in own]
-    for j, column in enumerate(itertools.zip_longest(*weighted)):
-        if not j:
-            firsts = column
-        assignment = {}
-        for labs, entry, first in zip(labels, column, firsts):
-            assignment.update(zip(labs, (entry or first)[0]))
+    for column in itertools.zip_longest(*weighted):
+        assignment = dict(firsts)
+        for labs, entry in zip(labels, column):
+            if entry is not None:
+                assignment.update(zip(labs, entry[0]))
         tr = sim.run_protocol(scheme_params.scheme, scheme_params, d,
-                              source=FixedSource(assignment), derandomized=derandomized,
-                              placement=placement)
+                              source=FixedSource(assignment), placement=placement)
         for k, (entry, per_user) in enumerate(zip(column, tr.broadcasts), 1):
             if entry is not None:
                 yield d, k, everyone.rows(per_user), entry[1]
@@ -368,12 +371,12 @@ def enumerate_view_distributions(scheme_params, coalitions, cap: int = EXACT_ENU
     distribution equality is plain counter equality.  Returns
     dists[coalition][demand vector] = list of per-block Counters.
     """
-    coalitions, placement, everyone, spaces = _setup(scheme_params, coalitions, derandomized)
+    coalitions, placement, everyone, spaces, firsts = _setup(scheme_params, coalitions, derandomized)
     total = sum(o.size() for own in spaces.values() for o in own)
     if total > cap:
         raise ExactModeTooLarge(total, cap)
     runs = itertools.chain.from_iterable(
-        _block_pass(scheme_params, placement, everyone, d, derandomized, own,
+        _block_pass(scheme_params, placement, everyone, d, firsts[d], own,
                     [((p, 1) for p in o.points()) for o in own], 1)
         for d, own in spaces.items())
     return _count_then_project(runs, spaces, coalitions, scheme_params.base.K, paranoid)
@@ -513,7 +516,7 @@ def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed:
     Returns dists[coalition][demand vector] = list of per-block Counters.
     """
     check_seed(base_seed)
-    coalitions, placement, everyone, spaces = _setup(scheme_params, coalitions, derandomized)
+    coalitions, placement, everyone, spaces, firsts = _setup(scheme_params, coalitions, derandomized)
 
     def runs():
         for d, own in spaces.items():
@@ -524,7 +527,7 @@ def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed:
                 for plan, counts in zip(plans, seen):
                     key = draw_key(plan, getrandbits)
                     counts[key] = counts.get(key, 0) + 1
-            yield from _block_pass(scheme_params, placement, everyone, d, derandomized, own,
+            yield from _block_pass(scheme_params, placement, everyone, d, firsts[d], own,
                                    [zip(map(o.point, counts), counts.values())
                                     for o, counts in zip(own, seen)], trials)
 

@@ -296,6 +296,11 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         ("--converse", _GAP_8 + ["--min-m", "8"]),
         ("--grid", ["curve", "--which", "schemeB", "--K", "2", "--N", "8", "--grid", "-1"]),
         ("--grid-density", _GAP_8 + ["--grid-density", "-3"]),
+        # one exact Fraction per grid point: at most MAX_GRID_POINTS of them
+        ("--grid", ["curve", "--which", "schemeB", "--K", "2", "--N", "8", "--grid", "10000000000"]),
+        ("--grid", ["curve", "--which", "schemeB", "--K", "2", "--N", "8", "--grid", "100001"]),
+        ("--grid-density", _GAP_8 + ["--grid-density", "10000000000"]),
+        ("--grid-density", _GAP_8 + ["--grid-density", "100001"]),
         ("--K/--N", ["curve", "--which", "sharedlink", "--K", "0", "--N", "4"]),
         ("--trials", _VERIFY_A + ["--mode", "mc", "--trials", "0"]),
         ("--trials", _VERIFY_A + ["--mode", "mc", "--trials", "-3"]),

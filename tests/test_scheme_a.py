@@ -7,7 +7,15 @@ import pytest
 
 from d2dpc import scheme_a, sim, verify
 from d2dpc.combinat import binom, lex_subsets
-from d2dpc.core import SeededSource, SubfileId, SystemParams
+from d2dpc.core import (
+    RecordingSource,
+    SeededSource,
+    SubfileId,
+    SystemParams,
+    subfile_value,
+    transcript_from_text,
+    transcript_to_text,
+)
 from d2dpc.scheme_a import (
     _virtual_demands,
     decode_from_messages,
@@ -152,8 +160,8 @@ def test_shared_structure_matches_sorted_tuple_ranks(K, N, t):
         caches, slot_of = _sorted_tuple_placement(placement)
         assert [c.slots for c in placement.caches] == caches
         demands = tuple(rng.randint(1, N) for _ in range(K))
-        for derandomized in (False, True):
-            plan = plan_delivery_a(p, demands, SeededSource(seed), derandomized)
+        for source in (SeededSource(seed), RecordingSource()):  # RecordingSource: the baseline
+            plan = plan_delivery_a(p, demands, source)
             for k in range(1, K + 1):
                 assert plan_messages_a(k, placement, plan) == _sorted_tuple_messages(
                     k, plan, p, slot_of
@@ -357,6 +365,35 @@ def test_flipped_lone_single_unknown_message_is_caught_only_bit_exactly():
     assert got != tr.library[tr.demands[0]]
     assert verify.check_decodability(bad)[1] is False
     assert verify.check_decodability(tr)[1] is True
+
+
+def _with_first_message(tr, composition, payload):
+    """``tr`` with sender 1's first message replaced, read back from its
+    text form (the parser accepts the message)."""
+    broadcasts = [list(per) for per in tr.broadcasts]
+    broadcasts[0][0] = dataclasses.replace(broadcasts[0][0], composition=composition, payload=payload)
+    return transcript_from_text(transcript_to_text(dataclasses.replace(tr, broadcasts=broadcasts)))
+
+
+def test_composition_is_an_xor_a_subfile_listed_twice_cancels():
+    p = params_for(3, 2, 2, seed=3)
+    tr = sim.run_protocol("A", p, (1, 2, 1))
+    first, second = tr.broadcasts[0][:2]
+    # an uncached pair of one subfile adds nothing: everyone still decodes
+    y = next(sid for sid in second.composition if sid not in first.composition)
+    assert [y in c.content for c in tr.caches] == [True, False, False]
+    pair = _with_first_message(tr, (y,) + first.composition + (y,), first.payload)
+    assert verify.check_decodability(pair) == {1: True, 2: True, 3: True}
+    # a repeated summand cancels, and with it what users 2 and 3 needed:
+    # they name an undetermined subfile instead of decoding a wrong file
+    sid = first.composition[0]
+    value = subfile_value(tr.library, p.layout, sid)
+    twice = _with_first_message(tr, (sid,) + first.composition, first.payload ^ value)
+    assert verify.check_decodability(twice) == {1: True, 2: False, 3: False}
+    for u in (2, 3):
+        with pytest.raises(scheme_a.DecodingFailure):
+            decode_from_messages(u, twice.all_messages(), twice.caches[u - 1], twice.demands[u - 1],
+                                 p.layout)
 
 
 def test_large_instance_decodes_bit_exactly():

@@ -245,7 +245,7 @@ def test_projected_views_match_direct_relabelling(params):
     for seed, derandomized in itertools.product(range(3), (False, True)):
         d = tuple((seed + u) % N + 1 for u in range(K))
         source = SeededSource(seed)
-        tr = sim.run_protocol(params.scheme, params, d, source=source, derandomized=derandomized,
+        tr = sim.run_protocol(params.scheme, params, d, source=_delivery_source(source, derandomized),
                               placement=params.place(source, structure_only=True))
         for k, per_user in enumerate(tr.broadcasts, 1):
             assert all(tr.scheme_params.layout.block_of(sid.slot) == k for m in per_user for sid in m.composition)
@@ -295,17 +295,27 @@ def _placement_atoms(p) -> list:
 def _delivery_atoms(p, demands, derandomized) -> list:
     """Every draw of a delivery, listed by hand: scheme A's position
     shuffle and per-file leader choice per transmitter; none for scheme
-    B's pick rule or the derandomized baseline."""
-    if p.scheme == "B" or derandomized:
+    B's pick rule.  The derandomized baseline holds each draw at one
+    outcome: the identity shuffle and the lowest-index demander."""
+    if p.scheme == "B":
         return []
     K, N = p.base.K, p.base.N
     atoms = []
     for k in range(1, K + 1):
-        atoms.append((("A", "q", k), list(itertools.permutations(p.effective_users(k)))))
+        users = p.effective_users(k)
+        shuffles = [tuple(users)] if derandomized else list(itertools.permutations(users))
+        atoms.append((("A", "q", k), shuffles))
         demanders = scheme_a._virtual_demands(K, N, k, tuple(demands))[1]
         for i in range(1, N + 1):
-            atoms.append((("A", "leader", k, i), list(demanders[i])))
+            leaders = [min(demanders[i])] if derandomized else list(demanders[i])
+            atoms.append((("A", "leader", k, i), leaders))
     return atoms
+
+
+def _delivery_source(source, derandomized):
+    """``source``, or for the derandomized baseline a ``RecordingSource``,
+    which answers every draw with its first outcome."""
+    return RecordingSource() if derandomized else source
 
 
 def _outcomes(draws) -> dict:
@@ -337,13 +347,17 @@ def test_recorded_draws_match_hand_listed_atoms(params, derandomized):
     p_atoms = _placement_atoms(params)
     assert len(placement_draws.draws) == len(p_atoms)  # no label drawn twice
     assert _outcomes(placement_draws.draws) == {lab: sorted(opts) for lab, opts in p_atoms}
+    _, _, _, spaces, firsts = verify._setup(params, [], derandomized)
     for d in _demand_vectors(params):
         delivery_draws = RecordingSource()
-        params.query_plans(placement, d, delivery_draws, derandomized)
+        params.query_plans(placement, d, delivery_draws)
         d_atoms = _delivery_atoms(params, d, derandomized)
         assert len(delivery_draws.draws) == len(d_atoms)
-        assert _outcomes(delivery_draws.draws) == {lab: sorted(opts) for lab, opts in d_atoms}
-        assert placement_draws.size() * delivery_draws.size() == math.prod(
+        # what a check runs: its enumerated draws, every other one at its first outcome
+        enumerated = [draw for o in spaces[d] for draw in o.draws]
+        ran = {label: [value] for label, value in firsts[d].items()} | _outcomes(enumerated)
+        assert ran == {lab: sorted(opts) for lab, opts in d_atoms}
+        assert placement_draws.size() * math.prod(o.size() for o in spaces[d]) == math.prod(
             len(opts) for _, opts in p_atoms + d_atoms
         )
 
@@ -374,9 +388,10 @@ def test_recorded_draws_do_not_depend_on_drawn_values(params, derandomized):
     recordings = []
     for source in (RecordingSource(), *(_SeededRecorder(seed) for seed in range(3))):
         placement = params.place(source, structure_only=True)
+        delivery = _delivery_source(source, derandomized)
         for d in _demand_vectors(params):
-            params.query_plans(placement, d, source, derandomized)
-        recordings.append(source.draws)
+            params.query_plans(placement, d, delivery)
+        recordings.append((source.draws, delivery.draws))
     assert all(draws == recordings[0] for draws in recordings[1:])
 
 
@@ -390,7 +405,7 @@ def _joint_runs(p, derandomized):
             d_atoms = _delivery_atoms(p, d, derandomized)
             for d_combo in itertools.product(*(opts for _, opts in d_atoms)):
                 source = FixedSource({**p_assign, **dict(zip((lab for lab, _ in d_atoms), d_combo))})
-                yield d, sim.run_protocol(p.scheme, p, d, source=source, derandomized=derandomized,
+                yield d, sim.run_protocol(p.scheme, p, d, source=source,
                                           placement=p.place(source, structure_only=True))
 
 
@@ -439,7 +454,7 @@ def _joint_mc(p, coalitions, trials, base_seed, derandomized):
     for d in itertools.product(range(1, N + 1), repeat=K):
         source = _StreamSource(seeded_rng(base_seed, f"mc|{d}"))
         runs = [
-            sim.run_protocol(p.scheme, p, d, source=source, derandomized=derandomized,
+            sim.run_protocol(p.scheme, p, d, source=_delivery_source(source, derandomized),
                              placement=placement)
             for _ in range(trials)
         ]
@@ -520,8 +535,9 @@ def test_views_do_not_depend_on_the_placement_draw(params, samples, count):
         for seed, derandomized in itertools.product(range(2), (False, True)):
             views = set()
             for placement in placements:
-                tr = sim.run_protocol(params.scheme, params, d, source=SeededSource(seed),
-                                      derandomized=derandomized, placement=placement)
+                tr = sim.run_protocol(params.scheme, params, d,
+                                      source=_delivery_source(SeededSource(seed), derandomized),
+                                      placement=placement)
                 views.add(verify._Everyone(placement.caches, params.layout).blocks(d, tr.broadcasts))
             assert len(views) == 1, (d, seed, derandomized)
 
@@ -740,20 +756,21 @@ def test_recorded_draws_replay_seeded_values(params, derandomized):
     # points of consecutive trials, every transmitter's draws in turn
     # from the demand vector's one stream, are the values consecutive
     # plan_delivery_a calls draw when that stream answers each draw
-    for d, own in verify._setup(params, [], derandomized)[3].items():
+    _, _, _, spaces, firsts = verify._setup(params, [], derandomized)
+    for d, own in spaces.items():
         assert sum(len(o.draws) for o in own) == (
             0 if derandomized else params.base.K * (params.base.N + 1))
         for seed in (0, 1, 7, 2**62 + 3, -5):
             rng = seeded_rng(seed, f"mc|{d}")
-            source = _StreamSource(seeded_rng(seed, f"mc|{d}"))
+            source = _delivery_source(_StreamSource(seeded_rng(seed, f"mc|{d}")), derandomized)
             for _ in range(3):
-                replay = {}
+                replay = dict(firsts[d])
                 for o in own:
                     replay.update(zip(o.labels(), o.sample(rng)))
                 spy = _Spy(source)
-                plan = scheme_a.plan_delivery_a(params, d, spy, derandomized)
+                plan = scheme_a.plan_delivery_a(params, d, spy)
                 assert replay == spy.values, (d, seed)
-                assert scheme_a.plan_delivery_a(params, d, FixedSource(replay), derandomized) == plan
+                assert scheme_a.plan_delivery_a(params, d, FixedSource(replay)) == plan
 
 
 # check_privacy_mc_all reports, (coalition, verdict, max_tv, max_tv_debiased,
@@ -810,9 +827,73 @@ def _runs_per_demand_vector(monkeypatch) -> Counter:
     return runs
 
 
+@pytest.mark.parametrize("K,N", [(K, N) for K in (2, 3, 4) for N in (2, 3)])
+def test_baseline_is_the_first_outcome_of_every_delivery_draw(K, N):
+    # the baseline delivers from RecordingSource, whose first outcomes are
+    # the identity position shuffle and each file's lowest-index demander
+    for t in range(1, (K - 1) * N + 2):
+        p = scheme_a.params_for(K, N, t)
+        for d in _demand_vectors(p):
+            for k, plan in scheme_a.plan_delivery_a(p, d, RecordingSource()).items():
+                assert plan.q == tuple(p.effective_users(k))
+                assert plan.leaders == {min(u for u, f in plan.d_eff.items() if f == i)
+                                        for i in range(1, N + 1)}
+
+
+# derandomized check_privacy_exact_all and check_privacy_mc_all (40 trials,
+# base seed 9) reports per coalition of fewer than K users, taken when
+# plan_delivery_a still had a branch of its own for the baseline: exact
+# (coalition, verdict, witness), mc (coalition, verdict, max_tv,
+# max_tv_debiased, witness)
+PINNED_BASELINE_REPORTS = {
+    "A(2,2,2)": (scheme_a.params_for(2, 2, 2), [
+        ((1,), 'FAIL', ((1,), (1, 1), (1, 2))),
+        ((2,), 'FAIL', ((1,), (1, 1), (2, 1))),
+    ], [
+        ((1,), 'FAIL', 1.0, 0.9107937941923614, ((1,), (1, 1), (1, 2))),
+        ((2,), 'FAIL', 1.0, 0.9107937941923614, ((1,), (1, 1), (2, 1))),
+    ]),
+    "A(3,2,2)": (scheme_a.params_for(3, 2, 2), [
+        ((1,), 'FAIL', ((1,), (1, 1, 1), (1, 1, 2))),
+        ((1, 2), 'FAIL', ((1, 1), (1, 1, 1), (1, 1, 2))),
+        ((1, 3), 'FAIL', ((1, 1), (1, 1, 1), (1, 2, 1))),
+        ((2,), 'FAIL', ((1,), (1, 1, 1), (1, 1, 2))),
+        ((2, 3), 'FAIL', ((1, 1), (1, 1, 1), (2, 1, 1))),
+        ((3,), 'FAIL', ((1,), (1, 1, 1), (1, 2, 1))),
+    ], [
+        ((1,), 'FAIL', 1.0, 0.9107937941923614, ((1,), (1, 1, 1), (1, 1, 2))),
+        ((1, 2), 'FAIL', 1.0, 0.9107937941923614, ((1, 1), (1, 1, 1), (1, 1, 2))),
+        ((1, 3), 'FAIL', 1.0, 0.9107937941923614, ((1, 1), (1, 1, 1), (1, 2, 1))),
+        ((2,), 'FAIL', 1.0, 0.9107937941923614, ((1,), (1, 1, 1), (1, 1, 2))),
+        ((2, 3), 'FAIL', 1.0, 0.9107937941923614, ((1, 1), (1, 1, 1), (2, 1, 1))),
+        ((3,), 'FAIL', 1.0, 0.9107937941923614, ((1,), (1, 1, 1), (1, 2, 1))),
+    ]),
+    # scheme B draws nothing at delivery: its baseline is B, which is private
+    "B(4,3)": (scheme_b.params_for(4, 3), [
+        ((1,), 'PASS', None),
+        ((2,), 'PASS', None),
+    ], [
+        ((1,), 'PASS', 0.0, 0.0, None),
+        ((2,), 'PASS', 0.0, 0.0, None),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_BASELINE_REPORTS))
+def test_baseline_reports_pinned(case):
+    params, exact, mc = PINNED_BASELINE_REPORTS[case]
+    coalitions = [c for c in _all_coalitions(params.base.K) if len(c) < params.base.K]
+    reports = check_privacy_exact_all(params.scheme, params, coalitions, derandomized=True)
+    assert [(c, r.verdict(), r.witness) for c, r in sorted(reports.items())] == exact
+    reports = check_privacy_mc_all(params.scheme, params, coalitions, trials=40, base_seed=9,
+                                   derandomized=True)
+    assert [(c, r.verdict(), r.max_tv, r.max_tv_debiased, r.witness)
+            for c, r in sorted(reports.items())] == mc
+
+
 @pytest.mark.parametrize("trials", [10, 1000])
 def test_mc_baseline_runs_once_per_demand_vector(trials, monkeypatch):
-    # the derandomized baseline draws nothing, so every trial has the
+    # the derandomized baseline samples no draw, so every trial has the
     # same point and one run per demand vector fills every block
     p = scheme_a.params_for(3, 2, 2)
     runs = _runs_per_demand_vector(monkeypatch)
@@ -953,7 +1034,7 @@ def test_canonical_views_pinned():
             for d in itertools.product(range(1, N + 1), repeat=K):
                 for seed in range(3):
                     source = SeededSource(seed)
-                    tr = sim.run_protocol(p.scheme, p, d, source=source, derandomized=derandomized,
+                    tr = sim.run_protocol(p.scheme, p, d, source=_delivery_source(source, derandomized),
                                           placement=p.place(source, structure_only=True))
                     for c in coalitions:
                         for paranoid in (False, True):
