@@ -177,31 +177,45 @@ def line_through(m0, r0, m1, r1, tag: str = "") -> Line:
     return Line(slope, r0 - slope * m0, tag)
 
 
-def upper_envelope_of_lines(lines: Sequence[Line], lo, hi) -> TradeoffCurve:
-    """Pointwise max of lines over [lo, hi] as an exact piecewise curve.
-
-    Used for the converse bounds, which are maxima of finitely many
-    linear-in-M expressions; the result is convex by construction.
+def _envelope_corners(lines: Sequence[Line], lo: Rat, hi: Rat) -> list[tuple[Rat, Line]]:
+    """The corners of the pointwise max of ``lines`` over [lo, hi], each
+    with a line that reaches the max there, in increasing M.
 
     By point-line duality the line R = c + s M leads somewhere exactly
     when (s, -c) is a corner of the lower hull of all such points, and
     consecutive hull lines cross at the corners of the max, in
     increasing M.  So the corners are ``lo``, those crossings strictly
-    inside (lo, hi), and ``hi``; collinear points never arise.  Each
-    corner's value and tag come from one evaluation of all lines; the
-    tag is the first line in input order that reaches the max.
+    inside (lo, hi), and ``hi``; collinear points never arise.  One walk
+    along the hull names the leading line at each corner.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
     if not lines:
         raise ValueError("no lines")
     hull = [ln for _, _, ln in _lower_hull((ln.slope, -ln.intercept, ln) for ln in lines)]
-    crossings = ((p.intercept - q.intercept) / (q.slope - p.slope) for p, q in zip(hull, hull[1:]))
+    crossings = [(p.intercept - q.intercept) / (q.slope - p.slope) for p, q in zip(hull, hull[1:])]
+    corners = []
+    i = 0
+    for m in sorted({lo, hi}.union(x for x in crossings if lo < x < hi)):
+        while i < len(crossings) and crossings[i] < m:  # hull[i] leads up to crossings[i]
+            i += 1
+        corners.append((m, hull[i]))
+    return corners
+
+
+def upper_envelope_of_lines(lines: Sequence[Line], lo, hi) -> TradeoffCurve:
+    """Pointwise max of lines over [lo, hi] as an exact piecewise curve.
+
+    Used for the converse bounds, which are maxima of finitely many
+    linear-in-M expressions; the result is convex by construction.  The
+    corners are those of ``_envelope_corners``; each corner's tag is the
+    first line in input order that reaches the max, found by evaluating
+    every line there.
+    """
     corners: list[tuple[Rat, Rat]] = []
     tags: list[str] = []
-    for m in sorted({lo, hi}.union(x for x in crossings if lo < x < hi)):
-        best = max(lines, key=lambda ln: ln(m))
-        corners.append((m, best(m)))
-        tags.append(best.tag)
+    for m, leading in _envelope_corners(lines, Fraction(lo), Fraction(hi)):
+        value = leading(m)
+        corners.append((m, value))
+        tags.append(next(ln.tag for ln in lines if ln(m) == value))
     return TradeoffCurve(corners=tuple(corners), provenance=tuple(tags))
 
 
@@ -224,7 +238,8 @@ def curve_max(a: TradeoffCurve, b: TradeoffCurve) -> TradeoffCurve:
         for curve in (a, b)
         for (m0, r0), (m1, r1) in zip(curve.corners, curve.corners[1:])
     ]
-    return TradeoffCurve(corners=upper_envelope_of_lines(lines, *shared_domain(a, b)).corners)
+    corners = _envelope_corners(lines, *shared_domain(a, b))
+    return TradeoffCurve(corners=tuple((m, leading(m)) for m, leading in corners))
 
 
 def even_grid(lo, hi, count: int) -> list[Rat]:

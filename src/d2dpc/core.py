@@ -203,12 +203,6 @@ class RecordingSource:
             point.append(tuple(value) if kind == "permutation" else value)
         return tuple(point)
 
-    def sample(self, rng: random.Random) -> tuple:
-        """The point that ``rng.shuffle`` of a copy of each permutation's
-        items and ``rng.choice`` of each choice's options draw, in
-        recorded order and with the same ``getrandbits`` calls."""
-        return self.point(draw_key(self.plan(), rng.getrandbits))
-
 
 # ---------------------------------------------------------------------------
 # problem instance

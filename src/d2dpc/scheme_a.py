@@ -19,6 +19,7 @@ t)`` builds them once per size.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -252,49 +253,94 @@ class DecodingFailure(Exception):
         super().__init__(f"user {user} could not recover subfile {sid.file}:{sid.slot}")
 
 
-def decode_from_messages(user, messages, cache: CacheState, demand: int, layout: SlotLayout) -> int:
+@dataclass(frozen=True)
+class MessageIndex:
+    """The messages of one transcript, keyed once and read by every
+    receiver.  Subfile (f, s) is the int key f * slots_per_file + s.
+    ``systems`` holds one (sender, rows, present) entry per sender,
+    in order of first appearance: ``rows`` lists its messages as (keys of
+    the composition, payload), and ``present`` is the sorted distinct
+    keys the rows name."""
+
+    layout: SlotLayout
+    systems: tuple[tuple[int, list[tuple[list[int], int]], list[int]], ...]
+
+
+def index_messages(messages, layout: SlotLayout) -> MessageIndex:
+    """Key every message's composition for ``decode_from_messages``.
+    Raises ValueError for a subfile outside the layout."""
+    N, S = layout.N, layout.slots_per_file
+    by_sender: dict[int, list[tuple[list[int], int]]] = {}
+    for m in messages:
+        keys = []
+        for f, s in m.composition:
+            if not (0 < f <= N and 0 < s <= S):
+                raise ValueError(f"message from {m.sender} names subfile {f}:{s} outside the layout")
+            keys.append(f * S + s)
+        by_sender.setdefault(m.sender, []).append((keys, m.payload))
+    return MessageIndex(layout, tuple(
+        (sender, rows, sorted({k for keys, _ in rows for k in keys}))
+        for sender, rows in by_sender.items()
+    ))
+
+
+def decode_from_messages(
+    user, index: MessageIndex, cache: CacheState, demand: int, layout: SlotLayout
+) -> int:
     """Recover the demanded file from broadcasts plus the local cache.
 
-    Works for both schemes: every message is an XOR equation over the
+    Works for both schemes: every message of ``index`` (built by
+    ``index_messages`` over ``layout``) is an XOR equation over the
     receiver's unknown subfiles.  The equations of each transmitter form
     one system, which ``gf2.solve_xor_system`` solves by one GF(2)
-    elimination, and the file is assembled from cache plus solutions.
-    Raises DecodingFailure naming the first slot the broadcasts do not
-    determine, and ValueError when a payload contradicts the cache or the
-    other payloads.
+    elimination for the demanded file's unknowns in it, and the file is
+    assembled from cache plus solutions.  Every message is checked against
+    the cache before any system is solved.  Raises DecodingFailure naming
+    the first slot the broadcasts do not determine, and ValueError when a
+    payload contradicts the cache or the other payloads.
     """
     known = cache.content
     if known is None:
         raise ValueError("decoding needs cache content (not a structure-only run)")
-    by_sender: dict[int, list[tuple[set, int]]] = {}
-    for m in messages:
-        rhs = m.payload
-        unknowns = set()
-        for sid in m.composition:
-            if sid in known:
-                rhs ^= known[sid]
-            elif sid in unknowns:  # an XOR: a subfile listed twice cancels
-                unknowns.remove(sid)
-            else:
-                unknowns.add(sid)
-        if unknowns:
-            by_sender.setdefault(m.sender, []).append((unknowns, rhs))
-        elif rhs:
-            raise ValueError(f"message from {m.sender} inconsistent with cache")
+    if index.layout != layout:
+        raise ValueError("message index built for another slot layout")
+    S = layout.slots_per_file
+    values: list[Optional[int]] = [None] * ((layout.N + 1) * S + 1)
+    for (f, s), value in known.items():
+        values[f * S + s] = value
+    base = demand * S  # slot s of the demanded file is key base + s
 
-    solved: dict[SubfileId, int] = {}
-    for eqs in by_sender.values():
-        solved.update(gf2.solve_xor_system(eqs))
+    systems = []
+    for sender, rows, present in index.systems:
+        eqs = []
+        for keys, rhs in rows:
+            unknowns = []
+            for k in keys:
+                value = values[k]
+                if value is None:
+                    unknowns.append(k)
+                else:
+                    rhs ^= value
+            if unknowns:
+                eqs.append((unknowns, rhs))
+            elif rhs:
+                raise ValueError(f"message from {sender} inconsistent with cache")
+        if eqs:
+            wanted = present[bisect_right(present, base):bisect_right(present, base + S)]
+            systems.append((eqs, [k for k in wanted if values[k] is None]))
+
+    solved: dict[int, int] = {}
+    for eqs, wanted in systems:
+        solved.update(gf2.solve_xor_system(eqs, wanted))
 
     slots = {}
-    for s in range(1, layout.slots_per_file + 1):
-        sid = SubfileId(demand, s)
-        if sid in known:
-            slots[s] = known[sid]
-        elif sid in solved:
-            slots[s] = solved[sid]
-        else:
-            raise DecodingFailure(user, sid)
+    for s in range(1, S + 1):
+        value = values[base + s]
+        if value is None:
+            value = solved.get(base + s)
+            if value is None:
+                raise DecodingFailure(user, SubfileId(demand, s))
+        slots[s] = value
     from .core import assemble_file
 
     return assemble_file(layout, slots)

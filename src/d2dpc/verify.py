@@ -593,16 +593,19 @@ def check_privacy_mc_all(
 
 
 def check_decodability(transcript: Transcript) -> dict[int, bool]:
-    """Run every user's decoder against the transcript, bit-exact."""
+    """Run every user's decoder against the transcript, bit-exact, all
+    of them reading one ``scheme_a.index_messages`` of its messages.
+    Raises ValueError for a message naming a subfile outside the layout."""
     if transcript.library is None:
         raise ValueError("decodability needs a full (not structure-only) transcript")
-    messages, layout = transcript.all_messages(), transcript.scheme_params.layout
+    layout = transcript.scheme_params.layout
+    index = scheme_a.index_messages(transcript.all_messages(), layout)
     results = {}
     for u in range(1, transcript.scheme_params.base.K + 1):
         want = transcript.library[transcript.demands[u - 1]]
         try:
             got = scheme_a.decode_from_messages(
-                u, messages, transcript.caches[u - 1], transcript.demands[u - 1], layout
+                u, index, transcript.caches[u - 1], transcript.demands[u - 1], layout
             )
             results[u] = got == want
         except (scheme_a.DecodingFailure, ValueError):

@@ -19,7 +19,7 @@ from d2dpc.combinat import (
     upper_envelope_of_lines,
 )
 from d2dpc import scheme_a, verify
-from d2dpc.core import SeededSource, seeded_rng
+from d2dpc.core import SeededSource, draw_key, seeded_rng
 
 
 def test_binom_basic():
@@ -76,14 +76,15 @@ def test_uniform_permutation_chi_square():
 
 def test_sampled_points_uniform_chi_square():
     # 96,000 points of transmitter 1 of A(3,2,2), drawn the way a Monte
-    # Carlo trial draws them (RecordingSource.sample off one stream):
+    # Carlo trial draws them (int keys off one stream):
     # every one of the 4! * 2 * 2 = 96 points appears, and the chi-square
     # statistic stays below the 99.9 % quantile of chi2(95), 143.34
     p = scheme_a.params_for(3, 2, 2)
     own = verify._setup(p, [], False)[3][(1, 1, 2)][0]
     assert own.size() == 96
     rng = seeded_rng(5, "chi")
-    counts = Counter(own.sample(rng) for _ in range(96_000))
+    plan = own.plan()
+    counts = Counter(own.point(draw_key(plan, rng.getrandbits)) for _ in range(96_000))
     assert set(counts) == set(own.points())
     chi2 = sum((n - 1000) ** 2 / 1000 for n in counts.values())
     assert chi2 < 143.34

@@ -20,6 +20,7 @@ from d2dpc.core import (
     SystemParams,
     assemble_file,
     draw_indices,
+    draw_key,
     random_library,
     resolve_file_size,
     seeded_rng,
@@ -45,8 +46,9 @@ def test_seeded_rng_labels_independent():
 
 
 def _stdlib_sample(draws, rng) -> tuple:
-    """The oracle of ``RecordingSource.sample``: ``rng.shuffle`` of a copy
-    of each permutation's items, ``rng.choice`` of each choice's options."""
+    """The oracle of a point drawn as an int key: ``rng.shuffle`` of a
+    copy of each permutation's items, ``rng.choice`` of each choice's
+    options."""
     point = []
     for _, xs, kind in draws:
         if kind == "permutation":
@@ -82,7 +84,7 @@ def test_sampled_points_are_the_stdlib_draws(draws):
     for seed in range(200):
         rng, ref = seeded_rng(seed, "oracle"), seeded_rng(seed, "oracle")
         for _ in range(3):
-            assert source.sample(rng) == _stdlib_sample(draws, ref), seed
+            assert source.point(draw_key(source.plan(), rng.getrandbits)) == _stdlib_sample(draws, ref), seed
         assert rng.getstate() == ref.getstate(), seed
 
 

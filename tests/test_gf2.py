@@ -6,6 +6,15 @@ from hypothesis import given, settings, strategies as st
 from d2dpc import gf2, scheme_a, sim
 
 
+def _keys(equations):
+    """Every key of the system, in first-sight order."""
+    return list(dict.fromkeys(v for vars_, _ in equations for v in vars_))
+
+
+def _solve_all(equations):
+    return gf2.solve_xor_system(equations, _keys(equations))
+
+
 def _outcome(solver, equations):
     try:
         return solver(equations)
@@ -52,6 +61,19 @@ def flipped_systems(draw):
 
 
 @st.composite
+def wanted_keys(draw, equations):
+    """None, all or a random subset of the system's keys, plus keys the
+    system does not name, in random order."""
+    keys = _keys(equations)
+    kind = draw(st.sampled_from(["none", "all", "subset"]))
+    wanted = {"none": [], "all": keys}.get(kind)
+    if wanted is None:
+        wanted = [v for v in keys if draw(st.booleans())]
+    wanted += draw(st.lists(st.tuples(st.just("absent"), st.integers(0, 3)), max_size=3))
+    return draw(st.permutations(wanted))
+
+
+@st.composite
 def wide_systems(draw):
     """One consistent block of up to 40 unknowns, rows of 1-8 of them.
 
@@ -92,7 +114,7 @@ _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database
 def test_consistent_system_matches_full_elimination(system):
     equations, values = system
     before = copy.deepcopy(equations)
-    solved = gf2.solve_xor_system(equations)
+    solved = _solve_all(equations)
     assert equations == before  # caller's sets and rhs values untouched
     assert solved == gf2._eliminate(equations)
     assert all(values[v] == x for v, x in solved.items())
@@ -102,7 +124,7 @@ def test_consistent_system_matches_full_elimination(system):
 @given(flipped_systems())
 def test_flipped_system_matches_full_elimination(equations):
     before = copy.deepcopy(equations)
-    got = _outcome(gf2.solve_xor_system, equations)
+    got = _outcome(_solve_all, equations)
     assert equations == before
     assert got == _outcome(gf2._eliminate, equations)
 
@@ -112,7 +134,7 @@ def test_flipped_system_matches_full_elimination(equations):
 def test_wide_rank_deficient_system_matches_full_elimination(system):
     equations, values = system
     before = copy.deepcopy(equations)
-    solved = gf2.solve_xor_system(equations)
+    solved = _solve_all(equations)
     assert equations == before
     assert solved == gf2._eliminate(equations)
     assert all(values[v] == x for v, x in solved.items())
@@ -122,29 +144,58 @@ def test_wide_rank_deficient_system_matches_full_elimination(system):
 @given(flipped_wide_systems())
 def test_flipped_wide_system_matches_full_elimination(equations):
     before = copy.deepcopy(equations)
-    got = _outcome(gf2.solve_xor_system, equations)
+    got = _outcome(_solve_all, equations)
     assert equations == before
     assert got == _outcome(gf2._eliminate, equations)
+
+
+@_SETTINGS
+@given(st.one_of(consistent_systems(), wide_systems()), st.data())
+def test_wanted_values_match_full_elimination(system, data):
+    equations, _ = system
+    wanted = data.draw(wanted_keys(equations))
+    before = copy.deepcopy(equations)
+    solved = gf2.solve_xor_system(equations, wanted)
+    assert equations == before
+    assert solved == {v: x for v, x in gf2._eliminate(equations).items() if v in wanted}
+
+
+@_SETTINGS
+@given(st.one_of(flipped_systems(), flipped_wide_systems()), st.data())
+def test_wanted_values_raise_like_full_elimination(equations, data):
+    wanted = data.draw(wanted_keys(equations))
+    got = _outcome(lambda eqs: gf2.solve_xor_system(eqs, wanted), equations)
+    expected = _outcome(gf2._eliminate, equations)
+    if isinstance(expected, dict):
+        expected = {v: x for v, x in expected.items() if v in wanted}
+    assert got == expected
 
 
 def test_free_unknowns_below_pivots_stay_unsolved():
     # a is seen first and takes the lowest bit; it stays free, while b and
     # d are determined only once c's pivot row is cleared from theirs
     eqs = [({"a", "b", "c"}, 7), ({"a", "c"}, 5), ({"a", "c", "d"}, 13)]
-    assert gf2.solve_xor_system(eqs) == {"b": 2, "d": 8} == gf2._eliminate(eqs)
+    assert _solve_all(eqs) == {"b": 2, "d": 8} == gf2._eliminate(eqs)
     eqs.append(({"a"}, 1))
-    assert gf2.solve_xor_system(eqs) == {"a": 1, "b": 2, "c": 4, "d": 8} == gf2._eliminate(eqs)
+    assert _solve_all(eqs) == {"a": 1, "b": 2, "c": 4, "d": 8} == gf2._eliminate(eqs)
+
+
+def test_key_listed_twice_in_one_equation_cancels():
+    eqs = [(["a", "b", "a"], 2), (["c", "c"], 0)]
+    assert gf2.solve_xor_system(eqs, ["a", "b", "c"]) == {"b": 2}
+    with pytest.raises(ValueError, match="inconsistent XOR system"):
+        gf2.solve_xor_system([(["c", "c"], 1)], [])
 
 
 def test_combination_only_variables_are_recovered():
     # no single-unknown row: each value is the XOR of two of the rows
     eqs = [({"a", "b"}, 3), ({"b", "c"}, 6), ({"a", "b", "c"}, 7)]
-    assert gf2.solve_xor_system(eqs) == {"a": 1, "b": 2, "c": 4}
+    assert _solve_all(eqs) == {"a": 1, "b": 2, "c": 4}
 
 
 def test_peeling_leaves_undetermined_component_unsolved():
     eqs = [({"a"}, 5), ({"a", "b", "c"}, 7), ({"d", "e"}, 1)]
-    assert gf2.solve_xor_system(eqs) == {"a": 5}
+    assert _solve_all(eqs) == {"a": 5}
 
 
 @pytest.mark.parametrize(
@@ -157,8 +208,10 @@ def test_peeling_leaves_undetermined_component_unsolved():
     ],
 )
 def test_inconsistent_systems_raise(eqs):
-    with pytest.raises(ValueError, match="inconsistent XOR system"):
-        gf2.solve_xor_system(eqs)
+    # the forward reduction takes every row, wanted or not
+    for wanted in (_keys(eqs), []):
+        with pytest.raises(ValueError, match="inconsistent XOR system"):
+            gf2.solve_xor_system(eqs, wanted)
     with pytest.raises(ValueError, match="inconsistent XOR system"):
         gf2._eliminate(eqs)
 
@@ -180,4 +233,4 @@ def test_receiver_systems_match_full_elimination():
             if unknowns:
                 by_sender.setdefault(m.sender, []).append((unknowns, rhs))
         for eqs in by_sender.values():
-            assert gf2.solve_xor_system(eqs) == gf2._eliminate(eqs)
+            assert _solve_all(eqs) == gf2._eliminate(eqs)

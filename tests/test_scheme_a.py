@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from d2dpc import scheme_a, sim, verify
+from d2dpc import scheme_a, scheme_b, sim, verify
 from d2dpc.combinat import binom, lex_subsets
 from d2dpc.core import (
     RecordingSource,
@@ -19,6 +20,7 @@ from d2dpc.core import (
 from d2dpc.scheme_a import (
     _virtual_demands,
     decode_from_messages,
+    index_messages,
     load_a_point,
     load_a_upper,
     params_for,
@@ -242,6 +244,12 @@ def _grid_instances():
     return out
 
 
+def _decode(tr, messages, user=1):
+    layout = tr.scheme_params.layout
+    return decode_from_messages(user, index_messages(messages, layout), tr.caches[user - 1],
+                                tr.demands[user - 1], layout)
+
+
 @pytest.mark.parametrize("K,N,t", _grid_instances())
 def test_simulated_load_and_decode_match_formula(K, N, t):
     # measured load equals the closed form and every user decodes,
@@ -262,9 +270,7 @@ def test_simulated_load_and_decode_match_formula(K, N, t):
         for c in tr.caches:  # cache budget is met with equality
             assert len(c.slots) * tr.scheme_params.layout.subfile_bits == tr.scheme_params.memory_point() * p.base.B
         for u in range(1, K + 1):
-            got = decode_from_messages(
-                u, tr.all_messages(), tr.caches[u - 1], d[u - 1], tr.scheme_params.layout
-            )
+            got = _decode(tr, tr.all_messages(), u)
             assert got == tr.library[d[u - 1]], f"user {u} demand {d}"
 
 
@@ -284,7 +290,7 @@ def test_decoding_failure_reported_with_slot():
     tr = sim.run_protocol("A", p, (1, 2))
     # drop every message: user 1 cannot finish file 1
     with pytest.raises(scheme_a.DecodingFailure) as err:
-        decode_from_messages(1, [], tr.caches[0], 1, tr.scheme_params.layout)
+        _decode(tr, [])
     assert err.value.sid.file == 1
 
 
@@ -310,10 +316,6 @@ def _flip_bit(m):
     return dataclasses.replace(m, payload=m.payload ^ 1)
 
 
-def _decode_user1(tr, messages):
-    return decode_from_messages(1, messages, tr.caches[0], tr.demands[0], tr.scheme_params.layout)
-
-
 def test_dropped_single_unknown_message_is_a_decoding_failure():
     tr, by_unknowns = _faulty_setup()
     msgs = tr.all_messages()
@@ -321,7 +323,7 @@ def test_dropped_single_unknown_message_is_a_decoding_failure():
     (lost,) = [sid for sid in msgs[i].composition if sid not in tr.caches[0].content]
     assert lost.file == tr.demands[0]  # the message was useful to user 1
     with pytest.raises(scheme_a.DecodingFailure) as err:
-        _decode_user1(tr, msgs[:i] + msgs[i + 1:])
+        _decode(tr, msgs[:i] + msgs[i + 1:])
     assert err.value.sid == lost
 
 
@@ -330,7 +332,7 @@ def test_conflicting_duplicate_message_is_inconsistent():
     msgs = tr.all_messages()
     twin = _flip_bit(msgs[by_unknowns[1][0]])
     with pytest.raises(ValueError, match="inconsistent XOR system"):
-        _decode_user1(tr, msgs + [twin])
+        _decode(tr, msgs + [twin])
 
 
 def test_flipped_fully_cached_message_is_inconsistent_with_cache():
@@ -339,7 +341,7 @@ def test_flipped_fully_cached_message_is_inconsistent_with_cache():
     i = by_unknowns[0][0]
     msgs[i] = _flip_bit(msgs[i])
     with pytest.raises(ValueError, match="inconsistent with cache"):
-        _decode_user1(tr, msgs)
+        _decode(tr, msgs)
 
 
 def test_flipped_lone_single_unknown_message_is_caught_only_bit_exactly():
@@ -361,10 +363,52 @@ def test_flipped_lone_single_unknown_message_is_caught_only_bit_exactly():
     broadcasts[sender - 1][j] = _flip_bit(msgs[i])
     bad = dataclasses.replace(tr, broadcasts=broadcasts)
 
-    got = _decode_user1(bad, bad.all_messages())  # no error raised
+    got = _decode(bad, bad.all_messages())  # no error raised
     assert got != tr.library[tr.demands[0]]
     assert verify.check_decodability(bad)[1] is False
     assert verify.check_decodability(tr)[1] is True
+
+
+def _fault_outcome(tr, messages, user):
+    """What ``user`` makes of ``messages``: its file decoded right or
+    wrong, a ``DecodingFailure``, or the ValueError of an inconsistent
+    system or of a message inconsistent with its cache."""
+    try:
+        got = _decode(tr, messages, user)
+    except scheme_a.DecodingFailure:
+        return "failure"
+    except ValueError as err:
+        return "system" if "inconsistent XOR system" in str(err) else "cache"
+    return "ok" if got == tr.library[tr.demands[user - 1]] else "wrong"
+
+
+# (scheme, params at seed 5, demands) -> receiver outcomes summed over
+# every message of one flipped payload bit, and of a flipped copy appended
+FAULT_VERDICTS = {
+    ("A", (3, 2, 2), (1, 2, 1)): ({"ok": 10, "wrong": 20, "cache": 15}, {"system": 30, "cache": 15}),
+    ("A", (3, 2, 3), (1, 2, 1)): ({"ok": 6, "wrong": 18, "cache": 12}, {"system": 24, "cache": 12}),
+    ("A", (4, 2, 3), (1, 2, 2, 1)): ({"ok": 57, "wrong": 135, "cache": 64}, {"system": 192, "cache": 64}),
+    ("A", (3, 3, 3), (1, 2, 3)): ({"ok": 45, "wrong": 69, "cache": 57}, {"system": 114, "cache": 57}),
+    ("B", (4, 2), (3, 1)): ({"ok": 2, "wrong": 6, "cache": 8}, {"system": 8, "cache": 8}),
+}
+
+
+@pytest.mark.parametrize("scheme,size,demands", list(FAULT_VERDICTS))
+def test_fault_verdicts_pinned(scheme, size, demands):
+    # A flipped copy contradicts its original in the sender's system, or
+    # the cache of a receiver that knows every summand, whether or not
+    # any receiver needs the message: a decoder that drops the rows it
+    # does not need changes the second counts.
+    p = (scheme_a if scheme == "A" else scheme_b).params_for(*size, seed=5)
+    tr = sim.run_protocol(scheme, p, demands)
+    msgs = tr.all_messages()
+    flipped, copied = Counter(), Counter()
+    for i, m in enumerate(msgs):
+        bad = _flip_bit(m)
+        for u in range(1, len(demands) + 1):
+            flipped[_fault_outcome(tr, msgs[:i] + [bad] + msgs[i + 1:], u)] += 1
+            copied[_fault_outcome(tr, msgs + [bad], u)] += 1
+    assert (flipped, copied) == FAULT_VERDICTS[scheme, size, demands]
 
 
 def _with_first_message(tr, composition, payload):
@@ -392,16 +436,37 @@ def test_composition_is_an_xor_a_subfile_listed_twice_cancels():
     assert verify.check_decodability(twice) == {1: True, 2: False, 3: False}
     for u in (2, 3):
         with pytest.raises(scheme_a.DecodingFailure):
-            decode_from_messages(u, twice.all_messages(), twice.caches[u - 1], twice.demands[u - 1],
-                                 p.layout)
+            _decode(twice, twice.all_messages(), u)
+
+
+@pytest.mark.parametrize("sid", [SubfileId(3, 1), SubfileId(0, 1), SubfileId(2, 0), SubfileId(1, 10**6)])
+def test_subfile_outside_the_layout_is_refused(sid):
+    # keys are f * slots_per_file + s, so (2, 0) would alias (1, slots_per_file)
+    tr = sim.run_protocol("A", params_for(3, 2, 2, seed=3), (1, 2, 1))
+    broadcasts = [list(per) for per in tr.broadcasts]
+    first = broadcasts[0][0]
+    broadcasts[0][0] = dataclasses.replace(first, composition=first.composition + (sid,))
+    with pytest.raises(ValueError, match=f"names subfile {sid.file}:{sid.slot} outside the layout"):
+        verify.check_decodability(dataclasses.replace(tr, broadcasts=broadcasts))
+
+
+def test_index_of_another_layout_is_refused():
+    tr = sim.run_protocol("A", params_for(3, 2, 2, seed=3), (1, 2, 1))
+    other = params_for(3, 2, 3, seed=3).layout
+    index = index_messages(tr.all_messages(), tr.scheme_params.layout)
+    with pytest.raises(ValueError, match="another slot layout"):
+        decode_from_messages(1, index, tr.caches[0], 1, other)
 
 
 def test_large_instance_decodes_bit_exactly():
     # A(4,5,8): B = 25,740 bits and 25,560 messages.  Users 1, 3 and 4
     # recover some demanded subfiles only through combinations of messages,
-    # since leader filtering drops their own.  One elimination per sender
-    # takes about a second: its back-substitution walks each pivot row's
-    # set bits.  Testing every pair of pivots instead took over a minute.
+    # since leader filtering drops their own.  Each receiver's systems hold
+    # about 47,500 unknowns, about 10,300 of them wanted: the forward
+    # reduction takes every row, and back-substitution reduces only the
+    # wanted pivot rows, walking each one's set bits.  All four receivers
+    # decode in about a second; testing every pair of pivots in a
+    # back-substitution over every unknown took over a minute.
     p = params_for(4, 5, 8, seed=0)
     tr = sim.run_protocol("A", p, (1, 2, 3, 4))
     assert len(tr.all_messages()) == 25560

@@ -6,7 +6,7 @@ import pytest
 from d2dpc import sim, verify
 from d2dpc.combinat import binom, lex_subsets
 from d2dpc.core import SeededSource, SubfileId
-from d2dpc.scheme_a import decode_from_messages, load_a_point
+from d2dpc.scheme_a import decode_from_messages, index_messages, load_a_point
 from d2dpc.scheme_b import (
     PickExhausted,
     SchemeBParams,
@@ -148,8 +148,9 @@ def test_decode_and_load_exhaustive():
                 tr = sim.run_protocol("B", p, d)
                 assert sim.measure_load(tr) == expected
                 for u in (1, 2):
+                    layout = tr.scheme_params.layout
                     got = decode_from_messages(
-                        u, tr.all_messages(), tr.caches[u - 1], d[u - 1], tr.scheme_params.layout
+                        u, index_messages(tr.all_messages(), layout), tr.caches[u - 1], d[u - 1], layout
                     )
                     assert got == tr.library[d[u - 1]], (N, tp, d, u)
 

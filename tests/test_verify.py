@@ -15,6 +15,7 @@ from d2dpc.core import (
     RecordingSource,
     SeededSource,
     SubfileId,
+    draw_key,
     seeded_rng,
     subfile_value,
 )
@@ -766,7 +767,7 @@ def test_recorded_draws_replay_seeded_values(params, derandomized):
             for _ in range(3):
                 replay = dict(firsts[d])
                 for o in own:
-                    replay.update(zip(o.labels(), o.sample(rng)))
+                    replay.update(zip(o.labels(), o.point(draw_key(o.plan(), rng.getrandbits))))
                 spy = _Spy(source)
                 plan = scheme_a.plan_delivery_a(params, d, spy)
                 assert replay == spy.values, (d, seed)
@@ -910,7 +911,7 @@ def _mc_distinct_points(p, trials, base_seed) -> dict:
         seen = [set() for _ in own]
         for _ in range(trials):
             for points, o in zip(seen, own):
-                points.add(o.sample(rng))
+                points.add(o.point(draw_key(o.plan(), rng.getrandbits)))
         out[d] = [len(points) for points in seen]
     return out
 
