@@ -24,7 +24,7 @@ def show(tr):
     for per in tr.broadcasts:
         for m in per:
             comp = " + ".join(f"S{sid.file}:{sid.slot}" for sid in m.composition)
-            print(f"  user {m.sender} broadcasts {comp} = {m.payload:0{max(1, m.nbits)}b}")
+            print(f"  user {m.sender} broadcasts {comp} = {m.payload:0{sp.layout.subfile_bits}b}")
     print(f"  measured load {sim.measure_load(tr)} "
           f"(formula {sim.theoretical_load(tr)}), "
           f"metadata {tr.metadata_bytes} bytes (never counted)")

@@ -20,7 +20,7 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -305,38 +305,35 @@ class SlotLayout:
 
 @dataclass
 class CacheState:
-    """One user's cache: slot metadata plus (optionally) the cached bits."""
+    """One user's cache: each cached subfile's bits, in slot order; its
+    slots are the keys of ``content``."""
 
     owner: int
-    slots: tuple[SubfileId, ...]
-    content: Optional[dict[SubfileId, int]] = None
+    content: dict[SubfileId, int]
 
-    def check(self, subfile_bits: int, budget_bits: Optional[Rat] = None):
-        if self.content is not None:
-            if set(self.content) != set(self.slots):
-                raise ValueError("cache metadata and content disagree")
-        total = len(self.slots) * subfile_bits
-        if budget_bits is not None and total > budget_bits:
-            raise ValueError(
-                f"user {self.owner} caches {total} bits > budget {budget_bits}"
-            )
-        return total
+    @property
+    def slots(self) -> tuple[SubfileId, ...]:
+        return tuple(self.content)
+
+    def check(self, subfile_bits: int, budget_bits: Rat) -> None:
+        total = len(self.content) * subfile_bits
+        if total > budget_bits:
+            raise ValueError(f"user {self.owner} caches {total} bits > budget {budget_bits}")
 
 
 @dataclass
 class MulticastMessage:
-    """One XOR broadcast: revealed composition header plus the payload.
+    """One XOR broadcast: revealed composition header plus the payload,
+    the XOR of the composition's subfiles (``layout.subfile_bits`` bits).
 
     ``composition`` orders the XORed subfiles the way the transmission
     header lists them; for the virtual-user scheme that order follows the
-    revealed position set, which is also kept here.  ``payload`` is None
-    in structure-only runs (privacy checks never look at payload bits).
+    revealed position set, which is also kept here.
     """
 
     sender: int
     composition: tuple[SubfileId, ...]
-    payload: Optional[int]
-    nbits: int
+    payload: int
     position_set: Optional[tuple[int, ...]] = None
 
 
@@ -425,19 +422,20 @@ class Placement:
     # the physical slot playing the role of permuted index j
     perms: dict[tuple[int, int], tuple[int, ...]]
     caches: list[CacheState]
-    library: Optional[dict[int, int]]
+    library: dict[int, int]
 
 
-def place(params: SchemeParams, source, structure_only: bool, held) -> Placement:
+def place(params: SchemeParams, source, held) -> Placement:
     """Uncoded placement shared by the schemes.
 
     The slots of every (file, block) are shuffled, each by its own draw
     labelled (scheme, "p", file, block).  User k caches its own block k
     of every file plus, for each (other block, permuted index j) pair in
-    ``held[k]``, entry j of that block's permutation.
+    ``held[k]``, entry j of that block's permutation.  The library is
+    keyed by the instance seed, so it takes no draw from ``source``.
     """
     base, layout = params.base, params.layout
-    library = None if structure_only else random_library(base)
+    library = random_library(base)
     perms = {
         (i, k): tuple(source.permutation((params.scheme, "p", i, k), list(layout.block_slots(k))))
         for i in range(1, base.N + 1)
@@ -445,19 +443,15 @@ def place(params: SchemeParams, source, structure_only: bool, held) -> Placement
     }
     budget = params.memory_point() * base.B
     # each file is split once; the caches share its slot values
-    pieces = None if library is None else {i: split_file(layout, buf) for i, buf in library.items()}
+    pieces = {i: split_file(layout, buf) for i, buf in library.items()}
     caches = []
     for k in range(1, base.K + 1):
         slots: list[SubfileId] = []
         for i in range(1, base.N + 1):
             slots.extend(SubfileId(i, s) for s in layout.block_slots(k))
             slots.extend(SubfileId(i, perms[(i, other)][j]) for other, j in held[k])
-        slots = tuple(sorted(slots))
-        content = None
-        if pieces is not None:
-            content = {sid: pieces[sid.file][sid.slot - 1] for sid in slots}
-        cache = CacheState(owner=k, slots=slots, content=content)
-        cache.check(layout.subfile_bits, budget_bits=budget)
+        cache = CacheState(k, {sid: pieces[sid.file][sid.slot - 1] for sid in sorted(slots)})
+        cache.check(layout.subfile_bits, budget)
         caches.append(cache)
     return Placement(params, perms, caches, library)
 
@@ -479,15 +473,18 @@ class Transcript:
     all read from it."""
 
     scheme_params: SchemeParams
-    library: Optional[dict[int, int]]
+    library: dict[int, int]
     caches: list[CacheState]
     demands: tuple[int, ...]
     broadcasts: list[list[MulticastMessage]]
-    payload_bits: int = 0
-    queries: list = field(default_factory=list, repr=False, compare=False)
 
     def all_messages(self) -> list[MulticastMessage]:
         return [m for per_user in self.broadcasts for m in per_user]
+
+    @property
+    def payload_bits(self) -> int:
+        """Bits broadcast: every message carries one subfile's bits."""
+        return sum(map(len, self.broadcasts)) * self.scheme_params.layout.subfile_bits
 
     @property
     def metadata_bytes(self) -> int:
@@ -579,8 +576,6 @@ def transcript_to_text(tr: Transcript) -> str:
     and each distinct (subfile, value) cache item is formatted once,
     however many caches hold it.  A value that does not fit its field
     raises ValueError naming the field."""
-    if tr.library is None:
-        raise ValueError("cannot serialise a structure-only transcript")
     sp = tr.scheme_params
     ell = sp.layout.subfile_bits
     parts = ["d2d-transcript 1\n", _header_text(_header(sp, tr.demands)), "\n"]
@@ -589,8 +584,7 @@ def transcript_to_text(tr: Transcript) -> str:
     items: dict[tuple[SubfileId, int], tuple[str, str]] = {}
     for cache in tr.caches:
         parts += ("cache ", str(cache.owner))
-        for sid in sorted(cache.slots):
-            value = cache.content[sid]
+        for sid, value in sorted(cache.content.items()):
             item = items.get((sid, value))
             if item is None:
                 item = items[sid, value] = (
@@ -749,8 +743,8 @@ def transcript_from_text(text: str) -> Transcript:
                     raise ValueError(f"cache {owner} lists subfile {sid.file}:{sid.slot} out of order or twice")
                 content[sid] = value
                 last = sid
-            caches.append(CacheState(owner, tuple(content), content))
-            caches[-1].check(ell, budget_bits=sp.memory_point() * base.B)
+            caches.append(CacheState(owner, content))
+            caches[-1].check(ell, sp.memory_point() * base.B)
         else:
             sender_s, pos_s, comp_s, pay_s = _fields(kind, tokens, 4)
             sender = _decimal(sender_s, "message sender")
@@ -763,7 +757,7 @@ def transcript_from_text(text: str) -> Transcript:
             pos = None if pos_v == "-" else tuple(_decimal(x, "position") for x in pos_v.split(","))
             comp = tuple(map(sid_of, _field(comp_s, "comp").split(",")))
             payload = _parse_hex(_field(pay_s, "payload"), ell, f"message {sender} payload")
-            broadcasts[sender - 1].append(MulticastMessage(sender, comp, payload, ell, pos))
+            broadcasts[sender - 1].append(MulticastMessage(sender, comp, payload, pos))
     else:
         raise ValueError("truncated transcript: it does not end with its payload_bits= line")
     if next(lines, None) is not None:
@@ -773,14 +767,8 @@ def transcript_from_text(text: str) -> Transcript:
             f"transcript has {len(library)} library and {len(caches)} cache lines, "
             f"expected N={base.N} and K={base.K}"
         )
+    tr = Transcript(sp, library, caches, demands, broadcasts)
     payload_bits = _decimal(_field(line, "payload_bits"), "payload_bits")
-    if payload_bits != sum(m.nbits for per in broadcasts for m in per):
+    if payload_bits != tr.payload_bits:
         raise ValueError(f"payload_bits={payload_bits} disagrees with the messages")
-    return Transcript(
-        scheme_params=sp,
-        library=library,
-        caches=caches,
-        demands=demands,
-        broadcasts=broadcasts,
-        payload_bits=payload_bits,
-    )
+    return tr

@@ -82,8 +82,8 @@ class SchemeAParams(SchemeParams):
     def label(self) -> str:
         return f"A(K={self.base.K},N={self.base.N},t={self.t})"
 
-    def place(self, source, structure_only: bool = False) -> Placement:
-        return place_a(self, source, structure_only)
+    def place(self, source) -> Placement:
+        return place_a(self, source)
 
     def query_plans(self, placement: Placement, demands, source):
         """Each transmitter's (position set, composition) list, transmitters 1..K."""
@@ -145,9 +145,9 @@ def _mask(users) -> int:
     return mask
 
 
-def place_a(params: SchemeAParams, source, structure_only: bool = False) -> Placement:
+def place_a(params: SchemeAParams, source) -> Placement:
     base = params.base
-    return place(params, source, structure_only, structure_a(base.K, base.N, params.t).held)
+    return place(params, source, structure_a(base.K, base.N, params.t).held)
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +297,14 @@ def decode_from_messages(
     assembled from cache plus solutions.  Every message is checked against
     the cache before any system is solved.  Raises DecodingFailure naming
     the first slot the broadcasts do not determine, and ValueError when a
-    payload contradicts the cache or the other payloads.
+    payload contradicts the cache or the other payloads, or two senders
+    solve a subfile to different values.
     """
-    known = cache.content
-    if known is None:
-        raise ValueError("decoding needs cache content (not a structure-only run)")
     if index.layout != layout:
         raise ValueError("message index built for another slot layout")
     S = layout.slots_per_file
     values: list[Optional[int]] = [None] * ((layout.N + 1) * S + 1)
-    for (f, s), value in known.items():
+    for (f, s), value in cache.content.items():
         values[f * S + s] = value
     base = demand * S  # slot s of the demanded file is key base + s
 
@@ -331,7 +329,9 @@ def decode_from_messages(
 
     solved: dict[int, int] = {}
     for eqs, wanted in systems:
-        solved.update(gf2.solve_xor_system(eqs, wanted))
+        for k, value in gf2.solve_xor_system(eqs, wanted).items():
+            if solved.setdefault(k, value) != value:
+                raise ValueError(f"senders disagree on subfile {demand}:{k - base}")
 
     slots = {}
     for s in range(1, S + 1):

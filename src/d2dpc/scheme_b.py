@@ -73,8 +73,8 @@ class SchemeBParams(SchemeParams):
         tp = self.tprime
         return f"B(N={self.base.N},t'={'full' if tp is None else tp})"
 
-    def place(self, source, structure_only: bool = False) -> Placement:
-        return place_b(self, source, structure_only)
+    def place(self, source) -> Placement:
+        return place_b(self, source)
 
     def query_plans(self, placement: Placement, demands, source):
         """Each transmitter's (None, composition) list, transmitters 1 and 2;
@@ -149,8 +149,8 @@ def structure_b(N: int, tprime: Optional[int]) -> StructureB:
 # ---------------------------------------------------------------------------
 
 
-def place_b(params: SchemeBParams, source, structure_only: bool = False) -> Placement:
-    return place(params, source, structure_only, structure_b(params.base.N, params.tprime).held)
+def place_b(params: SchemeBParams, source) -> Placement:
+    return place(params, source, structure_b(params.base.N, params.tprime).held)
 
 
 def plan_messages_b(k: int, placement: Placement, demands) -> list[tuple[None, tuple[SubfileId, ...]]]:

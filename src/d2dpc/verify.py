@@ -316,7 +316,7 @@ def _setup(scheme_params, coalitions, derandomized: bool):
     base, layout = scheme_params.base, scheme_params.layout
     coalitions = [_coalition(c, base.K) for c in coalitions]
     recorder = RecordingSource()
-    placement = scheme_params.place(recorder, structure_only=True)
+    placement = scheme_params.place(recorder)
     shuffles = [((scheme_params.scheme, "p", i, k), tuple(layout.block_slots(k)), "permutation")
                 for i in range(1, base.N + 1) for k in range(1, layout.blocks + 1)]
     drawn = Counter((label, tuple(sorted(xs)), kind) for label, xs, kind in recorder.draws)
@@ -392,11 +392,10 @@ def _grouped_by_fixing(distributions: dict, coalition):
 
 @dataclass
 class PrivacyReport:
-    scheme: str
+    instance: str  # the checked instance's ``label()``
     coalition: tuple[int, ...]
     mode: str
     private: bool
-    instance: str = ""
     max_tv: float = 0.0  # plug-in estimate (carries the finite-sample bias)
     max_tv_debiased: float = 0.0  # bias-corrected estimate; the pass gate
     trials: Optional[int] = None
@@ -409,7 +408,7 @@ class PrivacyReport:
 
     def text(self) -> str:
         parts = [
-            f"instance={self.instance or self.scheme}",
+            f"instance={self.instance}",
             f"coalition={{{','.join(map(str, self.coalition))}}}",
             f"mode={self.mode}",
             f"verdict={self.verdict()}",
@@ -437,11 +436,10 @@ def _exact_report(scheme_params, coalition, dists) -> PrivacyReport:
         if witness:
             break
     return PrivacyReport(
-        scheme=scheme_params.scheme,
+        instance=scheme_params.label(),
         coalition=coalition,
         mode="exact",
         private=witness is None,
-        instance=scheme_params.label(),
         witness=witness,
     )
 
@@ -548,11 +546,10 @@ def _max_tv_report(scheme_params, coalition, dists, trials, tolerance) -> Privac
                     witness = (fixing, da, db)
     passed = max_tv <= tolerance
     return PrivacyReport(
-        scheme=scheme_params.scheme,
+        instance=scheme_params.label(),
         coalition=coalition,
         mode="mc",
         private=passed,
-        instance=scheme_params.label(),
         max_tv=max_raw,
         max_tv_debiased=max_tv,
         trials=trials,
@@ -596,8 +593,6 @@ def check_decodability(transcript: Transcript) -> dict[int, bool]:
     """Run every user's decoder against the transcript, bit-exact, all
     of them reading one ``scheme_a.index_messages`` of its messages.
     Raises ValueError for a message naming a subfile outside the layout."""
-    if transcript.library is None:
-        raise ValueError("decodability needs a full (not structure-only) transcript")
     layout = transcript.scheme_params.layout
     index = scheme_a.index_messages(transcript.all_messages(), layout)
     results = {}

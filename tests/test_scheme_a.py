@@ -9,6 +9,7 @@ import pytest
 from d2dpc import scheme_a, scheme_b, sim, verify
 from d2dpc.combinat import binom, lex_subsets
 from d2dpc.core import (
+    MulticastMessage,
     RecordingSource,
     SeededSource,
     SubfileId,
@@ -158,7 +159,7 @@ def test_shared_structure_matches_sorted_tuple_ranks(K, N, t):
     p = params_for(K, N, t)
     rng = random.Random(K * 100 + N * 10 + t)
     for seed in range(4):
-        placement = place_a(p, SeededSource(seed), structure_only=True)
+        placement = place_a(p, SeededSource(seed))
         caches, slot_of = _sorted_tuple_placement(placement)
         assert [c.slots for c in placement.caches] == caches
         demands = tuple(rng.randint(1, N) for _ in range(K))
@@ -409,6 +410,23 @@ def test_fault_verdicts_pinned(scheme, size, demands):
             flipped[_fault_outcome(tr, msgs[:i] + [bad] + msgs[i + 1:], u)] += 1
             copied[_fault_outcome(tr, msgs + [bad], u)] += 1
     assert (flipped, copied) == FAULT_VERDICTS[scheme, size, demands]
+
+
+def test_senders_must_agree():
+    # sender 2's system determines subfile 1:6 for users 1 and 3; a
+    # one-summand message of sender 3 giving it another value must be
+    # refused, not merged over the first solution
+    p = params_for(3, 2, 2, seed=3)
+    tr = sim.run_protocol("A", p, (1, 2, 1))
+    sid = SubfileId(1, 6)
+    assert [sid in c.content for c in tr.caches] == [False, True, False]
+    lie = MulticastMessage(3, (sid,), subfile_value(tr.library, p.layout, sid) ^ 1)
+    messages = tr.all_messages() + [lie]
+    for u in (1, 3):
+        with pytest.raises(ValueError, match="senders disagree on subfile 1:6"):
+            _decode(tr, messages, u)
+    with pytest.raises(ValueError, match="inconsistent with cache"):
+        _decode(tr, messages, 2)
 
 
 def _with_first_message(tr, composition, payload):

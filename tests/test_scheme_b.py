@@ -130,7 +130,7 @@ def test_shared_structure_matches_pick_loop():
         for tp in range(N):
             p = params_for(N, tp)
             for seed in range(2):
-                placement = place_b(p, SeededSource(seed), structure_only=True)
+                placement = place_b(p, SeededSource(seed))
                 for d_other in range(1, N + 1):
                     for k in (1, 2):
                         demands = (d_other, 1) if k == 2 else (1, d_other)

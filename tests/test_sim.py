@@ -12,7 +12,10 @@ def test_run_scheme_a_load():
     tr = run_protocol("A", p, (1, 2))
     assert measure_load(tr) == Fraction(1, 2)
     assert measure_load(tr) == theoretical_load(tr)
-    assert tr.payload_bits == sum(m.nbits for m in tr.all_messages())
+    # every message carries one subfile's bits
+    ell = tr.scheme_params.layout.subfile_bits
+    assert tr.payload_bits == len(tr.all_messages()) * ell
+    assert all(0 <= m.payload < 1 << ell for m in tr.all_messages())
 
 
 def test_run_scheme_b_load():
@@ -39,9 +42,11 @@ def test_encoding_constraint_reexecution():
     # replaying each user's query against only its cache reproduces the
     # broadcast messages bit-exactly
     p = scheme_a.params_for(3, 2, 2, seed=5)
-    tr = run_protocol("A", p, (2, 1, 2))
-    for query, per in zip(tr.queries, tr.broadcasts):
-        redone = user_broadcast(tr.caches[query.recipient - 1], query, tr.scheme_params.layout.subfile_bits)
+    placement = p.place(SeededSource(5))
+    tr = run_protocol("A", p, (2, 1, 2), placement=placement)
+    queries = p.query_plans(placement, tr.demands, SeededSource(5))
+    for cache, query, per in zip(tr.caches, queries, tr.broadcasts):
+        redone = user_broadcast(cache, query)
         assert [(m.sender, m.composition, m.payload) for m in redone] == [
             (m.sender, m.composition, m.payload) for m in per
         ]
@@ -50,15 +55,15 @@ def test_encoding_constraint_reexecution():
 def test_transmitters_never_need_foreign_subfiles():
     # a query naming a subfile outside the user's cache would fail loudly
     p = scheme_b.params_for(4, 2, seed=6)
-    tr = run_protocol("B", p, (3, 4))
-    victim = tr.queries[0]
+    placement = p.place(SeededSource(6))
+    victim, other = p.query_plans(placement, (3, 4), SeededSource(6))
     foreign = next(
-        sid for _, comp in tr.queries[1].plan for sid in comp
-        if sid not in tr.caches[0].content
+        sid for _, comp in other for sid in comp
+        if sid not in placement.caches[0].content
     )
-    victim.plan[0] = (victim.plan[0][0], victim.plan[0][1] + (foreign,))
+    victim[0] = (victim[0][0], victim[0][1] + (foreign,))
     with pytest.raises(KeyError):
-        user_broadcast(tr.caches[0], victim, tr.scheme_params.layout.subfile_bits)
+        user_broadcast(placement.caches[0], victim)
 
 
 def test_seed_determinism():
@@ -71,16 +76,15 @@ def test_seed_determinism():
     ]
 
 
-def test_structure_only_run_has_no_bits():
+def test_run_on_a_passed_placement_makes_the_seeded_draws():
     p = scheme_a.params_for(2, 2, 2, seed=10)
-    tr = run_protocol("A", p, (1, 1), placement=p.place(SeededSource(10), structure_only=True))
-    assert tr.library is None
-    assert all(m.payload is None for m in tr.all_messages())
-    assert all(c.content is None for c in tr.caches)
+    tr = run_protocol("A", p, (1, 1), placement=p.place(SeededSource(10)))
     # the same draws as the full run, whose placement the seed gives
     full = run_protocol("A", p, (1, 1))
     assert [c.slots for c in tr.caches] == [c.slots for c in full.caches]
     assert [m.composition for m in tr.all_messages()] == [m.composition for m in full.all_messages()]
+    # the library is keyed by the seed and takes no draw from the source
+    assert p.place(RecordingSource()).library == full.library
 
 
 def test_unknown_scheme():

@@ -60,8 +60,7 @@ def _swap_slots(tr, file, s1, s2):
     caches = [
         dataclasses.replace(
             c,
-            slots=tuple(sorted(map_sid(s) for s in c.slots)),
-            content={map_sid(s): v for s, v in c.content.items()},
+            content=dict(sorted((map_sid(s), v) for s, v in c.content.items())),
         )
         for c in tr.caches
     ]
@@ -71,7 +70,6 @@ def _swap_slots(tr, file, s1, s2):
                 m.sender,
                 tuple(map_sid(s) for s in m.composition),
                 m.payload,
-                m.nbits,
                 m.position_set,
             )
             for m in per
@@ -143,14 +141,14 @@ def test_full_coalition_view_determines_demands():
     p = scheme_a.params_for(2, 2, 2, seed=23)
     views = {}
     for d in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        tr = sim.run_protocol("A", p, d, placement=p.place(SeededSource(23), structure_only=True))
+        tr = sim.run_protocol("A", p, d, placement=p.place(SeededSource(23)))
         views[d] = canonical_view(tr, [1, 2]).key()
     assert len(set(views.values())) == 4
 
 
 def test_coalition_validation():
     p = scheme_a.params_for(2, 2, 2, seed=1)
-    tr = sim.run_protocol("A", p, (1, 1), placement=p.place(SeededSource(1), structure_only=True))
+    tr = sim.run_protocol("A", p, (1, 1), placement=p.place(SeededSource(1)))
     with pytest.raises(ValueError):
         canonical_view(tr, [])
     with pytest.raises(ValueError):
@@ -247,7 +245,7 @@ def test_projected_views_match_direct_relabelling(params):
         d = tuple((seed + u) % N + 1 for u in range(K))
         source = SeededSource(seed)
         tr = sim.run_protocol(params.scheme, params, d, source=_delivery_source(source, derandomized),
-                              placement=params.place(source, structure_only=True))
+                              placement=params.place(source))
         for k, per_user in enumerate(tr.broadcasts, 1):
             assert all(tr.scheme_params.layout.block_of(sid.slot) == k for m in per_user for sid in m.composition)
         for c in _all_coalitions(K):
@@ -344,7 +342,7 @@ RECORDED_INSTANCES = [
 @pytest.mark.parametrize("params", RECORDED_INSTANCES)
 def test_recorded_draws_match_hand_listed_atoms(params, derandomized):
     placement_draws = RecordingSource()
-    placement = params.place(placement_draws, structure_only=True)
+    placement = params.place(placement_draws)
     p_atoms = _placement_atoms(params)
     assert len(placement_draws.draws) == len(p_atoms)  # no label drawn twice
     assert _outcomes(placement_draws.draws) == {lab: sorted(opts) for lab, opts in p_atoms}
@@ -388,7 +386,7 @@ def test_recorded_draws_do_not_depend_on_drawn_values(params, derandomized):
     # depend on values drawn before it
     recordings = []
     for source in (RecordingSource(), *(_SeededRecorder(seed) for seed in range(3))):
-        placement = params.place(source, structure_only=True)
+        placement = params.place(source)
         delivery = _delivery_source(source, derandomized)
         for d in _demand_vectors(params):
             params.query_plans(placement, d, delivery)
@@ -407,7 +405,7 @@ def _joint_runs(p, derandomized):
             for d_combo in itertools.product(*(opts for _, opts in d_atoms)):
                 source = FixedSource({**p_assign, **dict(zip((lab for lab, _ in d_atoms), d_combo))})
                 yield d, sim.run_protocol(p.scheme, p, d, source=source,
-                                          placement=p.place(source, structure_only=True))
+                                          placement=p.place(source))
 
 
 def _joint_counts(p, coalitions, derandomized, view):
@@ -450,7 +448,7 @@ def _joint_mc(p, coalitions, trials, base_seed, derandomized):
     every draw answered from the one stream of d, and every coalition's
     view blocks counted on their own."""
     K, N = p.base.K, p.base.N
-    placement = p.place(RecordingSource(), structure_only=True)
+    placement = p.place(RecordingSource())
     dists = {}
     for d in itertools.product(range(1, N + 1), repeat=K):
         source = _StreamSource(seeded_rng(base_seed, f"mc|{d}"))
@@ -510,11 +508,11 @@ def _placements(p, samples):
     """Every placement point of ``p`` when ``samples`` is None; else the
     first-outcome placement exact mode uses and ``samples`` seeded ones."""
     recorder = RecordingSource()
-    first = p.place(recorder, structure_only=True)
+    first = p.place(recorder)
     if samples is None:
-        return [p.place(FixedSource(dict(zip(recorder.labels(), point))), structure_only=True)
+        return [p.place(FixedSource(dict(zip(recorder.labels(), point))))
                 for point in recorder.points()]
-    return [first] + [p.place(SeededSource(seed), structure_only=True) for seed in range(samples)]
+    return [first] + [p.place(SeededSource(seed)) for seed in range(samples)]
 
 
 @pytest.mark.parametrize(
@@ -555,7 +553,7 @@ def test_block_k_depends_only_on_transmitter_k_draws(params, demand_vectors):
     # vary each recorded delivery draw over all its outcomes, the others
     # at their first outcome: only the block of the transmitter the label
     # names may change, and a position shuffle does change it
-    placement = params.place(RecordingSource(), structure_only=True)
+    placement = params.place(RecordingSource())
     everyone = verify._Everyone(placement.caches, params.layout)
     for d in demand_vectors or _demand_vectors(params):
         recorder = RecordingSource()
@@ -620,9 +618,9 @@ def _patch_placement(monkeypatch, rewrite):
     """Scheme A's placement with every draw of ``core.place`` made by
     ``rewrite(params, source, label, items)`` instead."""
 
-    def place(params, source, structure_only, held):
+    def place(params, source, held):
         draws = SimpleNamespace(permutation=lambda label, items: rewrite(params, source, label, list(items)))
-        return core.place(params, draws, structure_only, held)
+        return core.place(params, draws, held)
 
     monkeypatch.setattr(scheme_a, "place", place)
 
@@ -1036,7 +1034,7 @@ def test_canonical_views_pinned():
                 for seed in range(3):
                     source = SeededSource(seed)
                     tr = sim.run_protocol(p.scheme, p, d, source=_delivery_source(source, derandomized),
-                                          placement=p.place(source, structure_only=True))
+                                          placement=p.place(source))
                     for c in coalitions:
                         for paranoid in (False, True):
                             h.update(repr(canonical_view(tr, c, paranoid).key()).encode())
@@ -1050,13 +1048,6 @@ def test_decodability_and_fault_injection():
     assert all(check_decodability(tr).values())
     tr.broadcasts[0][0].payload ^= 1  # flip one payload bit
     assert not all(check_decodability(tr).values())
-
-
-def test_decodability_needs_bits():
-    p = scheme_a.params_for(2, 2, 2, seed=32)
-    tr = sim.run_protocol("A", p, (1, 2), placement=p.place(SeededSource(32), structure_only=True))
-    with pytest.raises(ValueError):
-        check_decodability(tr)
 
 
 def test_decodability_over_enumerated_randomness():
