@@ -15,6 +15,7 @@ each other rather than trusting either alone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -247,9 +248,11 @@ class GapReport:
 def gap_grid(achievable: TradeoffCurve, converse: TradeoffCurve, lo: Rat, hi: Rat,
              density: int) -> list[Rat]:
     """The corner M values of both curves in [lo, hi], ``density`` evenly
-    spaced points and lo, hi, sorted."""
-    corners = {m for m in achievable.corner_ms() + converse.corner_ms() if lo <= m <= hi}
-    return sorted(corners | set(even_grid(lo, hi, density)) | {lo, hi})
+    spaced points and lo, hi, ascending and without repeats.  Each input is
+    ascending already, so the sort merges runs and hashes nothing."""
+    corners = [m for curve in (achievable, converse) for m in curve.corner_ms() if lo <= m <= hi]
+    merged = sorted(corners + even_grid(lo, hi, density) + [lo, hi])
+    return [m for m, _ in itertools.groupby(merged)]
 
 
 def default_gap_grid(achievable: TradeoffCurve, converse: TradeoffCurve) -> list[Rat]:
@@ -268,16 +271,17 @@ def default_gap_grid(achievable: TradeoffCurve, converse: TradeoffCurve) -> list
 def gap(achievable: TradeoffCurve, converse: TradeoffCurve, grid=None) -> GapReport:
     """Max of achievable(M)/converse(M) over the grid, exact rationals.
 
-    Grid points where both loads are zero are left out and listed in
-    ``GapReport.skipped``.  Where only the converse is zero the gap is
-    unbounded: ``max_ratio`` is None and ``argmax_m`` the first such M.
+    The grid must be ascending, as ``gap_grid``'s output is: each curve
+    is evaluated over it in one walk.  Grid points where both loads are
+    zero are left out and listed in ``GapReport.skipped``.  Where only the
+    converse is zero the gap is unbounded: ``max_ratio`` is None and
+    ``argmax_m`` the first such M.
     """
     if grid is None:
         grid = default_gap_grid(achievable, converse)
     best: Optional[Rat] = Fraction(0)
     argmax, skipped = None, []
-    for M in grid:
-        c, a = converse(M), achievable(M)
+    for M, c, a in zip(grid, converse.values(grid), achievable.values(grid)):
         if c == 0 and a == 0:
             skipped.append(Fraction(M))
         elif best is None:

@@ -159,14 +159,20 @@ def cmd_simulate(args) -> int:
 
 
 def _curve_rows(curve, grid_points: int):
-    corner_ms = set(curve.corner_ms())
+    """The corner rows and the interpolated even-grid rows merged by M; a
+    grid point at a corner keeps only the corner row.  The grid lies
+    inside the domain, so a corner at or above each point remains."""
     tags = curve.provenance or ("",) * len(curve.corners)
-    rows = [(m, r, tag or "corner") for (m, r), tag in zip(curve.corners, tags)]
-    for m in even_grid(curve.min_m, curve.max_m, grid_points):
-        if m not in corner_ms:
-            rows.append((m, curve(m), "interpolated"))
-    rows.sort(key=lambda row: row[0])
-    return rows
+    corners = [(m, r, tag or "corner") for (m, r), tag in zip(curve.corners, tags)]
+    grid = even_grid(curve.min_m, curve.max_m, grid_points)
+    rows, k = [], 0
+    for m, r in zip(grid, curve.values(grid)):
+        while corners[k][0] < m:
+            rows.append(corners[k])
+            k += 1
+        if corners[k][0] != m:
+            rows.append((m, r, "interpolated"))
+    return rows + corners[k:]
 
 
 def cmd_curve(args) -> int:

@@ -10,12 +10,10 @@ the upper envelope of their segment lines.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import Rat
@@ -62,13 +60,16 @@ class TradeoffCurve:
     """Piecewise-linear memory-load function over exact rational corners.
 
     Corners have strictly increasing M; the function is convex and
-    non-increasing.  Evaluation outside [min M, max M] is an error.
-    Corner provenance tags (when known, one per corner) say which formula
-    produced each corner.
+    non-increasing.  ``slopes[i]`` is the slope of the segment from corner
+    i to corner i + 1.  ``values(ms)`` evaluates an ascending sequence of
+    M in one walk over the corners, and a call is its one-point case;
+    evaluation outside [min M, max M] is an error.  Corner provenance tags
+    (when known, one per corner) say which formula produced each corner.
     """
 
     corners: tuple[tuple[Rat, Rat], ...]
     provenance: tuple[str, ...] = ()
+    slopes: tuple[Rat, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ms = [m for m, _ in self.corners]
@@ -79,14 +80,15 @@ class TradeoffCurve:
         for (m0, r0), (m1, r1) in zip(self.corners, self.corners[1:]):
             if r1 > r0:
                 raise ValueError("curve must be non-increasing")
-        slopes = [
-            (r1 - r0) / (m1 - m0)
+        slopes = tuple(
+            Fraction(r1 - r0, m1 - m0)
             for (m0, r0), (m1, r1) in zip(self.corners, self.corners[1:])
-        ]
+        )
         if any(s1 < s0 for s0, s1 in zip(slopes, slopes[1:])):
             raise ValueError("corner sequence is not convex")
         if self.provenance and len(self.provenance) != len(self.corners):
             raise ValueError(f"{len(self.provenance)} provenance tags for {len(self.corners)} corners")
+        object.__setattr__(self, "slopes", slopes)
 
     @property
     def min_m(self) -> Rat:
@@ -96,16 +98,34 @@ class TradeoffCurve:
     def max_m(self) -> Rat:
         return self.corners[-1][0]
 
+    def values(self, ms: Sequence) -> list[Rat]:
+        """The curve at each M of the ascending sequence ``ms``.
+
+        The domain is checked at the two ends only; the walk moves to the
+        next corner once M reaches it, so a point past the last corner
+        can only come before a descent, which raises.
+        """
+        if not ms:
+            return []
+        for M in (ms[0], ms[-1]):
+            if not self.min_m <= M <= self.max_m:
+                raise ValueError(f"M={M} outside curve domain [{self.min_m}, {self.max_m}]")
+        corners, slopes = self.corners, self.slopes + (0,)  # no segment starts at the last corner
+        last, i = len(corners) - 1, 0
+        m0, r0 = corners[0]
+        prev, out = ms[0], []
+        for M in ms:
+            if M < prev:
+                raise ValueError(f"M values must ascend: {M} after {prev}")
+            prev = M
+            while i < last and corners[i + 1][0] <= M:
+                i += 1
+                m0, r0 = corners[i]
+            out.append(r0 if M == m0 else r0 + slopes[i] * (M - m0))
+        return out
+
     def __call__(self, M) -> Rat:
-        M = Fraction(M)
-        if not self.min_m <= M <= self.max_m:
-            raise ValueError(f"M={M} outside curve domain [{self.min_m}, {self.max_m}]")
-        i = bisect.bisect_right(self.corners, M, key=itemgetter(0))
-        m0, r0 = self.corners[i - 1]
-        if M == m0:
-            return r0
-        m1, r1 = self.corners[i]
-        return r0 + (r1 - r0) * (M - m0) / (m1 - m0)
+        return self.values((M,))[0]
 
     def corner_ms(self) -> list[Rat]:
         return [m for m, _ in self.corners]
@@ -243,6 +263,9 @@ def curve_max(a: TradeoffCurve, b: TradeoffCurve) -> TradeoffCurve:
 
 
 def even_grid(lo, hi, count: int) -> list[Rat]:
-    """count evenly spaced rationals strictly inside [lo, hi]."""
+    """count evenly spaced rationals strictly inside [lo, hi]: with
+    lo = a/d and hi = b/d, the j-th is (a (count+1-j) + b j) / (d (count+1))."""
     lo, hi = Fraction(lo), Fraction(hi)
-    return [lo + (hi - lo) * Fraction(j, count + 1) for j in range(1, count + 1)]
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    den = lo.denominator * hi.denominator * (count + 1)
+    return [Fraction(a * (count + 1 - j) + b * j, den) for j in range(1, count + 1)]

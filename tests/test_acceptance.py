@@ -14,6 +14,7 @@ from d2dpc.bounds import (
     converse_two_user_corners,
     converse_two_user_curve,
     gap,
+    gap_grid,
     load_c_points,
     scheme_c_curve,
     shared_link_nonprivate_envelope,
@@ -113,13 +114,7 @@ def test_accept_07_shared_link_gap():
     ]:
         ach = scheme_a_curve(K, N)
         conv = shared_link_nonprivate_envelope(K, N, Fraction(1, 4))
-        hi = Fraction(N)
-        grid = sorted(
-            {m for m in ach.corner_ms() + conv.corner_ms() if lo <= m <= hi}
-            | set(even_grid(lo, hi, 64))
-            | {lo, hi}
-        )
-        report = gap(ach, conv, grid)
+        report = gap(ach, conv, gap_grid(ach, conv, lo, Fraction(N), 64))
         assert report.max_ratio <= bound, (K, N, report.max_ratio)
         results.append(f"({K},{N})={float(report.max_ratio):.2f}<={bound}")
     _ok(7, "shared-link-scaled gap: " + " ".join(results))

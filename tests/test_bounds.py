@@ -224,6 +224,25 @@ def test_two_user_worst_gap_closed_form():
         assert report.max_ratio == Fraction(4 * (even + 1), 3 * (even + 2)), N
 
 
+def test_shared_link_gap_at_most_twelve_for_every_n_below_k():
+    # scheme A against the factor-4 shared-link reference from M = N/K, on
+    # the gap grid, for all 105 pairs K = 3..16, N = 2..K-1: the worst
+    # ratio is exactly 8, reached at M = N/K when N = K - 1 and only there
+    worst = {}
+    for K in range(3, 17):
+        for N in range(2, K):
+            ach = scheme_a_curve(K, N)
+            conv = shared_link_nonprivate_envelope(K, N, Fraction(1, 4))
+            report = gap(ach, conv, gap_grid(ach, conv, Fraction(N, K), Fraction(N), 64))
+            assert report.max_ratio <= 12, (K, N, report.max_ratio)
+            worst[K, N] = report.max_ratio, report.argmax_m
+    assert len(worst) == 105
+    assert max(ratio for ratio, _ in worst.values()) == 8
+    assert {key: m for key, (ratio, m) in worst.items() if ratio == 8} == {
+        (K, K - 1): Fraction(K - 1, K) for K in range(3, 17)
+    }
+
+
 def test_scheme_a_within_three_of_shared_link():
     assert scheme_a_within_three_of_shared_link(3, 2)
     assert scheme_a_within_three_of_shared_link(10, 40)

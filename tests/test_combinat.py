@@ -13,7 +13,9 @@ from d2dpc.combinat import (
     binom,
     binom_capped,
     curve_max,
+    even_grid,
     lex_subsets,
+    line_through,
     lower_convex_envelope,
     shared_domain,
     upper_envelope_of_lines,
@@ -296,14 +298,14 @@ def test_curve_rejects_provenance_of_another_length():
 
 
 @st.composite
-def convex_curves(draw):
-    """Lower envelopes of 2 to 6 points on a small rational grid in
-    [0, 8], loads sorted downward against M so that the envelope is
-    non-increasing."""
+def convex_curves(draw, min_points=2):
+    """Lower envelopes of ``min_points`` to 6 points on a small rational
+    grid in [0, 8], loads sorted downward against M so that the envelope
+    is non-increasing."""
     pts = draw(st.lists(
         st.tuples(st.builds(Fraction, st.integers(0, 16), st.integers(1, 2)),
                   st.builds(Fraction, st.integers(0, 12), st.integers(1, 3))),
-        min_size=2, max_size=6, unique_by=lambda p: p[0],
+        min_size=min_points, max_size=6, unique_by=lambda p: p[0],
     ))
     ms = sorted(m for m, _ in pts)
     rs = sorted((r for _, r in pts), reverse=True)
@@ -322,3 +324,72 @@ def test_curve_max_matches_pointwise_max(a, b):
         assert top(m) == max(a(m), b(m)), m
     for p, q, r in zip(top.corners, top.corners[1:], top.corners[2:]):
         assert (q[1] - p[1]) * (r[0] - p[0]) != (r[1] - p[1]) * (q[0] - p[0]), (p, q, r)
+
+
+@st.composite
+def curves_with_grids(draw):
+    """A convex curve of one or more corners and an ascending grid in its
+    domain: corner Ms, rationals between them, and repeats of both."""
+    curve = draw(convex_curves(min_points=1))
+    point = st.one_of(
+        st.sampled_from(curve.corner_ms()),
+        st.fractions(curve.min_m, curve.max_m, max_denominator=12),
+    )
+    return curve, sorted(draw(st.lists(point, max_size=12)))
+
+
+def _max_of_segment_lines(curve, m):
+    """A convex curve is the max of its segment lines (a one-corner curve
+    is its single load)."""
+    lines = [line_through(m0, r0, m1, r1) for (m0, r0), (m1, r1) in zip(curve.corners, curve.corners[1:])]
+    return max((line(m) for line in lines), default=curve.corners[0][1])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(curves_with_grids())
+def test_values_walk_matches_max_of_segment_lines(case):
+    curve, grid = case
+    expected = [_max_of_segment_lines(curve, m) for m in grid]
+    assert curve.values(grid) == expected
+    assert [curve(m) for m in grid] == expected
+
+
+_ZIGZAG = lower_convex_envelope([(0, 6), (1, 3), (2, 1), (4, 0)])
+
+
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        ([Fraction(3), Fraction(1)], "must ascend"),
+        ([1, 2, 2, Fraction(3, 2), 4], "must ascend"),
+        # past the last corner in the middle, then back inside: refused,
+        # never extrapolated
+        ([0, 5, 4], "must ascend"),
+        ([Fraction(-1, 2), 1], r"M=-1/2 outside curve domain \[0, 4\]"),
+        ([1, 3, Fraction(9, 2)], r"M=9/2 outside curve domain \[0, 4\]"),
+    ],
+)
+def test_values_refuses_descending_or_outside_grids(grid, message):
+    with pytest.raises(ValueError, match=message):
+        _ZIGZAG.values(grid)
+
+
+def test_call_refuses_points_outside_the_domain():
+    with pytest.raises(ValueError, match=r"M=5 outside curve domain \[0, 4\]"):
+        _ZIGZAG(5)
+    with pytest.raises(ValueError, match=r"M=-1 outside curve domain"):
+        _ZIGZAG(-1)
+    assert _ZIGZAG.values([]) == []
+
+
+_GRID_ENDS = st.one_of(st.integers(-20, 40), st.fractions(-20, 40, max_denominator=60))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_GRID_ENDS, _GRID_ENDS, st.integers(0, 300))
+def test_even_grid_matches_fraction_arithmetic(lo, hi, count):
+    lo_f, hi_f = Fraction(lo), Fraction(hi)
+    expected = [lo_f + (hi_f - lo_f) * Fraction(j, count + 1) for j in range(1, count + 1)]
+    grid = even_grid(lo, hi, count)
+    assert grid == expected
+    assert all(type(m) is Fraction for m in grid)
