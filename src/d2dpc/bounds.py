@@ -7,10 +7,10 @@ formulas go negative where a segment stops being active.
 
 The two-user and K-user converses are one envelope call over [N/K, N]
 of one line family, which at K = 2 is the two-user one; past 2N/K,
-where the family vanishes, the zero clamp gives the flat part.  Two
-independent code paths exist for the two-user converse (that family's
-envelope, and the closed-form corner list); they are checked against
-each other rather than trusting either alone.
+where the family vanishes, the zero clamp gives the flat part.  The
+tests check that envelope against independent oracles in
+``tests/oracles.py``: the closed-form corner list of the two-user
+converse and a pointwise K-user evaluator.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .combinat import (
     upper_envelope_of_lines,
 )
 from .core import Rat
-from .scheme_a import load_a_upper, scheme_a_curve
+from .scheme_a import scheme_a_curve
 from .scheme_b import scheme_b_curve
 
 
@@ -132,43 +132,9 @@ def converse_two_user_curve(N: int) -> TradeoffCurve:
     return _converse_curve(2, N, _TWO_USER_TAGS)
 
 
-def converse_two_user_corners(N: int) -> TradeoffCurve:
-    """Independent corner-formula construction of the same curve."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    corners: list[tuple[Rat, Rat]] = [(Fraction(N, 2), Fraction(N))]
-    tags = ["two-user-eq5(h=0)" if N >= 3 else "two-user-eq6"]
-    for hp in range(1, N - 1):
-        M = Fraction(N, 2) + Fraction(N * hp, 2 * (N + 2 * hp - 2))
-        R = Fraction((hp - 1) * (N + hp) + (N - 1) * N, (hp + 1) * (N + 2 * hp - 2))
-        corners.append((M, R))
-        tags.append(f"two-user-eq5(h={hp})")
-    corners.append((Fraction(3 * N, 4), Fraction(1, 2)))
-    tags.append("two-user-eq7")
-    corners.append((Fraction(N), Fraction(0)))
-    tags.append("two-user-eq7")
-    return TradeoffCurve(corners=tuple(corners), provenance=tuple(tags))
-
-
 # ---------------------------------------------------------------------------
 # K-user converse (colluding users)
 # ---------------------------------------------------------------------------
-
-
-def converse_k_user(K: int, N: int, M) -> Rat:
-    """K-user colluding converse at memory M.
-
-    The bound's parametrisation covers M in [N/K, 2N/K] (where it reaches
-    exactly zero); for larger M up to N it returns the trivial 0.
-    """
-    if not N >= K >= 3:
-        raise ValueError("need N >= K >= 3")
-    y = (K * Fraction(M) - N) / 2
-    if y < 0 or Fraction(M) > N:
-        raise ValueError(f"M={M} outside [{Fraction(N, K)}, {N}]")
-    if y > Fraction(N, 2):
-        return Fraction(0)
-    return _converse_max(_converse_terms(K, N, _K_USER_TAGS), y)
 
 
 def converse_k_user_curve(K: int, N: int) -> TradeoffCurve:
@@ -330,17 +296,3 @@ def named_curve(which: str, K: int, N: int) -> TradeoffCurve:
     if which == "sharedlink-uncoded":
         return shared_link_nonprivate_envelope(K, N, Fraction(1))
     raise ValueError(f"unknown curve {which!r}; choose from {CURVE_NAMES}")
-
-
-def scheme_a_within_three_of_shared_link(K: int, N: int) -> bool:
-    """The envelope of the simple per-point upper bound (U-t+1)/t stays
-    within 3x the shared-link corner loads at every M = N t / K,
-    t in [2..K]; this is the bridge behind the constant-factor claims."""
-    U = (K - 1) * N
-    pts = [(Fraction(N + t1 - 1, K), load_a_upper(K, N, t1)) for t1 in range(1, U + 2)]
-    env = lower_convex_envelope(pts)
-    for t in range(2, K + 1):
-        M = Fraction(N * t, K)
-        if env(M) > 3 * Fraction(K - t, t + 1):
-            return False
-    return True

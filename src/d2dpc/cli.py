@@ -7,6 +7,7 @@ D2DPC_SEED (default seed), D2DPC_ENUM_CAP (exact-mode enumeration cap).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -112,24 +113,36 @@ def _gap_inputs(parser: argparse.ArgumentParser, args):
     return achievable, converse, bounds.gap_grid(achievable, converse, lo, hi, args.grid_density)
 
 
+def _param_name(cls: type[SchemeParams]) -> str:
+    """The scheme's parameter field, its one field besides ``base``; its
+    flag is ``--`` and the name."""
+    (field,) = [f for f in dataclasses.fields(cls) if f.name != "base"]
+    return field.name
+
+
 def _scheme_params(parser: argparse.ArgumentParser, args):
     """The instance the arguments name; bad values end in ``parser.error``."""
     if min(args.K, args.N) < 2:
         parser.error(f"argument --K/--N: need min(K, N) >= 2, got K={args.K}, N={args.N}")
-    if args.scheme == "A":
-        flag, value = "--t", args.t
-    else:
-        flag, value = "--tprime", args.tprime
-        if args.K != 2:
-            parser.error(f"argument --K: scheme B runs with --K 2, got {args.K}")
+    cls = scheme_class(args.scheme)
+    name = _param_name(cls)
+    for other in map(_param_name, SchemeParams.__subclasses__()):
+        if other != name and getattr(args, other) is not None:
+            parser.error(f"argument --{other}: not a parameter of scheme {args.scheme}")
+    if cls.fixed_K not in (None, args.K):
+        parser.error(f"argument --K: scheme {args.scheme} runs with --K {cls.fixed_K}, got {args.K}")
+    flag, value = "--" + name, getattr(args, name)
     if value is None:
         parser.error(f"argument {flag}: required for scheme {args.scheme}")
+    param = None if value == "full" else value
     try:
-        return scheme_class(args.scheme).sized(
-            args.K, args.N, None if value == "full" else value, args.seed, args.b_target
-        )
+        cls.admit(args.K, args.N, param)
     except ValueError as err:
         parser.error(f"argument {flag}: {err}")
+    try:
+        return cls.sized(args.K, args.N, param, args.seed, args.b_target)
+    except ValueError as err:  # the file size or the library it makes
+        parser.error(f"argument {'--N' if args.b_target is None else '--b-target'}: {err}")
 
 
 def _fmt(x) -> str:

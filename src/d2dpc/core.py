@@ -219,6 +219,11 @@ def check_seed(seed: int) -> None:
 # files are drawn with ``random.getrandbits``, whose bit count is a C int
 MAX_FILE_BITS = 2**31 - 1
 
+# the most bits a library may hold, N * B: 2**33 bits is 1 GiB, which every
+# placement then holds again as slot values, so a larger library is refused
+# before ``random_library`` draws it
+MAX_LIBRARY_BITS = 2**33
+
 # the most entries an instance's randomness-free structure may hold (scheme
 # A's subset ranks and position sets, scheme B's plan table), counted from
 # closed forms before anything is built; each entry is a Python object of
@@ -246,6 +251,9 @@ class SystemParams:
             raise ValueError(f"need min(K, N) >= 2, got K={self.K}, N={self.N}")
         if not 1 <= self.B <= MAX_FILE_BITS:
             raise ValueError(f"file size must lie in 1..{MAX_FILE_BITS} bits, got B={self.B}")
+        if self.N * self.B > MAX_LIBRARY_BITS:
+            raise ValueError(f"instance too large: its library holds N*B = {self.N * self.B} bits "
+                             f"> {MAX_LIBRARY_BITS}")
 
 
 def resolve_file_size(subpacketization: int, target_bits: Optional[int] = None) -> int:
@@ -353,6 +361,7 @@ class SchemeParams:
     exceed ``MAX_STRUCTURE_ENTRIES`` before ``shape`` builds anything."""
 
     scheme = ""
+    fixed_K = None  # the one K the scheme runs at, if it has one
     base: SystemParams
 
     def __post_init__(self):
@@ -374,9 +383,6 @@ class SchemeParams:
                 f"instance too large: its structure holds {held} entries "
                 f"> {MAX_STRUCTURE_ENTRIES}"
             )
-
-    def structure_entries(self) -> int:
-        return self.count_structure(self.base.K, self.base.N, self.param)
 
     @classmethod
     def sized(cls, K: int, N: int, param, seed: int = 0, b_target: Optional[int] = None):

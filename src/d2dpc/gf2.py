@@ -19,8 +19,8 @@ reduces the pivot rows of the other unknowns.  The forward reduction
 still takes every row, so a corrupted payload that no wanted value
 depends on still makes the system inconsistent.  Back-substitution walks
 each pivot row's own set bits; testing every lower pivot against every
-pivot row, as the oracle ``_eliminate`` does, is quadratic in the pivot
-count.
+pivot row, as the test oracle ``_eliminate`` in ``tests/oracles.py``
+does, is quadratic in the pivot count.
 """
 
 from __future__ import annotations
@@ -81,62 +81,5 @@ def solve_xor_system(equations: list[tuple[Iterable, int]], wanted: Iterable) ->
                 rhs ^= lower[1]
         pivots[top] = (mask, rhs)
         if mask == 1 << top:
-            solved[names[top]] = rhs
-    return solved
-
-
-def _eliminate(equations: list[tuple[set, int]]) -> dict:
-    """Full GF(2) elimination over every equation at once.
-
-    Each variable is one bit of a row mask.  This is the test oracle
-    ``solve_xor_system`` must agree with: the same forward reduction,
-    but a back-substitution that tests every lower pivot against every
-    pivot row.
-    """
-    var_ids: dict = {}
-    for vars_, _ in equations:
-        for v in vars_:
-            if v not in var_ids:
-                var_ids[v] = len(var_ids)
-    names = list(var_ids)
-
-    rows: list[tuple[int, int]] = []
-    for vars_, rhs in equations:
-        mask = 0
-        for v in vars_:
-            mask |= 1 << var_ids[v]
-        rows.append((mask, rhs))
-
-    # row-reduce with pivot = highest set bit
-    pivots: dict[int, tuple[int, int]] = {}
-    for mask, rhs in rows:
-        while mask:
-            top = mask.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (mask, rhs)
-                break
-            pmask, prhs = pivots[top]
-            mask ^= pmask
-            rhs ^= prhs
-        else:
-            if rhs:
-                raise ValueError(_INCONSISTENT)
-
-    # back-substitute bottom-up: once a lower pivot row is fully reduced,
-    # XORing it into a higher row removes that pivot bit for good (reduced
-    # rows only carry their own pivot plus free variables)
-    tops = sorted(pivots)
-    for idx, top in enumerate(tops):
-        mask, rhs = pivots[top]
-        for lower in tops[:idx]:
-            if (mask >> lower) & 1:
-                lmask, lrhs = pivots[lower]
-                mask ^= lmask
-                rhs ^= lrhs
-        pivots[top] = (mask, rhs)
-
-    solved = {}
-    for top, (mask, rhs) in pivots.items():
-        if mask == (1 << top):
             solved[names[top]] = rhs
     return solved

@@ -361,12 +361,6 @@ def load_a_point(K: int, N: int, t: int) -> tuple[Rat, Rat]:
     return M, R
 
 
-def load_a_upper(K: int, N: int, t: int) -> Rat:
-    """Simple upper bound (U - t + 1)/t on the load at the same memory."""
-    U = (K - 1) * N
-    return Fraction(U - t + 1, t)
-
-
 def scheme_a_curve(K: int, N: int) -> TradeoffCurve:
     ts = range(1, (K - 1) * N + 2)
     return lower_convex_envelope([load_a_point(K, N, t) for t in ts],

@@ -38,6 +38,7 @@ class SchemeBParams(SchemeParams):
     """Scheme B at one (N, t')."""
 
     scheme = "B"
+    fixed_K = 2
     tprime: Optional[int]  # None = full-memory degenerate run
 
     @property

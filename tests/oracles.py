@@ -1,0 +1,132 @@
+"""Test oracles: independent slow or closed-form versions of what
+``d2dpc`` computes, which the tests check the library against.  No caller
+of the library needs them, so they live with the tests.
+
+* ``_eliminate``: full GF(2) elimination, the oracle of
+  ``gf2.solve_xor_system``.
+* ``converse_two_user_corners``: the two-user converse from its
+  closed-form corners, the oracle of ``bounds.converse_two_user_curve``.
+* ``converse_k_user``: the K-user converse evaluated at one point, the
+  oracle of ``bounds.converse_k_user_curve``.
+* ``scheme_a_within_three_of_shared_link`` with ``load_a_upper``: the
+  factor-3 bridge between scheme A and the shared-link loads behind the
+  constant-factor claims.
+"""
+
+from fractions import Fraction
+
+from d2dpc.bounds import _K_USER_TAGS, _converse_max, _converse_terms
+from d2dpc.combinat import TradeoffCurve, lower_convex_envelope
+from d2dpc.core import Rat
+from d2dpc.gf2 import _INCONSISTENT
+
+
+def _eliminate(equations: list[tuple[set, int]]) -> dict:
+    """Full GF(2) elimination over every equation at once.
+
+    Each variable is one bit of a row mask.  This is the test oracle
+    ``solve_xor_system`` must agree with: the same forward reduction,
+    but a back-substitution that tests every lower pivot against every
+    pivot row.
+    """
+    var_ids: dict = {}
+    for vars_, _ in equations:
+        for v in vars_:
+            if v not in var_ids:
+                var_ids[v] = len(var_ids)
+    names = list(var_ids)
+
+    rows: list[tuple[int, int]] = []
+    for vars_, rhs in equations:
+        mask = 0
+        for v in vars_:
+            mask |= 1 << var_ids[v]
+        rows.append((mask, rhs))
+
+    # row-reduce with pivot = highest set bit
+    pivots: dict[int, tuple[int, int]] = {}
+    for mask, rhs in rows:
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (mask, rhs)
+                break
+            pmask, prhs = pivots[top]
+            mask ^= pmask
+            rhs ^= prhs
+        else:
+            if rhs:
+                raise ValueError(_INCONSISTENT)
+
+    # back-substitute bottom-up: once a lower pivot row is fully reduced,
+    # XORing it into a higher row removes that pivot bit for good (reduced
+    # rows only carry their own pivot plus free variables)
+    tops = sorted(pivots)
+    for idx, top in enumerate(tops):
+        mask, rhs = pivots[top]
+        for lower in tops[:idx]:
+            if (mask >> lower) & 1:
+                lmask, lrhs = pivots[lower]
+                mask ^= lmask
+                rhs ^= lrhs
+        pivots[top] = (mask, rhs)
+
+    solved = {}
+    for top, (mask, rhs) in pivots.items():
+        if mask == (1 << top):
+            solved[names[top]] = rhs
+    return solved
+
+
+def converse_two_user_corners(N: int) -> TradeoffCurve:
+    """Independent corner-formula construction of the same curve."""
+    if N < 2:
+        raise ValueError("need N >= 2")
+    corners: list[tuple[Rat, Rat]] = [(Fraction(N, 2), Fraction(N))]
+    tags = ["two-user-eq5(h=0)" if N >= 3 else "two-user-eq6"]
+    for hp in range(1, N - 1):
+        M = Fraction(N, 2) + Fraction(N * hp, 2 * (N + 2 * hp - 2))
+        R = Fraction((hp - 1) * (N + hp) + (N - 1) * N, (hp + 1) * (N + 2 * hp - 2))
+        corners.append((M, R))
+        tags.append(f"two-user-eq5(h={hp})")
+    corners.append((Fraction(3 * N, 4), Fraction(1, 2)))
+    tags.append("two-user-eq7")
+    corners.append((Fraction(N), Fraction(0)))
+    tags.append("two-user-eq7")
+    return TradeoffCurve(corners=tuple(corners), provenance=tuple(tags))
+
+
+def converse_k_user(K: int, N: int, M) -> Rat:
+    """K-user colluding converse at memory M.
+
+    The bound's parametrisation covers M in [N/K, 2N/K] (where it reaches
+    exactly zero); for larger M up to N it returns the trivial 0.
+    """
+    if not N >= K >= 3:
+        raise ValueError("need N >= K >= 3")
+    y = (K * Fraction(M) - N) / 2
+    if y < 0 or Fraction(M) > N:
+        raise ValueError(f"M={M} outside [{Fraction(N, K)}, {N}]")
+    if y > Fraction(N, 2):
+        return Fraction(0)
+    return _converse_max(_converse_terms(K, N, _K_USER_TAGS), y)
+
+
+def load_a_upper(K: int, N: int, t: int) -> Rat:
+    """Simple upper bound (U - t + 1)/t on the load at the same memory."""
+    U = (K - 1) * N
+    return Fraction(U - t + 1, t)
+
+
+def scheme_a_within_three_of_shared_link(K: int, N: int) -> bool:
+    """The envelope of the simple per-point upper bound (U-t+1)/t stays
+    within 3x the shared-link corner loads at every M = N t / K,
+    t in [2..K]; this is the bridge behind the constant-factor claims."""
+    U = (K - 1) * N
+    pts = [(Fraction(N + t1 - 1, K), load_a_upper(K, N, t1)) for t1 in range(1, U + 2)]
+    env = lower_convex_envelope(pts)
+    for t in range(2, K + 1):
+        M = Fraction(N * t, K)
+        if env(M) > 3 * Fraction(K - t, t + 1):
+            return False
+    return True

@@ -5,18 +5,16 @@ import pytest
 
 from d2dpc import bounds
 from d2dpc.bounds import (
-    _eq5_rhs,
+    _TWO_USER_TAGS,
+    _converse_lines,
     _eq6_rhs,
     _eq7_rhs,
-    converse_k_user,
     converse_k_user_curve,
     converse_two_user,
-    converse_two_user_corners,
     converse_two_user_curve,
     default_gap_grid,
     gap,
     gap_grid,
-    scheme_a_within_three_of_shared_link,
     load_c_points,
     man_points,
     scheme_c_curve,
@@ -25,6 +23,7 @@ from d2dpc.bounds import (
 from d2dpc.combinat import curve_max, even_grid, shared_domain
 from d2dpc.scheme_a import scheme_a_curve
 from d2dpc.scheme_b import scheme_b_curve
+from oracles import converse_k_user, converse_two_user_corners, scheme_a_within_three_of_shared_link
 
 
 def test_two_user_at_half_library():
@@ -116,11 +115,19 @@ def test_k_user_reduces_to_two_user_at_k2():
                 continue
             assert _eq6_rhs(N, y, 2) == 2 * (1 - 3 * y / N)
             assert _eq7_rhs(N, y, 2) == 2 * (Fraction(1, 2) - y / N)
-            if N >= 3:
-                for h in range(N - 2):
-                    two = _eq5_rhs(N, y, h, 2)
-                    gen = _eq5_rhs(N, y, h, 2)
-                    assert two == gen
+    # the K = 2 family's lines pass through the closed-form two-user
+    # corners: eq. (5)(h) through corners h and h + 1, eq. (6) through
+    # N - 2 and N - 1, eq. (7) through N - 1 and N
+    for N in range(2, 41):
+        corners = converse_two_user_corners(N).corners
+        lines = {line.tag: line for line in _converse_lines(2, N, _TWO_USER_TAGS)}
+        through = {f"two-user-eq5(h={h})": (h, h + 1) for h in range(N - 2)}
+        through.update({"two-user-eq6": (N - 2, N - 1), "two-user-eq7": (N - 1, N)})
+        assert set(lines) == set(through) | {"clamp-zero"}
+        for tag, ends in through.items():
+            for j in ends:
+                m, r = corners[j]
+                assert lines[tag](m) == r, (N, tag, j)
 
 
 def test_k_user_curve_matches_pointwise():

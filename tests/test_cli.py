@@ -245,6 +245,16 @@ def test_absurd_instance_is_rejected_at_once(argv, flag):
     assert f"argument {flag}: instance too large" in proc.stderr.strip().splitlines()[-1]
 
 
+def test_simulate_too_large_library_exits_2_under_memory_limit():
+    # N * B = 1000 * (2**31 - 2) bits, about 250 GiB, is refused from its
+    # size before the library is drawn, instead of ending in a MemoryError
+    proc = _run_limited(["simulate", "--scheme", "A", "--K", "2", "--N", "1000", "--t", "1",
+                         "--demands", "1,2", "--b-target", str(2**31 - 2)], timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "argument --b-target: instance too large" in proc.stderr.strip().splitlines()[-1]
+
+
 _SIMULATE_A = ["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1", "--demands", "1,2"]
 _VERIFY_A = ["verify", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1", "--coalition", "1"]
 _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse", "conv2u"]
@@ -275,6 +285,11 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
                       "--coalition", "1"]),
         ("--K", ["simulate", "--scheme", "B", "--K", "3", "--N", "2",
                  "--tprime", "1", "--demands", "1,2,1"]),
+        # the other scheme's parameter is refused, not dropped
+        ("--tprime", ["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1",
+                      "--tprime", "7", "--demands", "1,2"]),
+        ("--t", ["verify", "--scheme", "B", "--K", "2", "--N", "3", "--tprime", "1",
+                 "--t", "99", "--coalition", "1"]),
         ("--min-m", _GAP_8 + ["--min-m", "abc"]),
         ("--max-m", _GAP_8 + ["--max-m", "abc"]),
         ("--bound", _GAP_8 + ["--bound", "x"]),
@@ -319,6 +334,9 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         ("--b-target", _SIMULATE_A + ["--b-target", str(2**31)]),
         ("--b-target", _SIMULATE_A + ["--b-target", "-5"]),
         ("--b-target", _VERIFY_A + ["--b-target", "0"]),
+        # a library over core.MAX_LIBRARY_BITS without --b-target: N is too large
+        ("--N", ["simulate", "--scheme", "A", "--K", "2", "--N", "5000000000",
+                 "--t", "5000000001", "--demands", "1,2"]),
     ],
 )
 def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):

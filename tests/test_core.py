@@ -124,6 +124,8 @@ def test_params_validation():
         SystemParams(K=2, N=2, B=0)
     with pytest.raises(ValueError, match="file size"):
         SystemParams(K=2, N=2, B=2**31)  # beyond what random.getrandbits draws
+    with pytest.raises(ValueError, match="instance too large: its library holds"):
+        SystemParams(K=2, N=5, B=2**31 - 1)  # N * B over MAX_LIBRARY_BITS
 
 
 @pytest.mark.parametrize(
@@ -168,10 +170,14 @@ def test_absurd_transcript_header_is_rejected_at_once(header):
     assert proc.stdout.startswith("instance too large: its structure holds at least ")
 
 
+def _structure_entries(p) -> int:
+    return p.count_structure(p.base.K, p.base.N, p.param)
+
+
 def test_largest_instance_in_use_is_admitted():
-    assert scheme_a.params_for(4, 5, 8).structure_entries() == 4 * 6_435 + 6_435
-    assert scheme_b.params_for(120, 1).structure_entries() < MAX_STRUCTURE_ENTRIES
-    assert scheme_b.params_for(5, None).structure_entries() == 0
+    assert _structure_entries(scheme_a.params_for(4, 5, 8)) == 4 * 6_435 + 6_435
+    assert _structure_entries(scheme_b.params_for(120, 1)) < MAX_STRUCTURE_ENTRIES
+    assert _structure_entries(scheme_b.params_for(5, None)) == 0
 
 
 @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 10**20])

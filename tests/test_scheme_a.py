@@ -23,13 +23,13 @@ from d2dpc.scheme_a import (
     decode_from_messages,
     index_messages,
     load_a_point,
-    load_a_upper,
     params_for,
     place_a,
     plan_delivery_a,
     plan_messages_a,
     scheme_a_curve,
 )
+from oracles import load_a_upper
 
 
 def test_subpacketization_divisibility_error():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from d2dpc import scheme_a, scheme_b, sim
+from d2dpc import scheme_a, scheme_b
 from d2dpc.core import RecordingSource, SeededSource, transcript_to_text
 from d2dpc.sim import measure_load, run_protocol, theoretical_load, user_broadcast
 
