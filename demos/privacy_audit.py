@@ -27,18 +27,14 @@ for label, scheme, params, coalitions in [
     ("B(N=3,t'=0)", "B", scheme_b.params_for(3, 0), [[1], [2]]),
     ("A(K=3,N=2,t=2)", "A", scheme_a.params_for(3, 2, 2), THREE_USERS),
 ]:
-    for coalition, report in verify.check_privacy_exact_all(
-        scheme, params, coalitions, paranoid=True
-    ).items():
+    for coalition, report in verify.check_privacy_exact_all(scheme, params, coalitions).items():
         print(f"  {report.text()}")
 
 print()
 print("=== the derandomized baseline leaks ===")
 for params in (scheme_a.params_for(2, 2, 1), scheme_a.params_for(2, 2, 2),
                scheme_a.params_for(3, 2, 2)):
-    (report,) = verify.check_privacy_exact_all(
-        "A", params, [[1]], derandomized=True, paranoid=True
-    ).values()
+    (report,) = verify.check_privacy_exact_all("A", params, [[1]], derandomized=True).values()
     print(f"  {report.text()}")
     if report.witness:
         fixing, da, db = report.witness

@@ -175,7 +175,10 @@ def _virtual_demands(K: int, N: int, k: int, demands: tuple[int, ...]):
         for u in range(start, end + 1):
             d_eff[u] = i
 
-    demanders = tuple(tuple(sorted(u for u, f in d_eff.items() if f == i)) for i in range(N + 1))
+    by_file: list[list[int]] = [[] for _ in range(N + 1)]
+    for u, f in d_eff.items():  # ascending: real users, then virtual ones
+        by_file[f].append(u)
+    demanders = tuple(map(tuple, by_file))
     if any(len(us) != K - 1 for us in demanders[1:]):
         raise AssertionError(f"virtual demand assignment broken: {[len(us) for us in demanders[1:]]}")
     if len(d_eff) != (K - 1) * N:

@@ -6,15 +6,15 @@ distributions of what the coalition sees.  Views are canonicalised
 before counting: slot indices are relabelled by first occurrence within
 their (file, block, who-caches-it) class, which quotients out exactly
 the within-block permutations that are provably exchangeable, and
-nothing else.  Payload bits are dropped: given the composition
-structure, the payloads are images of i.i.d. uniform unknown subfiles
-under a structure-determined linear map, so they carry no extra
-information about the demands.  Paranoid mode adds a fingerprint of
-that linear map (which message payloads are explained by cached bits,
-and which XOR combinations cancel) to each view block.  The fingerprint
-is computed from the already relabelled rows, so it is a function of
-the block it is added to: it can change neither a verdict nor a
-witness, and it is no check of the canonicalisation.
+nothing else.  Cached values and payloads are dropped, on the payload
+premise: given the composition structure, the bits a coalition holds
+are the image of the library's i.i.d. uniform subfiles under a linear
+map that the structure fixes, so they say nothing more about the
+demands.  No check here tests that; ``tests/test_verify.py`` does, with
+an oracle over a coalition's full information (every placement,
+delivery and library of 1-bit subfiles; cached values and payloads;
+physical slot ids) whose verdicts equal exact mode's on the smallest
+instances, and which FAILs a payload-only leak that exact mode PASSes.
 
 Every check rests on one premise about the placement draws, which
 ``_setup`` checks before anything runs: the placement draws exactly one
@@ -110,11 +110,9 @@ class ObserverView:
     own_demands: tuple[int, ...]
     canonical_caches: tuple
     canonical_broadcasts: tuple
-    fingerprint: tuple = ()
 
     def key(self):
-        return (self.observer, self.own_demands, self.canonical_caches,
-                self.canonical_broadcasts, self.fingerprint)
+        return (self.observer, self.own_demands, self.canonical_caches, self.canonical_broadcasts)
 
 
 def _coalition(coalition, K: int) -> tuple[int, ...]:
@@ -213,13 +211,12 @@ class _Projection:
         return (self.coalition, own_demands, tuple(sorted(counts.items())))
 
 
-def _count_then_project(runs, demand_vectors, coalitions, K: int, paranoid: bool = False):
+def _count_then_project(runs, demand_vectors, coalitions, K: int):
     """The one counter of both samplers, block by block.  ``runs`` yields
     (demand vector, block index, everyone-view block, multiplicity),
     each block first in the order the sampler met it.  A coalition's
     counts are their pushforward under its ``_Projection``, run once per
-    distinct block; ``paranoid`` pairs each message block with its
-    fingerprint.  Returns dists[coalition][demand vector], a list of
+    distinct block.  Returns dists[coalition][demand vector], a list of
     per-block Counters."""
     counts = {d: [Counter() for _ in range(K + 1)] for d in demand_vectors}
     for d, i, block, n in runs:
@@ -235,38 +232,13 @@ def _count_then_project(runs, demand_vectors, coalitions, K: int, paranoid: bool
                 for block, n in counter.items():
                     image = memo.get(block)
                     if image is None:
-                        image = proj(block, i)
-                        if paranoid and i:
-                            image = (image, _fingerprint(image))
-                        memo[block] = image
+                        image = memo[block] = proj(block, i)
                     out[image] += n
             dists[c][d] = pushed
     return dists
 
 
-def _fingerprint(rows: tuple) -> tuple:
-    """Each message's GF(2) row over the slots the coalition does not
-    cache, reduced against the rows before it: zero rows are explained
-    by the earlier messages and the caches."""
-    cols: dict = {}
-    pivots: dict[int, int] = {}
-    reduced = []
-    for _, _, refs in rows:
-        mask = 0
-        for ref in refs:
-            if not ref[0][2]:  # uncached by the coalition
-                mask ^= 1 << cols.setdefault(ref, len(cols))
-        while mask:
-            top = mask.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = mask
-                break
-            mask ^= pivots[top]
-        reduced.append(mask)
-    return tuple(reduced)
-
-
-def canonical_view(transcript: Transcript, coalition, paranoid: bool = False) -> ObserverView:
+def canonical_view(transcript: Transcript, coalition) -> ObserverView:
     """What a coalition observes, canonicalised for distribution counting.
 
     Inputs are exactly the coalition's knowledge: its caches (metadata),
@@ -277,7 +249,7 @@ def canonical_view(transcript: Transcript, coalition, paranoid: bool = False) ->
     """
     head, *blocks = canonical_view_blocks(transcript, coalition)
     rows = tuple(itertools.chain.from_iterable(blocks))
-    return ObserverView(*head, rows, _fingerprint(rows) if paranoid else ())
+    return ObserverView(*head, rows)
 
 
 def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
@@ -360,7 +332,7 @@ def _block_pass(scheme_params, placement, everyone, d, firsts, own, weighted, n_
 
 
 def enumerate_view_distributions(scheme_params, coalitions, cap: int = EXACT_ENUMERATION_CAP,
-                                 derandomized: bool = False, paranoid: bool = False):
+                                 derandomized: bool = False):
     """Exact per-block view distributions per (coalition, demand vector).
 
     The sum of the transmitters' spaces over every demand vector is
@@ -379,7 +351,7 @@ def enumerate_view_distributions(scheme_params, coalitions, cap: int = EXACT_ENU
         _block_pass(scheme_params, placement, everyone, d, firsts[d], own,
                     [((p, 1) for p in o.points()) for o in own], 1)
         for d, own in spaces.items())
-    return _count_then_project(runs, spaces, coalitions, scheme_params.base.K, paranoid)
+    return _count_then_project(runs, spaces, coalitions, scheme_params.base.K)
 
 
 def _grouped_by_fixing(distributions: dict, coalition):
@@ -453,11 +425,13 @@ def check_privacy_exact_all(
     paranoid: bool = False,
 ) -> dict[tuple[int, ...], PrivacyReport]:
     """Exact demand privacy for each coalition, off one shared
-    enumeration (see module docstring).  ``paranoid`` adds the payload
-    fingerprint to each view block; it is a function of the block, so
-    the reports are the same with it and without it."""
+    enumeration (see module docstring).  ``paranoid`` is accepted and
+    ignored: the payload fingerprint it once added was a function of
+    the view block, so it changed no report.  The keyword stays until
+    the benchmark, which passes ``paranoid=True``, may change (ROADMAP
+    item 1)."""
     sim.check_scheme(scheme, scheme_params)
-    dists = enumerate_view_distributions(scheme_params, coalitions, cap, derandomized, paranoid)
+    dists = enumerate_view_distributions(scheme_params, coalitions, cap, derandomized)
     return {c: _exact_report(scheme_params, c, by_d) for c, by_d in dists.items()}
 
 

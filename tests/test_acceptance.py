@@ -144,17 +144,17 @@ def test_accept_08_bit_exact_decodability():
 def test_accept_09_exact_privacy():
     for t in (1, 2):
         p = scheme_a.params_for(2, 2, t)
-        reports = verify.check_privacy_exact_all("A", p, [[1], [2]], paranoid=True)
+        reports = verify.check_privacy_exact_all("A", p, [[1], [2]])
         assert all(r.private for r in reports.values()), ("A", t)
     for N in (2, 3):
         for tp in (0, 1):
             p = scheme_b.params_for(N, tp)
-            reports = verify.check_privacy_exact_all("B", p, [[1], [2]], paranoid=True)
+            reports = verify.check_privacy_exact_all("B", p, [[1], [2]])
             assert all(r.private for r in reports.values()), ("B", N, tp)
     # the derandomized baseline leaks (it does so at both t=1 and t=2)
     baseline_fails = [
         not verify.check_privacy_exact_all(
-            "A", scheme_a.params_for(2, 2, t), [[1]], derandomized=True, paranoid=True
+            "A", scheme_a.params_for(2, 2, t), [[1]], derandomized=True
         )[(1,)].private
         for t in (1, 2)
     ]

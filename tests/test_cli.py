@@ -245,6 +245,16 @@ def test_absurd_instance_is_rejected_at_once(argv, flag):
     assert f"argument {flag}: instance too large" in proc.stderr.strip().splitlines()[-1]
 
 
+def test_simulate_many_files_at_full_memory_is_linear_in_n():
+    # A(2,20000,20001) is admitted (two structure entries, a 40,000-bit
+    # library); grouping 20,000 virtual demanders by file used to scan
+    # the whole demand map once per file, about 21 s
+    proc = _run_limited(["simulate", "--scheme", "A", "--K", "2", "--N", "20000", "--t", "20001",
+                         "--demands", "1,2"], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: PASS" in proc.stdout
+
+
 def test_simulate_too_large_library_exits_2_under_memory_limit():
     # N * B = 1000 * (2**31 - 2) bits, about 250 GiB, is refused from its
     # size before the library is drawn, instead of ending in a MemoryError

@@ -105,6 +105,18 @@ def test_assign_virtual_demands_partitions_universe():
                 assert per_file == [K - 1] * N
 
 
+def test_demander_tuples_match_a_scan_per_file():
+    # one pass over the map groups its users by file; that equals the old
+    # definition, one sorted scan of the whole map per file
+    for K, N in itertools.product(range(2, 6), repeat=2):
+        for d in itertools.product(range(1, N + 1), repeat=K):
+            for k in range(1, K + 1):
+                d_eff, demanders = _virtual_demands(K, N, k, d)
+                assert demanders == tuple(
+                    tuple(sorted(u for u, f in d_eff.items() if f == i)) for i in range(N + 1)
+                ), (K, N, k, d)
+
+
 def test_virtual_demand_maps_are_read_only():
     d_eff = _virtual_demands(2, 2, 1, (1, 2))[0]
     with pytest.raises(TypeError):

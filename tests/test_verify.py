@@ -88,10 +88,7 @@ def test_view_invariant_under_hidden_relabeling():
     block2 = [s for s in tr.scheme_params.layout.block_slots(2) if s not in cached1]
     assert len(block2) >= 2
     relabeled = _swap_slots(tr, 1, block2[0], block2[1])
-    for paranoid in (False, True):
-        assert canonical_view(tr, [1], paranoid).key() == canonical_view(
-            relabeled, [1], paranoid
-        ).key()
+    assert canonical_view(tr, [1]).key() == canonical_view(relabeled, [1]).key()
     assert verify.canonical_view_blocks(tr, (1,)) == verify.canonical_view_blocks(
         relabeled, (1,)
     )
@@ -156,9 +153,9 @@ def test_coalition_validation():
 
 
 def test_exact_privacy_small_instances():
-    rep = _exact("A", scheme_a.params_for(2, 2, 1), [2], paranoid=True)
+    rep = _exact("A", scheme_a.params_for(2, 2, 1), [2])
     assert rep.private and rep.mode == "exact"
-    rep = _exact("B", scheme_b.params_for(2, 0), [1], paranoid=True)
+    rep = _exact("B", scheme_b.params_for(2, 0), [1])
     assert rep.private
 
 
@@ -202,7 +199,7 @@ def _all_coalitions(K):
     return [c for r in users for c in itertools.combinations(users, r)]
 
 
-def _direct_view(tr, coalition, paranoid, messages):
+def _direct_view(tr, coalition, messages):
     """A coalition's view relabelled straight from the transcript, slot
     by slot, with no everyone-view in between: the relabelling
     ``canonical_view`` did before it became a projection."""
@@ -224,7 +221,7 @@ def _direct_view(tr, coalition, paranoid, messages):
         rows.append((m.sender, m.position_set, tuple(refs)))
     rows = tuple(rows)
     head = (coalition, tuple(tr.demands[u - 1] for u in coalition), tuple(sorted(cache_counts.items())))
-    return head, rows, verify._fingerprint(rows) if paranoid else ()
+    return head, rows
 
 
 @pytest.mark.parametrize(
@@ -249,13 +246,12 @@ def test_projected_views_match_direct_relabelling(params):
         for k, per_user in enumerate(tr.broadcasts, 1):
             assert all(tr.scheme_params.layout.block_of(sid.slot) == k for m in per_user for sid in m.composition)
         for c in _all_coalitions(K):
-            for paranoid in (False, True):
-                head, rows, fp = _direct_view(tr, c, paranoid, tr.all_messages())
-                assert canonical_view(tr, c, paranoid).key() == head + (rows, fp)
+            head, rows = _direct_view(tr, c, tr.all_messages())
+            assert canonical_view(tr, c).key() == head + (rows,)
             blocks = verify.canonical_view_blocks(tr, c)
             assert blocks[0] == head
             for blk, per_user in zip(blocks[1:], tr.broadcasts):
-                assert blk == _direct_view(tr, c, False, per_user)[1]
+                assert blk == _direct_view(tr, c, per_user)[1]
 
 
 @pytest.mark.parametrize(
@@ -276,7 +272,7 @@ def test_everyone_view_built_once_per_placement(scheme, params, monkeypatch):
             super().__init__(caches, layout)
 
     monkeypatch.setattr(verify, "_Everyone", Counting)
-    reports = check_privacy_exact_all(scheme, params, [(1,), (2,)], paranoid=True)
+    reports = check_privacy_exact_all(scheme, params, [(1,), (2,)])
     assert all(r.private for r in reports.values())
     assert Counting.built == 1
 
@@ -394,18 +390,36 @@ def test_recorded_draws_do_not_depend_on_drawn_values(params, derandomized):
     assert all(draws == recordings[0] for draws in recordings[1:])
 
 
-def _joint_runs(p, derandomized):
+def _libraries(p) -> list:
+    """Every library of ``p``, which must have 1-bit subfiles: each of
+    the N files any of the 2**B buffers, B the subpacketization."""
+    assert p.base.B == p.subpacketization
+    return [dict(enumerate(files, 1)) for files in itertools.product(range(1 << p.base.B), repeat=p.base.N)]
+
+
+def _with_library(placement, library):
+    """``placement`` holding ``library``: every cached value split from it."""
+    pieces = {i: core.split_file(placement.params.layout, buf) for i, buf in library.items()}
+    caches = [dataclasses.replace(c, content={sid: pieces[sid.file][sid.slot - 1] for sid in c.content})
+              for c in placement.caches]
+    return dataclasses.replace(placement, caches=caches, library=library)
+
+
+def _joint_runs(p, derandomized, libraries=False):
     """Every run of the joint placement x delivery space, enumerated from
-    the hand-listed atoms, as (demand vector, transcript)."""
+    the hand-listed atoms, as (demand vector, transcript); with
+    ``libraries``, every run once per library of ``_libraries``."""
     p_atoms = _placement_atoms(p)
     for p_combo in itertools.product(*(opts for _, opts in p_atoms)):
         p_assign = dict(zip((lab for lab, _ in p_atoms), p_combo))
+        placement = p.place(FixedSource(p_assign))
+        placements = [_with_library(placement, lib) for lib in _libraries(p)] if libraries else [placement]
         for d in _demand_vectors(p):
             d_atoms = _delivery_atoms(p, d, derandomized)
             for d_combo in itertools.product(*(opts for _, opts in d_atoms)):
                 source = FixedSource({**p_assign, **dict(zip((lab for lab, _ in d_atoms), d_combo))})
-                yield d, sim.run_protocol(p.scheme, p, d, source=source,
-                                          placement=p.place(source))
+                for placement in placements:
+                    yield d, sim.run_protocol(p.scheme, p, d, source=source, placement=placement)
 
 
 def _joint_counts(p, coalitions, derandomized, view):
@@ -418,12 +432,20 @@ def _joint_counts(p, coalitions, derandomized, view):
     return dists
 
 
-def _joint_exact(p, coalitions, derandomized, paranoid):
+def _private(coalition, counts) -> bool:
+    """Whether every demand vector agreeing on the coalition's demands
+    has the same view Counter in ``counts`` (demand vector -> Counter)."""
+    groups: dict = {}
+    for d, counter in counts.items():
+        groups.setdefault(tuple(d[u - 1] for u in coalition), []).append(counter)
+    return all(counter == group[0] for group in groups.values() for counter in group)
+
+
+def _joint_exact(p, coalitions, derandomized):
     """The oracle of ``enumerate_view_distributions``: every run of the
     joint randomness space, every coalition's joint view counted on its
     own."""
-    return _joint_counts(p, coalitions, derandomized,
-                         lambda tr, c: canonical_view(tr, c, paranoid).key())
+    return _joint_counts(p, coalitions, derandomized, lambda tr, c: canonical_view(tr, c).key())
 
 
 class _StreamSource:
@@ -464,7 +486,6 @@ def _joint_mc(p, coalitions, trials, base_seed, derandomized):
     return dists
 
 
-@pytest.mark.parametrize("paranoid", [False, True])
 @pytest.mark.parametrize("derandomized", [False, True])
 @pytest.mark.parametrize(
     "params",
@@ -474,22 +495,20 @@ def _joint_mc(p, coalitions, trials, base_seed, derandomized):
         pytest.param(scheme_b.params_for(4, 3, seed=5), id="B(4,3)"),
     ],
 )
-def test_projected_exact_distributions_match_joint_oracle(params, derandomized, paranoid):
+def test_projected_exact_distributions_match_joint_oracle(params, derandomized):
     # per demand vector, the joint view distribution over the whole
     # placement x delivery space is the product of the per-block
     # distributions exact mode counts on one placement
     coalitions = _all_coalitions(params.base.K)
-    got = verify.enumerate_view_distributions(
-        params, coalitions, derandomized=derandomized, paranoid=paranoid
-    )
-    joint = _joint_exact(params, coalitions, derandomized, paranoid)
+    got = verify.enumerate_view_distributions(params, coalitions, derandomized=derandomized)
+    joint = _joint_exact(params, coalitions, derandomized)
     for c in coalitions:
         for d, counter in joint[c].items():
             total = sum(counter.values())
-            assert _product(got[c][d], paranoid) == {v: Fraction(n, total) for v, n in counter.items()}
+            assert _product(got[c][d]) == {v: Fraction(n, total) for v, n in counter.items()}
 
 
-def _product(counters, paranoid) -> dict:
+def _product(counters) -> dict:
     """The joint view distribution whose per-block factors are
     ``counters``, keyed like ``canonical_view(...).key()``, as exact
     Fractions."""
@@ -497,8 +516,7 @@ def _product(counters, paranoid) -> dict:
     dist: dict = {}
     for combo in itertools.product(*(counter.items() for counter in counters)):
         (head, _), *blocks = combo
-        rows = tuple(itertools.chain.from_iterable(b[0] if paranoid else b for b, _ in blocks))
-        key = head + (rows, verify._fingerprint(rows) if paranoid else ())
+        key = head + (tuple(itertools.chain.from_iterable(b for b, _ in blocks)),)
         p = math.prod(Fraction(n, total) for (_, n), total in zip(combo, totals))
         dist[key] = dist.get(key, 0) + p
     return dist
@@ -607,11 +625,86 @@ def test_raw_view_verdicts_match_exact_mode(params, derandomized):
     raw = _joint_counts(params, coalitions, derandomized, _raw_view)
     exact = check_privacy_exact_all(params.scheme, params, coalitions, derandomized=derandomized)
     for c in coalitions:
-        groups: dict = {}
-        for d, counter in raw[c].items():
-            groups.setdefault(tuple(d[u - 1] for u in c), []).append(counter)
-        private = all(counter == group[0] for group in groups.values() for counter in group)
-        assert exact[c].private is private, c
+        assert exact[c].private is _private(c, raw[c]), c
+
+
+def _full_information_verdicts(p, coalitions, derandomized) -> dict:
+    """The oracle of the payload premise: coalition -> private, where a
+    coalition's view is everything it holds, with physical slot ids: its
+    demands, each member's cache as sorted (subfile, value) items and
+    every broadcast as (sender, position set, composition, payload) in
+    emission order, counted over every placement, delivery and library
+    point of ``p``."""
+    full = {c: {d: Counter() for d in _demand_vectors(p)} for c in coalitions}
+    for d, tr in _joint_runs(p, derandomized, libraries=True):
+        caches = [tuple(sorted(cache.content.items())) for cache in tr.caches]
+        broadcasts = tuple((m.sender, m.position_set, m.composition, m.payload) for m in tr.all_messages())
+        for c in coalitions:
+            full[c][d][tuple(d[u - 1] for u in c), tuple(caches[u - 1] for u in c), broadcasts] += 1
+    return {c: _private(c, full[c]) for c in coalitions}
+
+
+@pytest.mark.parametrize("derandomized", [False, True])
+@pytest.mark.parametrize(
+    "params,baseline_leaks",
+    [
+        pytest.param(scheme_a.params_for(2, 2, 1), [(1,), (2,)], id="A(2,2,1)"),
+        pytest.param(scheme_a.params_for(2, 2, 2), [(1,), (2,)], id="A(2,2,2)"),
+        # the full-memory point: nothing is sent
+        pytest.param(scheme_a.params_for(2, 2, 3), [], id="A(2,2,3)"),
+        # scheme B draws nothing at delivery, so its baseline is B itself
+        pytest.param(scheme_b.params_for(2, 1), [], id="B(2,1)"),
+        pytest.param(scheme_b.params_for(3, 0), [], id="B(3,0)"),
+    ],
+)
+def test_full_information_verdicts_match_exact_mode(params, baseline_leaks, derandomized):
+    # the payload premise: adding every cached value and payload, over
+    # every library, to the raw view changes no verdict of exact mode
+    coalitions = [(1,), (2,), (1, 2)]
+    full = _full_information_verdicts(params, coalitions, derandomized)
+    exact = check_privacy_exact_all(params.scheme, params, coalitions, derandomized=derandomized)
+    assert full == {c: r.private for c, r in exact.items()}
+    assert [c for c in coalitions if not full[c]] == (baseline_leaks if derandomized else [])
+
+
+def _leak_through_a_payload(monkeypatch):
+    """Mutant: transmitter 1's first payload XORs in [d_2 == 2]; every
+    composition stays as it was."""
+    run = sim.run_protocol
+
+    def leaky(*args, **kwargs):
+        tr = run(*args, **kwargs)
+        tr.broadcasts[0][0].payload ^= int(tr.demands[1] == 2)
+        return tr
+
+    monkeypatch.setattr(sim, "run_protocol", leaky)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(scheme_a.params_for(2, 2, 1), id="A(2,2,1)"),
+        pytest.param(scheme_a.params_for(2, 2, 2), id="A(2,2,2)"),
+    ],
+)
+def test_payload_only_leak_fails_full_information_and_passes_exact_mode(params, monkeypatch):
+    # user 1 knows what its first message should XOR to, so the flip
+    # tells it user 2's demand; exact mode drops payloads by design (the
+    # payload premise) and PASSes, with the ignored paranoid keyword too
+    _leak_through_a_payload(monkeypatch)
+    assert _full_information_verdicts(params, [(1,)], False) == {(1,): False}
+    for paranoid in (False, True):
+        assert _exact(params.scheme, params, (1,), paranoid=paranoid).private
+
+
+def test_paranoid_keyword_is_accepted_and_ignored():
+    # the keyword stays for callers that still pass it; it changes no report
+    for params in (scheme_a.params_for(2, 2, 2), scheme_b.params_for(2, 1)):
+        coalitions = _all_coalitions(params.base.K)
+        for derandomized in (False, True):
+            reports = check_privacy_exact_all(params.scheme, params, coalitions, derandomized=derandomized)
+            assert check_privacy_exact_all(params.scheme, params, coalitions, derandomized=derandomized,
+                                           paranoid=True) == reports
 
 
 def _patch_placement(monkeypatch, rewrite):
@@ -968,7 +1061,7 @@ def test_exact_privacy_three_users_all_coalitions(t):
     p = scheme_a.params_for(3, 2, t)
     coalitions = [c for c in _all_coalitions(3) if len(c) < 3]
     assert len(coalitions) == 6
-    reports = check_privacy_exact_all("A", p, coalitions, paranoid=True)
+    reports = check_privacy_exact_all("A", p, coalitions)
     assert all(r.private for r in reports.values())
     baseline = check_privacy_exact_all("A", p, coalitions, derandomized=True)
     assert not any(r.private for r in baseline.values())
@@ -1013,9 +1106,10 @@ def test_total_variation():
     assert debiased_total_variation(a, a) == (0, 0)
 
 
-# sha256 over the canonical views below, computed before the two view
-# functions shared one relabelling; any change to what a view holds moves it
-PINNED_VIEW_DIGEST = "996fb2d07cde8e2ff364e798dccdbbe61cfb83ad0746becea234df6a7373e089"
+# sha256 over the canonical views below, taken on the code before the
+# payload fingerprint was deleted, each key cut to its four view fields;
+# any change to what a view holds moves it
+PINNED_VIEW_DIGEST = "5e4f8727db7ea1c1761f01669dccf4d909ef2bafa893cf93b763be4ae7073f5c"
 
 
 def test_canonical_views_pinned():
@@ -1036,8 +1130,7 @@ def test_canonical_views_pinned():
                     tr = sim.run_protocol(p.scheme, p, d, source=_delivery_source(source, derandomized),
                                           placement=p.place(source))
                     for c in coalitions:
-                        for paranoid in (False, True):
-                            h.update(repr(canonical_view(tr, c, paranoid).key()).encode())
+                        h.update(repr(canonical_view(tr, c).key()).encode())
                         h.update(repr(verify.canonical_view_blocks(tr, c)).encode())
     assert h.hexdigest() == PINNED_VIEW_DIGEST
 
