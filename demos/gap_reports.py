@@ -44,7 +44,7 @@ print()
 print("=== where coded placement escapes the uncoded converse ===")
 for N in (4, 8, 16):
     M = Fraction(N + 1, 2)
-    conv = bounds.converse_two_user(N, M)
+    conv = bounds.converse_two_user_curve(N)(M)
     coded = bounds.scheme_c_curve(2, N)(M)
     print(f"  N={N:>2}, M={M}: uncoded converse {conv} vs coded load {coded} "
           f"-> gain {conv / coded} (grows with N)")

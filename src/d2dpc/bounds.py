@@ -7,10 +7,12 @@ formulas go negative where a segment stops being active.
 
 The two-user and K-user converses are one envelope call over [N/K, N]
 of one line family, which at K = 2 is the two-user one; past 2N/K,
-where the family vanishes, the zero clamp gives the flat part.  The
-tests check that envelope against independent oracles in
-``tests/oracles.py``: the closed-form corner list of the two-user
-converse and a pointwise K-user evaluator.
+where the family vanishes, the zero clamp gives the flat part.  Each
+line is built once, from its closed-form slope and intercept.  The
+tests check the lines against the paper-form equations in y, and the
+envelopes against the closed-form two-user corners and pointwise
+evaluators, all in ``tests/oracles.py``, which shares no code with this
+module.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .combinat import (
     TradeoffCurve,
     binom,
     even_grid,
-    line_through,
     lower_convex_envelope,
     shared_domain,
     upper_envelope_of_lines,
@@ -40,64 +41,41 @@ from .scheme_b import scheme_b_curve
 # ---------------------------------------------------------------------------
 
 
-def _eq5_rhs(N: int, y: Rat, h: int, K: int) -> Rat:
-    """First converse family, general-K form; active for 2N/K >= 3."""
-    Kh = Fraction(K, 2)
-    return (
-        N
-        - 2 * y
-        - Fraction(4 * y + (N - Kh) * h, h + 2)
-        + (h * h * (N - Kh) - N * (Fraction(2 * N, K) - 3) + h * (N + Kh))
-        * 2
-        * y
-        / ((h + 1) * (h + 2) * N)
-    )
-
-
-def _eq6_rhs(N: int, y: Rat, K: int) -> Rat:
-    return K * (1 - Fraction(3, 1) * y / N)
-
-
-def _eq7_rhs(N: int, y: Rat, K: int) -> Rat:
-    return K * (Fraction(1, 2) - y / N)
-
-
 _TWO_USER_TAGS = ("two-user-eq5", "two-user-eq6", "two-user-eq7")
 _K_USER_TAGS = ("k-user-eq9", "k-user-eq10", "k-user-eq11")
 
 
-def _converse_terms(K: int, N: int, tags: tuple[str, str, str]) -> list:
-    """The one converse line family: eq. (6), eq. (7) and eq. (5), scaled
-    for K colluding users, as ``(tag, y -> load)`` pairs linear in y on
-    [0, N/2].  ``tags`` names the eq. (5), (6) and (7) terms.  At K = 2
-    both scale factors are 1, which gives the two-user family."""
-    eq5, eq6, eq7 = tags
-    pre = Fraction(K // 2, (K + 1) // 2)
-    pre2 = Fraction((2 * N) // K) / Fraction(2 * N, K)
-    terms = [
-        (eq6, lambda y: pre * _eq6_rhs(N, y, K)),
-        (eq7, lambda y: pre * _eq7_rhs(N, y, K)),
-    ]
-    if Fraction(N, K) >= Fraction(3, 2):
-        terms.extend(
-            (f"{eq5}(h={h})", lambda y, h=h: pre * pre2 * _eq5_rhs(N, y, h, K))
-            for h in range((2 * N) // K - 2)
-        )
-    return terms
-
-
-def _converse_max(terms: list, y: Rat) -> Rat:
-    return max(Fraction(0), *(f(y) for _, f in terms))
-
-
 def _converse_lines(K: int, N: int, tags: tuple[str, str, str]) -> list[Line]:
-    """The family and the zero clamp as lines in M; y runs over [0, N/2]
-    as M runs over [N/K, 2N/K]."""
-    lo, hi = Fraction(N, K), Fraction(2 * N, K)
-    return [Line(Fraction(0), Fraction(0), "clamp-zero")] + [
-        line_through(lo, f(Fraction(0)), hi, f(Fraction(N, 2)), tag)
-        for tag, f in _converse_terms(K, N, tags)
+    """The zero clamp and the one converse line family, eq. (6), eq. (7)
+    and eq. (5)(h), as lines in M; ``tags`` names the eq. (5), (6) and (7)
+    terms.
+
+    Each term is a + b y in y = (K M - N)/2, which runs over [0, N/2] as
+    M runs over [N/K, 2N/K], scaled by floor(K/2)/ceil(K/2) for K
+    colluding users; eq. (5) is scaled by floor(2N/K) K/(2N) as well and
+    is present only when 2N >= 3K.  At K = 2 both scales are 1, which
+    gives the two-user family.
+    """
+    eq5, eq6, eq7 = tags
+    scale = Fraction(K // 2, (K + 1) // 2)
+
+    def line(a: Rat, b: Rat, tag: str, factor: Rat) -> Line:
+        return Line(factor * b * K / 2, factor * (a - b * N / 2), tag)
+
+    lines = [
+        Line(Fraction(0), Fraction(0), "clamp-zero"),
+        line(Fraction(K), Fraction(-3 * K, N), eq6, scale),
+        line(Fraction(K, 2), Fraction(-K, N), eq7, scale),
     ]
+    if 2 * N >= 3 * K:
+        half_k = Fraction(K, 2)
+        scale5 = scale * Fraction((2 * N) // K * K, 2 * N)
+        for h in range((2 * N) // K - 2):
+            c = h * h * (N - half_k) - N * (Fraction(2 * N, K) - 3) + h * (N + half_k)
+            a = N - (N - half_k) * h / (h + 2)
+            b = -2 - Fraction(4, h + 2) + 2 * c / ((h + 1) * (h + 2) * N)
+            lines.append(line(a, b, f"{eq5}(h={h})", scale5))
+    return lines
 
 
 def _converse_curve(K: int, N: int, tags: tuple[str, str, str]) -> TradeoffCurve:
@@ -113,16 +91,6 @@ def _converse_curve(K: int, N: int, tags: tuple[str, str, str]) -> TradeoffCurve
 # ---------------------------------------------------------------------------
 # two-user converse
 # ---------------------------------------------------------------------------
-
-
-def converse_two_user(N: int, M) -> Rat:
-    """Lower bound on the two-user optimal load at memory M, exact."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    y = Fraction(M) - Fraction(N, 2)
-    if not 0 <= y <= Fraction(N, 2):
-        raise ValueError(f"M={M} outside [{Fraction(N, 2)}, {N}] for N={N}")
-    return _converse_max(_converse_terms(2, N, _TWO_USER_TAGS), y)
 
 
 def converse_two_user_curve(N: int) -> TradeoffCurve:
@@ -271,9 +239,36 @@ CURVE_NAMES = (
     "sharedlink-uncoded",
 )
 
+# The most pieces, corner points or lines, that ``named_curve`` builds a
+# curve from.  The envelope geometry is exact and superlinear in them: the
+# slowest curves this admits, conv2u at N = 999 and convKu at (3, 1498),
+# build in 3-5 s on one Intel Xeon core; every other name takes under 0.3 s.
+MAX_CURVE_PIECES = 1000
+
+
+def curve_pieces(which: str, K: int, N: int) -> int:
+    """How many corner points or lines ``named_curve(which, K, N)`` is
+    built from, by closed form and so in no time for any K, N >= 1."""
+    if which == "schemeA":
+        return (K - 1) * N + 1
+    if which == "schemeB":
+        return N + 1
+    if which == "schemeC":
+        return K + 1
+    if which in ("sharedlink", "sharedlink-uncoded"):
+        return K + 1 + (N < K)  # the point (0, N) joins when N < K
+    if which in ("conv2u", "convKu"):
+        return 3 + ((2 * N) // K - 2 if 2 * N >= 3 * K else 0)
+    raise ValueError(f"unknown curve {which!r}; choose from {CURVE_NAMES}")
+
 
 def named_curve(which: str, K: int, N: int) -> TradeoffCurve:
-    """Curve registry behind the command-line surface."""
+    """Curve registry behind the command-line surface.  A curve of more
+    than ``MAX_CURVE_PIECES`` pieces is refused before it is built."""
+    pieces = curve_pieces(which, K, N)
+    if pieces > MAX_CURVE_PIECES:
+        raise ValueError(f"{which} at K={K}, N={N} is built from {pieces} pieces, "
+                         f"more than the {MAX_CURVE_PIECES} admitted")
     if which == "schemeA":
         return scheme_a_curve(K, N)
     if which == "schemeB":
@@ -287,12 +282,8 @@ def named_curve(which: str, K: int, N: int) -> TradeoffCurve:
             raise ValueError("conv2u is defined for K = 2")
         return converse_two_user_curve(N)
     if which == "convKu":
-        if not N >= K >= 3:
-            raise ValueError("convKu needs N >= K >= 3")
         return converse_k_user_curve(K, N)
     if which == "sharedlink":
         factor = Fraction(1, 2) if N >= K else Fraction(1, 4)
         return shared_link_nonprivate_envelope(K, N, factor)
-    if which == "sharedlink-uncoded":
-        return shared_link_nonprivate_envelope(K, N, Fraction(1))
-    raise ValueError(f"unknown curve {which!r}; choose from {CURVE_NAMES}")
+    return shared_link_nonprivate_envelope(K, N, Fraction(1))  # sharedlink-uncoded

@@ -191,12 +191,6 @@ class Line:
         return self.intercept + self.slope * Fraction(M)
 
 
-def line_through(m0, r0, m1, r1, tag: str = "") -> Line:
-    m0, r0, m1, r1 = map(Fraction, (m0, r0, m1, r1))
-    slope = (r1 - r0) / (m1 - m0)
-    return Line(slope, r0 - slope * m0, tag)
-
-
 def _envelope_corners(lines: Sequence[Line], lo: Rat, hi: Rat) -> list[tuple[Rat, Line]]:
     """The corners of the pointwise max of ``lines`` over [lo, hi], each
     with a line that reaches the max there, in increasing M.
@@ -251,13 +245,11 @@ def curve_max(a: TradeoffCurve, b: TradeoffCurve) -> TradeoffCurve:
     """Pointwise max of two curves on their ``shared_domain``, corners only.
 
     A convex curve is the max of its segment lines, so this is the upper
-    envelope of both curves' segment lines there.
+    envelope of both curves' segment lines there; each line runs through
+    a segment's first corner at that segment's slope.
     """
-    lines = [
-        line_through(m0, r0, m1, r1)
-        for curve in (a, b)
-        for (m0, r0), (m1, r1) in zip(curve.corners, curve.corners[1:])
-    ]
+    lines = [Line(s, r0 - s * m0)
+             for curve in (a, b) for (m0, r0), s in zip(curve.corners, curve.slopes)]
     corners = _envelope_corners(lines, *shared_domain(a, b))
     return TradeoffCurve(corners=tuple((m, leading(m)) for m, leading in corners))
 

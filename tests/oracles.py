@@ -6,8 +6,11 @@ of the library needs them, so they live with the tests.
   ``gf2.solve_xor_system``.
 * ``converse_two_user_corners``: the two-user converse from its
   closed-form corners, the oracle of ``bounds.converse_two_user_curve``.
-* ``converse_k_user``: the K-user converse evaluated at one point, the
-  oracle of ``bounds.converse_k_user_curve``.
+* ``_converse_terms``: the converse line family in the paper's form, as
+  functions of y, the oracle of ``bounds._converse_lines``; with it
+  ``converse_two_user`` and ``converse_k_user`` evaluate the two-user and
+  K-user converses at one point, the oracles of
+  ``bounds.converse_two_user_curve`` and ``bounds.converse_k_user_curve``.
 * ``scheme_a_within_three_of_shared_link`` with ``load_a_upper``: the
   factor-3 bridge between scheme A and the shared-link loads behind the
   constant-factor claims.
@@ -15,7 +18,7 @@ of the library needs them, so they live with the tests.
 
 from fractions import Fraction
 
-from d2dpc.bounds import _K_USER_TAGS, _converse_max, _converse_terms
+from d2dpc.bounds import _K_USER_TAGS, _TWO_USER_TAGS
 from d2dpc.combinat import TradeoffCurve, lower_convex_envelope
 from d2dpc.core import Rat
 from d2dpc.gf2 import _INCONSISTENT
@@ -94,6 +97,62 @@ def converse_two_user_corners(N: int) -> TradeoffCurve:
     corners.append((Fraction(N), Fraction(0)))
     tags.append("two-user-eq7")
     return TradeoffCurve(corners=tuple(corners), provenance=tuple(tags))
+
+
+def _eq5_rhs(N: int, y: Rat, h: int, K: int) -> Rat:
+    """First converse family, general-K form; active for 2N/K >= 3."""
+    Kh = Fraction(K, 2)
+    return (
+        N
+        - 2 * y
+        - Fraction(4 * y + (N - Kh) * h, h + 2)
+        + (h * h * (N - Kh) - N * (Fraction(2 * N, K) - 3) + h * (N + Kh))
+        * 2
+        * y
+        / ((h + 1) * (h + 2) * N)
+    )
+
+
+def _eq6_rhs(N: int, y: Rat, K: int) -> Rat:
+    return K * (1 - Fraction(3, 1) * y / N)
+
+
+def _eq7_rhs(N: int, y: Rat, K: int) -> Rat:
+    return K * (Fraction(1, 2) - y / N)
+
+
+def _converse_terms(K: int, N: int, tags: tuple[str, str, str]) -> list:
+    """The one converse line family: eq. (6), eq. (7) and eq. (5), scaled
+    for K colluding users, as ``(tag, y -> load)`` pairs linear in y on
+    [0, N/2].  ``tags`` names the eq. (5), (6) and (7) terms.  At K = 2
+    both scale factors are 1, which gives the two-user family."""
+    eq5, eq6, eq7 = tags
+    pre = Fraction(K // 2, (K + 1) // 2)
+    pre2 = Fraction((2 * N) // K) / Fraction(2 * N, K)
+    terms = [
+        (eq6, lambda y: pre * _eq6_rhs(N, y, K)),
+        (eq7, lambda y: pre * _eq7_rhs(N, y, K)),
+    ]
+    if Fraction(N, K) >= Fraction(3, 2):
+        terms.extend(
+            (f"{eq5}(h={h})", lambda y, h=h: pre * pre2 * _eq5_rhs(N, y, h, K))
+            for h in range((2 * N) // K - 2)
+        )
+    return terms
+
+
+def _converse_max(terms: list, y: Rat) -> Rat:
+    return max(Fraction(0), *(f(y) for _, f in terms))
+
+
+def converse_two_user(N: int, M) -> Rat:
+    """Lower bound on the two-user optimal load at memory M, exact."""
+    if N < 2:
+        raise ValueError("need N >= 2")
+    y = Fraction(M) - Fraction(N, 2)
+    if not 0 <= y <= Fraction(N, 2):
+        raise ValueError(f"M={M} outside [{Fraction(N, 2)}, {N}] for N={N}")
+    return _converse_max(_converse_terms(2, N, _TWO_USER_TAGS), y)
 
 
 def converse_k_user(K: int, N: int, M) -> Rat:

@@ -8,7 +8,6 @@ from fractions import Fraction
 from d2dpc import scheme_a, scheme_b, sim, verify
 from d2dpc.bounds import (
     converse_k_user_curve,
-    converse_two_user,
     converse_two_user_curve,
     gap,
     gap_grid,
@@ -19,7 +18,7 @@ from d2dpc.bounds import (
 from d2dpc.combinat import curve_max, even_grid
 from d2dpc.scheme_a import load_a_point, scheme_a_curve
 from d2dpc.scheme_b import load_b_point, scheme_b_curve
-from oracles import converse_two_user_corners
+from oracles import converse_two_user, converse_two_user_corners
 
 
 def _ok(n, text):

@@ -5,12 +5,10 @@ import pytest
 
 from d2dpc import bounds
 from d2dpc.bounds import (
+    _K_USER_TAGS,
     _TWO_USER_TAGS,
     _converse_lines,
-    _eq6_rhs,
-    _eq7_rhs,
     converse_k_user_curve,
-    converse_two_user,
     converse_two_user_curve,
     default_gap_grid,
     gap,
@@ -20,10 +18,18 @@ from d2dpc.bounds import (
     scheme_c_curve,
     shared_link_nonprivate_envelope,
 )
-from d2dpc.combinat import curve_max, even_grid, shared_domain
+from d2dpc.combinat import Line, curve_max, even_grid, shared_domain
 from d2dpc.scheme_a import scheme_a_curve
 from d2dpc.scheme_b import scheme_b_curve
-from oracles import converse_k_user, converse_two_user_corners, scheme_a_within_three_of_shared_link
+from oracles import (
+    _converse_terms,
+    _eq6_rhs,
+    _eq7_rhs,
+    converse_k_user,
+    converse_two_user,
+    converse_two_user_corners,
+    scheme_a_within_three_of_shared_link,
+)
 
 
 def test_two_user_at_half_library():
@@ -128,6 +134,26 @@ def test_k_user_reduces_to_two_user_at_k2():
             for j in ends:
                 m, r = corners[j]
                 assert lines[tag](m) == r, (N, tag, j)
+
+
+def _line_through(m0: Fraction, r0: Fraction, m1: Fraction, r1: Fraction, tag: str) -> Line:
+    slope = (r1 - r0) / (m1 - m0)
+    return Line(slope, r0 - slope * m0, tag)
+
+
+def test_converse_lines_match_paper_form():
+    # each closed-form line runs through its paper-form term at both ends
+    # of y in [0, N/2], that is M = N/K and M = 2N/K: same slope, intercept,
+    # tag and order
+    for K in range(2, 13):
+        tags = _TWO_USER_TAGS if K == 2 else _K_USER_TAGS
+        for N in range(max(2, K), 71):
+            lo, hi = Fraction(N, K), Fraction(2 * N, K)
+            expected = [Line(Fraction(0), Fraction(0), "clamp-zero")] + [
+                _line_through(lo, f(Fraction(0)), hi, f(Fraction(N, 2)), tag)
+                for tag, f in _converse_terms(K, N, tags)
+            ]
+            assert _converse_lines(K, N, tags) == expected, (K, N)
 
 
 def test_k_user_curve_matches_pointwise():
@@ -264,6 +290,23 @@ def test_coded_placement_gain_unbounded():
         M = Fraction(N + 1, 2)
         assert converse_two_user(N, M) == Fraction(N - 1, 2)
         assert scheme_c_curve(2, N)(M) == 1
+
+
+def test_curve_pieces_count_what_is_built():
+    # the closed-form counts are the lengths of what each builder envelopes
+    for K in range(1, 9):
+        for N in range(1, 13):
+            assert bounds.curve_pieces("schemeC", K, N) == len(load_c_points(K, N))
+            for which in ("sharedlink", "sharedlink-uncoded"):
+                assert bounds.curve_pieces(which, K, N) == len(man_points(K, N)) + (N < K)
+            for which, tags in (("conv2u", _TWO_USER_TAGS), ("convKu", _K_USER_TAGS)):
+                assert bounds.curve_pieces(which, K, N) == len(_converse_lines(K, N, tags))
+
+
+def test_named_curve_refuses_too_many_pieces():
+    assert bounds.curve_pieces("conv2u", 2, 999) == bounds.MAX_CURVE_PIECES
+    with pytest.raises(ValueError, match="1001 pieces"):
+        bounds.named_curve("conv2u", 2, 1000)
 
 
 def test_named_curve_registry():

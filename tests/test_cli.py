@@ -347,6 +347,13 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         # a library over core.MAX_LIBRARY_BITS without --b-target: N is too large
         ("--N", ["simulate", "--scheme", "A", "--K", "2", "--N", "5000000000",
                  "--t", "5000000001", "--demands", "1,2"]),
+        # over bounds.MAX_CURVE_PIECES pieces: refused before anything is built
+        ("--which", ["curve", "--which", "schemeA", "--K", "300", "--N", "300"]),
+        ("--which", ["curve", "--which", "convKu", "--K", "3", "--N", "3000000"]),
+        ("--which", ["curve", "--which", "sharedlink", "--K", "3000000", "--N", "2"]),
+        ("--which", ["curve", "--which", "schemeC", "--K", str(10**12), "--N", "2"]),
+        ("--converse", ["gap", "--K", "3", "--N", "3000000", "--achievable", "schemeC",
+                        "--converse", "convKu"]),
     ],
 )
 def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):

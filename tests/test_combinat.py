@@ -15,7 +15,6 @@ from d2dpc.combinat import (
     curve_max,
     even_grid,
     lex_subsets,
-    line_through,
     lower_convex_envelope,
     shared_domain,
     upper_envelope_of_lines,
@@ -341,8 +340,9 @@ def curves_with_grids(draw):
 def _max_of_segment_lines(curve, m):
     """A convex curve is the max of its segment lines (a one-corner curve
     is its single load)."""
-    lines = [line_through(m0, r0, m1, r1) for (m0, r0), (m1, r1) in zip(curve.corners, curve.corners[1:])]
-    return max((line(m) for line in lines), default=curve.corners[0][1])
+    values = [r0 + (r1 - r0) / (m1 - m0) * (m - m0)
+              for (m0, r0), (m1, r1) in zip(curve.corners, curve.corners[1:])]
+    return max(values, default=curve.corners[0][1])
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

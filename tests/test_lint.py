@@ -1,7 +1,8 @@
-"""Tier-1 lint: no module imports a name it never uses, and every def in
-``d2dpc`` is reached from a caller.
+"""Tier-1 lint: no module imports a name it never uses, every def in
+``d2dpc`` is reached from a caller, and the test oracles share no def with
+the modules they check.
 
-No linter ships with the toolchain, so both checks are ``ast`` walks.
+No linter ships with the toolchain, so the checks are ``ast`` walks.
 
 * A name bound by an import must be read somewhere in the module.  An
   import whose line is marked ``# noqa: F401`` is a deliberate re-export.
@@ -13,6 +14,9 @@ No linter ships with the toolchain, so both checks are ``ast`` walks.
   in any module or class, so the walk may count a def as reached that no
   call reaches; it never flags a def that one does.  The defs that only
   ``bench/`` names reach are pinned by name, so that list cannot grow.
+* ``tests/oracles.py`` imports no def of ``d2dpc.bounds`` or
+  ``d2dpc.gf2``, the modules whose results its oracles check, and neither
+  module whole; constants such as tag tuples may be shared.
 """
 
 import ast
@@ -167,3 +171,42 @@ def test_unreached_defs_are_found():
         ),
     }
     assert unreached_defs(modules, {"traced"}) == ["box.Box.spare", "box.dead"]
+
+
+def imported_defs(source: str, checked: dict[str, str]) -> list[str]:
+    """``line N: module.name`` for every def of a ``checked`` module
+    (dotted name -> source) that ``source`` imports, and ``line N: module``
+    for every import of a checked module whole."""
+    defs = {
+        module: {stmt.name for stmt in ast.parse(text).body if isinstance(stmt, ast.FunctionDef)}
+        for module, text in checked.items()
+    }
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name in checked]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                whole = f"{node.module}.{alias.name}"
+                if whole in checked or node.module in checked and alias.name in defs[node.module] | {"*"}:
+                    found.append(f"line {node.lineno}: {whole}")
+    return found
+
+
+def test_oracles_import_no_def_they_check():
+    checked = {f"d2dpc.{name}": (SRC / f"{name}.py").read_text() for name in ("bounds", "gf2")}
+    assert imported_defs((ROOT / "tests" / "oracles.py").read_text(), checked) == []
+
+
+def test_imported_defs_are_found():
+    checked = {"pkg.mod": "LIMIT = 3\n\n\ndef solve():\n    return LIMIT\n"}
+    source = (
+        "from pkg.mod import LIMIT, solve\n"
+        "from pkg import mod\n"
+        "import pkg.mod\n"
+        "from pkg.mod import *\n"
+        "from pkg.other import solve as other\n"
+    )
+    assert imported_defs(source, checked) == [
+        "line 1: pkg.mod.solve", "line 2: pkg.mod", "line 3: pkg.mod", "line 4: pkg.mod.*",
+    ]
