@@ -240,9 +240,9 @@ CURVE_NAMES = (
 )
 
 # The most pieces, corner points or lines, that ``named_curve`` builds a
-# curve from.  The envelope geometry is exact and superlinear in them: the
-# slowest curves this admits, conv2u at N = 999 and convKu at (3, 1498),
-# build in 3-5 s on one Intel Xeon core; every other name takes under 0.3 s.
+# curve from.  The slowest curves this admits, conv2u at N = 999 and convKu
+# at (3, 1498), build in 0.06-0.09 s on one Intel Xeon core (2.4-4.0 s while
+# each envelope corner was tagged by evaluating every line); others < 0.06 s.
 MAX_CURVE_PIECES = 1000
 
 

@@ -88,9 +88,12 @@ def _named_curve(parser: argparse.ArgumentParser, flag: str, which: str, K: int,
 
 def _gap_inputs(parser: argparse.ArgumentParser, args):
     """The achievable curve, the converse and the grid the gap arguments name."""
+    names = args.converse.split(",")
+    if len(set(names)) < len(names):
+        parser.error(f"argument --converse: {args.converse} names a curve twice")
     achievable = _named_curve(parser, "--achievable", args.achievable, args.K, args.N)
     converse = None
-    for name in args.converse.split(","):
+    for name in names:
         curve = _named_curve(parser, "--converse", name, args.K, args.N)
         try:
             converse = curve if converse is None else curve_max(converse, curve)

@@ -2,10 +2,11 @@
 
 The binomial follows the zero convention binom(x, y) = 0 whenever x < 0,
 y < 0 or x < y, which the load formulas rely on at the range edges.
-All envelope geometry is done on exact rationals, and one lower-hull
-routine does all of it: the lower envelope of points directly, the
-upper envelope of lines through its dual, and the max of two curves as
-the upper envelope of their segment lines.
+All envelope geometry is exact and runs on integers, with fractions
+made only for what a caller sees, and one lower-hull routine does all
+of it: the lower envelope of points directly, the upper envelope of
+lines through its dual, and the max of two curves as the upper envelope
+of their segment lines.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .core import Rat
@@ -65,30 +67,41 @@ class TradeoffCurve:
     M in one walk over the corners, and a call is its one-point case;
     evaluation outside [min M, max M] is an error.  Corner provenance tags
     (when known, one per corner) say which formula produced each corner.
+
+    The corners are checked, and the curve walked, on the integer
+    numerators and denominators of each corner and step, so no number
+    grows past a few corners' worth of digits; each segment is one row
+    (u, w, z) with R = (u + w M) / z there.
     """
 
     corners: tuple[tuple[Rat, Rat], ...]
     provenance: tuple[str, ...] = ()
-    slopes: tuple[Rat, ...] = field(init=False, repr=False, compare=False)
+    _walk: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ms = [m for m, _ in self.corners]
-        if not ms:
+        if not self.corners:
             raise ValueError("curve needs at least one corner")
-        if any(b <= a for a, b in zip(ms, ms[1:])):
+        pts = [(m.numerator, m.denominator, r.numerator, r.denominator) for m, r in self.corners]
+        # the slope s/t to the next corner is dy/dx for dx = a/b, dy = c/d
+        # and b, d > 0: t has the sign of dx and s that of dy
+        slopes = [((c1 * d0 - c0 * d1) * b0 * b1, (a1 * b0 - a0 * b1) * d0 * d1)
+                  for (a0, b0, c0, d0), (a1, b1, c1, d1) in zip(pts, pts[1:])]
+        if any(t <= 0 for _, t in slopes):
             raise ValueError("corner M values must be strictly increasing")
-        for (m0, r0), (m1, r1) in zip(self.corners, self.corners[1:]):
-            if r1 > r0:
-                raise ValueError("curve must be non-increasing")
-        slopes = tuple(
-            Fraction(r1 - r0, m1 - m0)
-            for (m0, r0), (m1, r1) in zip(self.corners, self.corners[1:])
-        )
-        if any(s1 < s0 for s0, s1 in zip(slopes, slopes[1:])):
+        if any(s > 0 for s, _ in slopes):
+            raise ValueError("curve must be non-increasing")
+        if any(s1 * t0 < s0 * t1 for (s0, t0), (s1, t1) in zip(slopes, slopes[1:])):
             raise ValueError("corner sequence is not convex")
         if self.provenance and len(self.provenance) != len(self.corners):
             raise ValueError(f"{len(self.provenance)} provenance tags for {len(self.corners)} corners")
-        object.__setattr__(self, "slopes", slopes)
+        # segment i runs through corner i, (a/b, c/d), at slope s/t; the
+        # last corner's row holds its load
+        rows = [(c * t * b - d * s * a, d * s * b, d * t * b) for (a, b, c, d), (s, t) in zip(pts, slopes)]
+        object.__setattr__(self, "_walk", (pts, rows + [(pts[-1][2], 0, pts[-1][3])]))
+
+    @cached_property
+    def slopes(self) -> tuple[Rat, ...]:
+        return tuple(Fraction(w, z) for _, w, z in self._walk[1][:-1])
 
     @property
     def min_m(self) -> Rat:
@@ -103,25 +116,27 @@ class TradeoffCurve:
 
         The domain is checked at the two ends only; the walk moves to the
         next corner once M reaches it, so a point past the last corner
-        can only come before a descent, which raises.
+        can only come before a descent, which raises.  With M = p/q, the
+        comparisons are cross-multiplications and the load one fraction.
         """
         if not ms:
             return []
         for M in (ms[0], ms[-1]):
             if not self.min_m <= M <= self.max_m:
                 raise ValueError(f"M={M} outside curve domain [{self.min_m}, {self.max_m}]")
-        corners, slopes = self.corners, self.slopes + (0,)  # no segment starts at the last corner
-        last, i = len(corners) - 1, 0
-        m0, r0 = corners[0]
+        pts, rows = self._walk
+        last, i = len(rows) - 1, 0
         prev, out = ms[0], []
+        prev_p, prev_q = prev.numerator, prev.denominator
         for M in ms:
-            if M < prev:
+            p, q = M.numerator, M.denominator
+            if p * prev_q < prev_p * q:
                 raise ValueError(f"M values must ascend: {M} after {prev}")
-            prev = M
-            while i < last and corners[i + 1][0] <= M:
+            prev, prev_p, prev_q = M, p, q
+            while i < last and pts[i + 1][0] * q <= p * pts[i + 1][1]:
                 i += 1
-                m0, r0 = corners[i]
-            out.append(r0 if M == m0 else r0 + slopes[i] * (M - m0))
+            u, w, z = rows[i]
+            out.append(Fraction(u * q + w * p, z * q))
         return out
 
     def __call__(self, M) -> Rat:
@@ -131,29 +146,43 @@ class TradeoffCurve:
         return [m for m, _ in self.corners]
 
 
-def _cross(o, a, b) -> Rat:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _scaled(values) -> tuple[list[int], int]:
+    """The rationals ``values`` as integers over their least common
+    denominator, and that denominator."""
+    den = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _lower_hull(triples) -> list[tuple[Rat, Rat, object]]:
-    """Corners of the lower convex hull of (x, y, payload) triples, by
-    increasing x (Andrew's monotone chain).
+def _lower_hull(xs: Sequence[int], ys: Sequence[int]) -> list[tuple[int, int]]:
+    """The lower convex hull of the integer points (xs[i], ys[i]) by
+    increasing x (Andrew's monotone chain), one (i, first) per corner: i
+    indexes the corner's point, and first is the least index of a point
+    on the hull after the previous corner, up to and including this one.
 
-    Of the triples at one x only the lowest counts (ties: the first in
-    input order); points on or above a chord, collinear middle points
-    included, are dropped.
+    Of the points at one x only the lowest counts, and of equal points
+    the first in input order; points on or above a chord are no corners,
+    and a collinear middle point counts only towards ``first``.
     """
-    best: dict[Rat, tuple[Rat, object]] = {}
-    for x, y, payload in triples:
-        if x not in best or y < best[x][0]:
-            best[x] = (y, payload)
-    hull: list[tuple[Rat, Rat, object]] = []
-    for x in sorted(best):
-        y, payload = best[x]
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], (x, y)) <= 0:
+    lowest: dict[int, int] = {}
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        j = lowest.setdefault(x, i)
+        if y < ys[j]:
+            lowest[x] = i
+    hull: list[tuple[int, int, int, int]] = []  # (x, y, i, first)
+    for x in sorted(lowest):
+        i = lowest[x]
+        y, first = ys[i], i
+        while len(hull) >= 2:
+            x0, y0, _, _ = hull[-2]
+            x1, y1, _, first1 = hull[-1]
+            turn = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
+            if turn > 0:
+                break
             hull.pop()
-        hull.append((x, y, payload))
-    return hull
+            # a popped point on the new chord stays on the hull, one above it does not
+            first = min(first, first1) if turn == 0 else i
+        hull.append((x, y, i, first))
+    return [(i, first) for _, _, i, first in hull]
 
 
 def lower_convex_envelope(points, provenance: Optional[Sequence[str]] = None) -> TradeoffCurve:
@@ -164,18 +193,20 @@ def lower_convex_envelope(points, provenance: Optional[Sequence[str]] = None) ->
     compare equal corner-by-corner.  ``provenance``, when given, holds
     one tag per point.
     """
-    pts = [(Fraction(m), Fraction(r)) for m, r in points]
+    # the caller's own Fractions where it gave them
+    pts = [(m, r) if type(m) is type(r) is Fraction else (Fraction(m), Fraction(r)) for m, r in points]
     if not pts:
         raise ValueError("no points to envelope")
-    if any(m < 0 for m, _ in pts):
+    xs, _ = _scaled([m for m, _ in pts])
+    if any(x < 0 for x in xs):
         raise ValueError("memory values must be nonnegative")
     tags = list(provenance) if provenance is not None else [""] * len(pts)
     if len(tags) != len(pts):
         raise ValueError(f"{len(tags)} provenance tags for {len(pts)} points")
-    hull = _lower_hull((m, r, tag) for (m, r), tag in zip(pts, tags))
+    hull = _lower_hull(xs, _scaled([r for _, r in pts])[0])
     return TradeoffCurve(
-        corners=tuple((m, r) for m, r, _ in hull),
-        provenance=tuple(tag for _, _, tag in hull),
+        corners=tuple(pts[i] for i, _ in hull),
+        provenance=tuple(tags[i] for i, _ in hull),
     )
 
 
@@ -191,27 +222,39 @@ class Line:
         return self.intercept + self.slope * Fraction(M)
 
 
-def _envelope_corners(lines: Sequence[Line], lo: Rat, hi: Rat) -> list[tuple[Rat, Line]]:
-    """The corners of the pointwise max of ``lines`` over [lo, hi], each
-    with a line that reaches the max there, in increasing M.
+def _envelope_corners(lines: Sequence[Line], lo: Rat, hi: Rat) -> list[tuple[Rat, Rat, int]]:
+    """The corners (M, R, j) of the pointwise max of ``lines`` over
+    [lo, hi], in increasing M; line j is the first in input order that
+    reaches the max there.
 
     By point-line duality the line R = c + s M leads somewhere exactly
     when (s, -c) is a corner of the lower hull of all such points, and
     consecutive hull lines cross at the corners of the max, in
-    increasing M.  So the corners are ``lo``, those crossings strictly
-    inside (lo, hi), and ``hi``; collinear points never arise.  One walk
-    along the hull names the leading line at each corner.
+    increasing M; the lines that reach the max at a crossing are the
+    points of that hull edge.  So the corners are ``lo``, those crossings
+    strictly inside (lo, hi), and ``hi``, and one walk along the hull,
+    on the slopes S and intercepts C over their common denominators ds
+    and dc, names each corner's leading line.
     """
     if not lines:
         raise ValueError("no lines")
-    hull = [ln for _, _, ln in _lower_hull((ln.slope, -ln.intercept, ln) for ln in lines)]
-    crossings = [(p.intercept - q.intercept) / (q.slope - p.slope) for p, q in zip(hull, hull[1:])]
-    corners = []
-    i = 0
-    for m in sorted({lo, hi}.union(x for x in crossings if lo < x < hi)):
-        while i < len(crossings) and crossings[i] < m:  # hull[i] leads up to crossings[i]
-            i += 1
-        corners.append((m, hull[i]))
+    S, ds = _scaled([ln.slope for ln in lines])
+    C, dc = _scaled([ln.intercept for ln in lines])
+    hull = _lower_hull(S, [-c for c in C])
+    # hull lines i and j cross at M = (C_i - C_j) ds / ((S_j - S_i) dc)
+    cross = [((C[i] - C[j]) * ds, (S[j] - S[i]) * dc) for (i, _), (j, _) in zip(hull, hull[1:])]
+    ends = sorted({lo, hi})
+    inside = [Fraction(p, q) for p, q in cross
+              if lo.numerator * q < p * lo.denominator and p * hi.denominator < hi.numerator * q]
+    corners, k = [], 0
+    for m in ends[:1] + inside + ends[1:]:
+        p, q = m.numerator, m.denominator
+        while k < len(cross) and cross[k][0] * q < p * cross[k][1]:
+            k += 1
+        i = hull[k][0]  # leads from crossing k - 1 up to crossing k
+        tied = k < len(cross) and cross[k][0] * q == p * cross[k][1]
+        corners.append((m, Fraction(C[i] * ds * q + S[i] * p * dc, ds * dc * q),
+                        min(i, hull[k + 1][1]) if tied else i))
     return corners
 
 
@@ -220,17 +263,12 @@ def upper_envelope_of_lines(lines: Sequence[Line], lo, hi) -> TradeoffCurve:
 
     Used for the converse bounds, which are maxima of finitely many
     linear-in-M expressions; the result is convex by construction.  The
-    corners are those of ``_envelope_corners``; each corner's tag is the
-    first line in input order that reaches the max, found by evaluating
-    every line there.
+    corners are those of ``_envelope_corners``, each tagged by the first
+    line in input order that reaches the max there.
     """
-    corners: list[tuple[Rat, Rat]] = []
-    tags: list[str] = []
-    for m, leading in _envelope_corners(lines, Fraction(lo), Fraction(hi)):
-        value = leading(m)
-        corners.append((m, value))
-        tags.append(next(ln.tag for ln in lines if ln(m) == value))
-    return TradeoffCurve(corners=tuple(corners), provenance=tuple(tags))
+    corners = _envelope_corners(lines, Fraction(lo), Fraction(hi))
+    return TradeoffCurve(corners=tuple((m, r) for m, r, _ in corners),
+                         provenance=tuple(lines[j].tag for _, _, j in corners))
 
 
 def shared_domain(a: TradeoffCurve, b: TradeoffCurve) -> tuple[Rat, Rat]:
@@ -245,13 +283,13 @@ def curve_max(a: TradeoffCurve, b: TradeoffCurve) -> TradeoffCurve:
     """Pointwise max of two curves on their ``shared_domain``, corners only.
 
     A convex curve is the max of its segment lines, so this is the upper
-    envelope of both curves' segment lines there; each line runs through
-    a segment's first corner at that segment's slope.
+    envelope of both curves' segment lines there, read off each curve's
+    rows: R = (u + w M) / z has slope w/z and intercept u/z.
     """
-    lines = [Line(s, r0 - s * m0)
-             for curve in (a, b) for (m0, r0), s in zip(curve.corners, curve.slopes)]
+    lines = [Line(s, Fraction(u, z))
+             for curve in (a, b) for s, (u, _, z) in zip(curve.slopes, curve._walk[1])]
     corners = _envelope_corners(lines, *shared_domain(a, b))
-    return TradeoffCurve(corners=tuple((m, leading(m)) for m, leading in corners))
+    return TradeoffCurve(corners=tuple((m, r) for m, r, _ in corners))
 
 
 def even_grid(lo, hi, count: int) -> list[Rat]:

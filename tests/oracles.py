@@ -4,6 +4,9 @@ of the library needs them, so they live with the tests.
 
 * ``_eliminate``: full GF(2) elimination, the oracle of
   ``gf2.solve_xor_system``.
+* ``_lower_hull``: the monotone chain on exact rationals, the oracle of
+  the integer hull behind ``combinat.lower_convex_envelope`` and
+  ``combinat.upper_envelope_of_lines``.
 * ``converse_two_user_corners``: the two-user converse from its
   closed-form corners, the oracle of ``bounds.converse_two_user_curve``.
 * ``_converse_terms``: the converse line family in the paper's form, as
@@ -79,6 +82,31 @@ def _eliminate(equations: list[tuple[set, int]]) -> dict:
         if mask == (1 << top):
             solved[names[top]] = rhs
     return solved
+
+
+def _cross(o, a, b) -> Rat:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _lower_hull(triples) -> list[tuple[Rat, Rat, object]]:
+    """Corners of the lower convex hull of (x, y, payload) triples, by
+    increasing x (Andrew's monotone chain).
+
+    Of the triples at one x only the lowest counts (ties: the first in
+    input order); points on or above a chord, collinear middle points
+    included, are dropped.
+    """
+    best: dict[Rat, tuple[Rat, object]] = {}
+    for x, y, payload in triples:
+        if x not in best or y < best[x][0]:
+            best[x] = (y, payload)
+    hull: list[tuple[Rat, Rat, object]] = []
+    for x in sorted(best):
+        y, payload = best[x]
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], (x, y)) <= 0:
+            hull.pop()
+        hull.append((x, y, payload))
+    return hull
 
 
 def converse_two_user_corners(N: int) -> TradeoffCurve:

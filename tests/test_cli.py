@@ -354,6 +354,9 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         ("--which", ["curve", "--which", "schemeC", "--K", str(10**12), "--N", "2"]),
         ("--converse", ["gap", "--K", "3", "--N", "3000000", "--achievable", "schemeC",
                         "--converse", "convKu"]),
+        # a repeated name would be built again: the list holds each curve once
+        ("--converse", ["gap", "--K", "2", "--N", "999", "--achievable", "schemeB",
+                        "--converse", "conv2u,sharedlink,conv2u"]),
     ],
 )
 def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):

@@ -21,6 +21,7 @@ from d2dpc.combinat import (
 )
 from d2dpc import scheme_a, verify
 from d2dpc.core import SeededSource, draw_key, seeded_rng
+from oracles import _lower_hull as fraction_lower_hull
 
 
 def test_binom_basic():
@@ -138,6 +139,66 @@ def test_envelope_below_inputs_and_convex():
 def test_envelope_merges_collinear():
     env = lower_convex_envelope([(0, 4), (1, 3), (2, 2), (4, 0)])
     assert env.corners == ((0, 4), (4, 0))
+
+
+# denominators of every size the curves meet: a small grid, where repeated
+# x and collinear runs are common, and binomials like those of scheme A's
+# loads at (40, 10)
+_HULL_DENOMINATORS = st.one_of(st.integers(1, 3), st.builds(binom, st.integers(20, 60), st.integers(2, 12)))
+_HULL_COORDS = _HULL_DENOMINATORS.flatmap(
+    lambda d: st.builds(Fraction, st.integers(-6 * d, 6 * d), st.just(d)))
+
+
+@st.composite
+def rational_point_sets(draw):
+    """One or more rational points with repeated x, equal points, and
+    collinear runs through two of them, in a random input order."""
+    points = draw(st.lists(st.tuples(_HULL_COORDS, _HULL_COORDS), min_size=1, max_size=8))
+    same_x = [(x, y) for (x, _), y in draw(st.lists(st.tuples(st.sampled_from(points), _HULL_COORDS),
+                                                    max_size=3))]
+    equal = draw(st.lists(st.sampled_from(points), max_size=3))
+    runs = []
+    for (x0, y0), (x1, y1) in draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)),
+                                            max_size=2)):
+        runs += [(x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+                 for t in draw(st.lists(st.fractions(-1, 2, max_denominator=4), max_size=3))]
+    return draw(st.permutations(points + same_x + equal + runs))
+
+
+def _descending(points):
+    """The points shifted to M >= 0 and sheared, (x, y) -> (x, y - c x),
+    with c above every slope between them; a shear keeps the hull's
+    corners and makes it non-increasing, so it is a memory-load curve."""
+    x_min = min(x for x, _ in points)
+    c = 1 + max([(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in itertools.combinations(points, 2)
+                 if x1 != x0] + [0])
+    return [(x - x_min, y - c * (x - x_min)) for x, y in points]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rational_point_sets())
+def test_integer_hull_matches_fraction_oracle(points):
+    tags = [f"p{i}" for i in range(len(points))]
+    # through lower_convex_envelope: the same corners, each tagged by the
+    # first of its equal points
+    pts = _descending(points)
+    hull = fraction_lower_hull((x, y, tag) for (x, y), tag in zip(pts, tags))
+    env = lower_convex_envelope(pts, provenance=tags)
+    assert env.corners == tuple((x, y) for x, y, _ in hull)
+    assert env.provenance == tuple(tag for _, _, tag in hull)
+    # through upper_envelope_of_lines: the points are the duals (s, -c) of
+    # lines R = c + s M with s <= 0; consecutive hull lines cross at the
+    # corners of their max, each tagged by the first line that reaches it
+    x_max = max(x for x, _ in points)
+    lines = [Line(x - x_max, -y, tag) for (x, y), tag in zip(points, tags)]
+    hull = fraction_lower_hull((x - x_max, y, None) for x, y in points)
+    crossings = [(y1 - y0) / (x1 - x0) for (x0, y0, _), (x1, y1, _) in zip(hull, hull[1:])]
+    lo, hi = (crossings[0] - 1, crossings[-1] + 1) if crossings else (Fraction(0), Fraction(1))
+    curve = upper_envelope_of_lines(lines, lo, hi)
+    assert curve.corner_ms() == [lo] + crossings + [hi]
+    for (m, r), tag in zip(curve.corners, curve.provenance):
+        assert r == max(ln(m) for ln in lines)
+        assert tag == next(ln.tag for ln in lines if ln(m) == r)
 
 
 def test_upper_envelope_of_lines():
@@ -294,6 +355,38 @@ def test_curve_rejects_provenance_of_another_length():
     with pytest.raises(ValueError, match="1 provenance tags for 2 corners"):
         TradeoffCurve(corners=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
                       provenance=("a",))
+
+
+@pytest.mark.parametrize("scale_m,scale_r", [(1, 1), (Fraction(1, 3), Fraction(2, 7))])
+@pytest.mark.parametrize(
+    "corners,message",
+    [
+        ([], "curve needs at least one corner"),
+        ([(0, 2), (0, 1)], "corner M values must be strictly increasing"),
+        ([(0, 3), (2, 1), (1, 0)], "corner M values must be strictly increasing"),
+        ([(0, 1), (1, 2)], "curve must be non-increasing"),
+        ([(0, 4), (1, 3), (2, 3), (3, 4)], "curve must be non-increasing"),
+        ([(0, 4), (1, 3), (2, 0)], "corner sequence is not convex"),
+        ([(0, 5), (2, 3), (3, 1)], "corner sequence is not convex"),
+        ([(0, 6), (1, 3), (3, 1), (7, 0)], None),
+        # a collinear run of corners is a convex curve too
+        ([(0, 6), (1, 3), (2, 1), (3, 0), (4, 0), (5, 0)], None),
+        ([(0, 6), (1, 4), (2, 2), (3, 0)], None),
+        ([(0, 3), (1, 1), (2, 0), (4, 0)], None),
+    ],
+)
+def test_curve_checks_its_corners(corners, message, scale_m, scale_r):
+    scaled = tuple((m * scale_m, r * scale_r) for m, r in corners)
+    if message is not None:
+        with pytest.raises(ValueError, match=message):
+            TradeoffCurve(corners=scaled)
+        return
+    curve = TradeoffCurve(corners=scaled)
+    assert curve.corners == scaled
+    pairs = list(zip(scaled, scaled[1:]))
+    assert list(curve.slopes) == [Fraction(r1 - r0) / (m1 - m0) for (m0, r0), (m1, r1) in pairs]
+    mids = curve.values([Fraction(m0 + m1, 2) for (m0, _), (m1, _) in pairs])
+    assert mids == [Fraction(r0 + r1, 2) for (_, r0), (_, r1) in pairs]
 
 
 @st.composite
