@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 Rat = Fraction
@@ -424,9 +425,9 @@ class Placement:
     """One placement of ``params``; its slot layout is ``params.layout``."""
 
     params: SchemeParams
-    # (file, block) -> permuted tuple of that block's slot ids; entry j is
-    # the physical slot playing the role of permuted index j
-    perms: dict[tuple[int, int], tuple[int, ...]]
+    # (file, block) -> that block's subfile ids in role order (entry j plays
+    # permuted index j), one object per slot that caches and compositions share
+    perms: dict[tuple[int, int], tuple[SubfileId, ...]]
     caches: list[CacheState]
     library: dict[int, int]
 
@@ -434,16 +435,18 @@ class Placement:
 def place(params: SchemeParams, source, held) -> Placement:
     """Uncoded placement shared by the schemes.
 
-    The slots of every (file, block) are shuffled, each by its own draw
-    labelled (scheme, "p", file, block).  User k caches its own block k
-    of every file plus, for each (other block, permuted index j) pair in
-    ``held[k]``, entry j of that block's permutation.  The library is
-    keyed by the instance seed, so it takes no draw from ``source``.
+    The slots of every (file, block) are shuffled into the ``SubfileId``s
+    of ``perms``, each by its own draw labelled (scheme, "p", file, block).
+    User k caches those ids of its own block k of every file plus, for each
+    (other block, permuted index j) pair in ``held[k]``, entry j of that
+    block, in slot order.  The library is keyed by the instance seed, so it
+    takes no draw from ``source``.
     """
     base, layout = params.base, params.layout
     library = random_library(base)
     perms = {
-        (i, k): tuple(source.permutation((params.scheme, "p", i, k), list(layout.block_slots(k))))
+        (i, k): tuple([SubfileId(i, s) for s in source.permutation(
+            (params.scheme, "p", i, k), list(layout.block_slots(k)))])
         for i in range(1, base.N + 1)
         for k in range(1, layout.blocks + 1)
     }
@@ -452,11 +455,12 @@ def place(params: SchemeParams, source, held) -> Placement:
     pieces = {i: split_file(layout, buf) for i, buf in library.items()}
     caches = []
     for k in range(1, base.K + 1):
-        slots: list[SubfileId] = []
-        for i in range(1, base.N + 1):
-            slots.extend(SubfileId(i, s) for s in layout.block_slots(k))
-            slots.extend(SubfileId(i, perms[(i, other)][j]) for other, j in held[k])
-        cache = CacheState(k, {sid: pieces[sid.file][sid.slot - 1] for sid in sorted(slots)})
+        content = {}
+        for i, values in pieces.items():
+            ids = [*perms[(i, k)], *[perms[(i, other)][j] for other, j in held[k]]]
+            ids.sort(key=attrgetter("slot"))
+            content.update(zip(ids, [values[s - 1] for _, s in ids]))
+        cache = CacheState(k, content)
         cache.check(layout.subfile_bits, budget)
         caches.append(cache)
     return Placement(params, perms, caches, library)
@@ -737,7 +741,7 @@ def transcript_from_text(text: str) -> Transcript:
             if owner != len(caches) + 1:
                 raise ValueError(f"expected cache line {len(caches) + 1}, got {owner_s}")
             content = {}
-            last = SubfileId(0, 0)
+            last = (0, 0)
             for item in items:
                 entry = entries.get(item)
                 if entry is None:

@@ -215,8 +215,8 @@ def plan_messages_a(
     """Compositions of transmitter k's messages, in position-set lex order.
 
     For every t-subset S of positions, the message XORs, for each j in S,
-    the subfile of user q[j]'s file indexed by the other chosen users;
-    only messages whose user set meets the leader set are kept.
+    the placement's id of user q[j]'s file indexed by the other chosen
+    users; only messages whose user set meets the leader set are kept.
     """
     params = placement.params
     tp = plan[k]
@@ -225,19 +225,17 @@ def plan_messages_a(
         return []
     structure = structure_a(params.base.K, params.base.N, t)
     rank = structure.rank[k]
-    perms, d_eff, q = placement.perms, tp.d_eff, tp.q
+    # position j -> the bit of user q[j] and block k of its file's ids
+    bits = [0, *[1 << u for u in tp.q]]
+    ids = [(), *[placement.perms[(tp.d_eff[u], k)] for u in tp.q]]
     leader_mask = _mask(tp.leaders)
     out = []
     for S in structure.position_sets:
-        users = [q[j - 1] for j in S]
-        mask = _mask(users)
-        if not mask & leader_mask:
-            continue
-        comp = []
-        for u in users:
-            f = d_eff[u]
-            comp.append(SubfileId(f, perms[(f, k)][rank[mask ^ (1 << u)]]))
-        out.append((S, tuple(comp)))
+        mask = 0
+        for j in S:
+            mask |= bits[j]
+        if mask & leader_mask:
+            out.append((S, tuple([ids[j][rank[mask ^ bits[j]]] for j in S])))
     expected = binom(params.U, t) - binom(params.U - params.base.N, t)
     if len(out) != expected:
         raise AssertionError(f"kept {len(out)} messages, expected {expected}")

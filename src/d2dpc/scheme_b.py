@@ -156,11 +156,11 @@ def place_b(params: SchemeBParams, source) -> Placement:
 
 def plan_messages_b(k: int, placement: Placement, demands) -> list[tuple[None, tuple[SubfileId, ...]]]:
     """Compositions of transmitter k's messages, file subsets in lex order:
-    the other user's plan in ``structure_b``, read through this
-    placement's permutations."""
+    the other user's plan in ``structure_b``, each (file, permuted index)
+    read as the placement's own ``SubfileId`` there."""
     params, perms = placement.params, placement.perms
     plan = structure_b(params.base.N, params.tprime).plans[demands[2 - k]]
-    return [(None, tuple(SubfileId(i, perms[(i, k)][j]) for i, j in comp)) for comp in plan]
+    return [(None, tuple([perms[(i, k)][j] for i, j in comp])) for comp in plan]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tier-1 lint: no module imports a name it never uses, every def in
-``d2dpc`` is reached from a caller, and the test oracles share no def with
-the modules they check.
+``d2dpc`` is reached from a caller, subfile ids are built in three places
+only, and the test oracles share no def with the modules they check.
 
 No linter ships with the toolchain, so the checks are ``ast`` walks.
 
@@ -14,6 +14,11 @@ No linter ships with the toolchain, so the checks are ``ast`` walks.
   in any module or class, so the walk may count a def as reached that no
   call reaches; it never flags a def that one does.  The defs that only
   ``bench/`` names reach are pinned by name, so that list cannot grow.
+* ``SubfileId(...)`` is called in ``src/d2dpc`` only where an id first
+  appears: ``core.place`` draws every id of a run, ``core._parse_sid``
+  reads one from text, and ``decode_from_messages`` names the slot it
+  could not recover in its ``DecodingFailure``.  Caches and message
+  compositions hold the placement's objects instead of equal copies.
 * ``tests/oracles.py`` imports no def of ``d2dpc.bounds`` or
   ``d2dpc.gf2``, the modules whose results its oracles check, and neither
   module whole; constants such as tag tuples may be shared.
@@ -171,6 +176,60 @@ def test_unreached_defs_are_found():
         ),
     }
     assert unreached_defs(modules, {"traced"}) == ["box.Box.spare", "box.dead"]
+
+
+def _callee(func) -> str:
+    """The last name of ``f`` or ``a.b.f`` ("" for any other node)."""
+    return getattr(func, "id", None) or getattr(func, "attr", "")
+
+
+def subfile_id_calls(modules: dict[str, str]) -> list[str]:
+    """Where each ``SubfileId(...)`` call (``SubfileId._make(...)`` too) of
+    ``modules`` (module name -> source) sits: ``module.def`` or
+    ``module.Class.def``, plus ``: raise Name`` inside ``raise Name(...)``;
+    ``module`` alone at module level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            where = f"{where}: raise {_callee(node.exc.func)}"
+        elif isinstance(node, ast.Call):
+            if "SubfileId" in (_callee(node.func), _callee(getattr(node.func, "value", None))):
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for module, source in modules.items():
+        visit(ast.parse(source), module)
+    return found
+
+
+SUBFILE_ID_SITES = {"core.place", "core._parse_sid", "scheme_a.decode_from_messages: raise DecodingFailure"}
+
+
+def test_subfile_ids_are_built_only_where_they_first_appear():
+    assert [site for site in subfile_id_calls(_src_modules()) if site not in SUBFILE_ID_SITES] == []
+
+
+def test_subfile_id_calls_are_found():
+    modules = {
+        "core": (
+            "ORIGIN = SubfileId(0, 0)\n\n\n"
+            "def place(slots):\n    return [SubfileId(1, s) for s in slots]\n\n\n"
+            "class Cache:\n    def key(self, s):\n        return core.SubfileId._make((1, s))\n"
+        ),
+        "scheme_a": (
+            "def decode(s):\n"
+            "    if s:\n        raise DecodingFailure(1, SubfileId(1, s))\n"
+            "    raise ValueError(str(SubfileId(2, s)))\n"
+        ),
+    }
+    assert subfile_id_calls(modules) == [
+        "core", "core.place", "core.Cache.key", "scheme_a.decode: raise DecodingFailure",
+        "scheme_a.decode: raise ValueError",
+    ]
 
 
 def imported_defs(source: str, checked: dict[str, str]) -> list[str]:

@@ -138,7 +138,7 @@ def _sorted_tuple_placement(placement):
             for other in range(1, K + 1):
                 if other != k:
                     slots.extend(
-                        SubfileId(i, placement.perms[(i, other)][j])
+                        SubfileId(i, placement.perms[(i, other)][j].slot)
                         for j, w in enumerate(wsets[other])
                         if k in w
                     )
@@ -146,7 +146,7 @@ def _sorted_tuple_placement(placement):
 
     def slot_of(transmitter, file, wset):
         j = wrank[transmitter][tuple(sorted(wset))]
-        return SubfileId(file, placement.perms[(file, transmitter)][j])
+        return SubfileId(file, placement.perms[(file, transmitter)][j].slot)
 
     return caches, slot_of
 

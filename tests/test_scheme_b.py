@@ -114,7 +114,7 @@ def _pick_loop_messages(k, placement, d_other):
         if idx >= (ncross if cross else len(block)):
             raise PickExhausted(f"file {file}")
         counter[file] = idx + 1
-        return SubfileId(file, block[idx])
+        return SubfileId(file, block[idx].slot)
 
     out = []
     for S in lex_subsets(range(1, N + 1), params.tprime + 1):

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from d2dpc import scheme_a, scheme_b
-from d2dpc.core import RecordingSource, SeededSource, transcript_to_text
+from d2dpc.core import RecordingSource, SeededSource, SubfileId, transcript_to_text
 from d2dpc.sim import measure_load, run_protocol, theoretical_load, user_broadcast
 
 
@@ -64,6 +65,32 @@ def test_transmitters_never_need_foreign_subfiles():
     victim[0] = (victim[0][0], victim[0][1] + (foreign,))
     with pytest.raises(KeyError):
         user_broadcast(placement.caches[0], victim)
+
+
+@pytest.mark.parametrize("scheme,size,b_target", [
+    (scheme_a, (2, 2, 1), None), (scheme_a, (4, 4, 5), None), (scheme_a, (5, 3, 4), None),
+    (scheme_a, (4, 3, 4), 2**20), (scheme_b, (4, 3), None), (scheme_b, (8, 3), None),
+    (scheme_b, (4, None), None),
+], ids=["A221", "A445", "A534", "A434-1MiB", "B43", "B83", "B4full"])
+def test_caches_and_messages_hold_the_placement_ids(scheme, size, b_target):
+    # the placement makes one SubfileId per (file, slot); every cache key
+    # and every composition entry is that object, not an equal copy
+    p = scheme.params_for(*size, seed=3, b_target=b_target)
+    placement = p.place(SeededSource(3))
+    drawn = {}
+    for (i, k), ids in placement.perms.items():
+        assert all(type(sid) is SubfileId for sid in ids)
+        assert sorted(ids) == [SubfileId(i, s) for s in p.layout.block_slots(k)]
+        drawn.update(zip(ids, ids))
+    assert len(drawn) == p.base.N * p.subpacketization
+    for cache in placement.caches:
+        assert list(cache.content) == sorted(cache.content)
+        assert all(drawn[sid] is sid for sid in cache.content)
+    rng = random.Random(3)
+    for demands in [(1,) * p.base.K, tuple(rng.randint(1, p.base.N) for _ in range(p.base.K))]:
+        queries = p.query_plans(placement, demands, SeededSource(3))
+        assert all(queries) or size[-1] is None  # no messages only at full memory
+        assert all(drawn[sid] is sid for query in queries for _, comp in query for sid in comp)
 
 
 def test_seed_determinism():
