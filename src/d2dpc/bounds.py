@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .combinat import (
     Line,
@@ -33,7 +33,7 @@ from .combinat import (
 )
 from .core import Rat
 from .scheme_a import scheme_a_curve
-from .scheme_b import scheme_b_curve
+from .scheme_b import SchemeBParams, scheme_b_curve
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def _converse_curve(K: int, N: int, tags: tuple[str, str, str]) -> TradeoffCurve
 
 
 # ---------------------------------------------------------------------------
-# two-user converse
+# two-user and K-user (colluding users) converses
 # ---------------------------------------------------------------------------
 
 
@@ -98,11 +98,6 @@ def converse_two_user_curve(N: int) -> TradeoffCurve:
     if N < 2:
         raise ValueError("need N >= 2")
     return _converse_curve(2, N, _TWO_USER_TAGS)
-
-
-# ---------------------------------------------------------------------------
-# K-user converse (colluding users)
-# ---------------------------------------------------------------------------
 
 
 def converse_k_user_curve(K: int, N: int) -> TradeoffCurve:
@@ -229,16 +224,6 @@ def gap(achievable: TradeoffCurve, converse: TradeoffCurve, grid=None) -> GapRep
     return GapReport(max_ratio=best, argmax_m=argmax, skipped=skipped, grid_size=len(grid))
 
 
-CURVE_NAMES = (
-    "schemeA",
-    "schemeB",
-    "schemeC",
-    "conv2u",
-    "convKu",
-    "sharedlink",
-    "sharedlink-uncoded",
-)
-
 # The most pieces, corner points or lines, that ``named_curve`` builds a
 # curve from.  The slowest curves this admits, conv2u at N = 999 and convKu
 # at (3, 1498), build in 0.06-0.09 s on one Intel Xeon core (2.4-4.0 s while
@@ -246,44 +231,48 @@ CURVE_NAMES = (
 MAX_CURVE_PIECES = 1000
 
 
-def curve_pieces(which: str, K: int, N: int) -> int:
-    """How many corner points or lines ``named_curve(which, K, N)`` is
-    built from, by closed form and so in no time for any K, N >= 1."""
-    if which == "schemeA":
-        return (K - 1) * N + 1
-    if which == "schemeB":
-        return N + 1
-    if which == "schemeC":
-        return K + 1
-    if which in ("sharedlink", "sharedlink-uncoded"):
-        return K + 1 + (N < K)  # the point (0, N) joins when N < K
-    if which in ("conv2u", "convKu"):
-        return 3 + ((2 * N) // K - 2 if 2 * N >= 3 * K else 0)
-    raise ValueError(f"unknown curve {which!r}; choose from {CURVE_NAMES}")
+class NamedCurve(NamedTuple):
+    """A curve of the command line, built from ``pieces(K, N)`` corner
+    points or lines, a closed form that takes no time for any K, N >= 1."""
+
+    pieces: Callable[[int, int], int]
+    build: Callable[[int, int], TradeoffCurve]
+    achievable: bool = False  # a scheme's curve, not a converse or a reference
+    fixed_K: Optional[int] = None  # the one K the curve is defined at, if it has one
+
+
+def _converse_pieces(K: int, N: int) -> int:
+    return 3 + ((2 * N) // K - 2 if 2 * N >= 3 * K else 0)
+
+
+def _shared_link_pieces(K: int, N: int) -> int:
+    return K + 1 + (N < K)  # the point (0, N) joins when N < K
+
+
+CURVES = {
+    "schemeA": NamedCurve(lambda K, N: (K - 1) * N + 1, scheme_a_curve, achievable=True),
+    "schemeB": NamedCurve(lambda K, N: N + 1, lambda K, N: scheme_b_curve(N), achievable=True,
+                          fixed_K=SchemeBParams.fixed_K),
+    "schemeC": NamedCurve(lambda K, N: K + 1, scheme_c_curve, achievable=True),
+    "conv2u": NamedCurve(_converse_pieces, lambda K, N: converse_two_user_curve(N), fixed_K=2),
+    "convKu": NamedCurve(_converse_pieces, converse_k_user_curve),
+    "sharedlink": NamedCurve(_shared_link_pieces, lambda K, N: shared_link_nonprivate_envelope(
+        K, N, Fraction(1, 2 if N >= K else 4))),
+    "sharedlink-uncoded": NamedCurve(_shared_link_pieces, shared_link_nonprivate_envelope),
+}
 
 
 def named_curve(which: str, K: int, N: int) -> TradeoffCurve:
-    """Curve registry behind the command-line surface.  A curve of more
-    than ``MAX_CURVE_PIECES`` pieces is refused before it is built."""
-    pieces = curve_pieces(which, K, N)
+    """``CURVES[which]`` built at (K, N), the registry behind the command
+    line.  A curve of more than ``MAX_CURVE_PIECES`` pieces is refused
+    before it is built."""
+    if which not in CURVES:
+        raise ValueError(f"unknown curve {which!r}; choose from {tuple(CURVES)}")
+    curve = CURVES[which]
+    pieces = curve.pieces(K, N)
     if pieces > MAX_CURVE_PIECES:
         raise ValueError(f"{which} at K={K}, N={N} is built from {pieces} pieces, "
                          f"more than the {MAX_CURVE_PIECES} admitted")
-    if which == "schemeA":
-        return scheme_a_curve(K, N)
-    if which == "schemeB":
-        if K != 2:
-            raise ValueError("schemeB curve is defined for K = 2")
-        return scheme_b_curve(N)
-    if which == "schemeC":
-        return scheme_c_curve(K, N)
-    if which == "conv2u":
-        if K != 2:
-            raise ValueError("conv2u is defined for K = 2")
-        return converse_two_user_curve(N)
-    if which == "convKu":
-        return converse_k_user_curve(K, N)
-    if which == "sharedlink":
-        factor = Fraction(1, 2) if N >= K else Fraction(1, 4)
-        return shared_link_nonprivate_envelope(K, N, factor)
-    return shared_link_nonprivate_envelope(K, N, Fraction(1))  # sharedlink-uncoded
+    if curve.fixed_K not in (None, K):
+        raise ValueError(f"{which} is defined for K = {curve.fixed_K}")
+    return curve.build(K, N)

@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_curve = sub.add_parser("curve", help="emit a memory-load curve as CSV")
-    p_curve.add_argument("--which", required=True, choices=list(bounds.CURVE_NAMES))
+    p_curve.add_argument("--which", required=True, choices=list(bounds.CURVES))
     p_curve.add_argument("--K", type=int, required=True)
     p_curve.add_argument("--N", type=int, required=True)
     p_curve.add_argument("--grid", type=_int_in(0, MAX_GRID_POINTS), default=256)
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     p_gap.add_argument("--K", type=int, required=True)
     p_gap.add_argument("--N", type=int, required=True)
     p_gap.add_argument("--achievable", required=True,
-                       choices=["schemeA", "schemeB", "schemeC"])
+                       choices=[name for name, c in bounds.CURVES.items() if c.achievable])
     p_gap.add_argument("--converse", required=True,
                        help="curve name or comma-list (pointwise max), e.g. convKu,sharedlink")
     p_gap.add_argument("--grid-density", type=_int_in(0, MAX_GRID_POINTS), default=64, dest="grid_density")

@@ -118,6 +118,7 @@ class TradeoffCurve:
         next corner once M reaches it, so a point past the last corner
         can only come before a descent, which raises.  With M = p/q, the
         comparisons are cross-multiplications and the load one fraction.
+        p/q is M's exact ratio, so a float M gives the exact ``Fraction``.
         """
         if not ms:
             return []
@@ -127,9 +128,9 @@ class TradeoffCurve:
         pts, rows = self._walk
         last, i = len(rows) - 1, 0
         prev, out = ms[0], []
-        prev_p, prev_q = prev.numerator, prev.denominator
+        prev_p, prev_q = prev.as_integer_ratio()
         for M in ms:
-            p, q = M.numerator, M.denominator
+            p, q = M.as_integer_ratio()
             if p * prev_q < prev_p * q:
                 raise ValueError(f"M values must ascend: {M} after {prev}")
             prev, prev_p, prev_q = M, p, q
@@ -147,10 +148,11 @@ class TradeoffCurve:
 
 
 def _scaled(values) -> tuple[list[int], int]:
-    """The rationals ``values`` as integers over their least common
-    denominator, and that denominator."""
-    den = math.lcm(*{v.denominator for v in values})
-    return [v.numerator * (den // v.denominator) for v in values], den
+    """The numbers ``values``, floats read exactly, as integers over their
+    least common denominator, and that denominator."""
+    pairs = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*{q for _, q in pairs})
+    return [p * (den // q) for p, q in pairs], den
 
 
 def _lower_hull(xs: Sequence[int], ys: Sequence[int]) -> list[tuple[int, int]]:
@@ -219,7 +221,7 @@ class Line:
     tag: str = ""
 
     def __call__(self, M) -> Rat:
-        return self.intercept + self.slope * Fraction(M)
+        return Fraction(self.intercept) + Fraction(self.slope) * Fraction(M)
 
 
 def _envelope_corners(lines: Sequence[Line], lo: Rat, hi: Rat) -> list[tuple[Rat, Rat, int]]:

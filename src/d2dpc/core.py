@@ -34,16 +34,17 @@ Rat = Fraction
 # ---------------------------------------------------------------------------
 
 
-def seeded_rng(seed: int, stream_label) -> random.Random:
+def seeded_rng(seed: int, stream_label: str) -> random.Random:
     """Deterministic random stream derived from a (seed, label) pair.
 
     Identical (seed, label) pairs give identical streams; distinct labels
     give streams that behave independently.  The ``random.Random`` is
     keyed with SHA-256 of the pair, so streams are stable across runs.
+    The label is a ``str``: no other type may alias a string's stream.
     """
-    if isinstance(stream_label, str):
-        stream_label = stream_label.encode()
-    key = hashlib.sha256(seed.to_bytes(8, "big", signed=True) + b"|" + bytes(stream_label))
+    if not isinstance(stream_label, str):
+        raise TypeError(f"stream label must be a str, got {type(stream_label).__name__}")
+    key = hashlib.sha256(seed.to_bytes(8, "big", signed=True) + b"|" + stream_label.encode())
     return random.Random(int.from_bytes(key.digest(), "big"))
 
 

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from d2dpc import bounds
+from d2dpc import bounds, scheme_a, scheme_b
 from d2dpc.bounds import (
     _K_USER_TAGS,
     _TWO_USER_TAGS,
@@ -20,7 +21,7 @@ from d2dpc.bounds import (
 )
 from d2dpc.combinat import Line, curve_max, even_grid, shared_domain
 from d2dpc.scheme_a import scheme_a_curve
-from d2dpc.scheme_b import scheme_b_curve
+from d2dpc.scheme_b import SchemeBParams, scheme_b_curve
 from oracles import (
     _converse_terms,
     _eq6_rhs,
@@ -292,19 +293,42 @@ def test_coded_placement_gain_unbounded():
         assert scheme_c_curve(2, N)(M) == 1
 
 
-def test_curve_pieces_count_what_is_built():
-    # the closed-form counts are the lengths of what each builder envelopes
-    for K in range(1, 9):
-        for N in range(1, 13):
-            assert bounds.curve_pieces("schemeC", K, N) == len(load_c_points(K, N))
-            for which in ("sharedlink", "sharedlink-uncoded"):
-                assert bounds.curve_pieces(which, K, N) == len(man_points(K, N)) + (N < K)
-            for which, tags in (("conv2u", _TWO_USER_TAGS), ("convKu", _K_USER_TAGS)):
-                assert bounds.curve_pieces(which, K, N) == len(_converse_lines(K, N, tags))
+def _enveloped_counts(monkeypatch, build, K, N) -> list[int]:
+    """How many points or lines each envelope call of ``build(K, N)`` takes."""
+    counts = []
+    for module, name in ((bounds, "upper_envelope_of_lines"), (bounds, "lower_convex_envelope"),
+                         (scheme_a, "lower_convex_envelope"), (scheme_b, "lower_convex_envelope")):
+        def counted(items, *args, _envelope=getattr(module, name), **kwargs):
+            counts.append(len(items))
+            return _envelope(items, *args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    try:
+        build(K, N)
+    finally:
+        monkeypatch.undo()
+    return counts
+
+
+def test_curve_pieces_count_what_is_built(monkeypatch):
+    # each table entry's closed-form count is the length of what its
+    # builder envelopes, wherever the curve is defined
+    defined = {}
+    for which, curve in bounds.CURVES.items():
+        for K, N in itertools.product(range(1, 9), range(1, 13)):
+            if curve.fixed_K not in (None, K):
+                continue
+            try:
+                counts = _enveloped_counts(monkeypatch, curve.build, K, N)
+            except ValueError:
+                continue
+            assert counts == [curve.pieces(K, N)], (which, K, N)
+            defined[which] = defined.get(which, 0) + 1
+    assert defined == {"schemeA": 96, "schemeB": 11, "schemeC": 96, "conv2u": 11, "convKu": 45,
+                       "sharedlink": 96, "sharedlink-uncoded": 96}
 
 
 def test_named_curve_refuses_too_many_pieces():
-    assert bounds.curve_pieces("conv2u", 2, 999) == bounds.MAX_CURVE_PIECES
+    assert bounds.CURVES["conv2u"].pieces(2, 999) == bounds.MAX_CURVE_PIECES
     with pytest.raises(ValueError, match="1001 pieces"):
         bounds.named_curve("conv2u", 2, 1000)
 
@@ -314,10 +338,20 @@ def test_named_curve_registry():
     assert bounds.named_curve("conv2u", 2, 4)(2) == 4
     with pytest.raises(ValueError):
         bounds.named_curve("convKu", 4, 3)  # needs N >= K
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="schemeB is defined for K = 2"):
         bounds.named_curve("schemeB", 3, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="conv2u is defined for K = 2"):
+        bounds.named_curve("conv2u", 3, 4)
+    with pytest.raises(ValueError, match="unknown curve 'nope'"):
         bounds.named_curve("nope", 2, 4)
+
+
+def test_curve_table_names_and_achievable_subset():
+    # the order is the command line's
+    assert list(bounds.CURVES) == ["schemeA", "schemeB", "schemeC", "conv2u", "convKu",
+                                   "sharedlink", "sharedlink-uncoded"]
+    assert [name for name, c in bounds.CURVES.items() if c.achievable] == ["schemeA", "schemeB", "schemeC"]
+    assert bounds.CURVES["schemeB"].fixed_K == SchemeBParams.fixed_K == 2
 
 
 def test_k_user_tighter_than_shared_link_at_small_memory():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from d2dpc import bounds
 from d2dpc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -366,6 +367,21 @@ def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"argument {flag}:" in err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["curve", "--which", "nope", "--K", "2", "--N", "2"], list(bounds.CURVES)),
+        (["gap", "--K", "2", "--N", "2", "--achievable", "nope", "--converse", "conv2u"],
+         [name for name, curve in bounds.CURVES.items() if curve.achievable]),
+    ],
+)
+def test_curve_choices_are_the_table(argv, names, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.endswith("invalid choice: 'nope' (choose from " + ", ".join(map(repr, names)) + ")")
 
 
 def test_bad_seed_environment_exits_2(monkeypatch, capsys):

@@ -475,6 +475,30 @@ def test_call_refuses_points_outside_the_domain():
     assert _ZIGZAG.values([]) == []
 
 
+def test_float_m_reads_exactly_and_gives_fractions():
+    # the envelope of (0, 2), (1, 1/2), (2, 0) is 5/4 at M = 1/2
+    curve = lower_convex_envelope([(0, 2), (1, Fraction(1, 2)), (2, 0)])
+    assert curve(0.5) == curve(Fraction(1, 2)) == Fraction(5, 4)
+    assert type(curve(0.5)) is Fraction
+    assert curve.values([0.5, 1, 1.75]) == [Fraction(5, 4), Fraction(1, 2), Fraction(1, 8)]
+    assert all(type(r) is Fraction for r in curve.values([0.5, 1, 1.75]))
+    b = bounds.named_curve("schemeB", 2, 4)
+    assert b(2.5) == b(Fraction(5, 2)) and type(b(2.5)) is Fraction
+    with pytest.raises(ValueError, match="outside curve domain"):
+        curve(float("nan"))
+
+
+def test_float_line_coefficients_give_the_fraction_envelope():
+    twins = [(Fraction(-3, 2), Fraction(3)), (Fraction(-1, 4), Fraction(7, 4)),
+             (Fraction(-1, 16), Fraction(9, 8)), (Fraction(0), Fraction(1, 8))]
+    exact = [Line(s, c, f"l{i}") for i, (s, c) in enumerate(twins)]
+    floats = [Line(float(s), float(c), f"l{i}") for i, (s, c) in enumerate(twins)]
+    for lo, hi in ((0, 4), (Fraction(1, 2), Fraction(7, 2))):
+        assert upper_envelope_of_lines(floats, float(lo), float(hi)) == upper_envelope_of_lines(exact, lo, hi)
+    for line, twin in zip(floats, exact):
+        assert line(Fraction(1, 3)) == twin(Fraction(1, 3)) and type(line(Fraction(1, 3))) is Fraction
+
+
 _GRID_ENDS = st.one_of(st.integers(-20, 40), st.fractions(-20, 40, max_denominator=60))
 
 

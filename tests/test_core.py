@@ -45,6 +45,13 @@ def test_seeded_rng_labels_independent():
     assert seeded_rng(0, "a").getrandbits(128) != seeded_rng(0, "b").getrandbits(128)
 
 
+def test_seeded_rng_refuses_labels_that_are_not_str():
+    # bytes(5) and bytes([104, 105]) would alias the labels "\0" * 5 and "hi"
+    for label in (5, b"\0" * 5, [104, 105], b"hi"):
+        with pytest.raises(TypeError, match="stream label must be a str"):
+            seeded_rng(0, label)
+
+
 def _stdlib_sample(draws, rng) -> tuple:
     """The oracle of a point drawn as an int key: ``rng.shuffle`` of a
     copy of each permutation's items, ``rng.choice`` of each choice's

@@ -22,12 +22,17 @@ No linter ships with the toolchain, so the checks are ``ast`` walks.
 * ``tests/oracles.py`` imports no def of ``d2dpc.bounds`` or
   ``d2dpc.gf2``, the modules whose results its oracles check, and neither
   module whole; constants such as tag tuples may be shared.
+* No ``==``, ``!=``, ``in`` or ``not in`` in ``src/d2dpc`` compares with a
+  curve name of ``bounds.CURVES``, alone or in a literal tuple, list or
+  set: what differs between curves is a field of the table, not a branch.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from d2dpc.bounds import CURVES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "d2dpc"
@@ -268,4 +273,36 @@ def test_imported_defs_are_found():
     )
     assert imported_defs(source, checked) == [
         "line 1: pkg.mod.solve", "line 2: pkg.mod", "line 3: pkg.mod", "line 4: pkg.mod.*",
+    ]
+
+
+def name_comparisons(source: str, names) -> list[str]:
+    """``line N: name`` for every string of ``names`` that a comparison by
+    ``==``, ``!=``, ``in`` or ``not in`` in ``source`` has as an operand,
+    alone or as an element of a literal tuple, list or set."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare) or not any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+            continue
+        for operand in [node.left, *node.comparators]:
+            items = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+            found += [f"line {node.lineno}: {item.value}" for item in items
+                      if isinstance(item, ast.Constant) and item.value in names]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_curve_name_is_compared(path):
+    assert name_comparisons(path.read_text(), set(CURVES)) == []
+
+
+def test_name_comparisons_are_found():
+    source = (
+        "if which == 'schemeA':\n    pass\n"
+        "ok = 'conv2u' != which or which in ('sharedlink', 'other') or which not in ['schemeB']\n"
+        "fine = which == 'other' or which in CURVES or which < 'schemeC' or CURVES['schemeC']\n"
+    )
+    assert name_comparisons(source, {"schemeA", "schemeB", "schemeC", "conv2u", "sharedlink"}) == [
+        "line 1: schemeA", "line 3: conv2u", "line 3: sharedlink", "line 3: schemeB",
     ]
