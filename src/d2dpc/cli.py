@@ -1,35 +1,35 @@
 """Command-line surface: simulate runs, emit curves, report gaps, verify.
 
-Exit code is 0 iff every requested check passed.  Environment overrides:
-D2DPC_SEED (default seed), D2DPC_ENUM_CAP (exact-mode enumeration cap).
+``main`` parses with one parser, built once, and runs the subcommand's
+``cmd_*``, which checks its own arguments first: a bad one exits 2 with a
+one-line message.  Otherwise the exit code is 0 iff every requested check
+passed.  Commands reach library functions through their modules.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
-import os
+import re
 import sys
 from fractions import Fraction
 
 from . import bounds, sim, verify
 from .combinat import curve_max, even_grid, shared_domain
-from .core import (MAX_FILE_BITS, SchemeParams, check_seed, demand_vector, scheme_class,
-                   transcript_to_text)
+from .core import MAX_FILE_BITS, SchemeParams, demand_vector, scheme_class, transcript_to_text
 
 # the most points of `curve --grid` and `gap --grid-density`, one exact Fraction each
 MAX_GRID_POINTS = 100_000
 
-
-def _env_int(parser: argparse.ArgumentParser, name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        parser.error(f"environment variable {name} must be an integer, got {value!r}")
+# the most digits a rational flag may have above or below its fraction line,
+# read off the text before the value is built: 10**exponent is never built
+# for a huge exponent, and all the CLI prints stays far inside Python's
+# 4,300-digit int-to-str limit
+MAX_RATIONAL_DIGITS = 100
+_D = r"\d+(?:_\d+)*"  # ``Fraction``'s grammar: integer, then /denominator or .fraction and exponent
+_RATIONAL = re.compile(rf"\s*[-+]?(\d*|{_D})(?:/({_D})|(?:\.(\d*|{_D}))?(?:e([-+]?{_D}))?)\s*", re.I)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -51,6 +51,14 @@ def _parse_tprime(text: str):
 
 
 def _parse_rational(text: str) -> Fraction:
+    match = _RATIONAL.fullmatch(text)
+    if match:
+        whole, denominator, fraction, exponent = ((g or "").replace("_", "") for g in match.groups())
+        shift = int(exponent or 0) - len(fraction) if len(exponent.lstrip("+-0")) < 10 else math.inf
+        if max(len(whole + fraction) + max(shift, 0),
+               len(denominator or "1") + max(-shift, 0)) > MAX_RATIONAL_DIGITS:
+            raise argparse.ArgumentTypeError(f"expected at most {MAX_RATIONAL_DIGITS} digits above "
+                                             f"and below the fraction line, got {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -60,11 +68,11 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _int_in(lo: int, hi: float = math.inf):
-    """An argparse type: a decimal integer in lo..hi."""
+    """An argparse type: a decimal integer, with an optional minus sign, in lo..hi."""
     span = f"an integer >= {lo}" if hi == math.inf else f"an integer in {lo}..{hi}"
 
     def parse(text: str) -> int:
-        if not text.isdecimal() or not lo <= int(text) <= hi:
+        if not text.removeprefix("-").isdecimal() or not lo <= int(text) <= hi:
             raise argparse.ArgumentTypeError(f"expected {span}, got {text!r}")
         return int(text)
 
@@ -123,6 +131,15 @@ def _param_name(cls: type[SchemeParams]) -> str:
     return field.name
 
 
+def _check_out(parser: argparse.ArgumentParser, path) -> None:
+    """Fail before the run, not after it, when ``--out`` cannot be written."""
+    try:
+        if path:
+            open(path, "a").close()
+    except OSError as err:
+        parser.error(f"argument --out: cannot write {path!r}: {err.strerror}")
+
+
 def _scheme_params(parser: argparse.ArgumentParser, args):
     """The instance the arguments name; bad values end in ``parser.error``."""
     if min(args.K, args.N) < 2:
@@ -152,8 +169,14 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def cmd_simulate(args) -> int:
-    tr = sim.run_protocol(args.scheme, args.params, args.demands)
+def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
+    params = _scheme_params(parser, args)
+    try:
+        demand_vector(args.demands, params.base)
+    except ValueError as err:
+        parser.error(f"argument --demands: {err}")
+    _check_out(parser, args.out)
+    tr = sim.run_protocol(args.scheme, params, args.demands)
     measured = sim.measure_load(tr)
     theoretical = sim.theoretical_load(tr)
     decode = verify.check_decodability(tr)
@@ -191,9 +214,13 @@ def _curve_rows(curve, grid_points: int):
     return rows + corners[k:]
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(parser: argparse.ArgumentParser, args) -> int:
+    if min(args.K, args.N) < 1:
+        parser.error(f"argument --K/--N: need min(K, N) >= 1, got K={args.K}, N={args.N}")
+    curve = _named_curve(parser, "--which", args.which, args.K, args.N)
+    _check_out(parser, args.out)
     lines = ["M_rational,M_decimal,R_rational,R_decimal,curve,provenance"]
-    for m, r, tag in _curve_rows(args.curve, args.grid):
+    for m, r, tag in _curve_rows(curve, args.grid):
         lines.append(f"{m},{_fmt(m)},{r},{_fmt(r)},{args.which},{tag}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -204,11 +231,14 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def cmd_gap(args) -> int:
-    report = bounds.gap(args.achievable_curve, args.converse_curve, args.gap_grid)
+def cmd_gap(parser: argparse.ArgumentParser, args) -> int:
+    if min(args.K, args.N) < 1:
+        parser.error(f"argument --K/--N: need min(K, N) >= 1, got K={args.K}, N={args.N}")
+    achievable, converse, grid = _gap_inputs(parser, args)
+    report = bounds.gap(achievable, converse, grid)
     print(f"achievable={args.achievable} converse={args.converse} K={args.K} N={args.N}")
     if report.max_ratio is None:
-        load = args.achievable_curve(report.argmax_m)
+        load = achievable(report.argmax_m)
         ratio = f"unbounded: the converse is 0 and the achievable load {load}"
     else:
         ratio = f"{report.max_ratio} ({_fmt(report.max_ratio)})"
@@ -222,30 +252,30 @@ def cmd_gap(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
+    params = _scheme_params(parser, args)
+    if any(not 1 <= u <= args.K for u in args.coalition):
+        parser.error(f"argument --coalition: users must lie in 1..{args.K}")
     derandomized = args.baseline == "nonprivate"
     if args.mode == "exact":
         try:
-            reports = verify.check_privacy_exact_all(
-                args.scheme, args.params, [args.coalition],
-                cap=args.enum_cap, derandomized=derandomized,
-            )
+            reports = verify.check_privacy_exact_all(args.scheme, params, [args.coalition],
+                                                     derandomized=derandomized)
         except verify.ExactModeTooLarge as err:
             print(err)
             return 2
     else:
         reports = verify.check_privacy_mc_all(
-            args.scheme, args.params, [args.coalition],
-            trials=args.trials, tolerance=args.tol,
-            base_seed=args.seed,
-            derandomized=derandomized,
-        )
+            args.scheme, params, [args.coalition], trials=args.trials, tolerance=args.tol,
+            base_seed=args.seed, derandomized=derandomized)
     (report,) = reports.values()
     print(report.text())
     return 0 if report.private else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call rather than at import."""
     parser = argparse.ArgumentParser(
         prog="d2dpc",
         description="Simulator and bound evaluator for D2D private coded caching "
@@ -253,7 +283,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_instance(p, need_demands=False):
+    def common_instance(p):
         p.add_argument("--scheme", required=True, type=str.upper,
                        choices=sorted(cls.scheme for cls in SchemeParams.__subclasses__()))
         p.add_argument("--K", type=int, required=True)
@@ -261,15 +291,14 @@ def main(argv=None) -> int:
         p.add_argument("--t", type=int, help="scheme A parameter t")
         p.add_argument("--tprime", type=_parse_tprime,
                        help="scheme B parameter t' (or 'full')")
-        p.add_argument("--seed", type=int, default=None)
+        # the signed 64 bits of ``core.check_seed``
+        p.add_argument("--seed", type=_int_in(-(2**63), 2**63 - 1), default=0)
         p.add_argument("--b-target", type=_int_in(1, MAX_FILE_BITS), dest="b_target",
                        help="minimum file size in bits (rounded up to the subpacketization)")
-        if need_demands:
-            p.add_argument("--demands", required=True, type=_parse_int_list,
-                           help="comma-separated, e.g. 1,2")
 
     p_sim = sub.add_parser("simulate", help="run one protocol instance")
-    common_instance(p_sim, need_demands=True)
+    common_instance(p_sim)
+    p_sim.add_argument("--demands", required=True, type=_parse_int_list, help="comma-separated, e.g. 1,2")
     p_sim.add_argument("--out", help="write the transcript to this path")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -309,43 +338,13 @@ def main(argv=None) -> int:
                        "delivery draw (scheme B draws none, so its baseline is B itself)")
     p_ver.set_defaults(func=cmd_verify)
 
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
-    if args.command in ("curve", "gap") and min(args.K, args.N) < 1:
-        parser.error(f"argument --K/--N: need min(K, N) >= 1, got K={args.K}, N={args.N}")
-    if args.command == "curve":
-        args.curve = _named_curve(parser, "--which", args.which, args.K, args.N)
-    if args.command == "gap":
-        args.achievable_curve, args.converse_curve, args.gap_grid = _gap_inputs(parser, args)
-    if args.command in ("simulate", "verify"):
-        seed_from = "argument --seed"
-        if args.seed is None:
-            args.seed = _env_int(parser, "D2DPC_SEED", 0)
-            seed_from = "environment variable D2DPC_SEED"
-        try:
-            check_seed(args.seed)
-        except ValueError as err:
-            parser.error(f"{seed_from}: {err}")
-        args.params = _scheme_params(parser, args)
-    if args.command == "simulate":
-        try:
-            demand_vector(args.demands, args.params.base)
-        except ValueError as err:
-            parser.error(f"argument --demands: {err}")
-    if args.command == "verify":
-        if any(not 1 <= u <= args.K for u in args.coalition):
-            parser.error(f"argument --coalition: users must lie in 1..{args.K}")
-        args.enum_cap = _env_int(parser, "D2DPC_ENUM_CAP", verify.EXACT_ENUMERATION_CAP)
-        if args.enum_cap < 1:
-            parser.error("environment variable D2DPC_ENUM_CAP must be positive, "
-                         f"got {args.enum_cap}")
-    if getattr(args, "out", None):
-        # fail before the run, not after it, when the path cannot be written
-        try:
-            with open(args.out, "a"):
-                pass
-        except OSError as err:
-            parser.error(f"argument --out: cannot write {args.out!r}: {err.strerror}")
-    return args.func(args)
+    return args.func(parser, args)
 
 
 if __name__ == "__main__":

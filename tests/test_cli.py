@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import re
 import resource
@@ -8,8 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from d2dpc import bounds
+from d2dpc import bounds, cli, sim, verify
 from d2dpc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -197,8 +201,7 @@ def _limit_address_space():
 
 def _run_limited(argv, timeout=60):
     """``python -m d2dpc argv`` in a child capped at 1 GiB of address space."""
-    env = {k: v for k, v in os.environ.items() if k != "D2DPC_ENUM_CAP"}
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
         [sys.executable, "-m", "d2dpc", *argv],
         env=env, preexec_fn=_limit_address_space, capture_output=True, text=True,
@@ -358,6 +361,16 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         # a repeated name would be built again: the list holds each curve once
         ("--converse", ["gap", "--K", "2", "--N", "999", "--achievable", "schemeB",
                         "--converse", "conv2u,sharedlink,conv2u"]),
+        # more than cli.MAX_RATIONAL_DIGITS digits above or below the line, read off
+        # the text: printing such a value passed the 4,300-digit int-to-str limit,
+        # and building 10**10000000 took seconds
+        ("--bound", _GAP_8 + ["--bound", "1e5000"]),
+        ("--min-m", _GAP_8 + ["--min-m", "1e-5000"]),
+        ("--max-m", _GAP_8 + ["--max-m", "1e5000"]),
+        ("--min-m", _GAP_8 + ["--min-m", "1e-10000000"]),
+        ("--max-m", _GAP_8 + ["--max-m", "1e" + "9" * 5000]),
+        ("--bound", _GAP_8 + ["--bound", "1/" + "7" * 101]),
+        ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "1e-100000000"]),
     ],
 )
 def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):
@@ -384,33 +397,152 @@ def test_curve_choices_are_the_table(argv, names, capsys):
     assert last.endswith("invalid choice: 'nope' (choose from " + ", ".join(map(repr, names)) + ")")
 
 
-def test_bad_seed_environment_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("D2DPC_SEED", "abc")
+def test_parser_is_built_once():
+    cli._parser.cache_clear()
+    main(["curve", "--which", "sharedlink", "--K", "2", "--N", "2", "--grid", "0"])
+    main(_GAP_8)
+    assert cli._parser.cache_info().misses == 1
+
+
+_MC_20 = ["verify", "--scheme", "A", "--K", "2", "--N", "2", "--t", "2", "--mode", "mc",
+          "--trials", "20", "--coalition", "1"]
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        _MC_20 + ["--seed", "5", "--trials", "3", "--coalition", "7"],
+        _MC_20 + ["--seed", "x"],
+        _GAP_8 + ["--min-m", "1e5000"],
+        ["simulate", "--scheme", "B", "--K", "2", "--N", "3", "--tprime", "1", "--demands", "1,9"],
+    ],
+)
+def test_a_refused_call_leaves_the_next_call_as_a_fresh_one(refused, capsys):
+    cli._parser.cache_clear()
+    main(_MC_20)
+    fresh = capsys.readouterr().out
+    main(_MC_20 + ["--seed", "5"])
+    assert capsys.readouterr().out != fresh  # the seed shows in the report
+    with pytest.raises(SystemExit):
+        main(refused)
+    capsys.readouterr()
+    main(_MC_20)
+    assert capsys.readouterr().out == fresh
+
+
+def test_commands_reach_library_functions_through_their_modules(monkeypatch, capsys):
+    # the benchmark traces these by replacing module attributes after the
+    # parser may already be built
+    main(_GAP_8)
+    seen = []
+    for module, name in [(bounds, "gap"), (bounds, "named_curve"), (sim, "run_protocol"),
+                         (verify, "check_privacy_exact_all"), (verify, "check_privacy_mc_all")]:
+        def traced(*args, _real=getattr(module, name), _name=name, **kwargs):
+            seen.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, traced)
+    main(_GAP_8)
+    main(_SIMULATE_A)
+    main(_VERIFY_A)
+    main(_MC_20)
+    assert set(seen) == {"gap", "named_curve", "run_protocol", "check_privacy_exact_all",
+                         "check_privacy_mc_all"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1", "--out", "OUT",
+         "--demands", "1,9"],
+        ["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1", "--out", "OUT",
+         "--demands", "1,2", "--seed", "x"],
+        ["curve", "--out", "OUT", "--which", "convKu", "--K", "4", "--N", "3"],
+        ["curve", "--out", "OUT", "--which", "schemeB", "--K", "2", "--N", "8", "--grid", "-1"],
+    ],
+)
+def test_a_refused_argument_creates_no_out_file(argv, tmp_path, capsys):
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1",
-              "--demands", "1,2"])
+        main([str(out) if a == "OUT" else a for a in argv])
     assert exc.value.code == 2
-    last = capsys.readouterr().err.strip().splitlines()[-1]
-    assert "D2DPC_SEED" in last and "'abc'" in last
+    assert not out.exists()
 
 
-def test_out_of_range_seed_environment_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("D2DPC_SEED", "-99999999999999999999")
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--scheme", "A", "--K", "2", "--N", "2", "--t", "1",
-              "--demands", "1,2"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert "environment variable D2DPC_SEED:" in err.strip().splitlines()[-1]
+# Tokens for the CLI fuzzer: boundary, negative, non-numeric, huge-digit,
+# exponent-form and p/q values.  Every admitted run stays tiny: K, N <= 3,
+# exact verify only at K = 2, Monte Carlo at most 20 trials, small files.
+_HUGE = "9" * 5000
+_SMALL = ["2", "3", "1"]  # the first, which hypothesis favours, is admitted most
+_BAD_INTS = ["0", "-1", "x", "", "1.5", "3/2", "1e3", _HUGE, "99999999999999999999"]
+_BAD_RATIONALS = ["1e5000", "1e-5000", "1e-10000000", "1e" + "9" * 20, _HUGE, "1/" + _HUGE, "1/0",
+                  "x", "nan", "inf", ""]
+_GRID = (["0", "1", "7"], ["-1", "100001", "x", _HUGE])
 
 
-@pytest.mark.parametrize("cap", ["-5", "0"])
-def test_nonpositive_enum_cap_environment_exits_2(cap, monkeypatch, capsys):
-    monkeypatch.setenv("D2DPC_ENUM_CAP", cap)
-    with pytest.raises(SystemExit) as exc:
-        main(_VERIFY_A)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert "environment variable D2DPC_ENUM_CAP" in err.strip().splitlines()[-1]
+@st.composite
+def cli_argv(draw):
+    """A subcommand's argv: at most one flag takes a bad token (in about half
+    the draws), the others valid ones, and each optional flag is left out
+    half the time."""
+    command = draw(st.sampled_from(["simulate", "curve", "gap", "verify"]))
+    mode = draw(st.sampled_from(["exact", "mc"]))
+    scheme = draw(st.sampled_from(["A", "B", "b"]))
+    specs = []  # (flag, valid tokens, bad tokens, optional)
+    if command in ("curve", "gap"):
+        specs += [("--K", _SMALL, _BAD_INTS, False), ("--N", _SMALL, _BAD_INTS, False)]
+    if command == "curve":
+        specs += [("--which", list(bounds.CURVES), ["nope"], False), ("--grid", *_GRID, True)]
+    if command == "gap":
+        specs += [
+            ("--achievable", [n for n, c in bounds.CURVES.items() if c.achievable], ["nope"], False),
+            ("--converse", ["sharedlink", "conv2u", "convKu", "convKu,sharedlink", "schemeA"],
+             ["conv2u,conv2u", "bogus", ""], False),
+            ("--grid-density", *_GRID, True),
+        ]
+        specs += [(flag, ["1", "5", "0", "3/2", "-1", "1e-3", "0.5e1", "1_0"], _BAD_RATIONALS, True)
+                  for flag in ("--bound", "--min-m", "--max-m")]
+    if command in ("simulate", "verify"):
+        exact = command == "verify" and mode == "exact"
+        specs += [
+            ("--scheme", [scheme], ["C", ""], False),
+            ("--K", ["2"] if exact else _SMALL, _BAD_INTS, False),
+            ("--N", _SMALL, _BAD_INTS, False),
+            ("--tprime", ["1", "2", "full"], _BAD_INTS, False) if scheme in "Bb"
+            else ("--t", ["2", "1", "3", "4", "7"], _BAD_INTS + ["full"], False),
+            ("--tprime" if scheme == "A" else "--t", [None], ["1"], False),  # the other scheme's flag
+            ("--seed", ["0", "-1", str(-2**63), str(2**63 - 1)], [str(2**63), "x", _HUGE], True),
+            ("--b-target", ["1", "8"], ["0", "-5", "x", "1e3", str(2**31), _HUGE], True),
+        ]
+    if command == "simulate":
+        specs += [("--demands", ["1,2", "1,1", "2,1,3", "3,3,3"],
+                   ["1", "1,x", "", "0,1", "-1,2", "1,9"], False)]
+    if command == "verify":
+        specs += [
+            ("--mode", [mode], ["bogus"], False),
+            ("--coalition", ["1", "2", "1,2", "3"], ["0", "5", "1,x", "", "-1"], False),
+            ("--baseline", ["nonprivate"], ["other"], True),
+        ]
+        if mode == "mc":  # the default trial count is far above the fuzzer's budget
+            specs += [("--trials", ["1", "20"], ["0", "-3", "x", "1e3", _HUGE], False),
+                      ("--tol", ["0", "1", "0.05", "1/2"],
+                       ["-0.1", "1.5", "1e-5000", "1e-100000000", "nan", "x"], True)]
+    flags = [spec[0] for spec in specs]
+    spoiled = draw(st.sampled_from([None] * len(flags) + ["--bogus", "extra", *flags]))  # half clean
+    argv = [command]
+    for flag, valid, bad, optional in specs:
+        token = draw(st.sampled_from(bad if flag == spoiled else valid + [None] * (len(valid) * optional)))
+        argv += [] if token is None else [flag, token]
+    return argv + ([spoiled] if spoiled in ("--bogus", "extra") else [])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(cli_argv())
+def test_cli_fuzzer_sees_only_exit_codes_0_1_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert "Traceback" not in err.getvalue()

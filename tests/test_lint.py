@@ -25,6 +25,9 @@ No linter ships with the toolchain, so the checks are ``ast`` walks.
 * No ``==``, ``!=``, ``in`` or ``not in`` in ``src/d2dpc`` compares with a
   curve name of ``bounds.CURVES``, alone or in a literal tuple, list or
   set: what differs between curves is a field of the table, not a branch.
+* No module of ``src/d2dpc`` reads the environment (``os.environ``,
+  ``os.environ.get``, ``os.getenv``, or either name imported from ``os``):
+  every input is an argument, so a run is set by its command line alone.
 """
 
 import ast
@@ -305,4 +308,39 @@ def test_name_comparisons_are_found():
     )
     assert name_comparisons(source, {"schemeA", "schemeB", "schemeC", "conv2u", "sharedlink"}) == [
         "line 1: schemeA", "line 3: conv2u", "line 3: sharedlink", "line 3: schemeB",
+    ]
+
+
+_ENVIRONMENT = ("environ", "getenv")
+
+
+def environment_reads(source: str) -> list[str]:
+    """``line N: os.name`` for every ``os.environ`` or ``os.getenv`` that
+    ``source`` takes as an attribute or imports from ``os``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT and _callee(node.value) == "os":
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, a.name) for a in node.names if a.name in _ENVIRONMENT]
+    return [f"line {line}: os.{name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text()) == []
+
+
+def test_environment_reads_are_found():
+    source = (
+        "import os\n"
+        "seed = os.environ['SEED']\n"
+        "cap = os.environ.get('CAP', '1')\n"
+        "home = os.getenv('HOME')\n"
+        "from os import environ, getenv, path\n"
+        "fine = os.path.join(environ_name, getenv_name)\n"
+    )
+    assert environment_reads(source) == [
+        "line 2: os.environ", "line 3: os.environ", "line 4: os.getenv", "line 5: os.environ",
+        "line 5: os.getenv",
     ]
