@@ -23,6 +23,10 @@ from .core import MAX_FILE_BITS, SchemeParams, demand_vector, scheme_class, tran
 # the most points of `curve --grid` and `gap --grid-density`, one exact Fraction each
 MAX_GRID_POINTS = 100_000
 
+# the most trials of `verify --mode mc`, per demand vector: 10**5 trials of
+# A(2,2,1) take under a second in-process, so the cap is seconds there
+MAX_TRIALS = 1_000_000
+
 # the most digits a rational flag may have above or below its fraction line,
 # read off the text before the value is built: 10**exponent is never built
 # for a huge exponent, and all the CLI prints stays far inside Python's
@@ -67,13 +71,15 @@ def _parse_rational(text: str) -> Fraction:
         ) from None
 
 
-def _int_in(lo: int, hi: float = math.inf):
-    """An argparse type: a decimal integer, with an optional minus sign, in lo..hi."""
-    span = f"an integer >= {lo}" if hi == math.inf else f"an integer in {lo}..{hi}"
+def _int_in(lo: int, hi: int):
+    """An argparse type: a decimal integer, with an optional minus sign, in
+    lo..hi.  A text longer than both bounds is refused before ``int``
+    reads it, so none reaches the int-from-str limit."""
+    width = max(len(str(lo)), len(str(hi)))
 
     def parse(text: str) -> int:
-        if not text.removeprefix("-").isdecimal() or not lo <= int(text) <= hi:
-            raise argparse.ArgumentTypeError(f"expected {span}, got {text!r}")
+        if not (text.removeprefix("-").isdecimal() and len(text) <= width and lo <= int(text) <= hi):
+            raise argparse.ArgumentTypeError(f"expected an integer in {lo}..{hi}, got {text!r}")
         return int(text)
 
     return parse
@@ -331,7 +337,7 @@ def _parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p_ver.add_argument("--coalition", required=True, type=_parse_int_list,
                        help="comma-separated user indices")
-    p_ver.add_argument("--trials", type=_int_in(1), default=verify.DEFAULT_TRIALS)
+    p_ver.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=verify.DEFAULT_TRIALS)
     p_ver.add_argument("--tol", type=_parse_tolerance, default=verify.DEFAULT_TOLERANCE)
     p_ver.add_argument("--baseline", choices=["nonprivate"],
                        help="check the non-private baseline instead, the first outcome of every "

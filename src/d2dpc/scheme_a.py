@@ -75,10 +75,6 @@ class SchemeAParams(SchemeParams):
     def corner(K: int, N: int, t: int) -> tuple[Rat, Rat]:
         return load_a_point(K, N, t)
 
-    def effective_users(self, k: int) -> list[int]:
-        K, N = self.base.K, self.base.N
-        return [u for u in range(1, (K - 1) * (N - 1) + K + 1) if u != k]
-
     def label(self) -> str:
         return f"A(K={self.base.K},N={self.base.N},t={self.t})"
 
@@ -159,21 +155,18 @@ def place_a(params: SchemeAParams, source) -> Placement:
 def _virtual_demands(K: int, N: int, k: int, demands: tuple[int, ...]):
     """(effective demand map, read-only, and per-file sorted demander
     tuples indexed by file) for sub-system k.  Real users keep their
-    demands; virtual users receive files in contiguous blocks sized so
-    every file ends up demanded by exactly K-1 effective users.  The
-    per-file count is checked whenever a map is built, because the block
-    index arithmetic is easy to get wrong silently."""
+    demands; virtual users K+1, K+2, ... are handed out in order, file 1
+    first, each file taking as many as make it demanded by exactly K-1
+    effective users.  The map's keys ascend: real users, then virtual
+    ones.  The per-file count is checked whenever a map is built."""
     d_eff = {u: demands[u - 1] for u in range(1, K + 1) if u != k}
     counts = [0] * (N + 1)
     for f in d_eff.values():
         counts[f] += 1
-    prefix = 0
+    virtual = []  # the file of virtual user K+1, K+2, ...
     for i in range(1, N + 1):
-        start = 1 + K + (i - 1) * (K - 1) - prefix
-        prefix += counts[i]
-        end = K + i * (K - 1) - prefix
-        for u in range(start, end + 1):
-            d_eff[u] = i
+        virtual += [i] * (K - 1 - counts[i])
+    d_eff.update(enumerate(virtual, K + 1))
 
     by_file: list[list[int]] = [[] for _ in range(N + 1)]
     for u, f in d_eff.items():  # ascending: real users, then virtual ones
@@ -181,8 +174,6 @@ def _virtual_demands(K: int, N: int, k: int, demands: tuple[int, ...]):
     demanders = tuple(map(tuple, by_file))
     if any(len(us) != K - 1 for us in demanders[1:]):
         raise AssertionError(f"virtual demand assignment broken: {[len(us) for us in demanders[1:]]}")
-    if len(d_eff) != (K - 1) * N:
-        raise AssertionError("effective user set mistiled")
     return MappingProxyType(d_eff), demanders
 
 
@@ -204,7 +195,7 @@ def plan_delivery_a(params: SchemeAParams, demands, source) -> dict[int, Transmi
         d_eff, demanders = _virtual_demands(K, N, k, tuple(demands))
         leaders = frozenset(source.choice(("A", "leader", k, i), demanders[i])
                             for i in range(1, N + 1))
-        q = source.permutation(("A", "q", k), params.effective_users(k))
+        q = source.permutation(("A", "q", k), list(d_eff))
         per[k] = TransmitterPlanA(d_eff, leaders, tuple(q))
     return per
 
@@ -221,8 +212,6 @@ def plan_messages_a(
     params = placement.params
     tp = plan[k]
     t = params.t
-    if t > params.U:  # full-memory point: every user holds everything
-        return []
     structure = structure_a(params.base.K, params.base.N, t)
     rank = structure.rank[k]
     # position j -> the bit of user q[j] and block k of its file's ids

@@ -331,22 +331,22 @@ def _block_pass(scheme_params, placement, everyone, d, firsts, own, weighted, n_
                 yield d, k, everyone.rows(per_user), entry[1]
 
 
-def enumerate_view_distributions(scheme_params, coalitions, cap: int = EXACT_ENUMERATION_CAP,
-                                 derandomized: bool = False):
+def enumerate_view_distributions(scheme_params, coalitions, derandomized: bool = False):
     """Exact per-block view distributions per (coalition, demand vector).
 
     The sum of the transmitters' spaces over every demand vector is
-    checked against ``cap`` before any run.  Block k is counted once
-    over every point of transmitter k's draws (see the module docstring
-    and ``_block_pass``), so a demand vector takes as many runs as its
-    largest space.  Block k's counters all have the same total, so
-    distribution equality is plain counter equality.  Returns
-    dists[coalition][demand vector] = list of per-block Counters.
+    checked against ``EXACT_ENUMERATION_CAP``, read at the call, before
+    any run.  Block k is counted once over every point of transmitter
+    k's draws (see the module docstring and ``_block_pass``), so a
+    demand vector takes as many runs as its largest space.  Block k's
+    counters all have the same total, so distribution equality is plain
+    counter equality.  Returns dists[coalition][demand vector] = list of
+    per-block Counters.
     """
     coalitions, placement, everyone, spaces, firsts = _setup(scheme_params, coalitions, derandomized)
     total = sum(o.size() for own in spaces.values() for o in own)
-    if total > cap:
-        raise ExactModeTooLarge(total, cap)
+    if total > EXACT_ENUMERATION_CAP:
+        raise ExactModeTooLarge(total, EXACT_ENUMERATION_CAP)
     runs = itertools.chain.from_iterable(
         _block_pass(scheme_params, placement, everyone, d, firsts[d], own,
                     [((p, 1) for p in o.points()) for o in own], 1)
@@ -420,7 +420,6 @@ def check_privacy_exact_all(
     scheme: str,
     scheme_params,
     coalitions,
-    cap: int = EXACT_ENUMERATION_CAP,
     derandomized: bool = False,
     paranoid: bool = False,
 ) -> dict[tuple[int, ...], PrivacyReport]:
@@ -431,7 +430,7 @@ def check_privacy_exact_all(
     the benchmark, which passes ``paranoid=True``, may change (ROADMAP
     item 1)."""
     sim.check_scheme(scheme, scheme_params)
-    dists = enumerate_view_distributions(scheme_params, coalitions, cap, derandomized)
+    dists = enumerate_view_distributions(scheme_params, coalitions, derandomized)
     return {c: _exact_report(scheme_params, c, by_d) for c, by_d in dists.items()}
 
 

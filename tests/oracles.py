@@ -17,6 +17,8 @@ of the library needs them, so they live with the tests.
 * ``scheme_a_within_three_of_shared_link`` with ``load_a_upper``: the
   factor-3 bridge between scheme A and the shared-link loads behind the
   constant-factor claims.
+* ``virtual_demands_by_blocks``: the virtual users' files from block
+  index arithmetic, the oracle of ``scheme_a._virtual_demands``.
 """
 
 from fractions import Fraction
@@ -217,3 +219,23 @@ def scheme_a_within_three_of_shared_link(K: int, N: int) -> bool:
         if env(M) > 3 * Fraction(K - t, t + 1):
             return False
     return True
+
+
+def virtual_demands_by_blocks(K: int, N: int, k: int, demands) -> tuple[dict, tuple]:
+    """Sub-system k's effective demand map and per-file sorted demanders,
+    file i's virtual users placed as the contiguous block that starts
+    after the K-1 slots of each earlier file, less the earlier files'
+    real demanders."""
+    d_eff = {u: demands[u - 1] for u in range(1, K + 1) if u != k}
+    counts = [0] * (N + 1)
+    for f in d_eff.values():
+        counts[f] += 1
+    prefix = 0
+    for i in range(1, N + 1):
+        start = 1 + K + (i - 1) * (K - 1) - prefix
+        prefix += counts[i]
+        end = K + i * (K - 1) - prefix
+        for u in range(start, end + 1):
+            d_eff[u] = i
+    demanders = tuple(tuple(sorted(u for u, f in d_eff.items() if f == i)) for i in range(N + 1))
+    return d_eff, demanders

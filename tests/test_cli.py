@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import os
 import re
@@ -163,6 +165,17 @@ def test_verify_exact_pass(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "verdict=PASS" in out
+
+
+def test_verify_exact_reads_the_cap_at_each_call(monkeypatch, capsys):
+    # the parser is built before the cap drops below A(2,2,2)'s space
+    argv = ["verify", "--scheme", "A", "--K", "2", "--N", "2", "--t", "2", "--coalition", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(verify, "EXACT_ENUMERATION_CAP", 1)
+    assert main(argv) == 2
+    assert re.fullmatch(r"randomness space has \d+ outcomes > cap 1; .*Monte Carlo check\n",
+                        capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("trials,flagged", [(300, True), (3000, False)])
@@ -333,6 +346,15 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         ("--K/--N", ["curve", "--which", "sharedlink", "--K", "0", "--N", "4"]),
         ("--trials", _VERIFY_A + ["--mode", "mc", "--trials", "0"]),
         ("--trials", _VERIFY_A + ["--mode", "mc", "--trials", "-3"]),
+        # more than cli.MAX_TRIALS trials per demand vector: 10**20 of them looped for good
+        ("--trials", _VERIFY_A + ["--mode", "mc", "--trials", str(cli.MAX_TRIALS + 1)]),
+        ("--trials", _VERIFY_A + ["--mode", "mc", "--trials", "99999999999999999999"]),
+        # 5,000 digits, past the int-from-str limit: the length is refused first
+        ("--grid", ["curve", "--which", "schemeB", "--K", "2", "--N", "8", "--grid", "9" * 5000]),
+        ("--grid-density", _GAP_8 + ["--grid-density", "9" * 5000]),
+        ("--seed", _VERIFY_A + ["--seed", "9" * 5000]),
+        ("--b-target", _SIMULATE_A + ["--b-target", "9" * 5000]),
+        ("--trials", _VERIFY_A + ["--mode", "mc", "--trials", "9" * 5000]),
         ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "nan"]),
         ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "1.5"]),
         ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "-0.1"]),
@@ -380,6 +402,30 @@ def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"argument {flag}:" in err.strip().splitlines()[-1]
+
+
+def _int_in_flags():
+    """(flag, parse) for every flag of every subcommand typed by ``cli._int_in``."""
+    (commands,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for parser in commands.choices.values():
+        for action in parser._actions:
+            if getattr(action.type, "__qualname__", "") == "_int_in.<locals>.parse":
+                yield action.option_strings[0], action.type
+
+
+def test_every_bounded_integer_flag_refuses_one_past_its_bounds():
+    flags = list(_int_in_flags())
+    assert {flag for flag, _ in flags} == {"--seed", "--b-target", "--grid", "--grid-density", "--trials"}
+    for flag, parse in flags:
+        bound = inspect.getclosurevars(parse).nonlocals
+        lo, hi = bound["lo"], bound["hi"]
+        assert type(lo) is int and type(hi) is int and lo <= hi, flag
+        assert parse(str(lo)) == lo and parse(str(hi)) == hi
+        # past the 4,300-digit int-from-str limit int() itself fails, so the
+        # length is checked first and the message still states the range
+        for text in (str(lo - 1), str(hi + 1), "9" * 5000, "-" + "9" * 5000):
+            with pytest.raises(argparse.ArgumentTypeError, match=f"expected an integer in {lo}..{hi}"):
+                parse(text)
 
 
 @pytest.mark.parametrize(
@@ -472,11 +518,12 @@ def test_a_refused_argument_creates_no_out_file(argv, tmp_path, capsys):
 # exponent-form and p/q values.  Every admitted run stays tiny: K, N <= 3,
 # exact verify only at K = 2, Monte Carlo at most 20 trials, small files.
 _HUGE = "9" * 5000
+_BIG = "1" + "0" * 4999  # 5,000 digits, over every integer flag's bound
 _SMALL = ["2", "3", "1"]  # the first, which hypothesis favours, is admitted most
 _BAD_INTS = ["0", "-1", "x", "", "1.5", "3/2", "1e3", _HUGE, "99999999999999999999"]
 _BAD_RATIONALS = ["1e5000", "1e-5000", "1e-10000000", "1e" + "9" * 20, _HUGE, "1/" + _HUGE, "1/0",
                   "x", "nan", "inf", ""]
-_GRID = (["0", "1", "7"], ["-1", "100001", "x", _HUGE])
+_GRID = (["0", "1", "7"], ["-1", "100001", "x", _HUGE, _BIG])
 
 
 @st.composite
@@ -510,8 +557,8 @@ def cli_argv(draw):
             ("--tprime", ["1", "2", "full"], _BAD_INTS, False) if scheme in "Bb"
             else ("--t", ["2", "1", "3", "4", "7"], _BAD_INTS + ["full"], False),
             ("--tprime" if scheme == "A" else "--t", [None], ["1"], False),  # the other scheme's flag
-            ("--seed", ["0", "-1", str(-2**63), str(2**63 - 1)], [str(2**63), "x", _HUGE], True),
-            ("--b-target", ["1", "8"], ["0", "-5", "x", "1e3", str(2**31), _HUGE], True),
+            ("--seed", ["0", "-1", str(-2**63), str(2**63 - 1)], [str(2**63), "x", _HUGE, _BIG], True),
+            ("--b-target", ["1", "8"], ["0", "-5", "x", "1e3", str(2**31), _HUGE, _BIG], True),
         ]
     if command == "simulate":
         specs += [("--demands", ["1,2", "1,1", "2,1,3", "3,3,3"],
@@ -523,7 +570,8 @@ def cli_argv(draw):
             ("--baseline", ["nonprivate"], ["other"], True),
         ]
         if mode == "mc":  # the default trial count is far above the fuzzer's budget
-            specs += [("--trials", ["1", "20"], ["0", "-3", "x", "1e3", _HUGE], False),
+            specs += [("--trials", ["1", "20"],
+                       ["0", "-3", "x", "1e3", _HUGE, _BIG, str(cli.MAX_TRIALS + 1)], False),
                       ("--tol", ["0", "1", "0.05", "1/2"],
                        ["-0.1", "1.5", "1e-5000", "1e-100000000", "nan", "x"], True)]
     flags = [spec[0] for spec in specs]

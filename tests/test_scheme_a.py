@@ -29,7 +29,7 @@ from d2dpc.scheme_a import (
     plan_messages_a,
     scheme_a_curve,
 )
-from oracles import load_a_upper
+from oracles import load_a_upper, virtual_demands_by_blocks
 
 
 def test_subpacketization_divisibility_error():
@@ -117,6 +117,19 @@ def test_demander_tuples_match_a_scan_per_file():
                 ), (K, N, k, d)
 
 
+def test_virtual_demands_match_the_block_index_assignment():
+    # handing virtual users out in order, file by file, gives the map (and
+    # its key order) and the demanders of the contiguous-block arithmetic
+    for K in range(2, 6):
+        for N in range(2, 5):
+            for d in itertools.product(range(1, N + 1), repeat=K):
+                for k in range(1, K + 1):
+                    d_eff, demanders = _virtual_demands(K, N, k, d)
+                    want_map, want_demanders = virtual_demands_by_blocks(K, N, k, d)
+                    assert list(d_eff.items()) == list(want_map.items()), (K, N, k, d)
+                    assert demanders == want_demanders, (K, N, k, d)
+
+
 def test_virtual_demand_maps_are_read_only():
     d_eff = _virtual_demands(2, 2, 1, (1, 2))[0]
     with pytest.raises(TypeError):
@@ -128,7 +141,8 @@ def _sorted_tuple_placement(placement):
     (t-1)-subsets ranked by sorted tuple, cache membership by scanning them."""
     params = placement.params
     K, N = params.base.K, params.base.N
-    wsets = {k: lex_subsets(params.effective_users(k), params.t - 1) for k in range(1, K + 1)}
+    users = range(1, (K - 1) * (N - 1) + K + 1)
+    wsets = {k: lex_subsets([u for u in users if u != k], params.t - 1) for k in range(1, K + 1)}
     wrank = {k: {w: j for j, w in enumerate(ws)} for k, ws in wsets.items()}
     caches = []
     for k in range(1, K + 1):

@@ -297,7 +297,7 @@ def _delivery_atoms(p, demands, derandomized) -> list:
     K, N = p.base.K, p.base.N
     atoms = []
     for k in range(1, K + 1):
-        users = p.effective_users(k)
+        users = [u for u in range(1, (K - 1) * (N - 1) + K + 1) if u != k]
         shuffles = [tuple(users)] if derandomized else list(itertools.permutations(users))
         atoms.append((("A", "q", k), shuffles))
         demanders = scheme_a._virtual_demands(K, N, k, tuple(demands))[1]
@@ -927,7 +927,7 @@ def test_baseline_is_the_first_outcome_of_every_delivery_draw(K, N):
         p = scheme_a.params_for(K, N, t)
         for d in _demand_vectors(p):
             for k, plan in scheme_a.plan_delivery_a(p, d, RecordingSource()).items():
-                assert plan.q == tuple(p.effective_users(k))
+                assert plan.q == tuple(u for u in range(1, (K - 1) * (N - 1) + K + 1) if u != k)
                 assert plan.leaders == {min(u for u, f in plan.d_eff.items() if f == i)
                                         for i in range(1, N + 1)}
 
@@ -1053,6 +1053,22 @@ def test_exact_cap_error():
     # A(4,3,2): each transmitter shuffles 9 positions, 9! * 3^3 runs apiece
     with pytest.raises(ExactModeTooLarge, match="Monte Carlo"):
         check_privacy_exact_all("A", scheme_a.params_for(4, 3, 2), [[1]])
+
+
+def test_exact_cap_is_read_at_each_call(monkeypatch):
+    # A(2,2,2)'s space is checked against verify.EXACT_ENUMERATION_CAP as
+    # it stands when the check is called: a cap one below refuses it
+    p = scheme_a.params_for(2, 2, 2)
+    monkeypatch.setattr(verify, "EXACT_ENUMERATION_CAP", 0)
+    with pytest.raises(ExactModeTooLarge) as exc:
+        check_privacy_exact_all("A", p, [[1]])
+    total = exc.value.total
+    assert total > 1
+    monkeypatch.setattr(verify, "EXACT_ENUMERATION_CAP", total - 1)
+    with pytest.raises(ExactModeTooLarge, match=f"{total} outcomes > cap {total - 1}"):
+        check_privacy_exact_all("A", p, [[1]])
+    monkeypatch.setattr(verify, "EXACT_ENUMERATION_CAP", total)
+    assert _exact("A", p, [1]).private
 
 
 @pytest.mark.parametrize("t", [1, 2])
