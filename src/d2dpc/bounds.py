@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 from .combinat import (
     Line,
     TradeoffCurve,
-    binom,
+    binom_load_row,
     even_grid,
     lower_convex_envelope,
     shared_domain,
@@ -51,30 +51,31 @@ def _converse_lines(K: int, N: int, tags: tuple[str, str, str]) -> list[Line]:
     terms.
 
     Each term is a + b y in y = (K M - N)/2, which runs over [0, N/2] as
-    M runs over [N/K, 2N/K], scaled by floor(K/2)/ceil(K/2) for K
-    colluding users; eq. (5) is scaled by floor(2N/K) K/(2N) as well and
-    is present only when 2N >= 3K.  At K = 2 both scales are 1, which
-    gives the two-user family.
+    M runs over [N/K, 2N/K], scaled by f/g = floor(K/2)/ceil(K/2) for K
+    colluding users; eq. (5) is scaled by L K/(2N), L = floor(2N/K), as
+    well and is present only when 2N >= 3K.  At K = 2 both scales are 1,
+    which gives the two-user family.  The term's line in M has slope
+    b K/2 and intercept a - b N/2, each built here as one fraction of
+    integers, the scales multiplied in: eq. (6) (a = K, b = -3K/N) gives
+    -3K^2/(2N) and 5K/2, eq. (7) (a = K/2, b = -K/N) gives -K^2/(2N) and
+    K, and eq. (5)(h) gives -P/(2N n) and Q/(K n), with n = (h + 1)(h + 2)
+    and P, Q the quadratics in h below.
     """
     eq5, eq6, eq7 = tags
-    scale = Fraction(K // 2, (K + 1) // 2)
-
-    def line(a: Rat, b: Rat, tag: str, factor: Rat) -> Line:
-        return Line(factor * b * K / 2, factor * (a - b * N / 2), tag)
-
+    f, g = K // 2, (K + 1) // 2
     lines = [
         Line(Fraction(0), Fraction(0), "clamp-zero"),
-        line(Fraction(K), Fraction(-3 * K, N), eq6, scale),
-        line(Fraction(K, 2), Fraction(-K, N), eq7, scale),
+        Line(Fraction(-3 * K * K * f, 2 * N * g), Fraction(5 * K * f, 2 * g), eq6),
+        Line(Fraction(-K * K * f, 2 * N * g), Fraction(K * f, g), eq7),
     ]
     if 2 * N >= 3 * K:
-        half_k = Fraction(K, 2)
-        scale5 = scale * Fraction((2 * N) // K * K, 2 * N)
-        for h in range((2 * N) // K - 2):
-            c = h * h * (N - half_k) - N * (Fraction(2 * N, K) - 3) + h * (N + half_k)
-            a = N - (N - half_k) * h / (h + 2)
-            b = -2 - Fraction(4, h + 2) + 2 * c / ((h + 1) * (h + 2) * N)
-            lines.append(line(a, b, f"{eq5}(h={h})", scale5))
+        L = (2 * N) // K
+        for h in range(L - 2):
+            n = (h + 1) * (h + 2)
+            P = K * K * h * h + K * (8 * N - K) * h + 2 * N * (2 * N + K)
+            Q = K * K * h * h + 6 * N * K * h + 2 * N * N + 3 * N * K
+            lines.append(Line(Fraction(-f * L * K * P, 4 * g * N * N * n),
+                              Fraction(f * L * Q, 2 * g * N * n), f"{eq5}(h={h})"))
     return lines
 
 
@@ -147,12 +148,8 @@ def load_c_points(K: int, N: int) -> list[tuple[Rat, Rat]]:
     with every other curve says (N/K, N), which is used here as the
     suspected-typo correction.
     """
-    pts = [(Fraction(N, K), Fraction(N))]
-    for t in range(1, K + 1):
-        M = Fraction(t * (N - 1), K) + 1
-        R = Fraction(binom(K - 1, t) - binom(K - 1 - N, t), binom(K - 1, t - 1))
-        pts.append((M, R))
-    return pts
+    return [(Fraction(N, K), Fraction(N))] + [
+        (Fraction(t * (N - 1) + K, K), R) for t, R in enumerate(binom_load_row(K - 1, N), start=1)]
 
 
 def scheme_c_curve(K: int, N: int) -> TradeoffCurve:
@@ -208,7 +205,9 @@ def gap(achievable: TradeoffCurve, converse: TradeoffCurve, grid=None) -> GapRep
     """
     if grid is None:
         grid = default_gap_grid(achievable, converse)
-    best: Optional[Rat] = Fraction(0)
+    # the best ratio so far as num/den with den > 0, None once unbounded;
+    # a/c = (p/q)/(r/s) = p s/(q r), compared by cross-multiplying
+    best: Optional[tuple[int, int]] = (0, 1)
     argmax, skipped = None, []
     for M, c, a in zip(grid, converse.values(grid), achievable.values(grid)):
         if c == 0 and a == 0:
@@ -216,18 +215,28 @@ def gap(achievable: TradeoffCurve, converse: TradeoffCurve, grid=None) -> GapRep
         elif best is None:
             continue
         elif c == 0:
-            best, argmax = None, Fraction(M)
-        elif a / c > best:
-            best, argmax = a / c, Fraction(M)
+            best, argmax = None, M
+        else:
+            num, den = a.numerator * c.denominator, a.denominator * c.numerator
+            if den < 0:
+                num, den = -num, -den
+            if num * best[1] > best[0] * den:
+                best, argmax = (num, den), M
     if argmax is None:
         raise ValueError("converse was zero on the whole grid")
-    return GapReport(max_ratio=best, argmax_m=argmax, skipped=skipped, grid_size=len(grid))
+    return GapReport(max_ratio=None if best is None else Fraction(*best),
+                     argmax_m=Fraction(argmax), skipped=skipped, grid_size=len(grid))
 
 
 # The most pieces, corner points or lines, that ``named_curve`` builds a
-# curve from.  The slowest curves this admits, conv2u at N = 999 and convKu
-# at (3, 1498), build in 0.06-0.09 s on one Intel Xeon core (2.4-4.0 s while
-# each envelope corner was tagged by evaluating every line); others < 0.06 s.
+# curve from.  Median builds on one Intel Xeon core, Python 3.11: the
+# slowest curves this admits, conv2u at N = 999 and convKu at (3, 1498),
+# take 32-36 ms (60-78 ms while each line took some 15 ``Fraction`` steps,
+# 2.4-4.0 s while each envelope corner was tagged by evaluating every
+# line), most of it the envelope's arithmetic on the lines' common
+# denominators; scheme A at (19, 55), (10, 111) and (3, 499) takes 9-13 ms
+# and scheme C at K = 999 6-10 ms (52-88 ms while each point took three
+# ``math.comb`` calls); others less.
 MAX_CURVE_PIECES = 1000
 
 

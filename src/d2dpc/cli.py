@@ -268,8 +268,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
             reports = verify.check_privacy_exact_all(args.scheme, params, [args.coalition],
                                                      derandomized=derandomized)
         except verify.ExactModeTooLarge as err:
-            print(err)
-            return 2
+            parser.error(f"argument --mode: {err}")
     else:
         reports = verify.check_privacy_mc_all(
             args.scheme, params, [args.coalition], trials=args.trials, tolerance=args.tol,

@@ -41,6 +41,24 @@ def binom_capped(n: int, k: int, cap: int) -> int:
     return value
 
 
+def binom_load_row(U: int, N: int) -> list[Rat]:
+    """(binom(U, t) - binom(U - N, t)) / binom(U, t - 1) for t = 1..U+1,
+    with ``binom``'s zero convention, in one walk along the row.
+
+    Each step takes binom(x, t - 1) to binom(x, t) by one exact multiply
+    by x - t + 1 and one exact divide by t, for x = U and x = U - N.  The
+    factor reaches 0 at t = x + 1 and keeps the binomial at 0 past it;
+    for U - N < 0 the walk starts at binom(U - N, 0) = 0.
+    """
+    V = U - N
+    full, cut = 1, int(V >= 0)  # binom(U, t - 1), binom(V, t - 1)
+    row = []
+    for t in range(1, U + 2):
+        prev, full, cut = full, full * (U - t + 1) // t, cut * (V - t + 1) // t
+        row.append(Fraction(full - cut, prev))
+    return row
+
+
 def lex_subsets(ground: Sequence[int], size: int) -> list[tuple[int, ...]]:
     """All size-subsets of ``ground`` in lexicographic order.
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .combinat import binom, binom_capped, lex_subsets, lower_convex_envelope, TradeoffCurve
+from .combinat import binom, binom_capped, binom_load_row, lex_subsets, lower_convex_envelope, TradeoffCurve
 from .core import (
     STRUCTURE_COUNT_CAP,
     CacheState,
@@ -352,6 +352,8 @@ def load_a_point(K: int, N: int, t: int) -> tuple[Rat, Rat]:
 
 
 def scheme_a_curve(K: int, N: int) -> TradeoffCurve:
-    ts = range(1, (K - 1) * N + 2)
-    return lower_convex_envelope([load_a_point(K, N, t) for t in ts],
-                                 provenance=[f"schemeA(t={t})" for t in ts])
+    """The envelope of every ``load_a_point``, its loads from one walk
+    along the binomial row."""
+    loads = enumerate(binom_load_row((K - 1) * N, N), start=1)
+    return lower_convex_envelope([(Fraction(N + t - 1, K), R) for t, R in loads],
+                                 provenance=[f"schemeA(t={t})" for t in range(1, (K - 1) * N + 2)])

@@ -19,11 +19,13 @@ of the library needs them, so they live with the tests.
   constant-factor claims.
 * ``virtual_demands_by_blocks``: the virtual users' files from block
   index arithmetic, the oracle of ``scheme_a._virtual_demands``.
+* ``gap_by_division``: the gap with each ratio one ``Fraction`` division,
+  the oracle of ``bounds.gap``'s cross-multiplied ratios.
 """
 
 from fractions import Fraction
 
-from d2dpc.bounds import _K_USER_TAGS, _TWO_USER_TAGS
+from d2dpc.bounds import _K_USER_TAGS, _TWO_USER_TAGS, GapReport
 from d2dpc.combinat import TradeoffCurve, lower_convex_envelope
 from d2dpc.core import Rat
 from d2dpc.gf2 import _INCONSISTENT
@@ -239,3 +241,24 @@ def virtual_demands_by_blocks(K: int, N: int, k: int, demands) -> tuple[dict, tu
             d_eff[u] = i
     demanders = tuple(tuple(sorted(u for u, f in d_eff.items() if f == i)) for i in range(N + 1))
     return d_eff, demanders
+
+
+def gap_by_division(achievable: TradeoffCurve, converse: TradeoffCurve, grid) -> GapReport:
+    """The max of achievable(M)/converse(M) over the ascending ``grid``,
+    each ratio divided out as a ``Fraction``: 0/0 points skipped, the
+    first M where only the converse is 0 unbounded, else the first M of
+    the largest ratio above 0."""
+    best = Fraction(0)
+    argmax, skipped = None, []
+    for M, c, a in zip(grid, converse.values(grid), achievable.values(grid)):
+        if c == 0 and a == 0:
+            skipped.append(Fraction(M))
+        elif best is None:
+            continue
+        elif c == 0:
+            best, argmax = None, Fraction(M)
+        elif a / c > best:
+            best, argmax = a / c, Fraction(M)
+    if argmax is None:
+        raise ValueError("converse was zero on the whole grid")
+    return GapReport(max_ratio=best, argmax_m=argmax, skipped=skipped, grid_size=len(grid))

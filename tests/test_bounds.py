@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from d2dpc import bounds, scheme_a, scheme_b
 from d2dpc.bounds import (
@@ -19,7 +20,7 @@ from d2dpc.bounds import (
     scheme_c_curve,
     shared_link_nonprivate_envelope,
 )
-from d2dpc.combinat import Line, curve_max, even_grid, shared_domain
+from d2dpc.combinat import Line, binom, curve_max, even_grid, lower_convex_envelope, shared_domain
 from d2dpc.scheme_a import scheme_a_curve
 from d2dpc.scheme_b import SchemeBParams, scheme_b_curve
 from oracles import (
@@ -29,6 +30,7 @@ from oracles import (
     converse_k_user,
     converse_two_user,
     converse_two_user_corners,
+    gap_by_division,
     scheme_a_within_three_of_shared_link,
 )
 
@@ -145,16 +147,17 @@ def _line_through(m0: Fraction, r0: Fraction, m1: Fraction, r1: Fraction, tag: s
 def test_converse_lines_match_paper_form():
     # each closed-form line runs through its paper-form term at both ends
     # of y in [0, N/2], that is M = N/K and M = 2N/K: same slope, intercept,
-    # tag and order
-    for K in range(2, 13):
+    # tag and order, at K = 2..12, N <= 70, and at the piece cap's largest
+    # instances, conv2u at N = 999 and convKu at (3, 1498)
+    box = [(K, N) for K in range(2, 13) for N in range(max(2, K), 71)]
+    for K, N in box + [(2, 999), (3, 1498)]:
         tags = _TWO_USER_TAGS if K == 2 else _K_USER_TAGS
-        for N in range(max(2, K), 71):
-            lo, hi = Fraction(N, K), Fraction(2 * N, K)
-            expected = [Line(Fraction(0), Fraction(0), "clamp-zero")] + [
-                _line_through(lo, f(Fraction(0)), hi, f(Fraction(N, 2)), tag)
-                for tag, f in _converse_terms(K, N, tags)
-            ]
-            assert _converse_lines(K, N, tags) == expected, (K, N)
+        lo, hi = Fraction(N, K), Fraction(2 * N, K)
+        expected = [Line(Fraction(0), Fraction(0), "clamp-zero")] + [
+            _line_through(lo, f(Fraction(0)), hi, f(Fraction(N, 2)), tag)
+            for tag, f in _converse_terms(K, N, tags)
+        ]
+        assert _converse_lines(K, N, tags) == expected, (K, N)
 
 
 def test_k_user_curve_matches_pointwise():
@@ -201,6 +204,19 @@ def test_scheme_c_general_t2_point():
         assert (Fraction(N + 1, 2), 1) in pts
 
 
+def test_scheme_c_points_match_the_closed_form():
+    # the one-walk loads against the per-t formula, N > K - 1 included,
+    # where every binom(K - 1 - N, t) is 0
+    for K in range(2, 41):
+        for N in range(1, 61):
+            expected = [(Fraction(N, K), Fraction(N))] + [
+                (Fraction(t * (N - 1), K) + 1,
+                 Fraction(binom(K - 1, t) - binom(K - 1 - N, t), binom(K - 1, t - 1)))
+                for t in range(1, K + 1)
+            ]
+            assert load_c_points(K, N) == expected, (K, N)
+
+
 def test_gap_identical_curves():
     c = scheme_b_curve(4)
     report = gap(c, c)
@@ -243,6 +259,86 @@ def test_gap_n8_value():
     assert report.max_ratio <= 3
     assert report.max_ratio == Fraction(6, 5)
     assert Fraction(9, 2) < report.argmax_m < 6
+
+
+def _gap_or_error(gap_fn, achievable, converse, grid):
+    try:
+        return gap_fn(achievable, converse, grid)
+    except ValueError as err:
+        return str(err)
+
+
+_M_POINTS = st.builds(Fraction, st.integers(0, 16), st.integers(1, 2))
+_LOADS = st.builds(Fraction, st.integers(-4, 12).map(lambda n: max(n, 0)), st.integers(1, 3))
+
+
+@st.composite
+def _convex_curves(draw):
+    """The lower envelope of 1 to 6 points on a small rational grid, loads
+    sorted downward against M, 0 drawn often."""
+    pts = draw(st.lists(st.tuples(_M_POINTS, _LOADS), min_size=1, max_size=6, unique_by=lambda p: p[0]))
+    ms = sorted(m for m, _ in pts)
+    rs = sorted((r for _, r in pts), reverse=True)
+    return lower_convex_envelope(zip(ms, rs))
+
+
+@st.composite
+def _gap_cases(draw):
+    """An achievable curve; a converse drawn on its own or the achievable
+    one scaled (a tie at every point where both are positive); and an
+    ascending grid in both domains, corners, rationals between and
+    repeats."""
+    achievable = draw(_convex_curves())
+    if draw(st.booleans()):
+        converse = draw(_convex_curves())
+    else:
+        scale = draw(st.builds(Fraction, st.integers(1, 4), st.integers(1, 4)))
+        converse = lower_convex_envelope([(m, r * scale) for m, r in achievable.corners])
+    lo, hi = max(achievable.min_m, converse.min_m), min(achievable.max_m, converse.max_m)
+    assume(lo <= hi)
+    corners = [m for m in achievable.corner_ms() + converse.corner_ms() if lo <= m <= hi]  # lo among them
+    point = st.one_of(st.sampled_from(corners), st.fractions(lo, hi, max_denominator=12))
+    return achievable, converse, sorted(draw(st.lists(point, min_size=1, max_size=12)))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_gap_cases())
+def test_gap_matches_division_oracle(case):
+    # max_ratio, argmax_m (the first maximum), skipped and grid_size, or
+    # the same refusal when no point has a positive finite ratio
+    assert _gap_or_error(gap, *case) == _gap_or_error(gap_by_division, *case)
+
+
+@pytest.mark.parametrize(
+    "achievable,converse,grid,expected",
+    [
+        # ties at the maximum 2 everywhere; M = 2 is 0/0, so skipped
+        (lower_convex_envelope([(0, 4), (2, 0)]), lower_convex_envelope([(0, 2), (2, 0)]),
+         [0, 1, 2], (2, 0, [2])),
+        # the converse reaches 0 at M = 2 first: unbounded there, the 0/0
+        # point after it still skipped
+        (lower_convex_envelope([(0, 6), (4, 0)]), lower_convex_envelope([(0, 2), (2, 0), (4, 0)]),
+         [0, 1, 2, 3, 4], (None, 2, [4])),
+        # ratios 1 then 3/2: the later, larger one wins
+        (lower_convex_envelope([(0, 2), (4, 1)]), lower_convex_envelope([(0, 2), (4, 0)]),
+         [0, 2], (Fraction(3, 2), 2, [])),
+    ],
+)
+def test_gap_cases_match_division_oracle(achievable, converse, grid, expected):
+    grid = [Fraction(m) for m in grid]
+    report = gap(achievable, converse, grid)
+    assert report == gap_by_division(achievable, converse, grid)
+    assert (report.max_ratio, report.argmax_m, report.skipped) == expected
+    assert report.grid_size == len(grid)
+
+
+def test_gap_refuses_where_no_ratio_is_positive():
+    # an achievable load of 0 over a positive converse, and an empty grid
+    zero, one = lower_convex_envelope([(0, 0), (2, 0)]), lower_convex_envelope([(0, 1), (2, 1)])
+    for grid in ([Fraction(0), Fraction(1)], []):
+        for gap_fn in (gap, gap_by_division):
+            with pytest.raises(ValueError, match="converse was zero on the whole grid"):
+                gap_fn(zero, one, grid)
 
 
 def test_two_user_worst_gap_closed_form():

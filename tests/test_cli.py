@@ -173,9 +173,13 @@ def test_verify_exact_reads_the_cap_at_each_call(monkeypatch, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     monkeypatch.setattr(verify, "EXACT_ENUMERATION_CAP", 1)
-    assert main(argv) == 2
-    assert re.fullmatch(r"randomness space has \d+ outcomes > cap 1; .*Monte Carlo check\n",
-                        capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"d2dpc: error: argument --mode: randomness space has \d+ outcomes > cap 1; "
+                        r".*Monte Carlo check", err.strip().splitlines()[-1])
 
 
 @pytest.mark.parametrize("trials,flagged", [(300, True), (3000, False)])
@@ -226,11 +230,13 @@ def test_verify_exact_too_large_exits_2_under_memory_limit():
     # A(2,10,2): each transmitter's position shuffle alone has 10! > 10^6
     # outcomes; exact mode must reject it from the size of its space,
     # before building any of it, so a child capped at 1 GiB exits 2 with
-    # the cap message
+    # the cap message on stderr, as every other exit-2 refusal
     proc = _run_limited(["verify", "--scheme", "A", "--K", "2", "--N", "10", "--t", "2",
                          "--mode", "exact", "--coalition", "1"])
     assert proc.returncode == 2, proc.stderr
-    assert re.search(r"randomness space has \d+ outcomes > cap \d+", proc.stdout)
+    assert proc.stdout == ""
+    assert re.search(r"argument --mode: randomness space has \d+ outcomes > cap \d+",
+                     proc.stderr.strip().splitlines()[-1])
 
 
 def test_simulate_too_large_structure_exits_2_under_memory_limit():

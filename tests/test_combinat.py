@@ -12,6 +12,7 @@ from d2dpc.combinat import (
     TradeoffCurve,
     binom,
     binom_capped,
+    binom_load_row,
     curve_max,
     even_grid,
     lex_subsets,
@@ -43,6 +44,14 @@ def test_binom_capped_is_min_of_binom_and_cap():
                 assert binom_capped(n, k, cap) == min(binom(n, k), cap)
     # stops after a few dozen factors, long before binom(n, k) is built
     assert binom_capped(2 * 10**6, 10**6, 10**18) == 10**18
+
+
+def test_binom_load_row_matches_binom():
+    # N > U puts U - N below zero, where every binom(U - N, t) is 0
+    for U in range(0, 30):
+        for N in range(0, U + 4):
+            expected = [Fraction(binom(U, t) - binom(U - N, t), binom(U, t - 1)) for t in range(1, U + 2)]
+            assert binom_load_row(U, N) == expected, (U, N)
     assert binom_capped(2 * 10**6, 2 * 10**6 - 1, 10**18) == 2 * 10**6
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from d2dpc import scheme_a, scheme_b, sim, verify
-from d2dpc.combinat import binom, lex_subsets
+from d2dpc.bounds import MAX_CURVE_PIECES
+from d2dpc.combinat import binom, lex_subsets, lower_convex_envelope
 from d2dpc.core import (
     MulticastMessage,
     RecordingSource,
@@ -248,6 +250,33 @@ def test_load_point_values():
 
 def test_envelope_example_point():
     assert scheme_a_curve(2, 2)(Fraction(6, 5)) == Fraction(7, 5)
+
+
+def test_curve_is_the_envelope_of_its_closed_form_points():
+    # the one-walk loads against ``load_a_point``'s per-t closed form, at
+    # K = 2..12 and N <= 40 under the piece cap and at three instances of
+    # the cap's size: the same corners and provenance tags
+    box = [(K, N) for K in range(2, 13) for N in range(1, 41) if (K - 1) * N + 1 <= MAX_CURVE_PIECES]
+    for K, N in box + [(19, 55), (10, 111), (3, 499)]:
+        ts = range(1, (K - 1) * N + 2)
+        expected = lower_convex_envelope([load_a_point(K, N, t) for t in ts],
+                                         provenance=[f"schemeA(t={t})" for t in ts])
+        curve = scheme_a_curve(K, N)
+        assert (curve.corners, curve.provenance) == (expected.corners, expected.provenance), (K, N)
+
+
+def test_curve_makes_no_binomial_call_per_point(monkeypatch):
+    # 991 points at (19, 55): a closed form per point would make about
+    # 3,000 math.comb calls, the walk makes none
+    calls, comb = [], math.comb
+
+    def counted(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counted)
+    assert len(scheme_a_curve(19, 55).corners) > 1
+    assert len(calls) <= 3
 
 
 def test_load_upper_bound():
