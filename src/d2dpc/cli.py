@@ -72,13 +72,15 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _int_in(lo: int, hi: int):
-    """An argparse type: a decimal integer, with an optional minus sign, in
-    lo..hi.  A text longer than both bounds is refused before ``int``
-    reads it, so none reaches the int-from-str limit."""
+    """An argparse type: a decimal integer of ASCII digits, with an
+    optional minus sign, in lo..hi.  A text longer than both bounds is
+    refused before ``int`` reads it, so none reaches the int-from-str
+    limit."""
     width = max(len(str(lo)), len(str(hi)))
 
     def parse(text: str) -> int:
-        if not (text.removeprefix("-").isdecimal() and len(text) <= width and lo <= int(text) <= hi):
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdecimal() and len(text) <= width and lo <= int(text) <= hi):
             raise argparse.ArgumentTypeError(f"expected an integer in {lo}..{hi}, got {text!r}")
         return int(text)
 

@@ -1,4 +1,4 @@
-"""Binomials, lexicographic subsets, exact envelopes.
+"""Binomials and exact envelopes.
 
 The binomial follows the zero convention binom(x, y) = 0 whenever x < 0,
 y < 0 or x < y, which the load formulas rely on at the range edges.
@@ -11,7 +11,6 @@ of their segment lines.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,17 +56,6 @@ def binom_load_row(U: int, N: int) -> list[Rat]:
         prev, full, cut = full, full * (U - t + 1) // t, cut * (V - t + 1) // t
         row.append(Fraction(full - cut, prev))
     return row
-
-
-def lex_subsets(ground: Sequence[int], size: int) -> list[tuple[int, ...]]:
-    """All size-subsets of ``ground`` in lexicographic order.
-
-    The ground set is taken in ascending order, so the j-th subset is
-    well defined no matter how the caller ordered its elements.
-    """
-    if not 0 <= size <= len(ground):
-        raise ValueError(f"size {size} out of range for ground of {len(ground)}")
-    return list(itertools.combinations(sorted(ground), size))
 
 
 # ---------------------------------------------------------------------------

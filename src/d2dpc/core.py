@@ -17,7 +17,6 @@ from __future__ import annotations
 import binascii
 import functools
 import hashlib
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -99,7 +98,18 @@ def _replay(kind: str, xs, indices):
     return out
 
 
-class SeededSource:
+class _Source:
+    """A scheme's two draws, each one ``_draw(label, kind, xs)`` of the
+    source: a permutation of the items or a choice among the options."""
+
+    def permutation(self, label, items: list) -> list:
+        return self._draw(label, "permutation", items)
+
+    def choice(self, label, options: list):
+        return self._draw(label, "choice", options)
+
+
+class SeededSource(_Source):
     """Labelled randomness for scheme runs: every draw gets its own stream.
 
     A permutation request with the same (seed, label) always returns the
@@ -115,14 +125,8 @@ class SeededSource:
         getrandbits = seeded_rng(self.seed, str(label)).getrandbits
         return _replay(kind, xs, draw_indices(_bounds(kind, xs), getrandbits))
 
-    def permutation(self, label, items: list) -> list:
-        return self._draw(label, "permutation", items)
 
-    def choice(self, label, options: list):
-        return self._draw(label, "choice", options)
-
-
-class FixedSource:
+class FixedSource(_Source):
     """Replays an explicit assignment label -> drawn value (enumeration).
 
     Strict: a draw with no assigned value raises KeyError, and one whose
@@ -132,43 +136,38 @@ class FixedSource:
     def __init__(self, assignment: dict):
         self.assignment = assignment
 
-    def permutation(self, label, items: list) -> list:
-        value = list(self.assignment[label])
-        if sorted(value) != sorted(items):
-            raise ValueError(f"assignment for {label} is not a permutation of items")
-        return value
-
-    def choice(self, label, options: list):
+    def _draw(self, label, kind: str, xs):
         value = self.assignment[label]
-        if value not in options:
+        if kind == "permutation":
+            value = list(value)
+            if sorted(value) != sorted(xs):
+                raise ValueError(f"assignment for {label} is not a permutation of items")
+        elif value not in xs:
             raise ValueError(f"assignment for {label} not among options")
         return value
 
 
-class RecordingSource:
-    """Records the draws a scheme makes, so exact mode enumerates exactly
-    those: each ``permutation``/``choice`` is kept as (label, items or
-    options, kind) and answered with its first outcome (the items as
-    given, the first option).
+class RecordingSource(_Source):
+    """Records the draws a scheme makes, so a check draws exactly those:
+    each is kept as (label, items or options, kind) and answered with its
+    first outcome (the items as given, the first option).
 
     Replaying the recorded draws is sound because a scheme's draw labels
     and options never depend on the values drawn before them.
 
-    A Monte Carlo trial draws a point as its int key: ``draw_key`` over
-    ``plan`` makes the ``getrandbits`` calls of the stdlib's ``shuffle``
-    and ``choice``, and ``point`` gives the point that they draw.
+    ``point`` maps the int keys ``range(size())`` one-to-one onto the
+    recorded space.  Exact mode walks every key; a Monte Carlo trial
+    draws one with ``draw_key`` over ``plan``, which makes the
+    ``getrandbits`` calls of the stdlib's ``shuffle`` and ``choice``, so
+    ``point`` gives the point that they draw.
     """
 
     def __init__(self):
         self.draws: list[tuple] = []
 
-    def permutation(self, label, items: list) -> list:
-        self.draws.append((label, tuple(items), "permutation"))
-        return list(items)
-
-    def choice(self, label, options: list):
-        self.draws.append((label, tuple(options), "choice"))
-        return options[0]
+    def _draw(self, label, kind: str, xs):
+        self.draws.append((label, tuple(xs), kind))
+        return list(xs) if kind == "permutation" else xs[0]
 
     def size(self) -> int:
         """The number of points of the recorded space, counted without
@@ -178,23 +177,15 @@ class RecordingSource:
     def labels(self) -> list:
         return [label for label, _, _ in self.draws]
 
-    def points(self):
-        """Every point of the recorded space: the tuple of drawn values,
-        one per draw in recorded order, a permutation as a tuple.  The
-        first point is the first outcome of every draw."""
-        return itertools.product(*(
-            itertools.permutations(xs) if kind == "permutation" else xs
-            for _, xs, kind in self.draws
-        ))
-
     def plan(self) -> list[tuple[int, int]]:
         """(n, n.bit_length()) of every ``_randbelow(n)`` that the stdlib
         makes to draw the recorded draws, in recorded order."""
         return [(n, n.bit_length()) for _, xs, kind in self.draws for n in _bounds(kind, xs)]
 
     def point(self, key: int) -> tuple:
-        """The point that ``key`` in ``range(size())`` names, shaped like
-        the points of ``points``: its indices (see ``draw_key``) replayed."""
+        """The point that ``key`` names, the tuple of drawn values in
+        recorded order (a permutation as a tuple): the key's indices (see
+        ``draw_key``) replayed."""
         indices = []
         for n, _ in reversed(self.plan()):
             key, r = divmod(key, n)

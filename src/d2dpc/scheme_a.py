@@ -19,6 +19,7 @@ t)`` builds them once per size.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .combinat import binom, binom_capped, binom_load_row, lex_subsets, lower_convex_envelope, TradeoffCurve
+from .combinat import binom, binom_capped, binom_load_row, lower_convex_envelope, TradeoffCurve
 from .core import (
     STRUCTURE_COUNT_CAP,
     CacheState,
@@ -119,14 +120,14 @@ def structure_a(K: int, N: int, t: int) -> StructureA:
     rank = {}
     held: dict[int, list[tuple[int, int]]] = {u: [] for u in range(1, K + 1)}
     for k in range(1, K + 1):
-        subsets = lex_subsets([u for u in users if u != k], t - 1)
+        subsets = list(itertools.combinations([u for u in users if u != k], t - 1))
         rank[k] = MappingProxyType({_mask(w): j for j, w in enumerate(subsets)})
         for j, w in enumerate(subsets):
             for u in w:
                 if u <= K:
                     held[u].append((k, j))
     U = (K - 1) * N
-    position_sets = tuple(lex_subsets(range(1, U + 1), t)) if t <= U else ()
+    position_sets = tuple(itertools.combinations(range(1, U + 1), t))
     return StructureA(
         MappingProxyType(rank),
         MappingProxyType({u: tuple(pairs) for u, pairs in held.items()}),

@@ -8,7 +8,7 @@ files; the pick rule places the receiver's demanded file outside its
 cross-cached block and everything else inside it, so exactly one summand
 per useful message is unknown to the receiver.  Corner points:
 
-    M = N/2 + N t' / (2 (N + t' - 1))
+    M = N (N + 2t' - 1) / (2 (N + t' - 1))
     R = N (N - 1) / ((t' + 1) (N + t' - 1)),    t' in [0 .. N-1],
 
 plus the full-memory point (N, 0).
@@ -22,13 +22,14 @@ size, and ``plan_messages_b`` reads them through one placement.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .combinat import binom, binom_capped, lex_subsets, lower_convex_envelope, TradeoffCurve
+from .combinat import binom, binom_capped, lower_convex_envelope, TradeoffCurve
 from .core import STRUCTURE_COUNT_CAP, Placement, Rat, SchemeParams, SubfileId, place
 from .scheme_a import decode_from_messages  # noqa: F401  (scheme B's decoder too)
 
@@ -123,7 +124,7 @@ def structure_b(N: int, tprime: Optional[int]) -> StructureB:
     half = SchemeBParams.shape(2, N, tprime)[1]
     cross = half if full else binom(N - 2, tprime - 1)
     held = {k: tuple((3 - k, j) for j in range(cross)) for k in (1, 2)}
-    subsets = [] if full else lex_subsets(range(1, N + 1), tprime + 1)
+    subsets = [] if full else list(itertools.combinations(range(1, N + 1), tprime + 1))
     plans = {}
     for d in range(1, N + 1):
         next_cross, next_noncross = [0] * (N + 1), [cross] * (N + 1)
@@ -171,7 +172,7 @@ def plan_messages_b(k: int, placement: Placement, demands) -> list[tuple[None, t
 def load_b_point(N: int, tprime: int) -> tuple[Rat, Rat]:
     if not 0 <= tprime <= N - 1:
         raise ValueError(f"t' must lie in 0..{N - 1}")
-    M = Fraction(N, 2) + Fraction(N * tprime, 2 * (N + tprime - 1))
+    M = Fraction(N * (N + 2 * tprime - 1), 2 * (N + tprime - 1))
     R = Fraction(N * (N - 1), (tprime + 1) * (N + tprime - 1))
     return M, R
 
@@ -179,6 +180,6 @@ def load_b_point(N: int, tprime: int) -> tuple[Rat, Rat]:
 def scheme_b_curve(N: int) -> TradeoffCurve:
     if N < 2:
         raise ValueError("need N >= 2")
-    pts = [load_b_point(N, tp) for tp in range(N)] + [(Fraction(N), Fraction(0))]
+    pts = [load_b_point(N, tp) for tp in range(N)] + [SchemeBParams.corner(2, N, None)]
     tags = [f"schemeB(t'={tp})" for tp in range(N)] + ["schemeB(full)"]
     return lower_convex_envelope(pts, provenance=tags)

@@ -41,13 +41,14 @@ brute-force enumeration and against raw, uncanonicalised views.
   products are equal exactly when every factor is.  Both modes count
   block by block in one lockstep pass per demand vector
   (``_block_pass``): a transmitter's point is the values of its own
-  draws, and run j gives every transmitter its j-th distinct point,
-  weighted by its multiplicity.  Exact mode passes every point once; a
-  Monte Carlo check first draws all its trials' points as int keys,
-  every recorded draw taken in turn from one keyed stream per demand
-  vector, so the trials of a demand vector are consecutive runs whose
-  source answers each draw from that stream, and passes each distinct
-  point with its count.
+  draws, named by an int key (``RecordingSource.point``), and run j
+  gives every transmitter the point of its j-th distinct key, weighted
+  by its multiplicity.  Exact mode passes every key of the space once;
+  a Monte Carlo check first draws all its trials' keys, every recorded
+  draw taken in turn from one keyed stream per demand vector, so the
+  trials of a demand vector are consecutive runs whose source answers
+  each draw from that stream, and passes each distinct key with its
+  count.
 
 The joint view needs no pass of its own: transmitter k XORs only
 block-k subfiles and a slot's class holds its block, so no class spans
@@ -307,23 +308,23 @@ def _setup(scheme_params, coalitions, derandomized: bool):
     return coalitions, placement, _Everyone(placement.caches, layout), spaces, firsts
 
 
-def _block_pass(scheme_params, placement, everyone, d, firsts, own, weighted, n_head):
+def _block_pass(scheme_params, placement, everyone, d, firsts, own, keyed, n_head):
     """Demand vector d's everyone-view blocks with their weights, as
     ``_count_then_project`` takes them: the head once, weighted
     ``n_head``, then one protocol run per column j on the check's one
-    placement.  ``weighted[k - 1]`` yields transmitter k's distinct
-    points of ``own[k - 1]`` with their multiplicities; run j gives each
-    transmitter its j-th and every other draw its value in ``firsts``, a
-    transmitter with no points left held at its first outcomes and its
-    block not counted, so d takes as many runs as the most points any
-    transmitter has."""
+    placement.  ``keyed[k - 1]`` yields transmitter k's distinct keys
+    into ``own[k - 1]`` with their multiplicities; run j gives each
+    transmitter the point of its j-th key and every other draw its value
+    in ``firsts``, a transmitter with no keys left held at its first
+    outcomes and its block not counted, so d takes as many runs as the
+    most keys any transmitter has."""
     yield d, 0, everyone.head(d), n_head
     labels = [o.labels() for o in own]
-    for column in itertools.zip_longest(*weighted):
+    for column in itertools.zip_longest(*keyed):
         assignment = dict(firsts)
-        for labs, entry in zip(labels, column):
+        for o, labs, entry in zip(own, labels, column):
             if entry is not None:
-                assignment.update(zip(labs, entry[0]))
+                assignment.update(zip(labs, o.point(entry[0])))
         tr = sim.run_protocol(scheme_params.scheme, scheme_params, d,
                               source=FixedSource(assignment), placement=placement)
         for k, (entry, per_user) in enumerate(zip(column, tr.broadcasts), 1):
@@ -337,11 +338,13 @@ def enumerate_view_distributions(scheme_params, coalitions, derandomized: bool =
     The sum of the transmitters' spaces over every demand vector is
     checked against ``EXACT_ENUMERATION_CAP``, read at the call, before
     any run.  Block k is counted once over every point of transmitter
-    k's draws (see the module docstring and ``_block_pass``), so a
-    demand vector takes as many runs as its largest space.  Block k's
-    counters all have the same total, so distribution equality is plain
-    counter equality.  Returns dists[coalition][demand vector] = list of
-    per-block Counters.
+    k's draws: every key in ``range(size())``, weighted 1, is turned
+    into its point by ``RecordingSource.point``, the path a Monte Carlo
+    trial's key takes (see the module docstring and ``_block_pass``).
+    So a demand vector takes as many runs as its largest space.  Block
+    k's counters all have the same total, so distribution equality is
+    plain counter equality.  Returns dists[coalition][demand vector] =
+    list of per-block Counters.
     """
     coalitions, placement, everyone, spaces, firsts = _setup(scheme_params, coalitions, derandomized)
     total = sum(o.size() for own in spaces.values() for o in own)
@@ -349,7 +352,7 @@ def enumerate_view_distributions(scheme_params, coalitions, derandomized: bool =
         raise ExactModeTooLarge(total, EXACT_ENUMERATION_CAP)
     runs = itertools.chain.from_iterable(
         _block_pass(scheme_params, placement, everyone, d, firsts[d], own,
-                    [((p, 1) for p in o.points()) for o in own], 1)
+                    [zip(range(o.size()), itertools.repeat(1)) for o in own], 1)
         for d, own in spaces.items())
     return _count_then_project(runs, spaces, coalitions, scheme_params.base.K)
 
@@ -478,10 +481,10 @@ def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed:
     (``draw_key`` over ``RecordingSource.plan``), which makes the same
     ``getrandbits`` calls as the stdlib's ``shuffle`` and ``choice`` of
     those draws, so its point is theirs.  All trials are drawn first,
-    into one key count per transmitter; then each distinct key is turned
-    into its point (``RecordingSource.point``) and run once, its block
-    counted with its multiplicity (see ``_block_pass``), blocks in the
-    order their first trial met them.  A coalition's block counts are
+    into one key count per transmitter; then each distinct key is run
+    once on its point (``RecordingSource.point``), its block counted
+    with its multiplicity (see ``_block_pass``), blocks in the order
+    their first trial met them.  A coalition's block counts are
     their projection (see ``_Projection``).
 
     Returns dists[coalition][demand vector] = list of per-block Counters.
@@ -499,8 +502,7 @@ def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed:
                     key = draw_key(plan, getrandbits)
                     counts[key] = counts.get(key, 0) + 1
             yield from _block_pass(scheme_params, placement, everyone, d, firsts[d], own,
-                                   [zip(map(o.point, counts), counts.values())
-                                    for o, counts in zip(own, seen)], trials)
+                                   [counts.items() for counts in seen], trials)
 
     return _count_then_project(runs(), spaces, coalitions, scheme_params.base.K)
 

@@ -21,8 +21,12 @@ of the library needs them, so they live with the tests.
   index arithmetic, the oracle of ``scheme_a._virtual_demands``.
 * ``gap_by_division``: the gap with each ratio one ``Fraction`` division,
   the oracle of ``bounds.gap``'s cross-multiplied ratios.
+* ``recorded_points``: a ``RecordingSource``'s space as the product of
+  its draws' outcomes, the oracle of the keys ``RecordingSource.point``
+  names.
 """
 
+import itertools
 from fractions import Fraction
 
 from d2dpc.bounds import _K_USER_TAGS, _TWO_USER_TAGS, GapReport
@@ -262,3 +266,13 @@ def gap_by_division(achievable: TradeoffCurve, converse: TradeoffCurve, grid) ->
     if argmax is None:
         raise ValueError("converse was zero on the whole grid")
     return GapReport(max_ratio=best, argmax_m=argmax, skipped=skipped, grid_size=len(grid))
+
+
+def recorded_points(recorder):
+    """Every point of ``recorder``'s space: the tuple of drawn values, one
+    per recorded draw in order, a permutation as a tuple.  The first
+    point is the first outcome of every draw."""
+    return itertools.product(*(
+        itertools.permutations(xs) if kind == "permutation" else xs
+        for _, xs, kind in recorder.draws
+    ))

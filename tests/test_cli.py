@@ -428,8 +428,10 @@ def test_every_bounded_integer_flag_refuses_one_past_its_bounds():
         assert type(lo) is int and type(hi) is int and lo <= hi, flag
         assert parse(str(lo)) == lo and parse(str(hi)) == hi
         # past the 4,300-digit int-from-str limit int() itself fails, so the
-        # length is checked first and the message still states the range
-        for text in (str(lo - 1), str(hi + 1), "9" * 5000, "-" + "9" * 5000):
+        # length is checked first and the message still states the range;
+        # int() reads "\u0663", the Arabic-Indic three, as 3, so a digit
+        # outside ASCII is refused, as the transcript parser refuses it
+        for text in (str(lo - 1), str(hi + 1), "9" * 5000, "-" + "9" * 5000, "\u0663"):
             with pytest.raises(argparse.ArgumentTypeError, match=f"expected an integer in {lo}..{hi}"):
                 parse(text)
 

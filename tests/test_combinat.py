@@ -15,14 +15,13 @@ from d2dpc.combinat import (
     binom_load_row,
     curve_max,
     even_grid,
-    lex_subsets,
     lower_convex_envelope,
     shared_domain,
     upper_envelope_of_lines,
 )
 from d2dpc import scheme_a, verify
 from d2dpc.core import SeededSource, draw_key, seeded_rng
-from oracles import _lower_hull as fraction_lower_hull
+from oracles import _lower_hull as fraction_lower_hull, recorded_points
 
 
 def test_binom_basic():
@@ -55,22 +54,6 @@ def test_binom_load_row_matches_binom():
     assert binom_capped(2 * 10**6, 2 * 10**6 - 1, 10**18) == 2 * 10**6
 
 
-def test_lex_subsets():
-    assert lex_subsets([1, 2, 3], 2) == [(1, 2), (1, 3), (2, 3)]
-    assert lex_subsets([2, 3, 4, 5], 1) == [(2,), (3,), (4,), (5,)]
-    assert lex_subsets([1, 2, 3, 4], 0) == [()]
-    assert lex_subsets([3, 1, 2], 2) == [(1, 2), (1, 3), (2, 3)]  # ground sorted
-
-
-def test_lex_subsets_count_matches_binom():
-    rng = random.Random(0)
-    for _ in range(50):
-        n = rng.randint(0, 12)
-        ground = rng.sample(range(1, 40), n)
-        k = rng.randint(0, n)
-        assert len(lex_subsets(ground, k)) == binom(n, k)
-
-
 def test_uniform_permutation_chi_square():
     # 6*10^4 samples of S_3 from the shuffle every scheme's placement and
     # delivery draw with, one label per sample: every permutation within
@@ -96,7 +79,7 @@ def test_sampled_points_uniform_chi_square():
     rng = seeded_rng(5, "chi")
     plan = own.plan()
     counts = Counter(own.point(draw_key(plan, rng.getrandbits)) for _ in range(96_000))
-    assert set(counts) == set(own.points())
+    assert set(counts) == set(recorded_points(own))
     chi2 = sum((n - 1000) ** 2 / 1000 for n in counts.values())
     assert chi2 < 143.34
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from d2dpc.core import (
     MAX_STRUCTURE_ENTRIES,
+    FixedSource,
     RecordingSource,
     SeededSource,
     SlotLayout,
@@ -30,6 +32,7 @@ from d2dpc.core import (
     transcript_to_text,
 )
 from d2dpc import scheme_a, scheme_b, sim, verify
+from oracles import recorded_points
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_transcript.txt"
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -95,12 +98,45 @@ def test_sampled_points_are_the_stdlib_draws(draws):
         assert rng.getstate() == ref.getstate(), seed
 
 
-def test_keys_name_every_point_once():
-    for own in verify._setup(scheme_a.params_for(3, 2, 2), [], False)[3].values():
-        first = own[0]
-        keyed = [first.point(key) for key in range(first.size())]
-        assert len(keyed) == len(set(keyed)) == 96
-        assert set(keyed) == set(first.points())
+@pytest.mark.parametrize("derandomized", [False, True])
+@pytest.mark.parametrize(
+    "params,demand_vectors",
+    [
+        pytest.param(scheme_a.params_for(2, 2, 1), None, id="A(2,2,1)"),
+        pytest.param(scheme_a.params_for(2, 2, 2), None, id="A(2,2,2)"),
+        pytest.param(scheme_a.params_for(3, 2, 1), None, id="A(3,2,1)"),
+        pytest.param(scheme_a.params_for(3, 2, 2), None, id="A(3,2,2)"),
+        pytest.param(scheme_a.params_for(4, 2, 2), [(1, 1, 2, 2)], id="A(4,2,2)"),
+        pytest.param(scheme_b.params_for(4, 3), None, id="B(4,3)"),
+    ],
+)
+def test_keys_name_every_point_once(params, demand_vectors, derandomized):
+    # exact mode walks the keys range(size()) through RecordingSource.point,
+    # so they must name every point of each transmitter's space exactly
+    # once; an empty space (no draws) has one point, the empty tuple
+    spaces = verify._setup(params, [], derandomized)[3]
+    for d in demand_vectors or spaces:
+        for own in spaces[d]:
+            keyed = Counter(map(own.point, range(own.size())))
+            assert keyed == Counter(recorded_points(own)), d
+            assert set(keyed.values()) == {1}, d
+            if derandomized or params.scheme == "B":
+                assert own.draws == [] and list(keyed) == [()]
+
+
+def test_fixed_source_is_strict():
+    # an unassigned label raises KeyError, a value outside the draw's
+    # outcomes ValueError, and an assigned outcome is returned as given
+    source = FixedSource({"p": (2, 1, 3), "c": "b", "bad_p": (1, 1, 3), "bad_c": "z"})
+    assert source.permutation("p", [1, 2, 3]) == [2, 1, 3]
+    assert source.choice("c", ["a", "b"]) == "b"
+    for draw in (lambda: source.permutation("q", [1, 2]), lambda: source.choice("q", [1])):
+        with pytest.raises(KeyError):
+            draw()
+    with pytest.raises(ValueError, match="not a permutation of items"):
+        source.permutation("bad_p", [1, 2, 3])
+    with pytest.raises(ValueError, match="not among options"):
+        source.choice("bad_c", ["a", "b"])
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 9, 220])

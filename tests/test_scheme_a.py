@@ -9,7 +9,7 @@ import pytest
 
 from d2dpc import scheme_a, scheme_b, sim, verify
 from d2dpc.bounds import MAX_CURVE_PIECES
-from d2dpc.combinat import binom, lex_subsets, lower_convex_envelope
+from d2dpc.combinat import binom, lower_convex_envelope
 from d2dpc.core import (
     MulticastMessage,
     RecordingSource,
@@ -144,7 +144,8 @@ def _sorted_tuple_placement(placement):
     params = placement.params
     K, N = params.base.K, params.base.N
     users = range(1, (K - 1) * (N - 1) + K + 1)
-    wsets = {k: lex_subsets([u for u in users if u != k], params.t - 1) for k in range(1, K + 1)}
+    wsets = {k: list(itertools.combinations([u for u in users if u != k], params.t - 1))
+             for k in range(1, K + 1)}
     wrank = {k: {w: j for j, w in enumerate(ws)} for k, ws in wsets.items()}
     caches = []
     for k in range(1, K + 1):
@@ -169,10 +170,8 @@ def _sorted_tuple_placement(placement):
 
 def _sorted_tuple_messages(k, plan, params, slot_of):
     tp = plan[k]
-    if params.t > params.U:
-        return []
     out = []
-    for S in lex_subsets(range(1, params.U + 1), params.t):
+    for S in itertools.combinations(range(1, params.U + 1), params.t):
         users = tuple(tp.q[j - 1] for j in S)
         if set(users) & tp.leaders:
             out.append((S, tuple(slot_of(k, tp.d_eff[u], set(users) - {u}) for u in users)))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from d2dpc import sim, verify
-from d2dpc.combinat import binom, lex_subsets
+from d2dpc.combinat import binom
 from d2dpc.core import SeededSource, SubfileId
 from d2dpc.scheme_a import decode_from_messages, index_messages, load_a_point
 from d2dpc.scheme_b import (
@@ -117,7 +117,7 @@ def _pick_loop_messages(k, placement, d_other):
         return SubfileId(file, block[idx].slot)
 
     out = []
-    for S in lex_subsets(range(1, N + 1), params.tprime + 1):
+    for S in itertools.combinations(range(1, N + 1), params.tprime + 1):
         contains_other = d_other in S
         out.append((None, tuple(pick(i, contains_other and i != d_other) for i in S)))
     return out
@@ -170,6 +170,14 @@ def test_load_points():
     with pytest.raises(ValueError):
         load_b_point(3, 3)
     assert scheme_b_curve(3).corners[-1] == (3, 0)
+
+
+def test_memory_closed_form_is_the_sum():
+    # M = N(N + 2t' - 1) / (2(N + t' - 1)), one Fraction, is the paper's
+    # N/2 + N t' / (2(N + t' - 1)) at every corner of N = 2..399
+    for N in range(2, 400):
+        for tp in range(N):
+            assert load_b_point(N, tp)[0] == Fraction(N, 2) + Fraction(N * tp, 2 * (N + tp - 1)), (N, tp)
 
 
 def test_envelope_example_point():

@@ -27,6 +27,7 @@ from d2dpc.verify import (
     check_privacy_mc_all,
     debiased_total_variation,
 )
+from oracles import recorded_points
 
 
 def _exact(scheme, params, coalition, **kwargs):
@@ -365,13 +366,9 @@ class _SeededRecorder(RecordingSource):
         super().__init__()
         self.seeded = SeededSource(seed)
 
-    def permutation(self, label, items):
-        super().permutation(label, items)
-        return self.seeded.permutation(label, items)
-
-    def choice(self, label, options):
-        super().choice(label, options)
-        return self.seeded.choice(label, options)
+    def _draw(self, label, kind, xs):
+        super()._draw(label, kind, xs)
+        return self.seeded._draw(label, kind, xs)
 
 
 @pytest.mark.parametrize("derandomized", [False, True])
@@ -529,7 +526,7 @@ def _placements(p, samples):
     first = p.place(recorder)
     if samples is None:
         return [p.place(FixedSource(dict(zip(recorder.labels(), point))))
-                for point in recorder.points()]
+                for point in recorded_points(recorder)]
     return [first] + [p.place(SeededSource(seed)) for seed in range(samples)]
 
 
@@ -576,7 +573,7 @@ def test_block_k_depends_only_on_transmitter_k_draws(params, demand_vectors):
     for d in demand_vectors or _demand_vectors(params):
         recorder = RecordingSource()
         params.query_plans(placement, d, recorder)
-        first = dict(zip(recorder.labels(), next(recorder.points())))
+        first = dict(zip(recorder.labels(), next(recorded_points(recorder))))
 
         def blocks(assignment):
             tr = sim.run_protocol(params.scheme, params, d, source=FixedSource(assignment),
@@ -588,7 +585,7 @@ def test_block_k_depends_only_on_transmitter_k_draws(params, demand_vectors):
             single = RecordingSource()
             single.draws.append(draw)
             changed = set()
-            for (value,) in single.points():
+            for (value,) in recorded_points(single):
                 got = blocks({**first, draw[0]: value})
                 changed |= {i for i, (a, b) in enumerate(zip(base, got)) if a != b}
             assert changed <= {draw[0][2]}, (d, draw[0])
