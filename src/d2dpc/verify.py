@@ -41,7 +41,7 @@ brute-force enumeration and against raw, uncanonicalised views.
   products are equal exactly when every factor is.  Both modes count
   block by block in one lockstep pass per demand vector
   (``_block_pass``): a transmitter's point is the values of its own
-  draws, named by an int key (``RecordingSource.point``), and run j
+  draws, named by an int key (``RecordingSource.point``), and column j
   gives every transmitter the point of its j-th distinct key, weighted
   by its multiplicity.  Exact mode passes every key of the space once;
   a Monte Carlo check first draws all its trials' keys, every recorded
@@ -49,6 +49,16 @@ brute-force enumeration and against raw, uncanonicalised views.
   trials of a demand vector are consecutive runs whose source answers
   each draw from that stream, and passes each distinct key with its
   count.
+
+Blocks come from the server's queries, not from protocol runs: a view
+drops payloads, and block k is a function of transmitter k's
+(position set, composition) pairs, which its query lists and its
+broadcasts repeat.  Column 0 of a demand vector is a protocol run
+(``sim.run_protocol``); every later column only asks
+``scheme_params.query_plans``.  Both feed one rows builder,
+``_Everyone.rows``, which looks classes up among the slots transmitter
+k caches, so a query naming a subfile k does not hold raises KeyError,
+as ``sim.user_broadcast`` does.
 
 The joint view needs no pass of its own: transmitter k XORs only
 block-k subfiles and a slot's class holds its block, so no class spans
@@ -61,11 +71,15 @@ intersected with the coalition, ordinals are renumbered within the
 coarser classes (the everyone-refs already name each physical slot),
 and the cache-class counts are summed onto the coarser classes.  So
 each block is canonicalised once, as an everyone-view block, and a
-coalition's counts are the pushforward of the everyone counts.  Each
-mode has one entry point, which checks a list of coalitions off one
-shared set of protocol runs: ``check_privacy_exact_all`` compares exact
-block counts of a small instance, ``check_privacy_mc_all`` samples a
-larger one and gates on ``debiased_total_variation``.
+coalition's counts are the pushforward of the everyone counts.  Blocks
+are counted as ids (``_count_then_project``): each distinct block of an
+index gets an int id when first met, each coalition's projection runs
+once per id and its images get ids too, so the counts, the pushforward
+and the comparisons handle small ints, not nested tuples.  Each mode
+has one entry point, which checks a list of coalitions off one shared
+pass: ``check_privacy_exact_all`` compares exact block counts of a
+small instance, ``check_privacy_mc_all`` samples a larger one and
+gates on ``debiased_total_variation``.
 """
 
 from __future__ import annotations
@@ -148,31 +162,41 @@ def _relabelled(rows, class_of) -> tuple:
 
 class _Everyone:
     """The one view builder: each slot's class (file, block, the users
-    caching it) and the counts of slots per class.  User k caches all of
-    block k of every file, so every slot is cached by someone."""
+    caching it), the counts of slots per class, and for each user the
+    classes of the slots it caches.  User k caches all of block k of
+    every file, so every slot is cached by someone."""
 
     def __init__(self, caches, layout):
         pattern: dict = {}  # sid -> tuple of users caching it
         for u, cache in enumerate(caches, 1):
             for sid in cache.slots:
                 pattern[sid] = pattern.get(sid, ()) + (u,)
-        self._classes = {sid: (sid.file, layout.block_of(sid.slot), pat)
-                         for sid, pat in pattern.items()}
+        classes = {sid: (sid.file, layout.block_of(sid.slot), pat) for sid, pat in pattern.items()}
+        self._held = [{sid: classes[sid] for sid in cache.slots} for cache in caches]
         self._users = tuple(range(1, len(caches) + 1))
-        self._cache_classes = tuple(sorted(Counter(self._classes.values()).items()))
+        self._cache_classes = tuple(sorted(Counter(classes.values()).items()))
 
     def head(self, demands) -> tuple:
         """Block 0: all users, all demands and the cache-class counts."""
         return (self._users, tuple(demands), self._cache_classes)
 
-    def rows(self, per_user) -> tuple:
-        """Block k: transmitter k's messages relabelled on their own."""
-        return _relabelled(((m.sender, m.position_set, m.composition) for m in per_user),
-                           self._classes.__getitem__)
+    def rows(self, k: int, triples) -> tuple:
+        """Block k: transmitter k's (sender, position set, composition)
+        triples relabelled on their own.  A slot's class is looked up
+        among the slots k caches, so one that k does not hold raises
+        KeyError, as ``sim.user_broadcast`` does."""
+        return _relabelled(triples, self._held[k - 1].__getitem__)
 
     def blocks(self, demands, broadcasts) -> tuple:
         """A run's everyone-view ``(head, rows_1, ..., rows_K)``."""
-        return (self.head(demands),) + tuple(self.rows(per_user) for per_user in broadcasts)
+        return (self.head(demands),) + tuple(
+            self.rows(k, triples) for k, triples in enumerate(_triples(broadcasts), 1))
+
+
+def _triples(broadcasts) -> list:
+    """Each transmitter's messages as (sender, position set, composition)
+    triples, the payloads dropped."""
+    return [[(m.sender, m.position_set, m.composition) for m in per_user] for per_user in broadcasts]
 
 
 class _Projection:
@@ -213,30 +237,39 @@ class _Projection:
 
 
 def _count_then_project(runs, demand_vectors, coalitions, K: int):
-    """The one counter of both samplers, block by block.  ``runs`` yields
-    (demand vector, block index, everyone-view block, multiplicity),
-    each block first in the order the sampler met it.  A coalition's
-    counts are their pushforward under its ``_Projection``, run once per
-    distinct block.  Returns dists[coalition][demand vector], a list of
-    per-block Counters."""
+    """The one counter of both samplers, block by block, on ids.  ``runs``
+    yields (demand vector, block index, everyone-view block,
+    multiplicity), each block first in the order the sampler met it.
+    Each distinct block of index i gets the next int id of i when first
+    met, so everything after counts, projects and compares small ints,
+    not nested tuples.  A coalition's counts are their pushforward
+    under its ``_Projection``, run once per distinct block, its images
+    given ids the same way.  Returns (dists, blocks):
+    dists[coalition][demand vector] is a list of per-block Counters of
+    ids, and blocks[coalition][i] lists block index i's blocks by id."""
+    ids: list[dict] = [{} for _ in range(K + 1)]
     counts = {d: [Counter() for _ in range(K + 1)] for d in demand_vectors}
     for d, i, block, n in runs:
-        counts[d][i][block] += n
-    dists: dict = {}
+        seen = ids[i]
+        j = seen.get(block)
+        if j is None:
+            j = seen[block] = len(seen)
+        counts[d][i][j] += n
+    dists, blocks = {}, {}
     for c in coalitions:
         proj = _Projection(c, K)
-        memos: list = [{} for _ in range(K + 1)]
+        images: list[dict] = [{} for _ in range(K + 1)]
+        image_of = [[image.setdefault(proj(block, i), len(image)) for block in seen]
+                    for i, (seen, image) in enumerate(zip(ids, images))]
         dists[c] = {}
         for d, counters in counts.items():
             pushed = [Counter() for _ in range(K + 1)]
-            for i, (out, counter, memo) in enumerate(zip(pushed, counters, memos)):
-                for block, n in counter.items():
-                    image = memo.get(block)
-                    if image is None:
-                        image = memo[block] = proj(block, i)
-                    out[image] += n
+            for out, counter, to_image in zip(pushed, counters, image_of):
+                for j, n in counter.items():
+                    out[to_image[j]] += n
             dists[c][d] = pushed
-    return dists
+        blocks[c] = [list(image) for image in images]
+    return dists, blocks
 
 
 def canonical_view(transcript: Transcript, coalition) -> ObserverView:
@@ -311,25 +344,34 @@ def _setup(scheme_params, coalitions, derandomized: bool):
 def _block_pass(scheme_params, placement, everyone, d, firsts, own, keyed, n_head):
     """Demand vector d's everyone-view blocks with their weights, as
     ``_count_then_project`` takes them: the head once, weighted
-    ``n_head``, then one protocol run per column j on the check's one
-    placement.  ``keyed[k - 1]`` yields transmitter k's distinct keys
-    into ``own[k - 1]`` with their multiplicities; run j gives each
+    ``n_head``, then one column j at a time on the check's one placement.
+    ``keyed[k - 1]`` yields transmitter k's distinct keys into
+    ``own[k - 1]`` with their multiplicities; column j gives each
     transmitter the point of its j-th key and every other draw its value
     in ``firsts``, a transmitter with no keys left held at its first
-    outcomes and its block not counted, so d takes as many runs as the
-    most keys any transmitter has."""
+    outcomes and its block not counted, so d takes as many columns as
+    the most keys any transmitter has.  Column 0 is a protocol run; every
+    later column asks the server's queries alone
+    (``scheme_params.query_plans``), since a view keeps no payload.
+    Block k is built from transmitter k's (sender, position set,
+    composition) triples either way (``_Everyone.rows``)."""
     yield d, 0, everyone.head(d), n_head
     labels = [o.labels() for o in own]
-    for column in itertools.zip_longest(*keyed):
+    for j, column in enumerate(itertools.zip_longest(*keyed)):
         assignment = dict(firsts)
         for o, labs, entry in zip(own, labels, column):
             if entry is not None:
                 assignment.update(zip(labs, o.point(entry[0])))
-        tr = sim.run_protocol(scheme_params.scheme, scheme_params, d,
-                              source=FixedSource(assignment), placement=placement)
-        for k, (entry, per_user) in enumerate(zip(column, tr.broadcasts), 1):
+        source = FixedSource(assignment)
+        if j:
+            sent = [[(k, pos, comp) for pos, comp in query] for k, query in
+                    enumerate(scheme_params.query_plans(placement, d, source), 1)]
+        else:
+            sent = _triples(sim.run_protocol(scheme_params.scheme, scheme_params, d, source=source,
+                                             placement=placement).broadcasts)
+        for k, (entry, triples) in enumerate(zip(column, sent), 1):
             if entry is not None:
-                yield d, k, everyone.rows(per_user), entry[1]
+                yield d, k, everyone.rows(k, triples), entry[1]
 
 
 def enumerate_view_distributions(scheme_params, coalitions, derandomized: bool = False):
@@ -341,10 +383,12 @@ def enumerate_view_distributions(scheme_params, coalitions, derandomized: bool =
     k's draws: every key in ``range(size())``, weighted 1, is turned
     into its point by ``RecordingSource.point``, the path a Monte Carlo
     trial's key takes (see the module docstring and ``_block_pass``).
-    So a demand vector takes as many runs as its largest space.  Block
-    k's counters all have the same total, so distribution equality is
-    plain counter equality.  Returns dists[coalition][demand vector] =
-    list of per-block Counters.
+    So a demand vector takes as many columns as its largest space.
+    Block k's counters all have the same total, so distribution equality
+    is plain counter equality.  Returns (dists, blocks) of
+    ``_count_then_project``: dists[coalition][demand vector] is a list of
+    per-block Counters of block ids, blocks[coalition][i] the blocks of
+    index i by id.
     """
     coalitions, placement, everyone, spaces, firsts = _setup(scheme_params, coalitions, derandomized)
     total = sum(o.size() for own in spaces.values() for o in own)
@@ -433,7 +477,7 @@ def check_privacy_exact_all(
     the benchmark, which passes ``paranoid=True``, may change (ROADMAP
     item 1)."""
     sim.check_scheme(scheme, scheme_params)
-    dists = enumerate_view_distributions(scheme_params, coalitions, derandomized)
+    dists, _ = enumerate_view_distributions(scheme_params, coalitions, derandomized)
     return {c: _exact_report(scheme_params, c, by_d) for c, by_d in dists.items()}
 
 
@@ -453,16 +497,18 @@ def debiased_total_variation(a: Counter, b: Counter) -> tuple[float, float]:
     estimated from the pooled empirical, gives a consistent estimate of
     the true TV that vanishes for genuinely private schemes and stays
     near 1 for broken ones.
+
+    Neither value depends on the order the keys are met in, so renaming
+    or reordering them leaves both bit-identical: the plug-in TV is the
+    one integer sum_v |a_v n_b - b_v n_a| divided once by 2 n_a n_b, and
+    the bias sums its terms with ``math.fsum``.
     """
     na, nb = sum(a.values()), sum(b.values())
-    keys = set(a) | set(b)
-    raw = 0.5 * sum(abs(a[k] / na - b[k] / nb) for k in keys)
+    keys = a.keys() | b.keys()
+    raw = sum(abs(a[k] * nb - b[k] * na) for k in keys) / (2 * na * nb)
     n_tot = na + nb
     scale = math.sqrt((1 / na + 1 / nb) * 2 / math.pi)
-    bias = 0.0
-    for k in keys:
-        p = (a[k] + b[k]) / n_tot
-        bias += 0.5 * math.sqrt(p * (1 - p)) * scale
+    bias = 0.5 * scale * math.fsum(math.sqrt(p * (1 - p)) for p in ((a[k] + b[k]) / n_tot for k in keys))
     return raw, max(0.0, raw - bias)
 
 
@@ -481,13 +527,13 @@ def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed:
     (``draw_key`` over ``RecordingSource.plan``), which makes the same
     ``getrandbits`` calls as the stdlib's ``shuffle`` and ``choice`` of
     those draws, so its point is theirs.  All trials are drawn first,
-    into one key count per transmitter; then each distinct key is run
-    once on its point (``RecordingSource.point``), its block counted
-    with its multiplicity (see ``_block_pass``), blocks in the order
+    into one key count per transmitter; then each distinct key is turned
+    into its point (``RecordingSource.point``) and its block counted
+    once with its multiplicity (see ``_block_pass``), blocks in the order
     their first trial met them.  A coalition's block counts are
     their projection (see ``_Projection``).
 
-    Returns dists[coalition][demand vector] = list of per-block Counters.
+    Returns (dists, blocks), as ``enumerate_view_distributions`` does.
     """
     check_seed(base_seed)
     coalitions, placement, everyone, spaces, firsts = _setup(scheme_params, coalitions, derandomized)
@@ -552,7 +598,7 @@ def check_privacy_mc_all(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sim.check_scheme(scheme, scheme_params)
-    dists = sample_view_distributions(scheme_params, coalitions, trials, base_seed, derandomized)
+    dists, _ = sample_view_distributions(scheme_params, coalitions, trials, base_seed, derandomized)
     return {
         c: _max_tv_report(scheme_params, c, by_d, trials, tolerance)
         for c, by_d in dists.items()

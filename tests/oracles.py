@@ -24,15 +24,20 @@ of the library needs them, so they live with the tests.
 * ``recorded_points``: a ``RecordingSource``'s space as the product of
   its draws' outcomes, the oracle of the keys ``RecordingSource.point``
   names.
+* ``count_then_project_tuples``: the view counter keyed by the blocks
+  themselves, the oracle of ``verify._count_then_project``'s ids, which
+  ``decoded`` turns back into blocks.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from d2dpc.bounds import _K_USER_TAGS, _TWO_USER_TAGS, GapReport
 from d2dpc.combinat import TradeoffCurve, lower_convex_envelope
 from d2dpc.core import Rat
 from d2dpc.gf2 import _INCONSISTENT
+from d2dpc.verify import _Projection
 
 
 def _eliminate(equations: list[tuple[set, int]]) -> dict:
@@ -276,3 +281,40 @@ def recorded_points(recorder):
         itertools.permutations(xs) if kind == "permutation" else xs
         for _, xs, kind in recorder.draws
     ))
+
+
+def count_then_project_tuples(runs, demand_vectors, coalitions, K: int) -> dict:
+    """dists[coalition][demand vector]: per-block Counters keyed by the
+    blocks themselves.  ``runs`` yields (demand vector, block index,
+    everyone-view block, multiplicity); a coalition's counts are their
+    pushforward under its ``_Projection``."""
+    counts = {d: [Counter() for _ in range(K + 1)] for d in demand_vectors}
+    for d, i, block, n in runs:
+        counts[d][i][block] += n
+    dists: dict = {}
+    for c in coalitions:
+        proj = _Projection(c, K)
+        memos: list = [{} for _ in range(K + 1)]
+        dists[c] = {}
+        for d, counters in counts.items():
+            pushed = [Counter() for _ in range(K + 1)]
+            for i, (out, counter, memo) in enumerate(zip(pushed, counters, memos)):
+                for block, n in counter.items():
+                    image = memo.get(block)
+                    if image is None:
+                        image = memo[block] = proj(block, i)
+                    out[image] += n
+            dists[c][d] = pushed
+    return dists
+
+
+def decoded(dists: dict, blocks: dict) -> dict:
+    """Id-keyed distributions keyed by their blocks again:
+    dists[coalition][demand vector][i] is a Counter of ids of
+    blocks[coalition][i]."""
+    return {
+        c: {d: [Counter({blocks[c][i][j]: n for j, n in counter.items()})
+                for i, counter in enumerate(counters)]
+            for d, counters in by_d.items()}
+        for c, by_d in dists.items()
+    }
