@@ -1055,20 +1055,6 @@ def test_exact_runs_in_lockstep(monkeypatch):
     assert runs == Counter(dict.fromkeys(_demand_vectors(p), 1))
 
 
-def _lockstep_columns(own):
-    """The lockstep of ``_block_pass`` over every key: column j holds each
-    transmitter's key j, None once its space is spent."""
-    return itertools.zip_longest(*(range(o.size()) for o in own))
-
-
-def _column_source(firsts, own, column) -> FixedSource:
-    assignment = dict(firsts)
-    for o, key in zip(own, column):
-        if key is not None:
-            assignment.update(zip(o.labels(), o.point(key)))
-    return FixedSource(assignment)
-
-
 @pytest.mark.parametrize(
     "params",
     [
@@ -1086,8 +1072,14 @@ def test_query_rows_match_run_rows(params):
     _, placement, everyone, spaces, firsts = verify._setup(params, [], False)
     for d, own in spaces.items():
         want = [(d, 0, everyone.head(d), 1)]
-        for column in _lockstep_columns(own):
-            source = _column_source(firsts[d], own, column)
+        # the lockstep of _block_pass: column j holds each transmitter's
+        # key j, None once its space is spent
+        for column in itertools.zip_longest(*(range(o.size()) for o in own)):
+            assignment = dict(firsts[d])
+            for o, key in zip(own, column):
+                if key is not None:
+                    assignment.update(zip(o.labels(), o.point(key)))
+            source = FixedSource(assignment)
             queries = params.query_plans(placement, d, source)
             run = everyone.blocks(d, sim.run_protocol(params.scheme, params, d, source=source,
                                                       placement=placement).broadcasts)
