@@ -37,12 +37,16 @@ _RATIONAL = re.compile(rf"\s*[-+]?(\d*|{_D})(?:/({_D})|(?:\.(\d*|{_D}))?(?:e([-+
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, e.g. 1,2, got {text!r}"
-        ) from None
+    """Comma-separated decimal integers of ASCII digits, each with an
+    optional minus sign; ``int`` alone would also read other scripts'
+    digits."""
+    items = text.split(",")
+    if all(x.removeprefix("-").isascii() and x.removeprefix("-").isdecimal() for x in items):
+        try:
+            return tuple(map(int, items))
+        except ValueError:  # past the int-from-str digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated integers, e.g. 1,2, got {text!r}")
 
 
 def _parse_tprime(text: str):
@@ -264,6 +268,8 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
     params = _scheme_params(parser, args)
     if any(not 1 <= u <= args.K for u in args.coalition):
         parser.error(f"argument --coalition: users must lie in 1..{args.K}")
+    if len(set(args.coalition)) != len(args.coalition):
+        parser.error(f"argument --coalition: a user is listed twice in {','.join(map(str, args.coalition))}")
     derandomized = args.baseline == "nonprivate"
     if args.mode == "exact":
         try:

@@ -72,18 +72,6 @@ def draw_indices(bounds, getrandbits) -> list[int]:
     return out
 
 
-def draw_key(plan, getrandbits) -> int:
-    """``draw_indices`` over the (n, n.bit_length()) pairs of ``plan``, read
-    as one mixed-radix int, the first index most significant."""
-    key = 0
-    for n, k in plan:
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        key = key * n + r
-    return key
-
-
 def _replay(kind: str, xs, indices):
     """The library's one shuffle and one choice: a permutation of ``xs``
     swaps position i with each index in turn, i from the last down to 1,
@@ -156,14 +144,17 @@ class RecordingSource(_Source):
     and options never depend on the values drawn before them.
 
     ``point`` maps the int keys ``range(size())`` one-to-one onto the
-    recorded space.  Exact mode walks every key; a Monte Carlo trial
-    draws one with ``draw_key`` over ``plan``, which makes the
-    ``getrandbits`` calls of the stdlib's ``shuffle`` and ``choice``, so
-    ``point`` gives the point that they draw.
+    recorded space: a key is the draws' ``_randbelow`` indices read as one
+    mixed-radix int over ``plan``, the first index most significant.
+    Exact mode walks every key; a Monte Carlo trial draws one index per
+    entry of ``plan`` with the ``getrandbits`` calls of the stdlib's
+    ``shuffle`` and ``choice``, so ``point`` gives the point that they
+    draw.
     """
 
     def __init__(self):
         self.draws: list[tuple] = []
+        self._decoder: tuple = (0, [], [])  # (draws it was built for, radices, spans)
 
     def _draw(self, label, kind: str, xs):
         self.draws.append((label, tuple(xs), kind))
@@ -184,16 +175,24 @@ class RecordingSource(_Source):
 
     def point(self, key: int) -> tuple:
         """The point that ``key`` names, the tuple of drawn values in
-        recorded order (a permutation as a tuple): the key's indices (see
-        ``draw_key``) replayed."""
+        recorded order (a permutation as a tuple): the key's indices
+        replayed.  The radices and each draw's index count are worked
+        out once for the draws recorded so far, not per key."""
+        if self._decoder[0] != len(self.draws):
+            self._decoder = (len(self.draws), [n for n, _ in reversed(self.plan())],
+                             [(xs, kind, len(_bounds(kind, xs))) for _, xs, kind in self.draws])
+        _, radices, spans = self._decoder
         indices = []
-        for n, _ in reversed(self.plan()):
+        for n in radices:
             key, r = divmod(key, n)
             indices.append(r)
+        indices.reverse()
         point = []
-        for _, xs, kind in self.draws:
-            value = _replay(kind, xs, [indices.pop() for _ in _bounds(kind, xs)])
+        i = 0
+        for xs, kind, m in spans:
+            value = _replay(kind, xs, indices[i:i + m])
             point.append(tuple(value) if kind == "permutation" else value)
+            i += m
         return tuple(point)
 
 
@@ -348,8 +347,10 @@ class SchemeParams:
     """A scheme at one instance: ``base`` plus the scheme's ``param``;
     also the scheme's interface to the protocol engine and the privacy
     checker.  A scheme states its block shape (``shape``), its corner
-    (M, R) (``corner``), its held pairs for ``place`` and its query
-    plans; this base derives everything else from them.  ``admit``
+    (M, R) (``corner``), its held pairs for ``place`` and its
+    per-transmitter ``query(placement, k, others, source)``, which reads
+    the demands ``others`` of the users other than k alone; this base
+    derives everything else from them.  ``admit``
     checks the parameter and rejects an instance whose structure would
     exceed ``MAX_STRUCTURE_ENTRIES`` before ``shape`` builds anything."""
 
@@ -456,6 +457,12 @@ def place(params: SchemeParams, source, held) -> Placement:
         cache.check(layout.subfile_bits, budget)
         caches.append(cache)
     return Placement(params, perms, caches, library)
+
+
+def other_demands(demands: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The demands of every user but k, in user order: all that
+    transmitter k's query may read."""
+    return demands[:k - 1] + demands[k:]
 
 
 def demand_vector(demands: Iterable[int], params: SystemParams) -> tuple[int, ...]:

@@ -82,10 +82,10 @@ class SchemeAParams(SchemeParams):
     def place(self, source) -> Placement:
         return place_a(self, source)
 
-    def query_plans(self, placement: Placement, demands, source):
-        """Each transmitter's (position set, composition) list, transmitters 1..K."""
-        plan = plan_delivery_a(self, demands, source)
-        return [plan_messages_a(k, placement, plan) for k in range(1, self.base.K + 1)]
+    def query(self, placement: Placement, k: int, others, source):
+        """Transmitter k's (position set, composition) list, from the
+        demands ``others`` of the users other than k."""
+        return plan_messages_a(k, placement, plan_delivery_a(self, k, others, source))
 
 
 def params_for(K: int, N: int, t: int, seed: int = 0, b_target: Optional[int] = None) -> SchemeAParams:
@@ -153,14 +153,16 @@ def place_a(params: SchemeAParams, source) -> Placement:
 
 
 @lru_cache(maxsize=1024)
-def _virtual_demands(K: int, N: int, k: int, demands: tuple[int, ...]):
+def _virtual_demands(K: int, N: int, k: int, others: tuple[int, ...]):
     """(effective demand map, read-only, and per-file sorted demander
-    tuples indexed by file) for sub-system k.  Real users keep their
-    demands; virtual users K+1, K+2, ... are handed out in order, file 1
-    first, each file taking as many as make it demanded by exactly K-1
-    effective users.  The map's keys ascend: real users, then virtual
-    ones.  The per-file count is checked whenever a map is built."""
-    d_eff = {u: demands[u - 1] for u in range(1, K + 1) if u != k}
+    tuples indexed by file) for sub-system k, whose real users are the
+    K-1 users other than k with their demands ``others``.  Real users
+    keep their demands; virtual users K+1, K+2, ... are handed out in
+    order, file 1 first, each file taking as many as make it demanded by
+    exactly K-1 effective users.  The map's keys ascend: real users, then
+    virtual ones.  The per-file count is checked whenever a map is
+    built."""
+    d_eff = dict(zip([u for u in range(1, K + 1) if u != k], others))
     counts = [0] * (N + 1)
     for f in d_eff.values():
         counts[f] += 1
@@ -185,33 +187,30 @@ class TransmitterPlanA:
     q: tuple[int, ...]  # position j (1-based) -> effective user
 
 
-def plan_delivery_a(params: SchemeAParams, demands, source) -> dict[int, TransmitterPlanA]:
-    """Per-transmitter virtual demands, leaders, and position shuffle,
-    keyed by transmitter 1..K.  The first outcome of every draw is the
-    non-private baseline: the identity shuffle (the effective users are
-    ascending) and each file's lowest-index demander as leader."""
+def plan_delivery_a(params: SchemeAParams, k: int, others, source) -> TransmitterPlanA:
+    """Transmitter k's virtual demands, leaders and position shuffle, from
+    the demands ``others`` of the users other than k.  The first outcome
+    of every draw is the non-private baseline: the identity shuffle (the
+    effective users are ascending) and each file's lowest-index demander
+    as leader."""
     K, N = params.base.K, params.base.N
-    per = {}
-    for k in range(1, K + 1):
-        d_eff, demanders = _virtual_demands(K, N, k, tuple(demands))
-        leaders = frozenset(source.choice(("A", "leader", k, i), demanders[i])
-                            for i in range(1, N + 1))
-        q = source.permutation(("A", "q", k), list(d_eff))
-        per[k] = TransmitterPlanA(d_eff, leaders, tuple(q))
-    return per
+    d_eff, demanders = _virtual_demands(K, N, k, tuple(others))
+    leaders = frozenset(source.choice(("A", "leader", k, i), demanders[i]) for i in range(1, N + 1))
+    q = source.permutation(("A", "q", k), list(d_eff))
+    return TransmitterPlanA(d_eff, leaders, tuple(q))
 
 
 def plan_messages_a(
-    k: int, placement: Placement, plan: dict[int, TransmitterPlanA]
+    k: int, placement: Placement, tp: TransmitterPlanA
 ) -> list[tuple[tuple[int, ...], tuple[SubfileId, ...]]]:
-    """Compositions of transmitter k's messages, in position-set lex order.
+    """Compositions of transmitter k's messages under its plan ``tp``, in
+    position-set lex order.
 
     For every t-subset S of positions, the message XORs, for each j in S,
     the placement's id of user q[j]'s file indexed by the other chosen
     users; only messages whose user set meets the leader set are kept.
     """
     params = placement.params
-    tp = plan[k]
     t = params.t
     structure = structure_a(params.base.K, params.base.N, t)
     rank = structure.rank[k]

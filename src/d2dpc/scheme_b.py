@@ -78,10 +78,11 @@ class SchemeBParams(SchemeParams):
     def place(self, source) -> Placement:
         return place_b(self, source)
 
-    def query_plans(self, placement: Placement, demands, source):
-        """Each transmitter's (None, composition) list, transmitters 1 and 2;
-        the pick rule draws nothing, so B is its own non-private baseline."""
-        return [plan_messages_b(k, placement, demands) for k in (1, 2)]
+    def query(self, placement: Placement, k: int, others, source):
+        """Transmitter k's (None, composition) list, from the demand
+        ``others`` of the other user; the pick rule draws nothing, so B is
+        its own non-private baseline."""
+        return plan_messages_b(k, placement, others)
 
 
 def params_for(N: int, tprime: Optional[int], seed: int = 0, b_target: Optional[int] = None) -> SchemeBParams:
@@ -155,12 +156,14 @@ def place_b(params: SchemeBParams, source) -> Placement:
     return place(params, source, structure_b(params.base.N, params.tprime).held)
 
 
-def plan_messages_b(k: int, placement: Placement, demands) -> list[tuple[None, tuple[SubfileId, ...]]]:
+def plan_messages_b(k: int, placement: Placement, others) -> list[tuple[None, tuple[SubfileId, ...]]]:
     """Compositions of transmitter k's messages, file subsets in lex order:
-    the other user's plan in ``structure_b``, each (file, permuted index)
-    read as the placement's own ``SubfileId`` there."""
+    the plan in ``structure_b`` for the demand ``others`` holds, the other
+    user's, each (file, permuted index) read as the placement's own
+    ``SubfileId`` there."""
     params, perms = placement.params, placement.perms
-    plan = structure_b(params.base.N, params.tprime).plans[demands[2 - k]]
+    (other,) = others
+    plan = structure_b(params.base.N, params.tprime).plans[other]
     return [(None, tuple([perms[(i, k)][j] for i, j in comp])) for comp in plan]
 
 

@@ -24,6 +24,7 @@ from .core import (
     SeededSource,
     Transcript,
     demand_vector,
+    other_demands,
     scheme_class,
 )
 
@@ -66,8 +67,10 @@ def run_protocol(
     FixedSource replays an explicit assignment and a RecordingSource
     gives every draw its first outcome (the non-private baseline).  A
     pre-built ``placement`` may be passed to amortise it across demand
-    vectors.  The server's queries are ``scheme_params.query_plans``,
-    one per user; each user answers its own from its cache alone.
+    vectors.  The server sends user k the query
+    ``scheme_params.query(placement, k, others, source)``, which reads
+    only the demands ``others`` of the users other than k; each user
+    answers its own from its cache alone.
     """
     check_scheme(scheme, scheme_params)
     base = scheme_params.base
@@ -76,8 +79,8 @@ def run_protocol(
         source = SeededSource(base.seed)
     if placement is None:
         placement = scheme_params.place(source)
-    queries = scheme_params.query_plans(placement, d, source)
-    broadcasts = [user_broadcast(cache, query) for cache, query in zip(placement.caches, queries)]
+    broadcasts = [user_broadcast(cache, scheme_params.query(placement, k, other_demands(d, k), source))
+                  for k, cache in enumerate(placement.caches, 1)]
     return Transcript(scheme_params, placement.library, placement.caches, d, broadcasts)
 
 

@@ -34,31 +34,37 @@ brute-force enumeration and against raw, uncanonicalised views.
   placement, the first outcome of every placement draw, and one view
   builder ``_Everyone`` for its caches.
 * Block k of a view, transmitter k's messages relabelled on their own,
-  depends only on the delivery draws labelled for transmitter k
-  (``label[2] == k``: its position shuffle and its leader choices), and
-  the draws of distinct transmitters are independent.  So a view's
-  distribution is the product of its per-block distributions, and two
-  products are equal exactly when every factor is.  Both modes count
-  block by block in one lockstep pass per demand vector
-  (``_block_pass``): a transmitter's point is the values of its own
-  draws, named by an int key (``RecordingSource.point``), and column j
-  gives every transmitter the point of its j-th distinct key, weighted
-  by its multiplicity.  Exact mode passes every key of the space once;
-  a Monte Carlo check first draws all its trials' keys, every recorded
-  draw taken in turn from one keyed stream per demand vector, so the
-  trials of a demand vector are consecutive runs whose source answers
-  each draw from that stream, and passes each distinct key with its
-  count.
+  is a function of transmitter k's query, and that query reads the
+  demand vector d only through d₋ₖ, the demands of the users other
+  than k: ``scheme_params.query(placement, k, others, source)`` is given
+  nothing else, as transmitter k's sub-system of the virtual-user scheme
+  serves only the other K - 1 real users.  The draws of distinct
+  transmitters are independent.  So a view's distribution is the
+  product of its per-block distributions, two products are equal
+  exactly when every factor is, and block k's distribution is the same
+  for every demand vector that agrees with d off k.  Each check builds
+  transmitter k's share once per (k, d₋ₖ) (``_Transmitter``): the draws
+  its query makes, recorded, and its blocks counted as ids, which the N
+  demand vectors sharing d₋ₖ reuse.  A transmitter's point is the values
+  of its own draws, named by an int key (``RecordingSource.point``).
+  Exact mode counts every key of a transmitter's space once and shares
+  the whole block-k count.  A Monte Carlo check first draws all its
+  trials' keys, every recorded draw taken in turn from one keyed stream
+  per demand vector, so the trials of a demand vector are consecutive
+  runs whose source answers each draw from that stream; it maps each
+  distinct key through its transmitter's shared ids.
 
 Blocks come from the server's queries, not from protocol runs: a view
 drops payloads, and block k is a function of transmitter k's
 (position set, composition) pairs, which its query lists and its
-broadcasts repeat.  Column 0 of a demand vector is a protocol run
-(``sim.run_protocol``); every later column only asks
-``scheme_params.query_plans``.  Both feed one rows builder,
-``_Everyone.rows``, which looks classes up among the slots transmitter
-k caches, so a query naming a subfile k does not hold raises KeyError,
-as ``sim.user_broadcast`` does.
+broadcasts repeat.  One rows builder, ``_Everyone.rows``, looks classes
+up among the slots transmitter k caches, so a query naming a subfile k
+does not hold raises KeyError, as ``sim.user_broadcast`` does.  Each
+demand vector still makes one protocol run (``sim.run_protocol``) at the
+first outcome of every draw, and the check raises AssertionError unless
+each block of that run equals its transmitter's shared block at that
+point (``_check_run``): a run whose transmitter k reads more of d than
+d₋ₖ fails loudly.
 
 The joint view needs no pass of its own: transmitter k XORs only
 block-k subfiles and a slot's class holds its block, so no class spans
@@ -72,18 +78,19 @@ coarser classes (the everyone-refs already name each physical slot),
 and the cache-class counts are summed onto the coarser classes.  So
 each block is canonicalised once, as an everyone-view block, and a
 coalition's counts are the pushforward of the everyone counts.  Blocks
-are counted as ids (``_count_then_project``): each distinct block of an
-index gets an int id when first met, each coalition's projection runs
-once per id and its images get ids too, so the counts, the pushforward
-and the comparisons handle small ints, not nested tuples.  Each mode
-has one entry point, which checks a list of coalitions off one shared
-pass: ``check_privacy_exact_all`` compares exact block counts of a
-small instance, ``check_privacy_mc_all`` samples a larger one and
-gates on ``debiased_total_variation``.
+are counted as ids (``_Everyone.id``): each distinct block of an index
+gets an int id when first met, each coalition's projection runs once
+per id and its images get ids too (``_count_then_project``), so the
+counts, the pushforward and the comparisons handle small ints, not
+nested tuples.  Each mode has one entry point, which checks a list of
+coalitions off one shared pass: ``check_privacy_exact_all`` compares
+exact block counts of a small instance, ``check_privacy_mc_all`` samples
+a larger one and gates on ``debiased_total_variation``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -91,7 +98,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import scheme_a, sim
-from .core import FixedSource, RecordingSource, Transcript, check_seed, draw_key, seeded_rng
+from .core import FixedSource, RecordingSource, Transcript, check_seed, other_demands, seeded_rng
 
 EXACT_ENUMERATION_CAP = 1_000_000
 DEFAULT_TRIALS = 10_000
@@ -138,11 +145,12 @@ def _coalition(coalition, K: int) -> tuple[int, ...]:
     return coalition
 
 
-def _relabelled(rows, class_of) -> tuple:
+def _relabelled(rows, classes) -> tuple:
     """The one slot relabelling: ``(sender, position_set, refs)`` per
-    row, where an item's ref is its class plus its first-occurrence
-    ordinal within that class over ``rows``.  Items are physical slot
-    ids for the everyone-view and everyone-refs for a projection."""
+    row, where an item's ref is its class, ``classes[item]``, plus its
+    first-occurrence ordinal within that class over ``rows``.  Items are
+    physical slot ids for the everyone-view and everyone-refs for a
+    projection."""
     ordinals: dict = {}
     next_in_class: dict = {}
     out = []
@@ -151,7 +159,7 @@ def _relabelled(rows, class_of) -> tuple:
         for item in items:
             ref = ordinals.get(item)
             if ref is None:
-                cls = class_of(item)
+                cls = classes[item]
                 nxt = next_in_class.get(cls, 0) + 1
                 next_in_class[cls] = nxt
                 ref = ordinals[item] = (cls, nxt)
@@ -164,7 +172,9 @@ class _Everyone:
     """The one view builder: each slot's class (file, block, the users
     caching it), the counts of slots per class, and for each user the
     classes of the slots it caches.  User k caches all of block k of
-    every file, so every slot is cached by someone."""
+    every file, so every slot is cached by someone.  It also numbers the
+    blocks a check meets: ``ids[i]`` maps each distinct block of index i
+    to its int id, in the order first met (``id``)."""
 
     def __init__(self, caches, layout):
         pattern: dict = {}  # sid -> tuple of users caching it
@@ -175,6 +185,7 @@ class _Everyone:
         self._held = [{sid: classes[sid] for sid in cache.slots} for cache in caches]
         self._users = tuple(range(1, len(caches) + 1))
         self._cache_classes = tuple(sorted(Counter(classes.values()).items()))
+        self.ids: list[dict] = [{} for _ in range(len(caches) + 1)]
 
     def head(self, demands) -> tuple:
         """Block 0: all users, all demands and the cache-class counts."""
@@ -185,18 +196,47 @@ class _Everyone:
         triples relabelled on their own.  A slot's class is looked up
         among the slots k caches, so one that k does not hold raises
         KeyError, as ``sim.user_broadcast`` does."""
-        return _relabelled(triples, self._held[k - 1].__getitem__)
+        return _relabelled(triples, self._held[k - 1])
 
     def blocks(self, demands, broadcasts) -> tuple:
         """A run's everyone-view ``(head, rows_1, ..., rows_K)``."""
         return (self.head(demands),) + tuple(
             self.rows(k, triples) for k, triples in enumerate(_triples(broadcasts), 1))
 
+    def id(self, i: int, block) -> int:
+        """The int id of ``block`` among index i's blocks: the next one
+        when it is first met."""
+        seen = self.ids[i]
+        j = seen.get(block)
+        if j is None:
+            j = seen[block] = len(seen)
+        return j
+
 
 def _triples(broadcasts) -> list:
     """Each transmitter's messages as (sender, position set, composition)
     triples, the payloads dropped."""
     return [[(m.sender, m.position_set, m.composition) for m in per_user] for per_user in broadcasts]
+
+
+def _coarse(cls, members) -> tuple:
+    """An everyone-class (file, block, pattern) with its pattern cut to
+    the coalition ``members``."""
+    f, b, pat = cls
+    return f, b, tuple(u for u in pat if u in members)
+
+
+class _CoarseByRef(dict):
+    """Everyone-ref -> the coalition's class of the slot it names, each
+    worked out on its first lookup."""
+
+    def __init__(self, members: frozenset):
+        super().__init__()
+        self._members = members
+
+    def __missing__(self, ref):
+        out = self[ref] = _coarse(ref[0], self._members)
+        return out
 
 
 class _Projection:
@@ -211,59 +251,43 @@ class _Projection:
         self.coalition = coalition
         self._identity = len(coalition) == K
         self._members = frozenset(coalition)
-        self._classes: dict = {}
-
-    def _class(self, cls):
-        out = self._classes.get(cls)
-        if out is None:
-            f, b, pat = cls
-            out = self._classes[cls] = (f, b, tuple(u for u in pat if u in self._members))
-        return out
+        self._classes = _CoarseByRef(self._members)
 
     def __call__(self, block, i: int) -> tuple:
         """Everyone-view block ``i`` projected."""
         if self._identity:
             return block
         if i:
-            return _relabelled(block, lambda ref: self._class(ref[0]))
+            return _relabelled(block, self._classes)
         _, demands, cache_classes = block
         counts: dict = {}
         for cls, n in cache_classes:
-            cls = self._class(cls)
+            cls = _coarse(cls, self._members)
             if cls[2]:
                 counts[cls] = counts.get(cls, 0) + n
         own_demands = tuple(demands[u - 1] for u in self.coalition)
         return (self.coalition, own_demands, tuple(sorted(counts.items())))
 
 
-def _count_then_project(runs, demand_vectors, coalitions, K: int):
-    """The one counter of both samplers, block by block, on ids.  ``runs``
-    yields (demand vector, block index, everyone-view block,
-    multiplicity), each block first in the order the sampler met it.
-    Each distinct block of index i gets the next int id of i when first
-    met, so everything after counts, projects and compares small ints,
-    not nested tuples.  A coalition's counts are their pushforward
-    under its ``_Projection``, run once per distinct block, its images
-    given ids the same way.  Returns (dists, blocks):
+def _count_then_project(counts, ids, coalitions):
+    """The one counter of both samplers, on ids.  ``counts[d][i]`` is a
+    Counter of the ids of demand vector d's blocks of index i, and
+    ``ids[i]`` maps every everyone-view block of index i to its id
+    (``_Everyone.ids``), so everything here counts, projects and compares
+    small ints, not nested tuples.  A coalition's counts are their
+    pushforward under its ``_Projection``, run once per distinct block,
+    its images given ids the same way.  Returns (dists, blocks):
     dists[coalition][demand vector] is a list of per-block Counters of
     ids, and blocks[coalition][i] lists block index i's blocks by id."""
-    ids: list[dict] = [{} for _ in range(K + 1)]
-    counts = {d: [Counter() for _ in range(K + 1)] for d in demand_vectors}
-    for d, i, block, n in runs:
-        seen = ids[i]
-        j = seen.get(block)
-        if j is None:
-            j = seen[block] = len(seen)
-        counts[d][i][j] += n
     dists, blocks = {}, {}
     for c in coalitions:
-        proj = _Projection(c, K)
-        images: list[dict] = [{} for _ in range(K + 1)]
+        proj = _Projection(c, len(ids) - 1)
+        images: list[dict] = [{} for _ in ids]
         image_of = [[image.setdefault(proj(block, i), len(image)) for block in seen]
                     for i, (seen, image) in enumerate(zip(ids, images))]
         dists[c] = {}
         for d, counters in counts.items():
-            pushed = [Counter() for _ in range(K + 1)]
+            pushed = [Counter() for _ in counters]
             for out, counter, to_image in zip(pushed, counters, image_of):
                 for j, n in counter.items():
                     out[to_image[j]] += n
@@ -304,21 +328,75 @@ def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact enumeration
+# per-transmitter blocks and exact enumeration
 # ---------------------------------------------------------------------------
+
+
+class _Transmitter:
+    """Transmitter k's share of a check at one d₋ₖ, the demands
+    ``others`` of the users other than k, which is all its query reads;
+    built once and reused by the N demand vectors that agree off k.
+
+    It records the draws its query makes, and ``first`` maps each draw's
+    label to its first outcome.  ``space`` holds the draws a check
+    enumerates: all of them, or none for the non-private baseline, which
+    keeps every draw at its first outcome.  ``first_block`` is its
+    everyone-view block at the first outcome of every draw.  Its block at
+    a key is counted as an id of the check's ``_Everyone``."""
+
+    def __init__(self, scheme_params, placement, everyone: _Everyone, k: int, others, derandomized: bool):
+        self.k = k
+        self._everyone = everyone
+        self._query = functools.partial(scheme_params.query, placement, k, others)
+        recorder = RecordingSource()
+        self.first_block = self._rows(self._query(recorder))
+        self.first = {label: xs if kind == "permutation" else xs[0] for label, xs, kind in recorder.draws}
+        self.space = RecordingSource() if derandomized else recorder
+        self._labels = self.space.labels()
+        self._ids: dict = {}  # sampled key -> block id
+
+    def _rows(self, query) -> tuple:
+        k = self.k
+        return self._everyone.rows(k, [(k, pos, comp) for pos, comp in query])
+
+    def block(self, key: int) -> tuple:
+        """The block at the point ``key`` names: one query, asked with a
+        ``FixedSource`` of this transmitter's draws alone, each outside
+        the space at its first outcome."""
+        point = dict(zip(self._labels, self.space.point(key)))
+        return self._rows(self._query(FixedSource(self.first | point)))
+
+    def _id(self, key: int) -> int:
+        return self._everyone.id(self.k, self.block(key))
+
+    @functools.cached_property
+    def exact(self) -> Counter:
+        """Block ids over every key of the space, each weighted 1."""
+        return Counter(map(self._id, range(self.space.size())))
+
+    def tally(self, key_counts: dict) -> Counter:
+        """Block ids weighted by sampled key counts; each key's block is
+        built once for every demand vector that shares this transmitter."""
+        ids, out = self._ids, Counter()
+        for key, n in key_counts.items():
+            j = ids.get(key)
+            if j is None:
+                j = ids[key] = self._id(key)
+            out[j] += n
+        return out
 
 
 def _setup(scheme_params, coalitions, derandomized: bool):
     """A check's checked coalitions, its one placement (the first outcome
     of every placement draw), the view builder for that placement's
-    caches, and every demand vector's delivery draws recorded on that
-    placement, split by transmitter: ``spaces[d][k - 1]`` is a
-    ``RecordingSource`` holding the draws enumerated for transmitter k
-    (``label[2] == k``), and ``firsts[d]`` maps every draw's label to its
-    first outcome.  The non-private baseline is chosen here alone:
-    ``derandomized`` enumerates no draw, so every run takes ``firsts``.
-    Coalitions are checked before anything is drawn, the placement draws
-    (see the module docstring) before any delivery."""
+    caches, and every demand vector's transmitters:
+    ``transmitters[d][k - 1]`` is transmitter k's ``_Transmitter`` at
+    d's d₋ₖ, one object for every demand vector that agrees with d off
+    k, and ``spaces[d][k - 1]`` its space.  The non-private baseline is
+    chosen here alone: ``derandomized`` enumerates no draw, so every
+    query takes each draw's first outcome.  Coalitions are checked
+    before anything is drawn, the placement draws (see the module
+    docstring) before any delivery."""
     base, layout = scheme_params.base, scheme_params.layout
     coalitions = [_coalition(c, base.K) for c in coalitions]
     recorder = RecordingSource()
@@ -329,49 +407,48 @@ def _setup(scheme_params, coalitions, derandomized: bool):
     if drawn != Counter(shuffles):
         raise ValueError(f"{scheme_params.label()}: the placement must draw one permutation of each "
                          "(file, block)'s slots, labelled (scheme, 'p', file, block), and nothing else")
-    spaces, firsts = {}, {}
+    everyone = _Everyone(placement.caches, layout)
+    shared: dict = {}
+    transmitters = {}
     for d in itertools.product(range(1, base.N + 1), repeat=base.K):
-        recorder = RecordingSource()
-        scheme_params.query_plans(placement, d, recorder)
-        firsts[d] = {label: xs if kind == "permutation" else xs[0] for label, xs, kind in recorder.draws}
-        own = spaces[d] = [RecordingSource() for _ in range(base.K)]
-        if not derandomized:
-            for draw in recorder.draws:
-                own[draw[0][2] - 1].draws.append(draw)
-    return coalitions, placement, _Everyone(placement.caches, layout), spaces, firsts
+        own = transmitters[d] = []
+        for k in range(1, base.K + 1):
+            others = other_demands(d, k)
+            t = shared.get((k, others))
+            if t is None:
+                t = shared[k, others] = _Transmitter(scheme_params, placement, everyone, k, others,
+                                                     derandomized)
+            own.append(t)
+    spaces = {d: [t.space for t in own] for d, own in transmitters.items()}
+    return coalitions, placement, everyone, spaces, transmitters
 
 
-def _block_pass(scheme_params, placement, everyone, d, firsts, own, keyed, n_head):
-    """Demand vector d's everyone-view blocks with their weights, as
-    ``_count_then_project`` takes them: the head once, weighted
-    ``n_head``, then one column j at a time on the check's one placement.
-    ``keyed[k - 1]`` yields transmitter k's distinct keys into
-    ``own[k - 1]`` with their multiplicities; column j gives each
-    transmitter the point of its j-th key and every other draw its value
-    in ``firsts``, a transmitter with no keys left held at its first
-    outcomes and its block not counted, so d takes as many columns as
-    the most keys any transmitter has.  Column 0 is a protocol run; every
-    later column asks the server's queries alone
-    (``scheme_params.query_plans``), since a view keeps no payload.
-    Block k is built from transmitter k's (sender, position set,
-    composition) triples either way (``_Everyone.rows``)."""
-    yield d, 0, everyone.head(d), n_head
-    labels = [o.labels() for o in own]
-    for j, column in enumerate(itertools.zip_longest(*keyed)):
-        assignment = dict(firsts)
-        for o, labs, entry in zip(own, labels, column):
-            if entry is not None:
-                assignment.update(zip(labs, o.point(entry[0])))
-        source = FixedSource(assignment)
-        if j:
-            sent = [[(k, pos, comp) for pos, comp in query] for k, query in
-                    enumerate(scheme_params.query_plans(placement, d, source), 1)]
-        else:
-            sent = _triples(sim.run_protocol(scheme_params.scheme, scheme_params, d, source=source,
-                                             placement=placement).broadcasts)
-        for k, (entry, triples) in enumerate(zip(column, sent), 1):
-            if entry is not None:
-                yield d, k, everyone.rows(k, triples), entry[1]
+def _check_run(scheme_params, placement, everyone, d, own) -> None:
+    """Demand vector d's one protocol run, at the first outcome of every
+    draw: each of its blocks must equal the block that d's transmitter
+    ``own[k - 1]``, shared by every demand vector agreeing with d off k,
+    built at that point, or AssertionError."""
+    run = sim.run_protocol(scheme_params.scheme, scheme_params, d, source=RecordingSource(),
+                           placement=placement)
+    for k, (t, triples) in enumerate(zip(own, _triples(run.broadcasts)), 1):
+        if everyone.rows(k, triples) != t.first_block:
+            raise AssertionError(
+                f"{scheme_params.label()}: transmitter {k}'s block in the protocol run at d={d} differs "
+                f"from the block its query gives from the other users' demands {other_demands(d, k)}")
+
+
+def _distributions(scheme_params, setup, blocks, n_head: int):
+    """(dists, blocks) of ``_count_then_project`` over every demand
+    vector of ``setup``: d's block 0 is its head, weighted ``n_head``,
+    and its blocks 1..K the Counters of block ids ``blocks(d, own)`` of
+    its transmitters ``own``.  Each demand vector makes its one protocol
+    run (``_check_run``) before it is counted."""
+    coalitions, placement, everyone, _, transmitters = setup
+    counts = {}
+    for d, own in transmitters.items():
+        _check_run(scheme_params, placement, everyone, d, own)
+        counts[d] = [Counter({everyone.id(0, everyone.head(d)): n_head}), *blocks(d, own)]
+    return _count_then_project(counts, everyone.ids, coalitions)
 
 
 def enumerate_view_distributions(scheme_params, coalitions, derandomized: bool = False):
@@ -379,26 +456,21 @@ def enumerate_view_distributions(scheme_params, coalitions, derandomized: bool =
 
     The sum of the transmitters' spaces over every demand vector is
     checked against ``EXACT_ENUMERATION_CAP``, read at the call, before
-    any run.  Block k is counted once over every point of transmitter
-    k's draws: every key in ``range(size())``, weighted 1, is turned
-    into its point by ``RecordingSource.point``, the path a Monte Carlo
-    trial's key takes (see the module docstring and ``_block_pass``).
-    So a demand vector takes as many columns as its largest space.
-    Block k's counters all have the same total, so distribution equality
-    is plain counter equality.  Returns (dists, blocks) of
-    ``_count_then_project``: dists[coalition][demand vector] is a list of
-    per-block Counters of block ids, blocks[coalition][i] the blocks of
-    index i by id.
+    any run.  Block k is counted once per (k, d₋ₖ) over every point of
+    transmitter k's draws: every key in ``range(size())``, weighted 1, is
+    turned into its point by ``RecordingSource.point``, the path a Monte
+    Carlo trial's key takes (see the module docstring and
+    ``_Transmitter``).  Block k's counters all have the same total, so
+    distribution equality is plain counter equality.  Returns (dists,
+    blocks) of ``_count_then_project``: dists[coalition][demand vector]
+    is a list of per-block Counters of block ids, blocks[coalition][i]
+    the blocks of index i by id.
     """
-    coalitions, placement, everyone, spaces, firsts = _setup(scheme_params, coalitions, derandomized)
-    total = sum(o.size() for own in spaces.values() for o in own)
+    setup = _setup(scheme_params, coalitions, derandomized)
+    total = sum(o.size() for own in setup[3].values() for o in own)
     if total > EXACT_ENUMERATION_CAP:
         raise ExactModeTooLarge(total, EXACT_ENUMERATION_CAP)
-    runs = itertools.chain.from_iterable(
-        _block_pass(scheme_params, placement, everyone, d, firsts[d], own,
-                    [zip(range(o.size()), itertools.repeat(1)) for o in own], 1)
-        for d, own in spaces.items())
-    return _count_then_project(runs, spaces, coalitions, scheme_params.base.K)
+    return _distributions(scheme_params, setup, lambda d, own: [t.exact for t in own], 1)
 
 
 def _grouped_by_fixing(distributions: dict, coalition):
@@ -512,6 +584,35 @@ def debiased_total_variation(a: Counter, b: Counter) -> tuple[float, float]:
     return raw, max(0.0, raw - bias)
 
 
+def _trial_keys(plans, trials: int, getrandbits) -> list[dict]:
+    """Each transmitter's key counts over ``trials`` trials off one
+    stream.  A trial walks the entries (n, n.bit_length()) of ``plans``
+    laid end to end, drawing ``_randbelow(n)`` as CPython does
+    (``getrandbits`` again until below n), and folds each transmitter's
+    indices into its key, the first most significant, starting again at
+    each transmitter's boundary.  A transmitter with an empty plan draws
+    nothing: its key is 0 in every trial."""
+    counts: list[dict] = [{} for _ in plans]
+    flat = []  # (n, bits, the transmitter's counts at its last entry, else None)
+    for plan, c in zip(plans, counts):
+        if plan:
+            flat += [(n, bits, None) for n, bits in plan[:-1]]
+            flat.append((*plan[-1], c))
+        else:
+            c[0] = trials
+    for _ in range(trials):
+        key = 0
+        for n, bits, c in flat:
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            key = key * n + r
+            if c is not None:
+                c[key] = c.get(key, 0) + 1
+                key = 0
+    return counts
+
+
 def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed: int = 0,
                               derandomized: bool = False):
     """trials independent deliveries per demand vector on the check's one
@@ -520,37 +621,28 @@ def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed:
     A trial draws a point, not a protocol run: every trial takes all of
     the demand vector's recorded delivery draws from its one keyed
     stream, ``seeded_rng(base_seed, f"mc|{d}")``: transmitters 1..K,
-    each one's draws in recorded order.  That is the order a delivery
-    plan makes them in, so trial j is the j-th of consecutive runs on
-    that placement whose source answers every draw from the same stream
-    in call order.  A transmitter's point is drawn as its int key
-    (``draw_key`` over ``RecordingSource.plan``), which makes the same
+    each one's draws in recorded order.  That is the order a protocol run
+    makes them in, so trial j is the j-th of consecutive runs on that
+    placement whose source answers every draw from the same stream in
+    call order.  A transmitter's point is drawn as its int key
+    (``_trial_keys`` over ``RecordingSource.plan``), which makes the same
     ``getrandbits`` calls as the stdlib's ``shuffle`` and ``choice`` of
     those draws, so its point is theirs.  All trials are drawn first,
-    into one key count per transmitter; then each distinct key is turned
-    into its point (``RecordingSource.point``) and its block counted
-    once with its multiplicity (see ``_block_pass``), blocks in the order
-    their first trial met them.  A coalition's block counts are
-    their projection (see ``_Projection``).
+    into one key count per transmitter; then each distinct key is mapped
+    to its block's id through its transmitter's shared ids
+    (``_Transmitter.tally``).  A coalition's block counts are their
+    projection (see ``_Projection``).
 
     Returns (dists, blocks), as ``enumerate_view_distributions`` does.
     """
     check_seed(base_seed)
-    coalitions, placement, everyone, spaces, firsts = _setup(scheme_params, coalitions, derandomized)
 
-    def runs():
-        for d, own in spaces.items():
-            getrandbits = seeded_rng(base_seed, f"mc|{d}").getrandbits
-            plans = [o.plan() for o in own]
-            seen: list[dict] = [{} for _ in own]
-            for _ in range(trials):
-                for plan, counts in zip(plans, seen):
-                    key = draw_key(plan, getrandbits)
-                    counts[key] = counts.get(key, 0) + 1
-            yield from _block_pass(scheme_params, placement, everyone, d, firsts[d], own,
-                                   [counts.items() for counts in seen], trials)
+    def blocks(d, own):
+        getrandbits = seeded_rng(base_seed, f"mc|{d}").getrandbits
+        keys = _trial_keys([t.space.plan() for t in own], trials, getrandbits)
+        return [t.tally(key_counts) for t, key_counts in zip(own, keys)]
 
-    return _count_then_project(runs(), spaces, coalitions, scheme_params.base.K)
+    return _distributions(scheme_params, _setup(scheme_params, coalitions, derandomized), blocks, trials)
 
 
 def _max_tv_report(scheme_params, coalition, dists, trials, tolerance) -> PrivacyReport:

@@ -24,6 +24,10 @@ of the library needs them, so they live with the tests.
 * ``recorded_points``: a ``RecordingSource``'s space as the product of
   its draws' outcomes, the oracle of the keys ``RecordingSource.point``
   names.
+* ``draw_key``: one transmitter's key drawn on its own, one
+  ``_randbelow`` after another, the oracle of the Monte Carlo sampler's
+  ``verify._trial_keys``, which draws every transmitter's key of a trial
+  in one pass.
 * ``count_then_project_tuples``: the view counter keyed by the blocks
   themselves, the oracle of ``verify._count_then_project``'s ids, which
   ``decoded`` turns back into blocks.
@@ -281,6 +285,19 @@ def recorded_points(recorder):
         itertools.permutations(xs) if kind == "permutation" else xs
         for _, xs, kind in recorder.draws
     ))
+
+
+def draw_key(plan, getrandbits) -> int:
+    """``_randbelow(n)`` for each (n, n.bit_length()) of ``plan`` in turn,
+    as CPython draws it (``getrandbits(n.bit_length())`` again until below
+    n), read as one mixed-radix int, the first index most significant."""
+    key = 0
+    for n, k in plan:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        key = key * n + r
+    return key
 
 
 def count_then_project_tuples(runs, demand_vectors, coalitions, K: int) -> dict:

@@ -399,6 +399,12 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         ("--max-m", _GAP_8 + ["--max-m", "1e" + "9" * 5000]),
         ("--bound", _GAP_8 + ["--bound", "1/" + "7" * 101]),
         ("--tol", _VERIFY_A + ["--mode", "mc", "--tol", "1e-100000000"]),
+        # int() reads other scripts' digits ("\u0662" is the Arabic-Indic two),
+        # so a list flag takes ASCII digits only, as every bounded integer flag does
+        ("--demands", _SIMULATE_A[:-1] + ["1,\u0662"]),
+        ("--coalition", _VERIFY_A[:-1] + ["\u0661"]),
+        # a repeated user used to be dropped, the report naming the coalition {1}
+        ("--coalition", _VERIFY_A[:-1] + ["1,1"]),
     ],
 )
 def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):
@@ -570,11 +576,11 @@ def cli_argv(draw):
         ]
     if command == "simulate":
         specs += [("--demands", ["1,2", "1,1", "2,1,3", "3,3,3"],
-                   ["1", "1,x", "", "0,1", "-1,2", "1,9"], False)]
+                   ["1", "1,x", "", "0,1", "-1,2", "1,9", "1,\u0662"], False)]
     if command == "verify":
         specs += [
             ("--mode", [mode], ["bogus"], False),
-            ("--coalition", ["1", "2", "1,2", "3"], ["0", "5", "1,x", "", "-1"], False),
+            ("--coalition", ["1", "2", "1,2", "3"], ["0", "5", "1,x", "", "-1", "\u0661", "1,1"], False),
             ("--baseline", ["nonprivate"], ["other"], True),
         ]
         if mode == "mc":  # the default trial count is far above the fuzzer's budget

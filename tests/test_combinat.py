@@ -20,8 +20,8 @@ from d2dpc.combinat import (
     upper_envelope_of_lines,
 )
 from d2dpc import scheme_a, verify
-from d2dpc.core import SeededSource, draw_key, seeded_rng
-from oracles import _lower_hull as fraction_lower_hull, recorded_points
+from d2dpc.core import SeededSource, seeded_rng
+from oracles import _lower_hull as fraction_lower_hull, draw_key, recorded_points
 
 
 def test_binom_basic():

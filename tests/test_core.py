@@ -22,7 +22,7 @@ from d2dpc.core import (
     SystemParams,
     assemble_file,
     draw_indices,
-    draw_key,
+    other_demands,
     random_library,
     resolve_file_size,
     seeded_rng,
@@ -32,7 +32,7 @@ from d2dpc.core import (
     transcript_to_text,
 )
 from d2dpc import scheme_a, scheme_b, sim, verify
-from oracles import recorded_points
+from oracles import draw_key, recorded_points
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_transcript.txt"
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -79,7 +79,8 @@ def _draw_sequences() -> list:
                 ("c", (5, 6, 7, 8, 9), "choice"), ("p", (), "permutation"), ("c", (0, 1), "choice")])
     for params in (scheme_a.params_for(3, 2, 2), scheme_a.params_for(3, 3, 2)):
         recorder = RecordingSource()
-        scheme_a.plan_delivery_a(params, (1, 2, 2), recorder)
+        for k in range(1, 4):
+            scheme_a.plan_delivery_a(params, k, other_demands((1, 2, 2), k), recorder)
         out.append(recorder.draws)
     return out
 

@@ -16,6 +16,7 @@ from d2dpc.core import (
     SeededSource,
     SubfileId,
     SystemParams,
+    other_demands,
     subfile_value,
     transcript_from_text,
     transcript_to_text,
@@ -77,9 +78,9 @@ def test_place_t1_own_block_only():
 
 
 def test_assign_virtual_demands_two_users():
-    # K=2, N=2, transmitter 1, d=(1,1): file 1 already has one real
-    # demander, so the single virtual user takes file 2
-    d_eff = _virtual_demands(2, 2, 1, (1, 1))[0]
+    # K=2, N=2, transmitter 1, d=(1,1): the other user demands file 1,
+    # so the single virtual user takes file 2
+    d_eff = _virtual_demands(2, 2, 1, (1,))[0]
     assert d_eff[2] == 1
     assert d_eff[3] == 2
     counts = [list(d_eff.values()).count(i) for i in (1, 2)]
@@ -88,7 +89,7 @@ def test_assign_virtual_demands_two_users():
 
 def test_assign_virtual_demands_three_users():
     # K=3, N=2, transmitter 3, d=(1,1,*): both virtual users take file 2
-    d_eff = _virtual_demands(3, 2, 3, (1, 1, 2))[0]
+    d_eff = _virtual_demands(3, 2, 3, (1, 1))[0]
     assert d_eff[4] == 2 and d_eff[5] == 2
     counts = [list(d_eff.values()).count(i) for i in (1, 2)]
     assert counts == [2, 2]
@@ -101,7 +102,7 @@ def test_assign_virtual_demands_partitions_universe():
         for _ in range(10):
             d = tuple(rng.randint(1, N) for _ in range(K))
             for k in range(1, K + 1):
-                d_eff = _virtual_demands(K, N, k, d)[0]
+                d_eff = _virtual_demands(K, N, k, other_demands(d, k))[0]
                 assert len(d_eff) == p.U
                 per_file = [list(d_eff.values()).count(i) for i in range(1, N + 1)]
                 assert per_file == [K - 1] * N
@@ -113,7 +114,7 @@ def test_demander_tuples_match_a_scan_per_file():
     for K, N in itertools.product(range(2, 6), repeat=2):
         for d in itertools.product(range(1, N + 1), repeat=K):
             for k in range(1, K + 1):
-                d_eff, demanders = _virtual_demands(K, N, k, d)
+                d_eff, demanders = _virtual_demands(K, N, k, other_demands(d, k))
                 assert demanders == tuple(
                     tuple(sorted(u for u, f in d_eff.items() if f == i)) for i in range(N + 1)
                 ), (K, N, k, d)
@@ -126,14 +127,14 @@ def test_virtual_demands_match_the_block_index_assignment():
         for N in range(2, 5):
             for d in itertools.product(range(1, N + 1), repeat=K):
                 for k in range(1, K + 1):
-                    d_eff, demanders = _virtual_demands(K, N, k, d)
+                    d_eff, demanders = _virtual_demands(K, N, k, other_demands(d, k))
                     want_map, want_demanders = virtual_demands_by_blocks(K, N, k, d)
                     assert list(d_eff.items()) == list(want_map.items()), (K, N, k, d)
                     assert demanders == want_demanders, (K, N, k, d)
 
 
 def test_virtual_demand_maps_are_read_only():
-    d_eff = _virtual_demands(2, 2, 1, (1, 2))[0]
+    d_eff = _virtual_demands(2, 2, 1, (2,))[0]
     with pytest.raises(TypeError):
         d_eff[2] = 2
 
@@ -168,8 +169,7 @@ def _sorted_tuple_placement(placement):
     return caches, slot_of
 
 
-def _sorted_tuple_messages(k, plan, params, slot_of):
-    tp = plan[k]
+def _sorted_tuple_messages(k, tp, params, slot_of):
     out = []
     for S in itertools.combinations(range(1, params.U + 1), params.t):
         users = tuple(tp.q[j - 1] for j in S)
@@ -191,11 +191,9 @@ def test_shared_structure_matches_sorted_tuple_ranks(K, N, t):
         assert [c.slots for c in placement.caches] == caches
         demands = tuple(rng.randint(1, N) for _ in range(K))
         for source in (SeededSource(seed), RecordingSource()):  # RecordingSource: the baseline
-            plan = plan_delivery_a(p, demands, source)
             for k in range(1, K + 1):
-                assert plan_messages_a(k, placement, plan) == _sorted_tuple_messages(
-                    k, plan, p, slot_of
-                )
+                tp = plan_delivery_a(p, k, other_demands(demands, k), source)
+                assert plan_messages_a(k, placement, tp) == _sorted_tuple_messages(k, tp, p, slot_of)
     # one structure per size: a placement at another seed builds none
     misses = scheme_a.structure_a.cache_info().misses
     place_a(params_for(K, N, t, seed=99), SeededSource(99))
@@ -331,8 +329,8 @@ def test_simulated_load_and_decode_match_formula(K, N, t):
 
 def test_per_file_demand_symmetry_after_planning():
     p = params_for(3, 3, 2, seed=6)
-    plan = plan_delivery_a(p, (1, 1, 3), SeededSource(6))
-    for k, tp in plan.items():
+    for k in range(1, 4):
+        tp = plan_delivery_a(p, k, other_demands((1, 1, 3), k), SeededSource(6))
         for i in range(1, 4):
             assert sum(1 for f in tp.d_eff.values() if f == i) == 2
         assert len(tp.leaders) == 3

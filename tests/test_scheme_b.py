@@ -133,8 +133,7 @@ def test_shared_structure_matches_pick_loop():
                 placement = place_b(p, SeededSource(seed))
                 for d_other in range(1, N + 1):
                     for k in (1, 2):
-                        demands = (d_other, 1) if k == 2 else (1, d_other)
-                        assert plan_messages_b(k, placement, demands) == _pick_loop_messages(
+                        assert plan_messages_b(k, placement, (d_other,)) == _pick_loop_messages(
                             k, placement, d_other
                         )
 

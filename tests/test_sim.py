@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from d2dpc import scheme_a, scheme_b
-from d2dpc.core import RecordingSource, SeededSource, SubfileId, transcript_to_text
+from d2dpc.core import RecordingSource, SeededSource, SubfileId, other_demands, transcript_to_text
 from d2dpc.sim import measure_load, run_protocol, theoretical_load, user_broadcast
 
 
@@ -45,7 +45,7 @@ def test_encoding_constraint_reexecution():
     p = scheme_a.params_for(3, 2, 2, seed=5)
     placement = p.place(SeededSource(5))
     tr = run_protocol("A", p, (2, 1, 2), placement=placement)
-    queries = p.query_plans(placement, tr.demands, SeededSource(5))
+    queries = [p.query(placement, k, other_demands(tr.demands, k), SeededSource(5)) for k in (1, 2, 3)]
     for cache, query, per in zip(tr.caches, queries, tr.broadcasts):
         redone = user_broadcast(cache, query)
         assert [(m.sender, m.composition, m.payload) for m in redone] == [
@@ -57,7 +57,7 @@ def test_transmitters_never_need_foreign_subfiles():
     # a query naming a subfile outside the user's cache would fail loudly
     p = scheme_b.params_for(4, 2, seed=6)
     placement = p.place(SeededSource(6))
-    victim, other = p.query_plans(placement, (3, 4), SeededSource(6))
+    victim, other = [p.query(placement, k, others, SeededSource(6)) for k, others in ((1, (4,)), (2, (3,)))]
     foreign = next(
         sid for _, comp in other for sid in comp
         if sid not in placement.caches[0].content
@@ -88,7 +88,8 @@ def test_caches_and_messages_hold_the_placement_ids(scheme, size, b_target):
         assert all(drawn[sid] is sid for sid in cache.content)
     rng = random.Random(3)
     for demands in [(1,) * p.base.K, tuple(rng.randint(1, p.base.N) for _ in range(p.base.K))]:
-        queries = p.query_plans(placement, demands, SeededSource(3))
+        queries = [p.query(placement, k, other_demands(demands, k), SeededSource(3))
+                   for k in range(1, p.base.K + 1)]
         assert all(queries) or size[-1] is None  # no messages only at full memory
         assert all(drawn[sid] is sid for query in queries for _, comp in query for sid in comp)
 

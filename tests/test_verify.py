@@ -16,7 +16,8 @@ from d2dpc.core import (
     RecordingSource,
     SeededSource,
     SubfileId,
-    draw_key,
+    Transcript,
+    other_demands,
     seeded_rng,
     subfile_value,
 )
@@ -28,7 +29,7 @@ from d2dpc.verify import (
     check_privacy_mc_all,
     debiased_total_variation,
 )
-from oracles import count_then_project_tuples, decoded, recorded_points
+from oracles import count_then_project_tuples, decoded, draw_key, recorded_points
 
 
 def _exact(scheme, params, coalition, **kwargs):
@@ -302,7 +303,7 @@ def _delivery_atoms(p, demands, derandomized) -> list:
         users = [u for u in range(1, (K - 1) * (N - 1) + K + 1) if u != k]
         shuffles = [tuple(users)] if derandomized else list(itertools.permutations(users))
         atoms.append((("A", "q", k), shuffles))
-        demanders = scheme_a._virtual_demands(K, N, k, tuple(demands))[1]
+        demanders = scheme_a._virtual_demands(K, N, k, other_demands(tuple(demands), k))[1]
         for i in range(1, N + 1):
             leaders = [min(demanders[i])] if derandomized else list(demanders[i])
             atoms.append((("A", "leader", k, i), leaders))
@@ -327,6 +328,17 @@ def _demand_vectors(p):
     return list(itertools.product(range(1, p.base.N + 1), repeat=p.base.K))
 
 
+def _shares(p):
+    """Every (k, d₋ₖ): a transmitter and the demands of the other users."""
+    return [(k, others) for k in range(1, p.base.K + 1)
+            for others in itertools.product(range(1, p.base.N + 1), repeat=p.base.K - 1)]
+
+
+def _queries(p, placement, d, source) -> list:
+    """Every transmitter's query at demand vector d, transmitters 1..K."""
+    return [p.query(placement, k, other_demands(d, k), source) for k in range(1, p.base.K + 1)]
+
+
 RECORDED_INSTANCES = [
     pytest.param(scheme_a.params_for(2, 2, 1), id="A(2,2,1)"),
     pytest.param(scheme_a.params_for(2, 2, 2), id="A(2,2,2)"),
@@ -344,17 +356,19 @@ def test_recorded_draws_match_hand_listed_atoms(params, derandomized):
     p_atoms = _placement_atoms(params)
     assert len(placement_draws.draws) == len(p_atoms)  # no label drawn twice
     assert _outcomes(placement_draws.draws) == {lab: sorted(opts) for lab, opts in p_atoms}
-    _, _, _, spaces, firsts = verify._setup(params, [], derandomized)
+    transmitters = verify._setup(params, [], derandomized)[4]
     for d in _demand_vectors(params):
         delivery_draws = RecordingSource()
-        params.query_plans(placement, d, delivery_draws)
+        _queries(params, placement, d, delivery_draws)
         d_atoms = _delivery_atoms(params, d, derandomized)
         assert len(delivery_draws.draws) == len(d_atoms)
-        # what a check runs: its enumerated draws, every other one at its first outcome
-        enumerated = [draw for o in spaces[d] for draw in o.draws]
-        ran = {label: [value] for label, value in firsts[d].items()} | _outcomes(enumerated)
+        # what a check runs: each transmitter's enumerated draws, every
+        # other one at its first outcome
+        ran = {}
+        for t in transmitters[d]:
+            ran |= {label: [value] for label, value in t.first.items()} | _outcomes(t.space.draws)
         assert ran == {lab: sorted(opts) for lab, opts in d_atoms}
-        assert placement_draws.size() * math.prod(o.size() for o in spaces[d]) == math.prod(
+        assert placement_draws.size() * math.prod(t.space.size() for t in transmitters[d]) == math.prod(
             len(opts) for _, opts in p_atoms + d_atoms
         )
 
@@ -383,7 +397,7 @@ def test_recorded_draws_do_not_depend_on_drawn_values(params, derandomized):
         placement = params.place(source)
         delivery = _delivery_source(source, derandomized)
         for d in _demand_vectors(params):
-            params.query_plans(placement, d, delivery)
+            _queries(params, placement, d, delivery)
         recordings.append((source.draws, delivery.draws))
     assert all(draws == recordings[0] for draws in recordings[1:])
 
@@ -573,7 +587,7 @@ def test_block_k_depends_only_on_transmitter_k_draws(params, demand_vectors):
     everyone = verify._Everyone(placement.caches, params.layout)
     for d in demand_vectors or _demand_vectors(params):
         recorder = RecordingSource()
-        params.query_plans(placement, d, recorder)
+        _queries(params, placement, d, recorder)
         first = dict(zip(recorder.labels(), next(recorded_points(recorder))))
 
         def blocks(assignment):
@@ -787,13 +801,22 @@ def test_projected_mc_distributions_match_joint_oracle(K, N, t, trials, derandom
     assert got == _joint_mc(p, coalitions, trials, 17, derandomized)
 
 
-def test_mc_oracle_case_holds_transmitters_at_their_first_point():
-    # in the A(3,2,2) case above, 7 of 8 demand vectors have a transmitter
-    # that runs out of distinct points before another and is held at its
-    # first point, which the oracle never does
-    distinct = _mc_distinct_points(scheme_a.params_for(3, 2, 2, seed=6), 12, 17)
-    assert sum(len(set(counts)) > 1 for counts in distinct.values()) == 7
-    assert distinct[(1, 1, 2)] == [11, 11, 12]
+def test_mc_oracle_case_reuses_shared_blocks():
+    # in the A(3,2,2) case above, 11 of the 12 (k, d₋ₖ) draw a key under
+    # both demand vectors that agree off k, 26 such keys in all, so the
+    # oracle, which runs every trial, checks blocks built for one demand
+    # vector and counted for the other
+    shared = Counter()
+    for d, own in verify._setup(scheme_a.params_for(3, 2, 2, seed=6), [], False)[3].items():
+        rng = seeded_rng(17, f"mc|{d}")
+        drawn = [set() for _ in own]
+        for _ in range(12):
+            for keys, o in zip(drawn, own):
+                keys.add(draw_key(o.plan(), rng.getrandbits))
+        for k, keys in enumerate(drawn, 1):
+            shared.update(((k, other_demands(d, k)), key) for key in keys)
+    reused = [share for (share, _), n in shared.items() if n == 2]
+    assert (len(set(reused)), len(reused)) == (11, 26)
 
 
 @pytest.mark.parametrize(
@@ -844,23 +867,53 @@ class _Spy:
 def test_recorded_draws_replay_seeded_values(params, derandomized):
     # Monte Carlo trials draw only the recorded labels, never a run: the
     # points of consecutive trials, every transmitter's draws in turn
-    # from the demand vector's one stream, are the values consecutive
-    # plan_delivery_a calls draw when that stream answers each draw
-    _, _, _, spaces, firsts = verify._setup(params, [], derandomized)
-    for d, own in spaces.items():
-        assert sum(len(o.draws) for o in own) == (
-            0 if derandomized else params.base.K * (params.base.N + 1))
+    # from the demand vector's one stream, are the values that
+    # plan_delivery_a calls for transmitters 1..K in turn draw when that
+    # stream answers each draw
+    K = params.base.K
+    transmitters = verify._setup(params, [], derandomized)[4]
+    for d, own in transmitters.items():
+        assert sum(len(t.space.draws) for t in own) == (0 if derandomized else K * (params.base.N + 1))
         for seed in (0, 1, 7, 2**62 + 3, -5):
             rng = seeded_rng(seed, f"mc|{d}")
             source = _delivery_source(_StreamSource(seeded_rng(seed, f"mc|{d}")), derandomized)
             for _ in range(3):
-                replay = dict(firsts[d])
-                for o in own:
-                    replay.update(zip(o.labels(), o.point(draw_key(o.plan(), rng.getrandbits))))
+                replay = {}
+                for t in own:
+                    o = t.space
+                    replay |= t.first | dict(zip(o.labels(), o.point(draw_key(o.plan(), rng.getrandbits))))
                 spy = _Spy(source)
-                plan = scheme_a.plan_delivery_a(params, d, spy)
+                plans = [scheme_a.plan_delivery_a(params, k, other_demands(d, k), spy) for k in range(1, K + 1)]
                 assert replay == spy.values, (d, seed)
-                assert scheme_a.plan_delivery_a(params, d, FixedSource(replay)) == plan
+                assert [scheme_a.plan_delivery_a(params, k, other_demands(d, k), FixedSource(replay))
+                        for k in range(1, K + 1)] == plans
+
+
+@pytest.mark.parametrize("derandomized", [False, True])
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(scheme_a.params_for(2, 2, 1), id="A(2,2,1)"),
+        pytest.param(scheme_a.params_for(3, 2, 2), id="A(3,2,2)"),
+        pytest.param(scheme_a.params_for(3, 3, 2), id="A(3,3,2)"),
+        pytest.param(scheme_b.params_for(4, 3), id="B(4,3)"),
+    ],
+)
+def test_one_pass_key_draws_are_the_per_transmitter_draws(params, derandomized):
+    # the sampler draws all K keys of a trial in one pass over the plans
+    # laid end to end; that makes the getrandbits calls of drawing each
+    # transmitter's key in turn, so it draws the same keys and leaves the
+    # stream in the same state
+    for d, own in verify._setup(params, [], derandomized)[3].items():
+        plans = [o.plan() for o in own]
+        for seed in (0, 3):
+            rng, oracle = seeded_rng(seed, f"mc|{d}"), seeded_rng(seed, f"mc|{d}")
+            want = [Counter() for _ in own]
+            for _ in range(40):
+                for counts, plan in zip(want, plans):
+                    counts[draw_key(plan, oracle.getrandbits)] += 1
+            assert [Counter(c) for c in verify._trial_keys(plans, 40, rng.getrandbits)] == want, (d, seed)
+            assert rng.getstate() == oracle.getstate()
 
 
 # check_privacy_mc_all reports, (coalition, verdict, max_tv, max_tv_debiased,
@@ -906,26 +959,27 @@ def test_mc_reports_pinned(case):
     assert got == pinned
 
 
-def _columns_per_demand_vector(monkeypatch, params) -> tuple[Counter, Counter]:
-    """(protocol runs, queries) by demand vector from now on: the calls of
-    ``sim.run_protocol``, and the calls of ``params``'s ``query_plans``
-    that replay a ``FixedSource``, a run's own included, one per column.
-    ``_setup`` records every demand vector's draws with a
-    ``RecordingSource``, which is not counted."""
+def _runs_and_queries(monkeypatch, params) -> tuple[Counter, Counter]:
+    """(protocol runs by demand vector, queries by (k, d₋ₖ)) from now on:
+    the calls of ``sim.run_protocol``, and the calls of ``params``'s
+    ``query`` that replay a ``FixedSource``, one per block a check
+    builds.  A check records each transmitter's draws with a
+    ``RecordingSource`` and its protocol runs ask theirs with one, so
+    neither is counted."""
     runs, queries = Counter(), Counter()
-    run, plans = sim.run_protocol, type(params).query_plans
+    run, query = sim.run_protocol, type(params).query
 
     def counting_run(scheme, scheme_params, demands, *args, **kwargs):
         runs[tuple(demands)] += 1
         return run(scheme, scheme_params, demands, *args, **kwargs)
 
-    def counting_plans(self, placement, demands, source):
+    def counting_query(self, placement, k, others, source):
         if isinstance(source, FixedSource):
-            queries[tuple(demands)] += 1
-        return plans(self, placement, demands, source)
+            queries[k, tuple(others)] += 1
+        return query(self, placement, k, others, source)
 
     monkeypatch.setattr(sim, "run_protocol", counting_run)
-    monkeypatch.setattr(type(params), "query_plans", counting_plans)
+    monkeypatch.setattr(type(params), "query", counting_query)
     return runs, queries
 
 
@@ -936,7 +990,8 @@ def test_baseline_is_the_first_outcome_of_every_delivery_draw(K, N):
     for t in range(1, (K - 1) * N + 2):
         p = scheme_a.params_for(K, N, t)
         for d in _demand_vectors(p):
-            for k, plan in scheme_a.plan_delivery_a(p, d, RecordingSource()).items():
+            for k in range(1, K + 1):
+                plan = scheme_a.plan_delivery_a(p, k, other_demands(d, k), RecordingSource())
                 assert plan.q == tuple(u for u in range(1, (K - 1) * (N - 1) + K + 1) if u != k)
                 assert plan.leaders == {min(u for u, f in plan.d_eff.items() if f == i)
                                         for i in range(1, N + 1)}
@@ -996,26 +1051,27 @@ def test_baseline_reports_pinned(case):
 @pytest.mark.parametrize("trials", [10, 1000])
 def test_mc_baseline_runs_once_per_demand_vector(trials, monkeypatch):
     # the derandomized baseline samples no draw, so every trial has the
-    # same point and one column per demand vector, its protocol run, fills
-    # every block
+    # same point: one query per (k, d₋ₖ) fills every block, and each
+    # demand vector makes its one protocol run
     p = scheme_a.params_for(3, 2, 2)
-    runs, queries = _columns_per_demand_vector(monkeypatch, p)
+    runs, queries = _runs_and_queries(monkeypatch, p)
     check_privacy_mc_all("A", p, [(1,), (2, 3)], trials=trials, base_seed=3, derandomized=True)
-    assert runs == queries == Counter(dict.fromkeys(_demand_vectors(p), 1))
+    assert runs == Counter(dict.fromkeys(_demand_vectors(p), 1))
+    assert queries == Counter(dict.fromkeys(_shares(p), 1))
 
 
-def _mc_distinct_points(p, trials, base_seed) -> dict:
-    """Per demand vector, how many distinct points each transmitter's
-    Monte Carlo trials draw, every draw from the demand vector's stream."""
-    out = {}
+def _mc_distinct_points(p, trials, base_seed) -> Counter:
+    """Per (k, d₋ₖ), how many distinct points transmitter k's Monte Carlo
+    trials draw over every demand vector that agrees off k, each demand
+    vector's trials from its own stream."""
+    seen: dict = {}
     for d, own in verify._setup(p, [], False)[3].items():
         rng = seeded_rng(base_seed, f"mc|{d}")
-        seen = [set() for _ in own]
         for _ in range(trials):
-            for points, o in zip(seen, own):
-                points.add(o.point(draw_key(o.plan(), rng.getrandbits)))
-        out[d] = [len(points) for points in seen]
-    return out
+            for k, o in enumerate(own, 1):
+                seen.setdefault((k, other_demands(d, k)), set()).add(
+                    o.point(draw_key(o.plan(), rng.getrandbits)))
+    return Counter({share: len(points) for share, points in seen.items()})
 
 
 @pytest.mark.parametrize(
@@ -1029,75 +1085,118 @@ def _mc_distinct_points(p, trials, base_seed) -> dict:
     ],
 )
 def test_mc_runs_only_for_new_points(params, trials, base_seed, most, monkeypatch):
-    # column j gives every transmitter its j-th distinct point, so a
-    # demand vector takes as many columns as the most distinct points any
-    # of its transmitters drew: one protocol run, then queries alone
+    # a (k, d₋ₖ) asks one query per distinct point that transmitter k drew
+    # over every demand vector agreeing off k, and each demand vector
+    # makes one protocol run
     distinct = _mc_distinct_points(params, trials, base_seed)
-    assert {max(counts) for counts in distinct.values()} == {most}
+    assert set(distinct.values()) == {most}
     spaces = verify._setup(params, [], False)[3]
     assert {o.size() for own in spaces.values() for o in own} == {most}
-    runs, queries = _columns_per_demand_vector(monkeypatch, params)
+    runs, queries = _runs_and_queries(monkeypatch, params)
     reports = check_privacy_mc_all("A", params, [(1,), (2,)], trials=trials, base_seed=base_seed)
     assert all(r.private for r in reports.values())
-    assert queries == Counter({d: max(counts) for d, counts in distinct.items()})
-    assert runs == Counter(dict.fromkeys(distinct, 1))
+    assert queries == distinct
+    assert runs == Counter(dict.fromkeys(_demand_vectors(params), 1))
 
 
 def test_exact_runs_in_lockstep(monkeypatch):
-    # A(3,2,2): every transmitter has 4! * 2 * 2 = 96 points; column j
-    # gives each its j-th point, so 8 demand vectors take 8 * 96 columns,
-    # not 3 * 768, and only the first column of each is a protocol run
+    # A(3,2,2): every transmitter has 4! * 2 * 2 = 96 points, and its block
+    # reads d only through d₋ₖ, so each of the 3 * 4 (k, d₋ₖ) asks 96
+    # queries, shared by the 2 demand vectors that agree off k (3 * 4 * 96
+    # queries, not 8 * 3 * 96), and each demand vector makes one protocol run
     p = scheme_a.params_for(3, 2, 2)
-    runs, queries = _columns_per_demand_vector(monkeypatch, p)
+    runs, queries = _runs_and_queries(monkeypatch, p)
     reports = check_privacy_exact_all("A", p, [(1,), (2, 3)])
     assert all(r.private for r in reports.values())
-    assert queries == Counter(dict.fromkeys(_demand_vectors(p), 96))
+    assert queries == Counter(dict.fromkeys(_shares(p), 96))
     assert runs == Counter(dict.fromkeys(_demand_vectors(p), 1))
 
 
+def _first_outcomes(params, placement, d) -> dict:
+    """Label -> first outcome of every delivery draw of a run at d."""
+    recorder = RecordingSource()
+    sim.run_protocol(params.scheme, params, d, source=recorder, placement=placement)
+    return {label: xs if kind == "permutation" else xs[0] for label, xs, kind in recorder.draws}
+
+
+@pytest.mark.parametrize("derandomized", [False, True])
 @pytest.mark.parametrize(
     "params",
     [
         pytest.param(scheme_a.params_for(2, 2, 1), id="A(2,2,1)"),
         pytest.param(scheme_a.params_for(2, 2, 2), id="A(2,2,2)"),
+        pytest.param(scheme_a.params_for(3, 2, 1), id="A(3,2,1)"),
         pytest.param(scheme_a.params_for(3, 2, 2), id="A(3,2,2)"),
         pytest.param(scheme_b.params_for(4, 3), id="B(4,3)"),
     ],
 )
-def test_query_rows_match_run_rows(params):
-    # at every point of every transmitter, at every demand vector, block k
-    # built from the server's queries equals block k built from a
-    # protocol run's broadcasts, and exact mode's pass yields the blocks
-    # of protocol runs
-    _, placement, everyone, spaces, firsts = verify._setup(params, [], False)
-    for d, own in spaces.items():
-        want = [(d, 0, everyone.head(d), 1)]
-        # the lockstep of _block_pass: column j holds each transmitter's
-        # key j, None once its space is spent
-        for column in itertools.zip_longest(*(range(o.size()) for o in own)):
-            assignment = dict(firsts[d])
-            for o, key in zip(own, column):
-                if key is not None:
-                    assignment.update(zip(o.labels(), o.point(key)))
-            source = FixedSource(assignment)
-            queries = params.query_plans(placement, d, source)
-            run = everyone.blocks(d, sim.run_protocol(params.scheme, params, d, source=source,
-                                                      placement=placement).broadcasts)
-            for k, (key, query) in enumerate(zip(column, queries), 1):
-                assert everyone.rows(k, [(k, pos, comp) for pos, comp in query]) == run[k], (d, column)
-                if key is not None:
-                    want.append((d, k, run[k], 1))
-        keyed = [zip(range(o.size()), itertools.repeat(1)) for o in own]
-        assert list(verify._block_pass(params, placement, everyone, d, firsts[d], own, keyed, 1)) == want
+def test_block_k_depends_only_on_the_other_users_demands(params, derandomized):
+    # against brute force: for every pair of demand vectors that agree off
+    # k, the draws a protocol run records for transmitter k are equal, and
+    # the check shares one transmitter between them; and at every point of
+    # that transmitter's space, block k of a protocol run at the full d
+    # equals the block the check shares
+    K = params.base.K
+    _, placement, everyone, _, transmitters = verify._setup(params, [], derandomized)
+    recorded = {}
+    for d in _demand_vectors(params):
+        recorder = RecordingSource()
+        sim.run_protocol(params.scheme, params, d, source=recorder, placement=placement)
+        recorded[d] = [[draw for draw in recorder.draws if draw[0][2] == k] for k in range(1, K + 1)]
+    for d, d2 in itertools.combinations(_demand_vectors(params), 2):
+        for k in range(1, K + 1):
+            if other_demands(d, k) == other_demands(d2, k):
+                assert recorded[d][k - 1] == recorded[d2][k - 1], (d, d2, k)
+                assert transmitters[d][k - 1] is transmitters[d2][k - 1], (d, d2, k)
+    for d, own in transmitters.items():
+        first = _first_outcomes(params, placement, d)
+        for k, t in enumerate(own, 1):
+            assert t.space.draws == ([] if derandomized else recorded[d][k - 1])
+            assert t.first_block == everyone.blocks(d, sim.run_protocol(
+                params.scheme, params, d, source=FixedSource(first), placement=placement).broadcasts)[k]
+            for key in range(t.space.size()):
+                source = FixedSource(first | dict(zip(t.space.labels(), t.space.point(key))))
+                tr = sim.run_protocol(params.scheme, params, d, source=source, placement=placement)
+                assert everyone.blocks(d, tr.broadcasts)[k] == t.block(key), (d, k, key)
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(scheme_a.params_for(3, 2, 2), id="A(3,2,2)"),
+        pytest.param(scheme_b.params_for(4, 3), id="B(4,3)"),
+    ],
+)
+def test_a_run_whose_query_reads_its_own_demand_fails_loudly(params, mode, monkeypatch):
+    # mutant: in a protocol run, transmitter k's query reads d_k, taking it
+    # for the demand of the first of the other users; the check builds
+    # block k from d₋ₖ alone, so each demand vector's one protocol run
+    # differs from it and the check raises
+    def leaky_run(scheme, scheme_params, demands, source=None, placement=None):
+        d = tuple(demands)
+        broadcasts = [sim.user_broadcast(cache, scheme_params.query(
+            placement, k, (d[k - 1],) + other_demands(d, k)[1:], source))
+            for k, cache in enumerate(placement.caches, 1)]
+        return Transcript(scheme_params, placement.library, placement.caches, d, broadcasts)
+
+    monkeypatch.setattr(sim, "run_protocol", leaky_run)
+    coalitions = [(1,), (2,)]
+    with pytest.raises(AssertionError, match="protocol run"):
+        if mode == "exact":
+            check_privacy_exact_all(params.scheme, params, coalitions)
+        else:
+            check_privacy_mc_all(params.scheme, params, coalitions, trials=50)
 
 
 def test_query_naming_an_uncached_subfile_raises(monkeypatch):
-    # mutant: every query made outside a protocol run has transmitter 1
-    # name, last in its first message, a subfile that user 2 caches and
-    # user 1 does not; the protocol runs stay sound, so only the query
-    # path can raise, and it raises as user_broadcast would
+    # mutant: every query made outside a protocol run with a FixedSource
+    # has transmitter 1 name, last in its first message, a subfile that
+    # user 2 caches and user 1 does not; the protocol runs and the
+    # recordings stay sound, so only the per-key blocks can raise, and
+    # they raise as user_broadcast would
     p = scheme_a.params_for(3, 2, 2)
-    plans, run, running = type(p).query_plans, sim.run_protocol, []
+    query, run, running = type(p).query, sim.run_protocol, []
 
     def in_run(*args, **kwargs):
         running.append(True)
@@ -1106,20 +1205,47 @@ def test_query_naming_an_uncached_subfile_raises(monkeypatch):
         finally:
             running.pop()
 
-    def mutant(self, placement, demands, source):
-        queries = [list(query) for query in plans(self, placement, demands, source)]
-        if isinstance(source, FixedSource) and not running:
+    def mutant(self, placement, k, others, source):
+        out = list(query(self, placement, k, others, source))
+        if k == 1 and isinstance(source, FixedSource) and not running:
             alien = next(sid for sid in placement.caches[1].slots if sid not in placement.caches[0].content)
-            pos, comp = queries[0][0]
-            queries[0][0] = (pos, comp[:-1] + (alien,))
-        return queries
+            pos, comp = out[0]
+            out[0] = (pos, comp[:-1] + (alien,))
+        return out
 
     monkeypatch.setattr(sim, "run_protocol", in_run)
-    monkeypatch.setattr(type(p), "query_plans", mutant)
+    monkeypatch.setattr(type(p), "query", mutant)
     with pytest.raises(KeyError):
         check_privacy_exact_all("A", p, [(1,)])
     with pytest.raises(KeyError):
         check_privacy_mc_all("A", p, [(1,)], trials=50)
+
+
+def _run_blocks(params, mode, derandomized, trials, base_seed) -> list:
+    """The everyone-view blocks a check counts, as (demand vector, block
+    index, block, multiplicity), each block k from a protocol run at the
+    full demand vector: exact mode's every key of transmitter k's space
+    once, or the keys of ``trials`` Monte Carlo trials, drawn one
+    transmitter after another from the demand vector's stream with the
+    ``draw_key`` oracle."""
+    _, placement, everyone, spaces, _ = verify._setup(params, [], derandomized)
+    runs = []
+    for d, own in spaces.items():
+        first = _first_outcomes(params, placement, d)
+        if mode == "exact":
+            keyed = [Counter(range(o.size())) for o in own]
+        else:
+            rng, keyed = seeded_rng(base_seed, f"mc|{d}"), [Counter() for _ in own]
+            for _ in range(trials):
+                for counts, o in zip(keyed, own):
+                    counts[draw_key(o.plan(), rng.getrandbits)] += 1
+        runs.append((d, 0, everyone.head(d), 1 if mode == "exact" else trials))
+        for k, (o, counts) in enumerate(zip(own, keyed), 1):
+            for key, n in counts.items():
+                source = FixedSource(first | dict(zip(o.labels(), o.point(key))))
+                tr = sim.run_protocol(params.scheme, params, d, source=source, placement=placement)
+                runs.append((d, k, everyone.blocks(d, tr.broadcasts)[k], n))
+    return runs
 
 
 @pytest.mark.parametrize("derandomized", [False, True])
@@ -1133,30 +1259,24 @@ def test_query_naming_an_uncached_subfile_raises(monkeypatch):
         pytest.param(scheme_b.params_for(4, 3), id="B(4,3)"),
     ],
 )
-def test_interned_counts_match_tuple_oracle(params, mode, derandomized, monkeypatch):
+def test_interned_counts_match_tuple_oracle(params, mode, derandomized):
     # the id-keyed counts, decoded, are the counts keyed by the blocks
-    # themselves, off the same blocks; and the reports are those the
-    # block-keyed counts give
+    # themselves, each block built from a protocol run at its point and
+    # demand vector; and the reports are those the block-keyed counts give
     coalitions = _all_coalitions(params.base.K)
-    oracle, count = [], verify._count_then_project
-
-    def teeing(runs, demand_vectors, coalitions, K):
-        runs = list(runs)
-        oracle.append(count_then_project_tuples(runs, demand_vectors, coalitions, K))
-        return count(runs, demand_vectors, coalitions, K)
-
-    monkeypatch.setattr(verify, "_count_then_project", teeing)
+    oracle = count_then_project_tuples(_run_blocks(params, mode, derandomized, 300, 4),
+                                       _demand_vectors(params), coalitions, params.base.K)
     if mode == "exact":
         got = verify.enumerate_view_distributions(params, coalitions, derandomized)
         reports = check_privacy_exact_all(params.scheme, params, coalitions, derandomized=derandomized)
-        want = {c: verify._exact_report(params, c, oracle[-1][c]) for c in coalitions}
+        want = {c: verify._exact_report(params, c, oracle[c]) for c in coalitions}
     else:
         got = verify.sample_view_distributions(params, coalitions, 300, 4, derandomized)
         reports = check_privacy_mc_all(params.scheme, params, coalitions, trials=300, base_seed=4,
                                        derandomized=derandomized)
-        want = {c: verify._max_tv_report(params, c, oracle[-1][c], 300, verify.DEFAULT_TOLERANCE)
+        want = {c: verify._max_tv_report(params, c, oracle[c], 300, verify.DEFAULT_TOLERANCE)
                 for c in coalitions}
-    assert decoded(*got) == oracle[0]
+    assert decoded(*got) == oracle
     assert reports == want
 
 
