@@ -62,9 +62,9 @@ up among the slots transmitter k caches, so a query naming a subfile k
 does not hold raises KeyError, as ``sim.user_broadcast`` does.  Each
 demand vector still makes one protocol run (``sim.run_protocol``) at the
 first outcome of every draw, and the check raises AssertionError unless
-each block of that run equals its transmitter's shared block at that
-point (``_check_run``): a run whose transmitter k reads more of d than
-d₋ₖ fails loudly.
+each transmitter's messages in that run carry exactly the pairs of its
+shared query at that point, which fix its block (``_check_run``): a run
+whose transmitter k reads more of d than d₋ₖ fails loudly.
 
 The joint view needs no pass of its own: transmitter k XORs only
 block-k subfiles and a slot's class holds its block, so no class spans
@@ -219,23 +219,18 @@ def _triples(broadcasts) -> list:
     return [[(m.sender, m.position_set, m.composition) for m in per_user] for per_user in broadcasts]
 
 
-def _coarse(cls, members) -> tuple:
-    """An everyone-class (file, block, pattern) with its pattern cut to
-    the coalition ``members``."""
-    f, b, pat = cls
-    return f, b, tuple(u for u in pat if u in members)
-
-
 class _CoarseByRef(dict):
-    """Everyone-ref -> the coalition's class of the slot it names, each
-    worked out on its first lookup."""
+    """Everyone-ref -> the coalition's class of the slot it names, looked
+    up through ``coarse`` (everyone-class -> coalition class) on the
+    ref's first use, so a relabelling reads each later ref in one dict
+    lookup."""
 
-    def __init__(self, members: frozenset):
+    def __init__(self, coarse):
         super().__init__()
-        self._members = members
+        self._coarse = coarse
 
     def __missing__(self, ref):
-        out = self[ref] = _coarse(ref[0], self._members)
+        out = self[ref] = self._coarse(ref[0])
         return out
 
 
@@ -251,18 +246,26 @@ class _Projection:
         self.coalition = coalition
         self._identity = len(coalition) == K
         self._members = frozenset(coalition)
-        self._classes = _CoarseByRef(self._members)
+        self._classes: dict = {}
+        self._of_ref = _CoarseByRef(self._class)
+
+    def _class(self, cls):
+        out = self._classes.get(cls)
+        if out is None:
+            f, b, pat = cls
+            out = self._classes[cls] = (f, b, tuple(u for u in pat if u in self._members))
+        return out
 
     def __call__(self, block, i: int) -> tuple:
         """Everyone-view block ``i`` projected."""
         if self._identity:
             return block
         if i:
-            return _relabelled(block, self._classes)
+            return _relabelled(block, self._of_ref)
         _, demands, cache_classes = block
         counts: dict = {}
         for cls, n in cache_classes:
-            cls = _coarse(cls, self._members)
+            cls = self._class(cls)
             if cls[2]:
                 counts[cls] = counts.get(cls, 0) + n
         own_demands = tuple(demands[u - 1] for u in self.coalition)
@@ -340,31 +343,28 @@ class _Transmitter:
     It records the draws its query makes, and ``first`` maps each draw's
     label to its first outcome.  ``space`` holds the draws a check
     enumerates: all of them, or none for the non-private baseline, which
-    keeps every draw at its first outcome.  ``first_block`` is its
-    everyone-view block at the first outcome of every draw.  Its block at
-    a key is counted as an id of the check's ``_Everyone``."""
+    keeps every draw at its first outcome.  ``first_query`` is its query
+    at the first outcome of every draw.  Its block at a key is counted as
+    an id of the check's ``_Everyone``."""
 
     def __init__(self, scheme_params, placement, everyone: _Everyone, k: int, others, derandomized: bool):
         self.k = k
         self._everyone = everyone
         self._query = functools.partial(scheme_params.query, placement, k, others)
         recorder = RecordingSource()
-        self.first_block = self._rows(self._query(recorder))
+        self.first_query = self._query(recorder)
         self.first = {label: xs if kind == "permutation" else xs[0] for label, xs, kind in recorder.draws}
         self.space = RecordingSource() if derandomized else recorder
         self._labels = self.space.labels()
         self._ids: dict = {}  # sampled key -> block id
 
-    def _rows(self, query) -> tuple:
-        k = self.k
-        return self._everyone.rows(k, [(k, pos, comp) for pos, comp in query])
-
     def block(self, key: int) -> tuple:
         """The block at the point ``key`` names: one query, asked with a
         ``FixedSource`` of this transmitter's draws alone, each outside
         the space at its first outcome."""
-        point = dict(zip(self._labels, self.space.point(key)))
-        return self._rows(self._query(FixedSource(self.first | point)))
+        k = self.k
+        query = self._query(FixedSource(self.first | dict(zip(self._labels, self.space.point(key)))))
+        return self._everyone.rows(k, [(k, pos, comp) for pos, comp in query])
 
     def _id(self, key: int) -> int:
         return self._everyone.id(self.k, self.block(key))
@@ -423,18 +423,20 @@ def _setup(scheme_params, coalitions, derandomized: bool):
     return coalitions, placement, everyone, spaces, transmitters
 
 
-def _check_run(scheme_params, placement, everyone, d, own) -> None:
+def _check_run(scheme_params, placement, d, own) -> None:
     """Demand vector d's one protocol run, at the first outcome of every
-    draw: each of its blocks must equal the block that d's transmitter
-    ``own[k - 1]``, shared by every demand vector agreeing with d off k,
-    built at that point, or AssertionError."""
+    draw: transmitter k's messages must carry exactly the (position set,
+    composition) pairs of the query that d's transmitter ``own[k - 1]``,
+    shared by every demand vector agreeing with d off k, was asked at
+    that point, so the run's block k is that transmitter's block there;
+    else AssertionError."""
     run = sim.run_protocol(scheme_params.scheme, scheme_params, d, source=RecordingSource(),
                            placement=placement)
-    for k, (t, triples) in enumerate(zip(own, _triples(run.broadcasts)), 1):
-        if everyone.rows(k, triples) != t.first_block:
+    for k, (t, sent) in enumerate(zip(own, run.broadcasts), 1):
+        if [(m.position_set, m.composition) for m in sent] != t.first_query:
             raise AssertionError(
-                f"{scheme_params.label()}: transmitter {k}'s block in the protocol run at d={d} differs "
-                f"from the block its query gives from the other users' demands {other_demands(d, k)}")
+                f"{scheme_params.label()}: transmitter {k}'s messages in the protocol run at d={d} differ "
+                f"from its query from the other users' demands {other_demands(d, k)}")
 
 
 def _distributions(scheme_params, setup, blocks, n_head: int):
@@ -446,7 +448,7 @@ def _distributions(scheme_params, setup, blocks, n_head: int):
     coalitions, placement, everyone, _, transmitters = setup
     counts = {}
     for d, own in transmitters.items():
-        _check_run(scheme_params, placement, everyone, d, own)
+        _check_run(scheme_params, placement, d, own)
         counts[d] = [Counter({everyone.id(0, everyone.head(d)): n_head}), *blocks(d, own)]
     return _count_then_project(counts, everyone.ids, coalitions)
 

@@ -1152,8 +1152,8 @@ def test_block_k_depends_only_on_the_other_users_demands(params, derandomized):
         first = _first_outcomes(params, placement, d)
         for k, t in enumerate(own, 1):
             assert t.space.draws == ([] if derandomized else recorded[d][k - 1])
-            assert t.first_block == everyone.blocks(d, sim.run_protocol(
-                params.scheme, params, d, source=FixedSource(first), placement=placement).broadcasts)[k]
+            run = sim.run_protocol(params.scheme, params, d, source=FixedSource(first), placement=placement)
+            assert t.first_query == [(m.position_set, m.composition) for m in run.broadcasts[k - 1]]
             for key in range(t.space.size()):
                 source = FixedSource(first | dict(zip(t.space.labels(), t.space.point(key))))
                 tr = sim.run_protocol(params.scheme, params, d, source=source, placement=placement)
