@@ -1,8 +1,9 @@
 """Command-line surface: simulate runs, emit curves, report gaps, verify.
 
 ``main`` parses with one parser, built once, and runs the subcommand's
-``cmd_*``, which checks its own arguments first: a bad one exits 2 with a
-one-line message.  Otherwise the exit code is 0 iff every requested check
+``cmd_*`` with that subcommand's parser, which checks its own arguments
+first: a bad one exits 2 with a one-line message under the subcommand's
+usage.  Otherwise the exit code is 0 iff every requested check
 passed.  Commands reach library functions through their modules.
 """
 
@@ -313,7 +314,7 @@ def _parser() -> argparse.ArgumentParser:
     common_instance(p_sim)
     p_sim.add_argument("--demands", required=True, type=_parse_int_list, help="comma-separated, e.g. 1,2")
     p_sim.add_argument("--out", help="write the transcript to this path")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=functools.partial(cmd_simulate, p_sim))
 
     p_curve = sub.add_parser("curve", help="emit a memory-load curve as CSV")
     p_curve.add_argument("--which", required=True, choices=list(bounds.CURVES))
@@ -321,7 +322,7 @@ def _parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--N", type=int, required=True)
     p_curve.add_argument("--grid", type=_int_in(0, MAX_GRID_POINTS), default=256)
     p_curve.add_argument("--out")
-    p_curve.set_defaults(func=cmd_curve)
+    p_curve.set_defaults(func=functools.partial(cmd_curve, p_curve))
 
     p_gap = sub.add_parser("gap", help="multiplicative gap between two curves")
     p_gap.add_argument("--K", type=int, required=True)
@@ -337,7 +338,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="restrict the grid to M >= this")
     p_gap.add_argument("--max-m", dest="max_m", type=_parse_rational,
                        help="restrict the grid to M <= this")
-    p_gap.set_defaults(func=cmd_gap)
+    p_gap.set_defaults(func=functools.partial(cmd_gap, p_gap))
 
     p_ver = sub.add_parser("verify", help="decodability/privacy verification")
     common_instance(p_ver)
@@ -349,15 +350,14 @@ def _parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--baseline", choices=["nonprivate"],
                        help="check the non-private baseline instead, the first outcome of every "
                        "delivery draw (scheme B draws none, so its baseline is B itself)")
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(func=functools.partial(cmd_verify, p_ver))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    return args.func(parser, args)
+    args = _parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

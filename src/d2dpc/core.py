@@ -350,7 +350,13 @@ class SchemeParams:
     (M, R) (``corner``), its held pairs for ``place`` and its
     per-transmitter ``query(placement, k, others, source)``, which reads
     the demands ``others`` of the users other than k alone; this base
-    derives everything else from them.  ``admit``
+    derives everything else from them.  The query draws the values
+    labelled ``delivery_labels(k)`` from its source, in that order, and
+    hands them to the scheme's one planner, which
+    ``compose(k, others, values, table)`` runs on given values: it names
+    the slot of permuted index r in block k of file f ``table[f][r]``,
+    the placement's id for a query, any other name for the privacy
+    checker.  ``admit``
     checks the parameter and rejects an instance whose structure would
     exceed ``MAX_STRUCTURE_ENTRIES`` before ``shape`` builds anything."""
 
@@ -423,6 +429,14 @@ class Placement:
     perms: dict[tuple[int, int], tuple[SubfileId, ...]]
     caches: list[CacheState]
     library: dict[int, int]
+
+    @cached_property
+    def tables(self) -> list:
+        """Block k's ids by file, the ``table`` a scheme's planner reads:
+        ``tables[k][f]`` is ``perms[(f, k)]``, built once per placement."""
+        N = self.params.base.N
+        return [None] + [[()] + [self.perms[(f, k)] for f in range(1, N + 1)]
+                         for k in range(1, self.params.layout.blocks + 1)]
 
 
 def place(params: SchemeParams, source, held) -> Placement:

@@ -87,6 +87,19 @@ class SchemeAParams(SchemeParams):
         demands ``others`` of the users other than k."""
         return plan_messages_a(k, placement, plan_delivery_a(self, k, others, source))
 
+    def delivery_labels(self, k: int) -> list:
+        """Transmitter k's delivery draws, in the order ``plan_delivery_a``
+        draws them: each file's leader, then the position shuffle."""
+        return [("A", "leader", k, i) for i in range(1, self.base.N + 1)] + [("A", "q", k)]
+
+    def compose(self, k: int, others, values, table):
+        """Transmitter k's (position set, composition) list at the draw
+        values ``values`` (its leaders, then its shuffle q), each item
+        ``table[file][rank]``: the planner ``plan_messages_a`` runs."""
+        N = self.base.N
+        d_eff, _ = _virtual_demands(self.base.K, N, k, tuple(others))
+        return _messages_a(self, k, d_eff, values[:N], values[N], table)
+
 
 def params_for(K: int, N: int, t: int, seed: int = 0, b_target: Optional[int] = None) -> SchemeAParams:
     """Build params with B auto-sized to the subpacketization."""
@@ -204,20 +217,26 @@ def plan_messages_a(
     k: int, placement: Placement, tp: TransmitterPlanA
 ) -> list[tuple[tuple[int, ...], tuple[SubfileId, ...]]]:
     """Compositions of transmitter k's messages under its plan ``tp``, in
-    position-set lex order.
+    position-set lex order, each item the placement's id of its slot."""
+    return _messages_a(placement.params, k, tp.d_eff, tp.leaders, tp.q, placement.tables[k])
+
+
+def _messages_a(params: SchemeAParams, k: int, d_eff, leaders, q, table) -> list:
+    """The one planner of transmitter k's messages, from its draw values:
+    the leaders and the position shuffle q.
 
     For every t-subset S of positions, the message XORs, for each j in S,
-    the placement's id of user q[j]'s file indexed by the other chosen
-    users; only messages whose user set meets the leader set are kept.
+    block k of user q[j]'s file at the rank of the other chosen users'
+    (t-1)-subset, named ``table[file][rank]``; only messages whose user
+    set meets the leader set are kept.
     """
-    params = placement.params
     t = params.t
     structure = structure_a(params.base.K, params.base.N, t)
     rank = structure.rank[k]
-    # position j -> the bit of user q[j] and block k of its file's ids
-    bits = [0, *[1 << u for u in tp.q]]
-    ids = [(), *[placement.perms[(tp.d_eff[u], k)] for u in tp.q]]
-    leader_mask = _mask(tp.leaders)
+    # position j -> the bit of user q[j] and block k of its file's items
+    bits = [0, *[1 << u for u in q]]
+    ids = [(), *[table[d_eff[u]] for u in q]]
+    leader_mask = _mask(leaders)
     out = []
     for S in structure.position_sets:
         mask = 0

@@ -84,6 +84,19 @@ class SchemeBParams(SchemeParams):
         its own non-private baseline."""
         return plan_messages_b(k, placement, others)
 
+    def delivery_labels(self, k: int) -> list:
+        """Scheme B draws nothing at delivery."""
+        return []
+
+    def compose(self, k: int, others, values, table):
+        """Transmitter k's (None, composition) list, each (file, permuted
+        index) of the plan in ``structure_b`` for the demand ``others`` of
+        the other user read as ``table[file][index]``; ``values`` is empty,
+        as B draws nothing at delivery."""
+        (other,) = others
+        plan = structure_b(self.base.N, self.tprime).plans[other]
+        return [(None, tuple([table[i][j] for i, j in comp])) for comp in plan]
+
 
 def params_for(N: int, tprime: Optional[int], seed: int = 0, b_target: Optional[int] = None) -> SchemeBParams:
     return SchemeBParams.sized(2, N, tprime, seed, b_target)
@@ -157,14 +170,10 @@ def place_b(params: SchemeBParams, source) -> Placement:
 
 
 def plan_messages_b(k: int, placement: Placement, others) -> list[tuple[None, tuple[SubfileId, ...]]]:
-    """Compositions of transmitter k's messages, file subsets in lex order:
-    the plan in ``structure_b`` for the demand ``others`` holds, the other
-    user's, each (file, permuted index) read as the placement's own
+    """Compositions of transmitter k's messages, file subsets in lex order
+    (``compose``), each (file, permuted index) read as the placement's own
     ``SubfileId`` there."""
-    params, perms = placement.params, placement.perms
-    (other,) = others
-    plan = structure_b(params.base.N, params.tprime).plans[other]
-    return [(None, tuple([perms[(i, k)][j] for i, j in comp])) for comp in plan]
+    return placement.params.compose(k, others, (), placement.tables[k])
 
 
 # ---------------------------------------------------------------------------

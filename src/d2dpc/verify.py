@@ -54,17 +54,31 @@ brute-force enumeration and against raw, uncanonicalised views.
   runs whose source answers each draw from that stream; it maps each
   distinct key through its transmitter's shared ids.
 
-Blocks come from the server's queries, not from protocol runs: a view
-drops payloads, and block k is a function of transmitter k's
-(position set, composition) pairs, which its query lists and its
-broadcasts repeat.  One rows builder, ``_Everyone.rows``, looks classes
-up among the slots transmitter k caches, so a query naming a subfile k
-does not hold raises KeyError, as ``sim.user_broadcast`` does.  Each
-demand vector still makes one protocol run (``sim.run_protocol``) at the
-first outcome of every draw, and the check raises AssertionError unless
-each transmitter's messages in that run carry exactly the pairs of its
-shared query at that point, which fix its block (``_check_run``): a run
-whose transmitter k reads more of d than d₋ₖ fails loudly.
+Blocks come from transmitter k's draw values, not from protocol runs or
+queries: a view drops payloads, and block k is a function of transmitter
+k's (position set, composition) pairs, which its query lists and its
+broadcasts repeat.  The query draws the values labelled
+``delivery_labels(k)`` and hands them to the scheme's one planner, so a
+block is built straight from a point, ``RecordingSource.point(key)``,
+by ``compose(k, others, values, table)``: no source replays the point,
+and no composition names a ``SubfileId``.  Each composition item names a
+(file, rank) of block k, the slot of permuted index rank, through the
+table ``_Everyone.ranked`` builds once per k from the check's placement,
+and the rows relabel through the one ``_relabelled`` with that table's
+classes, exactly as the rows of that placement's slots would.  A
+transmitter whose recorded draws are not labelled ``delivery_labels(k)``,
+in order, is rejected with ValueError, as the placement premise is.
+Each demand vector still makes one protocol run (``sim.run_protocol``)
+at the first outcome of every draw, and the check raises AssertionError
+unless each transmitter's messages in that run carry exactly the rows
+of its shared query at that point and the run's block k, relabelled by
+``_Everyone.rows``, is the block built from the draw values there
+(``_check_run``): a run whose transmitter k reads more of d than d₋ₖ,
+or a planner that builds other blocks than the run's, fails loudly.
+``_Everyone.rows`` looks classes up among the slots transmitter k
+caches, and the rank-space table holds block k's slots alone, so a slot
+that k does not hold raises KeyError in either, as ``sim.user_broadcast``
+does.
 
 The joint view needs no pass of its own: transmitter k XORs only
 block-k subfiles and a slot's class holds its block, so no class spans
@@ -79,13 +93,18 @@ and the cache-class counts are summed onto the coarser classes.  So
 each block is canonicalised once, as an everyone-view block, and a
 coalition's counts are the pushforward of the everyone counts.  Blocks
 are counted as ids (``_Everyone.id``): each distinct block of an index
-gets an int id when first met, each coalition's projection runs once
-per id and its images get ids too (``_count_then_project``), so the
-counts, the pushforward and the comparisons handle small ints, not
-nested tuples.  Each mode has one entry point, which checks a list of
-coalitions off one shared pass: ``check_privacy_exact_all`` compares
-exact block counts of a small instance, ``check_privacy_mc_all`` samples
-a larger one and gates on ``debiased_total_variation``.
+gets an int id when first met, and so does each coalition's image of
+it (``_count_then_project``), so the counts, the pushforward and the
+comparisons handle small ints, not nested tuples.  Projection composes,
+because a coarser ref still names one physical slot of its block: the
+coalitions are projected largest first, each one's blocks of index
+i >= 1 from the distinct images of its smallest already projected
+superset, not from every everyone block, and the images come out with
+the ids direct projection gives them.  Each mode has one entry point,
+which checks a list of coalitions off one shared pass:
+``check_privacy_exact_all`` compares exact block counts of a small
+instance, ``check_privacy_mc_all`` samples a larger one and gates on
+``debiased_total_variation``.
 """
 
 from __future__ import annotations
@@ -98,7 +117,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import scheme_a, sim
-from .core import FixedSource, RecordingSource, Transcript, check_seed, other_demands, seeded_rng
+from .core import RecordingSource, Transcript, check_seed, other_demands, seeded_rng
 
 EXACT_ENUMERATION_CAP = 1_000_000
 DEFAULT_TRIALS = 10_000
@@ -149,8 +168,8 @@ def _relabelled(rows, classes) -> tuple:
     """The one slot relabelling: ``(sender, position_set, refs)`` per
     row, where an item's ref is its class, ``classes[item]``, plus its
     first-occurrence ordinal within that class over ``rows``.  Items are
-    physical slot ids for the everyone-view and everyone-refs for a
-    projection."""
+    physical slot ids, or their rank-space names (``_Everyone.ranked``),
+    for the everyone-view, and a finer view's refs for a projection."""
     ordinals: dict = {}
     next_in_class: dict = {}
     out = []
@@ -185,6 +204,8 @@ class _Everyone:
         self._held = [{sid: classes[sid] for sid in cache.slots} for cache in caches]
         self._users = tuple(range(1, len(caches) + 1))
         self._cache_classes = tuple(sorted(Counter(classes.values()).items()))
+        self._files = range(1, layout.N + 1)
+        self._ranked: dict = {}
         self.ids: list[dict] = [{} for _ in range(len(caches) + 1)]
 
     def head(self, demands) -> tuple:
@@ -197,6 +218,23 @@ class _Everyone:
         among the slots k caches, so one that k does not hold raises
         KeyError, as ``sim.user_broadcast`` does."""
         return _relabelled(triples, self._held[k - 1])
+
+    def ranked(self, k: int, perms) -> tuple[list, dict]:
+        """Block k in rank space, built once per k: (table, classes), where
+        ``table[f][r]`` is an int naming the slot of permuted index r in
+        block k of file f, ``perms[(f, k)][r]``, and ``classes`` maps that
+        int to the slot's class, so rows whose items are these ints
+        relabel as rows of the slots themselves.  An item outside the
+        table raises KeyError, as ``rows`` does."""
+        out = self._ranked.get(k)
+        if out is None:
+            held, table, classes = self._held[k - 1], [()], {}
+            for f in self._files:
+                row = perms[(f, k)]
+                table.append(tuple(range(len(classes), len(classes) + len(row))))
+                classes.update(zip(table[-1], [held[sid] for sid in row]))
+            out = self._ranked[k] = (table, classes)
+        return out
 
     def blocks(self, demands, broadcasts) -> tuple:
         """A run's everyone-view ``(head, rows_1, ..., rows_K)``."""
@@ -220,9 +258,9 @@ def _triples(broadcasts) -> list:
 
 
 class _CoarseByRef(dict):
-    """Everyone-ref -> the coalition's class of the slot it names, looked
-    up through ``coarse`` (everyone-class -> coalition class) on the
-    ref's first use, so a relabelling reads each later ref in one dict
+    """Ref -> the coalition's class of the slot it names, looked up
+    through ``coarse`` (a finer class -> coalition class) on the ref's
+    first use, so a relabelling reads each later ref in one dict
     lookup."""
 
     def __init__(self, coarse):
@@ -235,10 +273,12 @@ class _CoarseByRef(dict):
 
 
 class _Projection:
-    """Everyone-view blocks projected onto one coalition: a slot's
-    pattern is intersected with the coalition, ordinals are renumbered
-    within the coarser classes (everyone-refs already name each physical
-    slot), and cache-class counts are summed onto the coarser classes.
+    """Everyone-view blocks, or a superset's images of them, projected
+    onto one coalition: a slot's pattern is intersected with the
+    coalition, ordinals are renumbered within the coarser classes (the
+    refs already name each physical slot), and cache-class counts are
+    summed onto the coarser classes; a head is projected from the
+    everyone head, which holds every user's demand.
     Projecting onto the everyone coalition changes nothing, so it is
     skipped."""
 
@@ -279,24 +319,44 @@ def _count_then_project(counts, ids, coalitions):
     (``_Everyone.ids``), so everything here counts, projects and compares
     small ints, not nested tuples.  A coalition's counts are their
     pushforward under its ``_Projection``, run once per distinct block,
-    its images given ids the same way.  Returns (dists, blocks):
+    its images given ids the same way, in the order first met.
+
+    Coalitions are projected largest first, and a coalition's blocks of
+    index i >= 1 are projected from the distinct images of its already
+    projected strict superset with the fewest of them, else from the
+    everyone-view blocks; its counts are pushed forward from that
+    superset's.  Projection composes: an everyone-ref, and so a coarser
+    ref, names one physical slot of its block, so relabelling a
+    superset's image gives what relabelling the everyone block gives.
+    Images are numbered in the order first met, and a superset's images
+    are met in the order of their first everyone block, so the ids are
+    those of projecting every everyone block.  Block 0 (the head), which
+    holds every user's demand, is projected from the everyone heads.
+
+    Returns (dists, blocks), keyed in the order of ``coalitions``:
     dists[coalition][demand vector] is a list of per-block Counters of
     ids, and blocks[coalition][i] lists block index i's blocks by id."""
+    K = len(ids) - 1
     dists, blocks = {}, {}
-    for c in coalitions:
-        proj = _Projection(c, len(ids) - 1)
+    for c in sorted(dict.fromkeys(coalitions), key=len, reverse=True):
+        proj = _Projection(c, K)
+        base = min((p for p in dists if set(c) < set(p)), default=None,
+                   key=lambda p: sum(map(len, blocks[p][1:])))
+        sources = ids if base is None else [ids[0], *blocks[base][1:]]
         images: list[dict] = [{} for _ in ids]
-        image_of = [[image.setdefault(proj(block, i), len(image)) for block in seen]
-                    for i, (seen, image) in enumerate(zip(ids, images))]
+        to_image = [[image.setdefault(proj(block, i), len(image)) for block in source]
+                    for i, (source, image) in enumerate(zip(sources, images))]
         dists[c] = {}
         for d, counters in counts.items():
+            if base is not None:
+                counters = [counters[0], *dists[base][d][1:]]
             pushed = [Counter() for _ in counters]
-            for out, counter, to_image in zip(pushed, counters, image_of):
+            for out, counter, to in zip(pushed, counters, to_image):
                 for j, n in counter.items():
-                    out[to_image[j]] += n
+                    out[to[j]] += n
             dists[c][d] = pushed
         blocks[c] = [list(image) for image in images]
-    return dists, blocks
+    return {c: dists[c] for c in coalitions}, {c: blocks[c] for c in coalitions}
 
 
 def canonical_view(transcript: Transcript, coalition) -> ObserverView:
@@ -340,31 +400,47 @@ class _Transmitter:
     ``others`` of the users other than k, which is all its query reads;
     built once and reused by the N demand vectors that agree off k.
 
-    It records the draws its query makes, and ``first`` maps each draw's
-    label to its first outcome.  ``space`` holds the draws a check
-    enumerates: all of them, or none for the non-private baseline, which
-    keeps every draw at its first outcome.  ``first_query`` is its query
-    at the first outcome of every draw.  Its block at a key is counted as
-    an id of the check's ``_Everyone``."""
+    It records the draws its query makes, which must be labelled exactly
+    ``delivery_labels(k)``, in that order, the values the scheme's
+    ``compose`` reads (else ValueError), and ``first`` maps each draw's
+    label to its first outcome.  ``space`` holds the draws a
+    check enumerates: all of them, or none for the non-private baseline,
+    which keeps every draw at its first outcome.  ``first_triples`` are
+    the (sender, position set, composition) rows of its query at the
+    first outcome of every draw, ``first_rows`` their everyone-view block
+    and ``first_block`` the block built from its draw values there.  Its
+    block at a key is counted as an id of the check's ``_Everyone``."""
 
     def __init__(self, scheme_params, placement, everyone: _Everyone, k: int, others, derandomized: bool):
         self.k = k
         self._everyone = everyone
-        self._query = functools.partial(scheme_params.query, placement, k, others)
         recorder = RecordingSource()
-        self.first_query = self._query(recorder)
+        query = scheme_params.query(placement, k, others, recorder)
+        self.first_triples = [(k, pos, comp) for pos, comp in query]
+        labels, planned = recorder.labels(), scheme_params.delivery_labels(k)
+        if labels != planned:
+            raise ValueError(f"{scheme_params.label()}: transmitter {k}'s query draws {labels}, "
+                             f"but its compose reads {planned}")
         self.first = {label: xs if kind == "permutation" else xs[0] for label, xs, kind in recorder.draws}
         self.space = RecordingSource() if derandomized else recorder
-        self._labels = self.space.labels()
+        self._compose = functools.partial(scheme_params.compose, k, others)
+        self._table, self._classes = everyone.ranked(k, placement.perms)
         self._ids: dict = {}  # sampled key -> block id
+        self.first_rows = everyone.rows(k, self.first_triples)
+        self.first_block = self.block_at(tuple(self.first.values()))
+
+    def block_at(self, values) -> tuple:
+        """The block at the draw values ``values``, in recorded order: the
+        rows of ``compose`` in block k's rank space, relabelled through
+        its class table (``_Everyone.ranked``)."""
+        k = self.k
+        return _relabelled([(k, pos, items) for pos, items in self._compose(values, self._table)],
+                           self._classes)
 
     def block(self, key: int) -> tuple:
-        """The block at the point ``key`` names: one query, asked with a
-        ``FixedSource`` of this transmitter's draws alone, each outside
-        the space at its first outcome."""
-        k = self.k
-        query = self._query(FixedSource(self.first | dict(zip(self._labels, self.space.point(key)))))
-        return self._everyone.rows(k, [(k, pos, comp) for pos, comp in query])
+        """The block at the point ``key`` names, read straight off
+        ``space.point``; the baseline's one point is the first outcome."""
+        return self.block_at(self.space.point(key)) if self.space.draws else self.first_block
 
     def _id(self, key: int) -> int:
         return self._everyone.id(self.k, self.block(key))
@@ -425,18 +501,25 @@ def _setup(scheme_params, coalitions, derandomized: bool):
 
 def _check_run(scheme_params, placement, d, own) -> None:
     """Demand vector d's one protocol run, at the first outcome of every
-    draw: transmitter k's messages must carry exactly the (position set,
-    composition) pairs of the query that d's transmitter ``own[k - 1]``,
-    shared by every demand vector agreeing with d off k, was asked at
-    that point, so the run's block k is that transmitter's block there;
-    else AssertionError."""
+    draw: transmitter k's messages must carry exactly the (sender,
+    position set, composition) rows of the query that d's transmitter
+    ``own[k - 1]``, shared by every demand vector agreeing with d off k,
+    was asked at that point, and the run's block k, the everyone-view
+    rows of those messages (``first_rows``, built once per transmitter,
+    as every run that passes the first test has the same rows), must be
+    the block that transmitter builds from its draw values there
+    (``first_block``); else AssertionError."""
     run = sim.run_protocol(scheme_params.scheme, scheme_params, d, source=RecordingSource(),
                            placement=placement)
-    for k, (t, sent) in enumerate(zip(own, run.broadcasts), 1):
-        if [(m.position_set, m.composition) for m in sent] != t.first_query:
+    for k, (t, triples) in enumerate(zip(own, _triples(run.broadcasts)), 1):
+        if triples != t.first_triples:
             raise AssertionError(
                 f"{scheme_params.label()}: transmitter {k}'s messages in the protocol run at d={d} differ "
                 f"from its query from the other users' demands {other_demands(d, k)}")
+        if t.first_rows != t.first_block:
+            raise AssertionError(
+                f"{scheme_params.label()}: transmitter {k}'s block in the protocol run at d={d} differs "
+                "from the block built from its draw values at that point")
 
 
 def _distributions(scheme_params, setup, blocks, n_head: int):

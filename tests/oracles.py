@@ -31,6 +31,10 @@ of the library needs them, so they live with the tests.
 * ``count_then_project_tuples``: the view counter keyed by the blocks
   themselves, the oracle of ``verify._count_then_project``'s ids, which
   ``decoded`` turns back into blocks.
+* ``count_then_project_direct``: the id counter with every coalition
+  projected from every everyone-view block, the oracle of
+  ``verify._count_then_project``, which projects each coalition from its
+  smallest checked superset's images.
 """
 
 import itertools
@@ -323,6 +327,30 @@ def count_then_project_tuples(runs, demand_vectors, coalitions, K: int) -> dict:
                     out[image] += n
             dists[c][d] = pushed
     return dists
+
+
+def count_then_project_direct(counts, ids, coalitions):
+    """(dists, blocks) of ``verify._count_then_project``, each coalition
+    projected on its own from every everyone-view block: ``counts[d][i]``
+    is a Counter of the ids of demand vector d's blocks of index i,
+    ``ids[i]`` maps every everyone-view block of index i to its id, and a
+    coalition's counts are their pushforward under its ``_Projection``,
+    its images numbered in the order first met."""
+    dists, blocks = {}, {}
+    for c in coalitions:
+        proj = _Projection(c, len(ids) - 1)
+        images: list[dict] = [{} for _ in ids]
+        image_of = [[image.setdefault(proj(block, i), len(image)) for block in seen]
+                    for i, (seen, image) in enumerate(zip(ids, images))]
+        dists[c] = {}
+        for d, counters in counts.items():
+            pushed = [Counter() for _ in counters]
+            for out, counter, to_image in zip(pushed, counters, image_of):
+                for j, n in counter.items():
+                    out[to_image[j]] += n
+            dists[c][d] = pushed
+        blocks[c] = [list(image) for image in images]
+    return dists, blocks
 
 
 def decoded(dists: dict, blocks: dict) -> dict:

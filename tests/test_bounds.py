@@ -373,6 +373,29 @@ def test_shared_link_gap_at_most_twelve_for_every_n_below_k():
     }
 
 
+def test_shared_link_gap_within_six_from_twice_the_memory_floor():
+    # scheme A against the factor-4 shared-link reference from M = 2N/K, on
+    # the gap grid at density 64, for the same 105 pairs K = 3..16,
+    # N = 2..K-1: the ratio stays within 6 at exactly 55 pairs, for each K
+    # every N up to a largest one (none at K = 3, 4), and the worst ratio
+    # is exactly 8, at (3, 2) with M = 4/3 and only there
+    within, worst = {}, {}
+    for K in range(3, 17):
+        for N in range(2, K):
+            ach = scheme_a_curve(K, N)
+            conv = shared_link_nonprivate_envelope(K, N, Fraction(1, 4))
+            report = gap(ach, conv, gap_grid(ach, conv, Fraction(2 * N, K), Fraction(N), 64))
+            worst[K, N] = report.max_ratio, report.argmax_m
+            if report.max_ratio <= 6:
+                within.setdefault(K, []).append(N)
+    largest = dict(zip(range(5, 17), [2, 2, 3, 4, 5, 5, 6, 7, 7, 8, 9, 9]))
+    assert within == {K: list(range(2, n + 1)) for K, n in largest.items()}
+    assert sum(map(len, within.values())) == 55 and len(worst) == 105
+    top = max(ratio for ratio, _ in worst.values())
+    assert top == 8
+    assert {key: m for key, (ratio, m) in worst.items() if ratio == top} == {(3, 2): Fraction(4, 3)}
+
+
 def test_scheme_a_within_three_of_shared_link():
     assert scheme_a_within_three_of_shared_link(3, 2)
     assert scheme_a_within_three_of_shared_link(10, 40)

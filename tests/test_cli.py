@@ -178,7 +178,7 @@ def test_verify_exact_reads_the_cap_at_each_call(monkeypatch, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert re.fullmatch(r"d2dpc: error: argument --mode: randomness space has \d+ outcomes > cap 1; "
+    assert re.fullmatch(r"d2dpc verify: error: argument --mode: randomness space has \d+ outcomes > cap 1; "
                         r".*Monte Carlo check", err.strip().splitlines()[-1])
 
 
@@ -414,6 +414,8 @@ def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"argument {flag}:" in err.strip().splitlines()[-1]
+    # the usage shown is the subcommand's, whether argparse or a command refused it
+    assert err.startswith(f"usage: d2dpc {argv[0]} [-h]")
 
 
 def _int_in_flags():

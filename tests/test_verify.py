@@ -29,7 +29,7 @@ from d2dpc.verify import (
     check_privacy_mc_all,
     debiased_total_variation,
 )
-from oracles import count_then_project_tuples, decoded, draw_key, recorded_points
+from oracles import count_then_project_direct, count_then_project_tuples, decoded, draw_key, recorded_points
 
 
 def _exact(scheme, params, coalition, **kwargs):
@@ -959,28 +959,25 @@ def test_mc_reports_pinned(case):
     assert got == pinned
 
 
-def _runs_and_queries(monkeypatch, params) -> tuple[Counter, Counter]:
-    """(protocol runs by demand vector, queries by (k, d₋ₖ)) from now on:
-    the calls of ``sim.run_protocol``, and the calls of ``params``'s
-    ``query`` that replay a ``FixedSource``, one per block a check
-    builds.  A check records each transmitter's draws with a
-    ``RecordingSource`` and its protocol runs ask theirs with one, so
-    neither is counted."""
-    runs, queries = Counter(), Counter()
-    run, query = sim.run_protocol, type(params).query
+def _runs_and_blocks(monkeypatch, params) -> tuple[Counter, Counter]:
+    """(protocol runs by demand vector, built blocks by (k, d₋ₖ)) from
+    now on: the calls of ``sim.run_protocol``, and the calls of scheme
+    A's ``compose``, which only a check's block builder makes (a query
+    plans through ``plan_messages_a``), one per block it builds."""
+    runs, blocks = Counter(), Counter()
+    run, compose = sim.run_protocol, type(params).compose
 
     def counting_run(scheme, scheme_params, demands, *args, **kwargs):
         runs[tuple(demands)] += 1
         return run(scheme, scheme_params, demands, *args, **kwargs)
 
-    def counting_query(self, placement, k, others, source):
-        if isinstance(source, FixedSource):
-            queries[k, tuple(others)] += 1
-        return query(self, placement, k, others, source)
+    def counting_compose(self, k, others, values, table):
+        blocks[k, tuple(others)] += 1
+        return compose(self, k, others, values, table)
 
     monkeypatch.setattr(sim, "run_protocol", counting_run)
-    monkeypatch.setattr(type(params), "query", counting_query)
-    return runs, queries
+    monkeypatch.setattr(type(params), "compose", counting_compose)
+    return runs, blocks
 
 
 @pytest.mark.parametrize("K,N", [(K, N) for K in (2, 3, 4) for N in (2, 3)])
@@ -1051,13 +1048,14 @@ def test_baseline_reports_pinned(case):
 @pytest.mark.parametrize("trials", [10, 1000])
 def test_mc_baseline_runs_once_per_demand_vector(trials, monkeypatch):
     # the derandomized baseline samples no draw, so every trial has the
-    # same point: one query per (k, d₋ₖ) fills every block, and each
+    # same point, the first outcome: one block per (k, d₋ₖ) fills every
+    # trial and is the one each protocol run is checked against, and each
     # demand vector makes its one protocol run
     p = scheme_a.params_for(3, 2, 2)
-    runs, queries = _runs_and_queries(monkeypatch, p)
+    runs, blocks = _runs_and_blocks(monkeypatch, p)
     check_privacy_mc_all("A", p, [(1,), (2, 3)], trials=trials, base_seed=3, derandomized=True)
     assert runs == Counter(dict.fromkeys(_demand_vectors(p), 1))
-    assert queries == Counter(dict.fromkeys(_shares(p), 1))
+    assert blocks == Counter(dict.fromkeys(_shares(p), 1))
 
 
 def _mc_distinct_points(p, trials, base_seed) -> Counter:
@@ -1085,30 +1083,32 @@ def _mc_distinct_points(p, trials, base_seed) -> Counter:
     ],
 )
 def test_mc_runs_only_for_new_points(params, trials, base_seed, most, monkeypatch):
-    # a (k, d₋ₖ) asks one query per distinct point that transmitter k drew
-    # over every demand vector agreeing off k, and each demand vector
-    # makes one protocol run
+    # a (k, d₋ₖ) builds one block per distinct point that transmitter k
+    # drew over every demand vector agreeing off k, plus its block at the
+    # first outcome, which the protocol runs are checked against; and each
+    # demand vector makes one protocol run
     distinct = _mc_distinct_points(params, trials, base_seed)
     assert set(distinct.values()) == {most}
     spaces = verify._setup(params, [], False)[3]
     assert {o.size() for own in spaces.values() for o in own} == {most}
-    runs, queries = _runs_and_queries(monkeypatch, params)
+    runs, blocks = _runs_and_blocks(monkeypatch, params)
     reports = check_privacy_mc_all("A", params, [(1,), (2,)], trials=trials, base_seed=base_seed)
     assert all(r.private for r in reports.values())
-    assert queries == distinct
+    assert blocks == distinct + Counter(distinct.keys())
     assert runs == Counter(dict.fromkeys(_demand_vectors(params), 1))
 
 
 def test_exact_runs_in_lockstep(monkeypatch):
     # A(3,2,2): every transmitter has 4! * 2 * 2 = 96 points, and its block
-    # reads d only through d₋ₖ, so each of the 3 * 4 (k, d₋ₖ) asks 96
-    # queries, shared by the 2 demand vectors that agree off k (3 * 4 * 96
-    # queries, not 8 * 3 * 96), and each demand vector makes one protocol run
+    # reads d only through d₋ₖ, so each of the 3 * 4 (k, d₋ₖ) builds 96
+    # blocks, shared by the 2 demand vectors that agree off k (3 * 4 * 96
+    # blocks, not 8 * 3 * 96), plus one at the first outcome, which the
+    # protocol runs are checked against; each demand vector makes one run
     p = scheme_a.params_for(3, 2, 2)
-    runs, queries = _runs_and_queries(monkeypatch, p)
+    runs, blocks = _runs_and_blocks(monkeypatch, p)
     reports = check_privacy_exact_all("A", p, [(1,), (2, 3)])
     assert all(r.private for r in reports.values())
-    assert queries == Counter(dict.fromkeys(_shares(p), 96))
+    assert blocks == Counter(dict.fromkeys(_shares(p), 96 + 1))
     assert runs == Counter(dict.fromkeys(_demand_vectors(p), 1))
 
 
@@ -1153,11 +1153,145 @@ def test_block_k_depends_only_on_the_other_users_demands(params, derandomized):
         for k, t in enumerate(own, 1):
             assert t.space.draws == ([] if derandomized else recorded[d][k - 1])
             run = sim.run_protocol(params.scheme, params, d, source=FixedSource(first), placement=placement)
-            assert t.first_query == [(m.position_set, m.composition) for m in run.broadcasts[k - 1]]
+            assert t.first_triples == [(k, m.position_set, m.composition) for m in run.broadcasts[k - 1]]
             for key in range(t.space.size()):
                 source = FixedSource(first | dict(zip(t.space.labels(), t.space.point(key))))
                 tr = sim.run_protocol(params.scheme, params, d, source=source, placement=placement)
                 assert everyone.blocks(d, tr.broadcasts)[k] == t.block(key), (d, k, key)
+
+
+@pytest.mark.parametrize("derandomized", [False, True])
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(scheme_a.params_for(2, 2, 1), id="A(2,2,1)"),
+        pytest.param(scheme_a.params_for(2, 2, 2), id="A(2,2,2)"),
+        pytest.param(scheme_a.params_for(3, 2, 1), id="A(3,2,1)"),
+        pytest.param(scheme_a.params_for(3, 2, 2), id="A(3,2,2)"),
+        pytest.param(scheme_a.params_for(2, 3, 2), id="A(2,3,2)"),
+        pytest.param(scheme_b.params_for(4, 3), id="B(4,3)"),
+        pytest.param(scheme_b.params_for(5, 4), id="B(5,4)"),
+    ],
+)
+def test_rank_space_blocks_match_query_rows(params, derandomized):
+    # the builder's block, composed in rank space from the point's values
+    # and relabelled through its class table, is the block of the rows of
+    # the server's query asked with a FixedSource of that point, at every
+    # key of every transmitter; and so is its block at the first outcome
+    _, placement, everyone, _, transmitters = verify._setup(params, [], derandomized)
+    shares = {(k, other_demands(d, k)): t for d, own in transmitters.items() for k, t in enumerate(own, 1)}
+    for (k, others), t in shares.items():
+        def query_block(assignment):
+            query = params.query(placement, k, others, FixedSource(assignment))
+            return everyone.rows(k, [(k, pos, comp) for pos, comp in query])
+
+        assert t.first_block == query_block(t.first), (k, others)
+        for key in range(t.space.size()):
+            point = t.first | dict(zip(t.space.labels(), t.space.point(key)))
+            assert t.block(key) == query_block(point), (k, others, key)
+
+
+def _delivery_rewrite(monkeypatch, order):
+    """Scheme A's delivery with its draws made in ``order`` (a permutation
+    of "leaders" and "q", or with "extra", one more choice)."""
+    def plan_delivery_a(params, k, others, source):
+        d_eff, demanders = scheme_a._virtual_demands(params.base.K, params.base.N, k, tuple(others))
+        drawn = {}
+        for what in order:
+            if what == "leaders":
+                drawn[what] = frozenset(source.choice(("A", "leader", k, i), demanders[i])
+                                        for i in range(1, params.base.N + 1))
+            elif what == "leaders_down":
+                drawn["leaders"] = frozenset(source.choice(("A", "leader", k, i), demanders[i])
+                                             for i in range(params.base.N, 0, -1))
+            elif what == "q":
+                drawn[what] = tuple(source.permutation(("A", "q", k), list(d_eff)))
+            else:
+                source.choice(("A", "extra", k), [1, 2])
+        return scheme_a.TransmitterPlanA(d_eff, drawn["leaders"], drawn["q"])
+
+    monkeypatch.setattr(scheme_a, "plan_delivery_a", plan_delivery_a)
+
+
+@pytest.mark.parametrize("check", [_exact, lambda *args: _mc(*args, trials=10)], ids=["exact", "mc"])
+@pytest.mark.parametrize("order", [("q", "leaders"), ("leaders_down", "q"), ("leaders", "q", "extra")])
+def test_delivery_draws_other_than_the_composed_labels_are_rejected(order, check, monkeypatch):
+    # the block builder reads a point's values in delivery_labels order, so
+    # a query that draws in any other order, or draws more, is rejected
+    # before any block is built
+    _delivery_rewrite(monkeypatch, order)
+    with pytest.raises(ValueError, match="compose reads"):
+        check("A", scheme_a.params_for(3, 2, 2), (1,))
+
+
+def test_delivery_rewrite_in_the_composed_order_is_accepted(monkeypatch):
+    # the control of the rejection test: its patch alone changes nothing
+    p = scheme_a.params_for(3, 2, 2)
+    want = check_privacy_exact_all("A", p, [(1,), (2, 3)])
+    _delivery_rewrite(monkeypatch, ("leaders", "q"))
+    assert check_privacy_exact_all("A", p, [(1,), (2, 3)]) == want
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_a_builder_that_differs_from_the_run_fails_loudly(mode, monkeypatch):
+    # mutant: scheme A's compose, which only the block builder calls, lists
+    # its messages in reverse; the run's queries are sound, so only the
+    # comparison of each run's blocks with the built ones can raise
+    p = scheme_a.params_for(3, 2, 2)
+    compose = type(p).compose
+    monkeypatch.setattr(type(p), "compose", lambda *args: compose(*args)[::-1])
+    with pytest.raises(AssertionError, match="block in the protocol run"):
+        if mode == "exact":
+            check_privacy_exact_all("A", p, [(1,)])
+        else:
+            check_privacy_mc_all("A", p, [(1,)], trials=50)
+
+
+def _projection_inputs(params, trials, monkeypatch) -> tuple:
+    """The (counts, ids) that an exact check, or a Monte Carlo check of
+    ``trials`` trials, hands ``_count_then_project``."""
+    seen = []
+    project = verify._count_then_project
+
+    def spy(counts, ids, coalitions):
+        seen.append((counts, ids))
+        return project(counts, ids, coalitions)
+
+    monkeypatch.setattr(verify, "_count_then_project", spy)
+    if trials is None:
+        verify.enumerate_view_distributions(params, [(1,)])
+    else:
+        verify.sample_view_distributions(params, [(1,)], trials, 5)
+    monkeypatch.undo()
+    (inputs,) = seen
+    return inputs
+
+
+@pytest.mark.parametrize(
+    "params,trials",
+    [
+        pytest.param(scheme_a.params_for(3, 2, 2), None, id="A(3,2,2)-exact"),
+        pytest.param(scheme_a.params_for(3, 2, 1), 40, id="A(3,2,1)-mc"),
+        pytest.param(scheme_a.params_for(4, 2, 1), 40, id="A(4,2,1)-mc"),
+        pytest.param(scheme_a.params_for(4, 2, 2), 4, id="A(4,2,2)-mc"),
+    ],
+)
+def test_projection_down_the_lattice_matches_direct_projection(params, trials, monkeypatch):
+    # against the direct oracle, which projects every coalition from every
+    # everyone block: for every pair C ⊂ P, C projected from P's images has
+    # the same images and ids, and so has every coalition of all of them
+    # at once, each from its smallest checked superset
+    counts, ids = _projection_inputs(params, trials, monkeypatch)
+    coalitions = _all_coalitions(params.base.K)
+    for P in coalitions:
+        for C in coalitions:
+            if set(C) < set(P):
+                assert verify._count_then_project(counts, ids, [P, C]) == \
+                    count_then_project_direct(counts, ids, [P, C]), (C, P)
+    every = list(reversed(coalitions))
+    got = verify._count_then_project(counts, ids, every)
+    assert got == count_then_project_direct(counts, ids, every)
+    assert list(got[0]) == list(got[1]) == every
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
@@ -1189,32 +1323,25 @@ def test_a_run_whose_query_reads_its_own_demand_fails_loudly(params, mode, monke
             check_privacy_mc_all(params.scheme, params, coalitions, trials=50)
 
 
-def test_query_naming_an_uncached_subfile_raises(monkeypatch):
-    # mutant: every query made outside a protocol run with a FixedSource
-    # has transmitter 1 name, last in its first message, a subfile that
-    # user 2 caches and user 1 does not; the protocol runs and the
-    # recordings stay sound, so only the per-key blocks can raise, and
-    # they raise as user_broadcast would
+def test_block_naming_a_slot_outside_the_class_table_raises(monkeypatch):
+    # mutant: the block builder's planner for transmitter 1 names, last in
+    # its first message, a subfile that user 2 caches and user 1 does not,
+    # where it should name an item of its rank-space table; the protocol
+    # runs and the recordings stay sound, so only the built blocks can
+    # raise, and they raise KeyError, as user_broadcast would
     p = scheme_a.params_for(3, 2, 2)
-    query, run, running = type(p).query, sim.run_protocol, []
+    compose = type(p).compose
+    placement = p.place(RecordingSource())
+    alien = next(sid for sid in placement.caches[1].slots if sid not in placement.caches[0].content)
 
-    def in_run(*args, **kwargs):
-        running.append(True)
-        try:
-            return run(*args, **kwargs)
-        finally:
-            running.pop()
-
-    def mutant(self, placement, k, others, source):
-        out = list(query(self, placement, k, others, source))
-        if k == 1 and isinstance(source, FixedSource) and not running:
-            alien = next(sid for sid in placement.caches[1].slots if sid not in placement.caches[0].content)
+    def mutant(self, k, others, values, table):
+        out = list(compose(self, k, others, values, table))
+        if k == 1:
             pos, comp = out[0]
             out[0] = (pos, comp[:-1] + (alien,))
         return out
 
-    monkeypatch.setattr(sim, "run_protocol", in_run)
-    monkeypatch.setattr(type(p), "query", mutant)
+    monkeypatch.setattr(type(p), "compose", mutant)
     with pytest.raises(KeyError):
         check_privacy_exact_all("A", p, [(1,)])
     with pytest.raises(KeyError):
