@@ -271,6 +271,8 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"argument --coalition: users must lie in 1..{args.K}")
     if len(set(args.coalition)) != len(args.coalition):
         parser.error(f"argument --coalition: a user is listed twice in {','.join(map(str, args.coalition))}")
+    if len(args.coalition) == args.K:
+        parser.error(f"argument --coalition: all {args.K} users leave no demand to vary")
     derandomized = args.baseline == "nonprivate"
     if args.mode == "exact":
         try:

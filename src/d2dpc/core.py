@@ -140,8 +140,11 @@ class RecordingSource(_Source):
     each is kept as (label, items or options, kind) and answered with its
     first outcome (the items as given, the first option).
 
-    Replaying the recorded draws is sound because a scheme's draw labels
-    and options never depend on the values drawn before them.
+    Replaying the recorded draws is sound because no draw's label or
+    outcomes depend on the values drawn before it, and that holds by
+    construction: the placement draws one permutation of each (file,
+    block)'s fixed slots, and a query lists every draw of its delivery
+    (``SchemeParams.delivery_draws``) before it draws any.
 
     ``point`` maps the int keys ``range(size())`` one-to-one onto the
     recorded space: a key is the draws' ``_randbelow`` indices read as one
@@ -164,9 +167,6 @@ class RecordingSource(_Source):
         """The number of points of the recorded space, counted without
         building it."""
         return math.prod(n for n, _ in self.plan())
-
-    def labels(self) -> list:
-        return [label for label, _, _ in self.draws]
 
     def plan(self) -> list[tuple[int, int]]:
         """(n, n.bit_length()) of every ``_randbelow(n)`` that the stdlib
@@ -347,18 +347,17 @@ class SchemeParams:
     """A scheme at one instance: ``base`` plus the scheme's ``param``;
     also the scheme's interface to the protocol engine and the privacy
     checker.  A scheme states its block shape (``shape``), its corner
-    (M, R) (``corner``), its held pairs for ``place`` and its
-    per-transmitter ``query(placement, k, others, source)``, which reads
-    the demands ``others`` of the users other than k alone; this base
-    derives everything else from them.  The query draws the values
-    labelled ``delivery_labels(k)`` from its source, in that order, and
-    hands them to the scheme's one planner, which
-    ``compose(k, others, values, table)`` runs on given values: it names
-    the slot of permuted index r in block k of file f ``table[f][r]``,
-    the placement's id for a query, any other name for the privacy
-    checker.  ``admit``
-    checks the parameter and rejects an instance whose structure would
-    exceed ``MAX_STRUCTURE_ENTRIES`` before ``shape`` builds anything."""
+    (M, R) (``corner``), its held pairs for ``place``, and its delivery
+    as data plus one planner, both per transmitter k and reading only
+    the demands ``others`` of the users other than k:
+    ``delivery_draws(k, others)`` lists k's draws as (label, kind,
+    outcomes), and ``compose(placement, k, others, values)`` plans k's
+    (position set, composition) list from their values, in that order,
+    over ``placement.tables[k]``.  This base derives everything else
+    from them: the server's ``query`` draws each declared draw from its
+    source, then composes.  ``admit`` checks the parameter and rejects
+    an instance whose structure would exceed ``MAX_STRUCTURE_ENTRIES``
+    before ``shape`` builds anything."""
 
     scheme = ""
     fixed_K = None  # the one K the scheme runs at, if it has one
@@ -408,6 +407,14 @@ class SchemeParams:
     def memory_point(self) -> Rat:
         return self._memory_point
 
+    def query(self, placement: Placement, k: int, others, source) -> list:
+        """Transmitter k's (position set, composition) list: each of its
+        ``delivery_draws`` drawn from ``source`` in turn, through the
+        source's ``permutation`` or ``choice``, then composed."""
+        values = [getattr(source, kind)(label, outcomes)
+                  for label, kind, outcomes in self.delivery_draws(k, others)]
+        return self.compose(placement, k, others, values)
+
 
 def scheme_class(letter: str) -> type[SchemeParams]:
     """The scheme class the letter names: the one letter -> class map,
@@ -432,7 +439,7 @@ class Placement:
 
     @cached_property
     def tables(self) -> list:
-        """Block k's ids by file, the ``table`` a scheme's planner reads:
+        """Block k's ids by file, which a scheme's ``compose`` reads:
         ``tables[k][f]`` is ``perms[(f, k)]``, built once per placement."""
         N = self.params.base.N
         return [None] + [[()] + [self.perms[(f, k)] for f in range(1, N + 1)]

@@ -12,9 +12,9 @@ leader are transmitted.  Memory-load corner points:
     R = (binom(U, t) - binom(U - N, t)) / binom(U, t - 1),   t in [1 .. U+1].
 
 Placement is ``core.place``; this module supplies the block shape, the
-corner formula, the held pairs and the delivery plans.  The held pairs,
-subset ranks and position sets use no randomness: ``structure_a(K, N,
-t)`` builds them once per size.
+corner formula, the held pairs, the delivery draws and the one message
+planner.  The held pairs, subset ranks and position sets use no
+randomness: ``structure_a(K, N, t)`` builds them once per size.
 """
 
 from __future__ import annotations
@@ -82,23 +82,11 @@ class SchemeAParams(SchemeParams):
     def place(self, source) -> Placement:
         return place_a(self, source)
 
-    def query(self, placement: Placement, k: int, others, source):
-        """Transmitter k's (position set, composition) list, from the
-        demands ``others`` of the users other than k."""
-        return plan_messages_a(k, placement, plan_delivery_a(self, k, others, source))
+    def delivery_draws(self, k: int, others) -> list:
+        return plan_delivery_a(self, k, others)
 
-    def delivery_labels(self, k: int) -> list:
-        """Transmitter k's delivery draws, in the order ``plan_delivery_a``
-        draws them: each file's leader, then the position shuffle."""
-        return [("A", "leader", k, i) for i in range(1, self.base.N + 1)] + [("A", "q", k)]
-
-    def compose(self, k: int, others, values, table):
-        """Transmitter k's (position set, composition) list at the draw
-        values ``values`` (its leaders, then its shuffle q), each item
-        ``table[file][rank]``: the planner ``plan_messages_a`` runs."""
-        N = self.base.N
-        d_eff, _ = _virtual_demands(self.base.K, N, k, tuple(others))
-        return _messages_a(self, k, d_eff, values[:N], values[N], table)
+    def compose(self, placement: Placement, k: int, others, values) -> list:
+        return plan_messages_a(placement, k, others, values)
 
 
 def params_for(K: int, N: int, t: int, seed: int = 0, b_target: Optional[int] = None) -> SchemeAParams:
@@ -193,50 +181,40 @@ def _virtual_demands(K: int, N: int, k: int, others: tuple[int, ...]):
     return MappingProxyType(d_eff), demanders
 
 
-@dataclass
-class TransmitterPlanA:
-    d_eff: Mapping[int, int]
-    leaders: frozenset[int]
-    q: tuple[int, ...]  # position j (1-based) -> effective user
-
-
-def plan_delivery_a(params: SchemeAParams, k: int, others, source) -> TransmitterPlanA:
-    """Transmitter k's virtual demands, leaders and position shuffle, from
-    the demands ``others`` of the users other than k.  The first outcome
-    of every draw is the non-private baseline: the identity shuffle (the
-    effective users are ascending) and each file's lowest-index demander
-    as leader."""
+def plan_delivery_a(params: SchemeAParams, k: int, others) -> list:
+    """Transmitter k's delivery draws as (label, kind, outcomes), from the
+    demands ``others`` of the users other than k: each file's leader
+    among its demanders, then the shuffle q of the effective users.  The
+    first outcome of every draw is the non-private baseline: each file's
+    lowest-index demander as leader and the identity shuffle (the
+    effective users ascend)."""
     K, N = params.base.K, params.base.N
     d_eff, demanders = _virtual_demands(K, N, k, tuple(others))
-    leaders = frozenset(source.choice(("A", "leader", k, i), demanders[i]) for i in range(1, N + 1))
-    q = source.permutation(("A", "q", k), list(d_eff))
-    return TransmitterPlanA(d_eff, leaders, tuple(q))
+    return [*[(("A", "leader", k, i), "choice", demanders[i]) for i in range(1, N + 1)],
+            (("A", "q", k), "permutation", tuple(d_eff))]
 
 
-def plan_messages_a(
-    k: int, placement: Placement, tp: TransmitterPlanA
-) -> list[tuple[tuple[int, ...], tuple[SubfileId, ...]]]:
-    """Compositions of transmitter k's messages under its plan ``tp``, in
-    position-set lex order, each item the placement's id of its slot."""
-    return _messages_a(placement.params, k, tp.d_eff, tp.leaders, tp.q, placement.tables[k])
+def plan_messages_a(placement: Placement, k: int, others, values) -> list:
+    """The one planner of transmitter k's messages, from the demands
+    ``others`` of the users other than k and the values of its
+    ``plan_delivery_a`` draws: the N leaders, then the position shuffle q.
 
-
-def _messages_a(params: SchemeAParams, k: int, d_eff, leaders, q, table) -> list:
-    """The one planner of transmitter k's messages, from its draw values:
-    the leaders and the position shuffle q.
-
-    For every t-subset S of positions, the message XORs, for each j in S,
-    block k of user q[j]'s file at the rank of the other chosen users'
-    (t-1)-subset, named ``table[file][rank]``; only messages whose user
-    set meets the leader set are kept.
+    For every t-subset S of positions, in lex order, the message XORs,
+    for each j in S, block k of user q[j]'s file at the rank of the other
+    chosen users' (t-1)-subset, named by the placement's id of that slot
+    (``placement.tables[k]``); only messages whose user set meets the
+    leader set are kept.
     """
-    t = params.t
-    structure = structure_a(params.base.K, params.base.N, t)
+    params = placement.params
+    K, N, t = params.base.K, params.base.N, params.t
+    d_eff, _ = _virtual_demands(K, N, k, tuple(others))
+    structure = structure_a(K, N, t)
     rank = structure.rank[k]
-    # position j -> the bit of user q[j] and block k of its file's items
+    q, table = values[N], placement.tables[k]
+    # position j -> the bit of user q[j] and block k of its file's ids
     bits = [0, *[1 << u for u in q]]
     ids = [(), *[table[d_eff[u]] for u in q]]
-    leader_mask = _mask(leaders)
+    leader_mask = _mask(values[:N])
     out = []
     for S in structure.position_sets:
         mask = 0
@@ -244,7 +222,7 @@ def _messages_a(params: SchemeAParams, k: int, d_eff, leaders, q, table) -> list
             mask |= bits[j]
         if mask & leader_mask:
             out.append((S, tuple([ids[j][rank[mask ^ bits[j]]] for j in S])))
-    expected = binom(params.U, t) - binom(params.U - params.base.N, t)
+    expected = binom(params.U, t) - binom(params.U - N, t)
     if len(out) != expected:
         raise AssertionError(f"kept {len(out)} messages, expected {expected}")
     return out

@@ -78,24 +78,13 @@ class SchemeBParams(SchemeParams):
     def place(self, source) -> Placement:
         return place_b(self, source)
 
-    def query(self, placement: Placement, k: int, others, source):
-        """Transmitter k's (None, composition) list, from the demand
-        ``others`` of the other user; the pick rule draws nothing, so B is
-        its own non-private baseline."""
-        return plan_messages_b(k, placement, others)
-
-    def delivery_labels(self, k: int) -> list:
-        """Scheme B draws nothing at delivery."""
+    def delivery_draws(self, k: int, others) -> list:
+        """Scheme B draws nothing at delivery: the pick rule is its own
+        non-private baseline."""
         return []
 
-    def compose(self, k: int, others, values, table):
-        """Transmitter k's (None, composition) list, each (file, permuted
-        index) of the plan in ``structure_b`` for the demand ``others`` of
-        the other user read as ``table[file][index]``; ``values`` is empty,
-        as B draws nothing at delivery."""
-        (other,) = others
-        plan = structure_b(self.base.N, self.tprime).plans[other]
-        return [(None, tuple([table[i][j] for i, j in comp])) for comp in plan]
+    def compose(self, placement: Placement, k: int, others, values) -> list:
+        return plan_messages_b(placement, k, others, values)
 
 
 def params_for(N: int, tprime: Optional[int], seed: int = 0, b_target: Optional[int] = None) -> SchemeBParams:
@@ -169,11 +158,17 @@ def place_b(params: SchemeBParams, source) -> Placement:
     return place(params, source, structure_b(params.base.N, params.tprime).held)
 
 
-def plan_messages_b(k: int, placement: Placement, others) -> list[tuple[None, tuple[SubfileId, ...]]]:
-    """Compositions of transmitter k's messages, file subsets in lex order
-    (``compose``), each (file, permuted index) read as the placement's own
-    ``SubfileId`` there."""
-    return placement.params.compose(k, others, (), placement.tables[k])
+def plan_messages_b(placement: Placement, k: int, others, values) -> list[tuple[None, tuple[SubfileId, ...]]]:
+    """Compositions of transmitter k's messages, file subsets in lex
+    order: each (file, permuted index) of the plan in ``structure_b`` for
+    the demand ``others`` of the other user, read as the placement's own
+    ``SubfileId`` there (``placement.tables[k]``).  ``values`` is empty,
+    as B draws nothing at delivery."""
+    (other,) = others
+    params = placement.params
+    table = placement.tables[k]
+    return [(None, tuple([table[i][j] for i, j in comp]))
+            for comp in structure_b(params.base.N, params.tprime).plans[other]]
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,9 @@ def run_protocol(
     ``source`` defaults to the seeded stream family of the instance; a
     FixedSource replays an explicit assignment and a RecordingSource
     gives every draw its first outcome (the non-private baseline).  A
-    pre-built ``placement`` may be passed to amortise it across demand
-    vectors.  The server sends user k the query
+    pre-built ``placement`` of this instance may be passed to amortise it
+    across demand vectors; one built for other params raises ValueError.
+    The server sends user k the query
     ``scheme_params.query(placement, k, others, source)``, which reads
     only the demands ``others`` of the users other than k; each user
     answers its own from its cache alone.
@@ -79,6 +80,8 @@ def run_protocol(
         source = SeededSource(base.seed)
     if placement is None:
         placement = scheme_params.place(source)
+    elif placement.params != scheme_params:
+        raise ValueError(f"placement built for {placement.params}, not {scheme_params}")
     broadcasts = [user_broadcast(cache, scheme_params.query(placement, k, other_demands(d, k), source))
                   for k, cache in enumerate(placement.caches, 1)]
     return Transcript(scheme_params, placement.library, placement.caches, d, broadcasts)

@@ -54,31 +54,23 @@ brute-force enumeration and against raw, uncanonicalised views.
   runs whose source answers each draw from that stream; it maps each
   distinct key through its transmitter's shared ids.
 
-Blocks come from transmitter k's draw values, not from protocol runs or
-queries: a view drops payloads, and block k is a function of transmitter
-k's (position set, composition) pairs, which its query lists and its
-broadcasts repeat.  The query draws the values labelled
-``delivery_labels(k)`` and hands them to the scheme's one planner, so a
+Blocks come from transmitter k's draw values, not from protocol runs:
+a view drops payloads, and block k is a function of transmitter k's
+(position set, composition) pairs, which its query lists and its
+broadcasts repeat.  A query is ``SchemeParams.query``, written once: it
+draws the scheme's declared ``delivery_draws(k, others)`` in order and
+composes their values with the scheme's one planner, ``compose``.  So a
 block is built straight from a point, ``RecordingSource.point(key)``,
-by ``compose(k, others, values, table)``: no source replays the point,
-and no composition names a ``SubfileId``.  Each composition item names a
-(file, rank) of block k, the slot of permuted index rank, through the
-table ``_Everyone.ranked`` builds once per k from the check's placement,
-and the rows relabel through the one ``_relabelled`` with that table's
-classes, exactly as the rows of that placement's slots would.  A
-transmitter whose recorded draws are not labelled ``delivery_labels(k)``,
-in order, is rejected with ValueError, as the placement premise is.
-Each demand vector still makes one protocol run (``sim.run_protocol``)
-at the first outcome of every draw, and the check raises AssertionError
-unless each transmitter's messages in that run carry exactly the rows
-of its shared query at that point and the run's block k, relabelled by
-``_Everyone.rows``, is the block built from the draw values there
-(``_check_run``): a run whose transmitter k reads more of d than d₋ₖ,
-or a planner that builds other blocks than the run's, fails loudly.
-``_Everyone.rows`` looks classes up among the slots transmitter k
-caches, and the rank-space table holds block k's slots alone, so a slot
-that k does not hold raises KeyError in either, as ``sim.user_broadcast``
-does.
+as the rows of ``compose(placement, k, others, values)`` over the
+check's placement, relabelled by ``_Everyone.rows``: no source replays
+the point.  ``_Everyone.rows`` looks classes up among the slots
+transmitter k caches, so a slot that k does not hold raises KeyError,
+as ``sim.user_broadcast`` does.  Each demand vector still makes one
+protocol run (``sim.run_protocol``) at the first outcome of every draw,
+and the check raises AssertionError unless each transmitter's messages
+in that run carry exactly the rows of its shared query at that point
+(``_check_run``): a run whose transmitter k reads more of d than d₋ₖ
+fails loudly.
 
 The joint view needs no pass of its own: transmitter k XORs only
 block-k subfiles and a slot's class holds its block, so no class spans
@@ -168,8 +160,8 @@ def _relabelled(rows, classes) -> tuple:
     """The one slot relabelling: ``(sender, position_set, refs)`` per
     row, where an item's ref is its class, ``classes[item]``, plus its
     first-occurrence ordinal within that class over ``rows``.  Items are
-    physical slot ids, or their rank-space names (``_Everyone.ranked``),
-    for the everyone-view, and a finer view's refs for a projection."""
+    physical slot ids for the everyone-view, and a finer view's refs for
+    a projection."""
     ordinals: dict = {}
     next_in_class: dict = {}
     out = []
@@ -204,8 +196,6 @@ class _Everyone:
         self._held = [{sid: classes[sid] for sid in cache.slots} for cache in caches]
         self._users = tuple(range(1, len(caches) + 1))
         self._cache_classes = tuple(sorted(Counter(classes.values()).items()))
-        self._files = range(1, layout.N + 1)
-        self._ranked: dict = {}
         self.ids: list[dict] = [{} for _ in range(len(caches) + 1)]
 
     def head(self, demands) -> tuple:
@@ -218,23 +208,6 @@ class _Everyone:
         among the slots k caches, so one that k does not hold raises
         KeyError, as ``sim.user_broadcast`` does."""
         return _relabelled(triples, self._held[k - 1])
-
-    def ranked(self, k: int, perms) -> tuple[list, dict]:
-        """Block k in rank space, built once per k: (table, classes), where
-        ``table[f][r]`` is an int naming the slot of permuted index r in
-        block k of file f, ``perms[(f, k)][r]``, and ``classes`` maps that
-        int to the slot's class, so rows whose items are these ints
-        relabel as rows of the slots themselves.  An item outside the
-        table raises KeyError, as ``rows`` does."""
-        out = self._ranked.get(k)
-        if out is None:
-            held, table, classes = self._held[k - 1], [()], {}
-            for f in self._files:
-                row = perms[(f, k)]
-                table.append(tuple(range(len(classes), len(classes) + len(row))))
-                classes.update(zip(table[-1], [held[sid] for sid in row]))
-            out = self._ranked[k] = (table, classes)
-        return out
 
     def blocks(self, demands, broadcasts) -> tuple:
         """A run's everyone-view ``(head, rows_1, ..., rows_K)``."""
@@ -400,16 +373,13 @@ class _Transmitter:
     ``others`` of the users other than k, which is all its query reads;
     built once and reused by the N demand vectors that agree off k.
 
-    It records the draws its query makes, which must be labelled exactly
-    ``delivery_labels(k)``, in that order, the values the scheme's
-    ``compose`` reads (else ValueError), and ``first`` maps each draw's
-    label to its first outcome.  ``space`` holds the draws a
-    check enumerates: all of them, or none for the non-private baseline,
-    which keeps every draw at its first outcome.  ``first_triples`` are
-    the (sender, position set, composition) rows of its query at the
-    first outcome of every draw, ``first_rows`` their everyone-view block
-    and ``first_block`` the block built from its draw values there.  Its
-    block at a key is counted as an id of the check's ``_Everyone``."""
+    It asks its query once of a ``RecordingSource``: ``first_triples``
+    are the (sender, position set, composition) rows there, at the first
+    outcome of every draw, and ``first`` maps each recorded draw's label
+    to that outcome.  ``space`` holds the draws a check enumerates: all
+    of them, or none for the non-private baseline, which keeps every
+    draw at its first outcome.  Its block at a key is counted as an id
+    of the check's ``_Everyone``."""
 
     def __init__(self, scheme_params, placement, everyone: _Everyone, k: int, others, derandomized: bool):
         self.k = k
@@ -417,30 +387,19 @@ class _Transmitter:
         recorder = RecordingSource()
         query = scheme_params.query(placement, k, others, recorder)
         self.first_triples = [(k, pos, comp) for pos, comp in query]
-        labels, planned = recorder.labels(), scheme_params.delivery_labels(k)
-        if labels != planned:
-            raise ValueError(f"{scheme_params.label()}: transmitter {k}'s query draws {labels}, "
-                             f"but its compose reads {planned}")
         self.first = {label: xs if kind == "permutation" else xs[0] for label, xs, kind in recorder.draws}
         self.space = RecordingSource() if derandomized else recorder
-        self._compose = functools.partial(scheme_params.compose, k, others)
-        self._table, self._classes = everyone.ranked(k, placement.perms)
+        self._compose = functools.partial(scheme_params.compose, placement, k, others)
         self._ids: dict = {}  # sampled key -> block id
-        self.first_rows = everyone.rows(k, self.first_triples)
-        self.first_block = self.block_at(tuple(self.first.values()))
-
-    def block_at(self, values) -> tuple:
-        """The block at the draw values ``values``, in recorded order: the
-        rows of ``compose`` in block k's rank space, relabelled through
-        its class table (``_Everyone.ranked``)."""
-        k = self.k
-        return _relabelled([(k, pos, items) for pos, items in self._compose(values, self._table)],
-                           self._classes)
 
     def block(self, key: int) -> tuple:
-        """The block at the point ``key`` names, read straight off
-        ``space.point``; the baseline's one point is the first outcome."""
-        return self.block_at(self.space.point(key)) if self.space.draws else self.first_block
+        """The everyone-view block of ``compose``'s rows at the point
+        ``key`` names, read straight off ``space.point``; the baseline's
+        one point is the first outcome, whose rows are ``first_triples``."""
+        k = self.k
+        rows = ([(k, pos, comp) for pos, comp in self._compose(self.space.point(key))]
+                if self.space.draws else self.first_triples)
+        return self._everyone.rows(k, rows)
 
     def _id(self, key: int) -> int:
         return self._everyone.id(self.k, self.block(key))
@@ -504,11 +463,7 @@ def _check_run(scheme_params, placement, d, own) -> None:
     draw: transmitter k's messages must carry exactly the (sender,
     position set, composition) rows of the query that d's transmitter
     ``own[k - 1]``, shared by every demand vector agreeing with d off k,
-    was asked at that point, and the run's block k, the everyone-view
-    rows of those messages (``first_rows``, built once per transmitter,
-    as every run that passes the first test has the same rows), must be
-    the block that transmitter builds from its draw values there
-    (``first_block``); else AssertionError."""
+    was asked at that point (``first_triples``); else AssertionError."""
     run = sim.run_protocol(scheme_params.scheme, scheme_params, d, source=RecordingSource(),
                            placement=placement)
     for k, (t, triples) in enumerate(zip(own, _triples(run.broadcasts)), 1):
@@ -516,10 +471,6 @@ def _check_run(scheme_params, placement, d, own) -> None:
             raise AssertionError(
                 f"{scheme_params.label()}: transmitter {k}'s messages in the protocol run at d={d} differ "
                 f"from its query from the other users' demands {other_demands(d, k)}")
-        if t.first_rows != t.first_block:
-            raise AssertionError(
-                f"{scheme_params.label()}: transmitter {k}'s block in the protocol run at d={d} differs "
-                "from the block built from its draw values at that point")
 
 
 def _distributions(scheme_params, setup, blocks, n_head: int):

@@ -405,6 +405,8 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         ("--coalition", _VERIFY_A[:-1] + ["\u0661"]),
         # a repeated user used to be dropped, the report naming the coalition {1}
         ("--coalition", _VERIFY_A[:-1] + ["1,1"]),
+        # every user: no demand is left to vary, and the check compared nothing
+        ("--coalition", _VERIFY_A[:-1] + ["1,2"]),
     ],
 )
 def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):

@@ -78,10 +78,8 @@ def _draw_sequences() -> list:
     out.append([("c", ("x",), "choice"), ("p", (3, 1, 2), "permutation"),
                 ("c", (5, 6, 7, 8, 9), "choice"), ("p", (), "permutation"), ("c", (0, 1), "choice")])
     for params in (scheme_a.params_for(3, 2, 2), scheme_a.params_for(3, 3, 2)):
-        recorder = RecordingSource()
-        for k in range(1, 4):
-            scheme_a.plan_delivery_a(params, k, other_demands((1, 2, 2), k), recorder)
-        out.append(recorder.draws)
+        out.append([(label, xs, kind) for k in range(1, 4)
+                    for label, kind, xs in scheme_a.plan_delivery_a(params, k, other_demands((1, 2, 2), k))])
     return out
 
 

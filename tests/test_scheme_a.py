@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -169,6 +170,15 @@ def _sorted_tuple_placement(placement):
     return caches, slot_of
 
 
+def _drawn(params, k, others, source) -> SimpleNamespace:
+    """Transmitter k's delivery drawn from ``source`` as a query draws it:
+    its effective demands, leader set and shuffle q, and the draw values
+    ``plan_messages_a`` reads."""
+    values = [getattr(source, kind)(label, xs) for label, kind, xs in plan_delivery_a(params, k, others)]
+    d_eff = _virtual_demands(params.base.K, params.base.N, k, others)[0]
+    return SimpleNamespace(d_eff=d_eff, leaders=frozenset(values[:-1]), q=tuple(values[-1]), values=values)
+
+
 def _sorted_tuple_messages(k, tp, params, slot_of):
     out = []
     for S in itertools.combinations(range(1, params.U + 1), params.t):
@@ -192,8 +202,10 @@ def test_shared_structure_matches_sorted_tuple_ranks(K, N, t):
         demands = tuple(rng.randint(1, N) for _ in range(K))
         for source in (SeededSource(seed), RecordingSource()):  # RecordingSource: the baseline
             for k in range(1, K + 1):
-                tp = plan_delivery_a(p, k, other_demands(demands, k), source)
-                assert plan_messages_a(k, placement, tp) == _sorted_tuple_messages(k, tp, p, slot_of)
+                others = other_demands(demands, k)
+                tp = _drawn(p, k, others, source)
+                assert plan_messages_a(placement, k, others, tp.values) == _sorted_tuple_messages(
+                    k, tp, p, slot_of)
     # one structure per size: a placement at another seed builds none
     misses = scheme_a.structure_a.cache_info().misses
     place_a(params_for(K, N, t, seed=99), SeededSource(99))
@@ -330,7 +342,7 @@ def test_simulated_load_and_decode_match_formula(K, N, t):
 def test_per_file_demand_symmetry_after_planning():
     p = params_for(3, 3, 2, seed=6)
     for k in range(1, 4):
-        tp = plan_delivery_a(p, k, other_demands((1, 1, 3), k), SeededSource(6))
+        tp = _drawn(p, k, other_demands((1, 1, 3), k), SeededSource(6))
         for i in range(1, 4):
             assert sum(1 for f in tp.d_eff.values() if f == i) == 2
         assert len(tp.leaders) == 3

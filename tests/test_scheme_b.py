@@ -133,7 +133,7 @@ def test_shared_structure_matches_pick_loop():
                 placement = place_b(p, SeededSource(seed))
                 for d_other in range(1, N + 1):
                     for k in (1, 2):
-                        assert plan_messages_b(k, placement, (d_other,)) == _pick_loop_messages(
+                        assert plan_messages_b(placement, k, (d_other,), ()) == _pick_loop_messages(
                             k, placement, d_other
                         )
 

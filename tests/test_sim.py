@@ -53,6 +53,18 @@ def test_encoding_constraint_reexecution():
         ]
 
 
+@pytest.mark.parametrize("other", [
+    # another seed: the header would say seed=5 over seed 0's library
+    scheme_a.params_for(2, 2, 1, seed=0),
+    # another t: the run ended in the decoder's "outside the layout" error
+    scheme_a.params_for(2, 2, 2, seed=5),
+])
+def test_placement_of_another_instance_is_refused(other):
+    p = scheme_a.params_for(2, 2, 1, seed=5)
+    with pytest.raises(ValueError, match="placement built for"):
+        run_protocol("A", p, (1, 2), placement=other.place(SeededSource(0)))
+
+
 def test_transmitters_never_need_foreign_subfiles():
     # a query naming a subfile outside the user's cache would fail loudly
     p = scheme_b.params_for(4, 2, seed=6)

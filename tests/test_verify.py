@@ -310,6 +310,11 @@ def _delivery_atoms(p, demands, derandomized) -> list:
     return atoms
 
 
+def _labels(recorder) -> list:
+    """The labels of a ``RecordingSource``'s draws, in recorded order."""
+    return [label for label, _, _ in recorder.draws]
+
+
 def _delivery_source(source, derandomized):
     """``source``, or for the derandomized baseline a ``RecordingSource``,
     which answers every draw with its first outcome."""
@@ -540,7 +545,7 @@ def _placements(p, samples):
     recorder = RecordingSource()
     first = p.place(recorder)
     if samples is None:
-        return [p.place(FixedSource(dict(zip(recorder.labels(), point))))
+        return [p.place(FixedSource(dict(zip(_labels(recorder), point))))
                 for point in recorded_points(recorder)]
     return [first] + [p.place(SeededSource(seed)) for seed in range(samples)]
 
@@ -588,7 +593,7 @@ def test_block_k_depends_only_on_transmitter_k_draws(params, demand_vectors):
     for d in demand_vectors or _demand_vectors(params):
         recorder = RecordingSource()
         _queries(params, placement, d, recorder)
-        first = dict(zip(recorder.labels(), next(recorded_points(recorder))))
+        first = dict(zip(_labels(recorder), next(recorded_points(recorder))))
 
         def blocks(assignment):
             tr = sim.run_protocol(params.scheme, params, d, source=FixedSource(assignment),
@@ -867,11 +872,11 @@ class _Spy:
 def test_recorded_draws_replay_seeded_values(params, derandomized):
     # Monte Carlo trials draw only the recorded labels, never a run: the
     # points of consecutive trials, every transmitter's draws in turn
-    # from the demand vector's one stream, are the values that
-    # plan_delivery_a calls for transmitters 1..K in turn draw when that
-    # stream answers each draw
+    # from the demand vector's one stream, are the values that the
+    # queries of transmitters 1..K in turn draw when that stream answers
+    # each draw
     K = params.base.K
-    transmitters = verify._setup(params, [], derandomized)[4]
+    _, placement, _, _, transmitters = verify._setup(params, [], derandomized)
     for d, own in transmitters.items():
         assert sum(len(t.space.draws) for t in own) == (0 if derandomized else K * (params.base.N + 1))
         for seed in (0, 1, 7, 2**62 + 3, -5):
@@ -881,12 +886,11 @@ def test_recorded_draws_replay_seeded_values(params, derandomized):
                 replay = {}
                 for t in own:
                     o = t.space
-                    replay |= t.first | dict(zip(o.labels(), o.point(draw_key(o.plan(), rng.getrandbits))))
+                    replay |= t.first | dict(zip(_labels(o), o.point(draw_key(o.plan(), rng.getrandbits))))
                 spy = _Spy(source)
-                plans = [scheme_a.plan_delivery_a(params, k, other_demands(d, k), spy) for k in range(1, K + 1)]
+                queries = _queries(params, placement, d, spy)
                 assert replay == spy.values, (d, seed)
-                assert [scheme_a.plan_delivery_a(params, k, other_demands(d, k), FixedSource(replay))
-                        for k in range(1, K + 1)] == plans
+                assert _queries(params, placement, d, FixedSource(replay)) == queries
 
 
 @pytest.mark.parametrize("derandomized", [False, True])
@@ -960,10 +964,12 @@ def test_mc_reports_pinned(case):
 
 
 def _runs_and_blocks(monkeypatch, params) -> tuple[Counter, Counter]:
-    """(protocol runs by demand vector, built blocks by (k, d₋ₖ)) from
-    now on: the calls of ``sim.run_protocol``, and the calls of scheme
-    A's ``compose``, which only a check's block builder makes (a query
-    plans through ``plan_messages_a``), one per block it builds."""
+    """(protocol runs by demand vector, composes by (k, d₋ₖ)) from now
+    on: the calls of ``sim.run_protocol``, and the calls of the scheme's
+    ``compose``.  Every query composes once: a check asks each (k, d₋ₖ)'s
+    query once, and each of the N demand vectors that agree off k asks it
+    again in its protocol run; and the block builder composes once per
+    block it builds at a key."""
     runs, blocks = Counter(), Counter()
     run, compose = sim.run_protocol, type(params).compose
 
@@ -971,9 +977,9 @@ def _runs_and_blocks(monkeypatch, params) -> tuple[Counter, Counter]:
         runs[tuple(demands)] += 1
         return run(scheme, scheme_params, demands, *args, **kwargs)
 
-    def counting_compose(self, k, others, values, table):
+    def counting_compose(self, placement, k, others, values):
         blocks[k, tuple(others)] += 1
-        return compose(self, k, others, values, table)
+        return compose(self, placement, k, others, values)
 
     monkeypatch.setattr(sim, "run_protocol", counting_run)
     monkeypatch.setattr(type(params), "compose", counting_compose)
@@ -988,10 +994,12 @@ def test_baseline_is_the_first_outcome_of_every_delivery_draw(K, N):
         p = scheme_a.params_for(K, N, t)
         for d in _demand_vectors(p):
             for k in range(1, K + 1):
-                plan = scheme_a.plan_delivery_a(p, k, other_demands(d, k), RecordingSource())
-                assert plan.q == tuple(u for u in range(1, (K - 1) * (N - 1) + K + 1) if u != k)
-                assert plan.leaders == {min(u for u, f in plan.d_eff.items() if f == i)
-                                        for i in range(1, N + 1)}
+                others, recorder = other_demands(d, k), RecordingSource()
+                *leaders, q = [getattr(recorder, kind)(label, xs)
+                               for label, kind, xs in scheme_a.plan_delivery_a(p, k, others)]
+                d_eff = scheme_a._virtual_demands(K, N, k, others)[0]
+                assert tuple(q) == tuple(u for u in range(1, (K - 1) * (N - 1) + K + 1) if u != k)
+                assert set(leaders) == {min(u for u, f in d_eff.items() if f == i) for i in range(1, N + 1)}
 
 
 # derandomized check_privacy_exact_all and check_privacy_mc_all (40 trials,
@@ -1048,14 +1056,15 @@ def test_baseline_reports_pinned(case):
 @pytest.mark.parametrize("trials", [10, 1000])
 def test_mc_baseline_runs_once_per_demand_vector(trials, monkeypatch):
     # the derandomized baseline samples no draw, so every trial has the
-    # same point, the first outcome: one block per (k, d₋ₖ) fills every
-    # trial and is the one each protocol run is checked against, and each
-    # demand vector makes its one protocol run
+    # same point, the first outcome: one block per (k, d₋ₖ), the rows of
+    # its query there, fills every trial, so no trial composes; each
+    # (k, d₋ₖ) composes for its query and for the runs of the 2 demand
+    # vectors that share it, and each demand vector makes one run
     p = scheme_a.params_for(3, 2, 2)
     runs, blocks = _runs_and_blocks(monkeypatch, p)
     check_privacy_mc_all("A", p, [(1,), (2, 3)], trials=trials, base_seed=3, derandomized=True)
     assert runs == Counter(dict.fromkeys(_demand_vectors(p), 1))
-    assert blocks == Counter(dict.fromkeys(_shares(p), 1))
+    assert blocks == Counter(dict.fromkeys(_shares(p), 1 + 2))
 
 
 def _mc_distinct_points(p, trials, base_seed) -> Counter:
@@ -1084,9 +1093,9 @@ def _mc_distinct_points(p, trials, base_seed) -> Counter:
 )
 def test_mc_runs_only_for_new_points(params, trials, base_seed, most, monkeypatch):
     # a (k, d₋ₖ) builds one block per distinct point that transmitter k
-    # drew over every demand vector agreeing off k, plus its block at the
-    # first outcome, which the protocol runs are checked against; and each
-    # demand vector makes one protocol run
+    # drew over every demand vector agreeing off k, and composes besides
+    # for its query and for the runs of the 2 demand vectors that share
+    # it; each demand vector makes one protocol run
     distinct = _mc_distinct_points(params, trials, base_seed)
     assert set(distinct.values()) == {most}
     spaces = verify._setup(params, [], False)[3]
@@ -1094,7 +1103,7 @@ def test_mc_runs_only_for_new_points(params, trials, base_seed, most, monkeypatc
     runs, blocks = _runs_and_blocks(monkeypatch, params)
     reports = check_privacy_mc_all("A", params, [(1,), (2,)], trials=trials, base_seed=base_seed)
     assert all(r.private for r in reports.values())
-    assert blocks == distinct + Counter(distinct.keys())
+    assert blocks == distinct + Counter(dict.fromkeys(distinct, 1 + 2))
     assert runs == Counter(dict.fromkeys(_demand_vectors(params), 1))
 
 
@@ -1102,13 +1111,13 @@ def test_exact_runs_in_lockstep(monkeypatch):
     # A(3,2,2): every transmitter has 4! * 2 * 2 = 96 points, and its block
     # reads d only through d₋ₖ, so each of the 3 * 4 (k, d₋ₖ) builds 96
     # blocks, shared by the 2 demand vectors that agree off k (3 * 4 * 96
-    # blocks, not 8 * 3 * 96), plus one at the first outcome, which the
-    # protocol runs are checked against; each demand vector makes one run
+    # blocks, not 8 * 3 * 96), and composes besides for its query and for
+    # the runs of those 2 demand vectors; each demand vector makes one run
     p = scheme_a.params_for(3, 2, 2)
     runs, blocks = _runs_and_blocks(monkeypatch, p)
     reports = check_privacy_exact_all("A", p, [(1,), (2, 3)])
     assert all(r.private for r in reports.values())
-    assert blocks == Counter(dict.fromkeys(_shares(p), 96 + 1))
+    assert blocks == Counter(dict.fromkeys(_shares(p), 96 + 1 + 2))
     assert runs == Counter(dict.fromkeys(_demand_vectors(p), 1))
 
 
@@ -1155,7 +1164,7 @@ def test_block_k_depends_only_on_the_other_users_demands(params, derandomized):
             run = sim.run_protocol(params.scheme, params, d, source=FixedSource(first), placement=placement)
             assert t.first_triples == [(k, m.position_set, m.composition) for m in run.broadcasts[k - 1]]
             for key in range(t.space.size()):
-                source = FixedSource(first | dict(zip(t.space.labels(), t.space.point(key))))
+                source = FixedSource(first | dict(zip(_labels(t.space), t.space.point(key))))
                 tr = sim.run_protocol(params.scheme, params, d, source=source, placement=placement)
                 assert everyone.blocks(d, tr.broadcasts)[k] == t.block(key), (d, k, key)
 
@@ -1173,78 +1182,43 @@ def test_block_k_depends_only_on_the_other_users_demands(params, derandomized):
         pytest.param(scheme_b.params_for(5, 4), id="B(5,4)"),
     ],
 )
-def test_rank_space_blocks_match_query_rows(params, derandomized):
-    # the builder's block, composed in rank space from the point's values
-    # and relabelled through its class table, is the block of the rows of
-    # the server's query asked with a FixedSource of that point, at every
-    # key of every transmitter; and so is its block at the first outcome
+def test_queries_draw_the_declared_draws_and_compose_their_values(params, derandomized):
+    # a protocol run records exactly each transmitter's declared
+    # delivery_draws, transmitters 1..K in turn, each in its order; and at
+    # every key of every transmitter's space the server's query, asked of
+    # a FixedSource of that point, is compose at the point's values, whose
+    # rows the check's block builder relabels
+    K = params.base.K
     _, placement, everyone, _, transmitters = verify._setup(params, [], derandomized)
+    for d in _demand_vectors(params):
+        recorder = RecordingSource()
+        sim.run_protocol(params.scheme, params, d, source=recorder, placement=placement)
+        assert recorder.draws == [(label, xs, kind) for k in range(1, K + 1)
+                                  for label, kind, xs in params.delivery_draws(k, other_demands(d, k))], d
     shares = {(k, other_demands(d, k)): t for d, own in transmitters.items() for k, t in enumerate(own, 1)}
     for (k, others), t in shares.items():
-        def query_block(assignment):
-            query = params.query(placement, k, others, FixedSource(assignment))
-            return everyone.rows(k, [(k, pos, comp) for pos, comp in query])
-
-        assert t.first_block == query_block(t.first), (k, others)
         for key in range(t.space.size()):
-            point = t.first | dict(zip(t.space.labels(), t.space.point(key)))
-            assert t.block(key) == query_block(point), (k, others, key)
+            values = t.space.point(key) if t.space.draws else tuple(t.first.values())
+            rows = params.compose(placement, k, others, values)
+            assert params.query(placement, k, others, FixedSource(dict(zip(t.first, values)))) == rows, \
+                (k, others, key)
+            assert t.block(key) == everyone.rows(k, [(k, pos, comp) for pos, comp in rows]), (k, others, key)
 
 
-def _delivery_rewrite(monkeypatch, order):
-    """Scheme A's delivery with its draws made in ``order`` (a permutation
-    of "leaders" and "q", or with "extra", one more choice)."""
-    def plan_delivery_a(params, k, others, source):
-        d_eff, demanders = scheme_a._virtual_demands(params.base.K, params.base.N, k, tuple(others))
-        drawn = {}
-        for what in order:
-            if what == "leaders":
-                drawn[what] = frozenset(source.choice(("A", "leader", k, i), demanders[i])
-                                        for i in range(1, params.base.N + 1))
-            elif what == "leaders_down":
-                drawn["leaders"] = frozenset(source.choice(("A", "leader", k, i), demanders[i])
-                                             for i in range(params.base.N, 0, -1))
-            elif what == "q":
-                drawn[what] = tuple(source.permutation(("A", "q", k), list(d_eff)))
-            else:
-                source.choice(("A", "extra", k), [1, 2])
-        return scheme_a.TransmitterPlanA(d_eff, drawn["leaders"], drawn["q"])
+def test_exact_mode_relabels_one_block_per_key(monkeypatch):
+    # exact A(2,2,1): each of the 2 * 2 (k, d₋ₖ) has 2 keys, the shuffles
+    # of its 2 positions (each file has one demander, so the leaders are
+    # fixed), and the check relabels one block per key and none besides
+    p = scheme_a.params_for(2, 2, 1)
+    rows, relabelled = verify._Everyone.rows, Counter()
 
-    monkeypatch.setattr(scheme_a, "plan_delivery_a", plan_delivery_a)
+    def counting_rows(self, k, triples):
+        relabelled[k] += 1
+        return rows(self, k, triples)
 
-
-@pytest.mark.parametrize("check", [_exact, lambda *args: _mc(*args, trials=10)], ids=["exact", "mc"])
-@pytest.mark.parametrize("order", [("q", "leaders"), ("leaders_down", "q"), ("leaders", "q", "extra")])
-def test_delivery_draws_other_than_the_composed_labels_are_rejected(order, check, monkeypatch):
-    # the block builder reads a point's values in delivery_labels order, so
-    # a query that draws in any other order, or draws more, is rejected
-    # before any block is built
-    _delivery_rewrite(monkeypatch, order)
-    with pytest.raises(ValueError, match="compose reads"):
-        check("A", scheme_a.params_for(3, 2, 2), (1,))
-
-
-def test_delivery_rewrite_in_the_composed_order_is_accepted(monkeypatch):
-    # the control of the rejection test: its patch alone changes nothing
-    p = scheme_a.params_for(3, 2, 2)
-    want = check_privacy_exact_all("A", p, [(1,), (2, 3)])
-    _delivery_rewrite(monkeypatch, ("leaders", "q"))
-    assert check_privacy_exact_all("A", p, [(1,), (2, 3)]) == want
-
-
-@pytest.mark.parametrize("mode", ["exact", "mc"])
-def test_a_builder_that_differs_from_the_run_fails_loudly(mode, monkeypatch):
-    # mutant: scheme A's compose, which only the block builder calls, lists
-    # its messages in reverse; the run's queries are sound, so only the
-    # comparison of each run's blocks with the built ones can raise
-    p = scheme_a.params_for(3, 2, 2)
-    compose = type(p).compose
-    monkeypatch.setattr(type(p), "compose", lambda *args: compose(*args)[::-1])
-    with pytest.raises(AssertionError, match="block in the protocol run"):
-        if mode == "exact":
-            check_privacy_exact_all("A", p, [(1,)])
-        else:
-            check_privacy_mc_all("A", p, [(1,)], trials=50)
+    monkeypatch.setattr(verify._Everyone, "rows", counting_rows)
+    assert all(r.private for r in check_privacy_exact_all("A", p, [(1,), (2,)]).values())
+    assert relabelled == Counter({1: 4, 2: 4})
 
 
 def _projection_inputs(params, trials, monkeypatch) -> tuple:
@@ -1324,24 +1298,27 @@ def test_a_run_whose_query_reads_its_own_demand_fails_loudly(params, mode, monke
 
 
 def test_block_naming_a_slot_outside_the_class_table_raises(monkeypatch):
-    # mutant: the block builder's planner for transmitter 1 names, last in
-    # its first message, a subfile that user 2 caches and user 1 does not,
-    # where it should name an item of its rank-space table; the protocol
-    # runs and the recordings stay sound, so only the built blocks can
-    # raise, and they raise KeyError, as user_broadcast would
+    # mutant: scheme A's planner for transmitter 1 names, last in its first
+    # message, a subfile that user 2 caches and user 1 does not; the block
+    # builder looks classes up among the slots transmitter 1 caches, so its
+    # block raises KeyError, and so does the check, whose protocol run's
+    # user_broadcast meets the subfile first
     p = scheme_a.params_for(3, 2, 2)
     compose = type(p).compose
     placement = p.place(RecordingSource())
     alien = next(sid for sid in placement.caches[1].slots if sid not in placement.caches[0].content)
 
-    def mutant(self, k, others, values, table):
-        out = list(compose(self, k, others, values, table))
+    def mutant(self, placement, k, others, values):
+        out = list(compose(self, placement, k, others, values))
         if k == 1:
             pos, comp = out[0]
             out[0] = (pos, comp[:-1] + (alien,))
         return out
 
     monkeypatch.setattr(type(p), "compose", mutant)
+    transmitters = verify._setup(p, [], False)[4]
+    with pytest.raises(KeyError):
+        transmitters[1, 1, 1][0].block(0)
     with pytest.raises(KeyError):
         check_privacy_exact_all("A", p, [(1,)])
     with pytest.raises(KeyError):
@@ -1369,7 +1346,7 @@ def _run_blocks(params, mode, derandomized, trials, base_seed) -> list:
         runs.append((d, 0, everyone.head(d), 1 if mode == "exact" else trials))
         for k, (o, counts) in enumerate(zip(own, keyed), 1):
             for key, n in counts.items():
-                source = FixedSource(first | dict(zip(o.labels(), o.point(key))))
+                source = FixedSource(first | dict(zip(_labels(o), o.point(key))))
                 tr = sim.run_protocol(params.scheme, params, d, source=source, placement=placement)
                 runs.append((d, k, everyone.blocks(d, tr.broadcasts)[k], n))
     return runs
