@@ -1182,19 +1182,36 @@ def test_block_k_depends_only_on_the_other_users_demands(params, derandomized):
         pytest.param(scheme_b.params_for(5, 4), id="B(5,4)"),
     ],
 )
-def test_queries_draw_the_declared_draws_and_compose_their_values(params, derandomized):
+def test_a_run_draws_each_transmitters_declared_draws_in_order(params, derandomized):
     # a protocol run records exactly each transmitter's declared
-    # delivery_draws, transmitters 1..K in turn, each in its order; and at
-    # every key of every transmitter's space the server's query, asked of
-    # a FixedSource of that point, is compose at the point's values, whose
-    # rows the check's block builder relabels
+    # delivery_draws, transmitters 1..K in turn, each in its order
     K = params.base.K
-    _, placement, everyone, _, transmitters = verify._setup(params, [], derandomized)
+    placement = verify._setup(params, [], derandomized)[1]
     for d in _demand_vectors(params):
         recorder = RecordingSource()
         sim.run_protocol(params.scheme, params, d, source=recorder, placement=placement)
         assert recorder.draws == [(label, xs, kind) for k in range(1, K + 1)
                                   for label, kind, xs in params.delivery_draws(k, other_demands(d, k))], d
+
+
+@pytest.mark.parametrize("derandomized", [False, True])
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(scheme_a.params_for(2, 2, 1), id="A(2,2,1)"),
+        pytest.param(scheme_a.params_for(2, 2, 2), id="A(2,2,2)"),
+        pytest.param(scheme_a.params_for(3, 2, 1), id="A(3,2,1)"),
+        pytest.param(scheme_a.params_for(3, 2, 2), id="A(3,2,2)"),
+        pytest.param(scheme_a.params_for(2, 3, 2), id="A(2,3,2)"),
+        pytest.param(scheme_b.params_for(4, 3), id="B(4,3)"),
+        pytest.param(scheme_b.params_for(5, 4), id="B(5,4)"),
+    ],
+)
+def test_queries_compose_their_drawn_values(params, derandomized):
+    # at every key of every transmitter's space the server's query, asked
+    # of a FixedSource of that point, is compose at the point's values,
+    # whose rows the check's block builder relabels
+    _, placement, everyone, _, transmitters = verify._setup(params, [], derandomized)
     shares = {(k, other_demands(d, k)): t for d, own in transmitters.items() for k, t in enumerate(own, 1)}
     for (k, others), t in shares.items():
         for key in range(t.space.size()):
@@ -1219,6 +1236,23 @@ def test_exact_mode_relabels_one_block_per_key(monkeypatch):
     monkeypatch.setattr(verify._Everyone, "rows", counting_rows)
     assert all(r.private for r in check_privacy_exact_all("A", p, [(1,), (2,)]).values())
     assert relabelled == Counter({1: 4, 2: 4})
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_a_compose_mutant_reaches_the_run_and_the_blocks_alike(mode, monkeypatch):
+    # mutant: scheme A's compose lists its messages in reverse; the run's
+    # query and the block builder both plan through compose, so the run
+    # broadcasts the reversed messages, the run fence does not raise, and
+    # the report (one reordering for every demand vector) is unchanged
+    p = scheme_a.params_for(3, 2, 2)
+    check = (lambda: check_privacy_exact_all("A", p, [(1,)])) if mode == "exact" else \
+        (lambda: check_privacy_mc_all("A", p, [(1,)], trials=50))
+    want, run = check(), sim.run_protocol("A", p, (1, 2, 1), source=SeededSource(3))
+    compose = type(p).compose
+    monkeypatch.setattr(type(p), "compose", lambda *args: compose(*args)[::-1])
+    reversed_run = sim.run_protocol("A", p, (1, 2, 1), source=SeededSource(3))
+    assert reversed_run.broadcasts == [b[::-1] for b in run.broadcasts] != run.broadcasts
+    assert check() == want
 
 
 def _projection_inputs(params, trials, monkeypatch) -> tuple:
