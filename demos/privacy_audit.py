@@ -13,8 +13,6 @@ too large to enumerate are checked; here it runs on a three-user
 instance that exact mode has just certified.
 """
 
-import time
-
 from d2dpc import scheme_a, scheme_b, verify
 
 THREE_USERS = [[1], [2], [3], [1, 2], [1, 3], [2, 3]]
@@ -43,8 +41,7 @@ for params in (scheme_a.params_for(2, 2, 1), scheme_a.params_for(2, 2, 2),
 print()
 print("=== Monte Carlo, three users (the sampled check of the same instance) ===")
 params = scheme_a.params_for(3, 2, 2)
-start = time.time()
 reports = verify.check_privacy_mc_all("A", params, THREE_USERS, trials=4000, base_seed=1)
 for coalition, report in reports.items():
     print(f"  {report.text()}")
-print(f"  ({time.time() - start:.1f}s for 6 coalitions sharing one set of runs)")
+print("  (6 coalitions sharing one set of runs)")

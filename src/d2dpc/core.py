@@ -8,8 +8,10 @@ evaluators, privacy checks) builds on the types in this module:
   be compared exactly, never in floating point),
 * bit buffers held as Python ints (bit i of a file is ``(buf >> i) & 1``;
   slot s of a file is its bits [(s-1)l, sl), l the subfile size),
-* a labelled deterministic randomness source, so that every "randomly
-  generate" step of a scheme can be replayed or exhaustively enumerated.
+* labelled deterministic randomness sources, each answering every draw
+  with its one ``draw(label, kind, outcomes)``, a permutation of the
+  outcomes or a choice among them, so that every "randomly generate"
+  step of a scheme can be replayed or exhaustively enumerated.
 """
 
 from __future__ import annotations
@@ -86,18 +88,7 @@ def _replay(kind: str, xs, indices):
     return out
 
 
-class _Source:
-    """A scheme's two draws, each one ``_draw(label, kind, xs)`` of the
-    source: a permutation of the items or a choice among the options."""
-
-    def permutation(self, label, items: list) -> list:
-        return self._draw(label, "permutation", items)
-
-    def choice(self, label, options: list):
-        return self._draw(label, "choice", options)
-
-
-class SeededSource(_Source):
+class SeededSource:
     """Labelled randomness for scheme runs: every draw gets its own stream.
 
     A permutation request with the same (seed, label) always returns the
@@ -109,12 +100,12 @@ class SeededSource(_Source):
     def __init__(self, seed: int):
         self.seed = seed
 
-    def _draw(self, label, kind: str, xs):
+    def draw(self, label, kind: str, outcomes):
         getrandbits = seeded_rng(self.seed, str(label)).getrandbits
-        return _replay(kind, xs, draw_indices(_bounds(kind, xs), getrandbits))
+        return _replay(kind, outcomes, draw_indices(_bounds(kind, outcomes), getrandbits))
 
 
-class FixedSource(_Source):
+class FixedSource:
     """Replays an explicit assignment label -> drawn value (enumeration).
 
     Strict: a draw with no assigned value raises KeyError, and one whose
@@ -124,21 +115,21 @@ class FixedSource(_Source):
     def __init__(self, assignment: dict):
         self.assignment = assignment
 
-    def _draw(self, label, kind: str, xs):
+    def draw(self, label, kind: str, outcomes):
         value = self.assignment[label]
         if kind == "permutation":
             value = list(value)
-            if sorted(value) != sorted(xs):
+            if sorted(value) != sorted(outcomes):
                 raise ValueError(f"assignment for {label} is not a permutation of items")
-        elif value not in xs:
+        elif value not in outcomes:
             raise ValueError(f"assignment for {label} not among options")
         return value
 
 
-class RecordingSource(_Source):
+class RecordingSource:
     """Records the draws a scheme makes, so a check draws exactly those:
-    each is kept as (label, items or options, kind) and answered with its
-    first outcome (the items as given, the first option).
+    each is kept as ``delivery_draws`` declares it, (label, kind, outcomes
+    as a tuple), and answered with its first outcome.
 
     Replaying the recorded draws is sound because no draw's label or
     outcomes depend on the values drawn before it, and that holds by
@@ -159,9 +150,9 @@ class RecordingSource(_Source):
         self.draws: list[tuple] = []
         self._decoder: tuple = (0, [], [])  # (draws it was built for, radices, spans)
 
-    def _draw(self, label, kind: str, xs):
-        self.draws.append((label, tuple(xs), kind))
-        return list(xs) if kind == "permutation" else xs[0]
+    def draw(self, label, kind: str, outcomes):
+        self.draws.append((label, kind, tuple(outcomes)))
+        return list(outcomes) if kind == "permutation" else outcomes[0]
 
     def size(self) -> int:
         """The number of points of the recorded space, counted without
@@ -171,7 +162,7 @@ class RecordingSource(_Source):
     def plan(self) -> list[tuple[int, int]]:
         """(n, n.bit_length()) of every ``_randbelow(n)`` that the stdlib
         makes to draw the recorded draws, in recorded order."""
-        return [(n, n.bit_length()) for _, xs, kind in self.draws for n in _bounds(kind, xs)]
+        return [(n, n.bit_length()) for _, kind, xs in self.draws for n in _bounds(kind, xs)]
 
     def point(self, key: int) -> tuple:
         """The point that ``key`` names, the tuple of drawn values in
@@ -180,7 +171,7 @@ class RecordingSource(_Source):
         out once for the draws recorded so far, not per key."""
         if self._decoder[0] != len(self.draws):
             self._decoder = (len(self.draws), [n for n, _ in reversed(self.plan())],
-                             [(xs, kind, len(_bounds(kind, xs))) for _, xs, kind in self.draws])
+                             [(xs, kind, len(_bounds(kind, xs))) for _, kind, xs in self.draws])
         _, radices, spans = self._decoder
         indices = []
         for n in radices:
@@ -400,19 +391,13 @@ class SchemeParams:
     def subpacketization(self) -> int:
         return self.layout.slots_per_file
 
-    @cached_property
-    def _memory_point(self) -> Rat:
-        return self.corner(self.base.K, self.base.N, self.param)[0]
-
     def memory_point(self) -> Rat:
-        return self._memory_point
+        return self.corner(self.base.K, self.base.N, self.param)[0]
 
     def query(self, placement: Placement, k: int, others, source) -> list:
         """Transmitter k's (position set, composition) list: each of its
-        ``delivery_draws`` drawn from ``source`` in turn, through the
-        source's ``permutation`` or ``choice``, then composed."""
-        values = [getattr(source, kind)(label, outcomes)
-                  for label, kind, outcomes in self.delivery_draws(k, others)]
+        ``delivery_draws`` drawn from ``source`` in turn, then composed."""
+        values = [source.draw(*d) for d in self.delivery_draws(k, others)]
         return self.compose(placement, k, others, values)
 
 
@@ -431,26 +416,18 @@ class Placement:
     """One placement of ``params``; its slot layout is ``params.layout``."""
 
     params: SchemeParams
-    # (file, block) -> that block's subfile ids in role order (entry j plays
+    # tables[k][f]: block k of file f's subfile ids in role order (entry j plays
     # permuted index j), one object per slot that caches and compositions share
-    perms: dict[tuple[int, int], tuple[SubfileId, ...]]
+    tables: list
     caches: list[CacheState]
     library: dict[int, int]
-
-    @cached_property
-    def tables(self) -> list:
-        """Block k's ids by file, which a scheme's ``compose`` reads:
-        ``tables[k][f]`` is ``perms[(f, k)]``, built once per placement."""
-        N = self.params.base.N
-        return [None] + [[()] + [self.perms[(f, k)] for f in range(1, N + 1)]
-                         for k in range(1, self.params.layout.blocks + 1)]
 
 
 def place(params: SchemeParams, source, held) -> Placement:
     """Uncoded placement shared by the schemes.
 
     The slots of every (file, block) are shuffled into the ``SubfileId``s
-    of ``perms``, each by its own draw labelled (scheme, "p", file, block).
+    of ``tables``, each by its own draw labelled (scheme, "p", file, block).
     User k caches those ids of its own block k of every file plus, for each
     (other block, permuted index j) pair in ``held[k]``, entry j of that
     block, in slot order.  The library is keyed by the instance seed, so it
@@ -458,12 +435,11 @@ def place(params: SchemeParams, source, held) -> Placement:
     """
     base, layout = params.base, params.layout
     library = random_library(base)
-    perms = {
-        (i, k): tuple([SubfileId(i, s) for s in source.permutation(
-            (params.scheme, "p", i, k), list(layout.block_slots(k)))])
-        for i in range(1, base.N + 1)
-        for k in range(1, layout.blocks + 1)
-    }
+    tables = [None, *[[()] for _ in range(layout.blocks)]]
+    for i in range(1, base.N + 1):
+        for k in range(1, layout.blocks + 1):
+            slots = source.draw((params.scheme, "p", i, k), "permutation", list(layout.block_slots(k)))
+            tables[k].append(tuple([SubfileId(i, s) for s in slots]))
     budget = params.memory_point() * base.B
     # each file is split once; the caches share its slot values
     pieces = {i: split_file(layout, buf) for i, buf in library.items()}
@@ -471,13 +447,13 @@ def place(params: SchemeParams, source, held) -> Placement:
     for k in range(1, base.K + 1):
         content = {}
         for i, values in pieces.items():
-            ids = [*perms[(i, k)], *[perms[(i, other)][j] for other, j in held[k]]]
+            ids = [*tables[k][i], *[tables[other][i][j] for other, j in held[k]]]
             ids.sort(key=attrgetter("slot"))
             content.update(zip(ids, [values[s - 1] for _, s in ids]))
         cache = CacheState(k, content)
         cache.check(layout.subfile_bits, budget)
         caches.append(cache)
-    return Placement(params, perms, caches, library)
+    return Placement(params, tables, caches, library)
 
 
 def other_demands(demands: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -63,12 +63,13 @@ def run_protocol(
 ) -> Transcript:
     """One full placement + delivery run; returns the transcript.
 
-    ``source`` defaults to the seeded stream family of the instance; a
+    ``source`` answers each draw with its ``draw(label, kind, outcomes)``
+    and defaults to the seeded stream family of the instance; a
     FixedSource replays an explicit assignment and a RecordingSource
-    gives every draw its first outcome (the non-private baseline).  A
-    pre-built ``placement`` of this instance may be passed to amortise it
-    across demand vectors; one built for other params raises ValueError.
-    The server sends user k the query
+    records every draw and gives it its first outcome (the non-private
+    baseline).  A pre-built ``placement`` of this instance may be passed
+    to amortise it across demand vectors; one built for other params
+    raises ValueError.  The server sends user k the query
     ``scheme_params.query(placement, k, others, source)``, which reads
     only the demands ``others`` of the users other than k; each user
     answers its own from its cache alone.

@@ -17,13 +17,14 @@ physical slot ids) whose verdicts equal exact mode's on the smallest
 instances, and which FAILs a payload-only leak that exact mode PASSes.
 
 Every check rests on one premise about the placement draws, which
-``_setup`` checks before anything runs: the placement draws exactly one
-permutation per (file, block), labelled ``(scheme, "p", i, k)`` and
-drawn over exactly that block's slots (``layout.block_slots(k)``, in
-any order), and nothing else.  Those are the permutations the
-canonicaliser quotients out, and a check runs on their first outcome;
-a scheme that skipped, narrowed or widened the shuffle would be checked
-as if it had shuffled, so it is rejected with ValueError instead.
+``_setup`` checks before anything runs, on what ``place`` draws from a
+``RecordingSource``: the placement draws exactly one permutation per
+(file, block), labelled ``(scheme, "p", i, k)`` and drawn over exactly
+that block's slots (``layout.block_slots(k)``, in any order), and
+nothing else.  Those are the permutations the canonicaliser quotients
+out, and a check runs on their first outcome; a scheme that skipped,
+narrowed or widened the shuffle would be checked as if it had
+shuffled, so it is rejected with ValueError instead.
 
 Two facts shrink what a check has to run; tests check both against a
 brute-force enumeration and against raw, uncanonicalised views.
@@ -44,9 +45,11 @@ brute-force enumeration and against raw, uncanonicalised views.
   exactly when every factor is, and block k's distribution is the same
   for every demand vector that agrees with d off k.  Each check builds
   transmitter k's share once per (k, d₋ₖ) (``_Transmitter``): the draws
-  its query makes, recorded, and its blocks counted as ids, which the N
-  demand vectors sharing d₋ₖ reuse.  A transmitter's point is the values
-  of its own draws, named by an int key (``RecordingSource.point``).
+  its query makes, recorded by a ``RecordingSource`` as the (label, kind,
+  outcomes) tuples that ``delivery_draws`` declares, and its blocks
+  counted as ids, which the N demand vectors sharing d₋ₖ reuse.  A
+  transmitter's point is the values of its own draws, named by an int
+  key (``RecordingSource.point``).
   Exact mode counts every key of a transmitter's space once and shares
   the whole block-k count.  A Monte Carlo check first draws all its
   trials' keys, every recorded draw taken in turn from one keyed stream
@@ -230,22 +233,7 @@ def _triples(broadcasts) -> list:
     return [[(m.sender, m.position_set, m.composition) for m in per_user] for per_user in broadcasts]
 
 
-class _CoarseByRef(dict):
-    """Ref -> the coalition's class of the slot it names, looked up
-    through ``coarse`` (a finer class -> coalition class) on the ref's
-    first use, so a relabelling reads each later ref in one dict
-    lookup."""
-
-    def __init__(self, coarse):
-        super().__init__()
-        self._coarse = coarse
-
-    def __missing__(self, ref):
-        out = self[ref] = self._coarse(ref[0])
-        return out
-
-
-class _Projection:
+class _Projection(dict):
     """Everyone-view blocks, or a superset's images of them, projected
     onto one coalition: a slot's pattern is intersected with the
     coalition, ordinals are renumbered within the coarser classes (the
@@ -253,20 +241,23 @@ class _Projection:
     summed onto the coarser classes; a head is projected from the
     everyone head, which holds every user's demand.
     Projecting onto the everyone coalition changes nothing, so it is
-    skipped."""
+    skipped.  The dict is the one memo: it maps each ref met, and each
+    finer class, to the coalition's class, filled on first use, so a
+    relabelling reads each later ref in one lookup."""
 
     def __init__(self, coalition: tuple[int, ...], K: int):
+        super().__init__()
         self.coalition = coalition
         self._identity = len(coalition) == K
         self._members = frozenset(coalition)
-        self._classes: dict = {}
-        self._of_ref = _CoarseByRef(self._class)
 
-    def _class(self, cls):
-        out = self._classes.get(cls)
-        if out is None:
-            f, b, pat = cls
-            out = self._classes[cls] = (f, b, tuple(u for u in pat if u in self._members))
+    def __missing__(self, key):
+        if len(key) == 2:  # a ref, (class, ordinal): its class's image
+            out = self[key[0]]
+        else:
+            f, b, pat = key
+            out = (f, b, tuple(u for u in pat if u in self._members))
+        self[key] = out
         return out
 
     def __call__(self, block, i: int) -> tuple:
@@ -274,11 +265,11 @@ class _Projection:
         if self._identity:
             return block
         if i:
-            return _relabelled(block, self._of_ref)
+            return _relabelled(block, self)
         _, demands, cache_classes = block
         counts: dict = {}
         for cls, n in cache_classes:
-            cls = self._class(cls)
+            cls = self[cls]
             if cls[2]:
                 counts[cls] = counts.get(cls, 0) + n
         own_demands = tuple(demands[u - 1] for u in self.coalition)
@@ -375,9 +366,8 @@ class _Transmitter:
 
     It asks its query once of a ``RecordingSource``: ``first_triples``
     are the (sender, position set, composition) rows there, at the first
-    outcome of every draw, and ``first`` maps each recorded draw's label
-    to that outcome.  ``space`` holds the draws a check enumerates: all
-    of them, or none for the non-private baseline, which keeps every
+    outcome of every draw.  ``space`` holds the draws a check enumerates:
+    all of them, or none for the non-private baseline, which keeps every
     draw at its first outcome.  Its block at a key is counted as an id
     of the check's ``_Everyone``."""
 
@@ -387,7 +377,6 @@ class _Transmitter:
         recorder = RecordingSource()
         query = scheme_params.query(placement, k, others, recorder)
         self.first_triples = [(k, pos, comp) for pos, comp in query]
-        self.first = {label: xs if kind == "permutation" else xs[0] for label, xs, kind in recorder.draws}
         self.space = RecordingSource() if derandomized else recorder
         self._compose = functools.partial(scheme_params.compose, placement, k, others)
         self._ids: dict = {}  # sampled key -> block id
@@ -427,18 +416,17 @@ def _setup(scheme_params, coalitions, derandomized: bool):
     caches, and every demand vector's transmitters:
     ``transmitters[d][k - 1]`` is transmitter k's ``_Transmitter`` at
     d's d₋ₖ, one object for every demand vector that agrees with d off
-    k, and ``spaces[d][k - 1]`` its space.  The non-private baseline is
-    chosen here alone: ``derandomized`` enumerates no draw, so every
-    query takes each draw's first outcome.  Coalitions are checked
-    before anything is drawn, the placement draws (see the module
-    docstring) before any delivery."""
+    k.  The non-private baseline is chosen here alone: ``derandomized``
+    enumerates no draw, so every query takes each draw's first outcome.
+    Coalitions are checked before anything is drawn, the placement draws
+    (see the module docstring) before any delivery."""
     base, layout = scheme_params.base, scheme_params.layout
     coalitions = [_coalition(c, base.K) for c in coalitions]
     recorder = RecordingSource()
     placement = scheme_params.place(recorder)
-    shuffles = [((scheme_params.scheme, "p", i, k), tuple(layout.block_slots(k)), "permutation")
+    shuffles = [((scheme_params.scheme, "p", i, k), "permutation", tuple(layout.block_slots(k)))
                 for i in range(1, base.N + 1) for k in range(1, layout.blocks + 1)]
-    drawn = Counter((label, tuple(sorted(xs)), kind) for label, xs, kind in recorder.draws)
+    drawn = Counter((label, kind, tuple(sorted(xs))) for label, kind, xs in recorder.draws)
     if drawn != Counter(shuffles):
         raise ValueError(f"{scheme_params.label()}: the placement must draw one permutation of each "
                          "(file, block)'s slots, labelled (scheme, 'p', file, block), and nothing else")
@@ -454,8 +442,7 @@ def _setup(scheme_params, coalitions, derandomized: bool):
                 t = shared[k, others] = _Transmitter(scheme_params, placement, everyone, k, others,
                                                      derandomized)
             own.append(t)
-    spaces = {d: [t.space for t in own] for d, own in transmitters.items()}
-    return coalitions, placement, everyone, spaces, transmitters
+    return coalitions, placement, everyone, transmitters
 
 
 def _check_run(scheme_params, placement, d, own) -> None:
@@ -479,7 +466,7 @@ def _distributions(scheme_params, setup, blocks, n_head: int):
     and its blocks 1..K the Counters of block ids ``blocks(d, own)`` of
     its transmitters ``own``.  Each demand vector makes its one protocol
     run (``_check_run``) before it is counted."""
-    coalitions, placement, everyone, _, transmitters = setup
+    coalitions, placement, everyone, transmitters = setup
     counts = {}
     for d, own in transmitters.items():
         _check_run(scheme_params, placement, d, own)
@@ -503,7 +490,7 @@ def enumerate_view_distributions(scheme_params, coalitions, derandomized: bool =
     the blocks of index i by id.
     """
     setup = _setup(scheme_params, coalitions, derandomized)
-    total = sum(o.size() for own in setup[3].values() for o in own)
+    total = sum(t.space.size() for own in setup[3].values() for t in own)
     if total > EXACT_ENUMERATION_CAP:
         raise ExactModeTooLarge(total, EXACT_ENUMERATION_CAP)
     return _distributions(scheme_params, setup, lambda d, own: [t.exact for t in own], 1)

@@ -287,7 +287,7 @@ def recorded_points(recorder):
     point is the first outcome of every draw."""
     return itertools.product(*(
         itertools.permutations(xs) if kind == "permutation" else xs
-        for _, xs, kind in recorder.draws
+        for _, kind, xs in recorder.draws
     ))
 
 

@@ -60,7 +60,7 @@ def test_uniform_permutation_chi_square():
     # 3 sigma of 1/6
     source = SeededSource(12)
     counts = Counter(
-        tuple(source.permutation(("chi", n), [1, 2, 3])) for n in range(60_000)
+        tuple(source.draw(("chi", n), "permutation", [1, 2, 3])) for n in range(60_000)
     )
     assert len(counts) == 6
     sigma = (60_000 * (1 / 6) * (5 / 6)) ** 0.5
@@ -74,7 +74,7 @@ def test_sampled_points_uniform_chi_square():
     # every one of the 4! * 2 * 2 = 96 points appears, and the chi-square
     # statistic stays below the 99.9 % quantile of chi2(95), 143.34
     p = scheme_a.params_for(3, 2, 2)
-    own = verify._setup(p, [], False)[3][(1, 1, 2)][0]
+    own = verify._setup(p, [], False)[3][(1, 1, 2)][0].space
     assert own.size() == 96
     rng = seeded_rng(5, "chi")
     plan = own.plan()

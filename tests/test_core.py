@@ -60,7 +60,7 @@ def _stdlib_sample(draws, rng) -> tuple:
     copy of each permutation's items, ``rng.choice`` of each choice's
     options."""
     point = []
-    for _, xs, kind in draws:
+    for _, kind, xs in draws:
         if kind == "permutation":
             xs = list(xs)
             rng.shuffle(xs)
@@ -73,13 +73,13 @@ def _stdlib_sample(draws, rng) -> tuple:
 def _draw_sequences() -> list:
     """One permutation of 0..9 items, one choice of 1..9 options, a hand
     mix, and the delivery draws of scheme A at A(3,2,2) and A(3,3,2)."""
-    out = [[("p", tuple(range(m)), "permutation")] for m in range(10)]
-    out += [[("c", tuple("abcdefghi"[:n]), "choice")] for n in range(1, 10)]
-    out.append([("c", ("x",), "choice"), ("p", (3, 1, 2), "permutation"),
-                ("c", (5, 6, 7, 8, 9), "choice"), ("p", (), "permutation"), ("c", (0, 1), "choice")])
+    out = [[("p", "permutation", tuple(range(m)))] for m in range(10)]
+    out += [[("c", "choice", tuple("abcdefghi"[:n]))] for n in range(1, 10)]
+    out.append([("c", "choice", ("x",)), ("p", "permutation", (3, 1, 2)),
+                ("c", "choice", (5, 6, 7, 8, 9)), ("p", "permutation", ()), ("c", "choice", (0, 1))])
     for params in (scheme_a.params_for(3, 2, 2), scheme_a.params_for(3, 3, 2)):
-        out.append([(label, xs, kind) for k in range(1, 4)
-                    for label, kind, xs in scheme_a.plan_delivery_a(params, k, other_demands((1, 2, 2), k))])
+        out.append([draw for k in range(1, 4)
+                    for draw in scheme_a.plan_delivery_a(params, k, other_demands((1, 2, 2), k))])
     return out
 
 
@@ -113,9 +113,9 @@ def test_keys_name_every_point_once(params, demand_vectors, derandomized):
     # exact mode walks the keys range(size()) through RecordingSource.point,
     # so they must name every point of each transmitter's space exactly
     # once; an empty space (no draws) has one point, the empty tuple
-    spaces = verify._setup(params, [], derandomized)[3]
-    for d in demand_vectors or spaces:
-        for own in spaces[d]:
+    transmitters = verify._setup(params, [], derandomized)[3]
+    for d in demand_vectors or transmitters:
+        for own in (t.space for t in transmitters[d]):
             keyed = Counter(map(own.point, range(own.size())))
             assert keyed == Counter(recorded_points(own)), d
             assert set(keyed.values()) == {1}, d
@@ -127,15 +127,15 @@ def test_fixed_source_is_strict():
     # an unassigned label raises KeyError, a value outside the draw's
     # outcomes ValueError, and an assigned outcome is returned as given
     source = FixedSource({"p": (2, 1, 3), "c": "b", "bad_p": (1, 1, 3), "bad_c": "z"})
-    assert source.permutation("p", [1, 2, 3]) == [2, 1, 3]
-    assert source.choice("c", ["a", "b"]) == "b"
-    for draw in (lambda: source.permutation("q", [1, 2]), lambda: source.choice("q", [1])):
+    assert source.draw("p", "permutation", [1, 2, 3]) == [2, 1, 3]
+    assert source.draw("c", "choice", ["a", "b"]) == "b"
+    for kind, outcomes in (("permutation", [1, 2]), ("choice", [1])):
         with pytest.raises(KeyError):
-            draw()
+            source.draw("q", kind, outcomes)
     with pytest.raises(ValueError, match="not a permutation of items"):
-        source.permutation("bad_p", [1, 2, 3])
+        source.draw("bad_p", "permutation", [1, 2, 3])
     with pytest.raises(ValueError, match="not among options"):
-        source.choice("bad_c", ["a", "b"])
+        source.draw("bad_c", "choice", ["a", "b"])
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 9, 220])
@@ -144,13 +144,13 @@ def test_seeded_source_draws_are_the_stdlib_draws(m):
     for seed in range(200):
         ref = list(items)
         seeded_rng(seed, "('A', 'p', 1, 1)").shuffle(ref)
-        assert SeededSource(seed).permutation(("A", "p", 1, 1), items) == ref
+        assert SeededSource(seed).draw(("A", "p", 1, 1), "permutation", items) == ref
         rng, ref_rng = seeded_rng(seed, "x"), seeded_rng(seed, "x")
         draw_indices(range(m, 1, -1), rng.getrandbits)
         ref_rng.shuffle(list(items))
         assert rng.getstate() == ref_rng.getstate()
         if items:
-            assert SeededSource(seed).choice("c", items) == seeded_rng(seed, "c").choice(items)
+            assert SeededSource(seed).draw("c", "choice", items) == seeded_rng(seed, "c").choice(items)
 
 
 def test_seeded_rng_seeds_independent():

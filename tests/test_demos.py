@@ -37,6 +37,11 @@ def test_protocol_walkthrough_output_pinned():
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == WALKTHROUGH_DIGEST
 
 
+# the audit prints every exact and Monte Carlo report of fixed instances
+# and seeds, and no timing, so its stdout pins the verdicts and TV values
+PRIVACY_AUDIT_DIGEST = "8176e10120d8b733011773c6a6f86d5fe67653fce1cad279a74d98c6dfc4c1d4"
+
+
 def test_privacy_audit_demo_runs():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -52,6 +57,7 @@ def test_privacy_audit_demo_runs():
     assert all("verdict=PASS" in line for line in exact + mc)
     assert all("verdict=FAIL" in line and "witness=" in line for line in baseline)
     assert "K=3" in exact[-1] and "coalition={2,3}" in exact[-1]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PRIVACY_AUDIT_DIGEST
 
 
 def test_mc_false_alarms_demo_runs():

@@ -157,7 +157,7 @@ def _sorted_tuple_placement(placement):
             for other in range(1, K + 1):
                 if other != k:
                     slots.extend(
-                        SubfileId(i, placement.perms[(i, other)][j].slot)
+                        SubfileId(i, placement.tables[other][i][j].slot)
                         for j, w in enumerate(wsets[other])
                         if k in w
                     )
@@ -165,7 +165,7 @@ def _sorted_tuple_placement(placement):
 
     def slot_of(transmitter, file, wset):
         j = wrank[transmitter][tuple(sorted(wset))]
-        return SubfileId(file, placement.perms[(file, transmitter)][j].slot)
+        return SubfileId(file, placement.tables[transmitter][file][j].slot)
 
     return caches, slot_of
 
@@ -174,7 +174,7 @@ def _drawn(params, k, others, source) -> SimpleNamespace:
     """Transmitter k's delivery drawn from ``source`` as a query draws it:
     its effective demands, leader set and shuffle q, and the draw values
     ``plan_messages_a`` reads."""
-    values = [getattr(source, kind)(label, xs) for label, kind, xs in plan_delivery_a(params, k, others)]
+    values = [source.draw(*draw) for draw in plan_delivery_a(params, k, others)]
     d_eff = _virtual_demands(params.base.K, params.base.N, k, others)[0]
     return SimpleNamespace(d_eff=d_eff, leaders=frozenset(values[:-1]), q=tuple(values[-1]), values=values)
 

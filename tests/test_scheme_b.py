@@ -103,7 +103,7 @@ def _pick_loop_messages(k, placement, d_other):
     every other file of the subset from the cross part."""
     params = placement.params
     N, ncross = params.base.N, binom(params.base.N - 2, params.tprime - 1)
-    blocks = {i: placement.perms[(i, k)] for i in range(1, N + 1)}
+    blocks = {i: placement.tables[k][i] for i in range(1, N + 1)}
     next_cross = dict.fromkeys(blocks, 0)
     next_noncross = dict.fromkeys(blocks, ncross)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -90,7 +91,8 @@ def test_caches_and_messages_hold_the_placement_ids(scheme, size, b_target):
     p = scheme.params_for(*size, seed=3, b_target=b_target)
     placement = p.place(SeededSource(3))
     drawn = {}
-    for (i, k), ids in placement.perms.items():
+    for i, k in itertools.product(range(1, p.base.N + 1), range(1, p.layout.blocks + 1)):
+        ids = placement.tables[k][i]
         assert all(type(sid) is SubfileId for sid in ids)
         assert sorted(ids) == [SubfileId(i, s) for s in p.layout.block_slots(k)]
         drawn.update(zip(ids, ids))

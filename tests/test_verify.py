@@ -174,11 +174,9 @@ def test_exact_enumeration_order_invariance(monkeypatch):
     # nor on which placement the recorded first outcomes make
     instances = [scheme_b.params_for(2, 1), scheme_a.params_for(2, 2, 1)]
     refs = [decoded(*verify.enumerate_view_distributions(p, [(1,)])) for p in instances]
-    permutation, choice = RecordingSource.permutation, RecordingSource.choice
-    monkeypatch.setattr(RecordingSource, "permutation",
-                        lambda self, label, items: permutation(self, label, items[::-1]))
-    monkeypatch.setattr(RecordingSource, "choice",
-                        lambda self, label, options: choice(self, label, options[::-1]))
+    draw = RecordingSource.draw
+    monkeypatch.setattr(RecordingSource, "draw",
+                        lambda self, label, kind, outcomes: draw(self, label, kind, outcomes[::-1]))
     flipped = [decoded(*verify.enumerate_view_distributions(p, [(1,)])) for p in instances]
     assert refs == flipped
 
@@ -325,8 +323,14 @@ def _outcomes(draws) -> dict:
     """Recorded draws as label -> sorted outcomes."""
     return {
         label: sorted(itertools.permutations(xs) if kind == "permutation" else xs)
-        for label, xs, kind in draws
+        for label, kind, xs in draws
     }
+
+
+def _first(draws) -> dict:
+    """Label -> first outcome of every (label, kind, outcomes) draw, as
+    ``RecordingSource`` answers it (a permutation as a tuple)."""
+    return {label: xs if kind == "permutation" else xs[0] for label, kind, xs in draws}
 
 
 def _demand_vectors(p):
@@ -361,7 +365,12 @@ def test_recorded_draws_match_hand_listed_atoms(params, derandomized):
     p_atoms = _placement_atoms(params)
     assert len(placement_draws.draws) == len(p_atoms)  # no label drawn twice
     assert _outcomes(placement_draws.draws) == {lab: sorted(opts) for lab, opts in p_atoms}
-    transmitters = verify._setup(params, [], derandomized)[4]
+    # one shuffle of each block's slots, in (file, block) order
+    assert placement_draws.draws == [
+        ((params.scheme, "p", i, k), "permutation", tuple(params.layout.block_slots(k)))
+        for i in range(1, params.base.N + 1) for k in range(1, params.layout.blocks + 1)
+    ]
+    transmitters = verify._setup(params, [], derandomized)[3]
     for d in _demand_vectors(params):
         delivery_draws = RecordingSource()
         _queries(params, placement, d, delivery_draws)
@@ -371,7 +380,8 @@ def test_recorded_draws_match_hand_listed_atoms(params, derandomized):
         # other one at its first outcome
         ran = {}
         for t in transmitters[d]:
-            ran |= {label: [value] for label, value in t.first.items()} | _outcomes(t.space.draws)
+            first = _first(params.delivery_draws(t.k, other_demands(d, t.k)))
+            ran |= {label: [value] for label, value in first.items()} | _outcomes(t.space.draws)
         assert ran == {lab: sorted(opts) for lab, opts in d_atoms}
         assert placement_draws.size() * math.prod(t.space.size() for t in transmitters[d]) == math.prod(
             len(opts) for _, opts in p_atoms + d_atoms
@@ -386,9 +396,9 @@ class _SeededRecorder(RecordingSource):
         super().__init__()
         self.seeded = SeededSource(seed)
 
-    def _draw(self, label, kind, xs):
-        super()._draw(label, kind, xs)
-        return self.seeded._draw(label, kind, xs)
+    def draw(self, label, kind, outcomes):
+        super().draw(label, kind, outcomes)
+        return self.seeded.draw(label, kind, outcomes)
 
 
 @pytest.mark.parametrize("derandomized", [False, True])
@@ -472,13 +482,12 @@ class _StreamSource:
     def __init__(self, rng):
         self.rng = rng
 
-    def permutation(self, label, items):
-        out = list(items)
+    def draw(self, label, kind, outcomes):
+        if kind == "choice":
+            return self.rng.choice(outcomes)
+        out = list(outcomes)
         self.rng.shuffle(out)
         return out
-
-    def choice(self, label, options):
-        return self.rng.choice(options)
 
 
 def _joint_mc(p, coalitions, trials, base_seed, derandomized):
@@ -729,14 +738,14 @@ def _patch_placement(monkeypatch, rewrite):
     ``rewrite(params, source, label, items)`` instead."""
 
     def place(params, source, held):
-        draws = SimpleNamespace(permutation=lambda label, items: rewrite(params, source, label, list(items)))
+        draws = SimpleNamespace(draw=lambda label, kind, items: rewrite(params, source, label, list(items)))
         return core.place(params, draws, held)
 
     monkeypatch.setattr(scheme_a, "place", place)
 
 
 def _shuffled(p, source, label, items):
-    return source.permutation(label, items)
+    return source.draw(label, "permutation", items)
 
 
 def _unshuffled(p, source, label, items):
@@ -744,20 +753,20 @@ def _unshuffled(p, source, label, items):
 
 
 def _part_shuffled(p, source, label, items):
-    return items[:1] + source.permutation(label, items[1:])
+    return items[:1] + source.draw(label, "permutation", items[1:])
 
 
 def _file_shuffled(p, source, label, items):
     # one draw per file over all its slots, block k taking its k-th run
     scheme, _, i, k = label
     n = p.layout.slots_per_block
-    whole = source.permutation((scheme, "p", i), list(range(1, p.layout.slots_per_file + 1)))
+    whole = source.draw((scheme, "p", i), "permutation", list(range(1, p.layout.slots_per_file + 1)))
     return whole[(k - 1) * n:k * n]
 
 
 def _extra_draw(p, source, label, items):
-    source.choice(label + ("extra",), [1, 2])
-    return source.permutation(label, items)
+    source.draw(label + ("extra",), "choice", [1, 2])
+    return source.draw(label, "permutation", items)
 
 
 @pytest.mark.parametrize("check", [_exact, lambda *args: _mc(*args, trials=10)], ids=["exact", "mc"])
@@ -816,8 +825,8 @@ def test_mc_oracle_case_reuses_shared_blocks():
         rng = seeded_rng(17, f"mc|{d}")
         drawn = [set() for _ in own]
         for _ in range(12):
-            for keys, o in zip(drawn, own):
-                keys.add(draw_key(o.plan(), rng.getrandbits))
+            for keys, t in zip(drawn, own):
+                keys.add(draw_key(t.space.plan(), rng.getrandbits))
         for k, keys in enumerate(drawn, 1):
             shared.update(((k, other_demands(d, k)), key) for key in keys)
     reused = [share for (share, _), n in shared.items() if n == 2]
@@ -851,13 +860,10 @@ class _Spy:
     def __init__(self, source):
         self.source, self.values = source, {}
 
-    def permutation(self, label, items):
-        out = self.values[label] = tuple(self.source.permutation(label, items))
-        return list(out)
-
-    def choice(self, label, options):
-        self.values[label] = self.source.choice(label, options)
-        return self.values[label]
+    def draw(self, label, kind, outcomes):
+        value = self.source.draw(label, kind, outcomes)
+        self.values[label] = tuple(value) if kind == "permutation" else value
+        return value
 
 
 @pytest.mark.parametrize("derandomized", [False, True])
@@ -876,7 +882,7 @@ def test_recorded_draws_replay_seeded_values(params, derandomized):
     # queries of transmitters 1..K in turn draw when that stream answers
     # each draw
     K = params.base.K
-    _, placement, _, _, transmitters = verify._setup(params, [], derandomized)
+    _, placement, _, transmitters = verify._setup(params, [], derandomized)
     for d, own in transmitters.items():
         assert sum(len(t.space.draws) for t in own) == (0 if derandomized else K * (params.base.N + 1))
         for seed in (0, 1, 7, 2**62 + 3, -5):
@@ -884,9 +890,10 @@ def test_recorded_draws_replay_seeded_values(params, derandomized):
             source = _delivery_source(_StreamSource(seeded_rng(seed, f"mc|{d}")), derandomized)
             for _ in range(3):
                 replay = {}
-                for t in own:
+                for k, t in enumerate(own, 1):
                     o = t.space
-                    replay |= t.first | dict(zip(_labels(o), o.point(draw_key(o.plan(), rng.getrandbits))))
+                    replay |= _first(params.delivery_draws(k, other_demands(d, k))) | dict(
+                        zip(_labels(o), o.point(draw_key(o.plan(), rng.getrandbits))))
                 spy = _Spy(source)
                 queries = _queries(params, placement, d, spy)
                 assert replay == spy.values, (d, seed)
@@ -909,7 +916,7 @@ def test_one_pass_key_draws_are_the_per_transmitter_draws(params, derandomized):
     # transmitter's key in turn, so it draws the same keys and leaves the
     # stream in the same state
     for d, own in verify._setup(params, [], derandomized)[3].items():
-        plans = [o.plan() for o in own]
+        plans = [t.space.plan() for t in own]
         for seed in (0, 3):
             rng, oracle = seeded_rng(seed, f"mc|{d}"), seeded_rng(seed, f"mc|{d}")
             want = [Counter() for _ in own]
@@ -995,8 +1002,7 @@ def test_baseline_is_the_first_outcome_of_every_delivery_draw(K, N):
         for d in _demand_vectors(p):
             for k in range(1, K + 1):
                 others, recorder = other_demands(d, k), RecordingSource()
-                *leaders, q = [getattr(recorder, kind)(label, xs)
-                               for label, kind, xs in scheme_a.plan_delivery_a(p, k, others)]
+                *leaders, q = [recorder.draw(*draw) for draw in scheme_a.plan_delivery_a(p, k, others)]
                 d_eff = scheme_a._virtual_demands(K, N, k, others)[0]
                 assert tuple(q) == tuple(u for u in range(1, (K - 1) * (N - 1) + K + 1) if u != k)
                 assert set(leaders) == {min(u for u, f in d_eff.items() if f == i) for i in range(1, N + 1)}
@@ -1075,9 +1081,9 @@ def _mc_distinct_points(p, trials, base_seed) -> Counter:
     for d, own in verify._setup(p, [], False)[3].items():
         rng = seeded_rng(base_seed, f"mc|{d}")
         for _ in range(trials):
-            for k, o in enumerate(own, 1):
+            for k, t in enumerate(own, 1):
                 seen.setdefault((k, other_demands(d, k)), set()).add(
-                    o.point(draw_key(o.plan(), rng.getrandbits)))
+                    t.space.point(draw_key(t.space.plan(), rng.getrandbits)))
     return Counter({share: len(points) for share, points in seen.items()})
 
 
@@ -1098,8 +1104,8 @@ def test_mc_runs_only_for_new_points(params, trials, base_seed, most, monkeypatc
     # it; each demand vector makes one protocol run
     distinct = _mc_distinct_points(params, trials, base_seed)
     assert set(distinct.values()) == {most}
-    spaces = verify._setup(params, [], False)[3]
-    assert {o.size() for own in spaces.values() for o in own} == {most}
+    transmitters = verify._setup(params, [], False)[3]
+    assert {t.space.size() for own in transmitters.values() for t in own} == {most}
     runs, blocks = _runs_and_blocks(monkeypatch, params)
     reports = check_privacy_mc_all("A", params, [(1,), (2,)], trials=trials, base_seed=base_seed)
     assert all(r.private for r in reports.values())
@@ -1125,7 +1131,7 @@ def _first_outcomes(params, placement, d) -> dict:
     """Label -> first outcome of every delivery draw of a run at d."""
     recorder = RecordingSource()
     sim.run_protocol(params.scheme, params, d, source=recorder, placement=placement)
-    return {label: xs if kind == "permutation" else xs[0] for label, xs, kind in recorder.draws}
+    return _first(recorder.draws)
 
 
 @pytest.mark.parametrize("derandomized", [False, True])
@@ -1146,7 +1152,7 @@ def test_block_k_depends_only_on_the_other_users_demands(params, derandomized):
     # that transmitter's space, block k of a protocol run at the full d
     # equals the block the check shares
     K = params.base.K
-    _, placement, everyone, _, transmitters = verify._setup(params, [], derandomized)
+    _, placement, everyone, transmitters = verify._setup(params, [], derandomized)
     recorded = {}
     for d in _demand_vectors(params):
         recorder = RecordingSource()
@@ -1190,8 +1196,8 @@ def test_a_run_draws_each_transmitters_declared_draws_in_order(params, derandomi
     for d in _demand_vectors(params):
         recorder = RecordingSource()
         sim.run_protocol(params.scheme, params, d, source=recorder, placement=placement)
-        assert recorder.draws == [(label, xs, kind) for k in range(1, K + 1)
-                                  for label, kind, xs in params.delivery_draws(k, other_demands(d, k))], d
+        assert recorder.draws == [draw for k in range(1, K + 1)
+                                  for draw in params.delivery_draws(k, other_demands(d, k))], d
 
 
 @pytest.mark.parametrize("derandomized", [False, True])
@@ -1211,13 +1217,14 @@ def test_queries_compose_their_drawn_values(params, derandomized):
     # at every key of every transmitter's space the server's query, asked
     # of a FixedSource of that point, is compose at the point's values,
     # whose rows the check's block builder relabels
-    _, placement, everyone, _, transmitters = verify._setup(params, [], derandomized)
+    _, placement, everyone, transmitters = verify._setup(params, [], derandomized)
     shares = {(k, other_demands(d, k)): t for d, own in transmitters.items() for k, t in enumerate(own, 1)}
     for (k, others), t in shares.items():
+        first = _first(params.delivery_draws(k, others))
         for key in range(t.space.size()):
-            values = t.space.point(key) if t.space.draws else tuple(t.first.values())
+            values = t.space.point(key) if t.space.draws else tuple(first.values())
             rows = params.compose(placement, k, others, values)
-            assert params.query(placement, k, others, FixedSource(dict(zip(t.first, values)))) == rows, \
+            assert params.query(placement, k, others, FixedSource(dict(zip(first, values)))) == rows, \
                 (k, others, key)
             assert t.block(key) == everyone.rows(k, [(k, pos, comp) for pos, comp in rows]), (k, others, key)
 
@@ -1350,7 +1357,7 @@ def test_block_naming_a_slot_outside_the_class_table_raises(monkeypatch):
         return out
 
     monkeypatch.setattr(type(p), "compose", mutant)
-    transmitters = verify._setup(p, [], False)[4]
+    transmitters = verify._setup(p, [], False)[3]
     with pytest.raises(KeyError):
         transmitters[1, 1, 1][0].block(0)
     with pytest.raises(KeyError):
@@ -1366,9 +1373,10 @@ def _run_blocks(params, mode, derandomized, trials, base_seed) -> list:
     once, or the keys of ``trials`` Monte Carlo trials, drawn one
     transmitter after another from the demand vector's stream with the
     ``draw_key`` oracle."""
-    _, placement, everyone, spaces, _ = verify._setup(params, [], derandomized)
+    _, placement, everyone, transmitters = verify._setup(params, [], derandomized)
     runs = []
-    for d, own in spaces.items():
+    for d, own in transmitters.items():
+        own = [t.space for t in own]
         first = _first_outcomes(params, placement, d)
         if mode == "exact":
             keyed = [Counter(range(o.size())) for o in own]
