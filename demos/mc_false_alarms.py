@@ -16,7 +16,6 @@ counts FAILed coalitions over all checks.
 
 import argparse
 import itertools
-import time
 
 from d2dpc import scheme_a, verify
 
@@ -47,7 +46,6 @@ def main() -> None:
     if seeds < 1:
         parser.error("--seeds must be >= 1")
     params = scheme_a.params_for(3, 2, 2)
-    start = time.perf_counter()
     print(f"A(3,2,2), {len(COALITIONS)} coalitions, tolerance {verify.DEFAULT_TOLERANCE}, "
           f"base seeds 0..{seeds - 1}")
     print("| instance | trials | checks FAILed | coalitions FAILed | debiased TV range |")
@@ -58,7 +56,6 @@ def main() -> None:
             checks, coalitions, largest, smallest = tally(params, trials, seeds, derandomized)
             print(f"| {label} | {trials:,} | {checks}/{seeds} ({checks / seeds:.1%}) "
                   f"| {coalitions}/{seeds * len(COALITIONS)} | {smallest:.4f}..{largest:.4f} |")
-    print(f"({time.perf_counter() - start:.0f} s)")
 
 
 if __name__ == "__main__":

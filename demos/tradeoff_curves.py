@@ -27,7 +27,7 @@ for (K, N), curves in CONFIGS.items():
     for which in curves:
         path = os.path.join(OUT, f"{which}_K{K}_N{N}.csv")
         cli_main(["curve", "--which", which, "--K", str(K), "--N", str(N), "--out", path])
-    print(f"K={K}, N={N}: wrote {len(curves)} curves to {OUT}")
+    print(f"K={K}, N={N}: wrote {len(curves)} curves to demos/curves")
 
 print()
 print("--- headline facts ---")

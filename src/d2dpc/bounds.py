@@ -120,9 +120,13 @@ def man_points(K: int, N: int) -> list[tuple[Rat, Rat]]:
 def shared_link_nonprivate_envelope(K: int, N: int, factor: Rat = Fraction(1)) -> TradeoffCurve:
     """Envelope of the shared-link corner points, loads scaled by ``factor``.
 
-    factor 1 is the uncoded-placement converse; 1/2 (N >= K) and 1/4
-    (N < K, where the point (0, N) joins the envelope) are the
-    order-optimality scalings that make it a valid general converse.
+    At factor 1 the points are the MAN loads ``man_points``, plus (0, N)
+    when N < K.  For N >= K these are the exact uncoded-placement optimum
+    of Yu, Maddah-Ali and Avestimehr.  For N < K the curve lies above
+    that optimum at some corners (the first at K = 4, N = 2, M = 1/2:
+    4/3 against 5/4), so there it is not a converse.  1/2 (N >= K) and
+    1/4 (N < K) are the order-optimality scalings that make it a valid
+    general converse.
     """
     factor = Fraction(factor)
     pts = man_points(K, N)

@@ -80,6 +80,14 @@ block-k subfiles and a slot's class holds its block, so no class spans
 two transmitters and ``canonical_view`` is ``canonical_view_blocks``
 laid end to end.
 
+A check counts the transmitters' blocks only, so block k of its counts
+is transmitter k.  Block 0 of a view, the coalition C, its demands d_C
+and the counts of its cache classes, is what C knows of itself, and
+privacy is about what C learns beyond it: the checks build one
+placement and compare only demand vectors that agree on C
+(``_grouped_by_fixing``), so block 0 is the same on both sides of
+every comparison, and counting it would add equal factors to both.
+
 A coalition's view is a function of the everyone-view, the view of all
 K users: a slot's pattern for the coalition is its everyone-pattern
 intersected with the coalition, ordinals are renumbered within the
@@ -87,15 +95,15 @@ coarser classes (the everyone-refs already name each physical slot),
 and the cache-class counts are summed onto the coarser classes.  So
 each block is canonicalised once, as an everyone-view block, and a
 coalition's counts are the pushforward of the everyone counts.  Blocks
-are counted as ids (``_Everyone.id``): each distinct block of an index
-gets an int id when first met, and so does each coalition's image of
-it (``_count_then_project``), so the counts, the pushforward and the
-comparisons handle small ints, not nested tuples.  Projection composes,
-because a coarser ref still names one physical slot of its block: the
-coalitions are projected largest first, each one's blocks of index
-i >= 1 from the distinct images of its smallest already projected
-superset, not from every everyone block, and the images come out with
-the ids direct projection gives them.  Each mode has one entry point,
+are counted as ids (``_Everyone.id``): each distinct block of a
+transmitter gets an int id when first met, and so does each coalition's
+image of it (``_count_then_project``), so the counts, the pushforward
+and the comparisons handle small ints, not nested tuples.  Projection
+composes, because a coarser ref still names one physical slot of its
+block: the coalitions are projected largest first, each one's blocks
+from the distinct images of its smallest already projected superset,
+not from every everyone block, and the images come out with the ids
+direct projection gives them.  Each mode has one entry point,
 which checks a list of coalitions off one shared pass:
 ``check_privacy_exact_all`` compares exact block counts of a small
 instance, ``check_privacy_mc_all`` samples a larger one and gates on
@@ -187,8 +195,8 @@ class _Everyone:
     caching it), the counts of slots per class, and for each user the
     classes of the slots it caches.  User k caches all of block k of
     every file, so every slot is cached by someone.  It also numbers the
-    blocks a check meets: ``ids[i]`` maps each distinct block of index i
-    to its int id, in the order first met (``id``)."""
+    blocks a check meets: ``ids[k - 1]`` maps each distinct block of
+    transmitter k to its int id, in the order first met (``id``)."""
 
     def __init__(self, caches, layout):
         pattern: dict = {}  # sid -> tuple of users caching it
@@ -197,13 +205,8 @@ class _Everyone:
                 pattern[sid] = pattern.get(sid, ()) + (u,)
         classes = {sid: (sid.file, layout.block_of(sid.slot), pat) for sid, pat in pattern.items()}
         self._held = [{sid: classes[sid] for sid in cache.slots} for cache in caches]
-        self._users = tuple(range(1, len(caches) + 1))
-        self._cache_classes = tuple(sorted(Counter(classes.values()).items()))
-        self.ids: list[dict] = [{} for _ in range(len(caches) + 1)]
-
-    def head(self, demands) -> tuple:
-        """Block 0: all users, all demands and the cache-class counts."""
-        return (self._users, tuple(demands), self._cache_classes)
+        self.cache_classes = tuple(sorted(Counter(classes.values()).items()))
+        self.ids: list[dict] = [{} for _ in caches]
 
     def rows(self, k: int, triples) -> tuple:
         """Block k: transmitter k's (sender, position set, composition)
@@ -212,15 +215,10 @@ class _Everyone:
         KeyError, as ``sim.user_broadcast`` does."""
         return _relabelled(triples, self._held[k - 1])
 
-    def blocks(self, demands, broadcasts) -> tuple:
-        """A run's everyone-view ``(head, rows_1, ..., rows_K)``."""
-        return (self.head(demands),) + tuple(
-            self.rows(k, triples) for k, triples in enumerate(_triples(broadcasts), 1))
-
-    def id(self, i: int, block) -> int:
-        """The int id of ``block`` among index i's blocks: the next one
-        when it is first met."""
-        seen = self.ids[i]
+    def id(self, k: int, block) -> int:
+        """The int id of ``block`` among transmitter k's blocks: the next
+        one when it is first met."""
+        seen = self.ids[k - 1]
         j = seen.get(block)
         if j is None:
             j = seen[block] = len(seen)
@@ -237,17 +235,14 @@ class _Projection(dict):
     """Everyone-view blocks, or a superset's images of them, projected
     onto one coalition: a slot's pattern is intersected with the
     coalition, ordinals are renumbered within the coarser classes (the
-    refs already name each physical slot), and cache-class counts are
-    summed onto the coarser classes; a head is projected from the
-    everyone head, which holds every user's demand.
-    Projecting onto the everyone coalition changes nothing, so it is
-    skipped.  The dict is the one memo: it maps each ref met, and each
-    finer class, to the coalition's class, filled on first use, so a
-    relabelling reads each later ref in one lookup."""
+    refs already name each physical slot).  Projecting onto the
+    everyone coalition changes nothing, so it is skipped.  The dict is
+    the one memo: it maps each ref met, and each finer class, to the
+    coalition's class, filled on first use, so a relabelling reads each
+    later ref in one lookup."""
 
     def __init__(self, coalition: tuple[int, ...], K: int):
         super().__init__()
-        self.coalition = coalition
         self._identity = len(coalition) == K
         self._members = frozenset(coalition)
 
@@ -260,60 +255,45 @@ class _Projection(dict):
         self[key] = out
         return out
 
-    def __call__(self, block, i: int) -> tuple:
-        """Everyone-view block ``i`` projected."""
-        if self._identity:
-            return block
-        if i:
-            return _relabelled(block, self)
-        _, demands, cache_classes = block
-        counts: dict = {}
-        for cls, n in cache_classes:
-            cls = self[cls]
-            if cls[2]:
-                counts[cls] = counts.get(cls, 0) + n
-        own_demands = tuple(demands[u - 1] for u in self.coalition)
-        return (self.coalition, own_demands, tuple(sorted(counts.items())))
+    def __call__(self, block) -> tuple:
+        """An everyone-view block, or a superset's image of it, projected."""
+        return block if self._identity else _relabelled(block, self)
 
 
 def _count_then_project(counts, ids, coalitions):
-    """The one counter of both samplers, on ids.  ``counts[d][i]`` is a
-    Counter of the ids of demand vector d's blocks of index i, and
-    ``ids[i]`` maps every everyone-view block of index i to its id
-    (``_Everyone.ids``), so everything here counts, projects and compares
-    small ints, not nested tuples.  A coalition's counts are their
-    pushforward under its ``_Projection``, run once per distinct block,
-    its images given ids the same way, in the order first met.
+    """The one counter of both samplers, on ids.  ``counts[d][k - 1]`` is
+    a Counter of the ids of demand vector d's blocks of transmitter k,
+    and ``ids[k - 1]`` maps every everyone-view block of transmitter k to
+    its id (``_Everyone.ids``), so everything here counts, projects and
+    compares small ints, not nested tuples.  A coalition's counts are
+    their pushforward under its ``_Projection``, run once per distinct
+    block, its images given ids the same way, in the order first met.
 
-    Coalitions are projected largest first, and a coalition's blocks of
-    index i >= 1 are projected from the distinct images of its already
-    projected strict superset with the fewest of them, else from the
-    everyone-view blocks; its counts are pushed forward from that
-    superset's.  Projection composes: an everyone-ref, and so a coarser
+    Coalitions are projected largest first, and a coalition's blocks are
+    projected from the distinct images of its already projected strict
+    superset with the fewest of them, else from the everyone-view
+    blocks; its counts are pushed forward from that superset's.
+    Projection composes: an everyone-ref, and so a coarser
     ref, names one physical slot of its block, so relabelling a
     superset's image gives what relabelling the everyone block gives.
     Images are numbered in the order first met, and a superset's images
     are met in the order of their first everyone block, so the ids are
-    those of projecting every everyone block.  Block 0 (the head), which
-    holds every user's demand, is projected from the everyone heads.
+    those of projecting every everyone block.
 
     Returns (dists, blocks), keyed in the order of ``coalitions``:
-    dists[coalition][demand vector] is a list of per-block Counters of
-    ids, and blocks[coalition][i] lists block index i's blocks by id."""
-    K = len(ids) - 1
+    dists[coalition][demand vector][k - 1] is a Counter of transmitter
+    k's block ids, and blocks[coalition][k - 1] lists transmitter k's
+    blocks by id."""
     dists, blocks = {}, {}
     for c in sorted(dict.fromkeys(coalitions), key=len, reverse=True):
-        proj = _Projection(c, K)
+        proj = _Projection(c, len(ids))
         base = min((p for p in dists if set(c) < set(p)), default=None,
-                   key=lambda p: sum(map(len, blocks[p][1:])))
-        sources = ids if base is None else [ids[0], *blocks[base][1:]]
+                   key=lambda p: sum(map(len, blocks[p])))
         images: list[dict] = [{} for _ in ids]
-        to_image = [[image.setdefault(proj(block, i), len(image)) for block in source]
-                    for i, (source, image) in enumerate(zip(sources, images))]
+        to_image = [[image.setdefault(proj(block), len(image)) for block in source]
+                    for source, image in zip(ids if base is None else blocks[base], images)]
         dists[c] = {}
-        for d, counters in counts.items():
-            if base is not None:
-                counters = [counters[0], *dists[base][d][1:]]
+        for d, counters in (counts if base is None else dists[base]).items():
             pushed = [Counter() for _ in counters]
             for out, counter, to in zip(pushed, counters, to_image):
                 for j, n in counter.items():
@@ -340,18 +320,29 @@ def canonical_view(transcript: Transcript, coalition) -> ObserverView:
 def canonical_view_blocks(transcript: Transcript, coalition) -> tuple:
     """The canonical view split into per-transmitter marginal blocks.
 
-    Block 0 holds the coalition's demands and cache structure; block k
-    holds transmitter k's canonicalised messages with slot ordinals that
+    Block 0 holds the coalition, its demands and the counts of its cache
+    classes (each everyone class projected onto it); block k holds
+    transmitter k's canonicalised messages with slot ordinals that
     restart per transmitter.  The joint view distribution is the product
     of the block marginals (see the module docstring), so comparing
     marginals loses nothing.  Block k of a coalition is block k of the
-    everyone-view projected onto it.
+    everyone-view projected onto it.  The checks count blocks 1..K only:
+    block 0 is the coalition's own knowledge, fixed by its demands on the
+    one placement a check builds.
     """
     K = transcript.scheme_params.base.K
-    proj = _Projection(_coalition(coalition, K), K)
+    coalition = _coalition(coalition, K)
+    proj = _Projection(coalition, K)
     everyone = _Everyone(transcript.caches, transcript.scheme_params.layout)
-    return tuple(proj(block, i) for i, block in
-                 enumerate(everyone.blocks(transcript.demands, transcript.broadcasts)))
+    cache_counts: dict = {}
+    for cls, n in everyone.cache_classes:
+        cls = proj[cls]
+        if cls[2]:
+            cache_counts[cls] = cache_counts.get(cls, 0) + n
+    own_demands = tuple(transcript.demands[u - 1] for u in coalition)
+    head = (coalition, own_demands, tuple(sorted(cache_counts.items())))
+    return (head, *(proj(everyone.rows(k, triples))
+                    for k, triples in enumerate(_triples(transcript.broadcasts), 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +451,17 @@ def _check_run(scheme_params, placement, d, own) -> None:
                 f"from its query from the other users' demands {other_demands(d, k)}")
 
 
-def _distributions(scheme_params, setup, blocks, n_head: int):
+def _distributions(scheme_params, setup, blocks):
     """(dists, blocks) of ``_count_then_project`` over every demand
-    vector of ``setup``: d's block 0 is its head, weighted ``n_head``,
-    and its blocks 1..K the Counters of block ids ``blocks(d, own)`` of
-    its transmitters ``own``.  Each demand vector makes its one protocol
-    run (``_check_run``) before it is counted."""
+    vector of ``setup``: d's counts are the Counters of block ids
+    ``blocks(d, own)`` of its transmitters ``own``, one per transmitter.
+    Each demand vector makes its one protocol run (``_check_run``) before
+    it is counted."""
     coalitions, placement, everyone, transmitters = setup
     counts = {}
     for d, own in transmitters.items():
         _check_run(scheme_params, placement, d, own)
-        counts[d] = [Counter({everyone.id(0, everyone.head(d)): n_head}), *blocks(d, own)]
+        counts[d] = blocks(d, own)
     return _count_then_project(counts, everyone.ids, coalitions)
 
 
@@ -486,14 +477,14 @@ def enumerate_view_distributions(scheme_params, coalitions, derandomized: bool =
     ``_Transmitter``).  Block k's counters all have the same total, so
     distribution equality is plain counter equality.  Returns (dists,
     blocks) of ``_count_then_project``: dists[coalition][demand vector]
-    is a list of per-block Counters of block ids, blocks[coalition][i]
-    the blocks of index i by id.
+    holds one Counter of block ids per transmitter, and
+    blocks[coalition][k - 1] lists transmitter k's blocks by id.
     """
     setup = _setup(scheme_params, coalitions, derandomized)
     total = sum(t.space.size() for own in setup[3].values() for t in own)
     if total > EXACT_ENUMERATION_CAP:
         raise ExactModeTooLarge(total, EXACT_ENUMERATION_CAP)
-    return _distributions(scheme_params, setup, lambda d, own: [t.exact for t in own], 1)
+    return _distributions(scheme_params, setup, lambda d, own: [t.exact for t in own])
 
 
 def _grouped_by_fixing(distributions: dict, coalition):
@@ -665,7 +656,7 @@ def sample_view_distributions(scheme_params, coalitions, trials: int, base_seed:
         keys = _trial_keys([t.space.plan() for t in own], trials, getrandbits)
         return [t.tally(key_counts) for t, key_counts in zip(own, keys)]
 
-    return _distributions(scheme_params, _setup(scheme_params, coalitions, derandomized), blocks, trials)
+    return _distributions(scheme_params, _setup(scheme_params, coalitions, derandomized), blocks)
 
 
 def _max_tv_report(scheme_params, coalition, dists, trials, tolerance) -> PrivacyReport:

@@ -17,6 +17,10 @@ of the library needs them, so they live with the tests.
 * ``scheme_a_within_three_of_shared_link`` with ``load_a_upper``: the
   factor-3 bridge between scheme A and the shared-link loads behind the
   constant-factor claims.
+* ``yma_uncoded_optimum``: the exact optimal load under uncoded
+  placement of Yu, Maddah-Ali and Avestimehr at a corner M = tN/K, in
+  closed form, which ``bounds.shared_link_nonprivate_envelope`` equals
+  for N >= K only.
 * ``virtual_demands_by_blocks``: the virtual users' files from block
   index arithmetic, the oracle of ``scheme_a._virtual_demands``.
 * ``gap_by_division``: the gap with each ratio one ``Fraction`` division,
@@ -38,6 +42,7 @@ of the library needs them, so they live with the tests.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -240,6 +245,13 @@ def scheme_a_within_three_of_shared_link(K: int, N: int) -> bool:
     return True
 
 
+def yma_uncoded_optimum(K: int, N: int, t: int) -> Fraction:
+    """[C(K, t+1) - C(K-N, t+1)] / C(K, t), the second binomial 0 when
+    N >= K: the shared-link load at M = tN/K that no uncoded placement
+    beats (Yu, Maddah-Ali and Avestimehr)."""
+    return Fraction(math.comb(K, t + 1) - (math.comb(K - N, t + 1) if N < K else 0), math.comb(K, t))
+
+
 def virtual_demands_by_blocks(K: int, N: int, k: int, demands) -> tuple[dict, tuple]:
     """Sub-system k's effective demand map and per-file sorted demanders,
     file i's virtual users placed as the contiguous block that starts
@@ -305,25 +317,25 @@ def draw_key(plan, getrandbits) -> int:
 
 
 def count_then_project_tuples(runs, demand_vectors, coalitions, K: int) -> dict:
-    """dists[coalition][demand vector]: per-block Counters keyed by the
-    blocks themselves.  ``runs`` yields (demand vector, block index,
-    everyone-view block, multiplicity); a coalition's counts are their
+    """dists[coalition][demand vector]: per-transmitter Counters keyed by
+    the blocks themselves.  ``runs`` yields (demand vector, transmitter
+    k, everyone-view block, multiplicity); a coalition's counts are their
     pushforward under its ``_Projection``."""
-    counts = {d: [Counter() for _ in range(K + 1)] for d in demand_vectors}
-    for d, i, block, n in runs:
-        counts[d][i][block] += n
+    counts = {d: [Counter() for _ in range(K)] for d in demand_vectors}
+    for d, k, block, n in runs:
+        counts[d][k - 1][block] += n
     dists: dict = {}
     for c in coalitions:
         proj = _Projection(c, K)
-        memos: list = [{} for _ in range(K + 1)]
+        memos: list = [{} for _ in range(K)]
         dists[c] = {}
         for d, counters in counts.items():
-            pushed = [Counter() for _ in range(K + 1)]
-            for i, (out, counter, memo) in enumerate(zip(pushed, counters, memos)):
+            pushed = [Counter() for _ in range(K)]
+            for out, counter, memo in zip(pushed, counters, memos):
                 for block, n in counter.items():
                     image = memo.get(block)
                     if image is None:
-                        image = memo[block] = proj(block, i)
+                        image = memo[block] = proj(block)
                     out[image] += n
             dists[c][d] = pushed
     return dists
@@ -331,17 +343,18 @@ def count_then_project_tuples(runs, demand_vectors, coalitions, K: int) -> dict:
 
 def count_then_project_direct(counts, ids, coalitions):
     """(dists, blocks) of ``verify._count_then_project``, each coalition
-    projected on its own from every everyone-view block: ``counts[d][i]``
-    is a Counter of the ids of demand vector d's blocks of index i,
-    ``ids[i]`` maps every everyone-view block of index i to its id, and a
-    coalition's counts are their pushforward under its ``_Projection``,
-    its images numbered in the order first met."""
+    projected on its own from every everyone-view block:
+    ``counts[d][k - 1]`` is a Counter of the ids of demand vector d's
+    blocks of transmitter k, ``ids[k - 1]`` maps every everyone-view
+    block of transmitter k to its id, and a coalition's counts are their
+    pushforward under its ``_Projection``, its images numbered in the
+    order first met."""
     dists, blocks = {}, {}
     for c in coalitions:
-        proj = _Projection(c, len(ids) - 1)
+        proj = _Projection(c, len(ids))
         images: list[dict] = [{} for _ in ids]
-        image_of = [[image.setdefault(proj(block, i), len(image)) for block in seen]
-                    for i, (seen, image) in enumerate(zip(ids, images))]
+        image_of = [[image.setdefault(proj(block), len(image)) for block in seen]
+                    for seen, image in zip(ids, images)]
         dists[c] = {}
         for d, counters in counts.items():
             pushed = [Counter() for _ in counters]
@@ -355,8 +368,8 @@ def count_then_project_direct(counts, ids, coalitions):
 
 def decoded(dists: dict, blocks: dict) -> dict:
     """Id-keyed distributions keyed by their blocks again:
-    dists[coalition][demand vector][i] is a Counter of ids of
-    blocks[coalition][i]."""
+    dists[coalition][demand vector][k - 1] is a Counter of ids of
+    blocks[coalition][k - 1]."""
     return {
         c: {d: [Counter({blocks[c][i][j]: n for j, n in counter.items()})
                 for i, counter in enumerate(counters)]

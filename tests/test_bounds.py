@@ -32,6 +32,7 @@ from oracles import (
     converse_two_user_corners,
     gap_by_division,
     scheme_a_within_three_of_shared_link,
+    yma_uncoded_optimum,
 )
 
 
@@ -172,6 +173,25 @@ def test_shared_link_points():
     assert man_points(3, 5)[-1] == (5, 0)  # t = K
     env = shared_link_nonprivate_envelope(2, 8, Fraction(1, 2))
     assert env(4) == Fraction(1, 4)
+
+
+def test_shared_link_envelope_against_yma_uncoded_optimum():
+    # at factor 1 the curve is the MAN loads, plus (0, N) when N < K: the
+    # uncoded-placement optimum for N >= K, and above it at some corners
+    # for N < K, where it is no converse
+    above = []
+    for K in range(2, 13):
+        for N in range(1, 3 * K + 1):
+            curve = shared_link_nonprivate_envelope(K, N)
+            for t in range(K + 1):
+                M, opt = Fraction(t * N, K), yma_uncoded_optimum(K, N, t)
+                if N >= K:
+                    assert curve(M) == opt, (K, N, t)
+                elif curve(M) != opt:
+                    assert curve(M) > opt, (K, N, t)
+                    above.append((K, N, M, curve(M), opt))
+    assert len(above) == 165
+    assert above[0] == (4, 2, Fraction(1, 2), Fraction(4, 3), Fraction(5, 4))
 
 
 def t2_first_segment(K: int, N: int) -> int:

@@ -60,6 +60,11 @@ def test_privacy_audit_demo_runs():
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PRIVACY_AUDIT_DIGEST
 
 
+# the table counts FAILed checks and prints debiased TV ranges of fixed
+# seeds, and no timing, so its stdout pins every report it tallies
+MC_FALSE_ALARMS_SEEDS_1_DIGEST = "0d41da4952d4817780bd5a5e65c83cb4fa93b9eb06449482fc77e938b27bdafc"
+
+
 def test_mc_false_alarms_demo_runs():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -70,3 +75,20 @@ def test_mc_false_alarms_demo_runs():
     rows = [line for line in proc.stdout.splitlines() if line.startswith(("| private", "| baseline"))]
     assert [row.split(" | ")[1] for row in rows] == ["300", "1,000", "3,000", "10,000", "50", "200"]
     assert all("| 1/1 (100.0%) | 6/6 |" in row for row in rows[4:])
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == MC_FALSE_ALARMS_SEEDS_1_DIGEST
+
+
+# the demo prints where it wrote the CSVs, relative to the checkout, and
+# the headline facts of exact curves, so its stdout is the same anywhere
+TRADEOFF_CURVES_DIGEST = "0413eb76758adbd973c3aca20a0822709a04466b57ba1115d64d5ad88b752fd1"
+
+
+def test_tradeoff_curves_demo_output_pinned():
+    # the demo writes its CSVs under demos/curves/, which git ignores
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "tradeoff_curves.py")],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == TRADEOFF_CURVES_DIGEST

@@ -348,6 +348,13 @@ def _queries(p, placement, d, source) -> list:
     return [p.query(placement, k, other_demands(d, k), source) for k in range(1, p.base.K + 1)]
 
 
+def _everyone_blocks(everyone, broadcasts) -> list:
+    """A run's everyone-view blocks, the check's ``everyone`` relabelling
+    each transmitter's messages on their own: transmitter k's is item
+    k - 1."""
+    return [everyone.rows(k, triples) for k, triples in enumerate(verify._triples(broadcasts), 1)]
+
+
 RECORDED_INSTANCES = [
     pytest.param(scheme_a.params_for(2, 2, 1), id="A(2,2,1)"),
     pytest.param(scheme_a.params_for(2, 2, 2), id="A(2,2,2)"),
@@ -494,7 +501,8 @@ def _joint_mc(p, coalitions, trials, base_seed, derandomized):
     """The oracle of ``sample_view_distributions``: per demand vector d,
     ``trials`` consecutive protocol runs on the check's one placement,
     every draw answered from the one stream of d, and every coalition's
-    view blocks counted on their own."""
+    transmitter blocks, 1..K of ``canonical_view_blocks``, counted on
+    their own."""
     K, N = p.base.K, p.base.N
     placement = p.place(RecordingSource())
     dists = {}
@@ -507,7 +515,7 @@ def _joint_mc(p, coalitions, trials, base_seed, derandomized):
         ]
         for c in coalitions:
             dists.setdefault(c, {})[d] = [
-                Counter(blocks) for blocks in zip(*(verify.canonical_view_blocks(tr, c) for tr in runs))
+                Counter(blocks) for blocks in zip(*(verify.canonical_view_blocks(tr, c)[1:] for tr in runs))
             ]
     return dists
 
@@ -523,26 +531,26 @@ def _joint_mc(p, coalitions, trials, base_seed, derandomized):
 )
 def test_projected_exact_distributions_match_joint_oracle(params, derandomized):
     # per demand vector, the joint view distribution over the whole
-    # placement x delivery space is the product of the per-block
-    # distributions exact mode counts on one placement
+    # placement x delivery space has one block 0, and is the product of
+    # the per-transmitter distributions exact mode counts on one placement
     coalitions = _all_coalitions(params.base.K)
     got = decoded(*verify.enumerate_view_distributions(params, coalitions, derandomized=derandomized))
     joint = _joint_exact(params, coalitions, derandomized)
     for c in coalitions:
         for d, counter in joint[c].items():
             total = sum(counter.values())
-            assert _product(got[c][d]) == {v: Fraction(n, total) for v, n in counter.items()}
+            (head,) = {key[:3] for key in counter}
+            assert _product(head, got[c][d]) == {v: Fraction(n, total) for v, n in counter.items()}
 
 
-def _product(counters) -> dict:
-    """The joint view distribution whose per-block factors are
-    ``counters``, keyed like ``canonical_view(...).key()``, as exact
-    Fractions."""
+def _product(head, counters) -> dict:
+    """The joint view distribution of block 0 ``head`` and the
+    per-transmitter factors ``counters``, keyed like
+    ``canonical_view(...).key()``, as exact Fractions."""
     totals = [sum(counter.values()) for counter in counters]
     dist: dict = {}
     for combo in itertools.product(*(counter.items() for counter in counters)):
-        (head, _), *blocks = combo
-        key = head + (tuple(itertools.chain.from_iterable(b for b, _ in blocks)),)
+        key = head + (tuple(itertools.chain.from_iterable(b for b, _ in combo)),)
         p = math.prod(Fraction(n, total) for (_, n), total in zip(combo, totals))
         dist[key] = dist.get(key, 0) + p
     return dist
@@ -571,7 +579,8 @@ def _placements(p, samples):
 )
 def test_views_do_not_depend_on_the_placement_draw(params, samples, count):
     # with the delivery draws fixed, every placement gives the same
-    # everyone-view blocks: the fact that lets a check run on one placement
+    # cache-class counts and everyone-view blocks: the fact that lets a
+    # check run on one placement
     placements = _placements(params, samples)
     assert len(placements) == count
     for d in _demand_vectors(params):
@@ -581,8 +590,50 @@ def test_views_do_not_depend_on_the_placement_draw(params, samples, count):
                 tr = sim.run_protocol(params.scheme, params, d,
                                       source=_delivery_source(SeededSource(seed), derandomized),
                                       placement=placement)
-                views.add(verify._Everyone(placement.caches, params.layout).blocks(d, tr.broadcasts))
+                everyone = verify._Everyone(placement.caches, params.layout)
+                views.add((everyone.cache_classes, *_everyone_blocks(everyone, tr.broadcasts)))
             assert len(views) == 1, (d, seed, derandomized)
+
+
+def _one_draw_placements(p) -> list:
+    """A placement for each outcome of each placement draw, every other
+    draw at its first outcome."""
+    recorder = RecordingSource()
+    p.place(recorder)
+    first = _first(recorder.draws)
+    return [p.place(FixedSource({**first, label: value}))
+            for label, kind, xs in recorder.draws
+            for value in (itertools.permutations(xs) if kind == "permutation" else xs)]
+
+
+@pytest.mark.parametrize(
+    "params,placements,count",
+    [
+        pytest.param(scheme_a.params_for(2, 2, 1), lambda p: _placements(p, None), 1, id="A(2,2,1)"),
+        pytest.param(scheme_a.params_for(2, 2, 2), lambda p: _placements(p, None), 16, id="A(2,2,2)"),
+        pytest.param(scheme_a.params_for(3, 2, 1), lambda p: _placements(p, None), 1, id="A(3,2,1)"),
+        # 46,656 placement points: each draw over all its outcomes instead
+        pytest.param(scheme_b.params_for(3, 1), _one_draw_placements, 36, id="B(3,1)"),
+    ],
+)
+def test_block_0_depends_only_on_the_coalitions_own_demands(params, placements, count):
+    # why a check counts transmitter blocks only: block 0 of a coalition's
+    # view, its demands and cache-class counts, is one value for every
+    # demand vector that agrees on the coalition and every placement, so
+    # it is equal on both sides of every comparison a check makes
+    placements = placements(params)
+    assert len(placements) == count
+    heads = {c: {} for c in _all_coalitions(params.base.K)}
+    for seed, placement in enumerate(placements):
+        for d in _demand_vectors(params):
+            tr = sim.run_protocol(params.scheme, params, d, source=SeededSource(seed), placement=placement)
+            for c, by_fixing in heads.items():
+                fixing = tuple(d[u - 1] for u in c)
+                by_fixing.setdefault(fixing, set()).add(verify.canonical_view_blocks(tr, c)[0])
+    for c, by_fixing in heads.items():
+        assert len(by_fixing) == params.base.N ** len(c), c
+        for fixing, (head, *more) in by_fixing.items():
+            assert not more and head[:2] == (c, fixing), (c, fixing)
 
 
 @pytest.mark.parametrize(
@@ -607,7 +658,7 @@ def test_block_k_depends_only_on_transmitter_k_draws(params, demand_vectors):
         def blocks(assignment):
             tr = sim.run_protocol(params.scheme, params, d, source=FixedSource(assignment),
                                   placement=placement)
-            return everyone.blocks(d, tr.broadcasts)
+            return _everyone_blocks(everyone, tr.broadcasts)
 
         base = blocks(first)
         for draw in recorder.draws:
@@ -616,7 +667,7 @@ def test_block_k_depends_only_on_transmitter_k_draws(params, demand_vectors):
             changed = set()
             for (value,) in recorded_points(single):
                 got = blocks({**first, draw[0]: value})
-                changed |= {i for i, (a, b) in enumerate(zip(base, got)) if a != b}
+                changed |= {k for k, (a, b) in enumerate(zip(base, got), 1) if a != b}
             assert changed <= {draw[0][2]}, (d, draw[0])
             if draw[0][1] == "q":
                 assert changed == {draw[0][2]}, (d, draw[0])
@@ -1172,7 +1223,7 @@ def test_block_k_depends_only_on_the_other_users_demands(params, derandomized):
             for key in range(t.space.size()):
                 source = FixedSource(first | dict(zip(_labels(t.space), t.space.point(key))))
                 tr = sim.run_protocol(params.scheme, params, d, source=source, placement=placement)
-                assert everyone.blocks(d, tr.broadcasts)[k] == t.block(key), (d, k, key)
+                assert _everyone_blocks(everyone, tr.broadcasts)[k - 1] == t.block(key), (d, k, key)
 
 
 @pytest.mark.parametrize("derandomized", [False, True])
@@ -1367,10 +1418,10 @@ def test_block_naming_a_slot_outside_the_class_table_raises(monkeypatch):
 
 
 def _run_blocks(params, mode, derandomized, trials, base_seed) -> list:
-    """The everyone-view blocks a check counts, as (demand vector, block
-    index, block, multiplicity), each block k from a protocol run at the
-    full demand vector: exact mode's every key of transmitter k's space
-    once, or the keys of ``trials`` Monte Carlo trials, drawn one
+    """The everyone-view blocks a check counts, as (demand vector,
+    transmitter k, block, multiplicity), each block k from a protocol run
+    at the full demand vector: exact mode's every key of transmitter k's
+    space once, or the keys of ``trials`` Monte Carlo trials, drawn one
     transmitter after another from the demand vector's stream with the
     ``draw_key`` oracle."""
     _, placement, everyone, transmitters = verify._setup(params, [], derandomized)
@@ -1385,12 +1436,11 @@ def _run_blocks(params, mode, derandomized, trials, base_seed) -> list:
             for _ in range(trials):
                 for counts, o in zip(keyed, own):
                     counts[draw_key(o.plan(), rng.getrandbits)] += 1
-        runs.append((d, 0, everyone.head(d), 1 if mode == "exact" else trials))
         for k, (o, counts) in enumerate(zip(own, keyed), 1):
             for key, n in counts.items():
                 source = FixedSource(first | dict(zip(_labels(o), o.point(key))))
                 tr = sim.run_protocol(params.scheme, params, d, source=source, placement=placement)
-                runs.append((d, k, everyone.blocks(d, tr.broadcasts)[k], n))
+                runs.append((d, k, _everyone_blocks(everyone, tr.broadcasts)[k - 1], n))
     return runs
 
 
