@@ -699,7 +699,8 @@ def check_privacy_mc_all(
     each coalition off one shared set of runs.
 
     max_tv is the largest empirical total variation over all pairs of
-    demand completions and all view blocks (see canonical_view_blocks).
+    demand completions and all transmitter blocks, blocks 1..K of
+    ``canonical_view_blocks``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
