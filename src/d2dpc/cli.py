@@ -112,6 +112,9 @@ def _gap_inputs(parser: argparse.ArgumentParser, args):
     names = args.converse.split(",")
     if len(set(names)) < len(names):
         parser.error(f"argument --converse: {args.converse} names a curve twice")
+    for name in names:
+        if name in bounds.CURVES and bounds.CURVES[name].achievable:
+            parser.error(f"argument --converse: {name} is an achievable curve, not a lower bound")
     achievable = _named_curve(parser, "--achievable", args.achievable, args.K, args.N)
     converse = None
     for name in names:

@@ -11,7 +11,16 @@ evaluators, privacy checks) builds on the types in this module:
 * labelled deterministic randomness sources, each answering every draw
   with its one ``draw(label, kind, outcomes)``, a permutation of the
   outcomes or a choice among them, so that every "randomly generate"
-  step of a scheme can be replayed or exhaustively enumerated.
+  step of a scheme can be replayed or exhaustively enumerated,
+* the skeleton both schemes share: the ``SchemeParams`` base,
+  ``scheme_class(letter)``, the one letter -> class lookup that ``sim``,
+  ``cli`` and the transcript parser share, and the uncoded placement
+  ``place``, whose ``SubfileId`` objects are the one id per (file, slot)
+  of a run that caches and message compositions hold (a lint in
+  ``tests/test_lint.py`` allows ``SubfileId(...)`` only in ``place``,
+  the parser's ``_parse_sid`` and the decoder's ``DecodingFailure``),
+* the transcript wire format: ``transcript_to_text`` and its inverse
+  ``transcript_from_text`` (README, *Transcript format*).
 """
 
 from __future__ import annotations
@@ -680,13 +689,16 @@ def _lines(text: str, start: int):
         start = end + 1
 
 
-# body line kinds in the order their sections appear
-_SECTIONS = {"library": 0, "cache": 1, "message": 2}
-
-
-def _fields(kind: str, tokens: list, count: int) -> list:
-    """The fields after a line's kind, which must be ``count`` of them."""
-    if len(tokens) != count:
+def _fields(line: Optional[str], kind: str, count: Optional[int] = None) -> list:
+    """The fields after the kind of ``line``, where the writer's order
+    puts a ``kind`` line: the end of the text (``line`` None), a line of
+    another kind, or other than ``count`` fields raises ValueError."""
+    if line is None:
+        raise ValueError(f"truncated transcript: it ends where a {kind} line is due")
+    got, *tokens = line.split(" ")
+    if got != kind:
+        raise ValueError(f"expected a {kind} line, got a {got!r} line")
+    if count is not None and len(tokens) != count:
         raise ValueError(f"a {kind} line has {count} fields after its kind, got {len(tokens)}")
     return tokens
 
@@ -696,8 +708,10 @@ def transcript_from_text(text: str) -> Transcript:
     it writes: lines in its order, single spaces, plain decimals and
     exact-width lowercase hex.  Anything else, truncated text, or a
     header that does not state one instance consistently raises
-    ValueError.  Each line is split once, and each distinct ``file:slot``
-    token and cache item is parsed once."""
+    ValueError.  The lines are read in the writer's order: the header,
+    library lines 1..N, cache lines 1..K, the messages by sender, then
+    ``payload_bits=``.  Each line is split once, and each distinct
+    ``file:slot`` token and cache item is parsed once."""
     magic = "d2d-transcript 1\n"
     if not text.startswith(magic):
         raise ValueError("not a transcript file")
@@ -708,73 +722,56 @@ def transcript_from_text(text: str) -> Transcript:
     base, layout = sp.base, sp.layout
     ell = layout.subfile_bits
     sid_of = functools.cache(functools.partial(_parse_sid, layout))
+    library: dict[int, int] = {}
+    for i in range(1, base.N + 1):
+        idx_s, buf = _fields(next(lines, None), "library", 2)
+        if idx_s != str(i):
+            raise ValueError(f"expected library line {i}, got {idx_s!r}")
+        library[i] = _parse_hex(buf, base.B, f"library file {i}")
     # "file:slot=hex" cache item -> (subfile, value), each distinct item parsed once
     entries: dict[str, tuple[SubfileId, int]] = {}
-    library: dict[int, int] = {}
     caches: list[CacheState] = []
+    for owner in range(1, base.K + 1):
+        owner_s, *items = _fields(next(lines, None), "cache") or [""]
+        if owner_s != str(owner):
+            raise ValueError(f"expected cache line {owner}, got {owner_s!r}")
+        content = {}
+        last = (0, 0)
+        for item in items:
+            entry = entries.get(item)
+            if entry is None:
+                sid_s, _, digits = item.partition("=")
+                entry = entries[item] = (
+                    sid_of(sid_s), _parse_hex(digits, ell, f"cache {owner} subfile {sid_s}"))
+            sid, value = entry
+            if sid <= last:
+                raise ValueError(f"cache {owner} lists subfile {sid.file}:{sid.slot} out of order or twice")
+            content[sid] = value
+            last = sid
+        caches.append(CacheState(owner, content))
+        caches[-1].check(ell, sp.memory_point() * base.B)
     broadcasts: list[list[MulticastMessage]] = [[] for _ in range(base.K)]
-    section, latest = 0, 1
+    latest = 1
     for line in lines:
         if line.startswith("payload_bits="):
             break
-        kind, *tokens = line.split(" ")
-        if kind not in _SECTIONS:
-            raise ValueError(f"unknown transcript line kind {kind!r}")
-        if _SECTIONS[kind] < section:
-            raise ValueError(f"{kind} line out of order: library, cache and message lines come in that order")
-        section = _SECTIONS[kind]
-        if kind == "library":
-            idx_s, buf = _fields(kind, tokens, 2)
-            idx = _decimal(idx_s, "library index")
-            if idx != len(library) + 1:
-                raise ValueError(f"expected library line {len(library) + 1}, got {idx_s}")
-            library[idx] = _parse_hex(buf, base.B, f"library file {idx}")
-        elif kind == "cache":
-            if not tokens:
-                raise ValueError("a cache line has its owner and then its items, got no field")
-            owner_s, *items = tokens
-            owner = _decimal(owner_s, "cache owner")
-            if owner != len(caches) + 1:
-                raise ValueError(f"expected cache line {len(caches) + 1}, got {owner_s}")
-            content = {}
-            last = (0, 0)
-            for item in items:
-                entry = entries.get(item)
-                if entry is None:
-                    sid_s, _, digits = item.partition("=")
-                    entry = entries[item] = (
-                        sid_of(sid_s), _parse_hex(digits, ell, f"cache {owner} subfile {sid_s}"))
-                sid, value = entry
-                if sid <= last:
-                    raise ValueError(f"cache {owner} lists subfile {sid.file}:{sid.slot} out of order or twice")
-                content[sid] = value
-                last = sid
-            caches.append(CacheState(owner, content))
-            caches[-1].check(ell, sp.memory_point() * base.B)
-        else:
-            sender_s, pos_s, comp_s, pay_s = _fields(kind, tokens, 4)
-            sender = _decimal(sender_s, "message sender")
-            if not 1 <= sender <= base.K:
-                raise ValueError(f"message sender {sender} outside 1..{base.K}")
-            if sender < latest:
-                raise ValueError(f"a message of sender {sender} after one of sender {latest}")
-            latest = sender
-            pos_v = _field(pos_s, "pos")
-            pos = None if pos_v == "-" else tuple(_decimal(x, "position") for x in pos_v.split(","))
-            comp = tuple(map(sid_of, _field(comp_s, "comp").split(",")))
-            payload = _parse_hex(_field(pay_s, "payload"), ell, f"message {sender} payload")
-            broadcasts[sender - 1].append(MulticastMessage(sender, comp, payload, pos))
+        sender_s, pos_s, comp_s, pay_s = _fields(line, "message", 4)
+        sender = _decimal(sender_s, "message sender")
+        if not 1 <= sender <= base.K:
+            raise ValueError(f"message sender {sender} outside 1..{base.K}")
+        if sender < latest:
+            raise ValueError(f"a message of sender {sender} after one of sender {latest}")
+        latest = sender
+        pos_v = _field(pos_s, "pos")
+        pos = None if pos_v == "-" else tuple(_decimal(x, "position") for x in pos_v.split(","))
+        comp = tuple(map(sid_of, _field(comp_s, "comp").split(",")))
+        payload = _parse_hex(_field(pay_s, "payload"), ell, f"message {sender} payload")
+        broadcasts[sender - 1].append(MulticastMessage(sender, comp, payload, pos))
     else:
         raise ValueError("truncated transcript: it does not end with its payload_bits= line")
     if next(lines, None) is not None:
         raise ValueError("transcript continues after its payload_bits= line")
-    if len(library) != base.N or len(caches) != base.K:
-        raise ValueError(
-            f"transcript has {len(library)} library and {len(caches)} cache lines, "
-            f"expected N={base.N} and K={base.K}"
-        )
     tr = Transcript(sp, library, caches, demands, broadcasts)
-    payload_bits = _decimal(_field(line, "payload_bits"), "payload_bits")
-    if payload_bits != tr.payload_bits:
-        raise ValueError(f"payload_bits={payload_bits} disagrees with the messages")
+    if line != f"payload_bits={tr.payload_bits}":
+        raise ValueError(f"{line} disagrees with the messages' payload_bits={tr.payload_bits}")
     return tr

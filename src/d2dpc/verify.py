@@ -10,11 +10,14 @@ nothing else.  Cached values and payloads are dropped, on the payload
 premise: given the composition structure, the bits a coalition holds
 are the image of the library's i.i.d. uniform subfiles under a linear
 map that the structure fixes, so they say nothing more about the
-demands.  No check here tests that; ``tests/test_verify.py`` does, with
-an oracle over a coalition's full information (every placement,
-delivery and library of 1-bit subfiles; cached values and payloads;
-physical slot ids) whose verdicts equal exact mode's on the smallest
-instances, and which FAILs a payload-only leak that exact mode PASSes.
+demands.  Each check tests the premise's map on every demand vector's
+one protocol run (``_check_run``): every payload must be the XOR of
+its composition's library values, else AssertionError.  Only that run,
+at the first outcome of every draw, is checked; over every draw,
+``tests/test_verify.py`` covers the premise with an oracle over a
+coalition's full information (every placement, delivery and library
+of 1-bit subfiles; cached values and payloads; physical slot ids)
+whose verdicts equal exact mode's on the smallest instances.
 
 Every check rests on one premise about the placement draws, which
 ``_setup`` checks before anything runs, on what ``place`` draws from a
@@ -71,9 +74,9 @@ transmitter k caches, so a slot that k does not hold raises KeyError,
 as ``sim.user_broadcast`` does.  Each demand vector still makes one
 protocol run (``sim.run_protocol``) at the first outcome of every draw,
 and the check raises AssertionError unless each transmitter's messages
-in that run carry exactly the rows of its shared query at that point
-(``_check_run``): a run whose transmitter k reads more of d than d₋ₖ
-fails loudly.
+in that run carry exactly the rows of its shared query at that point,
+with the payloads the premise above gives them (``_check_run``): a run
+whose transmitter k reads more of d than d₋ₖ fails loudly.
 
 The joint view needs no pass of its own: transmitter k XORs only
 block-k subfiles and a slot's class holds its block, so no class spans
@@ -120,7 +123,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import scheme_a, sim
-from .core import RecordingSource, Transcript, check_seed, other_demands, seeded_rng
+from .core import RecordingSource, Transcript, check_seed, other_demands, seeded_rng, split_file
 
 EXACT_ENUMERATION_CAP = 1_000_000
 DEFAULT_TRIALS = 10_000
@@ -436,12 +439,14 @@ def _setup(scheme_params, coalitions, derandomized: bool):
     return coalitions, placement, everyone, transmitters
 
 
-def _check_run(scheme_params, placement, d, own) -> None:
+def _check_run(scheme_params, placement, pieces, d, own) -> None:
     """Demand vector d's one protocol run, at the first outcome of every
     draw: transmitter k's messages must carry exactly the (sender,
     position set, composition) rows of the query that d's transmitter
     ``own[k - 1]``, shared by every demand vector agreeing with d off k,
-    was asked at that point (``first_triples``); else AssertionError."""
+    was asked at that point (``first_triples``), and each payload must be
+    the XOR of its composition's values in ``pieces``, the placement's
+    library split by file (the payload premise); else AssertionError."""
     run = sim.run_protocol(scheme_params.scheme, scheme_params, d, source=RecordingSource(),
                            placement=placement)
     for k, (t, triples) in enumerate(zip(own, _triples(run.broadcasts)), 1):
@@ -449,6 +454,15 @@ def _check_run(scheme_params, placement, d, own) -> None:
             raise AssertionError(
                 f"{scheme_params.label()}: transmitter {k}'s messages in the protocol run at d={d} differ "
                 f"from its query from the other users' demands {other_demands(d, k)}")
+    for k, per_user in enumerate(run.broadcasts, 1):
+        for j, m in enumerate(per_user, 1):
+            payload = 0
+            for sid in m.composition:
+                payload ^= pieces[sid.file][sid.slot - 1]
+            if m.payload != payload:
+                raise AssertionError(
+                    f"{scheme_params.label()}: transmitter {k}'s message {j} in the protocol run at d={d} "
+                    f"carries a payload other than the XOR of its composition")
 
 
 def _distributions(scheme_params, setup, blocks):
@@ -456,11 +470,12 @@ def _distributions(scheme_params, setup, blocks):
     vector of ``setup``: d's counts are the Counters of block ids
     ``blocks(d, own)`` of its transmitters ``own``, one per transmitter.
     Each demand vector makes its one protocol run (``_check_run``) before
-    it is counted."""
+    it is counted; the library is split once for all of them."""
     coalitions, placement, everyone, transmitters = setup
+    pieces = {i: split_file(scheme_params.layout, buf) for i, buf in placement.library.items()}
     counts = {}
     for d, own in transmitters.items():
-        _check_run(scheme_params, placement, d, own)
+        _check_run(scheme_params, placement, pieces, d, own)
         counts[d] = blocks(d, own)
     return _count_then_project(counts, everyone.ids, coalitions)
 

@@ -134,12 +134,17 @@ def test_gap_range_stays_inside_request(capsys):
     assert "bound 3/2: PASS" in out
 
 
-def test_gap_identical(capsys):
-    rc = main(["gap", "--K", "2", "--N", "5", "--achievable", "schemeB",
-               "--converse", "schemeB", "--bound", "1"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "max ratio = 1 " in out
+def test_gap_refuses_an_achievable_converse(capsys):
+    # a scheme's curve bounds nothing: gap used to print "max ratio = 1"
+    # for schemeB against itself and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["gap", "--K", "2", "--N", "5", "--achievable", "schemeB",
+              "--converse", "schemeB", "--bound", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1].endswith(
+        "argument --converse: schemeB is an achievable curve, not a lower bound")
 
 
 @pytest.mark.parametrize("density", ["16", "64", "256"])
@@ -407,6 +412,9 @@ _GAP_8 = ["gap", "--K", "2", "--N", "8", "--achievable", "schemeB", "--converse"
         ("--coalition", _VERIFY_A[:-1] + ["1,1"]),
         # every user: no demand is left to vary, and the check compared nothing
         ("--coalition", _VERIFY_A[:-1] + ["1,2"]),
+        # an achievable curve is no lower bound, alone or in a list
+        ("--converse", _GAP_8[:-1] + ["schemeA"]),
+        ("--converse", _GAP_8[:-1] + ["conv2u,schemeB"]),
     ],
 )
 def test_bad_argument_exits_2_with_one_line_message(flag, argv, capsys):

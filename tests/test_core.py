@@ -559,6 +559,26 @@ def test_a_line_with_a_missing_or_extra_field_is_named(old, new, message):
         transcript_from_text(GOLDEN.read_text().replace(old, new))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # library line N is due
+        (_drop_line(GOLDEN.read_text(), "library 2 "), "expected a library line, got a 'cache' line"),
+        # cache line K is due
+        (_drop_line(GOLDEN.read_text(), "cache 2 "), "expected a cache line, got a 'message' line"),
+        # the text ends where cache line 2 is due
+        (GOLDEN.read_text().partition("cache 2 ")[0],
+         "truncated transcript: it ends where a cache line is due"),
+        (GOLDEN.read_text().replace("library 1 a\n", "library 01 a\n"), "expected library line 1, got '01'"),
+        (GOLDEN.read_text().replace("payload_bits=2", "payload_bits=3"),
+         "payload_bits=3 disagrees with the messages' payload_bits=2"),
+    ],
+)
+def test_a_line_off_the_writers_order_is_named(text, message):
+    with pytest.raises(ValueError, match=message):
+        transcript_from_text(text)
+
+
 def test_a_cache_out_of_slot_order_is_written_in_slot_order():
     # only core.place sorts a cache's slots; the writer must not rely on it
     tr = sim.run_protocol("A", scheme_a.params_for(2, 2, 2, seed=42), (1, 2))

@@ -758,20 +758,28 @@ def _leak_through_a_payload(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "params",
+    "params,full_information",
     [
-        pytest.param(scheme_a.params_for(2, 2, 1), id="A(2,2,1)"),
-        pytest.param(scheme_a.params_for(2, 2, 2), id="A(2,2,2)"),
+        pytest.param(scheme_a.params_for(2, 2, 1), True, id="A(2,2,1)"),
+        pytest.param(scheme_a.params_for(2, 2, 2), True, id="A(2,2,2)"),
+        pytest.param(scheme_a.params_for(3, 2, 2), False, id="A(3,2,2)"),
+        pytest.param(scheme_b.params_for(4, 3), False, id="B(4,3)"),
     ],
 )
-def test_payload_only_leak_fails_full_information_and_passes_exact_mode(params, monkeypatch):
+def test_payload_only_leak_fails_full_information_and_raises_in_both_modes(params, full_information,
+                                                                            monkeypatch):
     # user 1 knows what its first message should XOR to, so the flip
-    # tells it user 2's demand; exact mode drops payloads by design (the
-    # payload premise) and PASSes, with the ignored paranoid keyword too
+    # tells it user 2's demand; the views drop payloads, but each demand
+    # vector's run checks the payload premise and names the message
     _leak_through_a_payload(monkeypatch)
-    assert _full_information_verdicts(params, [(1,)], False) == {(1,): False}
-    for paranoid in (False, True):
-        assert _exact(params.scheme, params, (1,), paranoid=paranoid).private
+    if full_information:
+        assert _full_information_verdicts(params, [(1,)], False) == {(1,): False}
+    coalitions = [c for c in _all_coalitions(params.base.K) if len(c) < params.base.K]
+    message = "transmitter 1's message 1 in the protocol run at d=.* carries a payload other than"
+    with pytest.raises(AssertionError, match=message):
+        check_privacy_exact_all(params.scheme, params, coalitions)
+    with pytest.raises(AssertionError, match=message):
+        check_privacy_mc_all(params.scheme, params, coalitions, trials=10)
 
 
 def test_paranoid_keyword_is_accepted_and_ignored():
